@@ -33,10 +33,17 @@ bench: tools
 bench-smoke:
 	go test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
-# Just the simulation-kernel micro-benchmarks (sleep/timer/spawn/timeout,
-# pipe, netsim RPC/cast) — the ones the kernel fast path is judged by.
-bench-kernel:
-	go test -run '^$$' -bench 'Sim|Pipe|Netsim' -benchmem ./internal/sim/ ./internal/netsim/
+# The simulation-kernel micro-benchmarks (sleep alone and contended, timer,
+# spawn, timeout, pipe, netsim RPC/cast) plus the serial experiment set they
+# add up to, merged into BENCH_13.json under LABEL. The file's "before" side
+# is the parent commit's output of the same commands, fed through
+# `benchjson -label before`.
+LABEL ?= after
+bench-kernel: tools
+	go test -run '^$$' -bench 'Sim|Pipe|Netsim' -benchmem ./internal/sim/ ./internal/netsim/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	go test -run '^$$' -bench 'ExperimentsSerial' -benchmem . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	./bin/benchjson -out BENCH_13.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; coroutine hand-off PR — before = channel handshake through a scheduler goroutine (parent commit), after = iter.Pull switches with inline self-continuation; SimSleepContended (two alternating sleepers) is the path that still switches; events/op and allocs/op must match between the sides except WaitTimeout (-1 alloc: no timeout closure) and ExperimentsSerial (ring build formats no strings)" < bench.out
+	rm -f bench.out
 
 # Just the stage-out data-plane benchmarks: coalesced drain vs per-block,
 # streaming readahead, and the tab6 experiment regeneration.

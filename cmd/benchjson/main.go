@@ -6,15 +6,22 @@
 // Usage:
 //
 //	go test -bench=. -benchmem ./... | benchjson -out BENCH_2.json
+//
+// With -label, every result is tagged (e.g. "before", "after") and merged
+// into the report already at -out, replacing earlier results that carry the
+// same label; one file then holds both sides of a comparison.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -22,6 +29,7 @@ import (
 // Benchmark is one parsed result line.
 type Benchmark struct {
 	Name    string             `json:"name"`
+	Label   string             `json:"label,omitempty"`
 	Package string             `json:"package,omitempty"`
 	Runs    int64              `json:"runs"`
 	Metrics map[string]float64 `json:"metrics"` // unit → value, e.g. "ns/op": 133.5
@@ -39,9 +47,23 @@ type Report struct {
 func main() {
 	out := flag.String("out", "BENCH.json", "output JSON path")
 	note := flag.String("note", "", "free-form context recorded in the report (hardware caveats etc.)")
+	label := flag.String("label", "", "tag every result with this label and merge into the report already at -out")
 	flag.Parse()
 
-	rep := Report{Note: *note, Benchmarks: []Benchmark{}}
+	rep := Report{Benchmarks: []Benchmark{}}
+	if *label != "" {
+		prev, err := os.ReadFile(*out)
+		if err == nil {
+			err = json.Unmarshal(prev, &rep)
+		}
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			log.Fatalf("benchjson: merge into %s: %v", *out, err)
+		}
+		rep.Benchmarks = slices.DeleteFunc(rep.Benchmarks, func(b Benchmark) bool { return b.Label == *label })
+	}
+	if *note != "" {
+		rep.Note = *note
+	}
 	pkg := ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -59,7 +81,7 @@ func main() {
 			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBench(line); ok {
-				b.Package = pkg
+				b.Package, b.Label = pkg, *label
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}

@@ -6,9 +6,10 @@
 package hashring
 
 import (
-	"fmt"
-	"hash/fnv"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // DefaultReplicas is the default number of virtual points per node.
@@ -18,6 +19,7 @@ const DefaultReplicas = 160
 type Ring struct {
 	replicas int
 	points   []point // sorted by hash
+	fresh    []point // Add's scratch: the new node's points, reused
 	nodes    map[string]struct{}
 }
 
@@ -35,13 +37,24 @@ func New(replicas int) *Ring {
 	return &Ring{replicas: replicas, nodes: make(map[string]struct{})}
 }
 
-func hashOf(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	// FNV alone mixes short, similar strings (node labels with a vnode
-	// suffix) poorly; a splitmix64 finalizer restores avalanche so virtual
-	// points spread uniformly around the ring.
-	x := h.Sum64()
+// FNV-1a, 64 bit.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvAdd folds s into the FNV-1a state h.
+func fnvAdd[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// mix is the splitmix64 finalizer. FNV alone mixes short, similar strings
+// (node labels with a vnode suffix) poorly; the finalizer restores
+// avalanche so virtual points spread uniformly around the ring.
+func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -50,16 +63,39 @@ func hashOf(s string) uint64 {
 	return x
 }
 
-// Add inserts a node. Adding an existing node is a no-op.
+func hashOf(s string) uint64 { return mix(fnvAdd(fnvOffset, s)) }
+
+// Add inserts a node. Adding an existing node is a no-op. Virtual point i
+// of a node hashes the label "node#i"; the node's points are sorted on
+// their own and merged into the ring in one pass, so building a ring of n
+// nodes costs n linear merges, not n full sorts.
 func (r *Ring) Add(node string) {
 	if _, ok := r.nodes[node]; ok {
 		return
 	}
 	r.nodes[node] = struct{}{}
+	prefix := fnvAdd(fnvAdd(fnvOffset, node), "#")
+	fresh := r.fresh[:0]
+	var digits [20]byte
 	for i := 0; i < r.replicas; i++ {
-		r.points = append(r.points, point{hash: hashOf(fmt.Sprintf("%s#%d", node, i)), node: node})
+		h := fnvAdd(prefix, strconv.AppendInt(digits[:0], int64(i), 10))
+		fresh = append(fresh, point{hash: mix(h), node: node})
 	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	r.fresh = fresh
+	slices.SortFunc(fresh, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
+	// Merge from the back, in place: grow the ring by the new points' room
+	// and fill it from the largest hash down.
+	i := len(r.points) - 1
+	r.points = append(r.points, fresh...)
+	for j, k := len(fresh)-1, len(r.points)-1; j >= 0; k-- {
+		if i >= 0 && r.points[i].hash > fresh[j].hash {
+			r.points[k] = r.points[i]
+			i--
+		} else {
+			r.points[k] = fresh[j]
+			j--
+		}
+	}
 }
 
 // Remove deletes a node and all its virtual points. Removing an absent

@@ -2,6 +2,9 @@ package hashring
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -284,5 +287,50 @@ func TestGroupN(t *testing.T) {
 	}
 	if g := r.GroupN(nil, 2); g != nil {
 		t.Errorf("GroupN(nil) = %v, want nil", g)
+	}
+}
+
+// TestPointsMatchReferenceConstruction pins the ring table against the
+// construction placement was defined by: virtual point i of a node is the
+// finalized FNV-1a hash of the label "node#i" (hash/fnv over the formatted
+// string), and the ring is all points sorted by hash. Add builds the same
+// table incrementally, across adds, removes and re-adds.
+func TestPointsMatchReferenceConstruction(t *testing.T) {
+	ref := func(nodes []string, replicas int) []point {
+		var pts []point
+		for _, n := range nodes {
+			for i := 0; i < replicas; i++ {
+				h := fnv.New64a()
+				h.Write([]byte(fmt.Sprintf("%s#%d", n, i)))
+				pts = append(pts, point{hash: mix(h.Sum64()), node: n})
+			}
+		}
+		sort.Slice(pts, func(i, j int) bool { return pts[i].hash < pts[j].hash })
+		return pts
+	}
+	var nodes []string
+	for i := 0; i < 24; i++ {
+		nodes = append(nodes, fmt.Sprintf("127.0.0.%d:11211", 11+i), fmt.Sprintf("bb%d", i))
+	}
+	for _, replicas := range []int{1, 7, DefaultReplicas} {
+		r := New(replicas)
+		for _, n := range nodes {
+			r.Add(n)
+		}
+		if want := ref(nodes, replicas); !slices.Equal(r.points, want) {
+			t.Fatalf("replicas=%d: ring table differs from the reference construction", replicas)
+		}
+		r.Remove(nodes[3])
+		r.Remove(nodes[10])
+		r.Add(nodes[3])
+		left := slices.Delete(slices.Clone(nodes), 10, 11)
+		if want := ref(left, replicas); !slices.Equal(r.points, want) {
+			t.Fatalf("replicas=%d: ring table differs after remove and re-add", replicas)
+		}
+	}
+	h := fnv.New64a()
+	h.Write([]byte("some/key"))
+	if got, want := hashOf("some/key"), mix(h.Sum64()); got != want {
+		t.Errorf("hashOf = %x, want %x", got, want)
 	}
 }

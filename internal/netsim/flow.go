@@ -352,9 +352,9 @@ func (nw *Network) collectComponent(gen uint64) {
 // link's equal share — then re-arms completion timers for the flows
 // whose rate changed. It runs only on flow transitions (Write arrival,
 // completion, node failure) over the affected component, so its cost is
-// O(component x its links). All state it touches is mutated on the
-// scheduler goroutine only, keeping runs bit-reproducible regardless of
-// GOMAXPROCS.
+// O(component x its links). All state it touches is mutated only by code
+// the kernel serializes (processes and callbacks of one Env), keeping runs
+// bit-reproducible regardless of GOMAXPROCS.
 func (nw *Network) solve(now int64, flows []*Flow) {
 	nw.flowResolves.Inc()
 	nw.flowActive.Observe(float64(len(nw.flows)))

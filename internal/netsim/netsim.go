@@ -295,8 +295,8 @@ func (nw *Network) transferVia(p *sim.Proc, src, dst NodeID, n int64, legacy boo
 			// Pace the sender by its egress pipe so other local flows can
 			// interleave. The final chunk skips this: its egress end is
 			// always at or before the ingress tail awaited below, so the
-			// extra wake-up would change nothing but cost a scheduler
-			// handshake — one chunk (every RPC envelope) sleeps once.
+			// extra wake-up would change nothing but cost an event —
+			// one chunk (every RPC envelope) sleeps once.
 			p.Sleep(time.Duration(endE - int64(p.Now())))
 		}
 	}

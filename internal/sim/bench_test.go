@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkSimSleep measures the kernel's hottest path: one process
-// sleeping repeatedly, i.e. one schedule + one pop + one resume handshake
-// per iteration.
+// sleeping repeatedly with nothing interleaved, i.e. one schedule + one pop
+// per iteration, on the process's own stack.
 func BenchmarkSimSleep(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
@@ -20,9 +20,27 @@ func BenchmarkSimSleep(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkSimSleepContended is the other half of Sleep's cost: two
+// processes whose wakes alternate, so every yield names the other process
+// and control passes through the Run goroutine (two coroutine switches per
+// iteration).
+func BenchmarkSimSleepContended(b *testing.B) {
+	b.ReportAllocs()
+	e := New(1)
+	for _, name := range []string{"a", "b"} {
+		e.Spawn(name, func(p *Proc) {
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkSimTimer measures one-shot deferred work on the callback timer
 // API: a chain of b.N Env.After callbacks each firing one microsecond after
-// the last — no goroutine, no handshake, just heap traffic.
+// the last — no process, no switch, just heap traffic.
 func BenchmarkSimTimer(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)

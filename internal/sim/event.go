@@ -18,8 +18,8 @@ type waiter struct {
 	// whichever of {event, timeout} fires first flips it, and the loser's
 	// pending timer is cancelled.
 	fired bool
-	// timer is the pending timeout callback, if the wait carries one;
-	// Trigger cancels it eagerly so no tombstone lingers in the event queue.
+	// timer is the pending timeout wake, if the wait carries one; Trigger
+	// cancels it eagerly so no tombstone lingers in the event queue.
 	timer Timer
 }
 
@@ -79,19 +79,18 @@ func (ev *Event) WaitTimeout(p *Proc, d time.Duration) bool {
 	ev.waiters = live
 	w := &waiter{p: p}
 	ev.waiters = append(ev.waiters, w)
-	// The timeout is a callback timer: it fires inline on the scheduler
-	// goroutine and wakes the waiter directly, with no timer process and no
-	// extra handshake. If the event triggers first, Trigger cancels it.
-	env := p.env
-	w.timer = env.After(d, func() {
-		if w.fired {
-			return
-		}
+	// The timeout is a timed wake with its own reason, so the process owns a
+	// scheduled event and yields rather than blocks; Trigger cancels it.
+	if d < 0 {
+		d = 0
+	}
+	w.timer = p.env.scheduleProc(p.env.now+int64(d), p, wakeTimeout)
+	if p.yield() == wakeTimeout {
 		// Timed out: mark the waiter dead so a later Trigger skips it.
 		w.fired = true
-		env.dispatch(w.p, wakeTimeout)
-	})
-	return p.block() == wakeEvent
+		return false
+	}
+	return true
 }
 
 // Signal is a single-waiter wake-up, the allocation-free alternative to

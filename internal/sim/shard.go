@@ -115,8 +115,8 @@ type ShardGroup struct {
 	workers   int
 	adaptive  bool
 
-	// outbox[i] is appended only by shard i's scheduler goroutine during
-	// a window and drained only by the coordinator between windows, so it
+	// outbox[i] is appended only by code running on shard i during a
+	// window and drained only by the coordinator between windows, so it
 	// needs no lock.
 	outbox  [][]crossMsg
 	pending []crossMsg
@@ -363,7 +363,7 @@ func (g *ShardGroup) Run() time.Duration {
 func (g *ShardGroup) runShards() {
 	if g.workers <= 1 || len(g.active) <= 1 {
 		for _, i := range g.active {
-			g.shards[i].runWindow(g.limits[i])
+			g.shards[i].run(g.limits[i])
 		}
 		return
 	}
@@ -380,7 +380,7 @@ func (g *ShardGroup) runShards() {
 				<-g.sem
 				wg.Done()
 			}()
-			g.shards[i].runWindow(g.limits[i])
+			g.shards[i].run(g.limits[i])
 		}(i)
 	}
 	wg.Wait()
@@ -420,68 +420,4 @@ func (e *Env) spliceMsgs(batch []crossMsg) {
 	e.msgSpare = e.msgs[:0]
 	e.msgs = out
 	e.msgHead = 0
-}
-
-// runWindow is RunUntil's event loop specialized for sharded execution:
-// it additionally drains the cross-shard inbox (deliveries dispatch
-// before heap events at the same instant), honors the dynamic window cap
-// self-sends impose, and skips the shell-pool release — a sharded run
-// executes many short windows per shard and wants process shells to
-// survive between them (ShardGroup.Run releases the pools once at the
-// end).
-func (e *Env) runWindow(limit int64) {
-	if e.running {
-		panic("sim: Run called re-entrantly")
-	}
-	e.running = true
-	e.windowCap = limit
-	defer func() { e.running = false }()
-	for {
-		t := int64(math.MaxInt64)
-		msg := false
-		if e.msgHead < len(e.msgs) {
-			t = e.msgs[e.msgHead].at
-			msg = true
-		}
-		if e.q.Len() > 0 {
-			if ht := e.q.minTime(); ht < t {
-				t, msg = ht, false
-			}
-		}
-		if t == math.MaxInt64 {
-			break
-		}
-		// windowCap can shrink mid-window (a self-send), so re-check it
-		// every dispatch, not just at window entry.
-		if t > e.windowCap {
-			if e.windowCap > e.now {
-				e.now = e.windowCap
-			}
-			break
-		}
-		if t > e.now {
-			e.now = t
-		}
-		if msg {
-			m := &e.msgs[e.msgHead]
-			e.msgHead++
-			fn := m.fn
-			m.fn = nil
-			e.events++
-			fn()
-			continue
-		}
-		for e.q.Len() > 0 && e.q.minTime() == t {
-			p, pgen, fn, reason := e.q.pop()
-			e.events++
-			if fn != nil {
-				fn()
-				continue
-			}
-			if p.done || p.gen != pgen {
-				continue
-			}
-			e.dispatch(p, reason)
-		}
-	}
 }

@@ -1,27 +1,35 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel drives an arbitrary number of cooperating processes over a
-// virtual clock. Exactly one process runs at any instant: the scheduler pops
-// the earliest pending event, advances the clock, and resumes the process
-// that owns the event; the process runs until it yields (by sleeping or
-// blocking on a synchronization primitive), at which point control returns
-// to the scheduler. Events with equal timestamps fire in FIFO order, so a
-// simulation is bit-reproducible for a given seed regardless of GOMAXPROCS.
+// virtual clock. Exactly one process runs at any instant: the event loop
+// pops the earliest pending event, advances the clock, and hands control to
+// the process that owns the event; the process runs until it yields (by
+// sleeping or blocking on a synchronization primitive). Events with equal
+// timestamps fire in FIFO order, so a simulation is bit-reproducible for a
+// given seed regardless of GOMAXPROCS.
 //
-// Processes are ordinary goroutines, but the handshake with the scheduler
-// guarantees that no two of them ever execute simultaneously, so process
-// code needs no locking to touch shared simulation state. The kernel keeps
-// the hot path lean in three ways: events live in a flat indexed 4-ary heap
-// with a slot free list (scheduling allocates nothing in steady state and
-// cancellation is an O(log n) removal, see heap.go); one-shot deferred work
-// can run as an inline callback timer (At, After) on the scheduler's own
-// goroutine, paying no handshake at all; and finished process goroutines
-// park in a shell pool that Spawn reuses, so process churn inside a run
-// costs no goroutine or channel creation.
+// Each process is a coroutine (iter.Pull): the goroutine that called Run
+// resumes it, and control comes back through a direct coroutine switch — no
+// channel, no run queue, no thread wake-up. There is one event loop,
+// advance, and whoever has control runs it. A process that yields runs it on
+// its own stack: callback timers, cross-shard deliveries and stale wakes
+// dispatch inline there, and when the next live wake is its own (a lone
+// client sleeping through an RPC) yield returns without switching at all.
+// Otherwise it names its successor and switches once to the Run goroutine,
+// which resumes that successor. Only one of them ever executes, so process
+// code needs no locking to touch shared simulation state.
+//
+// Events live in a flat indexed 4-ary heap with a slot free list (scheduling
+// allocates nothing in steady state, cancellation is an O(log n) removal,
+// see heap.go); one-shot deferred work can run as an inline callback timer
+// (At, After) with no process at all; and finished shells park in a pool
+// that Spawn reuses, so process churn inside a run creates no coroutines.
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -31,31 +39,33 @@ import (
 // the set of live processes. Create one with New, start processes with
 // Spawn, and drive everything with Run.
 type Env struct {
-	now     int64 // virtual time in nanoseconds
-	seq     uint64
-	q       eventQueue
-	yieldCh chan struct{} // process -> scheduler handshake
-	rng     *rand.Rand
-	procs   map[*Proc]struct{}
-	// pool holds idle process shells (goroutine + resume channel) awaiting
-	// reuse by Spawn. Released when a run returns so a drained environment
-	// pins no goroutines.
+	now   int64 // virtual time in nanoseconds
+	seq   uint64
+	q     eventQueue
+	rng   *rand.Rand
+	procs map[*Proc]struct{}
+	// pool holds idle shells (parked coroutines) for Spawn to reuse; released
+	// when a run returns, so a drained environment pins no goroutines.
 	pool    []*Proc
-	nextID  int
 	failure any // value from a panicking process, re-raised by Run
 	running bool
 	// events counts queue pops (process wakes + callback timers) over the
 	// environment's lifetime — the cost metric flow-level modeling is
 	// judged by. See Events.
 	events int64
+	// switches counts hand-offs from a process to the Run goroutine, for the
+	// kernel tests that pin which yields switch and which do not.
+	switches int64
 	// Cross-shard delivery inbox, used only when the env belongs to a
 	// ShardGroup: msgs[msgHead:] holds pending deliveries in canonical
-	// (time, sender key, sender seq) order, msgSpare is the merge double
-	// buffer, and windowCap is the inclusive limit of the window being run
-	// (lowered mid-window by same-shard sends; see shard.go).
-	msgs      []crossMsg
-	msgHead   int
-	msgSpare  []crossMsg
+	// (time, sender key, sender seq) order and msgSpare is the merge double
+	// buffer (see shard.go).
+	msgs     []crossMsg
+	msgHead  int
+	msgSpare []crossMsg
+	// windowCap is the inclusive time limit of the run in progress:
+	// RunUntil's limit, or a shard window's end (lowered mid-window by
+	// ShardGroup.Send).
 	windowCap int64
 }
 
@@ -63,9 +73,8 @@ type Env struct {
 // fixes the environment's random stream; equal seeds give identical runs.
 func New(seed int64) *Env {
 	return &Env{
-		yieldCh: make(chan struct{}, 1),
-		rng:     rand.New(rand.NewSource(seed)),
-		procs:   make(map[*Proc]struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+		procs: make(map[*Proc]struct{}),
 	}
 }
 
@@ -91,10 +100,14 @@ func (e *Env) Events() int64 { return e.events }
 // function passed to Spawn (and functions it calls); it is the handle
 // through which the process sleeps and blocks.
 type Proc struct {
-	env    *Env
-	id     int
-	name   string
-	resume chan wakeReason
+	env  *Env
+	name string
+	// next, called on the Run goroutine, switches to the shell's coroutine;
+	// it returns when some process calls its handoff, with the successor
+	// that process named (nil: the run is over). stop ends a parked shell.
+	next    func() (*Proc, bool)
+	handoff func(*Proc) bool
+	stop    func()
 	// body is the current incarnation's function; shells are reused across
 	// Spawn calls, so it is set per incarnation and cleared on return.
 	body func(p *Proc)
@@ -102,10 +115,12 @@ type Proc struct {
 	// generation they target, so a wake that outlives its process can never
 	// resume a later incarnation by mistake.
 	gen  uint32
+	wake wakeReason // reason of the wake that last resumed the process
 	done bool
 	// blocked marks a process that yielded without a scheduled wake; a
 	// synchronization primitive is responsible for waking it.
 	blocked bool
+	inLoop  bool // the process is inside yield: its stack runs the event loop
 }
 
 type wakeReason int
@@ -132,11 +147,12 @@ func (e *Env) scheduleProc(t int64, p *Proc, r wakeReason) Timer {
 }
 
 // At schedules fn to run at virtual time t (clamped to the current time),
-// inline on the scheduler goroutine: no process, no goroutine, no channel
-// handshake. Callbacks must not call blocking process operations — they
-// have no Proc — but may Spawn, Trigger events, schedule further timers,
-// and touch any simulation state. A callback that panics aborts the run
-// with that panic. The returned Timer cancels the callback via Cancel.
+// inline in the event loop: no process, no coroutine, no switch. Callbacks
+// must not call blocking process operations — they have no Proc, and may
+// be running on the stack of whichever process yielded last — but may
+// Spawn, Trigger events, schedule further timers, and touch any simulation
+// state. A callback that panics aborts the run with that panic. The
+// returned Timer cancels the callback via Cancel.
 func (e *Env) At(t time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At with nil callback")
@@ -167,9 +183,8 @@ func (e *Env) Cancel(tm Timer) bool { return e.q.cancel(tm) }
 // from inside a running process; in both cases the new process begins at
 // the current virtual time, after already-scheduled same-time events.
 // Spawn reuses an idle shell from the pool when one is available, so
-// steady-state process churn creates no goroutines.
+// steady-state process churn creates no coroutines.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	e.nextID++
 	var p *Proc
 	if n := len(e.pool) - 1; n >= 0 {
 		p = e.pool[n]
@@ -179,7 +194,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	} else {
 		p = e.newShell()
 	}
-	p.id = e.nextID
 	p.name = name
 	p.body = fn
 	e.procs[p] = struct{}{}
@@ -187,28 +201,41 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// newShell starts a reusable process shell: a goroutine that runs one
-// process body per initial wake and parks in the pool between incarnations.
+// newShell creates a reusable process shell: a coroutine that runs one
+// process body per incarnation. When a body returns, the shell keeps the
+// event loop going; if the next live wake is its own (a callback re-Spawned
+// it from the pool) it runs the new body in place, otherwise it hands over
+// the successor and parks until resumed as a new incarnation or stopped.
 func (e *Env) newShell() *Proc {
-	p := &Proc{env: e, resume: make(chan wakeReason, 1)}
-	go func() {
+	p := &Proc{env: e}
+	p.next, p.stop = iter.Pull(func(handoff func(*Proc) bool) {
+		p.handoff = handoff
 		for {
-			if _, ok := <-p.resume; !ok {
+			e.runBody(p)
+			var q *Proc
+			if e.failure == nil {
+				if q = e.advance(); q == p {
+					continue
+				}
+			}
+			e.switches++
+			if !handoff(q) {
 				return
 			}
-			e.runBody(p)
-			e.yieldCh <- struct{}{}
 		}
-	}()
+	})
 	return p
 }
 
-// runBody executes one process incarnation on the shell's goroutine, then
-// retires the shell to the pool. The pool append is safe without locking:
-// it happens before the shell's yield notification, and the scheduler (and
-// therefore any other process) only runs after receiving that.
+// runBody executes one process incarnation on the shell's coroutine, then
+// retires the shell to the pool.
 func (e *Env) runBody(p *Proc) {
 	defer func() {
+		if p.inLoop {
+			// The panic came from a callback that p's yield was dispatching,
+			// not from p: let it unwind to the Run goroutine untouched.
+			return
+		}
 		if r := recover(); r != nil {
 			e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 		}
@@ -221,12 +248,12 @@ func (e *Env) runBody(p *Proc) {
 	p.body(p)
 }
 
-// releasePool closes idle shells so a drained environment keeps no parked
+// releasePool stops idle shells so a drained environment keeps no parked
 // goroutines alive. Shells are cheap to re-create; pooling only needs to
 // pay off within a run, where the churn is.
 func (e *Env) releasePool() {
 	for i, p := range e.pool {
-		close(p.resume)
+		p.stop()
 		e.pool[i] = nil
 	}
 	e.pool = e.pool[:0]
@@ -236,61 +263,94 @@ func (e *Env) releasePool() {
 // final virtual time. If any process panicked, Run panics with that value.
 // Processes still blocked on primitives when the event queue drains are
 // left blocked; Deadlocked reports them.
-func (e *Env) Run() time.Duration {
-	return e.RunUntil(-1)
-}
+func (e *Env) Run() time.Duration { return e.RunUntil(-1) }
 
 // RunUntil executes the simulation until no events remain or the clock
 // would pass limit (limit < 0 means no limit). Events at exactly limit
-// still fire.
+// still fire. Events beyond it keep their sequence numbers, so FIFO order
+// holds across calls.
 func (e *Env) RunUntil(limit time.Duration) time.Duration {
+	defer e.releasePool()
+	if limit < 0 {
+		limit = math.MaxInt64
+	}
+	e.run(int64(limit))
+	return e.Now()
+}
+
+// run drives the simulation up to and including virtual time limit. The
+// caller becomes the Run goroutine: it resumes one process after another,
+// each named by its predecessor, until one reports nothing left to do.
+func (e *Env) run(limit int64) {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() {
-		e.running = false
-		e.releasePool()
-	}()
-	for e.q.Len() > 0 {
-		t := e.q.minTime()
-		if limit >= 0 && t > int64(limit) {
-			// Leave the event (with its original sequence number, so FIFO
-			// order holds across calls) for a later RunUntil.
-			e.now = int64(limit)
-			break
+	defer func() { e.running = false }()
+	e.windowCap = limit
+	for p := e.advance(); p != nil; {
+		p, _ = p.next()
+		if e.failure != nil {
+			panic(e.failure)
+		}
+	}
+}
+
+// advance is the event loop. It dispatches cross-shard deliveries (ahead of
+// heap events at the same instant), callback timers and stale wakes inline
+// on the caller's stack, and returns the first live process whose wake it
+// pops, or nil when nothing is pending up to windowCap.
+func (e *Env) advance() *Proc {
+	for {
+		t, msg := int64(math.MaxInt64), false
+		if e.msgHead < len(e.msgs) {
+			t, msg = e.msgs[e.msgHead].at, true
+		}
+		if e.q.Len() > 0 {
+			if ht := e.q.minTime(); ht < t {
+				t, msg = ht, false
+			}
+		}
+		if t == math.MaxInt64 {
+			return nil
+		}
+		// windowCap can shrink mid-window (a cross-shard send), so it is
+		// re-read every round. The clock stops at the cap but never runs
+		// backwards when the cap is already in the past.
+		if t > e.windowCap {
+			if e.windowCap > e.now {
+				e.now = e.windowCap
+			}
+			return nil
 		}
 		if t > e.now {
 			e.now = t
 		}
-		// Batched same-timestamp dispatch: the limit check and clock update
-		// above run once per distinct timestamp; every event at t —
-		// including ones scheduled at t while dispatching — drains here.
+		if msg {
+			m := &e.msgs[e.msgHead]
+			e.msgHead++
+			fn := m.fn
+			m.fn = nil
+			e.events++
+			fn()
+			continue
+		}
+		// Every heap event at t, including ones scheduled at t while
+		// dispatching, drains here without re-deriving t.
 		for e.q.Len() > 0 && e.q.minTime() == t {
 			p, pgen, fn, reason := e.q.pop()
 			e.events++
 			if fn != nil {
-				fn() // callback timer: runs inline, no handshake
+				fn()
 				continue
 			}
 			if p.done || p.gen != pgen {
 				continue // wake outlived its process incarnation
 			}
-			e.dispatch(p, reason)
+			p.blocked = false
+			p.wake = reason
+			return p
 		}
-	}
-	return e.Now()
-}
-
-// dispatch hands control to p until it yields, then re-raises any process
-// failure. It runs on the scheduler goroutine, either from the event loop
-// or from inside a callback timer that wakes a process.
-func (e *Env) dispatch(p *Proc, r wakeReason) {
-	p.blocked = false
-	p.resume <- r
-	<-e.yieldCh
-	if e.failure != nil {
-		panic(e.failure)
 	}
 }
 
@@ -308,13 +368,17 @@ func (e *Env) Deadlocked() []string {
 	return names
 }
 
-// yield hands control back to the scheduler and blocks until the process
-// is resumed, returning the reason for the wake-up. Both channels are
-// single-slot buffered, so each half of the handshake is one deposit plus
-// one park instead of a synchronous rendezvous.
+// yield suspends the process until its next wake and returns the reason.
+// The process runs the event loop itself; only if some other process is due
+// first does it switch away, to the Run goroutine, naming that process.
 func (p *Proc) yield() wakeReason {
-	p.env.yieldCh <- struct{}{}
-	return <-p.resume
+	p.inLoop = true
+	if q := p.env.advance(); q != p {
+		p.env.switches++
+		p.handoff(q)
+	}
+	p.inLoop = false
+	return p.wake
 }
 
 // block yields without a scheduled wake; some primitive must call unblock.

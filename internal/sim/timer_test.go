@@ -8,7 +8,7 @@ import (
 func TestTimerOrderingWithProcesses(t *testing.T) {
 	// Callbacks and process wakes landing on the same virtual instant fire
 	// in schedule (FIFO) order, even though one kind runs inline and the
-	// other through the goroutine handshake.
+	// other on its own coroutine.
 	e := New(1)
 	var got []string
 	e.After(time.Millisecond, func() { got = append(got, "cb1") })
