@@ -79,14 +79,18 @@ bench-swarm:
 	go test -run '^$$' -bench 'SwarmShardSpeedup' -benchmem .
 	go test -run '^$$' -bench 'Tab9SwarmScaling|SwarmMillion|SwarmOverload' -benchmem -benchtime 1x -timeout 20m .
 
-# Replicated serving-cluster benchmarks: the ClusterZipf placement A/B
-# (single-primary vs front cache + read spreading over real sockets, 2s
-# per variant for stable req/s) plus the hot-path micros (front-cache
-# get, space-saver offer), summarized to BENCH_10.json.
+# Serving-tier benchmarks, merged into BENCH_14.json under LABEL (the
+# file's "before" side is the parent commit's output of the same commands
+# with the two new benchmark files copied in): ClientParallel (8 callers on
+# one connection, writes/op from a counting conn) and ClusterSet (R=2
+# fan-out, allocs/op) are the group-commit headline; the ClusterZipf
+# placement A/B (2s per variant for stable req/s) and the hot-path micros
+# (front-cache get, space-saver offer) ride along.
 bench-cluster: tools
-	go test -run '^$$' -bench 'ClusterZipf' -benchtime 2s ./internal/memcached/mccluster/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'FrontCacheGet|SpaceSaverOffer' -benchmem ./internal/memcached/mccluster/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	./bin/benchjson -out BENCH_10.json -note "host: $$(nproc) CPU core(s); serving-cluster PR headline — ClusterZipf (zipf 1.1, 2^20 keys, 3 servers, R=2, real loopback sockets): FrontCacheSpread must sustain >= 2x SinglePrimary req/s, front-cache hit% and admission shed% reported per variant; FrontCacheGet/SpaceSaverOffer price the per-get hot path" < bench.out
+	go test -run '^$$' -bench 'ClientParallel|ClientSequential' -benchmem ./internal/memcached/mcclient/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	go test -run '^$$' -bench 'ClusterSet|FrontCacheGet|SpaceSaverOffer' -benchmem ./internal/memcached/mccluster/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	go test -run '^$$' -bench 'ClusterZipf' -benchtime 2s ./internal/memcached/mccluster/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	./bin/benchjson -out BENCH_14.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; mcclient group-commit PR — before = one write, one reader lock and (for a SET) two goroutines per round-trip (parent commit), after = leader/follower flush, batched dispatch, goroutine-free replica fan-out; ClientParallel writes/op is exactly 1 before; ClientSequential (a lone caller) must stay at 1 write and must not slow down" < bench.out
 	rm -f bench.out
 
 # Golden determinism suite: seed schemes, flow streaming, coalescing, and
@@ -95,11 +99,13 @@ golden:
 	go test -run 'TestGolden' -v .
 
 # Concurrency stress tests under the race detector: sharded engine, TCP
-# server, pipelined client, concurrent shard windows (adaptive on and
-# off), the cross-shard swarm fingerprint, and the incremental-vs-
-# reference flow-solver differential equivalence traces.
+# server, pipelined client and its group commit (shared writes, queued
+# followers, failed flush, value ownership), the cluster's replica
+# fan-out, concurrent shard windows (adaptive on and off), the cross-shard
+# swarm fingerprint, and the incremental-vs-reference flow-solver
+# differential equivalence traces.
 stress:
-	go test -race -run 'Stress|Concurrent|Pipelined' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/netsim/ .
+	go test -race -run 'Stress|Concurrent|Pipelined|GroupCommit|FanOut' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/netsim/ .
 
 # Regenerate every paper figure/table at full scale (EXPERIMENTS.md data).
 repro: tools

@@ -6,6 +6,7 @@
 package binproto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -202,13 +203,25 @@ func appendHeader(dst []byte, f *Frame) []byte {
 	return append(dst, f.Key...)
 }
 
-// AppendFrame appends the complete wire encoding of f to dst and returns
-// the extended slice. It allocates only when dst lacks capacity.
-func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+// AppendHeader appends f's wire encoding up to but not including the value:
+// the header (whose body length does count the value), extras and key. A
+// sender that queues frames uses it to leave a large value in the caller's
+// buffer and send it behind the prefix instead of copying it. Nothing is
+// appended when f does not validate.
+func AppendHeader(dst []byte, f *Frame) ([]byte, error) {
 	if err := f.validate(); err != nil {
 		return dst, err
 	}
-	dst = appendHeader(dst, f)
+	return appendHeader(dst, f), nil
+}
+
+// AppendFrame appends the complete wire encoding of f to dst and returns
+// the extended slice. It allocates only when dst lacks capacity.
+func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+	dst, err := AppendHeader(dst, f)
+	if err != nil {
+		return dst, err
+	}
 	return append(dst, f.Value...), nil
 }
 
@@ -248,6 +261,35 @@ func Write(w io.Writer, f *Frame) error {
 	return err
 }
 
+// parseHeader decodes the 24-byte header h into f (whose body sections stay
+// empty) and returns the validated section lengths.
+func parseHeader(h []byte, f *Frame) (extLen, keyLen, bodyLen int, err error) {
+	*f = Frame{
+		Magic:  h[0],
+		Op:     Opcode(h[1]),
+		Status: Status(binary.BigEndian.Uint16(h[6:8])),
+		Opaque: binary.BigEndian.Uint32(h[12:16]),
+		CAS:    binary.BigEndian.Uint64(h[16:24]),
+	}
+	if f.Magic != MagicRequest && f.Magic != MagicResponse {
+		return 0, 0, 0, fmt.Errorf("%w: 0x%02x", ErrBadMagic, f.Magic)
+	}
+	keyLen = int(binary.BigEndian.Uint16(h[2:4]))
+	extLen = int(h[4])
+	bodyLen = int(binary.BigEndian.Uint32(h[8:12]))
+	switch {
+	case bodyLen > MaxBody:
+		err = ErrFrameTooLarge
+	case keyLen > MaxKeyLen:
+		err = fmt.Errorf("%w (%d > %d)", ErrKeyTooLong, keyLen, MaxKeyLen)
+	case extLen > MaxExtrasLen:
+		err = fmt.Errorf("%w (%d > %d)", ErrExtrasTooLong, extLen, MaxExtrasLen)
+	case bodyLen < keyLen+extLen:
+		err = fmt.Errorf("binproto: body %d shorter than key %d + extras %d", bodyLen, keyLen, extLen)
+	}
+	return extLen, keyLen, bodyLen, err
+}
+
 // ReadFrame decodes one frame from r into f, using buf as body storage and
 // returning the (possibly grown) buffer for reuse. On success f's Extras,
 // Key, and Value alias the returned buffer, so they are valid only until
@@ -265,28 +307,9 @@ func ReadFrame(r io.Reader, f *Frame, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, h); err != nil {
 		return buf, err
 	}
-	*f = Frame{
-		Magic:  h[0],
-		Op:     Opcode(h[1]),
-		Status: Status(binary.BigEndian.Uint16(h[6:8])),
-		Opaque: binary.BigEndian.Uint32(h[12:16]),
-		CAS:    binary.BigEndian.Uint64(h[16:24]),
-	}
-	if f.Magic != MagicRequest && f.Magic != MagicResponse {
-		return buf, fmt.Errorf("%w: 0x%02x", ErrBadMagic, f.Magic)
-	}
-	keyLen := int(binary.BigEndian.Uint16(h[2:4]))
-	extLen := int(h[4])
-	bodyLen := int(binary.BigEndian.Uint32(h[8:12]))
-	switch {
-	case bodyLen > MaxBody:
-		return buf, ErrFrameTooLarge
-	case keyLen > MaxKeyLen:
-		return buf, fmt.Errorf("%w (%d > %d)", ErrKeyTooLong, keyLen, MaxKeyLen)
-	case extLen > MaxExtrasLen:
-		return buf, fmt.Errorf("%w (%d > %d)", ErrExtrasTooLong, extLen, MaxExtrasLen)
-	case bodyLen < keyLen+extLen:
-		return buf, fmt.Errorf("binproto: body %d shorter than key %d + extras %d", bodyLen, keyLen, extLen)
+	extLen, keyLen, bodyLen, err := parseHeader(h, f)
+	if err != nil {
+		return buf, err
 	}
 	if cap(buf) < bodyLen {
 		buf = make([]byte, bodyLen)
@@ -300,6 +323,46 @@ func ReadFrame(r io.Reader, f *Frame, buf []byte) ([]byte, error) {
 	f.Key = buf[extLen : extLen+keyLen]
 	f.Value = buf[extLen+keyLen : bodyLen]
 	return buf, nil
+}
+
+// Buffered reports whether r already holds one complete frame, so that the
+// next ReadBuffered returns without touching the underlying reader. A reader that
+// must not block uses it to drain what one socket read delivered.
+func Buffered(r *bufio.Reader) bool {
+	if r.Buffered() < HeaderSize {
+		return false
+	}
+	h, _ := r.Peek(HeaderSize)
+	return uint64(r.Buffered()-HeaderSize) >= uint64(binary.BigEndian.Uint32(h[8:12]))
+}
+
+// ReadBuffered decodes one frame from r into f. The header is parsed in
+// place in r's buffer and f owns its body, allocated at its exact size (not
+// at all when the body is empty) — what a client wants, which hands the
+// value on to its caller and so can reuse neither a body buffer, as
+// ReadFrame does, nor afford Read's staging buffer per response.
+func ReadBuffered(r *bufio.Reader, f *Frame) error {
+	h, err := r.Peek(HeaderSize)
+	if err != nil {
+		if err == io.EOF && len(h) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	extLen, keyLen, bodyLen, err := parseHeader(h, f)
+	if err != nil {
+		return err
+	}
+	r.Discard(HeaderSize) // cannot fail: Peek has buffered that much
+	if bodyLen == 0 {
+		return nil
+	}
+	body := make([]byte, bodyLen)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return err
+	}
+	f.Extras, f.Key, f.Value = body[:extLen], body[extLen:extLen+keyLen], body[extLen+keyLen:]
+	return nil
 }
 
 // Read decodes one frame from r. The returned frame owns its body bytes;

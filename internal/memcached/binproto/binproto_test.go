@@ -1,6 +1,7 @@
 package binproto
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -285,5 +286,109 @@ func TestQuietOpcodes(t *testing.T) {
 	}
 	if OpGetQ.String() != "GETQ" || OpSetQ.String() != "SETQ" {
 		t.Error("quiet opcode strings wrong")
+	}
+}
+
+// TestReadBufferedMatchesRead: the bufio decode path must agree with Read
+// on every frame shape — including an empty body and a body larger than the
+// reader's buffer — own what it returns, and report truncation like Read.
+func TestReadBufferedMatchesRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	frames := []*Frame{
+		{Magic: MagicResponse, Op: OpSet, Opaque: 1, CAS: 9},
+		{Magic: MagicResponse, Op: OpGet, Opaque: 2, Extras: GetExtras(3), Value: []byte("v")},
+		{Magic: MagicResponse, Op: OpStat, Opaque: 3, Key: []byte("pid"), Value: []byte("1")},
+		{Magic: MagicResponse, Op: OpGet, Opaque: 4, Extras: GetExtras(0), Value: randBytes(rng, 3*4096)},
+	}
+	var wire []byte
+	for _, f := range frames {
+		var err error
+		if wire, err = AppendFrame(wire, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bufio.NewReaderSize(bytes.NewReader(wire), 4096)
+	want := bytes.NewReader(wire)
+	for i := range frames {
+		var got Frame
+		if err := ReadBuffered(r, &got); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		ref, err := Read(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Op != ref.Op || got.Opaque != ref.Opaque || got.CAS != ref.CAS || got.Status != ref.Status ||
+			!bytes.Equal(got.Extras, ref.Extras) || !bytes.Equal(got.Key, ref.Key) || !bytes.Equal(got.Value, ref.Value) {
+			t.Errorf("frame %d: ReadBuffered %+v, Read %+v", i, got, *ref)
+		}
+		if i == 0 && (got.Extras != nil || got.Key != nil || got.Value != nil) {
+			t.Errorf("empty body allocated: %+v", got)
+		}
+	}
+	var f Frame
+	if err := ReadBuffered(r, &f); err != io.EOF {
+		t.Errorf("at end of stream: %v, want io.EOF", err)
+	}
+	if err := ReadBuffered(bufio.NewReader(bytes.NewReader(wire[:10])), &f); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated header: %v, want io.ErrUnexpectedEOF", err)
+	}
+	// The second frame (the first is a bare header) cut two bytes into its body.
+	if err := ReadBuffered(bufio.NewReader(bytes.NewReader(wire[HeaderSize:2*HeaderSize+2])), &f); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated body: %v, want io.ErrUnexpectedEOF", err)
+	}
+	bad := append([]byte(nil), wire...)
+	bad[0] = 0x42
+	if err := ReadBuffered(bufio.NewReader(bytes.NewReader(bad)), &f); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("bad magic: %v", err)
+	}
+}
+
+// TestBufferedSeesOnlyCompleteFrames: Buffered must say yes exactly when a
+// whole frame sits in the reader's buffer, so a caller that reads on yes
+// never blocks.
+func TestBufferedSeesOnlyCompleteFrames(t *testing.T) {
+	one, err := AppendFrame(nil, &Frame{Magic: MagicResponse, Op: OpGet, Extras: GetExtras(0), Value: []byte("value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := append(append([]byte(nil), one...), one...)
+	for cut := 0; cut <= len(two); cut++ {
+		r := bufio.NewReader(bytes.NewReader(two[:cut]))
+		r.Peek(1) // fill the buffer with whatever the stream has
+		if got, want := Buffered(r), cut >= len(one); got != want {
+			t.Fatalf("%d of %d bytes buffered: Buffered = %v, want %v", cut, len(one), got, want)
+		}
+		if cut < len(one) {
+			continue
+		}
+		var f Frame
+		if err := ReadBuffered(r, &f); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := Buffered(r), cut == len(two); got != want {
+			t.Fatalf("after one frame, %d bytes left: Buffered = %v, want %v", cut-len(one), got, want)
+		}
+	}
+}
+
+// TestAppendHeaderPlusValueIsAppendFrame: the prefix a queueing sender
+// writes ahead of an uncopied value must be the frame minus that value.
+func TestAppendHeaderPlusValueIsAppendFrame(t *testing.T) {
+	f := &Frame{Magic: MagicRequest, Op: OpSet, Opaque: 5, Extras: SetExtras(1, 2), Key: []byte("k"), Value: []byte("a large value, by reference")}
+	whole, err := AppendFrame(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := AppendHeader([]byte("x"), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(prefix[1:], f.Value...), whole) {
+		t.Error("AppendHeader + value differs from AppendFrame")
+	}
+	f.Key = bytes.Repeat([]byte{'k'}, MaxKeyLen+1)
+	if out, err := AppendHeader([]byte("x"), f); !errors.Is(err, ErrKeyTooLong) || len(out) != 1 {
+		t.Errorf("invalid frame: appended %d bytes, err %v", len(out)-1, err)
 	}
 }

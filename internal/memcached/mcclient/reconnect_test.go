@@ -3,6 +3,8 @@ package mcclient
 import (
 	"errors"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,23 +36,33 @@ func startRestartable(t *testing.T) *restartableServer {
 func (rs *restartableServer) kill() { rs.srv.Close() }
 
 // restart brings a fresh (empty) server up on the same port. Loopback
-// rebinding can race the dying listener, so it retries briefly.
+// rebinding can race the dying listener, so it polls until the bind holds.
 func (rs *restartableServer) restart() {
 	rs.t.Helper()
 	var ln net.Listener
-	var err error
-	for i := 0; i < 100; i++ {
+	waitFor(rs.t, "rebind of "+rs.addr, func() bool {
+		var err error
 		ln, err = net.Listen("tcp", rs.addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		rs.t.Fatalf("rebind %s: %v", rs.addr, err)
-	}
+		return err == nil
+	})
 	rs.srv = mcserver.New(memcached.Config{})
 	go rs.srv.Serve(ln)
+}
+
+// noticedOutage reports whether the client has seen its connection fail
+// (and has not yet replaced it).
+func noticedOutage(c *Client) bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.err != nil
+}
+
+// redialing reports whether any client's reconnect loop is still running.
+// The loop has no handle to wait on, so its goroutine is looked up the way
+// a leak check would.
+func redialing() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), ".reconnectLoop(")
 }
 
 // TestReconnectResumesAfterRestart kills the server under a connected
@@ -71,12 +83,10 @@ func TestReconnectResumesAfterRestart(t *testing.T) {
 	}
 	rs.kill()
 	// The outage must surface as a fast typed error, not a hang.
-	deadline := time.Now().Add(2 * time.Second)
-	sawConnErr := false
-	for time.Now().Before(deadline) {
+	waitFor(t, "the kill to surface as an error", func() bool {
 		_, err := c.Get("k")
 		if err == nil {
-			continue // a race: the get beat the kill
+			return false // a race: the get beat the kill
 		}
 		if !IsConnError(err) {
 			t.Fatalf("outage error not a ConnError: %v", err)
@@ -84,25 +94,15 @@ func TestReconnectResumesAfterRestart(t *testing.T) {
 		if IsPermanent(err) {
 			t.Fatalf("outage marked permanent while attempts remain: %v", err)
 		}
-		sawConnErr = true
-		break
-	}
-	if !sawConnErr {
-		t.Fatal("kill never surfaced an error")
-	}
+		return true
+	})
 	rs.restart()
 	// The restarted server is empty; any successful round-trip proves the
 	// client reconnected transparently.
-	var lastErr error
-	for time.Now().Before(deadline.Add(3 * time.Second)) {
-		if _, lastErr = c.Set(&Item{Key: "k2", Value: []byte("v2")}); lastErr == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if lastErr != nil {
-		t.Fatalf("client never recovered after restart: %v", lastErr)
-	}
+	waitFor(t, "the client to recover after the restart", func() bool {
+		_, err := c.Set(&Item{Key: "k2", Value: []byte("v2")})
+		return err == nil
+	})
 	it, err := c.Get("k2")
 	if err != nil || string(it.Value) != "v2" {
 		t.Fatalf("post-reconnect get: %v %v", it, err)
@@ -125,15 +125,9 @@ func TestReconnectAttemptsExhaust(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs.kill()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		err := c.Noop()
-		if IsPermanent(err) {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("client never became permanently failed after exhausting attempts")
+	waitFor(t, "the client to fail permanently after exhausting its attempts", func() bool {
+		return IsPermanent(c.Noop())
+	})
 }
 
 // TestCloseWinsOverReconnect checks Close during an outage sticks: no
@@ -150,10 +144,14 @@ func TestCloseWinsOverReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs.kill()
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, "the client to notice the outage and start redialing", func() bool {
+		return noticedOutage(c) && redialing()
+	})
 	c.Close()
 	rs.restart()
-	time.Sleep(100 * time.Millisecond)
+	// Once the redial loop has seen the Close and gone, nothing is left
+	// that could bring the client back.
+	waitFor(t, "the redial loop to stop", func() bool { return !redialing() })
 	if err := c.Noop(); err == nil {
 		t.Fatal("closed client served a request after restart")
 	} else if !errors.Is(err, ErrClosed) && !IsConnError(err) {
@@ -173,19 +171,15 @@ func TestNoReconnectByDefault(t *testing.T) {
 	if err := c.Noop(); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, "earlier tests' redial loops to stop", func() bool { return !redialing() })
 	rs.kill()
 	rs.restart()
-	deadline := time.Now().Add(time.Second)
-	var sawErr error
-	for time.Now().Before(deadline) {
-		if sawErr = c.Noop(); sawErr != nil {
-			break
-		}
+	waitFor(t, "the kill to surface as an error", func() bool { return c.Noop() != nil })
+	// A redial is started before the failed callers are woken, so by now
+	// it would be running.
+	if redialing() {
+		t.Fatal("client without reconnect policy started a redial")
 	}
-	if sawErr == nil {
-		t.Fatal("kill never surfaced")
-	}
-	time.Sleep(100 * time.Millisecond)
 	if err := c.Noop(); err == nil {
 		t.Fatal("client without reconnect policy recovered by itself")
 	}

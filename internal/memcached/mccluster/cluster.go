@@ -183,7 +183,10 @@ func (n *node) close() {
 
 // Cluster is the replicated cluster client. It is safe for concurrent
 // use; one instance multiplexes any number of goroutines over one
-// pipelined connection per server.
+// connection per server, on which concurrent callers' requests share
+// writes (mcclient's group commit) and replies are routed back by opaque.
+// Single-key writes go to all R replicas from the caller's own goroutine
+// (fanOut); only the bulk SetMulti spawns, one goroutine per server.
 type Cluster struct {
 	opts  Options
 	ring  *hashring.Ring
@@ -344,7 +347,7 @@ func (c *Cluster) Get(key string) (*mcclient.Item, error) {
 			c.spreadReads.Add(1)
 		}
 	}
-	var stale []*node // replicas that answered not-found before the hit
+	var stale []string // replicas that answered not-found before the hit
 	var nfErr, connErr error
 	failed := 0
 	for i := 0; i < len(replicas); i++ {
@@ -372,7 +375,7 @@ func (c *Cluster) Get(key string) (*mcclient.Item, error) {
 			return it, nil
 		}
 		if mcclient.IsNotFound(err) {
-			stale = append(stale, nd)
+			stale = append(stale, nd.addr)
 			if nfErr == nil {
 				nfErr = err
 			}
@@ -397,13 +400,54 @@ func (c *Cluster) Get(key string) (*mcclient.Item, error) {
 	return nil, ErrNoReplicas
 }
 
-// Set stores the item on all R replicas concurrently. The write is
-// acknowledged if at least one replica stored it; connection failures on
-// the others are tolerated (that is what replication is for) and heal via
-// read repair. A protocol rejection (too large, CAS conflict) is returned
-// as-is. The returned CAS is from the first successful replica in ring
-// order; CAS tokens are per-server, so cross-client CAS loops should pin
-// a replica instead.
+// fanOut issues one operation per replica from the caller's own goroutine,
+// then waits for them in ring order: the R round-trips overlap on their
+// connections with no goroutine, closure or WaitGroup per replica. each is
+// called once per replica, in ring order, with the CAS and error of that
+// replica's operation; connection failures have already been counted.
+func (c *Cluster) fanOut(replicas []string, issue func(*mcclient.Client) *mcclient.Call, each func(cas uint64, err error)) {
+	type op struct {
+		cl   *mcclient.Client
+		call *mcclient.Call
+		err  error // the node has no client
+	}
+	var buf [4]op // R is 2 or 3 in practice; a larger R spills to the heap
+	ops := buf[:0]
+	for _, addr := range replicas {
+		var o op
+		if o.cl, o.err = c.nodes[addr].client(); o.err == nil {
+			o.call = issue(o.cl)
+		}
+		ops = append(ops, o)
+	}
+	for i, addr := range replicas {
+		if ops[i].err != nil {
+			c.replicaErrors.Add(1)
+			each(0, ops[i].err)
+			continue
+		}
+		cas, err := ops[i].call.Wait()
+		if err != nil && mcclient.IsConnError(err) {
+			c.opErr(c.nodes[addr], ops[i].cl, err)
+		}
+		each(cas, err)
+	}
+}
+
+// Set stores the item on all R replicas at once: it issues the R writes
+// from the caller's goroutine, one per replica connection, and then waits
+// for the replies. The write is acknowledged if at least one replica stored
+// it; connection failures on the others are tolerated (that is what
+// replication is for) and heal via read repair. A protocol rejection (too
+// large, CAS conflict) is returned as-is. The returned CAS is from the
+// first successful replica in ring order; CAS tokens are per-server, so
+// cross-client CAS loops should pin a replica instead.
+//
+// The item belongs to the cluster only until Set returns: every replica's
+// operation has completed by then, on the error paths too, so neither it
+// nor it.Value (which a connection may write from in place, see
+// mcclient.IssueSet) is referenced afterwards and the caller may reuse
+// both.
 func (c *Cluster) Set(it *mcclient.Item) (uint64, error) {
 	c.sets.Add(1)
 	if err := c.admit(1, true); err != nil {
@@ -411,67 +455,44 @@ func (c *Cluster) Set(it *mcclient.Item) (uint64, error) {
 	}
 	defer c.release(1)
 	replicas := c.ring.GetN(it.Key, c.reps)
-	if len(replicas) == 0 {
-		return 0, ErrNoReplicas
-	}
-	type res struct {
-		cas uint64
-		err error
-	}
-	results := make([]res, len(replicas))
-	var wg sync.WaitGroup
-	for i, addr := range replicas {
-		nd := c.nodes[addr]
-		wg.Add(1)
-		go func(i int, nd *node) {
-			defer wg.Done()
-			cl, err := nd.client()
-			if err != nil {
-				c.replicaErrors.Add(1)
-				results[i] = res{err: err}
-				return
+	acks := 0
+	var cas uint64
+	var connErr, rejected error
+	c.fanOut(replicas,
+		func(cl *mcclient.Client) *mcclient.Call { return cl.IssueSet(it) },
+		func(replicaCAS uint64, err error) {
+			switch {
+			case err == nil:
+				if acks == 0 {
+					cas = replicaCAS
+				}
+				acks++
+			case mcclient.IsConnError(err):
+				if connErr == nil {
+					connErr = err
+				}
+			case rejected == nil:
+				rejected = err
 			}
-			cas, err := cl.Set(it)
-			if err != nil && mcclient.IsConnError(err) {
-				c.opErr(nd, cl, err)
-			}
-			results[i] = res{cas: cas, err: err}
-		}(i, nd)
-	}
-	wg.Wait()
+		})
 	if c.fc != nil {
 		c.fc.invalidate(it.Key)
 	}
-	acks := 0
-	var cas uint64
-	var connErr error
-	for _, r := range results {
-		switch {
-		case r.err == nil:
-			if acks == 0 {
-				cas = r.cas
-			}
-			acks++
-		case mcclient.IsConnError(r.err):
-			if connErr == nil {
-				connErr = r.err
-			}
-		default:
-			return 0, r.err // protocol rejection wins: the caller must know
-		}
+	switch {
+	case rejected != nil:
+		return 0, rejected // protocol rejection wins: the caller must know
+	case acks > 0:
+		return cas, nil
+	case connErr != nil:
+		return 0, connErr
 	}
-	if acks == 0 {
-		if connErr != nil {
-			return 0, connErr
-		}
-		return 0, ErrNoReplicas
-	}
-	return cas, nil
+	return 0, ErrNoReplicas
 }
 
-// Delete removes key from every replica and invalidates the front cache.
-// It succeeds if any replica acknowledged (found or already gone); it
-// returns not-found only when every reachable replica reported it.
+// Delete removes key from every replica, issuing the R deletes at once like
+// Set, and invalidates the front cache. It succeeds if any replica
+// acknowledged (found or already gone); it returns not-found only when
+// every reachable replica reported it.
 func (c *Cluster) Delete(key string) error {
 	c.deletes.Add(1)
 	if err := c.admit(1, true); err != nil {
@@ -479,46 +500,35 @@ func (c *Cluster) Delete(key string) error {
 	}
 	defer c.release(1)
 	replicas := c.ring.GetN(key, c.reps)
-	if len(replicas) == 0 {
-		return ErrNoReplicas
-	}
 	hits := 0
-	var nfErr, connErr error
-	for _, addr := range replicas {
-		nd := c.nodes[addr]
-		cl, err := nd.client()
-		if err != nil {
-			c.replicaErrors.Add(1)
-			connErr = err
-			continue
-		}
-		switch err := cl.Delete(key); {
-		case err == nil:
-			hits++
-		case mcclient.IsNotFound(err):
-			if nfErr == nil {
-				nfErr = err
+	var nfErr, connErr, rejected error
+	c.fanOut(replicas,
+		func(cl *mcclient.Client) *mcclient.Call { return cl.IssueDelete(key) },
+		func(_ uint64, err error) {
+			switch {
+			case err == nil:
+				hits++
+			case mcclient.IsNotFound(err):
+				if nfErr == nil {
+					nfErr = err
+				}
+			case mcclient.IsConnError(err):
+				connErr = err
+			case rejected == nil:
+				rejected = err
 			}
-		case mcclient.IsConnError(err):
-			c.opErr(nd, cl, err)
-			connErr = err
-		default:
-			if c.fc != nil {
-				c.fc.invalidate(key)
-			}
-			return err
-		}
-	}
+		})
 	if c.fc != nil {
 		c.fc.invalidate(key)
 	}
-	if hits > 0 {
+	switch {
+	case rejected != nil:
+		return rejected
+	case hits > 0:
 		return nil
-	}
-	if nfErr != nil {
+	case nfErr != nil:
 		return nfErr
-	}
-	if connErr != nil {
+	case connErr != nil:
 		return connErr
 	}
 	return ErrNoReplicas
@@ -683,10 +693,10 @@ func (c *Cluster) SetMulti(items []*mcclient.Item) (map[string]error, error) {
 }
 
 // repairAsync writes the value back to replicas that answered not-found,
-// off the request path. The semaphore bounds concurrent repairs; when
-// saturated the repair is skipped — the next read (or RepairKeys) will
-// retry.
-func (c *Cluster) repairAsync(key string, it *mcclient.Item, stale []*node) {
+// off the request path: one goroutine issues the write to all of them and
+// then waits. The semaphore bounds concurrent repairs; when saturated the
+// repair is skipped — the next read (or RepairKeys) will retry.
+func (c *Cluster) repairAsync(key string, it *mcclient.Item, stale []string) {
 	select {
 	case c.repairSem <- struct{}{}:
 	default:
@@ -694,17 +704,14 @@ func (c *Cluster) repairAsync(key string, it *mcclient.Item, stale []*node) {
 	}
 	go func() {
 		defer func() { <-c.repairSem }()
-		for _, nd := range stale {
-			cl, err := nd.client()
-			if err != nil {
-				continue
-			}
-			if _, err := cl.Set(&mcclient.Item{Key: key, Value: it.Value, Flags: it.Flags}); err == nil {
-				c.repairs.Add(1)
-			} else if mcclient.IsConnError(err) {
-				c.opErr(nd, cl, err)
-			}
-		}
+		fill := &mcclient.Item{Key: key, Value: it.Value, Flags: it.Flags}
+		c.fanOut(stale,
+			func(cl *mcclient.Client) *mcclient.Call { return cl.IssueSet(fill) },
+			func(_ uint64, err error) {
+				if err == nil {
+					c.repairs.Add(1)
+				}
+			})
 	}()
 }
 
