@@ -68,10 +68,10 @@ bench-fleet:
 	go test -run '^$$' -bench 'SetDownAbort' -benchmem ./internal/netsim/
 
 # Open-loop swarm scaling: the zero-alloc arrival engine hot path, the
-# adaptive-vs-fixed sync window comparison, the incremental-solver
-# cost pins (links-touched per rate event; overload req/wall-s vs the
-# full-re-solve baseline), the tab9 table, and the million-client
-# smoke once (-benchtime 1x; B-heap/client headline).
+# adaptive-vs-fixed sync window comparison, the max-min solver's cost
+# pins (links-touched per rate event; req/wall-s on the 20x-overloaded
+# swarm), the tab9 table, and the million-client smoke once
+# (-benchtime 1x; B-heap/client headline).
 bench-swarm:
 	go test -run '^$$' -bench 'SwarmArrivals' -benchmem ./internal/swarm/
 	go test -run '^$$' -bench 'ShardSyncSparse' -benchmem ./internal/sim/
@@ -102,10 +102,11 @@ golden:
 # server, pipelined client and its group commit (shared writes, queued
 # followers, failed flush, value ownership), the cluster's replica
 # fan-out, concurrent shard windows (adaptive on and off), the cross-shard
-# swarm fingerprint, and the incremental-vs-reference flow-solver
-# differential equivalence traces.
+# swarm fingerprint, the max-min solver against its full-re-solve oracle
+# (differential, fairness certificate, weight = multiplicity), and the
+# pinned flow and fleet solver traces.
 stress:
-	go test -race -run 'Stress|Concurrent|Pipelined|GroupCommit|FanOut' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/netsim/ .
+	go test -race -run 'Stress|Concurrent|Pipelined|GroupCommit|FanOut' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/maxmin/ ./internal/netsim/ .
 
 # Regenerate every paper figure/table at full scale (EXPERIMENTS.md data).
 repro: tools

@@ -395,11 +395,8 @@ func BenchmarkSwarmMillion(b *testing.B) {
 // ~100k requests whose byte stream is ~20x what the zipf-hot NICs
 // can drain (the 10 GB offered in the 10 ms horizon takes ~23x that
 // long to clear), so a deep backlog of transfers piles onto the
-// fabric while the run drains to empty. With full=true the rate
-// solvers fall back to the engine this PR replaced: no same-pair
-// bundling (every outstanding leg its own entity) and a full
-// re-solve of every entity on every rate event.
-func swarmOverloadOnce(b *testing.B, full bool) (SwarmResult, *FleetBed) {
+// fabric while the run drains to empty.
+func swarmOverloadOnce(b *testing.B) (SwarmResult, *FleetBed) {
 	fb, err := NewFleet(Options{Nodes: 240, RacksOf: 20, FleetMode: true,
 		Seed: 1, SimShards: 4,
 		Swarm: SwarmOptions{
@@ -412,8 +409,6 @@ func swarmOverloadOnce(b *testing.B, full bool) (SwarmResult, *FleetBed) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fb.SetReferenceSolver(full)
-	fb.SetBundling(!full)
 	r, err := fb.RunSwarm()
 	if err != nil {
 		b.Fatal(err)
@@ -421,36 +416,27 @@ func swarmOverloadOnce(b *testing.B, full bool) (SwarmResult, *FleetBed) {
 	return r, fb
 }
 
-// BenchmarkSwarmOverload compares the incremental bundled solver
-// against the old full-resolve per-leg engine on the same
-// 20x-oversubscribed swarm. The offered load and request count are
-// identical; req/wall-s is the headline. links/op is solver links
-// touched per rate event — bounded by the affected component for the
-// incremental engine, O(outstanding legs) for the full baseline.
+// BenchmarkSwarmOverload runs the counted-bundle max-min solver on a
+// 20x-oversubscribed swarm; req/wall-s is the headline. links/op is
+// solver links touched per rate event — bounded by the affected
+// component however deep the backlog grows. (BENCH_9.json records the
+// ~27x this engine gained over the per-leg full re-solve it replaced.)
 func BenchmarkSwarmOverload(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		ref  bool
-	}{{"incremental", false}, {"full-resolve", true}} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			runtime.GC()
-			b.ResetTimer()
-			var r SwarmResult
-			var fb *FleetBed
-			for i := 0; i < b.N; i++ {
-				r, fb = swarmOverloadOnce(b, tc.ref)
-			}
-			b.StopTimer()
-			m := fb.Metrics()
-			resolves := m.Counter("fleet.resolves").Value()
-			if resolves > 0 {
-				b.ReportMetric(float64(m.Counter("fleet.links.touched").Value())/float64(resolves), "links/op")
-			}
-			b.ReportMetric(float64(r.Requests)/r.Wall.Seconds(), "req/wall-s")
-			b.ReportMetric(float64(r.Requests), "requests")
-		})
+	runtime.GC()
+	b.ResetTimer()
+	var r SwarmResult
+	var fb *FleetBed
+	for i := 0; i < b.N; i++ {
+		r, fb = swarmOverloadOnce(b)
 	}
+	b.StopTimer()
+	m := fb.Metrics()
+	resolves := m.Counter("fleet.resolves").Value()
+	if resolves > 0 {
+		b.ReportMetric(float64(m.Counter("fleet.links.touched").Value())/float64(resolves), "links/op")
+	}
+	b.ReportMetric(float64(r.Requests)/r.Wall.Seconds(), "req/wall-s")
+	b.ReportMetric(float64(r.Requests), "requests")
 }
 
 // BenchmarkSwarmShardSpeedup runs the same 100k-client swarm on one

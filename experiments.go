@@ -1227,9 +1227,9 @@ func tab8(scale Scale) *metrics.Table {
 // via request size — with a MaxInflight admission cap bounding the
 // open-loop backlog. shed%% is the capped fraction of arrivals and
 // links/op is solver links touched per rate event: the incremental
-// solver holds it near-flat from 1x to 20x, where the old full
-// re-solve's per-event cost tracked the outstanding-transfer
-// population (BenchmarkSwarmOverload carries that A/B).
+// solver holds it near-flat from 1x to 20x, where a per-leg full
+// re-solve's per-event cost tracks the outstanding-transfer
+// population (BENCH_9.json records that A/B).
 func tab9(scale Scale) *metrics.Table {
 	// capRef is the ~40 GB/s stable-capacity reference the overload
 	// multiples are quoted against (zipf-hot NIC bound, see above).

@@ -346,20 +346,6 @@ func (fb *FleetBed) RunSwarm() (SwarmResult, error) {
 	return res, nil
 }
 
-// SetReferenceSolver switches the fleet between the incremental
-// component-limited rate solver (default) and the reference full
-// re-solve, which recomputes every active bundle on each rate event.
-// Both produce identical traces; the reference exists for differential
-// tests and the overload A/B benchmark.
-func (fb *FleetBed) SetReferenceSolver(on bool) { fb.fc.Fleet.SetReferenceSolver(on) }
-
-// SetBundling disables (or re-enables) same-(src,dst) leg aggregation in
-// the fleet's rate solvers. Off, every transfer leg is its own solver
-// entity — with SetReferenceSolver(true) this reproduces the old
-// full-re-solve engine whose per-event cost tracked the outstanding-leg
-// population; it is the overload-benchmark baseline, not a mid-run knob.
-func (fb *FleetBed) SetBundling(on bool) { fb.fc.Fleet.SetBundling(on) }
-
 // fillFleetMetrics publishes the fleet's solver-work counters under the
 // fleet.* namespace: solver invocations and the links they water-filled.
 // fleet.links.touched / fleet.resolves is the O(affected) figure tests

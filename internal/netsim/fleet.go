@@ -4,11 +4,11 @@ package netsim
 // rack-structured topology whose nodes carry only what the max-min flow
 // solver needs. Where a Network iface owns two to four sim.Pipes (chunk
 // trains, name strings) plus lazily-built flowLinks behind a pointer, a
-// fleet node is two inline fleetLink records — roughly 96 bytes with the
-// incremental-solver state (remaining capacity, list head, stamps) — so a
+// fleet node is two inline maxmin.Link records — 96 bytes with the
+// solver's state (remaining capacity, list head, stamps) — so a
 // 10,000-node topology costs megabytes of heap, not gigabytes. There are
 // no packet pipes, no per-node service tables, and the solver scratch is
-// one per-rack slice shared across all of the rack's interfaces.
+// one per-rack maxmin.Solver shared across all of the rack's interfaces.
 //
 // The fleet is also the unit of kernel sharding: racks are partitioned
 // across a sim.ShardGroup (round-robin), each rack's flow state is owned
@@ -34,6 +34,7 @@ import (
 	"math"
 	"time"
 
+	"hbb/internal/maxmin"
 	"hbb/internal/sim"
 )
 
@@ -85,44 +86,8 @@ func (t FleetTopology) Validate() error {
 }
 
 // fleetLink is one direction of one NIC or rack trunk as seen by the
-// per-rack flow solver; remCap/nflows are water-filling scratch, valid
-// only while gen matches the rack's current solve generation. head
-// anchors the intrusive list of draining bundles crossing the link and
-// compGen marks links already visited by the current component BFS.
-type fleetLink struct {
-	cap     float64
-	gen     uint64
-	remCap  float64
-	nflows  int
-	compGen uint64
-	head    *fleetBundle
-}
-
-// attach prepends bu to the link's draining-bundle list.
-func (l *fleetLink) attach(bu *fleetBundle) {
-	n := l.head
-	l.head = bu
-	bu.setPrev(l, nil)
-	bu.setNext(l, n)
-	if n != nil {
-		n.setPrev(l, bu)
-	}
-}
-
-// detach unlinks bu from the link's draining-bundle list.
-func (l *fleetLink) detach(bu *fleetBundle) {
-	p, n := bu.prevOn(l), bu.nextOn(l)
-	if p != nil {
-		p.setNext(l, n)
-	} else {
-		l.head = n
-	}
-	if n != nil {
-		n.setPrev(l, p)
-	}
-	bu.setPrev(l, nil)
-	bu.setNext(l, nil)
-}
+// per-rack flow solver.
+type fleetLink = maxmin.Link[*fleetBundle]
 
 // fleetNode is a fleet member's entire network state.
 type fleetNode struct {
@@ -140,12 +105,11 @@ type fleetMember struct {
 }
 
 // fleetBundle aggregates every concurrently draining transfer leg that
-// crosses the same (a, b) link pair into one solver entity with
-// multiplicity len(members). Max-min fairness gives same-pair flows
-// identical rates, so the solver only needs the count — under a 20x
-// oversubscribed swarm the backlog grows the member heaps, not the
-// water-filling working set, which stays bounded by the topology's
-// distinct pair count.
+// crosses the same (a, b) link pair into one solver entity of weight
+// len(members). Max-min fairness gives same-pair flows identical rates,
+// so the solver only needs the count — under a 20x oversubscribed swarm
+// the backlog grows the member heaps, not the water-filling working set,
+// which stays bounded by the topology's distinct pair count.
 //
 // Members are tracked in virtual service units: the bundle's cumulative
 // per-member service is S(t) = anchorS + rate*(t-anchorT)/1e9, a member
@@ -155,68 +119,28 @@ type fleetMember struct {
 // nothing until they reach the heap head.
 type fleetBundle struct {
 	rack *fleetRack
-	a, b *fleetLink
-	// Intrusive membership in a's and b's draining-bundle lists.
-	aNext, aPrev *fleetBundle
-	bNext, bPrev *fleetBundle
+	// ent is the bundle's solver entity over (a, b); ent.Rate is the
+	// per-member fair-share rate and ent.Weight tracks len(members).
+	ent maxmin.Entity[*fleetBundle]
 
 	members []fleetMember // min-heap by (tag, seq)
 	memSeq  uint64
 
-	seq      uint64  // creation order: solver iteration tie-break
-	anchorS  float64 // cumulative per-member service at anchorT
-	anchorT  int64   // virtual ns of the last rate change
-	rate     float64 // per-member fair-share rate, bytes/sec
-	prevRate float64
-	frozen   bool
-	compGen  uint64 // component-BFS visit mark
-	allIdx   int    // position in rack.all, for O(1) removal
+	anchorS float64 // cumulative per-member service at anchorT
+	anchorT int64   // virtual ns of the last rate change
 
 	timer    sim.Timer
 	timerSet bool
 	finishFn func()
 }
 
-// nextOn/prevOn/setNext/setPrev address the intrusive list slot for
-// whichever of the bundle's two links l is (a and b are always distinct:
-// every leg pairs two different link kinds).
-func (bu *fleetBundle) nextOn(l *fleetLink) *fleetBundle {
-	if l == bu.a {
-		return bu.aNext
-	}
-	return bu.bNext
-}
-
-func (bu *fleetBundle) prevOn(l *fleetLink) *fleetBundle {
-	if l == bu.a {
-		return bu.aPrev
-	}
-	return bu.bPrev
-}
-
-func (bu *fleetBundle) setNext(l *fleetLink, g *fleetBundle) {
-	if l == bu.a {
-		bu.aNext = g
-	} else {
-		bu.bNext = g
-	}
-}
-
-func (bu *fleetBundle) setPrev(l *fleetLink, g *fleetBundle) {
-	if l == bu.a {
-		bu.aPrev = g
-	} else {
-		bu.bPrev = g
-	}
-}
-
 // serviceAt returns the bundle's cumulative per-member service at now
 // without moving the anchor.
 func (bu *fleetBundle) serviceAt(now int64) float64 {
-	if bu.rate <= 0 || now <= bu.anchorT {
+	if bu.ent.Rate <= 0 || now <= bu.anchorT {
 		return bu.anchorS
 	}
-	return bu.anchorS + bu.rate*float64(now-bu.anchorT)/1e9
+	return bu.anchorS + bu.ent.Rate*float64(now-bu.anchorT)/1e9
 }
 
 // advanceAnchor books the service accumulated at the given rate since
@@ -287,9 +211,10 @@ func (bu *fleetBundle) popHead() func() {
 	return fn
 }
 
-// fleetRack owns one rack's nodes, trunk links, bundle set, and solver
-// scratch. Exactly one shard ever touches a rack, so none of this needs
-// locking even when windows execute concurrently.
+// fleetRack owns one rack's nodes, trunk links and max-min solver (the
+// active bundle set and its scratch). Exactly one shard ever touches a
+// rack, so none of this needs locking even when windows execute
+// concurrently.
 type fleetRack struct {
 	fl    *Fleet
 	id    int
@@ -299,19 +224,10 @@ type fleetRack struct {
 	up    fleetLink
 	down  fleetLink
 
-	all         []*fleetBundle // active bundles, arbitrary order (seq orders the solve)
-	scratch     []*fleetLink
-	gen         uint64
-	compGen     uint64
-	bundleSeq   uint64
-	compBundles []*fleetBundle // component-BFS scratch
-	compLinks   []*fleetLink
-	refScratch  []*fleetBundle // full-resolve iteration order (reference mode)
-	ref         bool           // reference (full re-solve) mode, test hook
-	noBundle    bool           // one singleton bundle per leg, baseline hook
-	pool        []*fleetBundle
-	xfers       []*fleetXfer // StartTransfer record pool
-	seq         uint64       // cross-shard send ordering counter
+	solver maxmin.Solver[*fleetBundle]
+	pool   []*fleetBundle
+	xfers  []*fleetXfer // StartTransfer record pool
+	seq    uint64       // cross-shard send ordering counter
 
 	sent         int64
 	recv         int64
@@ -347,11 +263,11 @@ func NewFleet(topo FleetTopology) (*Fleet, error) {
 		r.env = fl.group.Shard(r.shard)
 		r.nodes = make([]fleetNode, topo.NodesPerRack)
 		for n := range r.nodes {
-			r.nodes[n].eg.cap = topo.Profile.Bandwidth
-			r.nodes[n].in.cap = topo.Profile.Bandwidth
+			r.nodes[n].eg.Cap = topo.Profile.Bandwidth
+			r.nodes[n].in.Cap = topo.Profile.Bandwidth
 		}
-		r.up.cap = topo.UplinkBandwidth
-		r.down.cap = topo.UplinkBandwidth
+		r.up.Cap = topo.UplinkBandwidth
+		r.down.Cap = topo.UplinkBandwidth
 		fl.racks[i] = r
 	}
 	return fl, nil
@@ -508,12 +424,10 @@ func (fl *Fleet) Transfer(p *sim.Proc, src, dst int, n int64) error {
 func (r *fleetRack) startFlow(now int64, a, b *fleetLink, n int64, done func()) {
 	r.started++
 	var bu *fleetBundle
-	if !r.noBundle {
-		for g := a.head; g != nil; g = g.nextOn(a) {
-			if g.a == a && g.b == b {
-				bu = g
-				break
-			}
+	for e := a.First(); e != nil; e = e.Next(a) {
+		if e.A == a && e.B == b {
+			bu = e.Owner
+			break
 		}
 	}
 	fresh := bu == nil
@@ -528,11 +442,12 @@ func (r *fleetRack) startFlow(now int64, a, b *fleetLink, n int64, done func()) 
 		r.env.Cancel(bu.timer)
 		bu.timerSet = false
 	}
-	r.resolveAffected(now, a, b)
+	bu.ent.Weight = len(bu.members)
+	r.resolve(now, a, b)
 }
 
 // getBundle takes a pooled (or new) bundle for the (a, b) pair and
-// attaches it to both links' draining lists.
+// activates it in the rack's solver.
 func (r *fleetRack) getBundle(a, b *fleetLink, now int64) *fleetBundle {
 	var bu *fleetBundle
 	if k := len(r.pool) - 1; k >= 0 {
@@ -541,35 +456,15 @@ func (r *fleetRack) getBundle(a, b *fleetLink, now int64) *fleetBundle {
 		r.pool = r.pool[:k]
 	} else {
 		bu = &fleetBundle{rack: r}
+		bu.ent.Owner = bu
 		bu.finishFn = bu.finish
 	}
-	bu.a, bu.b = a, b
-	bu.rate, bu.prevRate = 0, 0
+	bu.ent.A, bu.ent.B = a, b
 	bu.anchorS, bu.anchorT = 0, now
 	bu.memSeq = 0
 	bu.timerSet = false
-	r.bundleSeq++
-	bu.seq = r.bundleSeq
-	a.attach(bu)
-	b.attach(bu)
-	bu.allIdx = len(r.all)
-	r.all = append(r.all, bu)
+	r.solver.Add(&bu.ent)
 	return bu
-}
-
-// removeBundle detaches an emptied bundle from its links and the active
-// set (swap-remove; seq, not position, orders the solve).
-func (r *fleetRack) removeBundle(bu *fleetBundle) {
-	bu.a.detach(bu)
-	bu.b.detach(bu)
-	last := len(r.all) - 1
-	if bu.allIdx != last {
-		moved := r.all[last]
-		r.all[bu.allIdx] = moved
-		moved.allIdx = bu.allIdx
-	}
-	r.all[last] = nil
-	r.all = r.all[:last]
 }
 
 // rearm replaces the completion timer to match the current rate and
@@ -579,10 +474,10 @@ func (bu *fleetBundle) rearm(now int64) {
 		bu.rack.env.Cancel(bu.timer)
 		bu.timerSet = false
 	}
-	if bu.rate <= 0 || len(bu.members) == 0 {
+	if bu.ent.Rate <= 0 || len(bu.members) == 0 {
 		return
 	}
-	ns := math.Ceil((bu.members[0].tag - bu.anchorS) / bu.rate * 1e9)
+	ns := math.Ceil((bu.members[0].tag - bu.anchorS) / bu.ent.Rate * 1e9)
 	if ns < 0 {
 		ns = 0
 	}
@@ -592,189 +487,38 @@ func (bu *fleetBundle) rearm(now int64) {
 
 // finish runs as a callback timer when the head member's last byte
 // drains: pop it, re-solve the affected component (the bundle lost one
-// unit of multiplicity — or disappeared), then deliver the completion.
+// unit of weight — or disappeared), then deliver the completion.
 func (bu *fleetBundle) finish() {
 	bu.timerSet = false
 	r := bu.rack
 	now := int64(r.env.Now())
 	fn := bu.popHead()
+	a, b := bu.ent.A, bu.ent.B
+	bu.ent.Weight = len(bu.members)
 	if len(bu.members) == 0 {
-		r.removeBundle(bu)
-		r.resolveAffected(now, bu.a, bu.b)
-		bu.a, bu.b = nil, nil
+		r.solver.Remove(&bu.ent)
+		bu.ent.A, bu.ent.B = nil, nil
 		r.pool = append(r.pool, bu)
-	} else {
-		r.resolveAffected(now, bu.a, bu.b)
 	}
+	r.resolve(now, a, b)
 	fn()
 }
 
-// resolveAffected re-solves the connected component(s) of the
-// bundle/link graph reachable from the seed links — the only bundles
-// whose max-min shares a rate event at those links can change (shares
-// decompose over connected components; see Network.resolveAffected and
-// DESIGN.md). Collected bundles are ordered by creation seq so the
-// bottleneck scan tie-breaks identically to a full re-solve.
-func (r *fleetRack) resolveAffected(now int64, seeds ...*fleetLink) {
-	if r.ref {
-		r.refScratch = append(r.refScratch[:0], r.all...)
-		sortBundlesBySeq(r.refScratch)
-		r.solve(now, r.refScratch)
-		return
-	}
-	r.compGen++
-	gen := r.compGen
-	r.compLinks = r.compLinks[:0]
-	r.compBundles = r.compBundles[:0]
-	for _, l := range seeds {
-		if l.compGen != gen {
-			l.compGen = gen
-			r.compLinks = append(r.compLinks, l)
-		}
-	}
-	for i := 0; i < len(r.compLinks); i++ {
-		l := r.compLinks[i]
-		for bu := l.head; bu != nil; bu = bu.nextOn(l) {
-			if bu.compGen == gen {
-				continue
-			}
-			bu.compGen = gen
-			r.compBundles = append(r.compBundles, bu)
-			for _, o := range [2]*fleetLink{bu.a, bu.b} {
-				if o.compGen != gen {
-					o.compGen = gen
-					r.compLinks = append(r.compLinks, o)
-				}
-			}
-		}
-	}
-	sortBundlesBySeq(r.compBundles)
-	r.solve(now, r.compBundles)
-}
-
-// solve water-fills max-min fair shares over the given bundles — the
-// same algorithm as Network.solve with per-bundle multiplicity: a
-// bundle counts len(members) flows on each of its links and its frozen
-// share is the per-member rate. Gen-stamped scratch means untouched
-// links cost nothing; timers re-arm only for bundles whose rate (or
-// head member) changed.
-func (r *fleetRack) solve(now int64, bundles []*fleetBundle) {
+// resolve re-solves the component(s) of the bundle/link graph reachable
+// from a rate event's two links, counts the pass (also when the
+// component came back empty) and the links it water-filled, and re-arms
+// timers only for bundles whose rate — or head member — changed.
+func (r *fleetRack) resolve(now int64, a, b *fleetLink) {
+	comp, links := r.solver.Resolve(a, b)
 	r.resolves++
-	if len(bundles) == 0 {
-		return
-	}
-	r.gen++
-	gen := r.gen
-	r.scratch = r.scratch[:0]
-	for _, bu := range bundles {
-		bu.prevRate = bu.rate
-		bu.frozen = false
-		for _, l := range [2]*fleetLink{bu.a, bu.b} {
-			if l.gen != gen {
-				l.gen = gen
-				l.remCap = l.cap
-				l.nflows = 0
-				r.scratch = append(r.scratch, l)
-			}
-			l.nflows += len(bu.members)
-		}
-	}
-	r.linksTouched += int64(len(r.scratch))
-	unfrozen := len(bundles)
-	for unfrozen > 0 {
-		var bottleneck *fleetLink
-		share := math.Inf(1)
-		for _, l := range r.scratch {
-			if l.nflows == 0 {
-				continue
-			}
-			// Strict < keeps ties on the earliest link in arrival order —
-			// deterministic across runs and shard counts.
-			if s := l.remCap / float64(l.nflows); s < share {
-				share, bottleneck = s, l
-			}
-		}
-		if bottleneck == nil {
-			break
-		}
-		for _, bu := range bundles {
-			if bu.frozen || (bu.a != bottleneck && bu.b != bottleneck) {
-				continue
-			}
-			bu.frozen = true
-			bu.rate = share
-			unfrozen--
-			k := len(bu.members)
-			for _, l := range [2]*fleetLink{bu.a, bu.b} {
-				l.remCap -= share * float64(k)
-				if l.remCap < 0 {
-					l.remCap = 0
-				}
-				l.nflows -= k
-			}
-		}
-	}
-	for _, bu := range bundles {
-		if bu.timerSet && bu.rate == bu.prevRate {
+	r.linksTouched += int64(links)
+	for _, e := range comp {
+		bu := e.Owner
+		if bu.timerSet && e.Rate == e.PrevRate {
 			continue
 		}
-		bu.advanceAnchor(now, bu.prevRate)
+		bu.advanceAnchor(now, e.PrevRate)
 		bu.rearm(now)
-	}
-}
-
-// sortBundlesBySeq orders bundles by creation sequence in place
-// (heapsort: zero allocations, O(n log n) worst case). seq values are
-// unique per rack, so the order is total and deterministic.
-func sortBundlesBySeq(bs []*fleetBundle) {
-	n := len(bs)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftBundleSeq(bs, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		bs[0], bs[i] = bs[i], bs[0]
-		siftBundleSeq(bs, 0, i)
-	}
-}
-
-func siftBundleSeq(bs []*fleetBundle, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && bs[c+1].seq > bs[c].seq {
-			c++
-		}
-		if bs[i].seq >= bs[c].seq {
-			return
-		}
-		bs[i], bs[c] = bs[c], bs[i]
-		i = c
-	}
-}
-
-// SetReferenceSolver switches every rack between the incremental
-// component-limited solver (default) and the reference full re-solve
-// that recomputes all bundles on every rate event. The two produce
-// identical rates and completion times — the reference exists for
-// randomized differential tests and A/B benchmarks; it is O(active
-// bundles) per event and collapses under overload.
-func (fl *Fleet) SetReferenceSolver(on bool) {
-	for _, r := range fl.racks {
-		r.ref = on
-	}
-}
-
-// SetBundling disables (or re-enables) same-(src,dst) leg aggregation:
-// with bundling off every leg is its own singleton solver entity, which
-// restores the pre-bundle processor-sharing completion order and the
-// O(outstanding legs) working set. Combined with SetReferenceSolver it
-// reproduces the old full-re-solve engine as an overload-benchmark
-// baseline. Call it before injecting traffic; it is not a mid-run knob.
-func (fl *Fleet) SetBundling(on bool) {
-	for _, r := range fl.racks {
-		r.noBundle = !on
 	}
 }
 

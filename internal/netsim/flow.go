@@ -7,9 +7,11 @@ package netsim
 // only when a flow starts, ends, or a node fails, and each re-solve is
 // incremental: max-min shares decompose over connected components of
 // the flow/link graph, so only the component containing the event's
-// links is water-filled (see DESIGN.md "Incremental flow solver"). A
-// transfer therefore costs O(flow transitions x its component), not
-// O(bytes/chunk) events or O(all flows) solver work.
+// links is water-filled. The solver itself is internal/maxmin (a Flow is
+// an entity of weight 1); this file owns what the solver does not:
+// byte accounting, completion timers, aborts and the blocking API. A
+// transfer costs O(flow transitions x its component), not O(bytes/chunk)
+// events or O(all flows) solver work.
 //
 // Model notes:
 //   - Flow capacity is the NIC bandwidth shared among *flows only*;
@@ -29,61 +31,24 @@ import (
 	"math"
 	"time"
 
+	"hbb/internal/maxmin"
 	"hbb/internal/sim"
 )
 
 // flowLink is one direction of one NIC as seen by the flow solver.
-// remCap/nflows are water-filling scratch, valid only while gen matches
-// the network's current solve generation. head anchors the intrusive
-// list of draining flows crossing the link (membership only — the
-// solver orders flows by arrival seq, not list position), and compGen
-// marks links already visited by the current component BFS.
-type flowLink struct {
-	cap     float64
-	gen     uint64
-	remCap  float64
-	nflows  int
-	compGen uint64
-	head    *Flow
-}
-
-// attach prepends f to the link's draining-flow list.
-func (l *flowLink) attach(f *Flow) {
-	n := l.head
-	l.head = f
-	f.setPrev(l, nil)
-	f.setNext(l, n)
-	if n != nil {
-		n.setPrev(l, f)
-	}
-}
-
-// detach unlinks f from the link's draining-flow list.
-func (l *flowLink) detach(f *Flow) {
-	p, n := f.prevOn(l), f.nextOn(l)
-	if p != nil {
-		p.setNext(l, n)
-	} else {
-		l.head = n
-	}
-	if n != nil {
-		n.setPrev(l, p)
-	}
-	f.setPrev(l, nil)
-	f.setNext(l, nil)
-}
+type flowLink = maxmin.Link[*Flow]
 
 func (f *iface) flowLinks(prof Profile, legacy bool) (eg, in *flowLink) {
 	if legacy {
 		if f.flLegEg == nil {
-			f.flLegEg = &flowLink{cap: prof.Bandwidth}
-			f.flLegIn = &flowLink{cap: prof.Bandwidth}
+			f.flLegEg = &flowLink{Cap: prof.Bandwidth}
+			f.flLegIn = &flowLink{Cap: prof.Bandwidth}
 		}
 		return f.flLegEg, f.flLegIn
 	}
 	if f.flEg == nil {
-		f.flEg = &flowLink{cap: prof.Bandwidth}
-		f.flIn = &flowLink{cap: prof.Bandwidth}
+		f.flEg = &flowLink{Cap: prof.Bandwidth}
+		f.flIn = &flowLink{Cap: prof.Bandwidth}
 	}
 	return f.flEg, f.flIn
 }
@@ -98,21 +63,13 @@ type Flow struct {
 	dst    NodeID
 	legacy bool
 	prof   Profile
-	eg, in *flowLink
+	// ent is the flow's solver entity: weight 1 over (src egress, dst
+	// ingress), both nil for a loopback flow, which never enters the
+	// solver. It carries the current fair-share rate.
+	ent maxmin.Entity[*Flow]
 
 	remaining float64 // bytes still to deliver in the current Write
-	rate      float64 // current fair-share rate, bytes/sec
-	prevRate  float64 // rate before the current re-solve (re-arm skip)
 	lastUpd   int64   // virtual ns of the last rate change (progress anchor)
-	frozen    bool    // water-filling scratch
-
-	// Intrusive membership in eg's and in's draining-flow lists, plus
-	// the arrival sequence that fixes solver iteration order and the
-	// BFS visit mark.
-	egNext, egPrev *Flow
-	inNext, inPrev *Flow
-	seq            uint64
-	compGen        uint64
 
 	timer    sim.Timer
 	timerSet bool
@@ -120,39 +77,6 @@ type Flow struct {
 	drained  sim.Signal // wakes the blocked writer, allocation-free
 	err      error      // sticky abort error (ErrNodeDown)
 	closed   bool
-}
-
-// nextOn/prevOn/setNext/setPrev address the intrusive list slot for
-// whichever of the flow's two links l is. eg and in are always distinct
-// (loopback writes never enter the solver).
-func (f *Flow) nextOn(l *flowLink) *Flow {
-	if l == f.eg {
-		return f.egNext
-	}
-	return f.inNext
-}
-
-func (f *Flow) prevOn(l *flowLink) *Flow {
-	if l == f.eg {
-		return f.egPrev
-	}
-	return f.inPrev
-}
-
-func (f *Flow) setNext(l *flowLink, g *Flow) {
-	if l == f.eg {
-		f.egNext = g
-	} else {
-		f.inNext = g
-	}
-}
-
-func (f *Flow) setPrev(l *flowLink, g *Flow) {
-	if l == f.eg {
-		f.egPrev = g
-	} else {
-		f.inPrev = g
-	}
 }
 
 // StartFlow opens a flow session from src to dst on the native
@@ -183,9 +107,10 @@ func (nw *Network) startFlow(src, dst NodeID, legacy bool) (*Flow, error) {
 		f = &Flow{nw: nw, src: src, dst: dst, legacy: useLeg, prof: nw.chooseTransport(legacy)}
 		f.finishFn = f.finish
 	}
+	f.ent.Owner, f.ent.Weight = f, 1
 	if src != dst {
-		f.eg, _ = nw.ifaces[src].flowLinks(f.prof, useLeg)
-		_, f.in = nw.ifaces[dst].flowLinks(f.prof, useLeg)
+		f.ent.A, _ = nw.ifaces[src].flowLinks(f.prof, useLeg)
+		_, f.ent.B = nw.ifaces[dst].flowLinks(f.prof, useLeg)
 	}
 	nw.flowsStarted.Inc()
 	return f, nil
@@ -218,14 +143,8 @@ func (f *Flow) Write(p *sim.Proc, n int64) error {
 	now := int64(p.Now())
 	f.lastUpd = now
 	f.remaining = float64(n)
-	f.rate = 0
-	f.prevRate = 0
-	nw.flowSeq++
-	f.seq = nw.flowSeq
-	nw.flows = append(nw.flows, f)
-	f.eg.attach(f)
-	f.in.attach(f)
-	nw.resolveAffected(now, f.eg, f.in)
+	nw.solver.Add(&f.ent)
+	nw.resolve(now, &f.ent)
 	f.drained.Wait(p)
 	if f.err != nil {
 		return f.err
@@ -263,10 +182,10 @@ func (f *Flow) rearm(now int64) {
 		f.nw.env.Cancel(f.timer)
 		f.timerSet = false
 	}
-	if f.rate <= 0 {
+	if f.ent.Rate <= 0 {
 		return // starved; the next flow transition re-solves
 	}
-	ns := math.Ceil(f.remaining / f.rate * 1e9)
+	ns := math.Ceil(f.remaining / f.ent.Rate * 1e9)
 	f.timer = f.nw.env.At(time.Duration(now)+time.Duration(ns), f.finishFn)
 	f.timerSet = true
 }
@@ -279,178 +198,38 @@ func (f *Flow) finish() {
 	now := int64(f.nw.env.Now())
 	f.lastUpd = now
 	f.remaining = 0
-	f.rate = 0
-	f.eg.detach(f)
-	f.in.detach(f)
-	f.nw.deactivate(f)
-	f.nw.resolveAffected(now, f.eg, f.in)
+	f.nw.solver.Remove(&f.ent)
+	f.nw.resolve(now, &f.ent)
 	f.drained.Fire()
 }
 
-func (nw *Network) deactivate(f *Flow) {
-	for i, g := range nw.flows {
-		if g == f {
-			nw.flows = append(nw.flows[:i], nw.flows[i+1:]...)
-			return
-		}
-	}
+// resolve re-solves the component(s) of the flow/link graph reachable
+// from the links of the flow that just arrived or left, and counts the
+// pass — also when the component came back empty, which goldens and the
+// harness read as "one solve per flow transition".
+func (nw *Network) resolve(now int64, e *maxmin.Entity[*Flow]) {
+	comp, _ := nw.solver.Resolve(e.A, e.B)
+	nw.settle(now, comp)
 }
 
-// resolveAffected re-solves the connected component(s) of the flow/link
-// graph reachable from the seed links. Max-min shares decompose over
-// connected components — a rate event (arrival, completion, abort) can
-// only change shares inside the component its links belong to — so the
-// BFS-collected subset water-fills to exactly the rates a full re-solve
-// would assign, and every flow outside it keeps its rate and armed
-// timer. The collected flows are ordered by arrival seq, so within the
-// component the bottleneck scan sees links in the same first-appearance
-// order as the full solver and tie-breaks identically.
-func (nw *Network) resolveAffected(now int64, seeds ...*flowLink) {
-	if nw.refSolver {
-		nw.solve(now, nw.flows)
-		return
-	}
-	nw.compGen++
-	gen := nw.compGen
-	nw.compLinks = nw.compLinks[:0]
-	nw.compFlows = nw.compFlows[:0]
-	for _, l := range seeds {
-		if l.compGen != gen {
-			l.compGen = gen
-			nw.compLinks = append(nw.compLinks, l)
-		}
-	}
-	nw.collectComponent(gen)
-	sortFlowsBySeq(nw.compFlows)
-	nw.solve(now, nw.compFlows)
-}
-
-// collectComponent expands the BFS frontier in compLinks across the
-// intrusive per-link flow lists, gathering every transitively connected
-// flow into compFlows.
-func (nw *Network) collectComponent(gen uint64) {
-	for i := 0; i < len(nw.compLinks); i++ {
-		l := nw.compLinks[i]
-		for f := l.head; f != nil; f = f.nextOn(l) {
-			if f.compGen == gen {
-				continue
-			}
-			f.compGen = gen
-			nw.compFlows = append(nw.compFlows, f)
-			for _, o := range [2]*flowLink{f.eg, f.in} {
-				if o.compGen != gen {
-					o.compGen = gen
-					nw.compLinks = append(nw.compLinks, o)
-				}
-			}
-		}
-	}
-}
-
-// solve recomputes the given flows' max-min fair shares by water filling
-// — repeatedly freeze the flows crossing the tightest link at that
-// link's equal share — then re-arms completion timers for the flows
-// whose rate changed. It runs only on flow transitions (Write arrival,
-// completion, node failure) over the affected component, so its cost is
-// O(component x its links). All state it touches is mutated only by code
-// the kernel serializes (processes and callbacks of one Env), keeping runs
+// settle counts one solver pass and re-arms completion timers across the
+// component it re-solved. A flow whose share didn't change keeps its
+// timer and its progress anchor: the armed completion instant is still
+// exact, and skipping the cancel+insert pair keeps steady states
+// O(changed flows) in heap work instead of O(component). All state
+// touched here and in the solver is mutated only by code the kernel
+// serializes (processes and callbacks of one Env), keeping runs
 // bit-reproducible regardless of GOMAXPROCS.
-func (nw *Network) solve(now int64, flows []*Flow) {
+func (nw *Network) settle(now int64, comp []*maxmin.Entity[*Flow]) {
 	nw.flowResolves.Inc()
-	nw.flowActive.Observe(float64(len(nw.flows)))
-	if len(flows) == 0 {
-		return
-	}
-	nw.solveGen++
-	gen := nw.solveGen
-	nw.linkScratch = nw.linkScratch[:0]
-	for _, f := range flows {
-		f.prevRate = f.rate
-		f.frozen = false
-		for _, l := range [2]*flowLink{f.eg, f.in} {
-			if l.gen != gen {
-				l.gen = gen
-				l.remCap = l.cap
-				l.nflows = 0
-				nw.linkScratch = append(nw.linkScratch, l)
-			}
-			l.nflows++
-		}
-	}
-	unfrozen := len(flows)
-	for unfrozen > 0 {
-		var bottleneck *flowLink
-		share := math.Inf(1)
-		for _, l := range nw.linkScratch {
-			if l.nflows == 0 {
-				continue
-			}
-			// Strict < keeps ties on the earliest link in arrival
-			// order — deterministic across runs.
-			if s := l.remCap / float64(l.nflows); s < share {
-				share, bottleneck = s, l
-			}
-		}
-		if bottleneck == nil {
-			break
-		}
-		for _, f := range flows {
-			if f.frozen || (f.eg != bottleneck && f.in != bottleneck) {
-				continue
-			}
-			f.frozen = true
-			f.rate = share
-			unfrozen--
-			for _, l := range [2]*flowLink{f.eg, f.in} {
-				l.remCap -= share
-				if l.remCap < 0 {
-					l.remCap = 0
-				}
-				l.nflows--
-			}
-		}
-	}
-	for _, f := range flows {
-		// A flow whose share didn't change keeps its timer and its
-		// progress anchor: the armed completion instant is still exact,
-		// and skipping the cancel+insert pair keeps steady states
-		// O(changed flows) in heap work instead of O(all flows).
-		if f.timerSet && f.rate == f.prevRate {
+	nw.flowActive.Observe(float64(len(nw.solver.Active())))
+	for _, e := range comp {
+		f := e.Owner
+		if f.timerSet && e.Rate == e.PrevRate {
 			continue
 		}
-		f.advanceAt(now, f.prevRate)
+		f.advanceAt(now, e.PrevRate)
 		f.rearm(now)
-	}
-}
-
-// sortFlowsBySeq orders flows by arrival sequence in place (heapsort:
-// zero allocations, O(n log n) worst case). seq values are unique, so
-// the order is total and deterministic.
-func sortFlowsBySeq(fs []*Flow) {
-	n := len(fs)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftFlowSeq(fs, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		fs[0], fs[i] = fs[i], fs[0]
-		siftFlowSeq(fs, 0, i)
-	}
-}
-
-func siftFlowSeq(fs []*Flow, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && fs[c+1].seq > fs[c].seq {
-			c++
-		}
-		if fs[i].seq >= fs[c].seq {
-			return
-		}
-		fs[i], fs[c] = fs[c], fs[i]
-		i = c
 	}
 }
 
@@ -464,61 +243,47 @@ func siftFlowSeq(fs []*Flow, i, n int) {
 // an O(all flows x all links) re-solve into work proportional to the
 // failed node's own traffic.
 func (nw *Network) abortFlows(id NodeID) {
-	if len(nw.flows) == 0 {
-		return
-	}
-	now := int64(nw.env.Now())
-	var hit []*Flow
-	for _, f := range nw.flows {
-		if f.src == id || f.dst == id {
-			hit = append(hit, f)
+	// Every casualty crosses one of the failed node's own links, so their
+	// lists are the hit set — no scan of the whole fabric. Arrival order
+	// fixes the order writers wake in.
+	ifc := nw.ifaces[id]
+	var hit []*maxmin.Entity[*Flow]
+	for _, l := range [4]*flowLink{ifc.flEg, ifc.flIn, ifc.flLegEg, ifc.flLegIn} {
+		if l == nil {
+			continue
+		}
+		for e := l.First(); e != nil; e = e.Next(l) {
+			hit = append(hit, e)
 		}
 	}
 	if len(hit) == 0 {
 		return
 	}
-	for _, f := range hit {
-		f.advanceAt(now, f.rate)
+	maxmin.SortBySeq(hit)
+	now := int64(nw.env.Now())
+	seeds := make([]*flowLink, 0, 2*len(hit))
+	for _, e := range hit {
+		f := e.Owner
+		f.advanceAt(now, e.Rate)
 		f.err = fmt.Errorf("%w: node %d failed mid-flow", ErrNodeDown, id)
 		if f.timerSet {
 			nw.env.Cancel(f.timer)
 			f.timerSet = false
 		}
-		f.rate = 0
-		f.eg.detach(f)
-		f.in.detach(f)
-		nw.deactivate(f)
+		nw.solver.Remove(e)
 		nw.flowAborts.Inc()
+		seeds = append(seeds, e.A, e.B)
 	}
 	// One re-solve over the union of components the casualties touched:
 	// freed capacity can cascade through transitively shared links, so
 	// the BFS from every aborted flow's links collects exactly the
-	// survivors whose shares can change. Survivors in other components
-	// keep their rates and armed timers untouched; if no survivor shares
-	// a component the solve (and its counter) is skipped entirely.
-	nw.compGen++
-	gen := nw.compGen
-	nw.compLinks = nw.compLinks[:0]
-	nw.compFlows = nw.compFlows[:0]
-	for _, f := range hit {
-		for _, l := range [2]*flowLink{f.eg, f.in} {
-			if l.compGen != gen {
-				l.compGen = gen
-				nw.compLinks = append(nw.compLinks, l)
-			}
-		}
+	// survivors whose shares can change. If survivors exist but none
+	// shares a component, the pass is not counted.
+	if comp, _ := nw.solver.Resolve(seeds...); len(comp) > 0 || len(nw.solver.Active()) == 0 {
+		nw.settle(now, comp)
 	}
-	nw.collectComponent(gen)
-	if len(nw.compFlows) > 0 || len(nw.flows) == 0 {
-		if nw.refSolver {
-			nw.solve(now, nw.flows)
-		} else {
-			sortFlowsBySeq(nw.compFlows)
-			nw.solve(now, nw.compFlows)
-		}
-	}
-	for _, f := range hit {
-		f.drained.Fire()
+	for _, e := range hit {
+		e.Owner.drained.Fire()
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"hbb/internal/maxmin"
 	"hbb/internal/metrics"
 	"hbb/internal/sim"
 )
@@ -114,21 +115,10 @@ type Network struct {
 	ifaces   []*iface
 	services map[NodeID]map[string]*service
 
-	// Flow fast-path state (see flow.go). flows holds the currently
-	// draining flows in arrival order — the solver's deterministic
-	// iteration order. The incremental solver re-solves only the
-	// connected component of links reachable from a rate event;
-	// compFlows/compLinks are its reusable BFS scratch and refSolver
-	// restores the full re-solve (test hook for differential checking).
-	flows       []*Flow
-	linkScratch []*flowLink
-	solveGen    uint64
-	flowSeq     uint64
-	compGen     uint64
-	compFlows   []*Flow
-	compLinks   []*flowLink
-	refSolver   bool
-	flowBulk    bool
+	// Flow fast-path state (see flow.go): the max-min solver holding the
+	// currently draining flows, native and legacy alike.
+	solver   maxmin.Solver[*Flow]
+	flowBulk bool
 	// flowPool recycles one-shot wrapper flows (see putFlow).
 	flowPool []*Flow
 
