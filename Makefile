@@ -67,17 +67,23 @@ bench-fleet:
 	go test -run '^$$' -bench 'Tab8FleetScaling|FleetDFSIO10k|FleetShardSpeedup' -benchmem -benchtime 1x -timeout 20m .
 	go test -run '^$$' -bench 'SetDownAbort' -benchmem ./internal/netsim/
 
-# Open-loop swarm scaling: the zero-alloc arrival engine hot path, the
-# adaptive-vs-fixed sync window comparison, the max-min solver's cost
-# pins (links-touched per rate event; req/wall-s on the 20x-overloaded
-# swarm), the tab9 table, and the million-client smoke once
-# (-benchtime 1x; B-heap/client headline).
-bench-swarm:
-	go test -run '^$$' -bench 'SwarmArrivals' -benchmem ./internal/swarm/
-	go test -run '^$$' -bench 'ShardSyncSparse' -benchmem ./internal/sim/
-	go test -run '^$$' -bench 'FleetResolveTouched' -benchmem ./internal/netsim/
-	go test -run '^$$' -bench 'SwarmShardSpeedup' -benchmem .
-	go test -run '^$$' -bench 'Tab9SwarmScaling|SwarmMillion|SwarmOverload' -benchmem -benchtime 1x -timeout 20m .
+# Open-loop swarm, merged into BENCH_19.json under LABEL (the file's
+# "before" side is the parent commit running the same commands with
+# internal/swarm/bench_test.go copied in): the zero-alloc arrival engine
+# hot path at 25 k clients per rack (cache-resident) and 250 k per rack
+# (cache-cold, where the million-client runs are) in ns/arrival, then what
+# rides on it — the adaptive-vs-fixed sync window comparison, the max-min
+# solver's cost pins (links-touched per rate event; req/wall-s on the
+# 20x-overloaded swarm), the tab9 table, and the million-client smoke once
+# (-benchtime 1x; req/wall-s and B-heap/client headline).
+bench-swarm: tools
+	go test -run '^$$' -bench 'SwarmArrivals' -benchmem ./internal/swarm/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	go test -run '^$$' -bench 'ShardSyncSparse' -benchmem ./internal/sim/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	go test -run '^$$' -bench 'FleetResolveTouched' -benchmem ./internal/netsim/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	go test -run '^$$' -bench 'SwarmShardSpeedup' -benchmem . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	go test -run '^$$' -bench 'Tab9SwarmScaling|SwarmMillion|SwarmOverload' -benchmem -benchtime 1x -timeout 20m . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	./bin/benchjson -out BENCH_19.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; swarm tick-calendar PR — before = per-rack 4-ary index heap of clients keyed by next arrival (parent commit), after = per-rack tick calendar (one list head per tick, one link per client); SwarmArrivals ns/arrival and SwarmMillion req/wall-s are the headline; allocs/op, events/req, links/op, requests and B-heap/client (to 0.1) must match between the sides; ShardSyncSparse and FleetResolveTouched do not execute internal/swarm" < bench.out
+	rm -f bench.out
 
 # Serving-tier benchmarks, merged into BENCH_14.json under LABEL (the
 # file's "before" side is the parent commit's output of the same commands
@@ -102,11 +108,12 @@ golden:
 # server, pipelined client and its group commit (shared writes, queued
 # followers, failed flush, value ownership), the cluster's replica
 # fan-out, concurrent shard windows (adaptive on and off), the cross-shard
-# swarm fingerprint, the max-min solver against its full-re-solve oracle
-# (differential, fairness certificate, weight = multiplicity), and the
-# pinned flow and fleet solver traces.
+# swarm fingerprint, the swarm's tick calendar against its time-ordered
+# heap oracle (also over a 4-slot wheel), the max-min solver against its
+# full-re-solve oracle (differential, fairness certificate, weight =
+# multiplicity), and the pinned flow and fleet solver traces.
 stress:
-	go test -race -run 'Stress|Concurrent|Pipelined|GroupCommit|FanOut' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/maxmin/ ./internal/netsim/ .
+	go test -race -run 'Stress|Concurrent|Pipelined|GroupCommit|FanOut' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/maxmin/ ./internal/netsim/ ./internal/swarm/ .
 
 # Regenerate every paper figure/table at full scale (EXPERIMENTS.md data).
 repro: tools

@@ -2,7 +2,6 @@ package swarm
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -10,9 +9,9 @@ import (
 // load generators (cmd/mccluster -swarm): the same per-client splitmix64
 // streams, exponential inter-arrival draws, and zipfian key popularity
 // as the simulated fleet swarm, but emitting wall-clock-relative
-// nanosecond deadlines instead of DES ticks. It deliberately does not
-// touch rackGen — the deterministic fleet path and its fingerprints stay
-// byte-identical.
+// nanosecond deadlines instead of DES ticks. It must emit exact deadlines
+// in order, so unlike rackGen's tick calendar it keeps a heap — the
+// package's only one.
 //
 // The generator is open-loop: Next hands out the globally ordered
 // arrival sequence regardless of how fast the system under test drains
@@ -76,7 +75,7 @@ func (o *OpenLoop) Next() (at int64, key int) {
 	ci := o.heap[0]
 	c := &o.clients[ci]
 	at = c.next
-	c.next += int64(-math.Log(unitOpen(splitmix64(&c.state))) * o.gapMean)
+	c.next += c.expGap(o.gapMean)
 	o.siftDown(0)
 	if o.zipf != nil {
 		key = int(o.zipf.Uint64())
@@ -89,8 +88,8 @@ func (o *OpenLoop) Next() (at int64, key int) {
 // Clients returns the population size.
 func (o *OpenLoop) Clients() int { return len(o.clients) }
 
-// 4-ary heap on arrival time, same discipline as the rack swarm: shallow
-// trees beat binary heaps when the hot operation is pop-and-reschedule.
+// 4-ary heap on arrival time: shallow trees beat binary heaps when the
+// hot operation is pop-and-reschedule.
 
 func (o *OpenLoop) less(a, b int32) bool { return o.clients[a].next < o.clients[b].next }
 

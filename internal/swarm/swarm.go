@@ -13,10 +13,11 @@
 //     virtual timeline and a splitmix64 PRNG state. Per-client arrival
 //     schedules are target-QPS exponential (Poisson) or fixed-rate with
 //     a deterministic random phase;
-//   - each rack owns a flat slice of its clients plus a 4-ary index heap
-//     keyed by next-arrival time, and one callback-timer "tick" drains
-//     all arrivals due in the last tick interval — no per-client events
-//     exist at all;
+//   - each rack owns a flat slice of its clients plus a tick calendar —
+//     one list head per tick and one 4-byte link per client, a client
+//     filed under the first tick at or after its next arrival — and one
+//     callback-timer "tick" drains all arrivals due in the last tick
+//     interval: O(1) per arrival, and no per-client events exist at all;
 //   - arrivals in one tick fold into per-destination-rack batches: one
 //     fleetXfer flow injection per (tick, destination rack) carries the
 //     summed payload, so kernel work scales with traffic shape, not
@@ -27,15 +28,16 @@
 // Determinism matches the fleet's contract: every rack draws from its
 // own generator seeded by (seed, rack), folds its own trace hash, and
 // touches only rack-local state, so the swarm's fingerprint is identical
-// for any shard or worker count. The arrival hot path — heap pop, two
-// PRNG draws, scratch accumulate, heap reinsert — allocates nothing in
-// steady state (BenchmarkSwarmArrivals pins 0 allocs/op).
+// for any shard or worker count. The arrival hot path — calendar unlink,
+// two PRNG draws, scratch accumulate, calendar re-file — allocates nothing
+// in steady state (BenchmarkSwarmArrivals pins 0 allocs/op).
 package swarm
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"hbb/internal/metrics"
@@ -130,11 +132,21 @@ func (c Config) tick(racks int) int64 {
 }
 
 // clientRec is one swarm client: 16 bytes of next-arrival time and
-// PRNG state. A million clients cost ~16 MB plus a 4-byte heap slot
+// PRNG state. A million clients cost ~16 MB plus a 4-byte calendar link
 // each.
 type clientRec struct {
 	next  int64
 	state uint64
+}
+
+// expGap draws one exponential inter-arrival of the given mean (ns) from
+// the client's own stream, at least 1 ns so a schedule always advances.
+func (c *clientRec) expGap(mean float64) int64 {
+	d := int64(-math.Log(unitOpen(splitmix64(&c.state))) * mean)
+	if d < 1 {
+		d = 1
+	}
+	return d
 }
 
 // splitmix64 advances a per-client PRNG state; the standard finalizer
@@ -173,7 +185,7 @@ type Swarm struct {
 }
 
 // rackGen owns one rack's share of the swarm: its client records, the
-// arrival heap, the key-popularity stream, per-tick batching scratch,
+// tick calendar, the key-popularity stream, per-tick batching scratch,
 // and the rack-local counters and trace hash. Only the rack's owning
 // shard ever touches it.
 type rackGen struct {
@@ -181,7 +193,23 @@ type rackGen struct {
 	id      int
 	env     *sim.Env
 	clients []clientRec
-	heap    []int32
+
+	// Tick calendar: head[k%len(head)] starts the list, chained through
+	// link and ended by -1, of the clients due at tick k, the first
+	// multiple of tickNs at or after their next arrival; cur is the next
+	// tick to drain, live the clients filed. The wheel is bounded: a client
+	// filed over a lap ahead waits in its slot until due. Two invariants:
+	//   - ticks fire at exact multiples of tickNs (Start and runTick own
+	//     them); a late one would find the arrivals since the last multiple
+	//     a slot ahead and deliver them one tick late, never lose them;
+	//   - the order a tick's arrivals drain in is unobservable: each key
+	//     comes from the rack's shared stream, each gap from the client's
+	//     own, and flush folds only per-(tick, destination rack) sums.
+	head []int32
+	link []int32
+	cur  int64
+	live int
+
 	zipf    *rand.Zipf
 	rng     *rand.Rand
 	gapMean float64 // mean inter-arrival per client, ns
@@ -231,6 +259,11 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 		horizon: int64(cfg.Duration),
 	}
 	perClient := float64(cfg.Clients) / cfg.TargetQPS * 1e9 // mean gap, ns
+	// A sub-nanosecond period would truncate to 0 and stall the schedule.
+	period := max(int64(perClient), 1)
+	// One slot per tick up to the horizon (arrivals stop before it), capped
+	// so the calendar does not scale with Duration.
+	slots := min((s.horizon+s.tickNs-1)/s.tickNs+1, 1<<16)
 	base, rem := cfg.Clients/racks, cfg.Clients%racks
 	next := 0
 	for r := range s.racks {
@@ -243,7 +276,7 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 			id:      r,
 			env:     fl.Env(r * topo.NodesPerRack),
 			gapMean: perClient,
-			period:  int64(perClient),
+			period:  period,
 			bytes:   make([]int64, racks),
 			reqs:    make([]int64, racks),
 			slot:    make([]int32, racks),
@@ -256,14 +289,15 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 		}
 		g.tickFn = g.runTick
 		g.clients = make([]clientRec, count)
-		g.heap = make([]int32, 0, count)
+		g.link = make([]int32, count)
+		g.head = slices.Repeat([]int32{-1}, int(slots))
 		for i := range g.clients {
 			c := &g.clients[i]
 			c.state = uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(next+i+1)
 			c.next = g.firstArrival(c)
 			if c.next < s.horizon {
-				g.heap = append(g.heap, int32(i))
-				g.siftUp(len(g.heap) - 1)
+				g.file(int32(i))
+				g.live++
 			}
 		}
 		next += count
@@ -282,7 +316,7 @@ func (s *Swarm) Tick() time.Duration { return time.Duration(s.tickNs) }
 // the fleet's shard group runs.
 func (s *Swarm) Start() {
 	for _, g := range s.racks {
-		if len(g.heap) > 0 {
+		if g.live > 0 {
 			g.env.At(time.Duration(s.tickNs), g.tickFn)
 		}
 	}
@@ -292,9 +326,6 @@ func (s *Swarm) Start() {
 // zero, or a uniform phase within the fixed period.
 func (g *rackGen) firstArrival(c *clientRec) int64 {
 	if g.sw.cfg.FixedRate {
-		if g.period <= 0 {
-			return 0
-		}
 		return int64(splitmix64(&c.state) % uint64(g.period))
 	}
 	return g.gap(c)
@@ -305,104 +336,68 @@ func (g *rackGen) gap(c *clientRec) int64 {
 	if g.sw.cfg.FixedRate {
 		return g.period
 	}
-	d := int64(-math.Log(unitOpen(splitmix64(&c.state))) * g.gapMean)
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return c.expGap(g.gapMean)
 }
 
-// Heap ordering: (next-arrival time, client index) — a total order, so
-// pop order never depends on insertion history.
-func (g *rackGen) before(a, b int32) bool {
-	ca, cb := &g.clients[a], &g.clients[b]
-	if ca.next != cb.next {
-		return ca.next < cb.next
-	}
-	return a < b
-}
-
-func (g *rackGen) siftUp(i int) {
-	v := g.heap[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !g.before(v, g.heap[p]) {
-			break
-		}
-		g.heap[i] = g.heap[p]
-		i = p
-	}
-	g.heap[i] = v
-}
-
-func (g *rackGen) siftDown(i int) {
-	v := g.heap[i]
-	n := len(g.heap)
-	for {
-		min, c0 := i, i*4+1
-		for c := c0; c < c0+4 && c < n; c++ {
-			if min == i {
-				if g.before(g.heap[c], v) {
-					min = c
-				}
-			} else if g.before(g.heap[c], g.heap[min]) {
-				min = c
-			}
-		}
-		if min == i {
-			break
-		}
-		g.heap[i] = g.heap[min]
-		i = min
-	}
-	g.heap[i] = v
+// file chains client ci under the first tick at or after its next arrival.
+func (g *rackGen) file(ci int32) {
+	tick := uint64(g.sw.tickNs)
+	k := (uint64(g.clients[ci].next) + tick - 1) / tick
+	s := k % uint64(len(g.head))
+	g.link[ci] = g.head[s]
+	g.head[s] = ci
 }
 
 // advance drains every arrival due at or before now into the per-rack
 // scratch accumulators and re-schedules each client, returning the
-// number of arrivals. This is the swarm's hot path; it allocates
-// nothing (the scratch and heap are pre-sized, the PRNGs are inline).
+// number of arrivals. This is the swarm's hot path: O(1) per arrival, no
+// comparisons between clients, and it allocates nothing (the scratch and
+// calendar are pre-sized, the PRNGs are inline).
 func (g *rackGen) advance(now int64) int64 {
 	topo := g.sw.fl.Topology()
 	nodes := uint64(topo.Racks * topo.NodesPerRack)
 	per := topo.NodesPerRack
 	reqBytes := g.sw.cfg.RequestBytes
 	keys := uint64(g.sw.cfg.Keys)
+	horizon := g.sw.horizon
 	var arrivals int64
-	for len(g.heap) > 0 {
-		ci := g.heap[0]
-		c := &g.clients[ci]
-		if c.next > now {
-			break
-		}
-		arrivals++
-		var key uint64
-		if g.zipf != nil {
-			key = g.zipf.Uint64()
-		} else {
-			key = g.rng.Uint64() % keys
-		}
-		// Fixed multiplicative hash: a hot key is always served by the
-		// same node, so zipfian skew creates stable hot racks.
-		dstNode := (key * 2654435761) % nodes
-		dRack := int32(dstNode) / int32(per)
-		if g.bytes[dRack] == 0 {
-			g.touched = append(g.touched, dRack)
-			g.slot[dRack] = int32(dstNode) % int32(per)
-		}
-		g.bytes[dRack] += reqBytes
-		g.reqs[dRack]++
-		c.next += g.gap(c)
-		if c.next >= g.sw.horizon {
-			// Client's schedule is past the generation horizon: retire it.
-			n := len(g.heap) - 1
-			g.heap[0] = g.heap[n]
-			g.heap = g.heap[:n]
-			if n > 0 {
-				g.siftDown(0)
+	for last := now / g.sw.tickNs; g.cur <= last; g.cur++ {
+		s := g.cur % int64(len(g.head))
+		ci := g.head[s]
+		g.head[s] = -1
+		for ci >= 0 {
+			c := &g.clients[ci]
+			following := g.link[ci]
+			// Due several times when its gap is shorter than the tick, not
+			// at all when it was filed over a lap ahead.
+			for c.next <= now && c.next < horizon {
+				arrivals++
+				var key uint64
+				if g.zipf != nil {
+					key = g.zipf.Uint64()
+				} else {
+					key = g.rng.Uint64() % keys
+				}
+				// Fixed multiplicative hash: a hot key is always served by the
+				// same node, so zipfian skew creates stable hot racks.
+				dstNode := (key * 2654435761) % nodes
+				dRack := int32(dstNode) / int32(per)
+				if g.bytes[dRack] == 0 {
+					g.touched = append(g.touched, dRack)
+					g.slot[dRack] = int32(dstNode) % int32(per)
+				}
+				g.bytes[dRack] += reqBytes
+				g.reqs[dRack]++
+				c.next += g.gap(c)
 			}
-		} else {
-			g.siftDown(0)
+			if c.next >= horizon {
+				// Past the generation horizon: retire it, even when still
+				// <= now (the last tick can land beyond the horizon).
+				g.live--
+			} else {
+				g.file(ci)
+			}
+			ci = following
 		}
 	}
 	g.arrivals += arrivals
@@ -474,7 +469,7 @@ func (g *rackGen) runTick() {
 	now := int64(g.env.Now())
 	g.advance(now)
 	g.flush(now)
-	if len(g.heap) > 0 {
+	if g.live > 0 {
 		g.env.After(time.Duration(g.sw.tickNs), g.tickFn)
 	}
 }

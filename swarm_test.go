@@ -1,6 +1,7 @@
 package hbb
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -145,5 +146,63 @@ func TestSwarmOptionsValidation(t *testing.T) {
 	}
 	if _, err := fb.RunSwarm(); err == nil {
 		t.Error("RunSwarm without Options.Swarm accepted")
+	}
+}
+
+// TestSwarmFingerprintPins holds the swarm's trace fixed across commits;
+// the benchmark's fingerprint checks only compare runs of one commit. The
+// values were recorded at 68e4e68, the last commit whose rack generators
+// popped arrivals from a time-ordered heap, and must not be re-recorded
+// for a change that claims to keep behaviour. Every cell runs on the
+// 240-node fleet at zipf 1.1 over a 10 ms horizon, at one shard and two.
+func TestSwarmFingerprintPins(t *testing.T) {
+	type cell struct {
+		name        string
+		clients     int
+		qps         float64
+		reqBytes    int64
+		maxInflight int64
+		seed        int64
+		want        uint64
+		shedPct     float64
+	}
+	cells := []cell{
+		// tab9's ScaleSmall cells: two scaling populations, then 1x/4x/20x
+		// overload under an admission cap.
+		{"tab9/1k", 1000, 1e5, 256, 0, 1, 0x6a246ff740a12698, 0},
+		{"tab9/10k", 10000, 1e6, 256, 0, 1, 0x40dcd46dc69cd260, 0},
+		{"tab9/1x", 10000, 1e6, 40000, 500, 1, 0xd4ff98b59fb14834, 0},
+		{"tab9/4x", 10000, 1e6, 160000, 500, 1, 0xbd9421206cb94de2, 0},
+		{"tab9/20x", 10000, 1e6, 800000, 500, 1, 0x93adfee01c279b15, 20.2},
+		// The benchmark's fleet_overload workload.
+		{"overload/seed1", 20000, 1e7, 96 << 10, 0, 1, 0x2cac317a096d068d, 0},
+		{"overload/seed2", 20000, 1e7, 96 << 10, 0, 2, 0x7cacf21eeb4b1d69, 0},
+	}
+	if !testing.Short() {
+		// The benchmark's fleet_swarm workload: 10^6 clients.
+		cells = append(cells,
+			cell{"swarm/seed1", 1000000, 1e8, 256, 0, 1, 0xf0ae5f774f1dfbdf, 0},
+			cell{"swarm/seed2", 1000000, 1e8, 256, 0, 2, 0x6e235a8b81087754, 0})
+	}
+	for _, c := range cells {
+		for _, shards := range []int{1, 2} {
+			fb, err := NewFleet(Options{Nodes: 240, RacksOf: 20, FleetMode: true,
+				Seed: c.seed, SimShards: shards,
+				Swarm: SwarmOptions{Clients: c.clients, TargetQPS: c.qps, Zipf: 1.1,
+					RequestBytes: c.reqBytes, Duration: 10 * time.Millisecond, MaxInflight: c.maxInflight}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fb.RunSwarm()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Fingerprint != c.want {
+				t.Errorf("%s shards=%d: fingerprint %016x, want %016x", c.name, shards, res.Fingerprint, c.want)
+			}
+			if got := 100 * float64(res.Shed) / float64(res.Requests); math.Abs(got-c.shedPct) > 0.05 {
+				t.Errorf("%s shards=%d: shed %.1f%%, want %.1f%%", c.name, shards, got, c.shedPct)
+			}
+		}
 	}
 }
