@@ -50,8 +50,9 @@ bench-kernel: tools
 bench-dataplane:
 	go test -run '^$$' -bench 'StageOutDrain|ReadAheadStreaming|Tab6' -benchmem .
 
-# Flow-vs-packet comparison benchmarks: raw 128 MiB transfers and the
-# 3-replica HDFS pipeline write, events/op and allocs/op side by side.
+# The two netsim transfer primitives on a raw 128 MiB payload (analytic
+# flow vs packet train, events/op and allocs/op side by side), and the
+# 3-replica HDFS pipeline write that rides the flows.
 bench-netsim:
 	go test -run '^$$' -bench 'FlowTransfer|NetsimPacketTransfer|PipelineWrite' -benchmem ./internal/netsim/ ./internal/hdfs/
 
@@ -99,8 +100,8 @@ bench-cluster: tools
 	./bin/benchjson -out BENCH_14.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; mcclient group-commit PR — before = one write, one reader lock and (for a SET) two goroutines per round-trip (parent commit), after = leader/follower flush, batched dispatch, goroutine-free replica fan-out; ClientParallel writes/op is exactly 1 before; ClientSequential (a lone caller) must stay at 1 write and must not slow down" < bench.out
 	rm -f bench.out
 
-# Golden determinism suite: seed schemes, flow streaming, coalescing, and
-# the multi-job orchestration fingerprint must match their recorded values.
+# Golden determinism suite: seed schemes, coalescing, and the multi-job
+# orchestration fingerprint must match their recorded values.
 golden:
 	go test -run 'TestGolden' -v .
 

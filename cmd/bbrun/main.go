@@ -30,7 +30,6 @@ func main() {
 		transp   = flag.String("transport", "rdma", "rdma | ipoib | 10gige | 1gige")
 		hardware = flag.String("hardware", "hpc-local", "hpc-local | diskless")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		flow     = flag.Bool("flow", false, "bulk transfers ride the netsim flow fast path")
 		fleet    = flag.Bool("fleet", false, "fleet mode: memory-lean flow-only nodes on a rack-sharded kernel (workloads: dfsio-write, stress)")
 		shards   = flag.Int("shards", 1, "fleet mode: DES event-heap shards (racks partitioned round-robin)")
 		racksOf  = flag.Int("racks-of", 20, "fleet mode: nodes per rack")
@@ -88,14 +87,13 @@ func main() {
 		*files = *nodes * 4
 	}
 	opts := hbb.Options{
-		Nodes:         *nodes,
-		Transport:     hbb.Transport(*transp),
-		Hardware:      hbb.Hardware(*hardware),
-		Seed:          *seed,
-		ChunkSize:     4 << 20,
-		FlowStreaming: *flow,
-		BBBrickGiB:    *brickGiB,
-		BBSched:       *bbSched,
+		Nodes:      *nodes,
+		Transport:  hbb.Transport(*transp),
+		Hardware:   hbb.Hardware(*hardware),
+		Seed:       *seed,
+		ChunkSize:  4 << 20,
+		BBBrickGiB: *brickGiB,
+		BBSched:    *bbSched,
 	}
 	if *trace != "" {
 		f, err := os.Create(*trace)

@@ -124,7 +124,7 @@ func gb(b int64) float64 { return float64(b) / (1 << 30) }
 
 // newBench builds a testbed for benchmark runs.
 func newBench(sz sizing, nodes int) *Testbed {
-	tb, err := New(Options{Nodes: nodes, Seed: 1, ChunkSize: sz.chunk, FlowStreaming: true})
+	tb, err := New(Options{Nodes: nodes, Seed: 1, ChunkSize: sz.chunk})
 	if err != nil {
 		panic(err)
 	}
@@ -158,7 +158,7 @@ func runDFSIO(sz sizing, nodes int, total int64, b Backend) dfsioRun {
 // runDFSIOServers lets scalability sweeps grow the buffer pool with the
 // cluster (the paper deploys dedicated Memcached nodes proportionally).
 func runDFSIOServers(sz sizing, nodes int, total int64, b Backend, bbServers int) dfsioRun {
-	tb, err := New(Options{Nodes: nodes, Seed: 1, ChunkSize: sz.chunk, BBServers: bbServers, FlowStreaming: true})
+	tb, err := New(Options{Nodes: nodes, Seed: 1, ChunkSize: sz.chunk, BBServers: bbServers})
 	if err != nil {
 		panic(err)
 	}
@@ -509,7 +509,6 @@ func tab2(scale Scale) *metrics.Table {
 		tb, err := New(Options{
 			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
 			BBFlushers: j.flushers, BBServerMemory: j.mem,
-			FlowStreaming: true,
 		})
 		if err != nil {
 			panic(err)
@@ -551,7 +550,6 @@ func tab3(scale Scale) *metrics.Table {
 		tb, err := New(Options{
 			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
 			Transport: j.tr, LustreStripeCount: j.stripes,
-			FlowStreaming: true,
 		})
 		if err != nil {
 			panic(err)
@@ -745,8 +743,7 @@ func fig10(scale Scale) *metrics.Table {
 		j := jobs[i]
 		tb, err := New(Options{
 			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
-			Hardware:      HardwareDiskless,
-			FlowStreaming: true,
+			Hardware: HardwareDiskless,
 		})
 		if err != nil {
 			panic(err)
@@ -1106,7 +1103,7 @@ func tab4(scale Scale) *metrics.Table {
 		tbA, err := New(Options{
 			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
 			BBReplicas: cfg.replicas, BBReadmitOnRead: cfg.readmit,
-			BBFlushers: 1, FlowStreaming: true,
+			BBFlushers: 1,
 		})
 		if err != nil {
 			panic(err)
@@ -1128,7 +1125,7 @@ func tab4(scale Scale) *metrics.Table {
 		tbB, err := New(Options{
 			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
 			BBReplicas: cfg.replicas, BBReadmitOnRead: cfg.readmit,
-			BBServerMemory: total / 2, FlowStreaming: true,
+			BBServerMemory: total / 2,
 		})
 		if err != nil {
 			panic(err)

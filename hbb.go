@@ -259,17 +259,13 @@ type Options struct {
 	// (default; strict arrival order) or "backfill" (later requests that
 	// fit may jump a blocked queue head).
 	BBSched string
-	// ChunkSize sets the streaming granularity (packets, KV items,
-	// stripes). Zero defaults to 1 MiB; large experiments may raise it to
-	// 4–8 MiB to reduce event counts without changing outcomes.
+	// ChunkSize sets the streaming granularity: the HDFS packet size (a
+	// pipeline segment is a window of 8 packets), the burst buffer's KV
+	// item size and the Lustre stripe size. Each unit crosses the fabric
+	// as one flow transfer and books its device with one flat
+	// reservation. Zero defaults to 1 MiB; large experiments raise it to
+	// 4–8 MiB to cut event counts.
 	ChunkSize int64
-	// FlowStreaming routes every bulk data path — HDFS pipelines and read
-	// streams, burst-buffer RDMA transfers, Lustre stripe RPCs, and the
-	// MapReduce shuffle — over the netsim flow fast path: analytic
-	// max-min-fair transfers re-solved only on flow transitions instead
-	// of per-packet event trains. Off by default; results shift slightly
-	// because flow-level modelling amortizes per-packet software overhead.
-	FlowStreaming bool
 	// FleetMode selects the datacenter-scale flow-only testbed built by
 	// NewFleet: memory-lean nodes, rack topology, no backend stacks.
 	// Testbed constructors ignore it; it exists so CLI front-ends can
@@ -376,20 +372,15 @@ func New(opts Options) (*Testbed, error) {
 		bb:      make(map[Backend]*core.BurstFS),
 		orch:    make(map[Backend]*orchestrator.Scheduler),
 	}
-	if opts.FlowStreaming {
-		cl.Net.EnableFlowBulk() // shuffle and other knobless bulk users
-	}
 	tb.lustre = lustre.New(cl, lustre.Config{
-		OSTs:          opts.LustreOSTs,
-		StripeCount:   opts.LustreStripeCount,
-		StripeSize:    opts.ChunkSize,
-		FlowStreaming: opts.FlowStreaming,
+		OSTs:        opts.LustreOSTs,
+		StripeCount: opts.LustreStripeCount,
+		StripeSize:  opts.ChunkSize,
 	})
 	tb.hdfs, err = hdfs.New(cl, hdfs.Config{
-		BlockSize:     opts.BlockSize,
-		Replication:   opts.Replication,
-		PacketSize:    opts.ChunkSize,
-		FlowStreaming: opts.FlowStreaming,
+		BlockSize:   opts.BlockSize,
+		Replication: opts.Replication,
+		PacketSize:  opts.ChunkSize,
 	})
 	if err != nil {
 		return nil, err
@@ -414,7 +405,6 @@ func New(opts Options) (*Testbed, error) {
 			FlushBatchBlocks: opts.BBFlushBatchBlocks,
 			FlushConcurrency: opts.BBFlushConcurrency,
 			ReadAhead:        opts.BBReadAhead,
-			FlowStreaming:    opts.FlowStreaming,
 			BrickSize:        int64(opts.BBBrickGiB) << 30,
 		})
 	}

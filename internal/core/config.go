@@ -156,11 +156,6 @@ type Config struct {
 	// current-block delivery. Zero (the default) disables readahead,
 	// keeping seed read behavior.
 	ReadAhead int
-	// FlowStreaming moves the data plane's bulk transfers — client↔server
-	// RDMA chunks and local streaming reads — over the netsim flow fast
-	// path, with flat (single-reservation) ingest and device coupling.
-	// Off by default; the chunked packet path is what the seed goldens pin.
-	FlowStreaming bool
 	// BrickSize is the pool's capacity-accounting granule for buffer
 	// instances: NewInstance grants capacity in whole bricks per server,
 	// and the orchestrator schedules jobs against the pool's brick

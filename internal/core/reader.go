@@ -184,19 +184,9 @@ func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[packet], isLocal bool
 				return
 			}
 			n := min64(remaining, fs.cfg.ItemChunk)
-			if fs.cfg.FlowStreaming {
-				b.localDev.ReadFlat(q, n)
-			} else {
-				b.localDev.Read(q, n)
-			}
+			b.localDev.ReadFlat(q, n)
 			if !isLocal {
-				var err error
-				if fs.cfg.FlowStreaming {
-					err = fs.net.TransferFlow(q, b.localNode, client, n+64)
-				} else {
-					err = fs.net.Send(q, b.localNode, client, n+64)
-				}
-				if err != nil {
+				if err := fs.net.TransferFlow(q, b.localNode, client, n+64); err != nil {
 					out.PutWait(q, packet{err: true})
 					return
 				}
@@ -483,11 +473,7 @@ func (fs *Instance) stageInBlock(p *sim.Proc, s *BufferServer, b *bbBlock) bool 
 		if err != nil || got != n {
 			return false
 		}
-		if fs.cfg.FlowStreaming {
-			s.phys.ingest.TransferFlat(p, n)
-		} else {
-			s.phys.ingest.Transfer(p, n)
-		}
+		s.phys.ingest.TransferFlat(p, n)
 		rep := fs.net.Call(p, &netsim.Msg{
 			From: s.phys.node, To: s.phys.node, Service: bbService, Op: "set",
 			Size: 64, Payload: &bbSetReq{key: key, size: n},

@@ -191,17 +191,10 @@ type bbSetReq struct {
 // setChunk stores one chunk: the payload moves via one-sided RDMA write,
 // then a small control RPC inserts the virtual item.
 func (s *BufferServer) setChunk(p *sim.Proc, client netsim.NodeID, key string, size int64) error {
-	if s.fs.cfg.FlowStreaming {
-		if err := s.fs.net.RDMAWriteFlow(p, client, s.phys.node, size); err != nil {
-			return err
-		}
-		s.phys.ingest.TransferFlat(p, size)
-	} else {
-		if err := s.fs.net.RDMAWrite(p, client, s.phys.node, size); err != nil {
-			return err
-		}
-		s.phys.ingest.Transfer(p, size)
+	if err := s.fs.net.RDMAWriteFlow(p, client, s.phys.node, size); err != nil {
+		return err
 	}
+	s.phys.ingest.TransferFlat(p, size)
 	rep := s.fs.net.Call(p, &netsim.Msg{
 		From: client, To: s.phys.node, Service: bbService, Op: "set",
 		Size: 64, Payload: &bbSetReq{key: key, size: size},
@@ -220,13 +213,7 @@ func (s *BufferServer) getChunk(p *sim.Proc, client netsim.NodeID, key string) (
 		return 0, rep.Err
 	}
 	size := rep.Payload.(int64)
-	if s.fs.cfg.FlowStreaming {
-		if err := s.fs.net.RDMAReadFlow(p, client, s.phys.node, size); err != nil {
-			return 0, err
-		}
-		return size, nil
-	}
-	if err := s.fs.net.RDMARead(p, client, s.phys.node, size); err != nil {
+	if err := s.fs.net.RDMAReadFlow(p, client, s.phys.node, size); err != nil {
 		return 0, err
 	}
 	return size, nil

@@ -253,17 +253,10 @@ func (w *bbWriter) streamBytes(p *sim.Proc, m int64) error {
 			if s.phys.failed {
 				return netsim.ErrNodeDown
 			}
-			if fs.cfg.FlowStreaming {
-				if err := fs.net.RDMAWriteFlow(p, w.client, s.phys.node, c); err != nil {
-					return err
-				}
-				s.phys.ingest.TransferFlat(p, c)
-			} else {
-				if err := fs.net.RDMAWrite(p, w.client, s.phys.node, c); err != nil {
-					return err
-				}
-				s.phys.ingest.Transfer(p, c)
+			if err := fs.net.RDMAWriteFlow(p, w.client, s.phys.node, c); err != nil {
+				return err
 			}
+			s.phys.ingest.TransferFlat(p, c)
 		}
 		w.itemFill += c
 		b.size += c

@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"fmt"
 	"testing"
 
 	"hbb/internal/cluster"
@@ -8,63 +9,69 @@ import (
 	"hbb/internal/sim"
 )
 
-// benchPipelineWrite writes one 128 MiB file through a 3-replica
-// pipeline per iteration and reports host ns/op and allocs/op — the
-// cost of simulating the write, not the simulated duration. SSD capacity
-// is sized so every iteration's replicas fit without eviction.
-func benchPipelineWrite(b *testing.B, flow bool) {
-	b.ReportAllocs()
+// pipelineWrites writes n 128 MiB files, one after another, through a
+// 3-replica pipeline and returns the kernel events the run took. SSD
+// capacity is sized so every file's replicas fit without eviction.
+// Default config: one 128 MiB block, 1 MiB packets, window of 8 — the
+// canonical pipeline-write shape.
+func pipelineWrites(tb testing.TB, n int) int64 {
 	const fileSize = 128 * testMiB
 	c := cluster.New(cluster.Config{
 		Nodes:     6,
 		RacksOf:   4,
 		Transport: netsim.IPoIB,
 		Hardware: cluster.HardwareSpec{
-			SSDCapacity: int64(b.N+1) * 3 * fileSize,
+			SSDCapacity: int64(n+1) * 3 * fileSize,
 			MapSlots:    4,
 			ReduceSlots: 2,
 			ComputeRate: 400e6,
 		},
 		Seed: 11,
 	})
-	// Default config: one 128 MiB block, 1 MiB packets, window of 8 —
-	// the canonical pipeline-write shape, so the flow-vs-packet delta
-	// measures the data plane rather than per-block metadata.
-	cfg := Config{FlowStreaming: flow}
-	h, err := New(c, cfg)
+	h, err := New(c, Config{})
 	if err != nil {
-		b.Fatalf("hdfs.New: %v", err)
+		tb.Fatalf("hdfs.New: %v", err)
 	}
 	h.Start()
 	c.Env.Spawn("driver", func(p *sim.Proc) {
 		defer h.Shutdown()
-		for i := 0; i < b.N; i++ {
-			w, err := h.Create(p, 0, "/bench"+string(rune('a'+i%26))+string(rune('a'+(i/26)%26))+string(rune('a'+i/676)))
+		for i := 0; i < n; i++ {
+			w, err := h.Create(p, 0, fmt.Sprintf("/bench%d", i))
 			if err != nil {
-				b.Errorf("create: %v", err)
+				tb.Errorf("create: %v", err)
 				return
 			}
 			if err := w.Write(p, fileSize); err != nil {
-				b.Errorf("write: %v", err)
+				tb.Errorf("write: %v", err)
 				return
 			}
 			if err := w.Close(p); err != nil {
-				b.Errorf("close: %v", err)
+				tb.Errorf("close: %v", err)
 				return
 			}
 		}
 	})
-	b.ResetTimer()
 	c.Env.Run()
-	b.SetBytes(fileSize)
-	b.ReportMetric(float64(c.Env.Events())/float64(b.N), "events/op")
+	return c.Env.Events()
 }
 
-// BenchmarkPipelineWritePacket is the seed per-packet pipeline: one
-// event train per MiB packet per hop plus per-packet acks.
-func BenchmarkPipelineWritePacket(b *testing.B) { benchPipelineWrite(b, false) }
+// BenchmarkPipelineWrite reports host ns/op and allocs/op of one 128 MiB
+// 3-replica pipeline write — the cost of simulating the write, not the
+// simulated duration.
+func BenchmarkPipelineWrite(b *testing.B) {
+	b.ReportAllocs()
+	events := pipelineWrites(b, b.N)
+	b.SetBytes(128 * testMiB)
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
 
-// BenchmarkPipelineWriteFlow rides the netsim flow fast path: one flow
-// per hop per block, window-sized segments, flat disk reservations. The
-// acceptance bar is ≥5x fewer host allocations than the packet run.
-func BenchmarkPipelineWriteFlow(b *testing.B) { benchPipelineWrite(b, true) }
+// TestPipelineWriteEventBudget pins the kernel events of one block's
+// 3-replica pipeline write: one flow per hop, 16 window-sized segments,
+// flat disk reservations. A per-packet event train on any hop (128
+// packets per block, ~2.7k events) cannot come back unnoticed.
+func TestPipelineWriteEventBudget(t *testing.T) {
+	const want = 306
+	if got := pipelineWrites(t, 1); got != want {
+		t.Errorf("one 128 MiB pipeline write took %d events, want %d", got, want)
+	}
+}

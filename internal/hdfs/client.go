@@ -38,8 +38,8 @@ type writePipeline struct {
 	id      BlockID
 	targets []netsim.NodeID
 	recvs   []*blockRecv
-	// flow is the client's first-hop flow in flow-streaming mode; nil
-	// when the client hosts the first replica or in packet mode.
+	// flow is the client's first-hop flow; nil when the client hosts the
+	// first replica.
 	flow *netsim.Flow
 }
 
@@ -73,7 +73,7 @@ func (w *hdfsWriter) openPipeline(p *sim.Proc) error {
 		}
 		if okAll {
 			pl := &writePipeline{id: resp.id, targets: resp.targets, recvs: recvs}
-			if w.fs.cfg.FlowStreaming && w.client != resp.targets[0] {
+			if w.client != resp.targets[0] {
 				fl, err := w.fs.net.StartFlowLegacy(w.client, resp.targets[0])
 				if err != nil {
 					okAll = false // first hop died under us: retry below
@@ -136,23 +136,15 @@ func (w *hdfsWriter) Write(p *sim.Proc, n int64) error {
 	return nil
 }
 
-// streamBytes pushes m bytes of the current block down the pipeline. In
-// flow-streaming mode the unit is a window-sized segment delivered over
-// the first-hop flow; in packet mode it is one packet over SendLegacy.
+// streamBytes pushes m bytes of the current block down the pipeline in
+// window-sized segments, each delivered over the first-hop flow.
 func (w *hdfsWriter) streamBytes(p *sim.Proc, m int64) error {
 	first := w.pl.targets[0]
-	seg := w.fs.cfg.PacketSize
-	if w.fs.cfg.FlowStreaming {
-		seg = w.fs.cfg.flowSegment()
-	}
+	seg := w.fs.cfg.flowSegment()
 	for m > 0 {
 		n := min64(m, seg)
-		if w.client != first {
-			if w.pl.flow != nil {
-				if err := w.pl.flow.Write(p, n+packetHeader); err != nil {
-					return err
-				}
-			} else if err := w.fs.net.SendLegacy(p, w.client, first, n+packetHeader); err != nil {
+		if w.pl.flow != nil {
+			if err := w.pl.flow.Write(p, n+packetHeader); err != nil {
 				return err
 			}
 		} else if dn := w.fs.dns[first]; dn != nil && dn.failed {

@@ -150,12 +150,9 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 	}
 	wstore := sim.NewBounded[packet](dn.fs.cfg.WindowPackets)
 	writerDone := &sim.Event{}
-	flowMode := dn.fs.cfg.FlowStreaming
 
-	// Disk writer: drains packets to the device. Flow mode couples the
-	// drain to the device rate with one flat reservation per segment
-	// instead of the chunked interleaving train, still overlapped with
-	// the xceiver's network receive through wstore.
+	// Disk writer: drains segments to the device with one flat reservation
+	// each, overlapped with the xceiver's network receive through wstore.
 	dn.fs.cl.Env.Spawn(fmt.Sprintf("dn%d.write.b%d", dn.id, blk), func(p *sim.Proc) {
 		defer writerDone.Trigger()
 		for {
@@ -167,19 +164,15 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 				continue // drain without effect
 			}
 			if pkt.bytes > 0 {
-				if flowMode {
-					dev.WriteFlat(p, pkt.bytes)
-				} else {
-					dev.Write(p, pkt.bytes)
-				}
+				dev.WriteFlat(p, pkt.bytes)
 				r.size += pkt.bytes
 			}
 		}
 	})
 
 	// Xceiver: receives packets, hands them to the disk writer, forwards
-	// downstream, and finalizes the replica on the last packet. In flow
-	// mode the downstream hop rides one flow for the whole block.
+	// downstream, and finalizes the replica on the last packet. The
+	// downstream hop rides one flow for the whole block.
 	dn.fs.cl.Env.Spawn(fmt.Sprintf("dn%d.xceiver.b%d", dn.id, blk), func(p *sim.Proc) {
 		defer r.done.Trigger()
 		downstreamUp := next != nil
@@ -193,15 +186,11 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 			wstore.PutWait(p, pkt)
 			if downstreamUp {
 				var err error
-				if flowMode {
-					if fwd == nil {
-						fwd, err = dn.fs.net.StartFlowLegacy(dn.id, next.dn.id)
-					}
-					if err == nil {
-						err = fwd.Write(p, pkt.bytes+packetHeader)
-					}
-				} else {
-					err = dn.fs.net.SendLegacy(p, dn.id, next.dn.id, pkt.bytes+packetHeader)
+				if fwd == nil {
+					fwd, err = dn.fs.net.StartFlowLegacy(dn.id, next.dn.id)
+				}
+				if err == nil {
+					err = fwd.Write(p, pkt.bytes+packetHeader)
 				}
 				if err != nil {
 					// Downstream died: stop forwarding; its stage aborts.
@@ -244,11 +233,9 @@ func (r *blockRecv) abort() {
 }
 
 // streamBlock spawns a read streamer that delivers size bytes of a block
-// to the client node through the bounded store. Packet mode moves one
-// packet per iteration over SendLegacy; flow mode moves window-sized
-// segments over one flow for the whole block, with flat device reads.
-// Errors (missing replica, node failure) surface as a packet with err
-// set.
+// to the client node through the bounded store: window-sized segments
+// over one flow for the whole block, with flat device reads. Errors
+// (missing replica, node failure) surface as a packet with err set.
 func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Store[packet]) {
 	dn.fs.cl.Env.Spawn(fmt.Sprintf("dn%d.read.b%d", dn.id, blk), func(p *sim.Proc) {
 		b, ok := dn.blocks[blk]
@@ -256,19 +243,15 @@ func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Stor
 			out.PutWait(p, packet{err: true})
 			return
 		}
-		flowMode := dn.fs.cfg.FlowStreaming
-		seg := dn.fs.cfg.PacketSize
+		seg := dn.fs.cfg.flowSegment()
 		var fl *netsim.Flow
-		if flowMode {
-			seg = dn.fs.cfg.flowSegment()
-			if client != dn.id {
-				var err error
-				if fl, err = dn.fs.net.StartFlowLegacy(dn.id, client); err != nil {
-					out.PutWait(p, packet{err: true})
-					return
-				}
-				defer fl.Close(p)
+		if client != dn.id {
+			var err error
+			if fl, err = dn.fs.net.StartFlowLegacy(dn.id, client); err != nil {
+				out.PutWait(p, packet{err: true})
+				return
 			}
+			defer fl.Close(p)
 		}
 		remaining := b.size
 		for remaining > 0 {
@@ -277,19 +260,9 @@ func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Stor
 				return
 			}
 			n := min64(remaining, seg)
-			if flowMode {
-				b.dev.ReadFlat(p, n)
-			} else {
-				b.dev.Read(p, n)
-			}
-			if client != dn.id {
-				var err error
-				if fl != nil {
-					err = fl.Write(p, n+packetHeader)
-				} else {
-					err = dn.fs.net.SendLegacy(p, dn.id, client, n+packetHeader)
-				}
-				if err != nil {
+			b.dev.ReadFlat(p, n)
+			if fl != nil {
+				if err := fl.Write(p, n+packetHeader); err != nil {
 					out.PutWait(p, packet{err: true})
 					return
 				}

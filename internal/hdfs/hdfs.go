@@ -242,29 +242,14 @@ func (h *HDFS) rereplicate(p *sim.Proc, task ReplicationTask) {
 		h.nsys.UnscheduleBlock([]netsim.NodeID{task.Target})
 		return
 	}
-	if h.cfg.FlowStreaming {
-		// Background traffic: one flat read, one analytic flow, one flat
-		// write for the whole block.
-		blk.dev.ReadFlat(p, task.Size)
-		if err := h.net.TransferFlowLegacy(p, src.id, tgt.id, task.Size); err != nil {
-			dev.Dealloc(task.Size)
-			return
-		}
-		dev.WriteFlat(p, task.Size)
-	} else {
-		// Stream the copy in packets: read, forward, write.
-		remaining := task.Size
-		for remaining > 0 {
-			n := min64(remaining, h.cfg.PacketSize)
-			blk.dev.Read(p, n)
-			if err := h.net.SendLegacy(p, src.id, tgt.id, n); err != nil {
-				dev.Dealloc(task.Size)
-				return
-			}
-			dev.Write(p, n)
-			remaining -= n
-		}
+	// Background traffic: one flat read, one analytic flow, one flat write
+	// for the whole block.
+	blk.dev.ReadFlat(p, task.Size)
+	if err := h.net.TransferFlowLegacy(p, src.id, tgt.id, task.Size); err != nil {
+		dev.Dealloc(task.Size)
+		return
 	}
+	dev.WriteFlat(p, task.Size)
 	tgt.addBlock(task.Block, task.Size, dev)
 	h.stats.Rereplications++
 	h.callNN(p, tgt.id, "blockReceived", &nnBlockReceivedReq{dn: tgt.id, id: task.Block, size: task.Size})

@@ -434,6 +434,32 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+func TestDeterministicConcurrentWriters(t *testing.T) {
+	// Same seed, three writers draining at once (their hop flows share
+	// NICs, so the solver re-divides on every start and finish) →
+	// bit-identical end times.
+	run := func() int64 {
+		_, _, end := runHDFS(t, 6, testConfig(), func(p *sim.Proc, h *HDFS) {
+			var wg sim.WaitGroup
+			for i := 0; i < 3; i++ {
+				i := i
+				wg.Add(1)
+				h.cl.Env.Spawn("w", func(q *sim.Proc) {
+					defer wg.Done()
+					w, _ := h.Create(q, netsim.NodeID(i), "/f"+string(rune('0'+i)))
+					w.Write(q, 24*testMiB)
+					w.Close(q)
+				})
+			}
+			wg.Wait(p)
+		})
+		return int64(end)
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("runs diverged: %d vs %d", a, b)
+	}
+}
+
 func TestConcurrentWritersShareBandwidth(t *testing.T) {
 	const per = 32 * testMiB
 	var soloT, concT time.Duration

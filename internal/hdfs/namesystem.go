@@ -27,10 +27,12 @@ type Config struct {
 	BlockSize int64
 	// Replication is the target replica count. Zero defaults to 3.
 	Replication int
-	// PacketSize is the streaming granularity. Zero defaults to 1 MiB.
+	// PacketSize and WindowPackets set the streaming granularity: payload
+	// moves in segments of PacketSize × WindowPackets bytes (see
+	// flowSegment). Zero defaults to 1 MiB.
 	PacketSize int64
-	// WindowPackets bounds in-flight packets per pipeline stage. Zero
-	// defaults to 8.
+	// WindowPackets also bounds the segments in flight per pipeline stage.
+	// Zero defaults to 8.
 	WindowPackets int
 	// HeartbeatInterval is the datanode heartbeat period. Zero defaults
 	// to 1 s (compressed from HDFS's 3 s to keep simulations short).
@@ -46,12 +48,6 @@ type Config struct {
 	// (stock HDFS), only persistent local devices (SSD/HDD) hold blocks,
 	// unless a node has no persistent device at all.
 	UseRAMDiskForData bool
-	// FlowStreaming routes pipeline and read-stream payloads over the
-	// netsim flow fast path: one flow per pipeline hop, window-sized
-	// store-and-forward segments instead of per-packet events, and flat
-	// device reservations for the disk drain. Off by default; the
-	// packet-level path is the behaviour the seed goldens pin.
-	FlowStreaming bool
 }
 
 func (c Config) withDefaults() Config {
@@ -99,9 +95,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// flowSegment is the store-and-forward granularity of the flow fast
-// path: one pipeline window's worth of packets moved as a single
-// analytic transfer.
+// flowSegment is the store-and-forward granularity of the pipeline and
+// read streams: one window's worth of packets moved as a single analytic
+// transfer over the hop's flow, with one flat device reservation.
 func (c Config) flowSegment() int64 {
 	return c.PacketSize * int64(c.WindowPackets)
 }

@@ -41,10 +41,6 @@ type Config struct {
 	// RPCsInFlight bounds outstanding bulk RPCs per client stream. Zero
 	// defaults to 8.
 	RPCsInFlight int
-	// FlowStreaming moves stripe-sized bulk RPCs over the netsim flow
-	// fast path and books OST devices with flat reservations. Off by
-	// default; the chunked packet path is what the seed goldens pin.
-	FlowStreaming bool
 }
 
 func (c Config) withDefaults() Config {
@@ -333,14 +329,7 @@ func (w *lustreWriter) Write(p *sim.Proc, n int64) error {
 		w.window.Acquire(p, 1)
 		// The bulk RPC to the OST paces the client; the OST-side device
 		// write proceeds asynchronously within the window.
-		flowMode := w.fs.cfg.FlowStreaming
-		var err error
-		if flowMode {
-			err = w.fs.net.TransferFlow(p, w.client, o.node, m+rpcHeader)
-		} else {
-			err = w.fs.net.Send(p, w.client, o.node, m+rpcHeader)
-		}
-		if err != nil {
+		if err := w.fs.net.TransferFlow(p, w.client, o.node, m+rpcHeader); err != nil {
 			w.window.Release(1)
 			o.dev.Dealloc(m)
 			return err
@@ -348,11 +337,7 @@ func (w *lustreWriter) Write(p *sim.Proc, n int64) error {
 		w.wg.Add(1)
 		dev := o.dev
 		w.fs.cl.Env.Spawn(fmt.Sprintf("ost.write.%s", w.file.Path), func(q *sim.Proc) {
-			if flowMode {
-				dev.WriteFlat(q, m)
-			} else {
-				dev.Write(q, m)
-			}
+			dev.WriteFlat(q, m)
 			w.window.Release(1)
 			w.wg.Done()
 		})
@@ -387,7 +372,7 @@ func (l *Lustre) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Reade
 		remainingIssue: f.Size,
 		remainingRead:  f.Size,
 		limit:          f.Size,
-		in:             sim.NewStore[int64](),
+		in:             sim.NewStore[stripeFetch](),
 		window:         sim.NewSemaphore(l.cfg.RPCsInFlight),
 	}, nil
 }
@@ -414,7 +399,7 @@ func (l *Lustre) OpenRange(p *sim.Proc, client netsim.NodeID, path string, offse
 		limit:          length,
 		chunk:          int(offset / l.cfg.StripeSize),
 		stripeSkip:     offset % l.cfg.StripeSize,
-		in:             sim.NewStore[int64](),
+		in:             sim.NewStore[stripeFetch](),
 		window:         sim.NewSemaphore(l.cfg.RPCsInFlight),
 	}, nil
 }
@@ -438,19 +423,9 @@ func (l *Lustre) ReadRange(p *sim.Proc, client netsim.NodeID, path string, offse
 		n := min64(length, l.cfg.StripeSize-skip)
 		skip = 0
 		o := l.ostFor(lo, chunk)
-		if l.cfg.FlowStreaming {
-			o.dev.ReadFlat(p, n)
-		} else {
-			o.dev.Read(p, n)
-		}
+		o.dev.ReadFlat(p, n)
 		if client != o.node {
-			var err error
-			if l.cfg.FlowStreaming {
-				err = l.net.TransferFlow(p, o.node, client, n+rpcHeader)
-			} else {
-				err = l.net.Send(p, o.node, client, n+rpcHeader)
-			}
-			if err != nil {
+			if err := l.net.TransferFlow(p, o.node, client, n+rpcHeader); err != nil {
 				return err
 			}
 		}
@@ -461,6 +436,13 @@ func (l *Lustre) ReadRange(p *sim.Proc, client netsim.NodeID, path string, offse
 	return nil
 }
 
+// stripeFetch is the outcome of one prefetched stripe chunk: its length,
+// or the transfer error that kept it from arriving.
+type stripeFetch struct {
+	bytes int64
+	err   error
+}
+
 // lustreReader streams a file off the OST pool with a bounded prefetch
 // window.
 type lustreReader struct {
@@ -468,7 +450,7 @@ type lustreReader struct {
 	client         netsim.NodeID
 	file           *dfs.TreeFile
 	window         *sim.Semaphore
-	in             *sim.Store[int64]
+	in             *sim.Store[stripeFetch]
 	remainingIssue int64
 	remainingRead  int64
 	// limit is the total bytes this reader may deliver (file size for
@@ -481,6 +463,7 @@ type lustreReader struct {
 	stripeSkip int64
 	pending    int64
 	closed     bool
+	ioErr      error // first failed stripe fetch; sticky
 	// want/issued bound prefetch to what the consumer has asked for plus
 	// a small read-ahead, so partial readers do not overfetch the file.
 	want   int64
@@ -502,18 +485,12 @@ func (r *lustreReader) issue(p *sim.Proc) {
 	client := r.client
 	in := r.in
 	fs.cl.Env.Spawn(fmt.Sprintf("ost.read.%s", r.file.Path), func(q *sim.Proc) {
-		if fs.cfg.FlowStreaming {
-			dev.ReadFlat(q, m)
-			if client != node {
-				_ = fs.net.TransferFlow(q, node, client, m+rpcHeader)
-			}
-		} else {
-			dev.Read(q, m)
-			if client != node {
-				_ = fs.net.Send(q, node, client, m+rpcHeader)
-			}
+		dev.ReadFlat(q, m)
+		var err error
+		if client != node {
+			err = fs.net.TransferFlow(q, node, client, m+rpcHeader)
 		}
-		in.Put(m)
+		in.Put(stripeFetch{bytes: m, err: err})
 	})
 }
 
@@ -521,6 +498,9 @@ func (r *lustreReader) issue(p *sim.Proc) {
 func (r *lustreReader) Read(p *sim.Proc, n int64) (int64, error) {
 	if r.closed {
 		return 0, dfs.ErrClosed
+	}
+	if r.ioErr != nil {
+		return 0, r.ioErr
 	}
 	var consumed int64
 	r.want += n
@@ -534,9 +514,13 @@ func (r *lustreReader) Read(p *sim.Proc, n int64) (int64, error) {
 			r.issue(p)
 		}
 		if r.pending == 0 {
-			m, _ := r.in.Get(p)
-			r.pending += m
+			f, _ := r.in.Get(p)
 			r.window.Release(1)
+			if f.err != nil {
+				r.ioErr = f.err
+				return consumed, f.err
+			}
+			r.pending += f.bytes
 		}
 		take := min64(n-consumed, r.pending)
 		r.pending -= take

@@ -258,6 +258,44 @@ func TestReaderCloseEarly(t *testing.T) {
 	})
 }
 
+func TestStreamingReadReportsDownOSS(t *testing.T) {
+	// An OSS node dies mid-file: the streaming reader must fail with the
+	// transfer's error, as ReadRange does, not count the lost stripes as
+	// delivered. runLustre checks no prefetch process is left parked.
+	const size = 32 * mib
+	runLustre(t, 2, Config{OSTs: 4, StripeCount: 4}, func(p *sim.Proc, l *Lustre) {
+		w, _ := l.Create(p, 0, "/f")
+		w.Write(p, size)
+		w.Close(p)
+		r, err := l.Open(p, 1, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, err := r.Read(p, 4*mib)
+		if err != nil {
+			t.Fatalf("read before the failure: %v", err)
+		}
+		l.net.SetDown(l.osts[2].node, true)
+		for err == nil && total < size {
+			var n int64
+			n, err = r.Read(p, 4*mib)
+			total += n
+		}
+		if !errors.Is(err, netsim.ErrNodeDown) {
+			t.Errorf("streaming read with an OSS down: %d of %d bytes, err = %v; want ErrNodeDown", total, size, err)
+		}
+		if _, again := r.Read(p, mib); !errors.Is(again, netsim.ErrNodeDown) {
+			t.Errorf("read after a failed read = %v, want the same ErrNodeDown", again)
+		}
+		if err := r.Close(p); err != nil {
+			t.Errorf("close after a failed read: %v", err)
+		}
+		if err := l.ReadRange(p, 1, "/f", 0, size); !errors.Is(err, netsim.ErrNodeDown) {
+			t.Errorf("ReadRange with an OSS down = %v, want ErrNodeDown", err)
+		}
+	})
+}
+
 func TestReadRangeExactCost(t *testing.T) {
 	_, l, _ := runLustre(t, 2, Config{OSTs: 4, StripeCount: 4}, func(p *sim.Proc, l *Lustre) {
 		w, _ := l.Create(p, 0, "/f")

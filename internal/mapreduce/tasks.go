@@ -249,15 +249,11 @@ func (e *engine) fetchPortion(p *sim.Proc, node *cluster.Node, t *task, mo *mapO
 				return err
 			}
 		}
-		if e.cl.Net.FlowBulk() {
-			mo.dev.ReadFlat(p, portion)
-		} else {
-			mo.dev.Read(p, portion)
-		}
+		mo.dev.ReadFlat(p, portion)
 		if mo.node == node.ID {
 			return nil
 		}
-		if err := e.cl.Net.BulkLegacy(p, mo.node, node.ID, portion); err != nil {
+		if err := e.cl.Net.TransferFlowLegacy(p, mo.node, node.ID, portion); err != nil {
 			mo.lost = true
 			continue
 		}

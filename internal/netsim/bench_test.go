@@ -37,7 +37,7 @@ func BenchmarkNetsimPacketTransfer(b *testing.B) {
 	nw := New(e, RDMA, 2)
 	e.Spawn("c", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			if err := nw.Send(p, 0, 1, n); err != nil {
+			if err := nw.SendLegacy(p, 0, 1, n); err != nil {
 				b.Errorf("send: %v", err)
 				return
 			}

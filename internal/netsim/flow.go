@@ -15,9 +15,10 @@ package netsim
 //
 // Model notes:
 //   - Flow capacity is the NIC bandwidth shared among *flows only*;
-//     packet-mode pipe traffic on the same NIC is not subtracted. Mixed
-//     flow/packet workloads on one NIC therefore overbook it slightly —
-//     acceptable because a given data plane runs entirely in one mode.
+//     packet-mode pipe traffic on the same NIC is not subtracted, so the
+//     two together overbook it slightly — acceptable because what rides
+//     the pipes beside a flow is control traffic (RPC envelopes, the HDFS
+//     end-of-block marker): tens of bytes against megabytes.
 //   - Software overhead (Profile.SWOverhead) is a per-message cost; the
 //     one-shot wrappers charge it once per transfer, and Flow.Write
 //     charges none, amortizing it away exactly as flow-level simulators
@@ -138,7 +139,7 @@ func (f *Flow) Write(p *sim.Proc, n int64) error {
 	nw.ifaces[f.dst].recv += n
 	nw.bytesMoved(f.legacy).Add(n)
 	if f.src == f.dst {
-		return nil // loopback: no fabric time, as in packet mode
+		return nil // loopback: no fabric time, as on the packet train
 	}
 	now := int64(p.Now())
 	f.lastUpd = now
@@ -287,8 +288,8 @@ func (nw *Network) abortFlows(id NodeID) {
 	}
 }
 
-// TransferFlow is the flow-mode Send: software overhead on both hosts
-// around one analytic bulk transfer on the native transport.
+// TransferFlow is a two-sided bulk send on the native transport: software
+// overhead on both hosts around one analytic transfer.
 func (nw *Network) TransferFlow(p *sim.Proc, src, dst NodeID, n int64) error {
 	return nw.transferFlowVia(p, src, dst, n, false)
 }
@@ -312,8 +313,8 @@ func (nw *Network) transferFlowVia(p *sim.Proc, src, dst NodeID, n int64, legacy
 	return err
 }
 
-// RDMAWriteFlow is RDMAWrite's flow-mode counterpart: same software
-// overheads, one analytic transfer instead of the chunk train.
+// RDMAWriteFlow is RDMAWrite for bulk payload: same software overheads,
+// one analytic transfer instead of the chunk train.
 func (nw *Network) RDMAWriteFlow(p *sim.Proc, local, remote NodeID, n int64) error {
 	f, err := nw.startFlow(local, remote, false)
 	if err != nil {
@@ -328,7 +329,7 @@ func (nw *Network) RDMAWriteFlow(p *sim.Proc, local, remote NodeID, n int64) err
 	return err
 }
 
-// RDMAReadFlow is RDMARead's flow-mode counterpart.
+// RDMAReadFlow is RDMARead for bulk payload, likewise.
 func (nw *Network) RDMAReadFlow(p *sim.Proc, local, remote NodeID, n int64) error {
 	f, err := nw.startFlow(remote, local, false)
 	if err != nil {
@@ -355,22 +356,4 @@ func (nw *Network) RDMAReadFlow(p *sim.Proc, local, remote NodeID, n int64) erro
 func (nw *Network) putFlow(f *Flow) {
 	f.closed = true
 	nw.flowPool = append(nw.flowPool, f)
-}
-
-// EnableFlowBulk makes BulkLegacy ride the flow fast path. It is the
-// network-wide knob for bulk users that have no config of their own
-// (e.g. the MapReduce shuffle).
-func (nw *Network) EnableFlowBulk() { nw.flowBulk = true }
-
-// FlowBulk reports whether EnableFlowBulk was called.
-func (nw *Network) FlowBulk() bool { return nw.flowBulk }
-
-// BulkLegacy moves a bulk payload over the legacy transport: packet-mode
-// SendLegacy by default, one analytic flow when EnableFlowBulk is set.
-// Control-plane messages should call SendLegacy or Call directly.
-func (nw *Network) BulkLegacy(p *sim.Proc, src, dst NodeID, n int64) error {
-	if nw.flowBulk {
-		return nw.TransferFlowLegacy(p, src, dst, n)
-	}
-	return nw.SendLegacy(p, src, dst, n)
 }

@@ -324,7 +324,7 @@ func BenchmarkSetDownAbort(b *testing.B) {
 
 func TestTransferFlowMatchesSendSemantics(t *testing.T) {
 	// The one-shot wrapper must refuse downed endpoints exactly like
-	// Send, and must not charge receive overhead on loopback.
+	// SendLegacy, and must not charge receive overhead on loopback.
 	e := sim.New(1)
 	nw := New(e, TenGigE, 3)
 	nw.SetDown(2, true)

@@ -82,10 +82,10 @@ type Handler func(p *sim.Proc, m *Msg) Reply
 
 type iface struct {
 	id NodeID
-	// Packet-train pipes, materialized on first packet-mode use. Flow-mode
-	// traffic never touches them, so a node that only ever rides the flow
-	// solver carries no pipe state — the difference between MBs and GBs of
-	// heap on a 10k-node topology.
+	// Packet-train pipes, materialized on first use (RPC envelopes, casts,
+	// SendLegacy, packet-form RDMA ops). Flows never touch them, so a node
+	// that only ever rides the flow solver carries no pipe state — the
+	// difference between MBs and GBs of heap on a 10k-node topology.
 	egress  *sim.Pipe
 	ingress *sim.Pipe
 	// legacy pipes model a socket-based transport (IPoIB/TCP) sharing the
@@ -117,8 +117,7 @@ type Network struct {
 
 	// Flow fast-path state (see flow.go): the max-min solver holding the
 	// currently draining flows, native and legacy alike.
-	solver   maxmin.Solver[*Flow]
-	flowBulk bool
+	solver maxmin.Solver[*Flow]
 	// flowPool recycles one-shot wrapper flows (see putFlow).
 	flowPool []*Flow
 
@@ -305,34 +304,20 @@ func (nw *Network) checkLink(src, dst NodeID) error {
 	return nil
 }
 
-// Send moves n bytes from src to dst with no service dispatch, blocking
-// until delivery. It is the building block for bulk data paths.
-func (nw *Network) Send(p *sim.Proc, src, dst NodeID, n int64) error {
-	return nw.sendVia(p, src, dst, n, false)
-}
-
-// SendLegacy is Send over the legacy (socket) transport when one is
-// configured, modelling stock-Hadoop traffic; otherwise it behaves like
-// Send.
+// SendLegacy moves n bytes from src to dst with no service dispatch,
+// blocking until delivery, over the legacy (socket) transport when one is
+// configured (modelling stock-Hadoop traffic) and the native one otherwise.
 //
-// Call-site rule since the flow fast path landed: control-plane
-// messages (end-of-block markers, heartbeats, RPC envelopes) stay on
-// SendLegacy/Call — they are latency-bound and cheap. Bulk payload
-// movement (HDFS pipeline packets, read streams, shuffle portions,
-// re-replication) should ride the Flow API instead —
-// StartFlowLegacy/TransferFlowLegacy, or BulkLegacy for callers without
-// a config knob — and use SendLegacy only as the packet-mode fallback.
+// It is a packet-train primitive for control-plane messages (the HDFS
+// end-of-block marker): latency-bound and cheap. Bulk payload rides the
+// Flow API — StartFlowLegacy/TransferFlowLegacy.
 func (nw *Network) SendLegacy(p *sim.Proc, src, dst NodeID, n int64) error {
-	return nw.sendVia(p, src, dst, n, true)
-}
-
-func (nw *Network) sendVia(p *sim.Proc, src, dst NodeID, n int64, legacy bool) error {
 	if err := nw.checkLink(src, dst); err != nil {
 		return err
 	}
-	prof := nw.chooseTransport(legacy)
+	prof := nw.chooseTransport(true)
 	p.Sleep(prof.SWOverhead)
-	nw.transferVia(p, src, dst, n, legacy)
+	nw.transferVia(p, src, dst, n, true)
 	if src != dst {
 		p.Sleep(prof.SWOverhead) // receive-side processing
 	}

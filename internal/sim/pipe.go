@@ -104,8 +104,8 @@ func (pp *Pipe) Transfer(p *Proc, n int64) {
 // TransferFlat moves n bytes through the pipe as a single reservation —
 // one queueing-plus-service sleep instead of a per-chunk event train.
 // Concurrent users serialize whole transfers rather than interleaving, so
-// it suits the flow fast path's coarse device coupling where transfers
-// are already block- or segment-sized.
+// it suits the coarse device and ingest coupling around a netsim flow,
+// where transfers are already block- or segment-sized.
 func (pp *Pipe) TransferFlat(p *Proc, n int64) {
 	if n <= 0 {
 		return

@@ -191,7 +191,8 @@ func (d *Device) Read(p *sim.Proc, n int64) {
 
 // WriteFlat charges the same latency and bandwidth as Write but books the
 // device in one reservation (a single wake) instead of the chunked
-// interleaving train — the flow-mode device-rate-coupled sink.
+// interleaving train — the device-rate-coupled sink behind a segment that
+// arrived over a flow.
 func (d *Device) WriteFlat(p *sim.Proc, n int64) {
 	d.writeOps++
 	d.writeBytes += n
@@ -199,7 +200,8 @@ func (d *Device) WriteFlat(p *sim.Proc, n int64) {
 	d.pipe.TransferFlat(p, d.scale(n, d.prof.WriteBW))
 }
 
-// ReadFlat is Read with a single flat reservation, for flow-mode readers.
+// ReadFlat is Read with a single flat reservation, for readers that then
+// ship the segment over a flow.
 func (d *Device) ReadFlat(p *sim.Proc, n int64) {
 	d.readOps++
 	d.readBytes += n

@@ -112,11 +112,11 @@ func multiJobFingerprint(t *testing.T, sched string) multiJobRun {
 // the logged actual values ONLY when an orchestration-behaviour change is
 // intentional.
 var multiJobGolden = multiJobRun{
-	queueWaitNS: [2]int64{0, 144595308},
-	readyNS:     [2]int64{171814060, 316409368},
-	freedNS:     [2]int64{231801588, 373968419},
+	queueWaitNS: [2]int64{0, 129399209},
+	readyNS:     [2]int64{155742070, 285135281},
+	freedNS:     [2]int64{213809345, 340774058},
 	staged:      [2]int{4, 4},
-	totalNS:     373968419,
+	totalNS:     340774058,
 }
 
 func TestGoldenMultiJob(t *testing.T) {
