@@ -92,10 +92,13 @@ bench-swarm: tools
 # one connection, writes/op from a counting conn) and ClusterSet (R=2
 # fan-out, allocs/op) are the group-commit headline; the ClusterZipf
 # placement A/B (2s per variant for stable req/s) and the hot-path micros
-# (front-cache get, space-saver offer) ride along.
+# (front-cache get, space-saver offer) ride along, and so does the block
+# path beside its roofline: BlockRoofline moves kv_block_stream's 32 x 256
+# KiB blocks over loopback with writev/io.ReadFull and no protocol (R=2 for
+# writes), BlockCluster moves them through SetMulti/GetMulti; both in MB/s.
 bench-cluster: tools
 	go test -run '^$$' -bench 'ClientParallel|ClientSequential' -benchmem ./internal/memcached/mcclient/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'ClusterSet|FrontCacheGet|SpaceSaverOffer' -benchmem ./internal/memcached/mccluster/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	go test -run '^$$' -bench 'ClusterSet|FrontCacheGet|SpaceSaverOffer|BlockRoofline|BlockCluster' -benchmem ./internal/memcached/mccluster/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	go test -run '^$$' -bench 'ClusterZipf' -benchtime 2s ./internal/memcached/mccluster/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	./bin/benchjson -out BENCH_14.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; mcclient group-commit PR — before = one write, one reader lock and (for a SET) two goroutines per round-trip (parent commit), after = leader/follower flush, batched dispatch, goroutine-free replica fan-out; ClientParallel writes/op is exactly 1 before; ClientSequential (a lone caller) must stay at 1 write and must not slow down" < bench.out
 	rm -f bench.out
@@ -105,8 +108,11 @@ bench-cluster: tools
 golden:
 	go test -run 'TestGolden' -v .
 
-# Concurrency stress tests under the race detector: sharded engine, TCP
-# server, pipelined client and its group commit (shared writes, queued
+# Concurrency stress tests under the race detector: sharded engine, its
+# slab ledger (10^5 random store/reserve/pin steps) and pinned readers
+# against concurrent writers, TCP server (GET replies sent from pinned
+# chunks while writers overwrite them), pipelined client and its group
+# commit (shared writes, queued
 # followers, failed flush, value ownership), the cluster's replica
 # fan-out, concurrent shard windows (adaptive on and off), the cross-shard
 # swarm fingerprint, the swarm's tick calendar against its time-ordered

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hbb/internal/dfs"
+	"hbb/internal/memcached"
 )
 
 func newTB(t *testing.T, opts Options) *Testbed {
@@ -313,6 +314,11 @@ func TestMicrobenchExperimentsProduceTables(t *testing.T) {
 		if !strings.Contains(tbl.String(), id) {
 			t.Errorf("%s table missing its title", id)
 		}
+	}
+	// Their engines hold size-only items up to 1 MiB: the books of the
+	// slab classes, none of the memory.
+	if m := memcached.MappedBytes(); m != 0 {
+		t.Errorf("the simulator mapped %d bytes of slab memory", m)
 	}
 }
 

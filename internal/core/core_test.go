@@ -488,6 +488,13 @@ func TestKVEngineSeesTraffic(t *testing.T) {
 	if items != 32 {
 		t.Errorf("engine items = %d, want 32", items)
 	}
+	// The items are virtual: 1 MiB each in the engines' books, and not a
+	// byte of slab memory mapped for them.
+	for _, s := range rig.fs.Servers() {
+		if m := s.phys.engine.Mapped(); m != 0 {
+			t.Errorf("server %s mapped %d bytes for virtual items", s.phys.name, m)
+		}
+	}
 }
 
 func TestRingSpreadsBlocksAcrossServers(t *testing.T) {

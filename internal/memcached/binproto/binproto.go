@@ -13,6 +13,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"hbb/internal/memcached"
 )
 
 // Magic bytes.
@@ -225,23 +227,19 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	return append(dst, f.Value...), nil
 }
 
-// inlineValue is the largest value gathered into the scratch buffer for a
-// single Write call; larger values go out as a vectored (prefix, value)
-// pair instead of being copied.
-const inlineValue = 4 << 10
-
 // scratchPool recycles encode buffers sized for a full small frame.
 var scratchPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, HeaderSize+MaxExtrasLen+MaxKeyLen+inlineValue)
+		b := make([]byte, 0, HeaderSize+MaxExtrasLen+MaxKeyLen+memcached.InlineValue)
 		return &b
 	},
 }
 
-// Write encodes the frame to w. Small frames (value <= 4 KiB) are gathered
-// into one pooled buffer and issued as a single Write; larger frames send
-// the pooled header+extras+key prefix and the value as one vectored write
-// (writev when w is a net.Conn), so the value bytes are never copied.
+// Write encodes the frame to w. Small frames (value <= memcached.InlineValue)
+// are gathered into one pooled buffer and issued as a single Write; larger
+// frames send the pooled header+extras+key prefix and the value as one
+// vectored write (writev when w is a net.Conn), so the value bytes are
+// never copied.
 func Write(w io.Writer, f *Frame) error {
 	if err := f.validate(); err != nil {
 		return err
@@ -249,7 +247,7 @@ func Write(w io.Writer, f *Frame) error {
 	sp := scratchPool.Get().(*[]byte)
 	buf := appendHeader((*sp)[:0], f)
 	var err error
-	if len(f.Value) <= inlineValue {
+	if len(f.Value) <= memcached.InlineValue {
 		buf = append(buf, f.Value...)
 		_, err = w.Write(buf)
 	} else {
@@ -261,8 +259,16 @@ func Write(w io.Writer, f *Frame) error {
 	return err
 }
 
-// parseHeader decodes the 24-byte header h into f (whose body sections stay
-// empty) and returns the validated section lengths.
+func checkMagic(b byte) error {
+	if b != MagicRequest && b != MagicResponse {
+		return fmt.Errorf("%w: 0x%02x", ErrBadMagic, b)
+	}
+	return nil
+}
+
+// parseHeader decodes the 24-byte header h, whose magic the caller has
+// checked, into f (whose body sections stay empty) and returns the validated
+// section lengths.
 func parseHeader(h []byte, f *Frame) (extLen, keyLen, bodyLen int, err error) {
 	*f = Frame{
 		Magic:  h[0],
@@ -270,9 +276,6 @@ func parseHeader(h []byte, f *Frame) (extLen, keyLen, bodyLen int, err error) {
 		Status: Status(binary.BigEndian.Uint16(h[6:8])),
 		Opaque: binary.BigEndian.Uint32(h[12:16]),
 		CAS:    binary.BigEndian.Uint64(h[16:24]),
-	}
-	if f.Magic != MagicRequest && f.Magic != MagicResponse {
-		return 0, 0, 0, fmt.Errorf("%w: 0x%02x", ErrBadMagic, f.Magic)
 	}
 	keyLen = int(binary.BigEndian.Uint16(h[2:4]))
 	extLen = int(h[4])
@@ -296,18 +299,7 @@ func parseHeader(h []byte, f *Frame) (extLen, keyLen, bodyLen int, err error) {
 // the next ReadFrame call that reuses it; callers that retain frame bytes
 // must copy them out (mcserver's engine store path does).
 func ReadFrame(r io.Reader, f *Frame, buf []byte) ([]byte, error) {
-	// The header is staged in the reusable buffer too (not a stack array,
-	// which would escape through io.ReadFull and cost an allocation per
-	// frame); every header field is decoded into f before the body read
-	// overwrites it.
-	if cap(buf) < HeaderSize {
-		buf = make([]byte, HeaderSize, 512)
-	}
-	h := buf[:HeaderSize]
-	if _, err := io.ReadFull(r, h); err != nil {
-		return buf, err
-	}
-	extLen, keyLen, bodyLen, err := parseHeader(h, f)
+	buf, extLen, keyLen, bodyLen, err := readHeader(r, f, buf)
 	if err != nil {
 		return buf, err
 	}
@@ -323,6 +315,66 @@ func ReadFrame(r io.Reader, f *Frame, buf []byte) ([]byte, error) {
 	f.Key = buf[extLen : extLen+keyLen]
 	f.Value = buf[extLen+keyLen : bodyLen]
 	return buf, nil
+}
+
+// readHeader reads one frame's header from r and decodes it into f. The
+// header is staged in the reusable buffer (not a stack array, which would
+// escape through io.ReadFull and cost an allocation per frame); every
+// header field is in f before the body read overwrites it.
+func readHeader(r io.Reader, f *Frame, buf []byte) (_ []byte, extLen, keyLen, bodyLen int, err error) {
+	if cap(buf) < HeaderSize {
+		buf = make([]byte, HeaderSize, 512)
+	}
+	h := buf[:HeaderSize]
+	// A peer that is not speaking the protocol is found out by its first
+	// byte, not after 24 of them.
+	n, err := io.ReadAtLeast(r, h, 1)
+	if err != nil {
+		return buf, 0, 0, 0, err
+	}
+	if err := checkMagic(h[0]); err != nil {
+		return buf, 0, 0, 0, err
+	}
+	if err := readRest(r, h[n:]); err != nil {
+		return buf, 0, 0, 0, err
+	}
+	extLen, keyLen, bodyLen, err = parseHeader(h, f)
+	return buf, extLen, keyLen, bodyLen, err
+}
+
+// readRest fills b with bytes that continue a frame already begun, where
+// the end of the stream is an error: io.EOF stays bare only between frames.
+func readRest(r io.Reader, b []byte) error {
+	_, err := io.ReadFull(r, b)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// ReadHead is ReadFrame up to the value: it decodes the header, extras and
+// key of one frame into f (aliasing the returned buffer, which is never
+// grown beyond 512 bytes) and returns the length of the value, which is
+// still in r. The caller decides where those bytes go
+// — io.ReadFull into storage picked by what the head says, or Discard —
+// and must consume exactly that many before the next frame. A server reads
+// requests this way: nothing is allocated at a length a peer declared, and
+// a value lands where it will stay.
+func ReadHead(r io.Reader, f *Frame, buf []byte) (_ []byte, valueLen int, err error) {
+	buf, extLen, keyLen, bodyLen, err := readHeader(r, f, buf)
+	if err != nil {
+		return buf, 0, err
+	}
+	if cap(buf) < extLen+keyLen {
+		buf = make([]byte, extLen+keyLen, MaxExtrasLen+MaxKeyLen)
+	} else {
+		buf = buf[:extLen+keyLen]
+	}
+	if err := readRest(r, buf); err != nil {
+		return buf, 0, err
+	}
+	f.Extras, f.Key = buf[:extLen], buf[extLen:]
+	return buf, bodyLen - extLen - keyLen, nil
 }
 
 // Buffered reports whether r already holds one complete frame, so that the
@@ -347,6 +399,9 @@ func ReadBuffered(r *bufio.Reader, f *Frame) error {
 		if err == io.EOF && len(h) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
+		return err
+	}
+	if err := checkMagic(h[0]); err != nil {
 		return err
 	}
 	extLen, keyLen, bodyLen, err := parseHeader(h, f)

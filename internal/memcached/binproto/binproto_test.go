@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"hbb/internal/memcached"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -248,6 +250,75 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestReadHeadLeavesTheValueToTheCaller: head after head from one stream,
+// the caller reading or discarding each value, the head buffer bounded by
+// the longest extras and key whatever body length a header declares.
+func TestReadHeadLeavesTheValueToTheCaller(t *testing.T) {
+	longKey := bytes.Repeat([]byte("k"), MaxKeyLen)
+	frames := []*Frame{
+		{Magic: MagicRequest, Op: OpSet, Opaque: 1, CAS: 7, Extras: SetExtras(1, 2), Key: []byte("k1"), Value: bytes.Repeat([]byte("v"), 3*memcached.InlineValue)},
+		{Magic: MagicRequest, Op: OpGet, Opaque: 2, Key: longKey},
+		{Magic: MagicRequest, Op: OpIncrement, Opaque: 3, Extras: CounterExtras(1, 2, 3), Key: longKey},
+		{Magic: MagicRequest, Op: OpSet, Opaque: 4, Extras: SetExtras(0, 0), Key: []byte("k4"), Value: []byte("tail")},
+	}
+	var wire []byte
+	for _, f := range frames {
+		var err error
+		if wire, err = AppendFrame(wire, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bufio.NewReader(bytes.NewReader(wire))
+	var f Frame
+	var buf []byte
+	for i, want := range frames {
+		var n int
+		var err error
+		buf, n, err = ReadHead(r, &f, buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if f.Op != want.Op || f.Opaque != want.Opaque || f.CAS != want.CAS ||
+			!bytes.Equal(f.Extras, want.Extras) || !bytes.Equal(f.Key, want.Key) || f.Value != nil || n != len(want.Value) {
+			t.Fatalf("frame %d: head %+v with a %d-byte value, want %+v", i, f, n, want)
+		}
+		if i%2 == 0 {
+			value := make([]byte, n)
+			if _, err := io.ReadFull(r, value); err != nil || !bytes.Equal(value, want.Value) {
+				t.Fatalf("frame %d: value read after the head: %v", i, err)
+			}
+		} else if _, err := r.Discard(n); err != nil {
+			t.Fatal(err)
+		}
+		if cap(buf) > 512 {
+			t.Fatalf("frame %d: head buffer grew to %d bytes", i, cap(buf))
+		}
+	}
+	if _, _, err := ReadHead(r, &f, buf); err != io.EOF {
+		t.Errorf("after the last frame: %v, want io.EOF", err)
+	}
+
+	// A header that declares MaxBody and brings nothing: the head is read,
+	// the declared length is only reported.
+	huge, _ := AppendHeader(nil, &Frame{Magic: MagicRequest, Op: OpSet, Extras: SetExtras(0, 0), Key: []byte("k")})
+	huge[8], huge[9], huge[10], huge[11] = 0x04, 0, 0, 0 // total body: 64 MiB
+	allocs := testing.AllocsPerRun(10, func() {
+		var n int
+		var err error
+		if buf, n, err = ReadHead(bytes.NewReader(huge), &f, buf); err != nil || n != MaxBody-9 {
+			t.Fatalf("declared-huge frame: value %d, %v", n, err)
+		}
+	})
+	if allocs > 1 { // the bytes.Reader
+		t.Errorf("ReadHead of a declared 64 MiB body allocates %v times", allocs)
+	}
+	for cut := 1; cut < len(huge); cut++ {
+		if _, _, err := ReadHead(bytes.NewReader(huge[:cut]), &f, buf); err != io.ErrUnexpectedEOF {
+			t.Fatalf("head cut at %d: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
 func TestAppendFrameMatchesWrite(t *testing.T) {
 	in := &Frame{Magic: MagicResponse, Op: OpGet, Status: StatusOK, Opaque: 5, CAS: 6,
 		Extras: GetExtras(9), Key: []byte("key"), Value: []byte("value")}
@@ -265,7 +336,7 @@ func TestAppendFrameMatchesWrite(t *testing.T) {
 }
 
 func TestLargeValueVectoredWrite(t *testing.T) {
-	val := make([]byte, inlineValue*3)
+	val := make([]byte, memcached.InlineValue*3)
 	for i := range val {
 		val[i] = byte(i)
 	}

@@ -8,6 +8,16 @@
 // simulated datasets use real allocator/LRU/statistics code paths without
 // real memory.
 //
+// The engine owns the memory of its large values. A slab class whose chunks
+// exceed InlineValue cuts them from a region the engine maps outside the
+// collected heap, and a value stored there is copied in once and never
+// moves: Set copies the caller's slice, Reserve hands out the chunk itself
+// to be filled in place and committed, Acquire pins an item so that its
+// bytes can be sent from the chunk, and Get returns a copy. No slice into
+// the region is reachable without a Reservation or a Pin. Values of the
+// smaller classes are exact-size heap slices: the engine keeps the slice
+// Set was given and Get returns it, as before.
+//
 // The engine is not goroutine-safe. For concurrent use wrap it in a mutex,
 // or use ShardedEngine, which partitions the key space over N independent
 // engines each behind its own lock (mcserver does the latter).
@@ -108,12 +118,23 @@ type Stats struct {
 	LimitMaxMB   int64
 }
 
+// entry is 96 bytes, and a cache of small values is mostly entries: class,
+// dead and pins share the word class had to itself.
 type entry struct {
 	it    Item
-	class int
+	class uint16
+	// dead marks an item removed from the table while pinned: the last
+	// Release gives its chunk back.
+	dead bool
+	// pins counts the readers holding the value in place, or is reserved
+	// while the entry is a Reservation being filled.
+	pins int32
 	// intrusive per-class LRU list
 	prev, next *entry
 }
+
+// reserved is entry.pins of a Reservation not yet committed or aborted.
+const reserved = -1
 
 // Engine is the key-value store.
 type Engine struct {
@@ -172,24 +193,92 @@ func (e *Engine) lookup(key string) *entry {
 	return en
 }
 
+// remove takes en out of the table and off its LRU list. Its chunk returns
+// to the class at once, unless a reader pins it.
 func (e *Engine) remove(en *entry) {
 	delete(e.table, en.it.Key)
-	e.slabs.free(en)
+	e.slabs.unlink(en)
 	e.stats.CurrItems--
 	e.stats.Bytes -= int64(itemFootprint(en.it.Key, en.it.Size))
+	if en.pins > 0 {
+		en.dead = true
+		e.slabs.class(en).held++
+		return
+	}
+	e.slabs.giveBack(en)
 }
 
-// Get returns the item stored under key.
-func (e *Engine) Get(key string) (Item, error) {
+// hit is the lookup of a read: it counts the command and marks a found item
+// most-recently used.
+func (e *Engine) hit(key string) *entry {
 	e.stats.CmdGet++
 	en := e.lookup(key)
 	if en == nil {
 		e.stats.GetMisses++
-		return Item{}, ErrNotFound
+		return nil
 	}
 	e.stats.GetHits++
 	e.slabs.touch(en)
-	return en.it, nil
+	return en
+}
+
+// inRegion reports whether en's value lives in the mapped region.
+func (e *Engine) inRegion(en *entry) bool {
+	return en.it.Value != nil && e.slabs.class(en).slabbed()
+}
+
+// Get returns the item stored under key. A value that lives in the mapped
+// region is returned as a copy; Acquire reads it in place.
+func (e *Engine) Get(key string) (Item, error) {
+	en := e.hit(key)
+	if en == nil {
+		return Item{}, ErrNotFound
+	}
+	it := en.it
+	if e.inRegion(en) {
+		it.Value = append([]byte(nil), it.Value...)
+	}
+	return it, nil
+}
+
+// Pin is an item whose value stays where it is until Release: Value may
+// alias the engine's mapped region, so it must not be written, nor read
+// after Release or after the engine is closed or dropped.
+type Pin struct {
+	Item
+	en *entry // nil when the value is a heap slice, which needs no pin
+}
+
+// Acquire is Get without the copy: the item under key is pinned, and
+// removing it meanwhile — by Delete, overwrite, expiry or eviction — leaves
+// its bytes intact until the pin is released.
+func (e *Engine) Acquire(key string) (Pin, error) {
+	en := e.hit(key)
+	if en == nil {
+		return Pin{}, ErrNotFound
+	}
+	p := Pin{Item: en.it}
+	if e.inRegion(en) {
+		en.pins++
+		p.en = en
+	}
+	return p, nil
+}
+
+// Release ends a pin taken by Acquire, once.
+func (e *Engine) Release(p Pin) {
+	en := p.en
+	if en == nil {
+		return
+	}
+	if en.pins <= 0 {
+		panic("memcached: Release of an item that is not pinned")
+	}
+	en.pins--
+	if en.pins == 0 && en.dead {
+		e.slabs.class(en).held--
+		e.slabs.giveBack(en)
+	}
 }
 
 // Touch updates an item's expiry without fetching it.
@@ -203,33 +292,89 @@ func (e *Engine) Touch(key string, expireAt int64) error {
 	return nil
 }
 
+// StoreMode is the condition under which a store takes effect.
+type StoreMode uint8
+
+const (
+	StoreSet     StoreMode = iota // unconditionally
+	StoreAdd                      // only if the key is absent
+	StoreReplace                  // only if the key is present
+	StoreCAS                      // only if the key's current CAS is the expected one
+)
+
 // Set stores the item unconditionally (unless it cannot fit at all).
 func (e *Engine) Set(it Item) (cas uint64, err error) {
-	return e.store(it, 0, false)
+	return e.store(it, StoreSet, 0)
 }
 
 // Add stores the item only if the key is absent.
 func (e *Engine) Add(it Item) (cas uint64, err error) {
-	if e.lookup(it.Key) != nil {
-		return 0, ErrNotStored
-	}
-	return e.store(it, 0, false)
+	return e.store(it, StoreAdd, 0)
 }
 
 // Replace stores the item only if the key is present.
 func (e *Engine) Replace(it Item) (cas uint64, err error) {
-	if e.lookup(it.Key) == nil {
-		return 0, ErrNotStored
-	}
-	return e.store(it, 0, false)
+	return e.store(it, StoreReplace, 0)
 }
 
 // CompareAndSwap stores the item only if the current CAS matches expect.
 func (e *Engine) CompareAndSwap(it Item, expect uint64) (cas uint64, err error) {
-	return e.store(it, expect, true)
+	return e.store(it, StoreCAS, expect)
 }
 
-func (e *Engine) store(it Item, expect uint64, checkCAS bool) (uint64, error) {
+// footprint checks a key and value size against MaxItemSize.
+func (e *Engine) footprint(key string, size int) (int, error) {
+	foot := itemFootprint(key, size)
+	if foot > e.cfg.MaxItemSize {
+		return 0, fmt.Errorf("%w: %d > max %d", ErrTooLarge, foot, e.cfg.MaxItemSize)
+	}
+	return foot, nil
+}
+
+// admit checks mode's condition and, when it holds, removes the item
+// currently under key to make way for the new one.
+func (e *Engine) admit(key string, mode StoreMode, expect uint64) error {
+	old := e.lookup(key)
+	switch mode {
+	case StoreAdd:
+		if old != nil {
+			return ErrNotStored
+		}
+	case StoreReplace:
+		if old == nil {
+			return ErrNotStored
+		}
+	case StoreCAS:
+		if old == nil {
+			e.stats.CasMisses++
+			return ErrNotFound
+		}
+		if old.it.CAS != expect {
+			e.stats.CasBadval++
+			return ErrExists
+		}
+		e.stats.CasHits++
+	}
+	if old != nil {
+		e.remove(old)
+	}
+	return nil
+}
+
+// publish gives en, whose chunk is taken, the next CAS and makes it the
+// item under its key.
+func (e *Engine) publish(en *entry) uint64 {
+	e.casSeq++
+	en.it.CAS = e.casSeq
+	e.slabs.link(en)
+	e.table[en.it.Key] = en
+	e.stats.CurrItems++
+	e.stats.TotalItems++
+	e.stats.Bytes += int64(itemFootprint(en.it.Key, en.it.Size))
+	return en.it.CAS
+}
+
+func (e *Engine) store(it Item, mode StoreMode, expect uint64) (uint64, error) {
 	e.stats.CmdSet++
 	if it.Size < 0 || (it.Value != nil && it.Size != 0 && it.Size != len(it.Value)) {
 		return 0, fmt.Errorf("%w: inconsistent size", ErrInvalidArg)
@@ -237,36 +382,87 @@ func (e *Engine) store(it Item, expect uint64, checkCAS bool) (uint64, error) {
 	if it.Value != nil {
 		it.Size = len(it.Value)
 	}
-	foot := itemFootprint(it.Key, it.Size)
-	if foot > e.cfg.MaxItemSize {
-		return 0, fmt.Errorf("%w: %d > max %d", ErrTooLarge, foot, e.cfg.MaxItemSize)
-	}
-	old := e.lookup(it.Key)
-	if checkCAS {
-		if old == nil {
-			e.stats.CasMisses++
-			return 0, ErrNotFound
-		}
-		if old.it.CAS != expect {
-			e.stats.CasBadval++
-			return 0, ErrExists
-		}
-		e.stats.CasHits++
-	}
-	if old != nil {
-		e.remove(old)
-	}
-	e.casSeq++
-	it.CAS = e.casSeq
-	en := &entry{it: it}
-	if err := e.slabs.alloc(en, foot, e.evictOne); err != nil {
+	foot, err := e.footprint(it.Key, it.Size)
+	if err != nil {
 		return 0, err
 	}
-	e.table[it.Key] = en
-	e.stats.CurrItems++
-	e.stats.TotalItems++
-	e.stats.Bytes += int64(foot)
-	return it.CAS, nil
+	if err := e.admit(it.Key, mode, expect); err != nil {
+		return 0, err
+	}
+	ci, mem, err := e.slabs.take(foot, it.Value != nil, e.evictOne)
+	if err != nil {
+		return 0, err
+	}
+	if mem != nil {
+		// The one copy of a large value: out of the caller's slice, which
+		// stays the caller's, into the chunk.
+		it.Value = mem[:copy(mem, it.Value)]
+	}
+	return e.publish(&entry{it: it, class: uint16(ci)}), nil
+}
+
+// Reservation is storage for one value that is not stored yet: fill Value,
+// then Commit or Abort, once. While it is open it holds a chunk of its
+// class that nothing can evict.
+type Reservation struct {
+	// Value is where the value goes, at its full length. It is the chunk
+	// itself for a class above InlineValue and a fresh heap slice below.
+	Value []byte
+	en    *entry
+}
+
+// Reserve is the first half of a store that puts the value in place
+// without an intermediate copy: it finds room for it (Key, Size, Flags and
+// ExpireAt; Value is ignored), evicting as Set does, and returns the
+// storage to fill. It fails, with nothing to undo, when the item cannot be
+// stored at all.
+func (e *Engine) Reserve(it Item) (Reservation, error) {
+	e.stats.CmdSet++
+	if it.Size < 0 {
+		return Reservation{}, fmt.Errorf("%w: negative size", ErrInvalidArg)
+	}
+	foot, err := e.footprint(it.Key, it.Size)
+	if err != nil {
+		return Reservation{}, err
+	}
+	ci, mem, err := e.slabs.take(foot, true, e.evictOne)
+	if err != nil {
+		return Reservation{}, err
+	}
+	if mem != nil {
+		it.Value = mem[:it.Size]
+	} else {
+		it.Value = make([]byte, it.Size)
+	}
+	en := &entry{it: it, class: uint16(ci), pins: reserved}
+	e.slabs.class(en).held++
+	return Reservation{Value: it.Value, en: en}, nil
+}
+
+// settle ends a reservation's hold on its chunk.
+func (e *Engine) settle(r Reservation) {
+	if r.en == nil || r.en.pins != reserved {
+		panic("memcached: Commit or Abort of a reservation that is not open")
+	}
+	r.en.pins = 0
+	e.slabs.class(r.en).held--
+}
+
+// Commit stores a filled reservation under mode's condition (expect is the
+// CAS for StoreCAS). When the condition fails the reservation is aborted.
+func (e *Engine) Commit(r Reservation, mode StoreMode, expect uint64) (uint64, error) {
+	e.settle(r)
+	if err := e.admit(r.en.it.Key, mode, expect); err != nil {
+		e.slabs.giveBack(r.en)
+		return 0, err
+	}
+	return e.publish(r.en), nil
+}
+
+// Abort gives a reservation's storage back unused.
+func (e *Engine) Abort(r Reservation) {
+	e.settle(r)
+	e.slabs.giveBack(r.en)
 }
 
 // evictOne evicts the least-recently-used live item of the given class,
@@ -307,7 +503,7 @@ func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64)
 			return 0, ErrNotFound
 		}
 		v := *init
-		_, err := e.store(Item{Key: key, Value: []byte(fmt.Sprintf("%d", v)), ExpireAt: expireAt}, 0, false)
+		_, err := e.store(Item{Key: key, Value: []byte(fmt.Sprintf("%d", v)), ExpireAt: expireAt}, StoreSet, 0)
 		return v, err
 	}
 	if en.it.Virtual() {
@@ -331,7 +527,7 @@ func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64)
 	it := en.it
 	it.Value = []byte(fmt.Sprintf("%d", next))
 	it.Size = 0
-	if _, err := e.store(it, 0, false); err != nil {
+	if _, err := e.store(it, StoreSet, 0); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -374,3 +570,22 @@ func (e *Engine) Keys() []string {
 
 // MemUsed returns bytes of chunk memory in use (allocated pages).
 func (e *Engine) MemUsed() int64 { return e.slabs.memUsed() }
+
+// Slabs returns every slab class's ledger, smallest chunk first.
+func (e *Engine) Slabs() []SlabStats { return e.slabs.stats() }
+
+// Mapped returns the bytes of the engine's mapped region: zero until a
+// class above InlineValue stores its first real value, at most MemLimit
+// after (one page when MemLimit is smaller than that).
+func (e *Engine) Mapped() int64 { return int64(len(e.slabs.region)) }
+
+// Close empties the engine and unmaps its region. Every Pin and
+// Reservation must have been settled. The engine stays usable, empty, and
+// maps again when it needs to; an engine dropped without Close is unmapped
+// by a finalizer.
+func (e *Engine) Close() {
+	e.slabs.unmap()
+	e.slabs = newSlabArena(e.cfg)
+	e.table = make(map[string]*entry)
+	e.stats.CurrItems, e.stats.Bytes = 0, 0
+}

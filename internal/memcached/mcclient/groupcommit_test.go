@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hbb/internal/memcached"
 	"hbb/internal/memcached/binproto"
 )
 
@@ -271,7 +272,7 @@ func TestGroupCommitLargeValueOwnership(t *testing.T) {
 	lead := make(chan error, 1)
 	go func() { lead <- c.Noop() }()
 	<-entered
-	value := bytes.Repeat([]byte{7}, 3*vectoredValue)
+	value := bytes.Repeat([]byte{7}, 3*memcached.InlineValue)
 	call := c.IssueSet(&Item{Key: "big", Value: value})
 	entered2, release2 := w.holdNextWrite(len(value), errors.New("connection died mid-write"))
 	release()
@@ -312,7 +313,7 @@ func TestGroupCommitRejectedFrameLeavesNoTrace(t *testing.T) {
 	if _, err := c.Get(long); !errors.Is(err, binproto.ErrKeyTooLong) {
 		t.Fatalf("get with an oversized key: %v, want ErrKeyTooLong", err)
 	}
-	big := bytes.Repeat([]byte{1}, 2*vectoredValue)
+	big := bytes.Repeat([]byte{1}, 2*memcached.InlineValue)
 	if _, err := c.SetMulti([]*Item{{Key: "ok", Value: big}, {Key: long, Value: big}}); !errors.Is(err, binproto.ErrKeyTooLong) {
 		t.Fatalf("burst with an oversized key: %v, want ErrKeyTooLong", err)
 	}

@@ -35,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"hbb/internal/memcached"
 	"hbb/internal/memcached/binproto"
 )
 
@@ -137,18 +138,13 @@ type Client struct {
 	flushing   bool
 }
 
-// vectoredValue is the largest value copied into the queue; a larger one
-// stays in the caller's buffer and goes out as its own segment of a
-// vectored write (writev on a TCP connection).
-const vectoredValue = 4 << 10
-
 // maxEncKeep is the largest encode buffer kept for reuse after a flush.
 const maxEncKeep = 64 << 10
 
 // outbuf is one side of the connection's double buffer: frames queued for
 // one write.
 type outbuf struct {
-	enc  []byte      // encoded frames, minus the values above vectoredValue
+	enc  []byte      // encoded frames, minus the values above memcached.InlineValue
 	segs net.Buffers // closed segments: runs of enc alternating with callers' large values
 	cut  int         // enc[cut:] is not in segs yet
 }
@@ -167,7 +163,10 @@ func (o *outbuf) add(f *binproto.Frame) error {
 	if err != nil {
 		return err
 	}
-	if len(f.Value) <= vectoredValue {
+	// A value up to InlineValue is copied into the queue; a larger one stays
+	// in the caller's buffer and goes out as its own segment of a vectored
+	// write (writev on a TCP connection).
+	if len(f.Value) <= memcached.InlineValue {
 		o.enc = append(enc, f.Value...)
 		return nil
 	}
@@ -427,9 +426,9 @@ func (c *Client) poison(cause error) {
 // with wmu held, err set and no flush in progress, and releases wmu.
 //
 // That no flush is in progress is what makes a caller's large value safe:
-// a value above vectoredValue is written from the caller's own buffer by
-// whichever goroutine flushes, and the caller gets its buffer back when its
-// call completes — with a reply, which the server sends only after reading
+// a value above memcached.InlineValue is written from the caller's own
+// buffer by whichever goroutine flushes, and the caller gets its buffer back
+// when its call completes — with a reply, which the server sends only after reading
 // the whole value, or here, after the last write that could carry it has
 // returned. It also means no write on the old connection overlaps a
 // reconnect.

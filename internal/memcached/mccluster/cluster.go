@@ -48,10 +48,12 @@ type Options struct {
 	RedialCooldown time.Duration
 
 	// FrontCacheSize is the hot-key front cache capacity in entries
-	// (default 4096); FrontCacheTTL bounds staleness against writers on
-	// other clients (default 100ms). HotTrack is the space-saver sketch
-	// size (default 2x FrontCacheSize) and HotMinHits the tracked count
-	// at which a key counts as hot (default 8).
+	// (default 4096), each a value of at most memcached.InlineValue bytes;
+	// FrontCacheTTL bounds staleness against writers on other clients
+	// (default 100ms). HotTrack is the space-saver sketch size (default 2x
+	// FrontCacheSize) and HotMinHits the guaranteed count (occurrences
+	// seen, not the sketch's over-estimate) at which a key counts as hot
+	// (default 8).
 	FrontCacheSize int
 	FrontCacheTTL  time.Duration
 	HotTrack       int

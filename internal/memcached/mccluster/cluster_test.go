@@ -133,6 +133,37 @@ func TestClusterFrontCacheHotPath(t *testing.T) {
 	}
 }
 
+// TestClusterDistinctKeysStayCold: 100,000 keys read once each, past the
+// length at which the sketch's over-estimate reaches HotMinHits, flag no
+// key hot and leave the front cache empty.
+func TestClusterDistinctKeysStayCold(t *testing.T) {
+	_, c := launch(t, 3, Options{Replicas: 2})
+	const total, batch = 100_000, 1000
+	items := make([]*mcclient.Item, batch)
+	keys := make([]string, batch)
+	for i := range items {
+		items[i] = &mcclient.Item{Value: []byte("v")}
+	}
+	for base := 0; base < total; base += batch {
+		for i := range keys {
+			keys[i] = fmt.Sprintf("cold-%d", base+i)
+			items[i].Key = keys[i]
+		}
+		if failed, err := c.SetMulti(items); err != nil || len(failed) != 0 {
+			t.Fatalf("setmulti: %v %v", failed, err)
+		}
+		got, err := c.GetMulti(keys)
+		if err != nil || len(got) != batch {
+			t.Fatalf("getmulti: %d of %d, %v", len(got), batch, err)
+		}
+	}
+	st := c.Stats()
+	if st.Gets != total || st.HotGets != 0 || st.FrontCacheEntries != 0 || st.FrontCacheEvictions != 0 {
+		t.Errorf("after %d distinct GETs: %d hot, %d front-cache entries, %d evictions",
+			st.Gets, st.HotGets, st.FrontCacheEntries, st.FrontCacheEvictions)
+	}
+}
+
 // TestClusterReadSpreadingFansHotReads: with the front cache off and
 // spreading on, a hot key's gets hit both of its replicas.
 func TestClusterReadSpreadingFansHotReads(t *testing.T) {

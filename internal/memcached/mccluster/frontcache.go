@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"hbb/internal/memcached"
 	"hbb/internal/memcached/mcclient"
 )
 
@@ -91,8 +92,14 @@ func (f *frontCache) get(key string, now int64) (*mcclient.Item, bool) {
 	return e.item, true
 }
 
-// put admits (or refreshes) key, evicting the LRU entry at capacity.
+// put admits (or refreshes) key, evicting the LRU entry at capacity. A
+// value above memcached.InlineValue is not admitted: the cache is sized in
+// entries, for small hot values, and a hot block chunk belongs to the
+// servers.
 func (f *frontCache) put(key string, it *mcclient.Item, now int64) {
+	if len(it.Value) > memcached.InlineValue {
+		return
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if e, ok := f.entries[key]; ok {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hbb/internal/memcached"
 	"hbb/internal/memcached/mcclient"
 )
 
@@ -28,6 +29,20 @@ func TestFrontCacheHitAndTTLExpiry(t *testing.T) {
 	}
 	if f.len() != 0 {
 		t.Fatalf("expired entry retained: len=%d", f.len())
+	}
+}
+
+// TestFrontCacheAdmitsSmallValuesOnly: capacity is counted in entries, so
+// an entry is bounded too.
+func TestFrontCacheAdmitsSmallValuesOnly(t *testing.T) {
+	f := newFrontCache(4, time.Hour)
+	f.put("small", &mcclient.Item{Key: "small", Value: make([]byte, memcached.InlineValue)}, 1)
+	f.put("large", &mcclient.Item{Key: "large", Value: make([]byte, memcached.InlineValue+1)}, 1)
+	if _, ok := f.get("small", 2); !ok {
+		t.Error("a value of InlineValue bytes was not admitted")
+	}
+	if _, ok := f.get("large", 2); ok || f.len() != 1 {
+		t.Errorf("a value above InlineValue was admitted (%d entries)", f.len())
 	}
 }
 

@@ -45,19 +45,25 @@ func NewSpaceSaver(k int) *SpaceSaver {
 
 // Offer records one occurrence of key and returns its (possibly
 // over-estimated) count.
-func (s *SpaceSaver) Offer(key string) uint64 {
+func (s *SpaceSaver) Offer(key string) uint64 { return s.offer(key).count }
+
+// guaranteed is the part of a count that was observed, not inherited: a
+// lower bound on the key's occurrences.
+func (c *ssCounter) guaranteed() uint64 { return c.count - c.err }
+
+func (s *SpaceSaver) offer(key string) *ssCounter {
 	s.offers++
 	if c, ok := s.counters[key]; ok {
 		c.count++
 		s.siftDown(c.pos)
-		return c.count
+		return c
 	}
 	if len(s.heap) < s.k {
 		c := &ssCounter{key: key, count: 1, pos: len(s.heap)}
 		s.counters[key] = c
 		s.heap = append(s.heap, c)
 		s.siftUp(c.pos)
-		return 1
+		return c
 	}
 	// Take over the minimum counter: the newcomer inherits its count as
 	// the classic space-saving over-estimate.
@@ -68,7 +74,7 @@ func (s *SpaceSaver) Offer(key string) uint64 {
 	min.key = key
 	s.counters[key] = min
 	s.siftDown(0)
-	return min.count
+	return min
 }
 
 // Count returns the tracked count for key and whether it is tracked.
@@ -150,8 +156,9 @@ func (s *SpaceSaver) siftDown(i int) {
 }
 
 // hotTracker is the concurrency wrapper the cluster client uses: one
-// mutex-guarded sketch plus the hotness rule (tracked and count at or
-// above minHits).
+// mutex-guarded sketch plus the hotness rule: tracked, and seen at least
+// minHits times for certain. The over-estimate would not do: once a stream
+// of distinct keys is k*minHits long, every newcomer inherits minHits.
 type hotTracker struct {
 	mu      sync.Mutex
 	sketch  *SpaceSaver
@@ -165,7 +172,7 @@ func newHotTracker(k int, minHits uint64) *hotTracker {
 // offer records key and reports whether it is currently hot.
 func (h *hotTracker) offer(key string) bool {
 	h.mu.Lock()
-	n := h.sketch.Offer(key)
+	n := h.sketch.offer(key).guaranteed()
 	h.mu.Unlock()
 	return n >= h.minHits
 }
@@ -173,9 +180,10 @@ func (h *hotTracker) offer(key string) bool {
 // hot reports whether key is hot without recording an occurrence.
 func (h *hotTracker) hot(key string) bool {
 	h.mu.Lock()
-	n, ok := h.sketch.Count(key)
+	c, ok := h.sketch.counters[key]
+	hot := ok && c.guaranteed() >= h.minHits
 	h.mu.Unlock()
-	return ok && n >= h.minHits
+	return hot
 }
 
 // top returns the n highest-count tracked keys, for reporting.

@@ -115,3 +115,54 @@ func TestHotTrackerThreshold(t *testing.T) {
 		t.Fatal("untracked key reported hot")
 	}
 }
+
+// TestHotTrackerIgnoresInheritedCounts: with the default sketch (8192
+// counters, 8 hits), a stream of distinct keys longer than 8192*7 used to
+// hand every newcomer an inherited count of 8 and flag it hot. The
+// guaranteed count flags none of them.
+func TestHotTrackerIgnoresInheritedCounts(t *testing.T) {
+	h := newHotTracker(8192, 8)
+	for i := 0; i < 100_000; i++ {
+		key := fmt.Sprintf("distinct-%d", i)
+		if h.offer(key) || h.hot(key) {
+			t.Fatalf("key %d of a stream of distinct keys flagged hot", i)
+		}
+	}
+}
+
+// TestHotTrackerUniformVsZipf: uniform traffic over 32 times more keys
+// than counters has no hot keys; zipf 1.1 over the same keys has a head,
+// and the tracker still finds it.
+func TestHotTrackerUniformVsZipf(t *testing.T) {
+	const keys, offers = 1 << 18, 600_000
+	name := func(k uint64) string { return fmt.Sprintf("key-%d", k) }
+	rng := rand.New(rand.NewSource(7))
+
+	uniform := newHotTracker(8192, 8)
+	flagged := 0
+	for i := 0; i < offers; i++ {
+		if uniform.offer(name(uint64(rng.Intn(keys)))) {
+			flagged++
+		}
+	}
+	if frac := float64(flagged) / offers; frac >= 0.01 {
+		t.Errorf("uniform stream: %.1f%% of offers flagged hot, want under 1%%", 100*frac)
+	}
+
+	skewed := newHotTracker(8192, 8)
+	zipf := rand.NewZipf(rng, 1.1, 1, keys-1)
+	flagged = 0
+	for i := 0; i < offers; i++ {
+		if skewed.offer(name(zipf.Uint64())) {
+			flagged++
+		}
+	}
+	if frac := float64(flagged) / offers; frac < 0.5 {
+		t.Errorf("zipf 1.1 stream: %.1f%% of offers flagged hot, want most of them", 100*frac)
+	}
+	for k := uint64(0); k < 100; k++ {
+		if !skewed.hot(name(k)) {
+			t.Errorf("zipf 1.1: key of rank %d is not hot after %d offers", k, offers)
+		}
+	}
+}

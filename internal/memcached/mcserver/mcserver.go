@@ -2,9 +2,16 @@
 // binary protocol. One goroutine per connection over a ShardedEngine: keys
 // route to per-shard locks, so concurrent connections execute engine
 // operations in parallel instead of serializing behind a global mutex (the
-// RDMA-Memcached design point this substrate models). The wire path reuses
-// per-connection frame and body buffers, so steady-state request handling
-// does not allocate per frame.
+// RDMA-Memcached design point this substrate models).
+//
+// A value crosses the server once in each direction. A request is read up
+// to its key; a SET-family value is then read from the socket straight into
+// storage the engine has reserved for it and committed, and a GET reply is
+// sent from the item's storage while a pin holds it in place. Nothing is
+// allocated at a length the peer declares: what the engine cannot store is
+// discarded from the socket and answered with its status. The per-connection
+// frame and head buffers are reused, so steady-state request handling
+// allocates the key and, below memcached.InlineValue, the value.
 package mcserver
 
 import (
@@ -91,8 +98,10 @@ func (s *Server) Serve(ln net.Listener) error {
 			continue
 		}
 		s.conns[conn] = struct{}{}
-		s.lnMu.Unlock()
+		// Counted before Stop can see the connection, so that Stop's wait
+		// covers its handler.
 		s.wg.Add(1)
+		s.lnMu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			defer func() {
@@ -115,9 +124,15 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops the listener and terminates every active connection
-// immediately; it is Stop with a zero drain window.
-func (s *Server) Close() error { return s.Stop(0) }
+// Close stops the listener, terminates every active connection immediately
+// and, once their handlers are gone, empties the engine and gives its
+// mapped memory back. Stop leaves the engine as it is, for callers that
+// inspect it afterwards.
+func (s *Server) Close() error {
+	err := s.Stop(0)
+	s.engine.Close()
+	return err
+}
 
 // Stop shuts the server down: it closes the listener so no new connections
 // arrive, waits up to drain for in-flight connection handlers to finish on
@@ -154,17 +169,18 @@ func (s *Server) Stop(drain time.Duration) error {
 }
 
 // connState is the per-connection scratch reused across requests: the
-// decoded frame, its body buffer, and an extras/value buffer for fixed-size
-// response sections. Pooled so short-lived connections do not re-allocate.
+// decoded frame, the buffer holding its header, extras and key, and an
+// extras/value buffer for fixed-size response sections. Pooled so
+// short-lived connections do not re-allocate.
 type connState struct {
 	req  binproto.Frame
-	body []byte
+	head []byte
 	ext  []byte
 }
 
 var statePool = sync.Pool{
 	New: func() any {
-		return &connState{body: make([]byte, 0, 2048), ext: make([]byte, 0, 32)}
+		return &connState{head: make([]byte, 0, 512), ext: make([]byte, 0, 32)}
 	},
 }
 
@@ -172,27 +188,19 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	// Like real memcached, both protocols share the port: binary requests
-	// always start with the magic byte, ASCII commands with a letter.
-	first, err := r.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] != binproto.MagicRequest {
-		s.serveText(r, w)
-		return
-	}
 	cs := statePool.Get().(*connState)
 	defer statePool.Put(cs)
 	for {
-		cs.body, err = binproto.ReadFrame(r, &cs.req, cs.body)
+		var valueLen int
+		var err error
+		cs.head, valueLen, err = binproto.ReadHead(r, &cs.req, cs.head)
 		if err != nil {
-			return // EOF or protocol error: drop the connection
+			return // EOF, or not the binary protocol: drop the connection
 		}
 		if !cs.req.Request() {
 			return
 		}
-		quit := s.dispatch(w, &cs.req, cs)
+		quit := s.dispatch(r, w, &cs.req, valueLen, cs)
 		// Flush only when the read buffer is drained: pipelined clients get
 		// their whole burst answered in one write instead of one flush per
 		// response.
@@ -207,11 +215,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}
 }
-
-// Engine error predicates shared by both protocol front-ends.
-func isNotFound(err error) bool  { return errors.Is(err, memcached.ErrNotFound) }
-func isNotStored(err error) bool { return errors.Is(err, memcached.ErrNotStored) }
-func isExists(err error) bool    { return errors.Is(err, memcached.ErrExists) }
 
 // expiryToAbs converts a protocol expiry (seconds, or absolute unix time if
 // > 30 days, per memcached convention) to an absolute ns timestamp.
@@ -262,57 +265,86 @@ func respond(w io.Writer, req *binproto.Frame, status binproto.Status, f binprot
 	return false
 }
 
-// dispatch executes one request and writes the response; it reports whether
-// the connection should close (QUIT). No lock is held here — the sharded
-// engine synchronizes per shard, so connections only contend when they
-// touch keys in the same shard.
-func (s *Server) dispatch(w io.Writer, req *binproto.Frame, cs *connState) (quit bool) {
+// refuse answers a request whose value the server will not take: the value
+// is dropped from the socket unread into anything, then the status is sent.
+// It reports whether the connection is lost.
+func refuse(r *bufio.Reader, w io.Writer, req *binproto.Frame, valueLen int, status binproto.Status) (quit bool) {
+	if _, err := r.Discard(valueLen); err != nil {
+		return true
+	}
+	return respond(w, req, status, binproto.Frame{})
+}
+
+// store executes a SET-family request, whose value is still in r: it goes
+// from the socket into the storage the engine reserves for it, once.
+func (s *Server) store(r *bufio.Reader, w io.Writer, req *binproto.Frame, valueLen int) (quit bool) {
+	flags, expiry, err := binproto.ParseSetExtras(req.Extras)
+	if err != nil {
+		return refuse(r, w, req, valueLen, binproto.StatusInvalidArgs)
+	}
+	e := s.engine
+	res, err := e.Reserve(memcached.Item{
+		Key:      string(req.Key),
+		Size:     valueLen,
+		Flags:    flags,
+		ExpireAt: s.expiryToAbs(expiry),
+	})
+	if err != nil {
+		return refuse(r, w, req, valueLen, statusFor(err))
+	}
+	if _, err := io.ReadFull(r, res.Value); err != nil {
+		e.Abort(res)
+		return true
+	}
+	mode := memcached.StoreSet
+	switch {
+	case req.Op == binproto.OpAdd:
+		mode = memcached.StoreAdd
+	case req.Op == binproto.OpReplace:
+		mode = memcached.StoreReplace
+	case req.CAS != 0:
+		mode = memcached.StoreCAS
+	}
+	cas, err := e.Commit(res, mode, req.CAS)
+	if err != nil {
+		return respond(w, req, statusFor(err), binproto.Frame{})
+	}
+	if req.Op == binproto.OpSetQ {
+		return false // quiet set: silent on success
+	}
+	return respond(w, req, binproto.StatusOK, binproto.Frame{CAS: cas})
+}
+
+// dispatch executes one request, whose head is in req and whose value is
+// still in r, and writes the response; it reports whether the connection
+// should close (QUIT, or a value that could not be read). No lock is held
+// here — the sharded engine synchronizes per shard, so connections only
+// contend when they touch keys in the same shard.
+func (s *Server) dispatch(r *bufio.Reader, w io.Writer, req *binproto.Frame, valueLen int, cs *connState) (quit bool) {
 	e := s.engine
 	switch req.Op {
+	case binproto.OpSet, binproto.OpSetQ, binproto.OpAdd, binproto.OpReplace:
+		return s.store(r, w, req, valueLen)
+	}
+	if valueLen != 0 {
+		return refuse(r, w, req, valueLen, binproto.StatusInvalidArgs)
+	}
+	switch req.Op {
 	case binproto.OpGet, binproto.OpGetQ:
-		it, err := e.Get(string(req.Key))
+		p, err := e.Acquire(string(req.Key))
 		if err != nil {
 			if req.Op == binproto.OpGetQ {
 				return false // quiet get: silent on miss
 			}
 			return respond(w, req, statusFor(err), binproto.Frame{})
 		}
-		cs.ext = binproto.AppendGetExtras(cs.ext[:0], it.Flags)
-		return respond(w, req, binproto.StatusOK, binproto.Frame{
-			Extras: cs.ext, Value: it.Value, CAS: it.CAS,
+		cs.ext = binproto.AppendGetExtras(cs.ext[:0], p.Flags)
+		respond(w, req, binproto.StatusOK, binproto.Frame{
+			Extras: cs.ext, Value: p.Value, CAS: p.CAS,
 		})
-
-	case binproto.OpSet, binproto.OpSetQ, binproto.OpAdd, binproto.OpReplace:
-		flags, expiry, err := binproto.ParseSetExtras(req.Extras)
-		if err != nil {
-			return respond(w, req, binproto.StatusInvalidArgs, binproto.Frame{})
-		}
-		// The engine owns stored items, and req.Value aliases the reused
-		// connection body buffer, so the value is copied exactly once here.
-		it := memcached.Item{
-			Key:      string(req.Key),
-			Value:    append([]byte(nil), req.Value...),
-			Flags:    flags,
-			ExpireAt: s.expiryToAbs(expiry),
-		}
-		var cas uint64
-		switch {
-		case (req.Op == binproto.OpSet || req.Op == binproto.OpSetQ) && req.CAS != 0:
-			cas, err = e.CompareAndSwap(it, req.CAS)
-		case req.Op == binproto.OpSet || req.Op == binproto.OpSetQ:
-			cas, err = e.Set(it)
-		case req.Op == binproto.OpAdd:
-			cas, err = e.Add(it)
-		default:
-			cas, err = e.Replace(it)
-		}
-		if err != nil {
-			return respond(w, req, statusFor(err), binproto.Frame{})
-		}
-		if req.Op == binproto.OpSetQ {
-			return false // quiet set: silent on success
-		}
-		return respond(w, req, binproto.StatusOK, binproto.Frame{CAS: cas})
+		// The value is in the socket or in w's buffer by now.
+		e.Release(p)
+		return false
 
 	case binproto.OpDelete:
 		err := e.Delete(string(req.Key))
@@ -372,5 +404,23 @@ func (s *Server) dispatch(w io.Writer, req *binproto.Frame, cs *connState) (quit
 
 	default:
 		return respond(w, req, binproto.StatusUnknownCommand, binproto.Frame{})
+	}
+}
+
+type statPair struct {
+	k string
+	v int64
+}
+
+func statPairs(st memcached.Stats) []statPair {
+	return []statPair{
+		{"cmd_get", st.CmdGet}, {"cmd_set", st.CmdSet},
+		{"get_hits", st.GetHits}, {"get_misses", st.GetMisses},
+		{"delete_hits", st.DeleteHits}, {"delete_misses", st.DeleteMisses},
+		{"cas_hits", st.CasHits}, {"cas_misses", st.CasMisses},
+		{"cas_badval", st.CasBadval},
+		{"curr_items", st.CurrItems}, {"total_items", st.TotalItems},
+		{"bytes", st.Bytes}, {"evictions", st.Evictions},
+		{"expired", st.Expired}, {"limit_maxbytes", st.LimitMaxMB << 20},
 	}
 }

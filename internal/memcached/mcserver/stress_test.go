@@ -168,7 +168,21 @@ func TestQuietOpsOverTCP(t *testing.T) {
 	}
 }
 
-// TestStopDrainsInFlight starts a slow text-protocol store mid-transfer,
+// slowSet returns the wire form of a SET of key with a 5-byte value, cut
+// where the value begins.
+func slowSet(t *testing.T, key string) (head, value []byte) {
+	t.Helper()
+	wire, err := binproto.AppendFrame(nil, &binproto.Frame{
+		Magic: binproto.MagicRequest, Op: binproto.OpSet,
+		Key: []byte(key), Extras: binproto.SetExtras(0, 0), Value: []byte("hello"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire[:len(wire)-5], wire[len(wire)-5:]
+}
+
+// TestStopDrainsInFlight starts a slow store mid-transfer,
 // then calls Stop with a drain window: the in-flight request completes and
 // Stop returns once the handler exits.
 func TestStopDrainsInFlight(t *testing.T) {
@@ -185,22 +199,21 @@ func TestStopDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Send the command header, delay the data block so the handler is
+	// Send the request up to its key, delay the value so the handler is
 	// mid-request when Stop begins.
-	if _, err := conn.Write([]byte("set slowkey 0 0 5\r\n")); err != nil {
+	head, value := slowSet(t, "slowkey")
+	if _, err := conn.Write(head); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
 	stopDone := make(chan error, 1)
 	go func() { stopDone <- srv.Stop(2 * time.Second) }()
 	time.Sleep(20 * time.Millisecond) // listener now closed, handler still alive
-	if _, err := conn.Write([]byte("hello\r\n")); err != nil {
+	if _, err := conn.Write(value); err != nil {
 		t.Fatalf("finish request: %v", err)
 	}
-	buf := make([]byte, 64)
-	n, err := conn.Read(buf)
-	if err != nil || string(buf[:n]) != "STORED\r\n" {
-		t.Fatalf("reply = %q, %v", buf[:n], err)
+	if f, err := binproto.Read(conn); err != nil || f.Status != binproto.StatusOK {
+		t.Fatalf("reply = %+v, %v", f, err)
 	}
 	conn.Close() // handler's next read sees EOF and exits
 	select {
@@ -212,8 +225,8 @@ func TestStopDrainsInFlight(t *testing.T) {
 		t.Fatal("Stop did not return after handlers drained")
 	}
 	<-done
-	if _, err := srv.Engine().Get("slowkey"); err != nil {
-		t.Errorf("in-flight set lost during drain: %v", err)
+	if it, err := srv.Engine().Get("slowkey"); err != nil || string(it.Value) != "hello" {
+		t.Errorf("in-flight set lost during drain: %q, %v", it.Value, err)
 	}
 }
 
@@ -233,7 +246,8 @@ func TestStopForceClosesAfterTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("set stuck 0 0 5\r\n")); err != nil { // never send the data
+	head, _ := slowSet(t, "stuck")
+	if _, err := conn.Write(head); err != nil { // never send the value
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)

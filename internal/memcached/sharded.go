@@ -47,7 +47,10 @@ type shard struct {
 // MemLimit/N, so aggregate capacity matches a single engine while eviction
 // decisions are shard-local (standard sharded-cache behaviour).
 //
-// ShardedEngine is safe for concurrent use.
+// ShardedEngine is safe for concurrent use. Its two-phase calls are what let
+// a value be moved with no lock held: Reserve and Commit (or Abort) bracket
+// the filling of a value's storage, Acquire and Release the reading of it
+// in place.
 type ShardedEngine struct {
 	shards []shard
 	mask   uint64
@@ -150,6 +153,51 @@ func (se *ShardedEngine) CompareAndSwap(it Item, expect uint64) (uint64, error) 
 	return sh.eng.CompareAndSwap(it, expect)
 }
 
+// Reserve finds room for a value and returns the storage to fill, which is
+// done with no lock held; see Engine.Reserve.
+func (se *ShardedEngine) Reserve(it Item) (Reservation, error) {
+	sh := se.shardFor(it.Key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.eng.Reserve(it)
+}
+
+// Commit stores a filled reservation; see Engine.Commit.
+func (se *ShardedEngine) Commit(r Reservation, mode StoreMode, expect uint64) (uint64, error) {
+	sh := se.shardFor(r.en.it.Key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.eng.Commit(r, mode, expect)
+}
+
+// Abort gives a reservation's storage back unused.
+func (se *ShardedEngine) Abort(r Reservation) {
+	sh := se.shardFor(r.en.it.Key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.eng.Abort(r)
+}
+
+// Acquire pins the item stored under key so that its value can be read in
+// place with no lock held; see Engine.Acquire.
+func (se *ShardedEngine) Acquire(key string) (Pin, error) {
+	sh := se.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.eng.Acquire(key)
+}
+
+// Release ends a pin taken by Acquire.
+func (se *ShardedEngine) Release(p Pin) {
+	if p.en == nil {
+		return
+	}
+	sh := se.shardFor(p.Key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.eng.Release(p)
+}
+
 // Delete removes the item stored under key.
 func (se *ShardedEngine) Delete(key string) error {
 	sh := se.shardFor(key)
@@ -247,6 +295,52 @@ func (se *ShardedEngine) Keys() []string {
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// Slabs returns every slab class's ledger summed over the shards, which all
+// have the same classes.
+func (se *ShardedEngine) Slabs() []SlabStats {
+	var out []SlabStats
+	for i := range se.shards {
+		sh := &se.shards[i]
+		sh.mu.Lock()
+		st := sh.eng.Slabs()
+		sh.mu.Unlock()
+		if out == nil {
+			out = st
+			continue
+		}
+		for j, c := range st {
+			out[j].Pages += c.Pages
+			out[j].Free += c.Free
+			out[j].Items += c.Items
+			out[j].Held += c.Held
+			out[j].FreeMem += c.FreeMem
+		}
+	}
+	return out
+}
+
+// Mapped returns the bytes of the shards' mapped regions.
+func (se *ShardedEngine) Mapped() int64 {
+	var n int64
+	for i := range se.shards {
+		sh := &se.shards[i]
+		sh.mu.Lock()
+		n += sh.eng.Mapped()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Close empties every shard and unmaps its region; see Engine.Close.
+func (se *ShardedEngine) Close() {
+	for i := range se.shards {
+		sh := &se.shards[i]
+		sh.mu.Lock()
+		sh.eng.Close()
+		sh.mu.Unlock()
+	}
 }
 
 // MemUsed returns bytes of chunk memory in use across shards.
