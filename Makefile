@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test vet race bench bench-smoke bench-kernel bench-dataplane bench-netsim bench-orchestration bench-fleet bench-swarm bench-cluster golden stress repro tools clean
+.PHONY: all test vet race bench bench-smoke bench-kernel bench-dataplane bench-netsim bench-orchestration bench-fleet bench-swarm bench-cluster golden determinism stress repro tools clean
 
 all: test
 
@@ -74,9 +74,9 @@ bench-fleet:
 # hot path at 25 k clients per rack (cache-resident) and 250 k per rack
 # (cache-cold, where the million-client runs are) in ns/arrival, then what
 # rides on it — the adaptive-vs-fixed sync window comparison, the max-min
-# solver's cost pins (links-touched per rate event; req/wall-s on the
-# 20x-overloaded swarm), the tab9 table, and the million-client smoke once
-# (-benchtime 1x; req/wall-s and B-heap/client headline).
+# solver's cost pins (links touched per flow and per settle; req/wall-s on
+# the 20x-overloaded swarm), the tab9 table, and the million-client smoke
+# once (-benchtime 1x; req/wall-s and B-heap/client headline).
 bench-swarm: tools
 	go test -run '^$$' -bench 'SwarmArrivals' -benchmem ./internal/swarm/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	go test -run '^$$' -bench 'ShardSyncSparse' -benchmem ./internal/sim/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
@@ -108,6 +108,21 @@ bench-cluster: tools
 golden:
 	go test -run 'TestGolden' -v .
 
+# Determinism matrix: the goldens, the swarm and DFSIO pins (each cell at
+# 1, 2 and 4 shards, swarm cells -short) and the pinned netsim solver
+# traces must hold under GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries
+# are built once, so the settings apply to the simulation, not to the
+# compiler.
+determinism:
+	mkdir -p bin
+	go test -c -o bin/hbb.test .
+	go test -c -o bin/netsim.test ./internal/netsim/
+	for procs in 1 2 8; do for gc in 1 off; do \
+		echo "GOMAXPROCS=$$procs GOGC=$$gc"; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSwarmFingerprintPins|TestFleetDFSIOWritePins' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress' || exit 1; \
+	done; done
+
 # Concurrency stress tests under the race detector: sharded engine, its
 # slab ledger (10^5 random store/reserve/pin steps) and pinned readers
 # against concurrent writers, TCP server (GET replies sent from pinned
@@ -116,9 +131,11 @@ golden:
 # followers, failed flush, value ownership), the cluster's replica
 # fan-out, concurrent shard windows (adaptive on and off), the cross-shard
 # swarm fingerprint, the swarm's tick calendar against its time-ordered
-# heap oracle (also over a 4-slot wheel), the max-min solver against its
-# full-re-solve oracle (differential, fairness certificate, weight =
-# multiplicity), and the pinned flow and fleet solver traces.
+# heap oracle (also over a 4-slot wheel), Env.Reschedule against Cancel +
+# At, the max-min solver against its full-re-solve oracle (differential
+# over single and coalesced events, fairness certificate, weight =
+# multiplicity, Crossing order), and the pinned flow and fleet solver
+# traces (the fleet's also on a same-instant-heavy grid).
 stress:
 	go test -race -run 'Stress|Concurrent|Pipelined|GroupCommit|FanOut' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/maxmin/ ./internal/netsim/ ./internal/swarm/ .
 

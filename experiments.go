@@ -1223,8 +1223,9 @@ func tab8(scale Scale) *metrics.Table {
 // offered byte load at 1x/4x/20x of the ~40 GB/s reference, scaled
 // via request size — with a MaxInflight admission cap bounding the
 // open-loop backlog. shed%% is the capped fraction of arrivals and
-// links/op is solver links touched per rate event: the incremental
-// solver holds it near-flat from 1x to 20x, where a per-leg full
+// links/op is solver links touched per rack settle (one per instant
+// with rate events): the incremental solver holds it near-flat from 1x
+// to 20x, where a per-leg full
 // re-solve's per-event cost tracks the outstanding-transfer
 // population (BENCH_9.json records that A/B).
 func tab9(scale Scale) *metrics.Table {

@@ -72,6 +72,40 @@ func TestFleetDFSIOWriteDeterminism(t *testing.T) {
 	}
 }
 
+// TestFleetDFSIOWritePins holds DFSIOWrite's trace fixed across commits.
+// Its fingerprint folds every file's completion instant, so unlike the
+// swarm's it sees completion order and timing directly. The first two
+// cells are tab8's small-scale rows; the 240-node cell doubles the files
+// and their size. The values were recorded at the parent of the commit
+// that coalesced each rack's same-instant rate events into one settle,
+// under per-event re-solving; windows are pinned per shard count.
+func TestFleetDFSIOWritePins(t *testing.T) {
+	for _, c := range []struct {
+		nodes, files    int
+		size            int64
+		want            uint64
+		events, elapsed int64
+		windows         [2]int64
+	}{
+		{100, 4, 1 << 20, 0x692ad8c9f13457c0, 3400, 4668962, [2]int64{147, 337}},
+		{400, 4, 1 << 20, 0x8e12b3395dcf14b0, 13600, 5032356, [2]int64{657, 783}},
+		{240, 8, 2 << 20, 0xbb91a4646b6e9acb, 15840, 18759925, [2]int64{1737, 2389}},
+	} {
+		for si, shards := range []int{1, 2} {
+			fb, err := NewFleet(Options{Nodes: c.nodes, RacksOf: 20, Seed: 1, SimShards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := fb.DFSIOWrite(c.files, c.size)
+			if r.Fingerprint != c.want || r.Events != c.events || int64(r.Elapsed) != c.elapsed || r.Windows != c.windows[si] {
+				t.Errorf("nodes=%d shards=%d: fingerprint %016x events %d elapsed %d windows %d, want %016x %d %d %d",
+					c.nodes, shards, r.Fingerprint, r.Events, int64(r.Elapsed), r.Windows,
+					c.want, c.events, c.elapsed, c.windows[si])
+			}
+		}
+	}
+}
+
 func TestFleetOptionsValidation(t *testing.T) {
 	if _, err := NewFleet(Options{Nodes: 100, RacksOf: 16}); err == nil {
 		t.Error("non-divisible Nodes/RacksOf accepted")

@@ -8,11 +8,15 @@
 // inside the component its links belong to. Resolve therefore BFSes
 // from the event's links, water-fills only what it reached, and hands
 // that component back; every entity outside it keeps its rate. The
-// component is ordered by arrival Seq before filling, so links enter
-// the bottleneck scan in the same first-appearance order a full
-// re-solve over all entities would use, ties break on the earliest
-// link either way, and the rates are bit-identical to the full
-// re-solve's (solver_test.go holds that re-solve as the oracle).
+// solver keeps its active set in arrival Seq order (Add appends, Remove
+// binary-searches and shifts), so the BFS only marks the component and
+// a walk of the active set collects it already in Seq order — no sort.
+// Links therefore enter the bottleneck scan in the same first-appearance
+// order a full re-solve over all entities would use, ties break on the
+// earliest link either way, and the rates are bit-identical to the full
+// re-solve's (solver_test.go holds that re-solve as the oracle). Rates
+// are a function of the final entity set alone, so an owner may apply
+// several events and then Resolve once, seeded with all their links.
 //
 // The owner — netsim.Network for flows, netsim's per-rack fleet solver
 // for counted bundles — embeds an Entity in its own record, keeps
@@ -68,7 +72,6 @@ type Entity[O any] struct {
 
 	onA, onB hook[O] // list slots on A's and B's lists
 	compGen  uint64
-	idx      int // position in Solver.active
 	frozen   bool
 }
 
@@ -110,7 +113,7 @@ func (l *Link[O]) detach(e *Entity[O]) {
 // Solver owns the active entity set and the scratch of one independent
 // fabric (a Network, or one fleet rack).
 type Solver[O any] struct {
-	active  []*Entity[O] // arbitrary order; idx tracks positions
+	active  []*Entity[O] // ascending Seq: Add appends, Remove shifts
 	seq     uint64
 	gen     uint64
 	compGen uint64
@@ -127,45 +130,58 @@ func (s *Solver[O]) Add(e *Entity[O]) {
 	e.Rate, e.PrevRate = 0, 0
 	e.A.attach(e)
 	e.B.attach(e)
-	e.idx = len(s.active)
 	s.active = append(s.active, e)
 }
 
-// Remove deactivates e in O(1). It does not solve: follow with
+// Remove deactivates e: a binary search by Seq and a shift of the
+// entities that arrived after it. It does not solve: follow with
 // Resolve(e.A, e.B) so the entities that shared its links speed up.
 func (s *Solver[O]) Remove(e *Entity[O]) {
 	e.A.detach(e)
 	e.B.detach(e)
+	i := s.search(e.Seq)
+	copy(s.active[i:], s.active[i+1:])
 	last := len(s.active) - 1
-	if e.idx != last {
-		moved := s.active[last]
-		s.active[e.idx] = moved
-		moved.idx = e.idx
-	}
 	s.active[last] = nil
 	s.active = s.active[:last]
 }
 
-// Active returns the active entities in arbitrary order. The slice is
-// the solver's own: read it, don't keep it across Add or Remove.
+// search returns the position of the first active entity with Seq >= seq.
+func (s *Solver[O]) search(seq uint64) int {
+	lo, hi := 0, len(s.active)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.active[mid].Seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Active returns the active entities in ascending Seq (arrival) order.
+// The slice is the solver's own: read it, don't keep it across Add or
+// Remove.
 func (s *Solver[O]) Active() []*Entity[O] { return s.active }
 
 // Resolve recomputes the shares of every active entity transitively
 // connected to the seed links and returns that component in Seq order,
 // with the number of links it water-filled. Each returned entity has
 // PrevRate set to its rate on entry and Rate to its new share. The
-// slice is scratch, valid until the next Resolve.
+// slice is scratch, valid until the next Resolve or Crossing. Seeds may
+// repeat.
 func (s *Solver[O]) Resolve(seeds ...*Link[O]) (comp []*Entity[O], links int) {
 	s.compGen++
 	gen := s.compGen
 	s.bfs = s.bfs[:0]
-	s.comp = s.comp[:0]
 	for _, l := range seeds {
 		if l.compGen != gen {
 			l.compGen = gen
 			s.bfs = append(s.bfs, l)
 		}
 	}
+	n, first := 0, uint64(math.MaxUint64)
 	for i := 0; i < len(s.bfs); i++ {
 		l := s.bfs[i]
 		for e := l.head; e != nil; e = e.Next(l) {
@@ -173,7 +189,8 @@ func (s *Solver[O]) Resolve(seeds ...*Link[O]) (comp []*Entity[O], links int) {
 				continue
 			}
 			e.compGen = gen
-			s.comp = append(s.comp, e)
+			n++
+			first = min(first, e.Seq)
 			o := e.A
 			if o == l {
 				o = e.B
@@ -184,8 +201,47 @@ func (s *Solver[O]) Resolve(seeds ...*Link[O]) (comp []*Entity[O], links int) {
 			}
 		}
 	}
-	SortBySeq(s.comp)
+	s.collect(gen, n, first)
 	return s.comp, s.waterFill(s.comp)
+}
+
+// Crossing returns the active entities crossing any of links, in Seq
+// order. Like Resolve's component, the slice is scratch, valid until
+// the next Resolve or Crossing.
+func (s *Solver[O]) Crossing(links ...*Link[O]) []*Entity[O] {
+	s.compGen++
+	gen := s.compGen
+	n, first := 0, uint64(math.MaxUint64)
+	for _, l := range links {
+		for e := l.head; e != nil; e = e.Next(l) {
+			if e.compGen != gen {
+				e.compGen = gen
+				n++
+				first = min(first, e.Seq)
+			}
+		}
+	}
+	s.collect(gen, n, first)
+	return s.comp
+}
+
+// collect gathers the n active entities stamped gen into s.comp in Seq
+// order: a walk of the Seq-ordered active set from the earliest of them
+// (whose Seq is first) that stops at the last one, so the order costs no
+// sort.
+func (s *Solver[O]) collect(gen uint64, n int, first uint64) {
+	s.comp = s.comp[:0]
+	if n == 0 {
+		return
+	}
+	for _, e := range s.active[s.search(first):] {
+		if e.compGen == gen {
+			s.comp = append(s.comp, e)
+			if len(s.comp) == n {
+				return
+			}
+		}
+	}
 }
 
 // waterFill assigns max-min shares to es, which must be closed under
@@ -244,37 +300,4 @@ func (s *Solver[O]) waterFill(es []*Entity[O]) int {
 		}
 	}
 	return len(s.fill)
-}
-
-// SortBySeq orders entities by arrival Seq in place (heapsort: zero
-// allocations, O(n log n) worst case). Seq values are unique per
-// solver, so the order is total and deterministic. It is hand-rolled
-// because slices.SortFunc, whose comparator is not inlined, measured 8%
-// off fleet_overload's ops_per_s, where this sort is ~7% of the run.
-func SortBySeq[O any](es []*Entity[O]) {
-	n := len(es)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftSeq(es, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		es[0], es[i] = es[i], es[0]
-		siftSeq(es, 0, i)
-	}
-}
-
-func siftSeq[O any](es []*Entity[O], i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && es[c+1].Seq > es[c].Seq {
-			c++
-		}
-		if es[i].Seq >= es[c].Seq {
-			return
-		}
-		es[i], es[c] = es[c], es[i]
-		i = c
-	}
 }

@@ -130,34 +130,50 @@ func TestIncrementalMatchesFullResolveStress(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		// Few links: components merge and split; many: mostly disjoint.
 		fb := newFabric(rng, []int{6, 12, 40}[seed%3])
-		var untouched int
+		var untouched, batched int
 		for ev := 0; ev < 600; ev++ {
 			active := fb.solver.Active()
 			before := make(map[*entity]float64, len(active))
 			for _, e := range active {
 				before[e] = e.Rate
 			}
-			var a, b *link
-			switch k := rng.Intn(10); {
-			case k < 4 || len(active) == 0: // arrival
-				a, b = fb.randomPair(rng)
-				e := fb.add(a, b, 1+rng.Intn(4))
-				before[e] = 0
-			case k < 7: // departure
-				e := active[rng.Intn(len(active))]
-				a, b = e.A, e.B
-				fb.solver.Remove(e)
-				delete(before, e)
-			case k < 9: // weight change (a bundle gained or lost members)
-				e := active[rng.Intn(len(active))]
-				a, b = e.A, e.B
-				e.Weight = 1 + rng.Intn(6)
-			default: // spurious re-solve from arbitrary seeds: must be a no-op
-				a, b = fb.randomPair(rng)
+			// One to three events, then one Resolve seeded with all their
+			// links — the coalesced shape an owner settling a whole instant
+			// at once produces.
+			events := 1
+			if rng.Intn(3) == 0 {
+				events += 1 + rng.Intn(2)
 			}
-			comp, links := fb.solver.Resolve(a, b)
+			var seeds []*link
+			for ; events > 0; events-- {
+				active = fb.solver.Active()
+				var a, b *link
+				switch k := rng.Intn(10); {
+				case k < 4 || len(active) == 0: // arrival
+					a, b = fb.randomPair(rng)
+					e := fb.add(a, b, 1+rng.Intn(4))
+					before[e] = 0
+				case k < 7: // departure
+					e := active[rng.Intn(len(active))]
+					a, b = e.A, e.B
+					fb.solver.Remove(e)
+					delete(before, e)
+				case k < 9: // weight change (a bundle gained or lost members)
+					e := active[rng.Intn(len(active))]
+					a, b = e.A, e.B
+					e.Weight = 1 + rng.Intn(6)
+				default: // spurious re-solve from arbitrary seeds: must be a no-op
+					a, b = fb.randomPair(rng)
+				}
+				seeds = append(seeds, a, b)
+			}
+			if len(seeds) > 2 {
+				batched++
+			}
+			comp, links := fb.solver.Resolve(seeds...)
 			checkComponent(t, comp, links, before)
 			active = fb.solver.Active()
+			checkSeqOrder(t, active)
 			untouched += len(active) - len(comp)
 			want := fullResolve(active)
 			for _, e := range active {
@@ -170,6 +186,20 @@ func TestIncrementalMatchesFullResolveStress(t *testing.T) {
 		}
 		if untouched == 0 {
 			t.Errorf("seed %d: every resolve covered every entity; the incremental path was not exercised", seed)
+		}
+		if batched == 0 {
+			t.Errorf("seed %d: no resolve covered more than one event", seed)
+		}
+	}
+}
+
+// checkSeqOrder verifies the active set is in strictly ascending Seq
+// order, which is what lets Resolve collect its component without a sort.
+func checkSeqOrder(t *testing.T, active []*entity) {
+	t.Helper()
+	for i := 1; i < len(active); i++ {
+		if active[i-1].Seq >= active[i].Seq {
+			t.Fatalf("active set not in Seq order at %d: %d then %d", i, active[i-1].Seq, active[i].Seq)
 		}
 	}
 }
@@ -289,17 +319,33 @@ func TestResolveDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestSortBySeq(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for n := 0; n < 40; n++ {
-		es := make([]*entity, n)
-		for i, p := range rng.Perm(n) {
-			es[i] = &entity{Seq: uint64(p + 1)}
+func TestCrossingInSeqOrderStress(t *testing.T) {
+	// Crossing must return exactly the active entities on the given links,
+	// each once (an entity on two of them too), in Seq order, whatever
+	// order arrivals and departures left the link lists in.
+	rng := rand.New(rand.NewSource(5))
+	fb := newFabric(rng, 6)
+	for ev := 0; ev < 400; ev++ {
+		if active := fb.solver.Active(); len(active) > 0 && rng.Intn(3) == 0 {
+			fb.solver.Remove(active[rng.Intn(len(active))])
+		} else {
+			a, b := fb.randomPair(rng)
+			fb.add(a, b, 1)
 		}
-		SortBySeq(es)
-		for i, e := range es {
-			if e.Seq != uint64(i+1) {
-				t.Fatalf("n=%d: position %d holds seq %d", n, i, e.Seq)
+		x, y := fb.randomPair(rng)
+		var want []*entity
+		for _, e := range fb.solver.Active() {
+			if e.A == x || e.B == x || e.A == y || e.B == y {
+				want = append(want, e)
+			}
+		}
+		got := fb.solver.Crossing(x, y, x)
+		if len(got) != len(want) {
+			t.Fatalf("event %d: Crossing returned %d entities, %d active cross the links", ev, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("event %d: Crossing[%d] is seq %d, want seq %d", ev, i, got[i].Seq, want[i].Seq)
 			}
 		}
 	}

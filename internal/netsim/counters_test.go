@@ -4,8 +4,11 @@ package netsim
 // and the cost-pin tests, quirks included: an empty re-solve (the last
 // flow of a component completing) still counts, and a node failure
 // skips the count only when survivors exist but none shares a
-// component with a casualty. These tables pin the semantics on the
-// owners so a solver change cannot drift them silently.
+// component with a casualty. A Network counts one re-solve per flow
+// transition; a Fleet rack counts one settle per instant with rate
+// events, however many legs arrived or finished in it. These tables pin
+// the semantics on the owners so a solver change cannot drift them
+// silently.
 
 import (
 	"fmt"
@@ -121,7 +124,10 @@ func TestFleetCounterSemantics(t *testing.T) {
 		n        int64
 	}
 	const mb = 6_000_000
-	// 2 racks of 4 nodes: 0-3 in rack 0, 4-7 in rack 1.
+	// 2 racks of 4 nodes: 0-3 in rack 0, 4-7 in rack 1. Legs starting at
+	// t=0 share one settle; each completion instant is one more. Under
+	// per-event re-solving (before settles) the three two-leg intra-rack
+	// cases counted 2/4/6, 2/4/7 and 2/4/4.
 	cases := []struct {
 		name                   string
 		xfers                  []xfer
@@ -135,13 +141,13 @@ func TestFleetCounterSemantics(t *testing.T) {
 			flows: 1, resolves: 2, links: 2},
 		{name: "same-pair legs ride one bundle",
 			xfers: []xfer{{0, 0, 1, mb}, {0, 0, 1, 2 * mb}},
-			flows: 2, resolves: 4, links: 2 + 2 + 2 + 0},
+			flows: 2, resolves: 3, links: 2 + 2 + 0},
 		{name: "two legs sharing an egress link",
 			xfers: []xfer{{0, 0, 1, mb}, {0, 0, 2, 2 * mb}},
-			flows: 2, resolves: 4, links: 2 + 3 + 2 + 0},
+			flows: 2, resolves: 3, links: 3 + 2 + 0},
 		{name: "two disjoint legs",
 			xfers: []xfer{{0, 0, 1, mb}, {0, 2, 3, 2 * mb}},
-			flows: 2, resolves: 4, links: 2 + 2 + 0 + 0},
+			flows: 2, resolves: 3, links: 4 + 0 + 0},
 		{name: "cross-rack transfer is two legs",
 			xfers: []xfer{{0, 0, 5, mb}},
 			flows: 2, resolves: 4, links: 2 + 0 + 2 + 0},

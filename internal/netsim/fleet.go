@@ -27,6 +27,18 @@ package netsim
 // (rack.downlink, dst.ingress), and a completion ack travels back to
 // wake the writer. Each rack solves max-min fairness over its own links
 // only — the decoupling that keeps racks independent between barriers.
+//
+// Rate events are settled once per rack per instant. A leg's arrival or
+// completion updates its bundle's member heap and weight at once, records
+// the bundle's two links as seeds and registers the rack's settle as an
+// end-of-instant hook (sim.Env.AtEndOfInstant) if it is not pending yet.
+// When nothing more is due at that instant, the settle runs one Resolve
+// over every seed, books progress at the rates in force before the
+// instant, and moves (sim.Env.Reschedule) only the completion timers whose
+// rate or head member changed. A burst of same-instant arrivals into a
+// rack therefore costs one re-solve, not one per leg; since max-min rates
+// are a function of the final bundle set alone, the rates and completion
+// instants are those per-event re-solving would reach.
 
 import (
 	"errors"
@@ -115,8 +127,9 @@ type fleetMember struct {
 // per-member service is S(t) = anchorS + rate*(t-anchorT)/1e9, a member
 // arriving at t with n bytes finishes when S reaches S(t)+n, and only
 // the member with the smallest such tag holds a completion timer. Rate
-// changes re-anchor S; tags never change, so backlogged members cost
-// nothing until they reach the heap head.
+// changes re-anchor S (at the rack's settle, with the rate in force before
+// the instant); tags never change, so backlogged members cost nothing
+// until they reach the heap head.
 type fleetBundle struct {
 	rack *fleetRack
 	// ent is the bundle's solver entity over (a, b); ent.Rate is the
@@ -131,7 +144,10 @@ type fleetBundle struct {
 
 	timer    sim.Timer
 	timerSet bool
-	finishFn func()
+	// headMoved marks a member that became the heap head since the timer
+	// was armed: the settle must move the timer even if the rate holds.
+	headMoved bool
+	finishFn  func()
 }
 
 // serviceAt returns the bundle's cumulative per-member service at now
@@ -144,9 +160,9 @@ func (bu *fleetBundle) serviceAt(now int64) float64 {
 }
 
 // advanceAnchor books the service accumulated at the given rate since
-// the last anchor. Like Flow.advanceAt, it runs only when the bundle's
-// rate changes (or its timer needs re-arming), so progress accounting is
-// a function of the rate-change instants alone.
+// the last anchor. Like Flow.advanceAt, it runs only when a settle finds
+// the bundle's rate changed (or its timer needs re-arming), so progress
+// accounting is a function of the rate-change instants alone.
 func (bu *fleetBundle) advanceAnchor(now int64, rate float64) {
 	if dt := now - bu.anchorT; dt > 0 && rate > 0 {
 		bu.anchorS += rate * float64(dt) / 1e9
@@ -229,6 +245,12 @@ type fleetRack struct {
 	xfers  []*fleetXfer // StartTransfer record pool
 	seq    uint64       // cross-shard send ordering counter
 
+	// seeds are the links of this instant's rate events, waiting for the
+	// settle; settleFn is the cached hook, pending while settling is set.
+	seeds    []*maxmin.Link[*fleetBundle]
+	settling bool
+	settleFn func()
+
 	sent         int64
 	recv         int64
 	started      int64
@@ -268,6 +290,7 @@ func NewFleet(topo FleetTopology) (*Fleet, error) {
 		}
 		r.up.Cap = topo.UplinkBandwidth
 		r.down.Cap = topo.UplinkBandwidth
+		r.settleFn = r.settle
 		fl.racks[i] = r
 	}
 	return fl, nil
@@ -420,7 +443,8 @@ func (fl *Fleet) Transfer(p *sim.Proc, src, dst int, n int64) error {
 // arranges for done to run (on the rack's shard) when the last byte
 // lands. It must run on the rack's shard. The leg joins the existing
 // bundle for its (a, b) pair when one is draining, so concurrent
-// same-pair legs cost a member-heap push, not a new solver entity.
+// same-pair legs cost a member-heap push, not a new solver entity; the
+// rates follow at the rack's settle.
 func (r *fleetRack) startFlow(now int64, a, b *fleetLink, n int64, done func()) {
 	r.started++
 	var bu *fleetBundle
@@ -436,14 +460,13 @@ func (r *fleetRack) startFlow(now int64, a, b *fleetLink, n int64, done func()) 
 	}
 	bu.memSeq++
 	m := fleetMember{tag: bu.serviceAt(now) + float64(n), seq: bu.memSeq, fn: done}
-	if bu.pushMember(m) && !fresh && bu.timerSet {
-		// The new leg finishes before the armed head: invalidate the
-		// timer so the re-solve re-arms it even if the rate is unchanged.
-		r.env.Cancel(bu.timer)
-		bu.timerSet = false
+	if bu.pushMember(m) && !fresh {
+		// The new leg finishes before the armed head: the settle moves
+		// the timer even if the rate is unchanged.
+		bu.headMoved = true
 	}
 	bu.ent.Weight = len(bu.members)
-	r.resolve(now, a, b)
+	r.touch(a, b)
 }
 
 // getBundle takes a pooled (or new) bundle for the (a, b) pair and
@@ -462,36 +485,42 @@ func (r *fleetRack) getBundle(a, b *fleetLink, now int64) *fleetBundle {
 	bu.ent.A, bu.ent.B = a, b
 	bu.anchorS, bu.anchorT = 0, now
 	bu.memSeq = 0
-	bu.timerSet = false
+	bu.timerSet, bu.headMoved = false, false
 	r.solver.Add(&bu.ent)
 	return bu
 }
 
-// rearm replaces the completion timer to match the current rate and
-// head member. Call only with the anchor at now.
+// rearm moves the completion timer to match the current rate and head
+// member, in place when one is armed. Call only with the anchor at now.
 func (bu *fleetBundle) rearm(now int64) {
-	if bu.timerSet {
-		bu.rack.env.Cancel(bu.timer)
-		bu.timerSet = false
-	}
+	bu.headMoved = false
+	env := bu.rack.env
 	if bu.ent.Rate <= 0 || len(bu.members) == 0 {
+		if bu.timerSet {
+			env.Cancel(bu.timer)
+			bu.timerSet = false
+		}
 		return
 	}
 	ns := math.Ceil((bu.members[0].tag - bu.anchorS) / bu.ent.Rate * 1e9)
 	if ns < 0 {
 		ns = 0
 	}
-	bu.timer = bu.rack.env.At(time.Duration(now)+time.Duration(ns), bu.finishFn)
+	at := time.Duration(now) + time.Duration(ns)
+	if bu.timerSet {
+		env.Reschedule(bu.timer, at)
+		return
+	}
+	bu.timer = env.At(at, bu.finishFn)
 	bu.timerSet = true
 }
 
 // finish runs as a callback timer when the head member's last byte
-// drains: pop it, re-solve the affected component (the bundle lost one
-// unit of weight — or disappeared), then deliver the completion.
+// drains: pop it, record the rate event (the bundle lost one unit of
+// weight — or disappeared) for the settle, then deliver the completion.
 func (bu *fleetBundle) finish() {
 	bu.timerSet = false
 	r := bu.rack
-	now := int64(r.env.Now())
 	fn := bu.popHead()
 	a, b := bu.ent.A, bu.ent.B
 	bu.ent.Weight = len(bu.members)
@@ -500,21 +529,36 @@ func (bu *fleetBundle) finish() {
 		bu.ent.A, bu.ent.B = nil, nil
 		r.pool = append(r.pool, bu)
 	}
-	r.resolve(now, a, b)
+	r.touch(a, b)
 	fn()
 }
 
-// resolve re-solves the component(s) of the bundle/link graph reachable
-// from a rate event's two links, counts the pass (also when the
-// component came back empty) and the links it water-filled, and re-arms
-// timers only for bundles whose rate — or head member — changed.
-func (r *fleetRack) resolve(now int64, a, b *fleetLink) {
-	comp, links := r.solver.Resolve(a, b)
+// touch records a rate event on links a and b and makes sure the rack
+// settles before its instant ends.
+func (r *fleetRack) touch(a, b *fleetLink) {
+	r.seeds = append(r.seeds, a, b)
+	if !r.settling {
+		r.settling = true
+		r.env.AtEndOfInstant(r.settleFn)
+	}
+}
+
+// settle runs once per instant with rate events, as an end-of-instant
+// hook: one Resolve over the component(s) reachable from every event's
+// links, counted (also when the component came back empty) with the links
+// it water-filled. Bundles book their progress at PrevRate — the rate in
+// force before the instant — and only those whose rate or head member
+// changed move their timer.
+func (r *fleetRack) settle() {
+	r.settling = false
+	now := int64(r.env.Now())
+	comp, links := r.solver.Resolve(r.seeds...)
+	r.seeds = r.seeds[:0]
 	r.resolves++
 	r.linksTouched += int64(links)
 	for _, e := range comp {
 		bu := e.Owner
-		if bu.timerSet && e.Rate == e.PrevRate {
+		if bu.timerSet && !bu.headMoved && e.Rate == e.PrevRate {
 			continue
 		}
 		bu.advanceAnchor(now, e.PrevRate)
@@ -528,10 +572,11 @@ type FleetStats struct {
 	BytesSent     int64
 	BytesReceived int64
 	Flows         int64
-	// Resolves counts solver invocations; LinksTouched the links those
-	// invocations water-filled. LinksTouched/Resolves is the O(affected)
-	// figure: constant-bounded when concurrent flows share no links,
-	// regardless of how many are active.
+	// Resolves counts settles — one solver invocation per rack per
+	// instant with rate events; LinksTouched the links those invocations
+	// water-filled. LinksTouched/Flows is the O(affected) figure:
+	// constant-bounded when concurrent flows share no links, regardless
+	// of how many are active.
 	Resolves     int64
 	LinksTouched int64
 	Windows      int64

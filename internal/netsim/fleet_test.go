@@ -168,6 +168,70 @@ func TestFleetLoopbackAndValidationErrors(t *testing.T) {
 	fl.Group().Run()
 }
 
+func TestFleetSettleMovesTimerOfNewHead(t *testing.T) {
+	// Bundles X (0→1) and Y (0→2) share node 0's egress, the bottleneck,
+	// at weights 1 and 2: every member drains at a third of it. When Y's
+	// short member finishes, its callback joins a short member to X in the
+	// same instant. The weights become 2 and 1, so X's rate comes out of
+	// the settle bit-identical — but X has a new head, which must get its
+	// own completion timer rather than inherit the long member's.
+	fl, err := NewFleet(fleetTopo(1, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := fl.racks[0]
+	eg, in1, in2 := &r.nodes[0].eg, &r.nodes[1].in, &r.nodes[2].in
+	third := int64(RDMA.Bandwidth / 3 / 1000) // 1 ms at a third of a NIC
+	var took time.Duration
+	r.env.At(0, func() {
+		r.startFlow(0, eg, in1, 100*third, func() {})
+		r.startFlow(0, eg, in2, third, func() {
+			now := r.env.Now()
+			r.startFlow(int64(now), eg, in1, third, func() { took = r.env.Now() - now })
+		})
+		r.startFlow(0, eg, in2, 100*third, func() {})
+	})
+	fl.Group().Run()
+	if d := took - time.Millisecond; d < -2*time.Nanosecond || d > 2*time.Nanosecond {
+		t.Errorf("the joined head took %v, want 1ms", took)
+	}
+}
+
+func TestFleetSettleDoesNotAllocate(t *testing.T) {
+	// A same-instant burst — two legs joining one bundle, one more sharing
+	// their egress — then its completions: settles, timer moves, pooled
+	// bundles and transfer records, all without allocating once warm.
+	fl, err := NewFleet(fleetTopo(1, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := fl.Env(0)
+	done := func() {}
+	burst := func() {
+		for _, dst := range [...]int{1, 1, 2} {
+			if err := fl.StartTransfer(0, dst, 1<<20, done); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	step := func() {
+		env.At(env.Now(), burst)
+		fl.Group().Run()
+	}
+	step() // size the pools and scratch
+	before := fl.Stats().Resolves
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Errorf("burst and drain allocated %.1f times, want 0", n)
+	}
+	// Per burst: one settle for the arrivals; the three equal legs then
+	// finish at one instant, where the settle after the first two
+	// completions re-arms the bundle's second member at that same instant
+	// and a second settle follows its completion.
+	if got := fl.Stats().Resolves - before; got != 51*3 {
+		t.Errorf("%d settles over 51 bursts, want %d", got, 51*3)
+	}
+}
+
 // fleetTraceFingerprint runs a mixed intra/cross-rack workload and folds
 // every transfer completion into per-rack hashes combined in rack order,
 // so the result is independent of shard placement but sensitive to any

@@ -177,17 +177,23 @@ func (f *Flow) advanceAt(now int64, rate float64) {
 	f.lastUpd = now
 }
 
-// rearm replaces the completion timer to match the current rate.
+// rearm moves the completion timer to match the current rate, in place
+// when one is armed.
 func (f *Flow) rearm(now int64) {
-	if f.timerSet {
-		f.nw.env.Cancel(f.timer)
-		f.timerSet = false
-	}
 	if f.ent.Rate <= 0 {
-		return // starved; the next flow transition re-solves
+		// Starved; the next flow transition re-solves.
+		if f.timerSet {
+			f.nw.env.Cancel(f.timer)
+			f.timerSet = false
+		}
+		return
 	}
-	ns := math.Ceil(f.remaining / f.ent.Rate * 1e9)
-	f.timer = f.nw.env.At(time.Duration(now)+time.Duration(ns), f.finishFn)
+	at := time.Duration(now) + time.Duration(math.Ceil(f.remaining/f.ent.Rate*1e9))
+	if f.timerSet {
+		f.nw.env.Reschedule(f.timer, at)
+		return
+	}
+	f.timer = f.nw.env.At(at, f.finishFn)
 	f.timerSet = true
 }
 
@@ -245,22 +251,19 @@ func (nw *Network) settle(now int64, comp []*maxmin.Entity[*Flow]) {
 // failed node's own traffic.
 func (nw *Network) abortFlows(id NodeID) {
 	// Every casualty crosses one of the failed node's own links, so their
-	// lists are the hit set — no scan of the whole fabric. Arrival order
-	// fixes the order writers wake in.
+	// lists are the hit set — no scan of the whole fabric. Arrival order,
+	// which the solver hands them back in, fixes the order writers wake in.
 	ifc := nw.ifaces[id]
-	var hit []*maxmin.Entity[*Flow]
+	var links []*flowLink
 	for _, l := range [4]*flowLink{ifc.flEg, ifc.flIn, ifc.flLegEg, ifc.flLegIn} {
-		if l == nil {
-			continue
-		}
-		for e := l.First(); e != nil; e = e.Next(l) {
-			hit = append(hit, e)
+		if l != nil {
+			links = append(links, l)
 		}
 	}
+	hit := append([]*maxmin.Entity[*Flow](nil), nw.solver.Crossing(links...)...)
 	if len(hit) == 0 {
 		return
 	}
-	maxmin.SortBySeq(hit)
 	now := int64(nw.env.Now())
 	seeds := make([]*flowLink, 0, 2*len(hit))
 	for _, e := range hit {

@@ -5,18 +5,20 @@ package sim
 // list, so steady-state scheduling allocates nothing; the heap itself holds
 // only slot indices. Every slot knows its heap position, which makes
 // cancellation an O(log n) removal instead of a tombstone that lingers
-// until its (possibly far-future) deadline pops. A 4-ary layout halves the
-// tree depth of a binary heap and keeps sift-downs inside one cache line of
-// child indices — the classic d-ary trade of a few extra comparisons for
-// fewer memory touches.
+// until its (possibly far-future) deadline pops, and lets a reschedule
+// re-key a live event where it sits (one sift, no remove + push). A 4-ary
+// layout halves the tree depth of a binary heap and keeps sift-downs inside
+// one cache line of child indices — the classic d-ary trade of a few extra
+// comparisons for fewer memory touches.
 
 // heapArity is the heap's branching factor.
 const heapArity = 4
 
 // Timer is a cancellable handle to a scheduled callback or process wake.
-// The zero Timer is inert: Cancel on it reports false. Handles are
-// generation-checked, so cancelling a timer that already fired (and whose
-// slot was recycled) is a safe no-op.
+// The zero Timer is inert: Cancel and Reschedule on it report false.
+// Handles are generation-checked, so cancelling a timer that already fired
+// (and whose slot was recycled) is a safe no-op. A rescheduled timer keeps
+// its handle.
 type Timer struct {
 	slot int32 // slot index + 1; 0 marks the zero (inert) handle
 	gen  uint32
@@ -84,22 +86,42 @@ func (q *eventQueue) pop() (p *Proc, pgen uint32, fn func(), r wakeReason) {
 	return p, pgen, fn, r
 }
 
-// cancel removes the event tm refers to, reporting whether it was still
-// pending.
-func (q *eventQueue) cancel(tm Timer) bool {
-	if tm.slot == 0 {
-		return false
-	}
-	idx := tm.slot - 1
-	if int(idx) >= len(q.slots) {
-		return false
+// lookup returns the slot of the pending event tm refers to, or nil when
+// tm is the zero handle or its event already fired or was cancelled.
+func (q *eventQueue) lookup(tm Timer) *eventSlot {
+	idx := int(tm.slot) - 1
+	if idx < 0 || idx >= len(q.slots) {
+		return nil
 	}
 	sl := &q.slots[idx]
 	if sl.gen != tm.gen || sl.pos < 0 {
+		return nil
+	}
+	return sl
+}
+
+// cancel removes the event tm refers to, reporting whether it was still
+// pending.
+func (q *eventQueue) cancel(tm Timer) bool {
+	sl := q.lookup(tm)
+	if sl == nil {
 		return false
 	}
 	q.removeAt(int(sl.pos))
 	return true
+}
+
+// rekey gives a pending event the key (t, seq) and sifts it from its
+// current position. seq is always fresh, hence larger than the old one,
+// so the key moves up only when t moves earlier.
+func (q *eventQueue) rekey(sl *eventSlot, t int64, seq uint64) {
+	earlier := t < sl.t
+	sl.t, sl.seq = t, seq
+	if earlier {
+		q.up(int(sl.pos))
+	} else {
+		q.down(int(sl.pos))
+	}
 }
 
 // removeAt deletes the event at heap position i and recycles its slot.

@@ -313,6 +313,10 @@ func (g *ShardGroup) Run() time.Duration {
 			if e.msgHead < len(e.msgs) && e.msgs[e.msgHead].at < n {
 				n = e.msgs[e.msgHead].at
 			}
+			if len(e.hooks) > 0 && e.now < n {
+				// Hooks registered outside a window still owe their instant.
+				n = e.now
+			}
 			g.next[i] = n
 			switch {
 			case n < tmin:

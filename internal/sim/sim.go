@@ -20,10 +20,18 @@
 // code needs no locking to touch shared simulation state.
 //
 // Events live in a flat indexed 4-ary heap with a slot free list (scheduling
-// allocates nothing in steady state, cancellation is an O(log n) removal,
-// see heap.go); one-shot deferred work can run as an inline callback timer
-// (At, After) with no process at all; and finished shells park in a pool
-// that Spawn reuses, so process churn inside a run creates no coroutines.
+// allocates nothing in steady state, cancellation is an O(log n) removal and
+// Reschedule moves a live timer in place, see heap.go); one-shot deferred
+// work can run as an inline callback timer (At, After) with no process at
+// all; and finished shells park in a pool that Spawn reuses, so process
+// churn inside a run creates no coroutines.
+//
+// An instant ends when nothing more is due at the current time: every heap
+// event and cross-shard delivery at that time has been dispatched, including
+// ones scheduled while the instant ran. AtEndOfInstant hooks run there,
+// before the clock moves, a shard window closes, or Run returns. An owner
+// that sees many state changes in one instant (a rack's flow solver under a
+// burst of arrivals) registers one hook and settles them all at once.
 package sim
 
 import (
@@ -67,6 +75,9 @@ type Env struct {
 	// RunUntil's limit, or a shard window's end (lowered mid-window by
 	// ShardGroup.Send).
 	windowCap int64
+	// hooks are the AtEndOfInstant callbacks waiting for the current
+	// instant to end, in registration order.
+	hooks []func()
 }
 
 // New returns an empty environment whose clock starts at zero. The seed
@@ -178,6 +189,53 @@ func (e *Env) After(d time.Duration, fn func()) Timer {
 // reporting whether it was still pending. Cancelling the zero Timer or one
 // that already fired is a no-op.
 func (e *Env) Cancel(tm Timer) bool { return e.q.cancel(tm) }
+
+// Reschedule moves a pending callback or timed wake to virtual time t
+// (clamped to the current time), reporting whether it was still pending.
+// The event is re-keyed where it sits in the queue and takes a fresh
+// sequence number, so it fires exactly where Cancel followed by At would
+// have put it, and tm stays its handle. On the zero Timer, or one that
+// already fired or was cancelled, it reports false and does nothing.
+func (e *Env) Reschedule(tm Timer, t time.Duration) bool {
+	sl := e.q.lookup(tm)
+	if sl == nil {
+		return false
+	}
+	ti := int64(t)
+	if ti < e.now {
+		ti = e.now
+	}
+	e.q.rekey(sl, ti, e.seq)
+	e.seq++
+	return true
+}
+
+// AtEndOfInstant registers fn to run once the current instant ends: after
+// every event and cross-shard delivery due at the current time has been
+// dispatched, including those scheduled while it was dispatching, and
+// before the clock moves on, a shard window closes, or Run/RunUntil
+// returns. Hooks run in registration order, inline in the event loop like
+// callback timers (same rules, and a panic aborts the run the same way).
+// A hook is not an event: it takes no sequence number and is not counted
+// by Events or Pending. Events a hook schedules at the current time, and
+// hooks it registers, run before the instant is over.
+func (e *Env) AtEndOfInstant(fn func()) {
+	if fn == nil {
+		panic("sim: AtEndOfInstant with nil callback")
+	}
+	e.hooks = append(e.hooks, fn)
+}
+
+// endInstant runs the registered end-of-instant hooks, including any a
+// hook registers.
+func (e *Env) endInstant() {
+	for i := 0; i < len(e.hooks); i++ {
+		fn := e.hooks[i]
+		e.hooks[i] = nil
+		fn()
+	}
+	e.hooks = e.hooks[:0]
+}
 
 // Spawn starts a new process executing fn. It may be called before Run or
 // from inside a running process; in both cases the new process begins at
@@ -298,8 +356,9 @@ func (e *Env) run(limit int64) {
 
 // advance is the event loop. It dispatches cross-shard deliveries (ahead of
 // heap events at the same instant), callback timers and stale wakes inline
-// on the caller's stack, and returns the first live process whose wake it
-// pops, or nil when nothing is pending up to windowCap.
+// on the caller's stack, runs the end-of-instant hooks once nothing more is
+// due at the current time, and returns the first live process whose wake
+// it pops, or nil when nothing is pending up to windowCap.
 func (e *Env) advance() *Proc {
 	for {
 		t, msg := int64(math.MaxInt64), false
@@ -310,6 +369,12 @@ func (e *Env) advance() *Proc {
 			if ht := e.q.minTime(); ht < t {
 				t, msg = ht, false
 			}
+		}
+		if len(e.hooks) > 0 && (t > e.now || t > e.windowCap) {
+			// The instant is over (or the run stops inside it): hooks may
+			// schedule more work at now, so look again afterwards.
+			e.endInstant()
+			continue
 		}
 		if t == math.MaxInt64 {
 			return nil

@@ -151,10 +151,17 @@ func TestSwarmOptionsValidation(t *testing.T) {
 
 // TestSwarmFingerprintPins holds the swarm's trace fixed across commits;
 // the benchmark's fingerprint checks only compare runs of one commit. The
-// values were recorded at 68e4e68, the last commit whose rack generators
-// popped arrivals from a time-ordered heap, and must not be re-recorded
-// for a change that claims to keep behaviour. Every cell runs on the
-// 240-node fleet at zipf 1.1 over a 10 ms horizon, at one shard and two.
+// fingerprints were recorded at 68e4e68, the last commit whose rack
+// generators popped arrivals from a time-ordered heap, and must not be
+// re-recorded for a change that claims to keep behaviour. The fingerprint
+// folds offered load and the end time only, so each cell also pins what
+// completions drive: kernel events, cross-shard messages, completed
+// requests, the peak in-flight count, the virtual elapsed time, and the
+// synchronization windows at each shard count. Those were recorded at the
+// parent of the commit that coalesced each rack's same-instant rate events
+// into one settle, under per-event re-solving. Every cell runs on the
+// 240-node fleet at zipf 1.1 over a 10 ms horizon, at one, two and four
+// shards.
 func TestSwarmFingerprintPins(t *testing.T) {
 	type cell struct {
 		name        string
@@ -165,27 +172,40 @@ func TestSwarmFingerprintPins(t *testing.T) {
 		seed        int64
 		want        uint64
 		shedPct     float64
+		// Exact counts: events, messages, completed, peak in-flight,
+		// elapsed ns, and windows at 1, 2 and 4 shards.
+		events, messages, completed, peak, elapsed int64
+		windows                                    [3]int64
 	}
 	cells := []cell{
 		// tab9's ScaleSmall cells: two scaling populations, then 1x/4x/20x
 		// overload under an admission cap.
-		{"tab9/1k", 1000, 1e5, 256, 0, 1, 0x6a246ff740a12698, 0},
-		{"tab9/10k", 10000, 1e6, 256, 0, 1, 0x40dcd46dc69cd260, 0},
-		{"tab9/1x", 10000, 1e6, 40000, 500, 1, 0xd4ff98b59fb14834, 0},
-		{"tab9/4x", 10000, 1e6, 160000, 500, 1, 0xbd9421206cb94de2, 0},
-		{"tab9/20x", 10000, 1e6, 800000, 500, 1, 0x93adfee01c279b15, 20.2},
+		{"tab9/1k", 1000, 1e5, 256, 0, 1, 0x6a246ff740a12698, 0,
+			2330, 1060, 1056, 19, 10011004, [3]int64{21, 30, 30}},
+		{"tab9/10k", 10000, 1e6, 256, 0, 1, 0x40dcd46dc69cd260, 0,
+			7051, 3302, 10081, 83, 10762172, [3]int64{37, 51, 51}},
+		{"tab9/1x", 10000, 1e6, 40000, 500, 1, 0xd4ff98b59fb14834, 0,
+			7051, 3302, 10081, 165, 11088800, [3]int64{548, 703, 758}},
+		{"tab9/4x", 10000, 1e6, 160000, 500, 1, 0xbd9421206cb94de2, 0,
+			7051, 3302, 10081, 405, 39061002, [3]int64{1011, 1328, 1439}},
+		{"tab9/20x", 10000, 1e6, 800000, 500, 1, 0x93adfee01c279b15, 20.2,
+			5323, 2476, 8049, 531, 180741003, [3]int64{1334, 1953, 2171}},
 		// The benchmark's fleet_overload workload.
-		{"overload/seed1", 20000, 1e7, 96 << 10, 0, 1, 0x2cac317a096d068d, 0},
-		{"overload/seed2", 20000, 1e7, 96 << 10, 0, 2, 0x7cacf21eeb4b1d69, 0},
+		{"overload/seed1", 20000, 1e7, 96 << 10, 0, 1, 0x2cac317a096d068d, 0,
+			70178, 32898, 101026, 7260, 226784890, [3]int64{6687, 8239, 8781}},
+		{"overload/seed2", 20000, 1e7, 96 << 10, 0, 2, 0x7cacf21eeb4b1d69, 0,
+			70336, 32954, 100976, 7271, 208840085, [3]int64{6714, 8306, 8871}},
 	}
 	if !testing.Short() {
 		// The benchmark's fleet_swarm workload: 10^6 clients.
 		cells = append(cells,
-			cell{"swarm/seed1", 1000000, 1e8, 256, 0, 1, 0xf0ae5f774f1dfbdf, 0},
-			cell{"swarm/seed2", 1000000, 1e8, 256, 0, 2, 0x6e235a8b81087754, 0})
+			cell{"swarm/seed1", 1000000, 1e8, 256, 0, 1, 0xf0ae5f774f1dfbdf, 0,
+				699351, 327768, 999450, 210, 10017596, [3]int64{1753, 1956, 1956}},
+			cell{"swarm/seed2", 1000000, 1e8, 256, 0, 2, 0x6e235a8b81087754, 0,
+				699538, 327784, 1000883, 195, 10017595, [3]int64{1771, 1956, 1956}})
 	}
 	for _, c := range cells {
-		for _, shards := range []int{1, 2} {
+		for si, shards := range []int{1, 2, 4} {
 			fb, err := NewFleet(Options{Nodes: 240, RacksOf: 20, FleetMode: true,
 				Seed: c.seed, SimShards: shards,
 				Swarm: SwarmOptions{Clients: c.clients, TargetQPS: c.qps, Zipf: 1.1,
@@ -202,6 +222,12 @@ func TestSwarmFingerprintPins(t *testing.T) {
 			}
 			if got := 100 * float64(res.Shed) / float64(res.Requests); math.Abs(got-c.shedPct) > 0.05 {
 				t.Errorf("%s shards=%d: shed %.1f%%, want %.1f%%", c.name, shards, got, c.shedPct)
+			}
+			got := [6]int64{res.Events, res.Messages, res.Completed, res.MaxInflight, int64(res.Elapsed), res.Windows}
+			want := [6]int64{c.events, c.messages, c.completed, c.peak, c.elapsed, c.windows[si]}
+			if got != want {
+				t.Errorf("%s shards=%d: events/messages/completed/peak/elapsed/windows = %v, want %v",
+					c.name, shards, got, want)
 			}
 		}
 	}
