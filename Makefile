@@ -41,8 +41,8 @@ bench-smoke:
 LABEL ?= after
 bench-kernel: tools
 	go test -run '^$$' -bench 'Sim|Pipe|Netsim' -benchmem ./internal/sim/ ./internal/netsim/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'ExperimentsSerial' -benchmem . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	./bin/benchjson -out BENCH_13.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; coroutine hand-off PR — before = channel handshake through a scheduler goroutine (parent commit), after = iter.Pull switches with inline self-continuation; SimSleepContended (two alternating sleepers) is the path that still switches; events/op and allocs/op must match between the sides except WaitTimeout (-1 alloc: no timeout closure) and ExperimentsSerial (ring build formats no strings)" < bench.out
+	go test -run '^$$' -bench 'Experiments$$' -benchmem . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	./bin/benchjson -out BENCH_13.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; coroutine hand-off PR — before = channel handshake through a scheduler goroutine (parent commit), after = iter.Pull switches with inline self-continuation; SimSleepContended (two alternating sleepers) is the path that still switches; events/op and allocs/op must match between the sides except WaitTimeout (-1 alloc: no timeout closure) and Experiments (ring build formats no strings)" < bench.out
 	rm -f bench.out
 
 # Just the stage-out data-plane benchmarks: coalesced drain vs per-block,
@@ -108,9 +108,10 @@ bench-cluster: tools
 golden:
 	go test -run 'TestGolden' -v .
 
-# Determinism matrix: the goldens, the swarm and DFSIO pins (each cell at
-# 1, 2 and 4 shards, swarm cells -short) and the pinned netsim solver
-# traces must hold under GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries
+# Determinism matrix: the goldens, the paper suite's table hash (cells on
+# 1 and 4 workers), the swarm and DFSIO pins (each cell at 1, 2 and 4
+# shards, swarm cells -short) and the pinned netsim solver traces must
+# hold under GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries
 # are built once, so the settings apply to the simulation, not to the
 # compiler.
 determinism:
@@ -119,7 +120,7 @@ determinism:
 	go test -c -o bin/netsim.test ./internal/netsim/
 	for procs in 1 2 8; do for gc in 1 off; do \
 		echo "GOMAXPROCS=$$procs GOGC=$$gc"; \
-		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSwarmFingerprintPins|TestFleetDFSIOWritePins' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSuiteTablesPin|TestSwarmFingerprintPins|TestFleetDFSIOWritePins' || exit 1; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress' || exit 1; \
 	done; done
 

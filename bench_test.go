@@ -299,26 +299,32 @@ func BenchmarkMultiJobContention(b *testing.B) {
 	b.ReportMetric(fcfs.Seconds()/backfill.Seconds(), "backfill-speedup")
 }
 
-// benchExperimentSet regenerates a bundle of cheap experiments end to end
-// at a given worker count; comparing the Serial and Parallel variants shows
-// the wall-clock win of the parallel experiment runner (bbench -parallel).
-func benchExperimentSet(b *testing.B, workers int) {
-	defer SetParallelism(1)
-	SetParallelism(workers)
+// BenchmarkExperiments regenerates a bundle of cheap experiments end to
+// end at one worker and at four (runtime.GOMAXPROCS, restored after), and
+// reports both wall times per bundle and their ratio: cells are
+// independent seeded simulations, so only wall time changes.
+func BenchmarkExperiments(b *testing.B) {
+	var serial, parallel time.Duration
 	for i := 0; i < b.N; i++ {
-		for _, id := range []string{"fig1", "fig2", "fig9"} {
-			e, _ := ExperimentByID(id)
-			_ = e.Run(ScaleSmall)
+		for _, procs := range []int{1, 4} {
+			start := time.Now()
+			withProcs(procs, func() {
+				for _, id := range []string{"fig1", "fig2", "fig9"} {
+					e, _ := ExperimentByID(id)
+					_ = e.Run(ScaleSmall)
+				}
+			})
+			if procs == 1 {
+				serial += time.Since(start)
+			} else {
+				parallel += time.Since(start)
+			}
 		}
 	}
+	b.ReportMetric(serial.Seconds()*1e3/float64(b.N), "serial-ms")
+	b.ReportMetric(parallel.Seconds()*1e3/float64(b.N), "procs4-ms")
+	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup")
 }
-
-// BenchmarkExperimentsSerial runs the bundle one cell at a time.
-func BenchmarkExperimentsSerial(b *testing.B) { benchExperimentSet(b, 1) }
-
-// BenchmarkExperimentsParallel runs the same bundle with 4 workers; cells
-// are independent seeded simulations, so only wall time changes.
-func BenchmarkExperimentsParallel(b *testing.B) { benchExperimentSet(b, 4) }
 
 // BenchmarkTab8FleetScaling regenerates the fleet-mode scaling table at
 // small scale (the full 10k-node sweep runs via `make bench-fleet`).

@@ -15,8 +15,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hbb"
@@ -29,13 +31,11 @@ func main() {
 		scale    = flag.String("scale", "small", "sizing: 'small' (quick) or 'full' (paper-scale)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		backends = flag.String("backends", "", "comma-separated backends the macro-benchmarks compare (default: the paper's five; registered: "+strings.Join(hbb.BackendNames(), ",")+")")
-		parallel = flag.Int("parallel", 1, "worker goroutines for experiment cells; with -experiment all, whole experiments also run concurrently. Each cell is an independent seeded simulation, so output is identical at any value")
 		shards   = flag.Int("shards", 0, "pin tab8's fleet-mode shard axis to this single value (0 sweeps the default {1, N}); the trace is shard-count-invariant, only wall-clock changes")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
-	hbb.SetParallelism(*parallel)
 	hbb.SetFleetShards(*shards)
 
 	stopCPU, err := profiling.StartCPU(*cpuProf)
@@ -81,46 +81,40 @@ func main() {
 		return fmt.Sprintf("# %s — %s\n# claim: %s\n%s# (generated in %.1fs wall time, scale=%s)\n\n",
 			e.ID, e.Title, e.Claim, table, time.Since(start).Seconds(), sc)
 	}
-	run := func(e hbb.Experiment) { fmt.Print(render(e)) }
 	if *id == "all" {
+		// Render whole experiments on GOMAXPROCS workers (their cells use
+		// GOMAXPROCS workers too), then print in paper order: each
+		// experiment is seeded and self-contained, so the report is
+		// identical at any GOMAXPROCS. tab8 and tab9 measure wall time and
+		// heap per cell, so they run after the pool with the host to
+		// themselves.
 		exps := hbb.Experiments()
-		if *parallel > 1 {
-			// Render whole experiments concurrently, then print in paper
-			// order so the report is identical to a serial run.
-			outputs := make([]string, len(exps))
-			var (
-				mu   sync.Mutex
-				next int
-			)
-			var wg sync.WaitGroup
-			workers := *parallel
-			if workers > len(exps) {
-				workers = len(exps)
+		outputs := make([]string, len(exps))
+		var pooled, solo []int
+		for i, e := range exps {
+			if e.ID == "tab8" || e.ID == "tab9" {
+				solo = append(solo, i)
+			} else {
+				pooled = append(pooled, i)
 			}
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					for {
-						mu.Lock()
-						i := next
-						next++
-						mu.Unlock()
-						if i >= len(exps) {
-							return
-						}
-						outputs[i] = render(exps[i])
-					}
-				}()
-			}
-			wg.Wait()
-			for _, out := range outputs {
-				fmt.Print(out)
-			}
-			return
 		}
-		for _, e := range exps {
-			run(e)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := min(runtime.GOMAXPROCS(0), len(pooled)); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := int(next.Add(1)) - 1; k < len(pooled); k = int(next.Add(1)) - 1 {
+					outputs[pooled[k]] = render(exps[pooled[k]])
+				}
+			}()
+		}
+		wg.Wait()
+		for _, i := range solo {
+			outputs[i] = render(exps[i])
+		}
+		for _, out := range outputs {
+			fmt.Print(out)
 		}
 		return
 	}
@@ -129,5 +123,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bbench: unknown experiment %q (try -list)\n", *id)
 		os.Exit(2)
 	}
-	run(e)
+	fmt.Print(render(e))
 }

@@ -151,13 +151,11 @@ type dfsioRun struct {
 	readMBps  float64
 }
 
-func runDFSIO(sz sizing, nodes int, total int64, b Backend) dfsioRun {
-	return runDFSIOServers(sz, nodes, total, b, 0)
-}
-
-// runDFSIOServers lets scalability sweeps grow the buffer pool with the
-// cluster (the paper deploys dedicated Memcached nodes proportionally).
-func runDFSIOServers(sz sizing, nodes int, total int64, b Backend, bbServers int) dfsioRun {
+// runDFSIO writes total bytes of DFSIO files and, when read is set, reads
+// them back. bbServers > 0 lets scalability sweeps grow the buffer pool
+// with the cluster (the paper deploys dedicated Memcached nodes
+// proportionally).
+func runDFSIO(sz sizing, nodes int, total int64, b Backend, bbServers int, read bool) dfsioRun {
 	tb, err := New(Options{Nodes: nodes, Seed: 1, ChunkSize: sz.chunk, BBServers: bbServers})
 	if err != nil {
 		panic(err)
@@ -174,6 +172,9 @@ func runDFSIOServers(sz sizing, nodes int, total int64, b Backend, bbServers int
 			return
 		}
 		out.writeMBps = w.AggregateMBps()
+		if !read {
+			return
+		}
 		r, err := ctx.DFSIORead(b, "/bench/dfsio")
 		if err != nil {
 			return
@@ -183,25 +184,18 @@ func runDFSIOServers(sz sizing, nodes int, total int64, b Backend, bbServers int
 	return out
 }
 
-// fig3/fig4 share their runs: write and read phases of the same sweep.
-// Each (size × backend) cell is an independent job so parallelFor can
-// spread cells over workers; the result maps are assembled afterwards in
-// deterministic job order.
-func dfsioSweep(scale Scale) map[int64]map[Backend]dfsioRun {
+// dfsioSweep runs fig3's and fig4's (size × backend) cells: the write
+// phase, then the read phase when read is set. writeMBps is fixed before
+// the read starts, so a write-only sweep reports the same write figures.
+// Each cell is an independent job so parallelFor can spread cells over
+// workers; the result maps are assembled afterwards in deterministic job
+// order.
+func dfsioSweep(scale Scale, read bool) map[int64]map[Backend]dfsioRun {
 	sz := sizingFor(scale)
-	type job struct {
-		total int64
-		b     Backend
-	}
-	var jobs []job
-	for _, total := range sz.dataSizes {
-		for _, b := range comparedBackends {
-			jobs = append(jobs, job{total, b})
-		}
-	}
+	jobs := sizeBackendJobs(sz.dataSizes)
 	results := make([]dfsioRun, len(jobs))
 	parallelFor(len(jobs), func(i int) {
-		results[i] = runDFSIO(sz, sz.nodes, jobs[i].total, jobs[i].b)
+		results[i] = runDFSIO(sz, sz.nodes, jobs[i].total, jobs[i].b, 0, read)
 	})
 	out := make(map[int64]map[Backend]dfsioRun)
 	for i, j := range jobs {
@@ -218,7 +212,7 @@ func dfsioSweep(scale Scale) map[int64]map[Backend]dfsioRun {
 func fig3(scale Scale) *metrics.Table {
 	t := metrics.NewTable("fig3: TestDFSIO WRITE throughput (MB/s)",
 		"data(GB)", "backend", "MB/s", "vs-hdfs", "vs-lustre")
-	sweep := dfsioSweep(scale)
+	sweep := dfsioSweep(scale, false)
 	for _, total := range sortedSizes(sweep) {
 		row := sweep[total]
 		h := row[BackendHDFS].writeMBps
@@ -234,7 +228,7 @@ func fig3(scale Scale) *metrics.Table {
 func fig4(scale Scale) *metrics.Table {
 	t := metrics.NewTable("fig4: TestDFSIO READ throughput (MB/s)",
 		"data(GB)", "backend", "MB/s", "vs-hdfs", "vs-lustre")
-	sweep := dfsioSweep(scale)
+	sweep := dfsioSweep(scale, true)
 	for _, total := range sortedSizes(sweep) {
 		row := sweep[total]
 		h := row[BackendHDFS].readMBps
@@ -362,7 +356,7 @@ func fig7(scale Scale) *metrics.Table {
 	parallelFor(len(jobs), func(i int) {
 		j := jobs[i]
 		total := int64(j.nodes) * 2 << 30
-		results[i] = runDFSIOServers(sz, j.nodes, total, j.b, j.nodes/2)
+		results[i] = runDFSIO(sz, j.nodes, total, j.b, j.nodes/2, true)
 	})
 	for i, j := range jobs {
 		t.AddRow(j.nodes, j.b.String(), results[i].writeMBps, results[i].readMBps)

@@ -1,61 +1,32 @@
 package hbb
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// expWorkers is the number of worker goroutines parallelFor spreads
-// experiment cells over. 1 (the default) runs everything serially.
-var expWorkers atomic.Int64
-
-func init() { expWorkers.Store(1) }
-
-// SetParallelism sets how many experiment cells run concurrently (bbench's
-// -parallel flag). Values below 1 are clamped to 1 (serial).
+// parallelFor runs f(i) for every i in [0, n) across min(GOMAXPROCS, n)
+// goroutines, with GOMAXPROCS read at each call, and returns when all calls
+// finish. GOMAXPROCS=1 runs the cells one at a time.
 //
-// Parallelism never changes results: each cell builds its own Testbed whose
-// discrete-event simulation is single-threaded and seeded at construction,
-// so cells share no mutable state and every table is assembled in the same
-// deterministic order regardless of worker count.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	expWorkers.Store(int64(n))
-}
-
-// Parallelism returns the current experiment worker count.
-func Parallelism() int { return int(expWorkers.Load()) }
-
-// parallelFor runs f(i) for every i in [0, n) across min(Parallelism(), n)
-// goroutines and returns when all calls finish. Each f(i) must be
-// self-contained (own Testbed / sim.Env) and publish its result to index i
-// of a pre-sized slice; the caller then assembles output in index order, so
-// tables come out byte-identical at any worker count.
+// Cells are handed out largest index first: f(n-1), f(n-2), ..., f(0).
+// Every sweep lists its cells with cost growing by index (more clients,
+// more data), so the longest cell starts at once instead of running alone
+// at the end.
+//
+// Each f(i) must be self-contained (own Testbed / sim.Env) and publish its
+// result to index i of a pre-sized slice; the caller then assembles output
+// in index order, so tables come out byte-identical at any worker count.
 func parallelFor(n int, f func(i int)) {
-	w := Parallelism()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
+	for g := min(runtime.GOMAXPROCS(0), n); g > 0; g-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(n - 1 - i)
 			}
 		}()
 	}

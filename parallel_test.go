@@ -1,28 +1,42 @@
 package hbb
 
 import (
+	"fmt"
+	"hash/fnv"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
+// withProcs runs f with runtime.GOMAXPROCS set to procs, the one control
+// of parallelFor's worker count, and restores the previous value.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 func TestParallelForCoversAllIndices(t *testing.T) {
-	defer SetParallelism(1)
-	for _, workers := range []int{1, 3, 8} {
-		SetParallelism(workers)
-		const n = 100
-		var hits [n]atomic.Int64
-		parallelFor(n, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+	for _, procs := range []int{1, 3, 8} {
+		withProcs(procs, func() {
+			const n = 100
+			var hits [n]atomic.Int64
+			parallelFor(n, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, got)
+				}
 			}
+			parallelFor(0, func(int) { t.Errorf("GOMAXPROCS=%d: f called for n=0", procs) })
+		})
+	}
+	// One worker hands out the largest index first.
+	withProcs(1, func() {
+		var order []int
+		parallelFor(5, func(i int) { order = append(order, i) })
+		if got := fmt.Sprint(order); got != "[4 3 2 1 0]" {
+			t.Errorf("GOMAXPROCS=1 ran indices in order %s, want [4 3 2 1 0]", got)
 		}
-	}
-	SetParallelism(0)
-	if Parallelism() != 1 {
-		t.Errorf("SetParallelism(0) should clamp to 1, got %d", Parallelism())
-	}
-	parallelFor(0, func(int) { t.Error("f called for n=0") })
+	})
 }
 
 // TestParallelRunsAreDeterministic reruns experiments with a worker pool
@@ -34,18 +48,61 @@ func TestParallelRunsAreDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiment cells")
 	}
-	defer SetParallelism(1)
 	for _, id := range []string{"fig1", "fig9"} {
 		e, ok := ExperimentByID(id)
 		if !ok {
 			t.Fatalf("experiment %s missing", id)
 		}
-		SetParallelism(1)
-		serial := e.Run(ScaleSmall).String()
-		SetParallelism(4)
-		parallel := e.Run(ScaleSmall).String()
+		var serial, parallel string
+		withProcs(1, func() { serial = e.Run(ScaleSmall).String() })
+		withProcs(4, func() { parallel = e.Run(ScaleSmall).String() })
 		if serial != parallel {
 			t.Errorf("%s: parallel output differs from serial\nserial:\n%s\nparallel:\n%s", id, serial, parallel)
+		}
+	}
+}
+
+// TestSuiteTablesPin pins the FNV-64a of the paper suite's eight rendered
+// tables (the benchmark's model.tables_fnv64) at one and at four workers:
+// neither the worker count nor the order cells run in may move a table.
+func TestSuiteTablesPin(t *testing.T) {
+	const want = "b57d8804758fd55e"
+	for _, procs := range []int{1, 4} {
+		withProcs(procs, func() {
+			h := fnv.New64a()
+			for _, id := range []string{"fig2", "fig3", "fig4", "fig5", "fig8", "fig9", "tab6", "tab7"} {
+				e, ok := ExperimentByID(id)
+				if !ok {
+					t.Fatalf("experiment %s missing", id)
+				}
+				h.Write([]byte(e.Run(ScaleSmall).String()))
+			}
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+				t.Errorf("GOMAXPROCS=%d: suite tables FNV-64a = %s, want %s", procs, got, want)
+			}
+		})
+	}
+}
+
+// TestDFSIOWriteOnlySweep proves fig3 loses nothing by skipping the read
+// phase: every cell's write throughput equals the write+read sweep's.
+func TestDFSIOWriteOnlySweep(t *testing.T) {
+	writeOnly, full := dfsioSweep(ScaleSmall, false), dfsioSweep(ScaleSmall, true)
+	if len(writeOnly) != len(full) {
+		t.Fatalf("write-only sweep has %d sizes, write+read %d", len(writeOnly), len(full))
+	}
+	for total, row := range full {
+		if len(writeOnly[total]) != len(row) {
+			t.Fatalf("%d bytes: write-only sweep has %d backends, write+read %d", total, len(writeOnly[total]), len(row))
+		}
+		for b, r := range row {
+			w := writeOnly[total][b]
+			if w.writeMBps != r.writeMBps || w.writeMBps <= 0 {
+				t.Errorf("%d bytes, %s: write-only writeMBps %v, write+read %v", total, b, w.writeMBps, r.writeMBps)
+			}
+			if w.readMBps != 0 {
+				t.Errorf("%d bytes, %s: write-only sweep read %v MB/s", total, b, w.readMBps)
+			}
 		}
 	}
 }
