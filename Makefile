@@ -73,10 +73,11 @@ bench-fleet:
 # internal/swarm/bench_test.go copied in): the zero-alloc arrival engine
 # hot path at 25 k clients per rack (cache-resident) and 250 k per rack
 # (cache-cold, where the million-client runs are) in ns/arrival, then what
-# rides on it — the adaptive-vs-fixed sync window comparison, the max-min
-# solver's cost pins (links touched per flow and per settle; req/wall-s on
-# the 20x-overloaded swarm), the tab9 table, and the million-client smoke
-# once (-benchtime 1x; req/wall-s and B-heap/client headline).
+# rides on it — adaptive sync's window count beside the fixed-horizon
+# oracle the sim tests keep (ShardSyncSparse), the max-min solver's cost
+# pins (links touched per flow and per settle; req/wall-s on the
+# 20x-overloaded swarm), the tab9 table, and the million-client smoke once
+# (-benchtime 1x; req/wall-s and B-heap/client headline).
 bench-swarm: tools
 	go test -run '^$$' -bench 'SwarmArrivals' -benchmem ./internal/swarm/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	go test -run '^$$' -bench 'ShardSyncSparse' -benchmem ./internal/sim/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
@@ -124,17 +125,18 @@ determinism:
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress' || exit 1; \
 	done; done
 
-# Concurrency stress tests under the race detector: sharded engine, its
-# slab ledger (10^5 random store/reserve/pin steps) and pinned readers
-# against concurrent writers, TCP server (GET replies sent from pinned
-# chunks while writers overwrite them), pipelined client and its group
-# commit (shared writes, queued
-# followers, failed flush, value ownership), the cluster's replica
-# fan-out, concurrent shard windows (adaptive on and off), the cross-shard
-# swarm fingerprint, the swarm's tick calendar against its time-ordered
-# heap oracle (also over a 4-slot wheel), Env.Reschedule against Cancel +
-# At, the max-min solver against its full-re-solve oracle (differential
-# over single and coalesced events, fairness certificate, weight =
+# Concurrency stress tests under the race detector: the one engine under
+# 16 goroutines (every exported call; counters and slab ledger checked
+# after), its slab ledger (10^5 random store/reserve/pin steps) and pinned
+# readers against concurrent writers, TCP server (GET replies sent from
+# pinned chunks while writers overwrite them), pipelined client and its
+# group commit (shared writes, queued followers, failed flush, value
+# ownership), the cluster's replica fan-out, concurrent shard windows
+# (adaptive against the fixed-horizon oracle), the cross-shard swarm
+# fingerprint, the swarm's tick calendar against its time-ordered heap
+# oracle (also over a 4-slot wheel), Env.Reschedule against Cancel + At,
+# the max-min solver against its full-re-solve oracle (differential over
+# single and coalesced events, fairness certificate, weight =
 # multiplicity, Crossing order), and the pinned flow and fleet solver
 # traces (the fleet's also on a same-instant-heavy grid).
 stress:

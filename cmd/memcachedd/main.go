@@ -25,7 +25,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:11211", "listen address")
 		memMB     = flag.Int64("mem-mb", 256, "item memory budget (MiB), like memcached -m")
 		maxItemKB = flag.Int("max-item-kb", 1024, "max item size (KiB), like memcached -I")
-		shards    = flag.Int("shards", 0, "engine shard count, rounded up to a power of two (0 = GOMAXPROCS)")
 		drain     = flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight connections")
 	)
 	flag.Parse()
@@ -33,7 +32,6 @@ func main() {
 	srv := mcserver.New(memcached.Config{
 		MemLimit:    *memMB << 20,
 		MaxItemSize: *maxItemKB << 10,
-		Shards:      *shards,
 	})
 	go func() {
 		sig := make(chan os.Signal, 1)
@@ -42,8 +40,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "memcachedd: shutting down")
 		srv.Stop(*drain)
 	}()
-	log.Printf("memcachedd: %s listening on %s (mem %d MiB, max item %d KiB, %d shards)",
-		mcserver.Version, *addr, *memMB, *maxItemKB, srv.Engine().NumShards())
+	log.Printf("memcachedd: %s listening on %s (mem %d MiB, max item %d KiB)",
+		mcserver.Version, *addr, *memMB, *maxItemKB)
 	if err := srv.ListenAndServe(*addr); err != nil {
 		log.Fatal(err)
 	}

@@ -83,11 +83,6 @@ func (fb *FleetBed) Cluster() *cluster.FleetCluster { return fb.fc }
 // synchronization window. Any value produces the identical event trace.
 func (fb *FleetBed) SetWorkers(n int) { fb.fc.Fleet.Group().SetWorkers(n) }
 
-// SetAdaptiveSync toggles the kernel's adaptive lookahead (on by
-// default). Both settings produce the identical event trace; off forces
-// the classic fixed-horizon windows, for A/B measurements.
-func (fb *FleetBed) SetAdaptiveSync(on bool) { fb.fc.Fleet.Group().SetAdaptive(on) }
-
 // SwarmOptions configures the open-loop client swarm a fleet run can
 // carry (Options.Swarm). Clients > 0 enables it; the remaining fields
 // mirror swarm.Config and zero values take its defaults.

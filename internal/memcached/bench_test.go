@@ -2,7 +2,6 @@ package memcached
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -17,35 +16,16 @@ func benchKeys(n int) []string {
 	return keys
 }
 
-// lockedEngine is the pre-sharding baseline: one engine, one global mutex —
-// exactly what mcserver used to wrap around dispatch. Kept here so
-// BenchmarkEngineParallel/sharded can be compared against it in the same
-// run (BENCH_2.json records both).
-type lockedEngine struct {
-	mu  sync.Mutex
-	eng *Engine
-}
-
-func (l *lockedEngine) Get(key string) (Item, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eng.Get(key)
-}
-
-func (l *lockedEngine) Set(it Item) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eng.Set(it)
-}
-
-// kvBench is the common parallel mixed workload: 90% Get / 10% Set over a
-// preloaded key set, the classic memcached read-mostly profile.
-func kvBench(b *testing.B, get func(string) (Item, error), set func(Item) (uint64, error)) {
-	b.Helper()
+// BenchmarkEngineParallel is the mcserver hot path: every connection's
+// goroutine calls into one engine, which serializes them on its mutex. The
+// mix is 90% Get / 10% Set over a preloaded key set, the classic memcached
+// read-mostly profile.
+func BenchmarkEngineParallel(b *testing.B) {
+	e := NewEngine(Config{MemLimit: 64 << 20})
 	keys := benchKeys(4096)
 	val := make([]byte, 256)
 	for _, k := range keys {
-		if _, err := set(Item{Key: k, Value: val}); err != nil {
+		if _, err := e.Set(Item{Key: k, Value: val}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,62 +37,26 @@ func kvBench(b *testing.B, get func(string) (Item, error), set func(Item) (uint6
 		for pb.Next() {
 			k := keys[i%uint64(len(keys))]
 			if i%10 == 0 {
-				set(Item{Key: k, Value: val})
+				e.Set(Item{Key: k, Value: val})
 			} else {
-				get(k)
+				e.Get(k)
 			}
 			i++
 		}
 	})
 }
 
-// BenchmarkEngineParallel/single-lock is the old mcserver hot path (global
-// mutex); /sharded is the new one. The acceptance bar for this PR is
-// sharded >= 2x single-lock ops/sec at GOMAXPROCS >= 4.
-func BenchmarkEngineParallel(b *testing.B) {
-	b.Run("single-lock", func(b *testing.B) {
-		l := &lockedEngine{eng: NewEngine(Config{MemLimit: 64 << 20})}
-		kvBench(b, l.Get, l.Set)
-	})
-	b.Run("sharded", func(b *testing.B) {
-		se := NewSharded(Config{MemLimit: 64 << 20})
-		kvBench(b, se.Get, se.Set)
-	})
-}
-
-// BenchmarkEngineSerial pins the single-goroutine overhead the shard layer
-// adds on top of a bare engine (one hash + one uncontended lock per op).
+// BenchmarkEngineSerial is one goroutine's Get: the map lookup, the LRU
+// touch and one uncontended lock.
 func BenchmarkEngineSerial(b *testing.B) {
-	b.Run("bare", func(b *testing.B) {
-		eng := NewEngine(Config{MemLimit: 64 << 20})
-		keys := benchKeys(1024)
-		for _, k := range keys {
-			eng.Set(Item{Key: k, Size: 256})
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Get(keys[i%len(keys)])
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		se := NewSharded(Config{MemLimit: 64 << 20})
-		keys := benchKeys(1024)
-		for _, k := range keys {
-			se.Set(Item{Key: k, Size: 256})
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			se.Get(keys[i%len(keys)])
-		}
-	})
-}
-
-func BenchmarkHashKey(b *testing.B) {
-	keys := benchKeys(64)
+	e := NewEngine(Config{MemLimit: 64 << 20})
+	keys := benchKeys(1024)
+	for _, k := range keys {
+		e.Set(Item{Key: k, Size: 256})
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hashKey(keys[i%len(keys)])
+		e.Get(keys[i%len(keys)])
 	}
 }

@@ -18,14 +18,16 @@
 // smaller classes are exact-size heap slices: the engine keeps the slice
 // Set was given and Get returns it, as before.
 //
-// The engine is not goroutine-safe. For concurrent use wrap it in a mutex,
-// or use ShardedEngine, which partitions the key space over N independent
-// engines each behind its own lock (mcserver does the latter).
+// The engine is safe for concurrent use: every exported method but Config
+// takes its one mutex. The two-phase calls are what let a value be moved with no lock
+// held: Reserve and Commit (or Abort) bracket the filling of a value's
+// storage, Acquire and Release the reading of it in place.
 package memcached
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Errors returned by engine operations. They map 1:1 onto memcached binary
@@ -71,10 +73,6 @@ type Config struct {
 	// against it. Nil defaults to a clock frozen at 1 (items never expire
 	// unless ExpireAt is set in the past).
 	Clock func() int64
-	// Shards selects the shard count for NewSharded (rounded up to a power
-	// of two, clamped to MaxShards); zero picks DefaultShards. A plain
-	// Engine ignores it.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -136,8 +134,10 @@ type entry struct {
 // reserved is entry.pins of a Reservation not yet committed or aborted.
 const reserved = -1
 
-// Engine is the key-value store.
+// Engine is the key-value store. Exported methods lock mu; the unexported
+// helpers they call assume it is held and call no exported method.
 type Engine struct {
+	mu      sync.Mutex
 	cfg     Config
 	table   map[string]*entry
 	slabs   *slabArena
@@ -158,11 +158,19 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
+// NewSharded returns NewEngine(cfg). It stays only because it is on the
+// benchmark harness's coupling list: benchmark/layers.go calls it.
+func NewSharded(cfg Config) *Engine { return NewEngine(cfg) }
+
 // Config returns the effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
 // Stats returns a snapshot of the counters.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stats
+}
 
 // itemFootprint is the slab footprint of an item.
 func itemFootprint(key string, size int) int {
@@ -230,6 +238,8 @@ func (e *Engine) inRegion(en *entry) bool {
 // Get returns the item stored under key. A value that lives in the mapped
 // region is returned as a copy; Acquire reads it in place.
 func (e *Engine) Get(key string) (Item, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	en := e.hit(key)
 	if en == nil {
 		return Item{}, ErrNotFound
@@ -253,6 +263,8 @@ type Pin struct {
 // removing it meanwhile — by Delete, overwrite, expiry or eviction — leaves
 // its bytes intact until the pin is released.
 func (e *Engine) Acquire(key string) (Pin, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	en := e.hit(key)
 	if en == nil {
 		return Pin{}, ErrNotFound
@@ -271,6 +283,8 @@ func (e *Engine) Release(p Pin) {
 	if en == nil {
 		return
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if en.pins <= 0 {
 		panic("memcached: Release of an item that is not pinned")
 	}
@@ -283,6 +297,8 @@ func (e *Engine) Release(p Pin) {
 
 // Touch updates an item's expiry without fetching it.
 func (e *Engine) Touch(key string, expireAt int64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	en := e.lookup(key)
 	if en == nil {
 		return ErrNotFound
@@ -304,21 +320,29 @@ const (
 
 // Set stores the item unconditionally (unless it cannot fit at all).
 func (e *Engine) Set(it Item) (cas uint64, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.store(it, StoreSet, 0)
 }
 
 // Add stores the item only if the key is absent.
 func (e *Engine) Add(it Item) (cas uint64, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.store(it, StoreAdd, 0)
 }
 
 // Replace stores the item only if the key is present.
 func (e *Engine) Replace(it Item) (cas uint64, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.store(it, StoreReplace, 0)
 }
 
 // CompareAndSwap stores the item only if the current CAS matches expect.
 func (e *Engine) CompareAndSwap(it Item, expect uint64) (cas uint64, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.store(it, StoreCAS, expect)
 }
 
@@ -417,6 +441,8 @@ type Reservation struct {
 // storage to fill. It fails, with nothing to undo, when the item cannot be
 // stored at all.
 func (e *Engine) Reserve(it Item) (Reservation, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.stats.CmdSet++
 	if it.Size < 0 {
 		return Reservation{}, fmt.Errorf("%w: negative size", ErrInvalidArg)
@@ -451,6 +477,8 @@ func (e *Engine) settle(r Reservation) {
 // Commit stores a filled reservation under mode's condition (expect is the
 // CAS for StoreCAS). When the condition fails the reservation is aborted.
 func (e *Engine) Commit(r Reservation, mode StoreMode, expect uint64) (uint64, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.settle(r)
 	if err := e.admit(r.en.it.Key, mode, expect); err != nil {
 		e.slabs.giveBack(r.en)
@@ -461,6 +489,8 @@ func (e *Engine) Commit(r Reservation, mode StoreMode, expect uint64) (uint64, e
 
 // Abort gives a reservation's storage back unused.
 func (e *Engine) Abort(r Reservation) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.settle(r)
 	e.slabs.giveBack(r.en)
 }
@@ -483,6 +513,8 @@ func (e *Engine) evictOne(class int) bool {
 
 // Delete removes the item stored under key.
 func (e *Engine) Delete(key string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	en := e.lookup(key)
 	if en == nil {
 		e.stats.DeleteMisses++
@@ -497,6 +529,8 @@ func (e *Engine) Delete(key string) error {
 // saturating at zero, per protocol). If the key is absent and init is
 // non-nil, the item is created with *init. The new value is returned.
 func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64) (uint64, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	en := e.lookup(key)
 	if en == nil {
 		if init == nil {
@@ -548,16 +582,24 @@ func allDigits(b []byte) bool {
 // Flush invalidates every item currently stored (lazily, as memcached
 // does): items with a CAS at or below the current sequence become misses.
 func (e *Engine) Flush() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.flushAt = int64(e.casSeq) + 1
 }
 
 // Len returns the number of live (possibly expired-but-unreaped) items.
-func (e *Engine) Len() int { return len(e.table) }
+func (e *Engine) Len() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.table)
+}
 
 // Keys returns the keys of all live items, reaping expired ones. Order is
 // unspecified. Intended for tests and the simulation's recovery paths, not
 // part of the memcached protocol surface.
 func (e *Engine) Keys() []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	keys := make([]string, 0, len(e.table))
 	for k, en := range e.table {
 		if e.expired(en) {
@@ -569,21 +611,35 @@ func (e *Engine) Keys() []string {
 }
 
 // MemUsed returns bytes of chunk memory in use (allocated pages).
-func (e *Engine) MemUsed() int64 { return e.slabs.memUsed() }
+func (e *Engine) MemUsed() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.slabs.memUsed()
+}
 
 // Slabs returns every slab class's ledger, smallest chunk first.
-func (e *Engine) Slabs() []SlabStats { return e.slabs.stats() }
+func (e *Engine) Slabs() []SlabStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.slabs.stats()
+}
 
 // Mapped returns the bytes of the engine's mapped region: zero until a
 // class above InlineValue stores its first real value, at most MemLimit
 // after (one page when MemLimit is smaller than that).
-func (e *Engine) Mapped() int64 { return int64(len(e.slabs.region)) }
+func (e *Engine) Mapped() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return int64(len(e.slabs.region))
+}
 
 // Close empties the engine and unmaps its region. Every Pin and
 // Reservation must have been settled. The engine stays usable, empty, and
 // maps again when it needs to; an engine dropped without Close is unmapped
 // by a finalizer.
 func (e *Engine) Close() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.slabs.unmap()
 	e.slabs = newSlabArena(e.cfg)
 	e.table = make(map[string]*entry)

@@ -12,7 +12,7 @@ import (
 // Local is a cluster of in-process mcserver instances on loopback TCP —
 // the launcher substrate shared by cmd/mccluster, the failover tests, and
 // the benchmarks. Each server is a full mcserver (own listener, own
-// sharded engine), so the client traffic crosses real sockets; "kill" and
+// engine), so the client traffic crosses real sockets; "kill" and
 // "restart" model a process crash (the restarted server comes back
 // empty, which is what makes read repair observable).
 type Local struct {

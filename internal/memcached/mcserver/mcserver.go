@@ -1,8 +1,7 @@
 // Package mcserver serves a memcached engine over TCP using the memcached
-// binary protocol. One goroutine per connection over a ShardedEngine: keys
-// route to per-shard locks, so concurrent connections execute engine
-// operations in parallel instead of serializing behind a global mutex (the
-// RDMA-Memcached design point this substrate models).
+// binary protocol. One goroutine per connection, all over one engine, which
+// does its own locking: a connection holds the engine's lock only inside an
+// engine call, never while it moves a value through the socket.
 //
 // A value crosses the server once in each direction. A request is read up
 // to its key; a SET-family value is then read from the socket straight into
@@ -31,9 +30,9 @@ import (
 // Version is the version string reported for OpVersion.
 const Version = "hbb-memcached/1.1"
 
-// Server wraps a sharded engine and serves connections.
+// Server wraps an engine and serves connections.
 type Server struct {
-	engine *memcached.ShardedEngine
+	engine *memcached.Engine
 	now    func() int64
 
 	lnMu   sync.Mutex
@@ -45,24 +44,22 @@ type Server struct {
 	connsAccepted atomic.Int64
 }
 
-// New returns a server over a fresh sharded engine with the given
-// configuration (cfg.Shards selects the shard count; zero uses
-// memcached.DefaultShards). The engine clock is wall time unless cfg.Clock
-// is set.
+// New returns a server over a fresh engine with the given configuration.
+// The engine clock is wall time unless cfg.Clock is set.
 func New(cfg memcached.Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return time.Now().UnixNano() }
 	}
 	return &Server{
-		engine: memcached.NewSharded(cfg),
+		engine: memcached.NewEngine(cfg),
 		now:    cfg.Clock,
 		conns:  make(map[net.Conn]struct{}),
 	}
 }
 
-// Engine exposes the underlying sharded engine. It is safe to use
-// concurrently with a running server.
-func (s *Server) Engine() *memcached.ShardedEngine { return s.engine }
+// Engine exposes the underlying engine. It is safe to use concurrently
+// with a running server.
+func (s *Server) Engine() *memcached.Engine { return s.engine }
 
 // ConnsAccepted returns the number of connections accepted so far.
 func (s *Server) ConnsAccepted() int64 { return s.connsAccepted.Load() }
@@ -318,8 +315,7 @@ func (s *Server) store(r *bufio.Reader, w io.Writer, req *binproto.Frame, valueL
 // dispatch executes one request, whose head is in req and whose value is
 // still in r, and writes the response; it reports whether the connection
 // should close (QUIT, or a value that could not be read). No lock is held
-// here — the sharded engine synchronizes per shard, so connections only
-// contend when they touch keys in the same shard.
+// here: each engine call takes the engine's own.
 func (s *Server) dispatch(r *bufio.Reader, w io.Writer, req *binproto.Frame, valueLen int, cs *connState) (quit bool) {
 	e := s.engine
 	switch req.Op {

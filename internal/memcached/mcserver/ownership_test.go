@@ -199,7 +199,7 @@ func TestNonBinaryFirstByteClosesConnection(t *testing.T) {
 // TestAbandonedSetGivesReservationBack: a peer that closes in the middle of
 // a large value leaves the engine as it found it.
 func TestAbandonedSetGivesReservationBack(t *testing.T) {
-	srv, addr := startRawServer(t, memcached.Config{MemLimit: 8 << 20, Shards: 1})
+	srv, addr := startRawServer(t, memcached.Config{MemLimit: 8 << 20})
 	const size = 256 << 10
 	// One item stored and one chunk freed, so that the class's page and the
 	// chunk the abandoned SETs will use exist before the baseline.
@@ -288,7 +288,7 @@ func TestCloseGivesTheMemoryBack(t *testing.T) {
 // pinned chunk while writers overwrite and evict the same keys; every reply
 // is one writer's whole value, never a mix.
 func TestConcurrentLargeValueReadersWriters(t *testing.T) {
-	_, addr := startRawServer(t, memcached.Config{MemLimit: 4 << 20, Shards: 2})
+	_, addr := startRawServer(t, memcached.Config{MemLimit: 4 << 20})
 	const keys, size = 24, 200 << 10 // more than fits: writers evict too
 	rounds := 150
 	if testing.Short() {

@@ -31,7 +31,7 @@ func startRawServer(t *testing.T, cfg memcached.Config) (*Server, string) {
 // that dropping the global dispatch mutex left no shared-state races; the
 // final aggregate stats must balance.
 func TestConcurrentMixedOpsStress(t *testing.T) {
-	srv, addr := startRawServer(t, memcached.Config{MemLimit: 16 << 20, Shards: 8})
+	srv, addr := startRawServer(t, memcached.Config{MemLimit: 16 << 20})
 	const clients = 8
 	ops := 300
 	if testing.Short() {
@@ -205,10 +205,14 @@ func TestStopDrainsInFlight(t *testing.T) {
 	if _, err := conn.Write(head); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, "the head read", func() bool { return srv.Engine().Stats().CmdSet == 1 })
 	stopDone := make(chan error, 1)
 	go func() { stopDone <- srv.Stop(2 * time.Second) }()
-	time.Sleep(20 * time.Millisecond) // listener now closed, handler still alive
+	waitFor(t, "the listener closed", func() bool { // handler still alive
+		srv.lnMu.Lock()
+		defer srv.lnMu.Unlock()
+		return srv.closed
+	})
 	if _, err := conn.Write(value); err != nil {
 		t.Fatalf("finish request: %v", err)
 	}
@@ -250,7 +254,7 @@ func TestStopForceClosesAfterTimeout(t *testing.T) {
 	if _, err := conn.Write(head); err != nil { // never send the value
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, "the head read", func() bool { return srv.Engine().Stats().CmdSet == 1 })
 	start := time.Now()
 	if err := srv.Stop(50 * time.Millisecond); err != nil {
 		t.Fatalf("stop: %v", err)

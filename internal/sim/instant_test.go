@@ -175,7 +175,7 @@ func TestEndOfInstantAtWindowEdgeAndRunUntilLimit(t *testing.T) {
 	// the barrier, and before the clock reaches the next event.
 	const la = 1000
 	g := NewShardGroup(2, la, 1)
-	g.SetAdaptive(false)
+	g.fixed = true
 	e := g.Shard(0)
 	g.Shard(1).At(0, func() {})
 	var regWin, hookWin int64

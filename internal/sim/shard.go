@@ -40,8 +40,8 @@ package sim
 // globally earliest shard might interfere with it. That is pessimistic
 // when cross-shard traffic is sparse: shards drift apart in virtual
 // time, and the laggard forces everyone through tiny lock-step windows.
-// The adaptive mode (on by default, SetAdaptive(false) reverts) widens
-// each shard's window to what conservativeness actually requires:
+// The group always runs adaptive: it widens each shard's window to what
+// conservativeness actually requires:
 //
 //	horizon(i) = min over j != i of next(j) + lookahead
 //
@@ -73,9 +73,10 @@ package sim
 // Under the classic fixed horizon both caps sit at or beyond the window
 // end and never bind. Because the trace order is (time, class, canonical
 // key) — never "which barrier injected this" — reshaping the window
-// sequence cannot reshape the trace, which is what
-// TestShardAdaptiveLookaheadStress pins across shard and worker counts
-// with adaptivity on and off.
+// sequence cannot reshape the trace. The fixed horizon survives only as
+// a test oracle (the unexported ShardGroup.fixed), and
+// TestShardAdaptiveLookaheadStress pins the adaptive trace to it across
+// shard and worker counts.
 
 import (
 	"fmt"
@@ -113,7 +114,9 @@ type ShardGroup struct {
 	shards    []*Env
 	lookahead int64
 	workers   int
-	adaptive  bool
+	// fixed selects the classic lock-step horizon instead of the adaptive
+	// one. Only tests set it, as the oracle the adaptive trace must match.
+	fixed bool
 
 	// outbox[i] is appended only by code running on shard i during a
 	// window and drained only by the coordinator between windows, so it
@@ -136,8 +139,7 @@ type ShardGroup struct {
 // lookahead (the minimum cross-shard delivery latency; every Send must
 // respect it). Shard i's random stream is seeded seed+i; workloads that
 // must be shard-count-invariant should keep their own per-domain RNGs
-// instead of using Env.Rand. Adaptive lookahead is on; SetAdaptive(false)
-// restores the fixed-horizon protocol (the trace is identical either way).
+// instead of using Env.Rand. Windows use adaptive lookahead.
 func NewShardGroup(n int, lookahead time.Duration, seed int64) *ShardGroup {
 	if n < 1 {
 		panic("sim: ShardGroup needs at least one shard")
@@ -149,7 +151,6 @@ func NewShardGroup(n int, lookahead time.Duration, seed int64) *ShardGroup {
 		shards:    make([]*Env, n),
 		lookahead: int64(lookahead),
 		workers:   1,
-		adaptive:  true,
 		outbox:    make([][]crossMsg, n),
 		inject:    make([][]crossMsg, n),
 		next:      make([]int64, n),
@@ -182,15 +183,6 @@ func (g *ShardGroup) SetWorkers(n int) {
 	g.workers = n
 	g.sem = nil
 }
-
-// SetAdaptive toggles adaptive lookahead (per-shard widened windows; see
-// the package comment). Both settings produce byte-identical traces;
-// adaptive off forces the classic lock-step horizon, which is mostly
-// useful for comparing window counts and in invariance tests.
-func (g *ShardGroup) SetAdaptive(on bool) { g.adaptive = on }
-
-// Adaptive reports whether adaptive lookahead is enabled.
-func (g *ShardGroup) Adaptive() bool { return g.adaptive }
 
 // Windows returns how many synchronization windows have run.
 func (g *ShardGroup) Windows() int64 { return g.windows }
@@ -340,7 +332,7 @@ func (g *ShardGroup) Run() time.Duration {
 				continue
 			}
 			horizon := tmin + g.lookahead
-			if g.adaptive && g.next[i] == tmin && minCount == 1 {
+			if !g.fixed && g.next[i] == tmin && minCount == 1 {
 				if m2 == math.MaxInt64 {
 					horizon = math.MaxInt64
 				} else {

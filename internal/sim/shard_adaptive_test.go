@@ -31,7 +31,7 @@ func TestShardAdaptiveLookaheadStress(t *testing.T) {
 func TestShardWindowZeroCrossShardMessages(t *testing.T) {
 	run := func(shards int, adaptive bool) (uint64, int64, time.Duration) {
 		g := NewShardGroup(shards, time.Microsecond, 9)
-		g.SetAdaptive(adaptive)
+		g.fixed = !adaptive
 		hashes := make([]uint64, 6)
 		for d := 0; d < 6; d++ {
 			d := d
@@ -88,7 +88,7 @@ func TestShardWindowZeroCrossShardMessages(t *testing.T) {
 func TestShardHeapDrainsBeforeBarrier(t *testing.T) {
 	for _, adaptive := range []bool{false, true} {
 		g := NewShardGroup(2, time.Microsecond, 3)
-		g.SetAdaptive(adaptive)
+		g.fixed = !adaptive
 		var got []time.Duration
 		// Shard 1 has one early event, then its heap drains completely.
 		g.Shard(1).Spawn("early", func(p *Proc) {
@@ -123,7 +123,7 @@ func TestShardHeapDrainsBeforeBarrier(t *testing.T) {
 func TestShardAdaptiveWindowReduction(t *testing.T) {
 	run := func(adaptive bool) (int64, time.Duration) {
 		g := NewShardGroup(4, time.Microsecond, 5)
-		g.SetAdaptive(adaptive)
+		g.fixed = !adaptive
 		for s := 0; s < 4; s++ {
 			s := s
 			g.Shard(s).Spawn("busy", func(p *Proc) {
@@ -167,7 +167,7 @@ func BenchmarkShardSyncSparse(b *testing.B) {
 			var windows, events int64
 			for i := 0; i < b.N; i++ {
 				g := NewShardGroup(4, time.Microsecond, 11)
-				g.SetAdaptive(mode.adaptive)
+				g.fixed = !mode.adaptive
 				for s := 0; s < 4; s++ {
 					s := s
 					env := g.Shard(s)

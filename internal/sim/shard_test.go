@@ -48,7 +48,7 @@ func shardTraceMode(domains, shards, workers int, adaptive bool) uint64 {
 	const lookahead = 5 * time.Microsecond
 	g := NewShardGroup(shards, lookahead, 42)
 	g.SetWorkers(workers)
-	g.SetAdaptive(adaptive)
+	g.fixed = !adaptive
 	ds := make([]*shardDomain, domains)
 	for i := range ds {
 		ds[i] = &shardDomain{

@@ -26,37 +26,30 @@ func swarmOpts(shards int) Options {
 // TestSwarmCrossShardStress is the swarm's determinism obligation: the
 // open-loop population must produce the identical trace fingerprint,
 // request count, and virtual elapsed time at every shard and worker
-// count, with adaptive lookahead on (the default) and off. The name
-// rides `make stress`, so this also runs under -race.
+// count. The name rides `make stress`, so this also runs under -race.
 func TestSwarmCrossShardStress(t *testing.T) {
-	run := func(shards, workers int, adaptive bool) SwarmResult {
+	run := func(shards, workers int) SwarmResult {
 		fb, err := NewFleet(swarmOpts(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
 		fb.SetWorkers(workers)
-		fb.SetAdaptiveSync(adaptive)
 		res, err := fb.RunSwarm()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	base := run(1, 1, true)
+	base := run(1, 1)
 	if base.Requests == 0 || base.Completed != base.Requests {
 		t.Fatalf("degenerate baseline: %+v", base)
 	}
-	for _, tc := range []struct {
-		shards, workers int
-		adaptive        bool
-	}{
-		{1, 1, false}, {4, 1, true}, {4, 8, true}, {4, 8, false}, {6, 8, true},
-	} {
-		got := run(tc.shards, tc.workers, tc.adaptive)
+	for _, tc := range []struct{ shards, workers int }{{4, 1}, {4, 8}, {6, 8}} {
+		got := run(tc.shards, tc.workers)
 		if got.Fingerprint != base.Fingerprint || got.Requests != base.Requests ||
 			got.Elapsed != base.Elapsed || got.Completed != base.Completed {
-			t.Errorf("shards=%d workers=%d adaptive=%v: (fp %x, req %d, elapsed %v), want (fp %x, req %d, elapsed %v)",
-				tc.shards, tc.workers, tc.adaptive,
+			t.Errorf("shards=%d workers=%d: (fp %x, req %d, elapsed %v), want (fp %x, req %d, elapsed %v)",
+				tc.shards, tc.workers,
 				got.Fingerprint, got.Requests, got.Elapsed,
 				base.Fingerprint, base.Requests, base.Elapsed)
 		}
