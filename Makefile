@@ -110,19 +110,22 @@ golden:
 	go test -run 'TestGolden' -v .
 
 # Determinism matrix: the goldens, the paper suite's table hash (cells on
-# 1 and 4 workers), the swarm and DFSIO pins (each cell at 1, 2 and 4
-# shards, swarm cells -short) and the pinned netsim solver traces must
-# hold under GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries
-# are built once, so the settings apply to the simulation, not to the
-# compiler.
+# 1 and 4 workers), the swarm and DFSIO pins (each cell at 1, 2, 4 and 7
+# shards, swarm cells -short), the fleet, swarm and shard-group
+# cross-shard checks (each also over its own GOMAXPROCS values, the one
+# worker control) and the pinned netsim solver traces must hold under
+# GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries are built once, so the
+# settings apply to the simulation, not to the compiler.
 determinism:
 	mkdir -p bin
 	go test -c -o bin/hbb.test .
 	go test -c -o bin/netsim.test ./internal/netsim/
+	go test -c -o bin/sim.test ./internal/sim/
 	for procs in 1 2 8; do for gc in 1 off; do \
 		echo "GOMAXPROCS=$$procs GOGC=$$gc"; \
-		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSuiteTablesPin|TestSwarmFingerprintPins|TestFleetDFSIOWritePins' || exit 1; \
-		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSuiteTablesPin|TestSwarmFingerprintPins|TestFleetDFSIOWritePins|TestFleetCrossShardStress|TestFleetDFSIOWriteDeterminism|TestSwarmCrossShardStress' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress|TestFleetDeterminismAcrossShardsAndWorkers' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/sim.test -test.run 'TestShard' || exit 1; \
 	done; done
 
 # Concurrency stress tests under the race detector: the one engine under

@@ -27,16 +27,14 @@ import (
 
 func main() {
 	var (
-		id       = flag.String("experiment", "all", "experiment id (fig1..fig10, tab1..tab8) or 'all'")
+		id       = flag.String("experiment", "all", "experiment id (fig1..fig10, tab1..tab9) or 'all'")
 		scale    = flag.String("scale", "small", "sizing: 'small' (quick) or 'full' (paper-scale)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		backends = flag.String("backends", "", "comma-separated backends the macro-benchmarks compare (default: the paper's five; registered: "+strings.Join(hbb.BackendNames(), ",")+")")
-		shards   = flag.Int("shards", 0, "pin tab8's fleet-mode shard axis to this single value (0 sweeps the default {1, N}); the trace is shard-count-invariant, only wall-clock changes")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
-	hbb.SetFleetShards(*shards)
 
 	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {

@@ -1150,14 +1150,6 @@ func tab4(scale Scale) *metrics.Table {
 	return t
 }
 
-// fleetShardsOverride pins tab8/tab9's shard axis to one value when
-// positive (cmd/bbench's -shards flag); zero keeps the default {1, N}
-// comparison.
-var fleetShardsOverride int
-
-// SetFleetShards overrides the shard counts tab8 and tab9 sweep.
-func SetFleetShards(n int) { fleetShardsOverride = n }
-
 // tab8 is the fleet-mode scaling table (ROADMAP item 2): a DFSIO-style
 // replicated-write sweep over datacenter node counts, each run at one
 // event heap and at a rack-sharded kernel, reporting the simulator's own
@@ -1173,9 +1165,6 @@ func tab8(scale Scale) *metrics.Table {
 		nodesAxis = []int{100, 400}
 		shardsAxis = []int{1, 2}
 		filesPerNode, fileSize = 4, int64(1<<20)
-	}
-	if fleetShardsOverride > 0 {
-		shardsAxis = []int{fleetShardsOverride}
 	}
 	const racksOf = 20
 	t := metrics.NewTable(fmt.Sprintf("tab8: fleet-mode scaling, %d files/node x %d MiB, racks of %d",
@@ -1233,10 +1222,6 @@ func tab9(scale Scale) *metrics.Table {
 		clientsAxis = []int{1000, 10000}
 		shardsAxis = []int{1, 2}
 		overClients, overShards, overCap = 10000, 2, 500
-	}
-	if fleetShardsOverride > 0 {
-		shardsAxis = []int{fleetShardsOverride}
-		overShards = fleetShardsOverride
 	}
 	const nodes, racksOf = 240, 20
 	run := func(clients, shards, reqBytes int, maxInflight int64) (SwarmResult, float64) {

@@ -79,10 +79,6 @@ func NewFleet(opts Options) (*FleetBed, error) {
 // Cluster returns the underlying fleet cluster.
 func (fb *FleetBed) Cluster() *cluster.FleetCluster { return fb.fc }
 
-// SetWorkers bounds how many shards execute concurrently inside each
-// synchronization window. Any value produces the identical event trace.
-func (fb *FleetBed) SetWorkers(n int) { fb.fc.Fleet.Group().SetWorkers(n) }
-
 // SwarmOptions configures the open-loop client swarm a fleet run can
 // carry (Options.Swarm). Clients > 0 enables it; the remaining fields
 // mirror swarm.Config and zero values take its defaults.
@@ -94,12 +90,9 @@ type SwarmOptions struct {
 	TargetQPS float64
 	// Zipf is the key-popularity skew exponent (> 1), or 0 for uniform.
 	Zipf float64
-	// Keys, RequestBytes, Duration, FixedRate pass through to
-	// swarm.Config.
-	Keys         int
+	// RequestBytes and Duration pass through to swarm.Config.
 	RequestBytes int64
 	Duration     time.Duration
-	FixedRate    bool
 	// MaxInflight, when positive, sheds arrivals while a rack's
 	// outstanding-request count is at the bound (swarm.Config.MaxInflight),
 	// keeping open-loop overload runs bounded.
@@ -115,10 +108,8 @@ func (s SwarmOptions) config(seed int64) swarm.Config {
 		Clients:      s.Clients,
 		TargetQPS:    s.TargetQPS,
 		Zipf:         s.Zipf,
-		Keys:         s.Keys,
 		RequestBytes: s.RequestBytes,
 		Duration:     s.Duration,
-		FixedRate:    s.FixedRate,
 		MaxInflight:  s.MaxInflight,
 		Seed:         seed,
 	}
@@ -197,26 +188,38 @@ func (fh *fleetHash) fold(rack int, vs ...uint64) {
 	fh.hashes[rack] = h
 }
 
-// run drives the fleet to completion and assembles the result.
-func (fb *FleetBed) run(fh *fleetHash, ops int) FleetResult {
-	if fb.ran {
-		panic("hbb: FleetBed workloads are single-shot; build a new fleet")
-	}
-	fb.ran = true
-	start := time.Now()
-	end := fb.fc.Run()
-	wall := time.Since(start)
-	topo := fb.fc.Fleet.Topology()
-	g := fb.fc.Fleet.Group()
-	h := uint64(fnvOffset)
-	var bytes int64
-	for r := 0; r < topo.Racks; r++ {
+// sum folds the per-rack hashes in rack order and totals the bytes.
+func (fh *fleetHash) sum() (bytes int64, h uint64) {
+	h = fnvOffset
+	for r := range fh.hashes {
 		h ^= fh.hashes[r]
 		h *= fnvPrime
 		bytes += fh.bytes[r]
 	}
+	return bytes, h
+}
+
+// claim marks the bed used before a workload builds anything on it.
+func (fb *FleetBed) claim() {
+	if fb.ran {
+		panic("hbb: FleetBed workloads are single-shot; build a new fleet")
+	}
+	fb.ran = true
+}
+
+// run drives the fleet to completion and assembles the result. summary
+// reports, once the run is over, the workload's operation count, payload
+// bytes and trace hash; run folds the end time into the hash. The heap
+// snapshot behind HeapMBPerNode is returned for per-client figures.
+func (fb *FleetBed) run(summary func() (ops int, bytes int64, h uint64)) (FleetResult, metrics.HeapSnapshot) {
+	start := time.Now()
+	end := fb.fc.Run()
+	wall := time.Since(start)
+	ops, bytes, h := summary()
 	h ^= uint64(end)
 	h *= fnvPrime
+	topo := fb.fc.Fleet.Topology()
+	g := fb.fc.Fleet.Group()
 	res := FleetResult{
 		Nodes:       fb.fc.Nodes(),
 		Racks:       topo.Racks,
@@ -233,8 +236,18 @@ func (fb *FleetBed) run(fh *fleetHash, ops int) FleetResult {
 	if ops > 0 {
 		res.EventsPerOp = float64(res.Events) / float64(ops)
 	}
-	res.HeapMBPerNode = metrics.SnapHeap().DeltaMBPerNode(fb.base, res.Nodes)
+	heap := metrics.SnapHeap()
+	res.HeapMBPerNode = heap.DeltaMBPerNode(fb.base, res.Nodes)
 	fb.fillFleetMetrics()
+	return res, heap
+}
+
+// runTraffic runs a process-driven workload whose processes fold into fh.
+func (fb *FleetBed) runTraffic(fh *fleetHash, ops int) FleetResult {
+	res, _ := fb.run(func() (int, int64, uint64) {
+		bytes, h := fh.sum()
+		return ops, bytes, h
+	})
 	return res
 }
 
@@ -245,6 +258,7 @@ func (fb *FleetBed) run(fh *fleetHash, ops int) FleetResult {
 // choice is arithmetic in (node, file), so the trace is identical for
 // any shard or worker count.
 func (fb *FleetBed) DFSIOWrite(filesPerNode int, fileSize int64) FleetResult {
+	fb.claim()
 	fl := fb.fc.Fleet
 	topo := fl.Topology()
 	racks, per := topo.Racks, topo.NodesPerRack
@@ -277,7 +291,7 @@ func (fb *FleetBed) DFSIOWrite(filesPerNode int, fileSize int64) FleetResult {
 			}
 		})
 	}
-	return fb.run(fh, nodes*filesPerNode)
+	return fb.runTraffic(fh, nodes*filesPerNode)
 }
 
 // RunSwarm drives the Options.Swarm open-loop client population over
@@ -290,54 +304,29 @@ func (fb *FleetBed) RunSwarm() (SwarmResult, error) {
 	if !fb.opts.Swarm.Enabled() {
 		return SwarmResult{}, fmt.Errorf("hbb: RunSwarm without Options.Swarm configured")
 	}
+	fb.claim()
 	sw, err := swarm.New(fb.opts.Swarm.config(fb.opts.Seed), fb.fc.Fleet)
 	if err != nil {
 		return SwarmResult{}, err
 	}
-	if fb.ran {
-		panic("hbb: FleetBed workloads are single-shot; build a new fleet")
-	}
-	fb.ran = true
 	sw.Start()
-	start := time.Now()
-	end := fb.fc.Run()
-	wall := time.Since(start)
-	st := sw.Stats()
-	topo := fb.fc.Fleet.Topology()
-	g := fb.fc.Fleet.Group()
-	h := sw.Fingerprint()
-	h ^= uint64(end)
-	h *= fnvPrime
+	var st swarm.Stats
+	fr, heap := fb.run(func() (int, int64, uint64) {
+		st = sw.Stats()
+		return int(st.Arrivals), st.BytesSent, sw.Fingerprint()
+	})
 	res := SwarmResult{
-		FleetResult: FleetResult{
-			Nodes:       fb.fc.Nodes(),
-			Racks:       topo.Racks,
-			Shards:      topo.Shards,
-			Ops:         int(st.Arrivals),
-			Bytes:       st.BytesSent,
-			Elapsed:     end,
-			Wall:        wall,
-			Events:      g.Events(),
-			Windows:     g.Windows(),
-			Messages:    g.Messages(),
-			Fingerprint: h,
-		},
-		Clients:     st.Clients,
-		Requests:    st.Arrivals,
-		Completed:   st.Completed,
-		Shed:        st.Shed,
-		AchievedQPS: st.AchievedQPS,
-		MaxInflight: st.MaxInflight,
+		FleetResult:      fr,
+		Clients:          st.Clients,
+		Requests:         st.Arrivals,
+		Completed:        st.Completed,
+		Shed:             st.Shed,
+		AchievedQPS:      st.AchievedQPS,
+		EventsPerRequest: fr.EventsPerOp,
+		HeapBPerClient:   heap.DeltaMBPerNode(fb.base, st.Clients) * 1e6,
+		MaxInflight:      st.MaxInflight,
 	}
-	if st.Arrivals > 0 {
-		res.EventsPerOp = float64(res.Events) / float64(st.Arrivals)
-		res.EventsPerRequest = res.EventsPerOp
-	}
-	heap := metrics.SnapHeap()
-	res.HeapMBPerNode = heap.DeltaMBPerNode(fb.base, res.Nodes)
-	res.HeapBPerClient = heap.DeltaMBPerNode(fb.base, st.Clients) * 1e6
 	sw.FillMetrics(fb.reg())
-	fb.fillFleetMetrics()
 	return res, nil
 }
 
@@ -373,6 +362,7 @@ func (fb *FleetBed) reg() *metrics.Registry {
 // the full event trace fingerprints identically at any shard and worker
 // count — the cross-shard determinism stress.
 func (fb *FleetBed) Stress(opsPerNode int) FleetResult {
+	fb.claim()
 	fl := fb.fc.Fleet
 	topo := fl.Topology()
 	racks, per := topo.Racks, topo.NodesPerRack
@@ -422,7 +412,7 @@ func (fb *FleetBed) Stress(opsPerNode int) FleetResult {
 			}
 		})
 	}
-	return fb.run(fh, nodes*opsPerNode)
+	return fb.runTraffic(fh, nodes*opsPerNode)
 }
 
 func maxInt(a, b int) int {

@@ -39,8 +39,8 @@ import (
 )
 
 // Backend identifies a storage configuration under test. Backends live in
-// a name-keyed registry (see RegisterBackend and ParseBackend); the Backend
-// value is an index into it.
+// a fixed name-keyed registry (see ParseBackend); the Backend value is an
+// index into it.
 type Backend int
 
 // The built-in backends: the two baselines, the paper's three burst-buffer
@@ -91,36 +91,10 @@ var backendDefs = []backendDef{
 	{name: "bb-adaptive", kind: kindBurstBuffer, policy: "bb-adaptive"},
 }
 
-// AllBackends lists every registered backend in comparison order.
-var AllBackends = func() []Backend {
-	all := make([]Backend, len(backendDefs))
-	for i := range all {
-		all[i] = Backend(i)
-	}
-	return all
-}()
+// AllBackends lists every backend in comparison order.
+var AllBackends = []Backend{BackendHDFS, BackendLustre, BackendBBAsync, BackendBBLocality, BackendBBSync, BackendBBAdaptive}
 
-// RegisterBackend adds a burst-buffer backend driven by the named core
-// policy (see core.RegisterPolicy) and returns its handle. Testbeds built
-// afterwards instantiate it like any built-in; it is appended to
-// AllBackends. Registration must happen before New (init time, typically)
-// and the name must be unused.
-func RegisterBackend(name, policy string) Backend {
-	if name == "" {
-		panic("hbb: RegisterBackend with empty name")
-	}
-	for _, d := range backendDefs {
-		if d.name == name {
-			panic(fmt.Sprintf("hbb: backend %q already registered", name))
-		}
-	}
-	backendDefs = append(backendDefs, backendDef{name: name, kind: kindBurstBuffer, policy: policy})
-	b := Backend(len(backendDefs) - 1)
-	AllBackends = append(AllBackends, b)
-	return b
-}
-
-// BackendNames lists the registered backend names in registry order.
+// BackendNames lists the backend names in registry order.
 func BackendNames() []string {
 	names := make([]string, len(backendDefs))
 	for i, d := range backendDefs {
@@ -204,23 +178,18 @@ type Options struct {
 	// RacksOf groups nodes into racks. Zero means 16 per rack.
 	RacksOf int
 	// Transport picks the fabric. When it is RDMA, stock-Hadoop traffic
-	// (HDFS pipelines, NameNode RPCs, the MapReduce shuffle) automatically
-	// runs over an IPoIB legacy path on the same fabric — sockets cannot
-	// use verbs — while the burst buffer and Lustre use native RDMA, as in
-	// the paper's deployments. Set DisableLegacy to give every byte the
-	// native transport.
+	// (HDFS pipelines, NameNode RPCs, the MapReduce shuffle) runs over an
+	// IPoIB legacy path on the same fabric — sockets cannot use verbs —
+	// while the burst buffer and Lustre use native RDMA, as in the paper's
+	// deployments.
 	Transport Transport
-	// DisableLegacy turns off the IPoIB legacy path for Hadoop traffic.
-	DisableLegacy bool
 	// Hardware picks the node profile.
 	Hardware Hardware
 	// Seed fixes the simulation's random stream.
 	Seed int64
-	// BlockSize is the file block size for HDFS and the burst buffer.
-	// Zero defaults to 128 MiB.
+	// BlockSize is the file block size for HDFS (3 replicas per block)
+	// and the burst buffer. Zero defaults to 128 MiB.
 	BlockSize int64
-	// Replication is HDFS's replica count. Zero defaults to 3.
-	Replication int
 	// LustreOSTs and LustreStripeCount size the parallel FS. Zero
 	// defaults to 8 OSTs, stripe 4.
 	LustreOSTs        int
@@ -240,13 +209,9 @@ type Options struct {
 	// BBFlushBatchBlocks enables the coalescing stage-out scheduler when
 	// > 1: dirty blocks are grouped by file and runs of up to this many
 	// adjacent blocks drain to Lustre as one object (one Create + one
-	// metadata round-trip per run), with eviction-pressure work
+	// metadata round-trip per run), with crash requeues and flush retries
 	// prioritized. Zero or 1 keeps the seed one-object-per-block drain.
 	BBFlushBatchBlocks int
-	// BBFlushConcurrency overrides BBFlushers as the per-server flusher
-	// count when positive — together with BBFlushBatchBlocks it bounds
-	// in-flight flush bytes per server.
-	BBFlushConcurrency int
 	// BBReadAhead prefetches this many whole blocks ahead of a streaming
 	// reader (source choice + fetch overlap with delivery). Zero disables.
 	BBReadAhead int
@@ -266,10 +231,9 @@ type Options struct {
 	// reservation. Zero defaults to 1 MiB; large experiments raise it to
 	// 4–8 MiB to cut event counts.
 	ChunkSize int64
-	// FleetMode selects the datacenter-scale flow-only testbed built by
-	// NewFleet: memory-lean nodes, rack topology, no backend stacks.
-	// Testbed constructors ignore it; it exists so CLI front-ends can
-	// carry the mode choice in one Options value.
+	// FleetMode marks options meant for NewFleet's datacenter-scale
+	// flow-only testbed. Nothing reads it: NewFleet and New select the
+	// testbed. It stays because the benchmark harness sets it.
 	FleetMode bool
 	// SimShards partitions a fleet's racks across this many DES event
 	// heaps, advanced in conservative lookahead windows on multiple
@@ -297,9 +261,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BlockSize == 0 {
 		o.BlockSize = 128 << 20
-	}
-	if o.Replication == 0 {
-		o.Replication = 3
 	}
 	if o.LustreOSTs == 0 {
 		o.LustreOSTs = 8
@@ -336,7 +297,8 @@ type Testbed struct {
 
 // New builds a testbed. Every backend is instantiated over one shared
 // cluster and fabric: HDFS datanodes on the compute nodes, the Lustre
-// servers and burst-buffer servers on dedicated fabric nodes.
+// servers and burst-buffer servers on dedicated fabric nodes. Settings
+// no backend can be built from are an error.
 func New(opts Options) (*Testbed, error) {
 	opts = opts.withDefaults()
 	prof, err := opts.Transport.profile()
@@ -353,8 +315,34 @@ func New(opts Options) (*Testbed, error) {
 	if opts.Swarm.Enabled() {
 		return nil, fmt.Errorf("hbb: swarm load requires FleetMode (build with NewFleet, or bbrun -fleet -swarm)")
 	}
+	lcfg := lustre.Config{
+		OSTs:        opts.LustreOSTs,
+		StripeCount: opts.LustreStripeCount,
+		StripeSize:  opts.ChunkSize,
+	}
+	if err := lcfg.Validate(); err != nil {
+		return nil, err
+	}
+	bbcfg := func(policy string) core.Config {
+		return core.Config{
+			Policy:           policy,
+			Servers:          opts.BBServers,
+			ServerMemory:     opts.BBServerMemory,
+			BlockSize:        opts.BlockSize,
+			ItemChunk:        opts.ChunkSize,
+			Flushers:         opts.BBFlushers,
+			BufferReplicas:   opts.BBReplicas,
+			ReadmitOnRead:    opts.BBReadmitOnRead,
+			FlushBatchBlocks: opts.BBFlushBatchBlocks,
+			ReadAhead:        opts.BBReadAhead,
+			BrickSize:        int64(opts.BBBrickGiB) << 30,
+		}
+	}
+	if err := bbcfg("").Validate(); err != nil {
+		return nil, err
+	}
 	var legacy *netsim.Profile
-	if prof.OneSided && !opts.DisableLegacy {
+	if prof.OneSided {
 		ipoib := netsim.IPoIB
 		legacy = &ipoib
 	}
@@ -372,41 +360,20 @@ func New(opts Options) (*Testbed, error) {
 		bb:      make(map[Backend]*core.BurstFS),
 		orch:    make(map[Backend]*orchestrator.Scheduler),
 	}
-	tb.lustre = lustre.New(cl, lustre.Config{
-		OSTs:        opts.LustreOSTs,
-		StripeCount: opts.LustreStripeCount,
-		StripeSize:  opts.ChunkSize,
-	})
+	tb.lustre = lustre.New(cl, lcfg)
 	tb.hdfs, err = hdfs.New(cl, hdfs.Config{
-		BlockSize:   opts.BlockSize,
-		Replication: opts.Replication,
-		PacketSize:  opts.ChunkSize,
+		BlockSize:  opts.BlockSize,
+		PacketSize: opts.ChunkSize,
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Registry order is fixed: fabric node IDs and spawn order must not
 	// depend on map iteration, or runs would stop being reproducible.
-	// Backends registered after the built-ins come last, so they cannot
-	// perturb the built-ins' node IDs.
 	for i, d := range backendDefs {
-		if d.kind != kindBurstBuffer {
-			continue
+		if d.kind == kindBurstBuffer {
+			tb.bb[Backend(i)] = core.New(cl, tb.lustre, bbcfg(d.policy))
 		}
-		tb.bb[Backend(i)] = core.New(cl, tb.lustre, core.Config{
-			Policy:           d.policy,
-			Servers:          opts.BBServers,
-			ServerMemory:     opts.BBServerMemory,
-			BlockSize:        opts.BlockSize,
-			ItemChunk:        opts.ChunkSize,
-			Flushers:         opts.BBFlushers,
-			BufferReplicas:   opts.BBReplicas,
-			ReadmitOnRead:    opts.BBReadmitOnRead,
-			FlushBatchBlocks: opts.BBFlushBatchBlocks,
-			FlushConcurrency: opts.BBFlushConcurrency,
-			ReadAhead:        opts.BBReadAhead,
-			BrickSize:        int64(opts.BBBrickGiB) << 30,
-		})
 	}
 	tb.traced = make(map[Backend]dfs.FileSystem)
 	if opts.Trace != nil {

@@ -38,6 +38,38 @@ func TestBadOptions(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnbuildableSettings: settings no backend can be built
+// from are an error from New, never a panic in a constructor or mid-run.
+func TestNewRejectsUnbuildableSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"negative flushers", Options{BBFlushers: -1}, "Flushers"},
+		{"negative servers", Options{BBServers: -2}, "Servers"},
+		{"server memory below one block", Options{BBServerMemory: 1 << 20}, "cannot admit"},
+		{"negative OSTs", Options{LustreOSTs: -1}, "OSTs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("New panicked: %v", r)
+				}
+			}()
+			tb, err := New(tc.opts)
+			if err == nil {
+				// A testbed that was built must also run.
+				tb.Run(func(ctx *Ctx) { _, _ = ctx.DFSIOWrite(BackendLustre, "/b", 2, 1<<20) })
+				t.Fatal("New accepted the settings")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestBackendStrings(t *testing.T) {
 	want := []string{"hdfs", "lustre", "bb-async", "bb-locality", "bb-sync", "bb-adaptive"}
 	for i, b := range AllBackends {

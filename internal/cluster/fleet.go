@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"hbb/internal/netsim"
@@ -45,29 +44,21 @@ type FleetConfig struct {
 	Racks        int
 	NodesPerRack int
 	Transport    netsim.Profile
-	// CrossRackLatency is the rack-to-rack propagation latency and, being
-	// the minimum cross-shard delay, the sharded kernel's lookahead.
-	// 0 means the 5 µs default.
-	CrossRackLatency time.Duration
-	// UplinkBandwidth is each rack's up/down trunk capacity in bytes/sec.
-	// 0 means 4x the NIC bandwidth.
-	UplinkBandwidth float64
 	// Shards is the number of sim.Env event heaps the racks are
-	// partitioned over (round-robin). 0 or 1 means a single heap.
+	// partitioned over (round-robin). 0 or 1 means a single heap. Up to
+	// GOMAXPROCS shards run each synchronization window concurrently.
 	Shards int
-	// Workers bounds how many shards execute concurrently inside each
-	// synchronization window. 0 means GOMAXPROCS.
-	Workers int
-	Seed    int64
+	Seed   int64
 }
 
+// crossRackLatency is the fleet's rack-to-rack propagation latency and,
+// being the minimum cross-shard delay, the sharded kernel's lookahead.
+const crossRackLatency = 5 * time.Microsecond
+
+// uplinkPerNIC sizes each rack's up/down trunk in NIC bandwidths.
+const uplinkPerNIC = 4
+
 func (cfg FleetConfig) withDefaults() FleetConfig {
-	if cfg.CrossRackLatency == 0 {
-		cfg.CrossRackLatency = 5 * time.Microsecond
-	}
-	if cfg.UplinkBandwidth == 0 {
-		cfg.UplinkBandwidth = 4 * cfg.Transport.Bandwidth
-	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
@@ -86,8 +77,8 @@ func (cfg FleetConfig) topology() netsim.FleetTopology {
 		Racks:            cfg.Racks,
 		NodesPerRack:     cfg.NodesPerRack,
 		Profile:          cfg.Transport,
-		CrossRackLatency: cfg.CrossRackLatency,
-		UplinkBandwidth:  cfg.UplinkBandwidth,
+		CrossRackLatency: crossRackLatency,
+		UplinkBandwidth:  uplinkPerNIC * cfg.Transport.Bandwidth,
 		Shards:           cfg.Shards,
 		Seed:             cfg.Seed,
 	}
@@ -108,11 +99,6 @@ func NewFleet(cfg FleetConfig) (*FleetCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	fl.Group().SetWorkers(w)
 	return &FleetCluster{Fleet: fl, cfg: cfg}, nil
 }
 

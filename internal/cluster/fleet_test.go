@@ -3,7 +3,6 @@ package cluster
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"hbb/internal/netsim"
 	"hbb/internal/sim"
@@ -61,12 +60,10 @@ func TestFleetConfigValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"valid", base, ""},
-		{"defaults fill in", mod(func(c *FleetConfig) { c.Shards = 0; c.CrossRackLatency = 0; c.UplinkBandwidth = 0 }), ""},
+		{"defaults fill in", mod(func(c *FleetConfig) { c.Shards = 0 }), ""},
 		{"zero racks", mod(func(c *FleetConfig) { c.Racks = 0 }), "rack"},
 		{"zero per rack", mod(func(c *FleetConfig) { c.NodesPerRack = 0 }), "node per rack"},
-		{"negative latency", mod(func(c *FleetConfig) { c.CrossRackLatency = -time.Microsecond }), "latency"},
 		{"zero NIC bandwidth", mod(func(c *FleetConfig) { c.Transport.Bandwidth = 0 }), "bandwidth"},
-		{"negative uplink", mod(func(c *FleetConfig) { c.UplinkBandwidth = -1 }), "uplink"},
 		{"shards exceed racks", mod(func(c *FleetConfig) { c.Shards = 11 }), "exceed"},
 	}
 	for _, tc := range cases {
@@ -85,7 +82,7 @@ func TestFleetConfigValidate(t *testing.T) {
 
 func TestFleetClusterTransfer(t *testing.T) {
 	fc, err := NewFleet(FleetConfig{
-		Racks: 2, NodesPerRack: 2, Transport: netsim.RDMA, Shards: 2, Workers: 2, Seed: 7,
+		Racks: 2, NodesPerRack: 2, Transport: netsim.RDMA, Shards: 2, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

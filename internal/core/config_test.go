@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestConfigValidate is the table-driven contract for Config.Validate:
@@ -20,32 +19,23 @@ func TestConfigValidate(t *testing.T) {
 		{"typical tuned config", Config{
 			Servers: 2, ServerMemory: 4 << 30, BlockSize: 16 << 20,
 			Flushers: 1, FlushBatchBlocks: 8, ReadAhead: 1,
-			FlushTick: 50 * time.Millisecond,
 		}, ""},
 		{"negative servers", Config{Servers: -1}, "Servers"},
 		{"negative server memory", Config{ServerMemory: -1}, "ServerMemory"},
 		{"negative block size", Config{BlockSize: -1}, "BlockSize"},
 		{"negative item chunk", Config{ItemChunk: -1}, "ItemChunk"},
 		{"negative brick size", Config{BrickSize: -1}, "BrickSize"},
-		{"watermark above one", Config{HighWatermark: 1.5}, "HighWatermark"},
-		{"negative watermark", Config{HighWatermark: -0.5}, "HighWatermark"},
-		{"watermark of exactly one is fine", Config{HighWatermark: 1}, ""},
-		{"negative prefetch window", Config{PrefetchWindow: -2}, "PrefetchWindow"},
 		{"negative replicas", Config{BufferReplicas: -1}, "BufferReplicas"},
 		{"negative flushers", Config{Flushers: -1}, "Flushers"},
-		{"negative flush concurrency", Config{FlushConcurrency: -1}, "FlushConcurrency"},
 		{"negative flush batch", Config{FlushBatchBlocks: -1}, "FlushBatchBlocks"},
 		{"coalescing with no flushers", Config{Flushers: -1, FlushBatchBlocks: 8},
 			"needs at least one flusher"},
-		{"coalescing with flush concurrency is fine",
-			Config{FlushConcurrency: 2, FlushBatchBlocks: 8}, ""},
 		{"negative readahead", Config{ReadAhead: -1}, "ReadAhead"},
-		{"adaptive hysteresis inverted",
-			Config{AdaptiveBurstBlocks: 2, AdaptiveCalmBlocks: 3}, "AdaptiveCalmBlocks"},
 		{"memory cannot admit a block",
 			Config{ServerMemory: 64 << 20, BlockSize: 128 << 20}, "cannot admit"},
+		// 140 MiB holds a 128 MiB block, but 0.9 of it does not.
 		{"watermark shrinks admittable memory",
-			Config{ServerMemory: 128 << 20, BlockSize: 128 << 20, HighWatermark: 0.5},
+			Config{ServerMemory: 140 << 20, BlockSize: 128 << 20},
 			"cannot admit"},
 	}
 	for _, tc := range cases {

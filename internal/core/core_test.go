@@ -51,9 +51,9 @@ func (r *testRig) run(t *testing.T, fn func(p *sim.Proc)) time.Duration {
 	return end
 }
 
-func testCfg(scheme Scheme) Config {
+func testCfg(policy string) Config {
 	return Config{
-		Scheme:       scheme,
+		Policy:       policy,
 		Servers:      2,
 		ServerMemory: 1 << 30,
 		BlockSize:    16 * mib,
@@ -96,9 +96,9 @@ func readFile(t *testing.T, p *sim.Proc, fs *BurstFS, client netsim.NodeID, path
 }
 
 func TestRoundTripAllSchemes(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeAsyncLustre, SchemeLocalityAware, SchemeSyncLustre} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			rig := newRig(4, testCfg(scheme))
+	for _, policy := range []string{"bb-async", "bb-locality", "bb-sync"} {
+		t.Run(policy, func(t *testing.T) {
+			rig := newRig(4, testCfg(policy))
 			const size = 40 * mib // 2.5 blocks
 			rig.run(t, func(p *sim.Proc) {
 				writeFile(t, p, rig.fs, 0, "/data/f", size)
@@ -119,7 +119,7 @@ func TestRoundTripAllSchemes(t *testing.T) {
 }
 
 func TestAsyncAcksBeforeFlush(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeAsyncLustre))
+	rig := newRig(2, testCfg("bb-async"))
 	const size = 64 * mib
 	var ackAt time.Duration
 	var flushedAtAck int64
@@ -139,7 +139,7 @@ func TestAsyncAcksBeforeFlush(t *testing.T) {
 }
 
 func TestSyncDurableAtAck(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeSyncLustre))
+	rig := newRig(2, testCfg("bb-sync"))
 	const size = 48 * mib
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", size)
@@ -158,8 +158,8 @@ func TestSyncDurableAtAck(t *testing.T) {
 }
 
 func TestSyncSlowerThanAsyncWrites(t *testing.T) {
-	timeFor := func(scheme Scheme) time.Duration {
-		rig := newRig(4, testCfg(scheme))
+	timeFor := func(policy string) time.Duration {
+		rig := newRig(4, testCfg(policy))
 		var took time.Duration
 		rig.run(t, func(p *sim.Proc) {
 			start := p.Now()
@@ -168,14 +168,14 @@ func TestSyncSlowerThanAsyncWrites(t *testing.T) {
 		})
 		return took
 	}
-	async, sync := timeFor(SchemeAsyncLustre), timeFor(SchemeSyncLustre)
+	async, sync := timeFor("bb-async"), timeFor("bb-sync")
 	if sync <= async {
 		t.Errorf("sync write (%v) should be slower than async (%v)", sync, async)
 	}
 }
 
 func TestLocalityReplicaAndLocations(t *testing.T) {
-	rig := newRig(4, testCfg(SchemeLocalityAware))
+	rig := newRig(4, testCfg("bb-locality"))
 	const size = 32 * mib
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 2, "/f", size)
@@ -195,14 +195,14 @@ func TestLocalityReplicaAndLocations(t *testing.T) {
 }
 
 func TestNonLocalitySchemesUseNoLocalStorage(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeAsyncLustre, SchemeSyncLustre} {
-		rig := newRig(2, testCfg(scheme))
+	for _, policy := range []string{"bb-async", "bb-sync"} {
+		rig := newRig(2, testCfg(policy))
 		rig.run(t, func(p *sim.Proc) {
 			writeFile(t, p, rig.fs, 0, "/f", 64*mib)
 			rig.fs.DrainFlushers(p)
 		})
 		if used := rig.fs.LocalStorageUsed(); used != 0 {
-			t.Errorf("%v used %d bytes of local storage, want 0", scheme, used)
+			t.Errorf("%v used %d bytes of local storage, want 0", policy, used)
 		}
 	}
 }
@@ -217,7 +217,7 @@ func TestLocalReadFasterThanBufferAndLustre(t *testing.T) {
 	// disk in this model (DESIGN.md, "Bulk data path"), so a lone read
 	// would not show it.
 	const nodes = 4
-	rig := newRig(nodes, testCfg(SchemeLocalityAware))
+	rig := newRig(nodes, testCfg("bb-locality"))
 	const size = 32 * mib
 	// readAll has every node read the file written by node (i+shift)%nodes
 	// at once and returns the time until the last one finishes.
@@ -258,7 +258,7 @@ func TestLocalReadFasterThanBufferAndLustre(t *testing.T) {
 func TestBufferReadFasterThanLustreRead(t *testing.T) {
 	// Buffered (RDMA) reads vs post-eviction (Lustre) reads — the paper's
 	// 8x read-gain mechanism.
-	rig := newRig(2, testCfg(SchemeAsyncLustre))
+	rig := newRig(2, testCfg("bb-async"))
 	const size = 64 * mib
 	var bufT, lustreT time.Duration
 	rig.run(t, func(p *sim.Proc) {
@@ -292,7 +292,7 @@ func TestBufferReadFasterThanLustreRead(t *testing.T) {
 func TestEvictionAndBackpressure(t *testing.T) {
 	// Two servers x 64 MiB: writing 256 MiB must stall writers and evict
 	// clean blocks, but everything stays readable (via Lustre).
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.ServerMemory = 64 * mib
 	rig := newRig(2, cfg)
 	const size = 256 * mib
@@ -319,7 +319,7 @@ func TestEvictionAndBackpressure(t *testing.T) {
 }
 
 func TestAsyncServerFailureLosesOnlyUnflushed(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Flushers = 1
 	rig := newRig(2, cfg)
 	const size = 64 * mib
@@ -354,7 +354,7 @@ func TestAsyncServerFailureLosesOnlyUnflushed(t *testing.T) {
 }
 
 func TestSyncSurvivesServerFailure(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeSyncLustre))
+	rig := newRig(2, testCfg("bb-sync"))
 	const size = 64 * mib
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", size)
@@ -373,7 +373,7 @@ func TestSyncSurvivesServerFailure(t *testing.T) {
 }
 
 func TestLocalitySurvivesServerFailureViaRecovery(t *testing.T) {
-	cfg := testCfg(SchemeLocalityAware)
+	cfg := testCfg("bb-locality")
 	cfg.Flushers = 1
 	rig := newRig(4, cfg)
 	const size = 64 * mib
@@ -393,7 +393,7 @@ func TestLocalitySurvivesServerFailureViaRecovery(t *testing.T) {
 }
 
 func TestWriterRetriesOnServerFailure(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Servers = 3
 	rig := newRig(2, cfg)
 	rig.run(t, func(p *sim.Proc) {
@@ -423,7 +423,7 @@ func TestWriterRetriesOnServerFailure(t *testing.T) {
 }
 
 func TestDeleteReleasesEverything(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeLocalityAware))
+	rig := newRig(2, testCfg("bb-locality"))
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", 48*mib)
 		rig.fs.DrainFlushers(p)
@@ -445,7 +445,7 @@ func TestDeleteReleasesEverything(t *testing.T) {
 }
 
 func TestNamespaceOps(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeAsyncLustre))
+	rig := newRig(2, testCfg("bb-async"))
 	rig.run(t, func(p *sim.Proc) {
 		if err := rig.fs.Mkdir(p, 0, "/a/b"); err != nil {
 			t.Fatal(err)
@@ -466,7 +466,7 @@ func TestNamespaceOps(t *testing.T) {
 }
 
 func TestKVEngineSeesTraffic(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeAsyncLustre))
+	rig := newRig(2, testCfg("bb-async"))
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", 32*mib)
 		readFile(t, p, rig.fs, 1, "/f")
@@ -498,7 +498,7 @@ func TestKVEngineSeesTraffic(t *testing.T) {
 }
 
 func TestRingSpreadsBlocksAcrossServers(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Servers = 4
 	rig := newRig(2, cfg)
 	rig.run(t, func(p *sim.Proc) {
@@ -520,7 +520,7 @@ func TestRingSpreadsBlocksAcrossServers(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() time.Duration {
-		rig := newRig(4, testCfg(SchemeLocalityAware))
+		rig := newRig(4, testCfg("bb-locality"))
 		var took time.Duration
 		rig.run(t, func(p *sim.Proc) {
 			start := p.Now()
@@ -541,7 +541,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestBufferReplicationSurvivesPrimaryCrash(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Servers = 3
 	cfg.BufferReplicas = 2
 	cfg.Flushers = 1
@@ -569,7 +569,7 @@ func TestBufferReplicationSurvivesPrimaryCrash(t *testing.T) {
 }
 
 func TestBufferReplicationDoublesOccupancy(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Servers = 4
 	cfg.BufferReplicas = 2
 	rig := newRig(2, cfg)
@@ -585,7 +585,7 @@ func TestBufferReplicationDoublesOccupancy(t *testing.T) {
 
 func TestBufferReplicationSlowerWrites(t *testing.T) {
 	timeFor := func(replicas int) time.Duration {
-		cfg := testCfg(SchemeAsyncLustre)
+		cfg := testCfg("bb-async")
 		cfg.Servers = 4
 		cfg.BufferReplicas = replicas
 		rig := newRig(2, cfg)
@@ -605,7 +605,7 @@ func TestBufferReplicationSlowerWrites(t *testing.T) {
 }
 
 func TestReadmitOnRead(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.ReadmitOnRead = true
 	rig := newRig(2, cfg)
 	const size = 32 * mib
@@ -644,7 +644,7 @@ func TestReadmitOnRead(t *testing.T) {
 }
 
 func TestReadmitDisabledByDefault(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeAsyncLustre))
+	rig := newRig(2, testCfg("bb-async"))
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", 32*mib)
 		rig.fs.DrainFlushers(p)
@@ -667,7 +667,7 @@ func TestReadmitDisabledByDefault(t *testing.T) {
 }
 
 func TestReplicatedReadsFailOverBetweenServers(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Servers = 3
 	cfg.BufferReplicas = 2
 	cfg.Flushers = 1
@@ -713,7 +713,7 @@ func TestPropertyRandomWorkloadConservation(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			cfg := testCfg(SchemeSyncLustre) // no loss window: reads must always succeed
+			cfg := testCfg("bb-sync") // no loss window: reads must always succeed
 			cfg.Servers = 3
 			cfg.ServerMemory = 128 * mib
 			rig := newRig(4, cfg)
@@ -787,7 +787,7 @@ func TestPropertyReplicatedSurvivesAnySingleCrash(t *testing.T) {
 	for victim := 0; victim < 3; victim++ {
 		victim := victim
 		t.Run(fmt.Sprintf("victim%d", victim), func(t *testing.T) {
-			cfg := testCfg(SchemeAsyncLustre)
+			cfg := testCfg("bb-async")
 			cfg.Servers = 3
 			cfg.BufferReplicas = 2
 			cfg.Flushers = 1
@@ -812,13 +812,19 @@ func TestPropertyReplicatedSurvivesAnySingleCrash(t *testing.T) {
 }
 
 func TestSchemeAndStateStrings(t *testing.T) {
-	if SchemeAsyncLustre.String() != "bb-async" ||
-		SchemeLocalityAware.String() != "bb-locality" ||
-		SchemeSyncLustre.String() != "bb-sync" {
-		t.Error("scheme strings wrong")
+	// A scheme's report label is its policy's registry name; an empty
+	// Policy selects bb-async.
+	for _, name := range []string{"bb-async", "bb-locality", "bb-sync", "bb-adaptive"} {
+		pol, err := newPolicy(name, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pol.Name() != name {
+			t.Errorf("policy %q reports name %q", name, pol.Name())
+		}
 	}
-	if Scheme(99).String() != "bb-unknown" {
-		t.Error("unknown scheme string wrong")
+	if got := (Config{}).policyName(); got != "bb-async" {
+		t.Errorf("empty Policy selects %q, want bb-async", got)
 	}
 	for st, want := range map[blockState]string{
 		stateDirty: "dirty", stateFlushing: "flushing", stateClean: "clean",
@@ -831,7 +837,7 @@ func TestSchemeAndStateStrings(t *testing.T) {
 }
 
 func TestFSNameAndConfig(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeLocalityAware))
+	rig := newRig(2, testCfg("bb-locality"))
 	if rig.fs.Name() != "bb-locality" {
 		t.Errorf("name = %q", rig.fs.Name())
 	}
@@ -842,7 +848,7 @@ func TestFSNameAndConfig(t *testing.T) {
 }
 
 func TestCreateOnMissingParentOk(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeAsyncLustre))
+	rig := newRig(2, testCfg("bb-async"))
 	rig.run(t, func(p *sim.Proc) {
 		// Parents auto-create; duplicate create fails.
 		writeFile(t, p, rig.fs, 0, "/deep/nested/path/f", mib)
@@ -867,7 +873,7 @@ func TestSyncWriterSurvivesMidBlockServerCrashWithTee(t *testing.T) {
 	// Crash the primary mid-block under the sync scheme: the Lustre tee of
 	// the failed attempt must settle (cleanupTees path) and the block
 	// complete elsewhere.
-	cfg := testCfg(SchemeSyncLustre)
+	cfg := testCfg("bb-sync")
 	cfg.Servers = 3
 	rig := newRig(2, cfg)
 	rig.run(t, func(p *sim.Proc) {
@@ -896,7 +902,7 @@ func TestSyncWriterSurvivesMidBlockServerCrashWithTee(t *testing.T) {
 }
 
 func TestLocalityWriterSurvivesMidBlockServerCrashWithLocalTee(t *testing.T) {
-	cfg := testCfg(SchemeLocalityAware)
+	cfg := testCfg("bb-locality")
 	cfg.Servers = 3
 	rig := newRig(2, cfg)
 	rig.run(t, func(p *sim.Proc) {
@@ -930,7 +936,7 @@ func TestLocalityWriterSurvivesMidBlockServerCrashWithLocalTee(t *testing.T) {
 func TestReaderDiscardAcrossFallback(t *testing.T) {
 	// Consume part of a block from the buffer, crash the server, and let
 	// the reader's fallback discard the consumed prefix from Lustre.
-	cfg := testCfg(SchemeSyncLustre) // durable: fallback always possible
+	cfg := testCfg("bb-sync") // durable: fallback always possible
 	cfg.Servers = 1
 	rig := newRig(2, cfg)
 	const size = 16 * mib
@@ -963,7 +969,7 @@ func TestReaderDiscardAcrossFallback(t *testing.T) {
 }
 
 func TestServerHandleUnknownOp(t *testing.T) {
-	rig := newRig(2, testCfg(SchemeAsyncLustre))
+	rig := newRig(2, testCfg("bb-async"))
 	rig.run(t, func(p *sim.Proc) {
 		s := rig.fs.Servers()[0]
 		rep := rig.fs.net.Call(p, &netsim.Msg{
@@ -982,7 +988,7 @@ func TestServerHandleUnknownOp(t *testing.T) {
 }
 
 func TestPrestageWarmsReads(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	rig := newRig(2, cfg)
 	const size = 32 * mib
 	var coldT, warmT time.Duration
@@ -1025,7 +1031,7 @@ func TestPrestageWarmsReads(t *testing.T) {
 }
 
 func TestPrestageSkipsBufferedAndFullServers(t *testing.T) {
-	cfg := testCfg(SchemeSyncLustre)
+	cfg := testCfg("bb-sync")
 	rig := newRig(2, cfg)
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", 32*mib)

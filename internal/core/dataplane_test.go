@@ -4,12 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"hbb/internal/lustre"
 	"hbb/internal/sim"
 )
 
 // coalescedCfg is testCfg with the stage-out scheduler enabled.
-func coalescedCfg(scheme Scheme, batch int) Config {
-	cfg := testCfg(scheme)
+func coalescedCfg(policy string, batch int) Config {
+	cfg := testCfg(policy)
 	cfg.FlushBatchBlocks = batch
 	return cfg
 }
@@ -19,7 +20,7 @@ func coalescedCfg(scheme Scheme, batch int) Config {
 // extends over the pending run of adjacent same-file blocks, sorted,
 // capped at the batch size.
 func TestFlushSchedulerRunClaim(t *testing.T) {
-	rig := newRig(2, coalescedCfg(SchemeAsyncLustre, 3))
+	rig := newRig(2, coalescedCfg("bb-async", 3))
 	s := rig.fs.Servers()[0]
 	mk := func(file string, idx int) *bbBlock {
 		return &bbBlock{id: int64(idx), file: file, fileIdx: idx, size: mib,
@@ -77,18 +78,20 @@ func runIDs(run []*bbBlock) []int64 {
 // TestCoalescedDrainRoundTrip drains a multi-block file through the
 // coalescing pipeline and verifies the batching actually happened: one
 // Lustre object for the whole run instead of eight, and byte-exact
-// payload accounting. A single server plus the deferred policy makes the
-// backlog deterministic: all 8 blocks are parked, then promoted together
-// by the drain, so the scheduler sees the full adjacent run at once.
+// payload accounting. A single server whose flushers start only after the
+// write makes the backlog deterministic: all 8 blocks are queued before
+// any flusher runs, so the scheduler sees the full adjacent run at once.
 func TestCoalescedDrainRoundTrip(t *testing.T) {
-	cfg := coalescedCfg(SchemeAsyncLustre, 8)
+	cfg := coalescedCfg("bb-async", 8)
 	cfg.Servers = 1
-	cfg.Policy = "test-deferred"
-	cfg.FlushConcurrency = 2
-	rig := newRig(2, cfg)
+	cfg.Flushers = 2
+	c := newRigCluster(2)
+	l := lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2})
+	rig := &testRig{c: c, l: l, fs: New(c, l, cfg)}
 	const size = 128 * mib // 8 blocks of 16 MiB
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/data/f", size)
+		rig.fs.Start()
 		rig.fs.DrainFlushers(p)
 		if got := readFile(t, p, rig.fs, 1, "/data/f"); got != size {
 			t.Fatalf("read %d, want %d", got, size)
@@ -114,7 +117,7 @@ func TestCoalescedDrainRoundTrip(t *testing.T) {
 // TestCoalescedLustreReadAfterEviction forces evicted blocks to stream
 // back out of shared run objects: the ranged Lustre read path.
 func TestCoalescedLustreReadAfterEviction(t *testing.T) {
-	cfg := coalescedCfg(SchemeAsyncLustre, 4)
+	cfg := coalescedCfg("bb-async", 4)
 	cfg.ServerMemory = 64 * mib
 	rig := newRig(2, cfg)
 	const sizeA = 64 * mib
@@ -142,7 +145,7 @@ func TestCoalescedLustreReadAfterEviction(t *testing.T) {
 // TestReadAheadPrefetch verifies the reader overlaps the next block's
 // fetch with the current one and counts every adopted prefetch.
 func TestReadAheadPrefetch(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.ReadAhead = 1
 	rig := newRig(2, cfg)
 	const size = 64 * mib // 4 blocks
@@ -164,7 +167,7 @@ func TestReadAheadPrefetch(t *testing.T) {
 // TestReadAheadWithCoalescedLustre combines both new paths: readahead over
 // blocks that must stream from shared run objects on Lustre.
 func TestReadAheadWithCoalescedLustre(t *testing.T) {
-	cfg := coalescedCfg(SchemeAsyncLustre, 4)
+	cfg := coalescedCfg("bb-async", 4)
 	cfg.ServerMemory = 64 * mib
 	cfg.ReadAhead = 2
 	rig := newRig(2, cfg)
@@ -197,7 +200,7 @@ func TestFlushRetryExhaustionReleasesWriter(t *testing.T) {
 			name = "coalesced-path"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := testCfg(SchemeAsyncLustre)
+			cfg := testCfg("bb-async")
 			cfg.Servers = 1
 			cfg.ServerMemory = 64 * mib // budget 57.6 MiB: three 16 MiB blocks fit
 			cfg.FlushBatchBlocks = batch
@@ -256,7 +259,7 @@ func TestFlushRetryExhaustionReleasesWriter(t *testing.T) {
 // mid-flush: the flusher must abort the remaining chunk writes instead of
 // staging bytes that are already gone.
 func TestDeletedBlockFlushShortCircuit(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Flushers = 1
 	rig := newRig(2, cfg)
 	const size = 16 * mib // one block

@@ -6,44 +6,6 @@ import (
 	"hbb/internal/sim"
 )
 
-// armFlushTick schedules the periodic deferred-promotion tick if the
-// configuration enables it and none is pending. The tick is a kernel
-// callback timer, not a ticker process: it costs no goroutine, fires inline
-// in the scheduler loop, and is only re-armed while deferred blocks remain,
-// so a drained burst buffer never keeps the simulation's event queue alive.
-func (fs *Instance) armFlushTick() {
-	if fs.cfg.FlushTick <= 0 || fs.tickArmed {
-		return
-	}
-	fs.tickArmed = true
-	fs.flushTick = fs.cl.Env.After(fs.cfg.FlushTick, fs.flushTickFire)
-}
-
-// flushTickFire promotes every parked FlushDeferred block into the flusher
-// queues. promoteDeferred may wake blocked flusher processes, which is safe
-// from callback context (waking schedules an event; it never yields). The
-// promote pass also reports what stayed parked, so the re-arm decision
-// needs no second scan over the servers.
-func (fs *Instance) flushTickFire() {
-	fs.tickArmed = false
-	promoted, remaining := 0, 0
-	for _, s := range fs.servers {
-		if s.phys.failed {
-			remaining += len(s.deferred)
-			continue
-		}
-		p, r := s.promoteDeferred(false)
-		promoted += p
-		remaining += r
-	}
-	if promoted > 0 {
-		fs.metrics.Counter("flush.tick.promotions").Add(int64(promoted))
-	}
-	if remaining > 0 {
-		fs.armFlushTick()
-	}
-}
-
 // flusherLoop is one background flusher of a buffer server: it drains the
 // dirty queue, copying blocks from the KV buffer to Lustre. Reading the
 // block out of server memory is effectively free next to the Lustre write,

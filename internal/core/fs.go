@@ -53,8 +53,8 @@ type bbBlock struct {
 	// block's payload, primary first (empty once evicted everywhere).
 	state blockState
 	srvs  []*BufferServer
-	// localNode/localDev identify the SchemeLocalityAware replica (-1/nil
-	// when absent).
+	// localNode/localDev identify the bb-locality replica (-1/nil when
+	// absent).
 	localNode netsim.NodeID
 	localDev  *storage.Device
 	// lustrePath is the backing object, set once a flush or sync write
@@ -237,8 +237,8 @@ func (fs *BurstFS) Servers() []*BufferServer { return fs.def.servers }
 // BufferedBytes returns total payload resident in the default instance.
 func (fs *BurstFS) BufferedBytes() int64 { return fs.def.BufferedBytes() }
 
-// Start launches the flusher pools of every instance. SchemeSyncLustre
-// needs none, but the pools are started anyway to drain recovery work
+// Start launches the flusher pools of every instance. bb-sync needs
+// none, but the pools are started anyway to drain recovery work
 // uniformly.
 func (fs *BurstFS) Start() {
 	fs.running = true
@@ -247,9 +247,7 @@ func (fs *BurstFS) Start() {
 	}
 }
 
-// Shutdown stops the flusher pools once their queues drain. Deferred
-// blocks are promoted first so nothing dirty is left behind, and pending
-// flush ticks are cancelled so they cannot keep the event queue alive.
+// Shutdown stops the flusher pools once their queues drain.
 func (fs *BurstFS) Shutdown() {
 	for _, inst := range fs.instances {
 		inst.shutdown()
@@ -313,7 +311,7 @@ type mgrImportReq struct {
 
 // handleMgr serves the metadata manager.
 func (fs *BurstFS) handleMgr(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-	p.Sleep(fs.cfg.MDOpLatency)
+	p.Sleep(mdOpLatency)
 	switch m.Op {
 	case "create":
 		req := m.Payload.(*mgrPathReq)
@@ -513,7 +511,7 @@ func (fs *BurstFS) BlockLocations(p *sim.Proc, client netsim.NodeID, path string
 }
 
 // LocalStorageUsed reports bytes of compute-node-local storage consumed by
-// the burst buffer (tab1: zero except for SchemeLocalityAware replicas).
+// the burst buffer (tab1: zero except for bb-locality replicas).
 func (fs *BurstFS) LocalStorageUsed() int64 {
 	var total int64
 	for _, n := range fs.cl.Nodes {

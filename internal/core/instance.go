@@ -58,10 +58,6 @@ type Instance struct {
 	// openBlocks counts blocks currently being streamed by writers — a
 	// live traffic signal policies may read (see adaptivePolicy).
 	openBlocks int
-	// flushTick is the armed deferred-promotion timer (see Config.FlushTick
-	// and flusher.go); tickArmed keeps at most one pending at a time.
-	flushTick sim.Timer
-	tickArmed bool
 
 	started  bool
 	released bool
@@ -130,7 +126,7 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 					spec.Name, n, i, fs.serverBrickCap()-fs.phys[i].bricksUsed)
 			}
 			limits[i] = int64(n) * fs.cfg.BrickSize
-			if int64(float64(limits[i])*cfg.HighWatermark) < cfg.BlockSize {
+			if int64(float64(limits[i])*HighWatermark) < cfg.BlockSize {
 				return nil, fmt.Errorf("core: instance %q: %d bricks on server %d cannot admit a single %d-byte block",
 					spec.Name, n, i, cfg.BlockSize)
 			}
@@ -183,7 +179,7 @@ func (inst *Instance) start() {
 	}
 	inst.started = true
 	for _, s := range inst.servers {
-		for i := 0; i < inst.cfg.effectiveFlushers(); i++ {
+		for i := 0; i < inst.cfg.Flushers; i++ {
 			s := s
 			name := fmt.Sprintf("%s.flusher%d", s.name, i)
 			if inst.name != DefaultInstanceName {
@@ -196,15 +192,9 @@ func (inst *Instance) start() {
 	}
 }
 
-// shutdown stops the instance's flusher pools once their queues drain,
-// promoting parked deferred blocks first and cancelling a pending tick.
+// shutdown stops the instance's flusher pools once their queues drain.
 func (inst *Instance) shutdown() {
-	if inst.tickArmed {
-		inst.cl.Env.Cancel(inst.flushTick)
-		inst.tickArmed = false
-	}
 	for _, s := range inst.servers {
-		s.promoteDeferred(false)
 		s.dirtyQueue.Close()
 	}
 }
@@ -394,11 +384,7 @@ func (inst *Instance) DrainFlushers(p *sim.Proc) {
 	for {
 		busy := false
 		for _, s := range inst.servers {
-			// A promoted block may be handed straight to a blocked flusher
-			// (queue length stays 0 until it runs), so promotion itself
-			// counts as in-flight work.
-			promoted, _ := s.promoteDeferred(false)
-			if promoted > 0 || s.dirtyBacklog() > 0 || s.flushing > 0 {
+			if s.dirtyBacklog() > 0 || s.flushing > 0 {
 				busy = true
 				break
 			}
@@ -469,7 +455,6 @@ func (inst *Instance) failServer(ph *serverNode) {
 		}
 	}
 	s.resident = make(map[*bbBlock]struct{})
-	s.deferred = nil
 	s.bytes = 0
 }
 

@@ -43,10 +43,6 @@ const (
 	// every byte before the client's ack; the block is born clean. Plans
 	// using it must also set LustreTee.
 	FlushWriteThrough
-	// FlushDeferred parks the block dirty without queueing it: it is
-	// flushed only on demand — when a drain is requested or when buffer
-	// pressure leaves nothing clean to evict.
-	FlushDeferred
 )
 
 func (m FlushMode) String() string {
@@ -55,8 +51,6 @@ func (m FlushMode) String() string {
 		return "async"
 	case FlushWriteThrough:
 		return "write-through"
-	case FlushDeferred:
-		return "deferred"
 	default:
 		return "invalid"
 	}

@@ -35,9 +35,6 @@ func init() {
 	// test-lustre-first inverts the read preference: Lustre before the
 	// buffer, proving the reader honors ReadSources order.
 	RegisterPolicy("test-lustre-first", func(Config) Policy { return lustreFirstPolicy{} })
-	// test-deferred parks every block dirty until a drain or buffer
-	// pressure promotes it.
-	RegisterPolicy("test-deferred", func(Config) Policy { return deferredPolicy{} })
 }
 
 type lustreFirstPolicy struct{}
@@ -50,15 +47,6 @@ func (lustreFirstPolicy) ReadSources(*Instance, *bbBlock) []SourceKind {
 	return []SourceKind{SourceLustre, SourceRemoteLocal, SourceBuffer, SourceLocal}
 }
 func (lustreFirstPolicy) OnEvict(*Instance, *bbBlock) {}
-
-type deferredPolicy struct{}
-
-func (deferredPolicy) Name() string { return "test-deferred" }
-func (deferredPolicy) OnBlockOpen(*Instance, *bbBlock) BlockPlan {
-	return BlockPlan{Mode: FlushDeferred}
-}
-func (deferredPolicy) ReadSources(*Instance, *bbBlock) []SourceKind { return DefaultReadOrder() }
-func (deferredPolicy) OnEvict(*Instance, *bbBlock)                  {}
 
 func TestPolicyRegistry(t *testing.T) {
 	names := PolicyNames()
@@ -88,7 +76,7 @@ func TestUnknownPolicyPanicsAtConstruction(t *testing.T) {
 			t.Error("BurstFS with unknown policy constructed")
 		}
 	}()
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Policy = "no-such-policy"
 	_ = newRig(2, cfg)
 }
@@ -138,7 +126,7 @@ func TestReaderFallbackOrdering(t *testing.T) {
 	for _, step := range steps {
 		step := step
 		t.Run(step.name, func(t *testing.T) {
-			cfg := testCfg(SchemeLocalityAware)
+			cfg := testCfg("bb-locality")
 			rig := newRig(4, cfg)
 			rig.run(t, func(p *sim.Proc) {
 				writeFile(t, p, rig.fs, 0, "/f", size)
@@ -165,7 +153,7 @@ func TestReaderFallbackOrdering(t *testing.T) {
 // the serving tier mid-block, and checks the reader re-fetches the consumed
 // prefix from the next source in order without data loss.
 func TestReaderFallbackMidBlockPrefixRefetch(t *testing.T) {
-	cfg := testCfg(SchemeLocalityAware)
+	cfg := testCfg("bb-locality")
 	cfg.Servers = 2
 	rig := newRig(4, cfg)
 	const size = 16 * mib // one block
@@ -209,7 +197,7 @@ func TestReaderFallbackMidBlockPrefixRefetch(t *testing.T) {
 // over the buffer and checks the reader follows it even though the block
 // is still resident in the buffer.
 func TestCustomPolicyReadOrderHonored(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Policy = "test-lustre-first"
 	rig := newRig(2, cfg)
 	const size = 16 * mib
@@ -230,7 +218,7 @@ func TestCustomPolicyReadOrderHonored(t *testing.T) {
 }
 
 func TestAdaptiveCalmWritesThrough(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Policy = "bb-adaptive"
 	rig := newRig(2, cfg)
 	const size = 48 * mib // 3 blocks, written sequentially
@@ -250,7 +238,7 @@ func TestAdaptiveCalmWritesThrough(t *testing.T) {
 }
 
 func TestAdaptiveBurstDegradesToAsync(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	cfg.Policy = "bb-adaptive"
 	rig := newRig(4, cfg)
 	const writers = 6
@@ -283,92 +271,34 @@ func TestAdaptiveBurstDegradesToAsync(t *testing.T) {
 	}
 }
 
-func TestDeferredPolicyParksUntilDrain(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
-	cfg.Policy = "test-deferred"
-	rig := newRig(2, cfg)
-	const size = 32 * mib // 2 blocks
-	rig.run(t, func(p *sim.Proc) {
-		writeFile(t, p, rig.fs, 0, "/f", size)
-		p.Sleep(time.Second) // flushers are idle: nothing was enqueued
-		if got := rig.fs.Stats().BytesFlushed; got != 0 {
-			t.Errorf("flushed %d while deferred, want 0", got)
-		}
-		parked := 0
-		for _, s := range rig.fs.Servers() {
-			parked += len(s.deferred)
-		}
-		if parked != 2 {
-			t.Errorf("%d blocks parked, want 2", parked)
-		}
-		// Blocks stay readable from the buffer while parked.
-		if got := readFile(t, p, rig.fs, 1, "/f"); got != size {
-			t.Fatalf("read %d, want %d", got, size)
-		}
-		rig.fs.DrainFlushers(p)
-		if got := rig.fs.Stats().BytesFlushed; got != size {
-			t.Errorf("flushed %d after drain, want %d", got, size)
-		}
-	})
-}
-
-func TestDeferredPolicyFlushTickPromotes(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
-	cfg.Policy = "test-deferred"
-	cfg.FlushTick = 500 * time.Millisecond
-	rig := newRig(2, cfg)
-	const size = 32 * mib // 2 blocks
-	rig.run(t, func(p *sim.Proc) {
-		writeFile(t, p, rig.fs, 0, "/f", size)
-		p.Sleep(100 * time.Millisecond) // inside the tick window: still parked
-		if got := rig.fs.Stats().BytesFlushed; got != 0 {
-			t.Errorf("flushed %d before the tick, want 0", got)
-		}
-		// Past the tick the parked blocks must reach Lustre with no drain,
-		// no shutdown, and no buffer pressure.
-		p.Sleep(5 * time.Second)
-		if got := rig.fs.Stats().BytesFlushed; got != size {
-			t.Errorf("flushed %d after the tick, want %d", got, size)
-		}
-	})
-	if got := rig.fs.Metrics().Counter("flush.tick.promotions").Value(); got != 2 {
-		t.Errorf("tick promoted %d blocks, want 2", got)
-	}
-}
-
-func TestDeferredPolicyFlushedOnShutdown(t *testing.T) {
-	cfg := testCfg(SchemeAsyncLustre)
-	cfg.Policy = "test-deferred"
-	rig := newRig(2, cfg)
-	const size = 16 * mib
-	rig.run(t, func(p *sim.Proc) {
-		writeFile(t, p, rig.fs, 0, "/f", size)
-		// No drain: Shutdown (run's defer) must promote the parked blocks
-		// into the closing queues so the flushers settle them.
-	})
-	if got := rig.fs.Stats().BytesFlushed; got != size {
-		t.Errorf("flushed %d after shutdown, want %d", got, size)
-	}
-}
-
-func TestDeferredPolicyPromotedUnderPressure(t *testing.T) {
-	// 2 servers x 64 MiB with everything parked dirty: writing 192 MiB can
-	// only proceed if buffer pressure promotes the deferred blocks to the
-	// flushers. A missing promotion deadlocks, which run() reports.
-	cfg := testCfg(SchemeAsyncLustre)
-	cfg.Policy = "test-deferred"
+// TestWriterStallsUnderPressure oversubscribes 2 servers x 64 MiB with
+// 192 MiB of async writes from two nodes, faster than one flusher per
+// server drains them to Lustre: writers can only proceed as flushes make
+// blocks clean and evictable. A lost wake-up deadlocks, which run()
+// reports.
+func TestWriterStallsUnderPressure(t *testing.T) {
+	cfg := testCfg("bb-async")
 	cfg.ServerMemory = 64 * mib
+	cfg.Flushers = 1
 	rig := newRig(2, cfg)
-	const size = 192 * mib
+	const size = 96 * mib // per writer
 	rig.run(t, func(p *sim.Proc) {
-		writeFile(t, p, rig.fs, 0, "/f", size)
+		var wg sim.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			rig.c.Env.Spawn(fmt.Sprintf("w%d", i), func(q *sim.Proc) {
+				defer wg.Done()
+				writeFile(t, q, rig.fs, netsim.NodeID(i), fmt.Sprintf("/f%d", i), size)
+			})
+		}
+		wg.Wait(p)
 		rig.fs.DrainFlushers(p)
 	})
-	if got := rig.fs.Stats().BytesFlushed; got != size {
-		t.Errorf("flushed %d, want %d", got, size)
+	if got := rig.fs.Stats().BytesFlushed; got != 2*size {
+		t.Errorf("flushed %d, want %d", got, 2*size)
 	}
 	if rig.fs.Stats().WriterStalls == 0 {
-		t.Error("no writer stalls despite 3x memory oversubscription")
+		t.Error("no writer stalls despite 1.5x memory oversubscription")
 	}
 }
 
@@ -379,7 +309,7 @@ func TestDeferredPolicyPromotedUnderPressure(t *testing.T) {
 func TestFlushRetryAccounting(t *testing.T) {
 	c := newRigCluster(2)
 	l := newTinyLustre(c, 2*mib) // OSTs far smaller than one block
-	cfg := testCfg(SchemeAsyncLustre)
+	cfg := testCfg("bb-async")
 	fs := New(c, l, cfg)
 	fs.Start()
 	rig := &testRig{c: c, l: l, fs: fs}

@@ -110,7 +110,7 @@ func (r *bbReader) launchFetch(b *bbBlock, tried map[string]struct{}) (string, *
 		return "", nil, err
 	}
 	tried[src] = struct{}{}
-	out := sim.NewBounded[packet](r.fs.cfg.PrefetchWindow)
+	out := sim.NewBounded[packet](prefetchWindow)
 	switch {
 	case src == srcLocal:
 		r.fs.stats.ReadsLocal++

@@ -8,9 +8,8 @@ package core
 //     claims a whole run of adjacent blocks of one file at once, so a
 //     single Lustre object (one Create + one completion round-trip) covers
 //     the run instead of paying per-block metadata.
-//   - Urgency: eviction-pressure work (promotions under writer stall,
-//     crash requeues, transient-failure retries) is drained before
-//     background stage-out, shortening writer stalls.
+//   - Urgency: pressure work (crash requeues, transient-failure retries)
+//     is drained before background stage-out, shortening writer stalls.
 //
 // The scheduler holds no processes and never yields: enqueue and next are
 // plain state transitions, safe from both process and kernel-callback
@@ -42,8 +41,8 @@ func newFlushScheduler(s *BufferServer, batch int) *flushScheduler {
 func (fl *flushScheduler) pendingCount() int { return fl.count }
 
 // enqueue registers a dirty block. A re-enqueue of an already-pending
-// block (e.g. a deferred block promoted twice) only upgrades its urgency;
-// the stale queue entry is skipped when popped.
+// block only upgrades its urgency; the stale queue entry is skipped when
+// popped.
 func (fl *flushScheduler) enqueue(b *bbBlock, urgent bool) {
 	idx := fl.byFile[b.file]
 	if idx == nil {

@@ -1,7 +1,7 @@
 package core
 
 func init() {
-	RegisterPolicy("bb-adaptive", func(cfg Config) Policy { return &adaptivePolicy{cfg: cfg} })
+	RegisterPolicy("bb-adaptive", func(Config) Policy { return &adaptivePolicy{} })
 }
 
 // adaptivePolicy switches persistence mode per block based on observed
@@ -13,10 +13,9 @@ func init() {
 //
 // The traffic signal is the number of blocks currently in flight — blocks
 // being streamed by writers plus blocks queued or mid-copy in the flusher
-// pool. Hysteresis (AdaptiveBurstBlocks / AdaptiveCalmBlocks) keeps the
+// pool. Hysteresis (adaptiveBurstBlocks / adaptiveCalmBlocks) keeps the
 // detector from flapping at the boundary.
 type adaptivePolicy struct {
-	cfg Config
 	// burst is the detector state: true while degraded to async.
 	burst bool
 }
@@ -27,7 +26,7 @@ func (a *adaptivePolicy) Name() string { return "bb-adaptive" }
 func (a *adaptivePolicy) pressure(fs *Instance) int {
 	depth := fs.openBlocks
 	for _, s := range fs.servers {
-		depth += s.dirtyBacklog() + s.flushing + len(s.deferred)
+		depth += s.dirtyBacklog() + s.flushing
 	}
 	return depth
 }
@@ -35,10 +34,10 @@ func (a *adaptivePolicy) pressure(fs *Instance) int {
 func (a *adaptivePolicy) OnBlockOpen(fs *Instance, b *bbBlock) BlockPlan {
 	p := a.pressure(fs)
 	if a.burst {
-		if p <= a.cfg.AdaptiveCalmBlocks {
+		if p <= adaptiveCalmBlocks {
 			a.burst = false
 		}
-	} else if p >= a.cfg.AdaptiveBurstBlocks {
+	} else if p >= adaptiveBurstBlocks {
 		a.burst = true
 	}
 	if a.burst {

@@ -44,7 +44,7 @@ func newServerNode(fs *BurstFS, index int) *serverNode {
 			Clock:       func() int64 { return int64(fs.cl.Env.Now()) },
 		}),
 	}
-	ph.ingest = sim.NewPipe(ph.name+".ingest", fs.cfg.ServerIngestRate)
+	ph.ingest = sim.NewPipe(ph.name+".ingest", serverIngestRate)
 	fs.net.Register(ph.node, bbService, ph.handle)
 	return ph
 }
@@ -52,7 +52,7 @@ func newServerNode(fs *BurstFS, index int) *serverNode {
 // handle serves the control-plane side of buffer operations. Payload
 // transfers are charged separately by the client via RDMA read/write.
 func (ph *serverNode) handle(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-	p.Sleep(ph.pool.cfg.ServerOpLatency)
+	p.Sleep(serverOpLatency)
 	switch m.Op {
 	case "set":
 		req := m.Payload.(*bbSetReq)
@@ -104,12 +104,8 @@ type BufferServer struct {
 	// Config.FlushBatchBlocks > 1; see scheduler.go).
 	sched *flushScheduler
 	// flushInflight is the payload currently being copied to Lustre by the
-	// flusher pool, bounded by effectiveFlushers × FlushBatchBlocks ×
-	// BlockSize.
+	// flusher pool, bounded by Flushers × FlushBatchBlocks × BlockSize.
 	flushInflight int64
-	// deferred holds FlushDeferred blocks parked dirty until a drain,
-	// shutdown, or buffer pressure promotes them into the dirty queue.
-	deferred []*bbBlock
 	// cleanLRU orders clean blocks for explicit eviction (head = oldest).
 	cleanLRU []*bbBlock
 	// resident is the set of blocks whose payload lives on this share.
@@ -153,7 +149,7 @@ func (s *BufferServer) residentByID() []*bbBlock {
 }
 
 // enqueueDirty hands a dirty block to the flusher pool. urgent marks
-// pressure work (eviction-driven promotions, crash requeues) that the
+// pressure work (crash requeues) that the
 // coalescing scheduler flushes ahead of background stage-out; without the
 // scheduler every block is FIFO exactly as in the seed. Callback-safe:
 // nothing here yields.
@@ -252,7 +248,7 @@ func (b *bbBlock) onServer(s *BufferServer) bool {
 
 // budget returns the writer-stall threshold in bytes.
 func (s *BufferServer) budget() int64 {
-	return int64(float64(s.limit) * s.fs.cfg.HighWatermark)
+	return int64(float64(s.limit) * HighWatermark)
 }
 
 // ensureSpace blocks the writer until size more bytes fit under the
@@ -279,14 +275,6 @@ func (s *BufferServer) ensureSpace(p *sim.Proc, size int64) error {
 			s.fs.policy.OnEvict(s.fs, victim)
 			continue
 		}
-		// Nothing clean: parked deferred blocks are the next way to make
-		// room — hand them to the flusher pool before stalling. Promotion
-		// under eviction pressure is urgent: the scheduler flushes these
-		// ahead of background work so the stalled writer unblocks sooner.
-		if len(s.deferred) > 0 {
-			s.promoteDeferred(true)
-			continue
-		}
 		// Nothing clean: wait for the flusher pool to make progress.
 		s.fs.stats.WriterStalls++
 		start := p.Now()
@@ -295,27 +283,6 @@ func (s *BufferServer) ensureSpace(p *sim.Proc, size int64) error {
 		s.fs.metrics.Histogram("writer.stall.s").Observe((p.Now() - start).Seconds())
 	}
 	return nil
-}
-
-// promoteDeferred moves parked FlushDeferred blocks into the dirty queue,
-// returning how many it promoted and how many remain parked afterwards (so
-// the flush tick can fold its re-arm decision into the promote pass).
-// urgent marks eviction-pressure promotions the coalescing scheduler
-// prioritizes. Blocks that were deleted, re-planned, or reassigned away
-// are dropped. Note a promoted block may be handed straight to a blocked
-// flusher (queue length stays 0), so callers polling for progress must
-// treat a non-zero promoted count as in-flight work.
-func (s *BufferServer) promoteDeferred(urgent bool) (promoted, remaining int) {
-	parked := s.deferred
-	s.deferred = nil
-	for _, b := range parked {
-		if b.deleted || b.state != stateDirty || b.primary() != s {
-			continue
-		}
-		s.enqueueDirty(b, urgent)
-		promoted++
-	}
-	return promoted, len(s.deferred)
 }
 
 // signalFlushProgress wakes writers stalled in ensureSpace.

@@ -122,7 +122,7 @@ func (w *bbWriter) startTees(p *sim.Proc) {
 func (w *bbWriter) startLustreTee(p *sim.Proc) {
 	b := w.cur
 	fs := w.fs
-	tee := &blockTee{in: sim.NewBounded[int64](fs.cfg.PrefetchWindow), done: &sim.Event{}}
+	tee := &blockTee{in: sim.NewBounded[int64](prefetchWindow), done: &sim.Event{}}
 	w.lustreTee = tee
 	srvNode := b.primary().phys.node
 	fs.cl.Env.Spawn(fmt.Sprintf("bb.synctee.b%d", b.id), func(q *sim.Proc) {
@@ -167,7 +167,7 @@ func (w *bbWriter) startLocalTee(p *sim.Proc) {
 	if err := dev.Alloc(fs.cfg.BlockSize); err != nil {
 		return
 	}
-	tee := &blockTee{in: sim.NewBounded[int64](fs.cfg.PrefetchWindow), done: &sim.Event{}}
+	tee := &blockTee{in: sim.NewBounded[int64](prefetchWindow), done: &sim.Event{}}
 	w.localTee = tee
 	client := w.client
 	fs.cl.Env.Spawn(fmt.Sprintf("bb.localtee.b%d", b.id), func(q *sim.Proc) {
@@ -392,10 +392,6 @@ func (w *bbWriter) finishBlock(p *sim.Proc) error {
 			s.cleanLRU = append(s.cleanLRU, b)
 		}
 		fs.stats.BytesFlushed += b.size
-	case FlushDeferred:
-		b.state = stateDirty
-		b.primary().deferred = append(b.primary().deferred, b)
-		fs.armFlushTick()
 	default: // FlushAsync
 		b.state = stateDirty
 		b.primary().enqueueDirty(b, false)

@@ -312,7 +312,7 @@ func (r *hdfsReader) startFetch(p *sim.Proc) error {
 		choice = remote[r.fs.cl.Env.Rand().Intn(len(remote))]
 	}
 	r.triedReplica[choice] = struct{}{}
-	r.fetch = sim.NewBounded[packet](r.fs.cfg.WindowPackets)
+	r.fetch = sim.NewBounded[packet](windowPackets)
 	r.pending = 0
 	r.consumedBlk = 0
 	r.fs.dns[choice].streamBlock(b.ID, r.client, r.fetch)

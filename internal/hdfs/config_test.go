@@ -15,11 +15,9 @@ func TestConfigValidate(t *testing.T) {
 		wantErr string // substring of the error, "" for valid
 	}{
 		{"zero value uses defaults", Config{}, ""},
-		{"explicit sane values", Config{BlockSize: 64 << 20, Replication: 2, PacketSize: 1 << 20, WindowPackets: 4}, ""},
+		{"explicit sane values", Config{BlockSize: 64 << 20, PacketSize: 1 << 20}, ""},
 		{"negative PacketSize", Config{PacketSize: -1}, "PacketSize"},
-		{"negative WindowPackets", Config{WindowPackets: -4}, "WindowPackets"},
 		{"negative BlockSize", Config{BlockSize: -1 << 20}, "BlockSize"},
-		{"negative Replication", Config{Replication: -3}, "Replication"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

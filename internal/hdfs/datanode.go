@@ -37,16 +37,13 @@ type dnBlock struct {
 	dev  *storage.Device
 }
 
-// newDataNode picks the node's data directories per config: stock HDFS
-// uses persistent devices (SSD, then HDD); with UseRAMDiskForData the RAM
-// disk is preferred. A node with no persistent device at all falls back to
-// its RAM disk so that "HDFS on diskless nodes" is representable (with the
-// tiny capacity the paper's motivation highlights).
+// newDataNode picks the node's data directories as stock HDFS does:
+// persistent devices (SSD, then HDD). A node with no persistent device at
+// all falls back to its RAM disk so that "HDFS on diskless nodes" is
+// representable (with the tiny capacity the paper's motivation
+// highlights).
 func newDataNode(h *HDFS, node *cluster.Node) *DataNode {
 	dn := &DataNode{fs: h, node: node, id: node.ID, blocks: make(map[BlockID]*dnBlock)}
-	if h.cfg.UseRAMDiskForData && node.RAMDisk != nil {
-		dn.devices = append(dn.devices, node.RAMDisk)
-	}
 	if node.SSD != nil {
 		dn.devices = append(dn.devices, node.SSD)
 	}
@@ -105,7 +102,7 @@ func (dn *DataNode) dropBlock(id BlockID) {
 // system shuts down or the node fails.
 func (dn *DataNode) heartbeatLoop(p *sim.Proc) {
 	for {
-		if dn.fs.stop.WaitTimeout(p, dn.fs.cfg.HeartbeatInterval) {
+		if dn.fs.stop.WaitTimeout(p, heartbeatInterval) {
 			return
 		}
 		if dn.failed {
@@ -144,11 +141,11 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 	r := &blockRecv{
 		dn:   dn,
 		blk:  blk,
-		in:   sim.NewBounded[packet](dn.fs.cfg.WindowPackets),
+		in:   sim.NewBounded[packet](windowPackets),
 		done: &sim.Event{},
 		dev:  dev,
 	}
-	wstore := sim.NewBounded[packet](dn.fs.cfg.WindowPackets)
+	wstore := sim.NewBounded[packet](windowPackets)
 	writerDone := &sim.Event{}
 
 	// Disk writer: drains segments to the device with one flat reservation

@@ -151,7 +151,7 @@ const nnReqSize = 256 // nominal metadata request wire size
 
 // handleNN is the NameNode service handler.
 func (h *HDFS) handleNN(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-	p.Sleep(h.cfg.NNOpLatency)
+	p.Sleep(nnOpLatency)
 	switch m.Op {
 	case "create":
 		return netsim.Reply{Size: 64, Err: h.nsys.CreateFile(m.Payload.(string))}
@@ -207,7 +207,7 @@ func (h *HDFS) callNN(p *sim.Proc, from netsim.NodeID, op string, payload any) n
 // monitorLoop is the NameNode's failure detector and replication driver.
 func (h *HDFS) monitorLoop(p *sim.Proc) {
 	for {
-		if h.stop.WaitTimeout(p, h.cfg.HeartbeatInterval) {
+		if h.stop.WaitTimeout(p, heartbeatInterval) {
 			return
 		}
 		h.nsys.CheckDatanodes(p.Now())

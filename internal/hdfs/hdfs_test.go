@@ -29,7 +29,7 @@ func testCluster(nodes int) *cluster.Cluster {
 }
 
 func testConfig() Config {
-	return Config{BlockSize: 16 * testMiB, Replication: 3, PacketSize: testMiB}
+	return Config{BlockSize: 16 * testMiB, PacketSize: testMiB}
 }
 
 // runHDFS builds a cluster+HDFS, runs fn as the driver process, shuts the
@@ -388,10 +388,7 @@ func TestReadFailsOverToAnotherReplica(t *testing.T) {
 }
 
 func TestReReplicationAfterNodeDeath(t *testing.T) {
-	cfg := testConfig()
-	cfg.HeartbeatInterval = 200 * time.Millisecond
-	cfg.DatanodeTimeout = time.Second
-	_, h, _ := runHDFS(t, 6, cfg, func(p *sim.Proc, h *HDFS) {
+	_, h, _ := runHDFS(t, 6, testConfig(), func(p *sim.Proc, h *HDFS) {
 		w, _ := h.Create(p, 0, "/f")
 		w.Write(p, 32*testMiB)
 		w.Close(p)
@@ -494,41 +491,6 @@ func TestConcurrentWritersShareBandwidth(t *testing.T) {
 	}
 	if concT > 4*soloT {
 		t.Errorf("4 concurrent writes (%v) slower than 4x serial (%v); no parallelism", concT, 4*soloT)
-	}
-}
-
-func TestUseRAMDiskForData(t *testing.T) {
-	c := cluster.New(cluster.Config{
-		Nodes:     4,
-		Transport: netsim.IPoIB,
-		Hardware: cluster.HardwareSpec{
-			RAMDiskCapacity: 1 << 30,
-			SSDCapacity:     2 << 30,
-		},
-		Seed: 11,
-	})
-	cfg := testConfig()
-	cfg.UseRAMDiskForData = true
-	h, err := New(c, cfg)
-	if err != nil {
-		t.Fatalf("hdfs.New: %v", err)
-	}
-	h.Start()
-	c.Env.Spawn("driver", func(p *sim.Proc) {
-		defer h.Shutdown()
-		w, _ := h.Create(p, 0, "/f")
-		w.Write(p, 32*testMiB)
-		w.Close(p)
-	})
-	c.Env.Run()
-	// Blocks landed on RAM disks, not SSDs.
-	var ram, ssd int64
-	for _, n := range c.Nodes {
-		ram += n.RAMDisk.Used()
-		ssd += n.SSD.Used()
-	}
-	if ram != 3*32*testMiB || ssd != 0 {
-		t.Errorf("ram=%d ssd=%d; RAM-disk mode should hold all replicas", ram, ssd)
 	}
 }
 

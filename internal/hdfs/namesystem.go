@@ -25,52 +25,34 @@ type BlockInfo struct {
 type Config struct {
 	// BlockSize is the split size for files. Zero defaults to 128 MiB.
 	BlockSize int64
-	// Replication is the target replica count. Zero defaults to 3.
-	Replication int
-	// PacketSize and WindowPackets set the streaming granularity: payload
-	// moves in segments of PacketSize × WindowPackets bytes (see
-	// flowSegment). Zero defaults to 1 MiB.
+	// PacketSize sets the streaming granularity: payload moves in
+	// segments of PacketSize × windowPackets bytes (see flowSegment). Zero
+	// defaults to 1 MiB.
 	PacketSize int64
-	// WindowPackets also bounds the segments in flight per pipeline stage.
-	// Zero defaults to 8.
-	WindowPackets int
-	// HeartbeatInterval is the datanode heartbeat period. Zero defaults
-	// to 1 s (compressed from HDFS's 3 s to keep simulations short).
-	HeartbeatInterval time.Duration
-	// DatanodeTimeout declares a datanode dead after this silence. Zero
-	// defaults to 5 s.
-	DatanodeTimeout time.Duration
-	// NNOpLatency is the namenode's processing cost per metadata op.
-	// Zero defaults to 50 µs.
-	NNOpLatency time.Duration
-	// UseRAMDiskForData lets datanodes place blocks on the node RAM disk
-	// (fastest-first), as the paper's era Triple-H designs do. When false
-	// (stock HDFS), only persistent local devices (SSD/HDD) hold blocks,
-	// unless a node has no persistent device at all.
-	UseRAMDiskForData bool
 }
+
+// The namesystem's and data plane's fixed parameters.
+const (
+	// replication is the target replica count.
+	replication = 3
+	// windowPackets is the packets per streamed segment, which also bounds
+	// the segments in flight per pipeline stage.
+	windowPackets = 8
+	// heartbeatInterval is the datanode heartbeat period (compressed from
+	// HDFS's 3 s to keep simulations short).
+	heartbeatInterval = time.Second
+	// datanodeTimeout declares a datanode dead after this silence.
+	datanodeTimeout = 5 * time.Second
+	// nnOpLatency is the namenode's processing cost per metadata op.
+	nnOpLatency = 50 * time.Microsecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.BlockSize == 0 {
 		c.BlockSize = 128 << 20
 	}
-	if c.Replication == 0 {
-		c.Replication = 3
-	}
 	if c.PacketSize == 0 {
 		c.PacketSize = 1 << 20
-	}
-	if c.WindowPackets == 0 {
-		c.WindowPackets = 8
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = time.Second
-	}
-	if c.DatanodeTimeout == 0 {
-		c.DatanodeTimeout = 5 * time.Second
-	}
-	if c.NNOpLatency == 0 {
-		c.NNOpLatency = 50 * time.Microsecond
 	}
 	return c
 }
@@ -83,14 +65,8 @@ func (c Config) Validate() error {
 	if d.PacketSize <= 0 {
 		return fmt.Errorf("hdfs: PacketSize must be positive, got %d", c.PacketSize)
 	}
-	if d.WindowPackets <= 0 {
-		return fmt.Errorf("hdfs: WindowPackets must be positive, got %d", c.WindowPackets)
-	}
 	if d.BlockSize <= 0 {
 		return fmt.Errorf("hdfs: BlockSize must be positive, got %d", c.BlockSize)
-	}
-	if d.Replication <= 0 {
-		return fmt.Errorf("hdfs: Replication must be positive, got %d", c.Replication)
 	}
 	return nil
 }
@@ -99,7 +75,7 @@ func (c Config) Validate() error {
 // read streams: one window's worth of packets moved as a single analytic
 // transfer over the hop's flow, with one flat device reservation.
 func (c Config) flowSegment() int64 {
-	return c.PacketSize * int64(c.WindowPackets)
+	return c.PacketSize * windowPackets
 }
 
 // blockMeta is the namesystem's record of one block.
@@ -175,7 +151,7 @@ func (n *Namesystem) AddBlock(path string, writer netsim.NodeID, exclude []netsi
 	if !fm.UnderConstruction {
 		return 0, nil, fmt.Errorf("%w: %q", dfs.ErrReadOnly, path)
 	}
-	targets, err := n.choosePlacement(writer, n.cfg.Replication, n.cfg.BlockSize, exclude)
+	targets, err := n.choosePlacement(writer, replication, n.cfg.BlockSize, exclude)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -364,7 +340,7 @@ func (n *Namesystem) CheckDatanodes(now time.Duration) []netsim.NodeID {
 	var dead []netsim.NodeID
 	for _, id := range n.dnOrder {
 		d := n.dns[id]
-		if !d.alive || now-d.lastHB <= n.cfg.DatanodeTimeout {
+		if !d.alive || now-d.lastHB <= datanodeTimeout {
 			continue
 		}
 		d.alive = false
@@ -403,7 +379,7 @@ func (n *Namesystem) ReplicationTasks(limit int) []ReplicationTask {
 			break
 		}
 		bm := n.blocks[id]
-		if bm.pendingRepl || bm.size == 0 || len(bm.locs) == 0 || len(bm.locs) >= n.cfg.Replication {
+		if bm.pendingRepl || bm.size == 0 || len(bm.locs) == 0 || len(bm.locs) >= replication {
 			continue
 		}
 		var src netsim.NodeID = -1

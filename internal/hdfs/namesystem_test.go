@@ -12,7 +12,7 @@ import (
 
 func testNamesystem(t *testing.T, dns int, racksOf int, capacity int64) *Namesystem {
 	t.Helper()
-	n := NewNamesystem(Config{BlockSize: 64 << 20, Replication: 3}, rand.New(rand.NewSource(7)))
+	n := NewNamesystem(Config{BlockSize: 64 << 20}, rand.New(rand.NewSource(7)))
 	for i := 0; i < dns; i++ {
 		n.RegisterDatanode(netsim.NodeID(i), i/racksOf, capacity, 0)
 	}

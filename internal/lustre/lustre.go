@@ -35,13 +35,15 @@ type Config struct {
 	StripeCount int
 	// OSTCapacity bounds each OST (0 = unlimited).
 	OSTCapacity int64
-	// MDSOpLatency is the metadata-op processing cost. Zero defaults to
-	// 500 µs (Lustre metadata ops are heavier than HDFS NameNode ops).
-	MDSOpLatency time.Duration
-	// RPCsInFlight bounds outstanding bulk RPCs per client stream. Zero
-	// defaults to 8.
-	RPCsInFlight int
 }
+
+const (
+	// mdsOpLatency is the metadata-op processing cost (Lustre metadata ops
+	// are heavier than HDFS NameNode ops).
+	mdsOpLatency = 500 * time.Microsecond
+	// rpcsInFlight bounds outstanding bulk RPCs per client stream.
+	rpcsInFlight = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.OSTs == 0 {
@@ -56,13 +58,22 @@ func (c Config) withDefaults() Config {
 	if c.StripeCount < 0 || c.StripeCount > c.OSTs {
 		c.StripeCount = c.OSTs
 	}
-	if c.MDSOpLatency == 0 {
-		c.MDSOpLatency = 500 * time.Microsecond
-	}
-	if c.RPCsInFlight == 0 {
-		c.RPCsInFlight = 8
-	}
 	return c
+}
+
+// Validate rejects configurations that would divide by zero or stall
+// later in the data plane. It is applied after defaulting, so a zero
+// value is fine (it means "use the default") but an explicit negative is
+// not.
+func (c Config) Validate() error {
+	d := c.withDefaults()
+	if d.OSTs < 1 {
+		return fmt.Errorf("lustre: OSTs must be at least 1, got %d", c.OSTs)
+	}
+	if d.StripeSize <= 0 {
+		return fmt.Errorf("lustre: StripeSize must be positive, got %d", c.StripeSize)
+	}
+	return nil
 }
 
 // layout is the per-file stripe layout stored in the namespace tree.
@@ -152,7 +163,7 @@ func fileLayout(f *dfs.TreeFile) *layout {
 
 // handleMDS serves metadata operations.
 func (l *Lustre) handleMDS(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-	p.Sleep(l.cfg.MDSOpLatency)
+	p.Sleep(mdsOpLatency)
 	switch m.Op {
 	case "create":
 		f, err := l.tree.CreateFile(m.Payload.(string))
@@ -294,7 +305,7 @@ func (l *Lustre) Create(p *sim.Proc, client netsim.NodeID, path string) (dfs.Wri
 	f := rep.Payload.(*dfs.TreeFile)
 	return &lustreWriter{
 		fs: l, client: client, file: f,
-		window: sim.NewSemaphore(l.cfg.RPCsInFlight),
+		window: sim.NewSemaphore(rpcsInFlight),
 	}, nil
 }
 
@@ -373,7 +384,7 @@ func (l *Lustre) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Reade
 		remainingRead:  f.Size,
 		limit:          f.Size,
 		in:             sim.NewStore[stripeFetch](),
-		window:         sim.NewSemaphore(l.cfg.RPCsInFlight),
+		window:         sim.NewSemaphore(rpcsInFlight),
 	}, nil
 }
 
@@ -400,7 +411,7 @@ func (l *Lustre) OpenRange(p *sim.Proc, client netsim.NodeID, path string, offse
 		chunk:          int(offset / l.cfg.StripeSize),
 		stripeSkip:     offset % l.cfg.StripeSize,
 		in:             sim.NewStore[stripeFetch](),
-		window:         sim.NewSemaphore(l.cfg.RPCsInFlight),
+		window:         sim.NewSemaphore(rpcsInFlight),
 	}, nil
 }
 

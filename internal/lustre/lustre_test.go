@@ -406,3 +406,26 @@ func TestTracedDecorator(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigValidate: zero values take the defaults; an explicit value
+// that would leave no OST to stripe over, or no stripe to move, fails
+// naming the field.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string // substring; "" means valid
+	}{
+		{Config{}, ""},
+		{Config{OSTs: 1, StripeCount: -1, StripeSize: 4 << 20}, ""},
+		{Config{OSTs: -1}, "OSTs"},
+		{Config{StripeSize: -1}, "StripeSize"},
+	} {
+		err := tc.cfg.Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("%+v: %v", tc.cfg, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: error %v, want one naming %s", tc.cfg, err, tc.want)
+		}
+	}
+}

@@ -34,7 +34,7 @@ func newRig(nodes int) *rig {
 		},
 		Seed: 9,
 	})
-	h, err := hdfs.New(c, hdfs.Config{BlockSize: 16 * mib, Replication: 3, PacketSize: mib})
+	h, err := hdfs.New(c, hdfs.Config{BlockSize: 16 * mib, PacketSize: mib})
 	if err != nil {
 		panic(err)
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -235,13 +236,13 @@ func TestFleetSettleDoesNotAllocate(t *testing.T) {
 // fleetTraceFingerprint runs a mixed intra/cross-rack workload and folds
 // every transfer completion into per-rack hashes combined in rack order,
 // so the result is independent of shard placement but sensitive to any
-// timing or ordering change.
-func fleetTraceFingerprint(racks, perRack, shards, workers int) uint64 {
+// timing or ordering change. Windows run on procs workers (GOMAXPROCS).
+func fleetTraceFingerprint(racks, perRack, shards, procs int) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	fl, err := NewFleet(fleetTopo(racks, perRack, shards))
 	if err != nil {
 		panic(err)
 	}
-	fl.Group().SetWorkers(workers)
 	hashes := make([]uint64, racks)
 	for i := range hashes {
 		hashes[i] = 14695981039346656037
@@ -282,12 +283,12 @@ func fleetTraceFingerprint(racks, perRack, shards, workers int) uint64 {
 
 func TestFleetDeterminismAcrossShardsAndWorkers(t *testing.T) {
 	base := fleetTraceFingerprint(6, 4, 1, 1)
-	for _, tc := range []struct{ shards, workers int }{
+	for _, tc := range []struct{ shards, procs int }{
 		{2, 1}, {3, 1}, {6, 4}, {6, 8},
 	} {
-		if got := fleetTraceFingerprint(6, 4, tc.shards, tc.workers); got != base {
-			t.Errorf("shards=%d workers=%d fingerprint %x, want %x (shards=1)",
-				tc.shards, tc.workers, got, base)
+		if got := fleetTraceFingerprint(6, 4, tc.shards, tc.procs); got != base {
+			t.Errorf("shards=%d GOMAXPROCS=%d fingerprint %x, want %x (shards=1)",
+				tc.shards, tc.procs, got, base)
 		}
 	}
 }

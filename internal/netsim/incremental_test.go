@@ -16,6 +16,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -154,6 +155,8 @@ func TestFlowSolverDifferentialStress(t *testing.T) {
 // a multiple of it, so many legs start, and many finish, in one instant.
 func fleetDiffTrace(t *testing.T, seed int64, grid time.Duration) (trace []string, resolves int64) {
 	t.Helper()
+	// Both shards append to one trace, so windows run serially.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	topo := fleetTopo(4, 6, 2)
 	topo.UplinkBandwidth = 2 * RDMA.Bandwidth
 	fl, err := NewFleet(topo)

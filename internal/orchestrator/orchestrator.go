@@ -249,7 +249,7 @@ func (s *Scheduler) dispatch() {
 func (s *Scheduler) minShare() int {
 	cfg := s.pool.Config()
 	n := 1
-	for int64(float64(int64(n)*cfg.BrickSize)*cfg.HighWatermark) < cfg.BlockSize {
+	for int64(float64(int64(n)*cfg.BrickSize)*core.HighWatermark) < cfg.BlockSize {
 		n++
 	}
 	return n

@@ -328,7 +328,6 @@ func TestShardGroupRunLeaksNoGoroutines(t *testing.T) {
 	base := goroutineBaseline()
 	const shards = 4
 	g := NewShardGroup(shards, time.Microsecond, 1)
-	g.SetWorkers(shards)
 	hops := 0
 	for i := 0; i < shards; i++ {
 		e, seq := g.Shard(i), uint64(0)
@@ -344,7 +343,7 @@ func TestShardGroupRunLeaksNoGoroutines(t *testing.T) {
 		})
 		hops += 20
 	}
-	g.Run()
+	withProcs(shards, func() { g.Run() })
 	if g.Messages() != int64(hops) {
 		t.Fatalf("delivered %d messages, want %d", g.Messages(), hops)
 	}

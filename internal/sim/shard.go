@@ -16,7 +16,8 @@ package sim
 // with no rollback and no locks on simulation state.
 //
 // Determinism is stronger than "no data races": the event trace is
-// identical for any shard count and any worker count, because
+// identical for any shard count and any worker count (GOMAXPROCS, read
+// when Run starts), because
 //
 //   - cross-shard messages are buffered in per-sender outboxes and merged
 //     into each destination's inbox at window barriers in the canonical
@@ -81,6 +82,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -113,7 +115,9 @@ func msgBefore(a, b *crossMsg) bool {
 type ShardGroup struct {
 	shards    []*Env
 	lookahead int64
-	workers   int
+	// workers is GOMAXPROCS as Run found it: how many shards execute
+	// concurrently inside a window.
+	workers int
 	// fixed selects the classic lock-step horizon instead of the adaptive
 	// one. Only tests set it, as the oracle the adaptive trace must match.
 	fixed bool
@@ -150,7 +154,6 @@ func NewShardGroup(n int, lookahead time.Duration, seed int64) *ShardGroup {
 	g := &ShardGroup{
 		shards:    make([]*Env, n),
 		lookahead: int64(lookahead),
-		workers:   1,
 		outbox:    make([][]crossMsg, n),
 		inject:    make([][]crossMsg, n),
 		next:      make([]int64, n),
@@ -172,17 +175,6 @@ func (g *ShardGroup) Shard(i int) *Env { return g.shards[i] }
 
 // Lookahead returns the group's synchronization lookahead.
 func (g *ShardGroup) Lookahead() time.Duration { return time.Duration(g.lookahead) }
-
-// SetWorkers bounds how many shards execute concurrently inside a
-// window (default 1, i.e. serial). Any value yields the identical event
-// trace; more workers only buy wall-clock time on multi-core hosts.
-func (g *ShardGroup) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.workers = n
-	g.sem = nil
-}
 
 // Windows returns how many synchronization windows have run.
 func (g *ShardGroup) Windows() int64 { return g.windows }
@@ -249,13 +241,19 @@ func (g *ShardGroup) Send(src, dst int, at time.Duration, key, seq uint64, fn fu
 }
 
 // Run drives every shard until all heaps, inboxes, and outboxes drain,
-// then returns the final virtual time (the maximum across shards). Like
-// Env.Run it re-raises the first process panic.
+// then returns the final virtual time (the maximum across shards). Up to
+// GOMAXPROCS shards execute each window concurrently; any value yields
+// the identical event trace. Like Env.Run it re-raises the first process
+// panic.
 func (g *ShardGroup) Run() time.Duration {
 	if g.running {
 		panic("sim: ShardGroup.Run called re-entrantly")
 	}
 	g.running = true
+	g.workers = runtime.GOMAXPROCS(0)
+	if cap(g.sem) != g.workers {
+		g.sem = make(chan struct{}, g.workers)
+	}
 	defer func() {
 		g.running = false
 		for _, e := range g.shards {
@@ -362,9 +360,6 @@ func (g *ShardGroup) runShards() {
 			g.shards[i].run(g.limits[i])
 		}
 		return
-	}
-	if g.sem == nil {
-		g.sem = make(chan struct{}, g.workers)
 	}
 	var wg sync.WaitGroup
 	for _, i := range g.active {

@@ -7,18 +7,21 @@ import (
 
 // TestShardAdaptiveLookaheadStress is the adaptive-sync proof
 // obligation: the token-passing trace fingerprint must be identical with
-// adaptive lookahead ON and OFF, across shard counts and worker counts.
-// The name rides `make stress`, so this also runs under -race with
-// concurrent windows.
+// adaptive lookahead ON and OFF, across shard counts and worker counts
+// (GOMAXPROCS). The name rides `make stress`, so this also runs under
+// -race with concurrent windows.
 func TestShardAdaptiveLookaheadStress(t *testing.T) {
-	base := shardTraceMode(12, 1, 1, false)
+	var base uint64
+	withProcs(1, func() { base = shardTraceMode(12, 1, false) })
 	for _, adaptive := range []bool{false, true} {
 		for _, shards := range []int{1, 4, 6} {
-			for _, workers := range []int{1, 8} {
-				if got := shardTraceMode(12, shards, workers, adaptive); got != base {
-					t.Errorf("adaptive=%v shards=%d workers=%d fingerprint %x, want %x",
-						adaptive, shards, workers, got, base)
-				}
+			for _, procs := range []int{1, 8} {
+				withProcs(procs, func() {
+					if got := shardTraceMode(12, shards, adaptive); got != base {
+						t.Errorf("adaptive=%v shards=%d GOMAXPROCS=%d fingerprint %x, want %x",
+							adaptive, shards, procs, got, base)
+					}
+				})
 			}
 		}
 	}

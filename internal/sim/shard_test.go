@@ -40,14 +40,21 @@ func (d *shardDomain) nextSeq() uint64 {
 // messages that spawn responders on the receiving shard, so the trace is
 // sensitive to event order within each domain and to message delivery
 // order across domains.
-func shardTrace(domains, shards, workers int) uint64 {
-	return shardTraceMode(domains, shards, workers, true)
+func shardTrace(domains, shards int) uint64 {
+	return shardTraceMode(domains, shards, true)
 }
 
-func shardTraceMode(domains, shards, workers int, adaptive bool) uint64 {
+// withProcs runs f with runtime.GOMAXPROCS set to procs, the one control
+// of how many shards a window runs concurrently, and restores the
+// previous value.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+func shardTraceMode(domains, shards int, adaptive bool) uint64 {
 	const lookahead = 5 * time.Microsecond
 	g := NewShardGroup(shards, lookahead, 42)
-	g.SetWorkers(workers)
 	g.fixed = !adaptive
 	ds := make([]*shardDomain, domains)
 	for i := range ds {
@@ -101,27 +108,28 @@ func shardTraceMode(domains, shards, workers int, adaptive bool) uint64 {
 func TestShardGroupDeterminismAcrossShardCounts(t *testing.T) {
 	// The event trace must be a pure function of the workload: identical
 	// whether the 8 domains share one heap or are spread over 2 or 4, and
-	// regardless of how many workers execute each window.
-	base := shardTrace(8, 1, 1)
+	// regardless of how many workers (GOMAXPROCS) execute each window.
+	var base uint64
+	withProcs(1, func() { base = shardTrace(8, 1) })
 	for _, shards := range []int{2, 4} {
-		for _, workers := range []int{1, 4} {
-			if got := shardTrace(8, shards, workers); got != base {
-				t.Errorf("shards=%d workers=%d fingerprint %x, want %x (shards=1)",
-					shards, workers, got, base)
-			}
+		for _, procs := range []int{1, 4} {
+			withProcs(procs, func() {
+				if got := shardTrace(8, shards); got != base {
+					t.Errorf("shards=%d GOMAXPROCS=%d fingerprint %x, want %x (shards=1)",
+						shards, procs, got, base)
+				}
+			})
 		}
 	}
-	if again := shardTrace(8, 1, 1); again != base {
+	if again := shardTrace(8, 1); again != base {
 		t.Errorf("shards=1 not reproducible: %x vs %x", again, base)
 	}
 }
 
 func TestShardGroupWorkerAndGOMAXPROCSInvariance(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	serial := shardTrace(8, 4, 1)
-	runtime.GOMAXPROCS(4)
-	parallel := shardTrace(8, 4, 8)
-	runtime.GOMAXPROCS(prev)
+	var serial, parallel uint64
+	withProcs(1, func() { serial = shardTrace(8, 4) })
+	withProcs(4, func() { parallel = shardTrace(8, 4) })
 	if serial != parallel {
 		t.Errorf("fingerprint depends on workers/GOMAXPROCS: %x vs %x", serial, parallel)
 	}
@@ -201,6 +209,5 @@ func TestShardGroupProcessPanicPropagates(t *testing.T) {
 			t.Fatalf("want process panic to propagate, got %v", r)
 		}
 	}()
-	g.SetWorkers(4)
-	g.Run()
+	withProcs(4, func() { g.Run() })
 }

@@ -11,8 +11,7 @@
 //
 //   - a client is 16 bytes: its next arrival instant on the integer
 //     virtual timeline and a splitmix64 PRNG state. Per-client arrival
-//     schedules are target-QPS exponential (Poisson) or fixed-rate with
-//     a deterministic random phase;
+//     schedules are target-QPS exponential (Poisson);
 //   - each rack owns a flat slice of its clients plus a tick calendar —
 //     one list head per tick and one 4-byte link per client, a client
 //     filed under the first tick at or after its next arrival — and one
@@ -22,8 +21,9 @@
 //     fleetXfer flow injection per (tick, destination rack) carries the
 //     summed payload, so kernel work scales with traffic shape, not
 //     client count;
-//   - key popularity is zipfian (or uniform), mapped to owner nodes by a
-//     fixed multiplicative hash, so hot keys create genuine hot racks.
+//   - key popularity over 2^20 keys is zipfian (or uniform), mapped to
+//     owner nodes by a fixed multiplicative hash, so hot keys create
+//     genuine hot racks.
 //
 // Determinism matches the fleet's contract: every rack draws from its
 // own generator seeded by (seed, rack), folds its own trace hash, and
@@ -55,16 +55,11 @@ type Config struct {
 	// Zipf is the zipfian skew exponent for key popularity; it must
 	// exceed 1 (math/rand's Zipf domain), or be 0 for uniform keys.
 	Zipf float64
-	// Keys is the distinct key population requests address (default 1M).
-	Keys int
 	// RequestBytes is the payload each request moves (default 64 KiB).
 	RequestBytes int64
 	// Duration is the open-loop generation horizon in virtual time
 	// (default 100ms); in-flight transfers drain after it.
 	Duration time.Duration
-	// FixedRate replaces exponential inter-arrivals with a fixed period
-	// per client (random phase), for closed-form offered load.
-	FixedRate bool
 	// MaxInflight, when positive, is the per-rack admission cap: a tick's
 	// batches are shed (counted, not injected) while the rack's
 	// outstanding-request count is at or above the bound. It keeps
@@ -75,10 +70,10 @@ type Config struct {
 	Seed int64
 }
 
+// keys is the distinct key population requests address.
+const keys = 1 << 20
+
 func (c Config) withDefaults() Config {
-	if c.Keys == 0 {
-		c.Keys = 1 << 20
-	}
 	if c.RequestBytes == 0 {
 		c.RequestBytes = 64 << 10
 	}
@@ -100,9 +95,6 @@ func (c Config) Validate() error {
 	}
 	if c.Zipf != 0 && c.Zipf <= 1 {
 		return fmt.Errorf("swarm: Zipf skew must exceed 1 (or be 0 for uniform keys), got %g", c.Zipf)
-	}
-	if c.Keys < 0 {
-		return fmt.Errorf("swarm: Keys must be positive, got %d", c.Keys)
 	}
 	if c.RequestBytes < 0 {
 		return fmt.Errorf("swarm: RequestBytes must be positive, got %d", c.RequestBytes)
@@ -213,7 +205,6 @@ type rackGen struct {
 	zipf    *rand.Zipf
 	rng     *rand.Rand
 	gapMean float64 // mean inter-arrival per client, ns
-	period  int64   // fixed-rate period per client, ns
 
 	// Per-tick scratch, all reused: per-destination-rack byte and
 	// request accumulators, the representative destination slot, and the
@@ -259,8 +250,6 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 		horizon: int64(cfg.Duration),
 	}
 	perClient := float64(cfg.Clients) / cfg.TargetQPS * 1e9 // mean gap, ns
-	// A sub-nanosecond period would truncate to 0 and stall the schedule.
-	period := max(int64(perClient), 1)
 	// One slot per tick up to the horizon (arrivals stop before it), capped
 	// so the calendar does not scale with Duration.
 	slots := min((s.horizon+s.tickNs-1)/s.tickNs+1, 1<<16)
@@ -276,7 +265,6 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 			id:      r,
 			env:     fl.Env(r * topo.NodesPerRack),
 			gapMean: perClient,
-			period:  period,
 			bytes:   make([]int64, racks),
 			reqs:    make([]int64, racks),
 			slot:    make([]int32, racks),
@@ -285,7 +273,7 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 			h:       fnvOffset,
 		}
 		if cfg.Zipf != 0 {
-			g.zipf = rand.NewZipf(g.rng, cfg.Zipf, 1, uint64(cfg.Keys-1))
+			g.zipf = rand.NewZipf(g.rng, cfg.Zipf, 1, keys-1)
 		}
 		g.tickFn = g.runTick
 		g.clients = make([]clientRec, count)
@@ -294,7 +282,7 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 		for i := range g.clients {
 			c := &g.clients[i]
 			c.state = uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(next+i+1)
-			c.next = g.firstArrival(c)
+			c.next = c.expGap(g.gapMean)
 			if c.next < s.horizon {
 				g.file(int32(i))
 				g.live++
@@ -322,23 +310,6 @@ func (s *Swarm) Start() {
 	}
 }
 
-// firstArrival draws a client's initial arrival: exponential from time
-// zero, or a uniform phase within the fixed period.
-func (g *rackGen) firstArrival(c *clientRec) int64 {
-	if g.sw.cfg.FixedRate {
-		return int64(splitmix64(&c.state) % uint64(g.period))
-	}
-	return g.gap(c)
-}
-
-// gap draws one exponential inter-arrival (or the fixed period).
-func (g *rackGen) gap(c *clientRec) int64 {
-	if g.sw.cfg.FixedRate {
-		return g.period
-	}
-	return c.expGap(g.gapMean)
-}
-
 // file chains client ci under the first tick at or after its next arrival.
 func (g *rackGen) file(ci int32) {
 	tick := uint64(g.sw.tickNs)
@@ -358,7 +329,6 @@ func (g *rackGen) advance(now int64) int64 {
 	nodes := uint64(topo.Racks * topo.NodesPerRack)
 	per := topo.NodesPerRack
 	reqBytes := g.sw.cfg.RequestBytes
-	keys := uint64(g.sw.cfg.Keys)
 	horizon := g.sw.horizon
 	var arrivals int64
 	for last := now / g.sw.tickNs; g.cur <= last; g.cur++ {
@@ -388,7 +358,7 @@ func (g *rackGen) advance(now int64) int64 {
 				}
 				g.bytes[dRack] += reqBytes
 				g.reqs[dRack]++
-				c.next += g.gap(c)
+				c.next += c.expGap(g.gapMean)
 			}
 			if c.next >= horizon {
 				// Past the generation horizon: retire it, even when still

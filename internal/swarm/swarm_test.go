@@ -44,7 +44,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative qps", func(c *Config) { c.TargetQPS = -1 }, "TargetQPS"},
 		{"zipf at 1", func(c *Config) { c.Zipf = 1 }, "Zipf"},
 		{"zipf below 1", func(c *Config) { c.Zipf = 0.4 }, "Zipf"},
-		{"negative keys", func(c *Config) { c.Keys = -1 }, "Keys"},
 		{"negative request bytes", func(c *Config) { c.RequestBytes = -1 }, "RequestBytes"},
 		{"negative duration", func(c *Config) { c.Duration = -time.Second }, "Duration"},
 		{"negative max inflight", func(c *Config) { c.MaxInflight = -1 }, "MaxInflight"},
@@ -144,18 +143,6 @@ func TestSwarmMaxInflightSheds(t *testing.T) {
 	}
 	if st.MaxInflight < 2*base.MaxInflight {
 		t.Errorf("uncapped peak inflight %d not well above capped peak %d", st.MaxInflight, base.MaxInflight)
-	}
-}
-
-func TestSwarmFixedRateOfferedLoad(t *testing.T) {
-	// Fixed-rate arrivals make the offered load closed-form: each client
-	// fires Duration/period times (±1 for phase), so achieved QPS must
-	// land within a few percent of target.
-	cfg := Config{Clients: 2000, TargetQPS: 4e5, Duration: 10 * time.Millisecond, FixedRate: true, Seed: 3}
-	_, st := runSwarm(t, 2, cfg)
-	ratio := st.AchievedQPS / cfg.TargetQPS
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("achieved %.0f QPS for target %.0f (ratio %.3f)", st.AchievedQPS, cfg.TargetQPS, ratio)
 	}
 }
 
@@ -300,7 +287,6 @@ func (h *heapRef) advance(now int64) int64 {
 	nodes := uint64(topo.Racks * topo.NodesPerRack)
 	per := topo.NodesPerRack
 	reqBytes := g.sw.cfg.RequestBytes
-	keys := uint64(g.sw.cfg.Keys)
 	var arrivals int64
 	for len(h.heap) > 0 {
 		ci := h.heap[0]
@@ -323,7 +309,7 @@ func (h *heapRef) advance(now int64) int64 {
 		}
 		g.bytes[dRack] += reqBytes
 		g.reqs[dRack]++
-		c.next += g.gap(c)
+		c.next += c.expGap(g.gapMean)
 		if c.next >= g.sw.horizon {
 			n := len(h.heap) - 1
 			h.heap[0] = h.heap[n]
@@ -458,22 +444,20 @@ func TestCalendarMatchesHeapStress(t *testing.T) {
 			}},
 	}
 	for _, sh := range shapes {
-		for _, fixed := range []bool{false, true} {
-			for _, zipf := range []float64{1.1, 0} {
-				t.Run(fmt.Sprintf("%s/fixed=%v/zipf=%g", sh.name, fixed, zipf), func(t *testing.T) {
-					for seed := int64(1); seed <= 8; seed++ {
-						cfg := sh.cfg
-						cfg.FixedRate, cfg.Zipf, cfg.Seed = fixed, zipf, seed
-						want, wantFP, wantSt := traceRun(t, cfg, true, 0)
-						got, gotFP, gotSt := traceRun(t, cfg, false, 0)
-						diffTraces(t, got, want)
-						if gotFP != wantFP || gotSt != wantSt {
-							t.Fatalf("seed %d: fingerprint %x stats %+v, heap %x %+v", seed, gotFP, gotSt, wantFP, wantSt)
-						}
-						sh.check(t, got, gotSt)
+		for _, zipf := range []float64{1.1, 0} {
+			t.Run(fmt.Sprintf("%s/zipf=%g", sh.name, zipf), func(t *testing.T) {
+				for seed := int64(1); seed <= 8; seed++ {
+					cfg := sh.cfg
+					cfg.Zipf, cfg.Seed = zipf, seed
+					want, wantFP, wantSt := traceRun(t, cfg, true, 0)
+					got, gotFP, gotSt := traceRun(t, cfg, false, 0)
+					diffTraces(t, got, want)
+					if gotFP != wantFP || gotSt != wantSt {
+						t.Fatalf("seed %d: fingerprint %x stats %+v, heap %x %+v", seed, gotFP, gotSt, wantFP, wantSt)
 					}
-				})
-			}
+					sh.check(t, got, gotSt)
+				}
+			})
 		}
 	}
 }
@@ -482,18 +466,16 @@ func TestCalendarMatchesHeapStress(t *testing.T) {
 // 78-tick run whose mean gap is 8 ticks, so the wheel turns 19 times and
 // most clients are filed more than one lap ahead; the trace must not move.
 func TestCalendarWheelLapsStress(t *testing.T) {
-	for _, fixed := range []bool{false, true} {
-		cfg := Config{Clients: 3000, TargetQPS: 3e6, Zipf: 1.1, Duration: 10 * time.Millisecond,
-			FixedRate: fixed, MaxInflight: 4000, Seed: 9}
-		want, wantFP, wantSt := traceRun(t, cfg, true, 0)
-		got, gotFP, gotSt := traceRun(t, cfg, false, 4)
-		if laps := len(got[0]) / 4; laps < 10 {
-			t.Fatalf("only %d laps of the wheel", laps)
-		}
-		diffTraces(t, got, want)
-		if gotFP != wantFP || gotSt != wantSt {
-			t.Errorf("fixed=%v: fingerprint %x stats %+v, heap %x %+v", fixed, gotFP, gotSt, wantFP, wantSt)
-		}
+	cfg := Config{Clients: 3000, TargetQPS: 3e6, Zipf: 1.1, Duration: 10 * time.Millisecond,
+		MaxInflight: 4000, Seed: 9}
+	want, wantFP, wantSt := traceRun(t, cfg, true, 0)
+	got, gotFP, gotSt := traceRun(t, cfg, false, 4)
+	if laps := len(got[0]) / 4; laps < 10 {
+		t.Fatalf("only %d laps of the wheel", laps)
+	}
+	diffTraces(t, got, want)
+	if gotFP != wantFP || gotSt != wantSt {
+		t.Errorf("fingerprint %x stats %+v, heap %x %+v", gotFP, gotSt, wantFP, wantSt)
 	}
 }
 
@@ -508,18 +490,6 @@ func TestCalendarIsBounded(t *testing.T) {
 		if b := 4 * len(g.head); b >= 1<<20 {
 			t.Errorf("rack %d calendar is %d bytes", g.id, b)
 		}
-	}
-}
-
-// TestSubNanosecondPeriodTerminates: a fixed-rate period under 1 ns used
-// to truncate to 0, and advance then re-armed the same client forever (a
-// regression shows as the test timing out). Clamped to 1 ns, one client
-// fires exactly once per nanosecond of horizon.
-func TestSubNanosecondPeriodTerminates(t *testing.T) {
-	const horizon = 20 * time.Microsecond
-	_, st := runSwarm(t, 1, Config{Clients: 1, TargetQPS: 2e9, FixedRate: true, Duration: horizon})
-	if st.Arrivals != int64(horizon) {
-		t.Errorf("%d arrivals, want %d", st.Arrivals, int64(horizon))
 	}
 }
 

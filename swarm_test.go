@@ -25,16 +25,15 @@ func swarmOpts(shards int) Options {
 
 // TestSwarmCrossShardStress is the swarm's determinism obligation: the
 // open-loop population must produce the identical trace fingerprint,
-// request count, and virtual elapsed time at every shard and worker
-// count. The name rides `make stress`, so this also runs under -race.
+// request count, and virtual elapsed time at every shard count and
+// GOMAXPROCS. The name rides `make stress`, so this also runs under -race.
 func TestSwarmCrossShardStress(t *testing.T) {
-	run := func(shards, workers int) SwarmResult {
+	run := func(shards, procs int) (res SwarmResult) {
 		fb, err := NewFleet(swarmOpts(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb.SetWorkers(workers)
-		res, err := fb.RunSwarm()
+		withProcs(procs, func() { res, err = fb.RunSwarm() })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,12 +43,12 @@ func TestSwarmCrossShardStress(t *testing.T) {
 	if base.Requests == 0 || base.Completed != base.Requests {
 		t.Fatalf("degenerate baseline: %+v", base)
 	}
-	for _, tc := range []struct{ shards, workers int }{{4, 1}, {4, 8}, {6, 8}} {
-		got := run(tc.shards, tc.workers)
+	for _, tc := range []struct{ shards, procs int }{{4, 1}, {4, 8}, {6, 8}} {
+		got := run(tc.shards, tc.procs)
 		if got.Fingerprint != base.Fingerprint || got.Requests != base.Requests ||
 			got.Elapsed != base.Elapsed || got.Completed != base.Completed {
-			t.Errorf("shards=%d workers=%d: (fp %x, req %d, elapsed %v), want (fp %x, req %d, elapsed %v)",
-				tc.shards, tc.workers,
+			t.Errorf("shards=%d GOMAXPROCS=%d: (fp %x, req %d, elapsed %v), want (fp %x, req %d, elapsed %v)",
+				tc.shards, tc.procs,
 				got.Fingerprint, got.Requests, got.Elapsed,
 				base.Fingerprint, base.Requests, base.Elapsed)
 		}
@@ -152,9 +151,10 @@ func TestSwarmOptionsValidation(t *testing.T) {
 // requests, the peak in-flight count, the virtual elapsed time, and the
 // synchronization windows at each shard count. Those were recorded at the
 // parent of the commit that coalesced each rack's same-instant rate events
-// into one settle, under per-event re-solving. Every cell runs on the
-// 240-node fleet at zipf 1.1 over a 10 ms horizon, at one, two and four
-// shards.
+// into one settle, under per-event re-solving; the 7-shard windows were
+// recorded before that axis was added to the test. Every cell runs on the
+// 240-node fleet (12 racks) at zipf 1.1 over a 10 ms horizon, at one,
+// two, four and seven shards.
 func TestSwarmFingerprintPins(t *testing.T) {
 	type cell struct {
 		name        string
@@ -166,39 +166,39 @@ func TestSwarmFingerprintPins(t *testing.T) {
 		want        uint64
 		shedPct     float64
 		// Exact counts: events, messages, completed, peak in-flight,
-		// elapsed ns, and windows at 1, 2 and 4 shards.
+		// elapsed ns, and windows at 1, 2, 4 and 7 shards.
 		events, messages, completed, peak, elapsed int64
-		windows                                    [3]int64
+		windows                                    [4]int64
 	}
 	cells := []cell{
 		// tab9's ScaleSmall cells: two scaling populations, then 1x/4x/20x
 		// overload under an admission cap.
 		{"tab9/1k", 1000, 1e5, 256, 0, 1, 0x6a246ff740a12698, 0,
-			2330, 1060, 1056, 19, 10011004, [3]int64{21, 30, 30}},
+			2330, 1060, 1056, 19, 10011004, [4]int64{21, 30, 30, 30}},
 		{"tab9/10k", 10000, 1e6, 256, 0, 1, 0x40dcd46dc69cd260, 0,
-			7051, 3302, 10081, 83, 10762172, [3]int64{37, 51, 51}},
+			7051, 3302, 10081, 83, 10762172, [4]int64{37, 51, 51, 51}},
 		{"tab9/1x", 10000, 1e6, 40000, 500, 1, 0xd4ff98b59fb14834, 0,
-			7051, 3302, 10081, 165, 11088800, [3]int64{548, 703, 758}},
+			7051, 3302, 10081, 165, 11088800, [4]int64{548, 703, 758, 775}},
 		{"tab9/4x", 10000, 1e6, 160000, 500, 1, 0xbd9421206cb94de2, 0,
-			7051, 3302, 10081, 405, 39061002, [3]int64{1011, 1328, 1439}},
+			7051, 3302, 10081, 405, 39061002, [4]int64{1011, 1328, 1439, 1466}},
 		{"tab9/20x", 10000, 1e6, 800000, 500, 1, 0x93adfee01c279b15, 20.2,
-			5323, 2476, 8049, 531, 180741003, [3]int64{1334, 1953, 2171}},
+			5323, 2476, 8049, 531, 180741003, [4]int64{1334, 1953, 2171, 2248}},
 		// The benchmark's fleet_overload workload.
 		{"overload/seed1", 20000, 1e7, 96 << 10, 0, 1, 0x2cac317a096d068d, 0,
-			70178, 32898, 101026, 7260, 226784890, [3]int64{6687, 8239, 8781}},
+			70178, 32898, 101026, 7260, 226784890, [4]int64{6687, 8239, 8781, 8953}},
 		{"overload/seed2", 20000, 1e7, 96 << 10, 0, 2, 0x7cacf21eeb4b1d69, 0,
-			70336, 32954, 100976, 7271, 208840085, [3]int64{6714, 8306, 8871}},
+			70336, 32954, 100976, 7271, 208840085, [4]int64{6714, 8306, 8871, 9048}},
 	}
 	if !testing.Short() {
 		// The benchmark's fleet_swarm workload: 10^6 clients.
 		cells = append(cells,
 			cell{"swarm/seed1", 1000000, 1e8, 256, 0, 1, 0xf0ae5f774f1dfbdf, 0,
-				699351, 327768, 999450, 210, 10017596, [3]int64{1753, 1956, 1956}},
+				699351, 327768, 999450, 210, 10017596, [4]int64{1753, 1956, 1956, 1956}},
 			cell{"swarm/seed2", 1000000, 1e8, 256, 0, 2, 0x6e235a8b81087754, 0,
-				699538, 327784, 1000883, 195, 10017595, [3]int64{1771, 1956, 1956}})
+				699538, 327784, 1000883, 195, 10017595, [4]int64{1771, 1956, 1956, 1956}})
 	}
 	for _, c := range cells {
-		for si, shards := range []int{1, 2, 4} {
+		for si, shards := range []int{1, 2, 4, 7} {
 			fb, err := NewFleet(Options{Nodes: 240, RacksOf: 20, FleetMode: true,
 				Seed: c.seed, SimShards: shards,
 				Swarm: SwarmOptions{Clients: c.clients, TargetQPS: c.qps, Zipf: 1.1,
