@@ -15,10 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hbb"
@@ -80,39 +77,11 @@ func main() {
 			e.ID, e.Title, e.Claim, table, time.Since(start).Seconds(), sc)
 	}
 	if *id == "all" {
-		// Render whole experiments on GOMAXPROCS workers (their cells use
-		// GOMAXPROCS workers too), then print in paper order: each
-		// experiment is seeded and self-contained, so the report is
-		// identical at any GOMAXPROCS. tab8 and tab9 measure wall time and
-		// heap per cell, so they run after the pool with the host to
-		// themselves.
-		exps := hbb.Experiments()
-		outputs := make([]string, len(exps))
-		var pooled, solo []int
-		for i, e := range exps {
-			if e.ID == "tab8" || e.ID == "tab9" {
-				solo = append(solo, i)
-			} else {
-				pooled = append(pooled, i)
-			}
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := min(runtime.GOMAXPROCS(0), len(pooled)); w > 0; w-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for k := int(next.Add(1)) - 1; k < len(pooled); k = int(next.Add(1)) - 1 {
-					outputs[pooled[k]] = render(exps[pooled[k]])
-				}
-			}()
-		}
-		wg.Wait()
-		for _, i := range solo {
-			outputs[i] = render(exps[i])
-		}
-		for _, out := range outputs {
-			fmt.Print(out)
+		// One experiment at a time, in paper order: each runs its own
+		// cells on GOMAXPROCS workers, and tab8/tab9's host-time columns
+		// get the host to themselves.
+		for _, e := range hbb.Experiments() {
+			fmt.Print(render(e))
 		}
 		return
 	}

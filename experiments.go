@@ -2,8 +2,11 @@ package hbb
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"hbb/internal/hashring"
@@ -88,13 +91,57 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// sweep runs run on every cell and returns the results in cell order.
+// Cells run on min(GOMAXPROCS, len(cells)) goroutines, with GOMAXPROCS
+// read at each call; GOMAXPROCS=1 runs them one at a time.
+//
+// Cells are handed out largest index first. Every sweep lists its cells
+// with cost growing by index (more clients, more data), so the longest
+// cell starts at once instead of running alone at the end.
+//
+// Each run must be self-contained (own Testbed / sim.Env), so a result
+// depends on its cell alone and tables come out byte-identical at any
+// worker count.
+func sweep[C, R any](cells []C, run func(C) R) []R {
+	out := make([]R, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := min(runtime.GOMAXPROCS(0), len(cells)); g > 0; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := len(cells) - int(next.Add(1)); i >= 0; i = len(cells) - int(next.Add(1)) {
+				out[i] = run(cells[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// pair is one cell of a two-axis sweep.
+type pair[A, B any] struct {
+	a A
+	b B
+}
+
+// grid lists the (a, b) cells of a two-axis sweep, a as the outer axis.
+func grid[A, B any](as []A, bs []B) []pair[A, B] {
+	cells := make([]pair[A, B], 0, len(as)*len(bs))
+	for _, a := range as {
+		for _, b := range bs {
+			cells = append(cells, pair[A, B]{a, b})
+		}
+	}
+	return cells
+}
+
 // experiment sizing per scale.
 type sizing struct {
 	nodes      int
 	files      int // DFSIO file count (= total map slots)
 	dataSizes  []int64
 	sortSizes  []int64
-	chunk      int64
 	scaleNodes []int
 }
 
@@ -106,7 +153,6 @@ func sizingFor(scale Scale) sizing {
 			files:      32,
 			dataSizes:  []int64{20 * gib, 40 * gib, 60 * gib},
 			sortSizes:  []int64{8 * gib, 16 * gib, 32 * gib},
-			chunk:      4 << 20,
 			scaleNodes: []int{8, 16, 32, 64},
 		}
 	}
@@ -115,16 +161,17 @@ func sizingFor(scale Scale) sizing {
 		files:      16,
 		dataSizes:  []int64{2 * gib, 4 * gib},
 		sortSizes:  []int64{1 * gib, 2 * gib},
-		chunk:      4 << 20,
 		scaleNodes: []int{4, 8},
 	}
 }
 
 func gb(b int64) float64 { return float64(b) / (1 << 30) }
 
-// newBench builds a testbed for benchmark runs.
-func newBench(sz sizing, nodes int) *Testbed {
-	tb, err := New(Options{Nodes: nodes, Seed: 1, ChunkSize: sz.chunk})
+// cellTestbed builds one experiment cell's testbed from opts, with every
+// experiment's seed (1) and transfer chunk size (4 MiB).
+func cellTestbed(opts Options) *Testbed {
+	opts.Seed, opts.ChunkSize = 1, 4<<20
+	tb, err := New(opts)
 	if err != nil {
 		panic(err)
 	}
@@ -145,6 +192,56 @@ func CompareBackends(bs []Backend) {
 	comparedBackends = append([]Backend(nil), bs...)
 }
 
+// addVsRows adds one row per compared backend: lead, the backend, its
+// value val(i) and cmp of that value against hdfs's and lustre's, "-"
+// where that baseline is not compared.
+func addVsRows(t *metrics.Table, val func(i int) float64, cmp func(v, base float64) string, lead ...any) {
+	var h, l float64
+	for i, b := range comparedBackends {
+		switch b {
+		case BackendHDFS:
+			h = val(i)
+		case BackendLustre:
+			l = val(i)
+		}
+	}
+	for i, b := range comparedBackends {
+		v := val(i)
+		t.AddRow(append(lead, b.String(), v, cmp(v, h), cmp(v, l))...)
+	}
+}
+
+// addSizeRows adds fig3–fig6's rows: addVsRows for each data size in
+// turn, with val(i) the value of cell i of grid(sizes, comparedBackends).
+func addSizeRows(t *metrics.Table, sizes []int64, val func(i int) float64, cmp func(v, base float64) string) {
+	n := len(comparedBackends)
+	for s, total := range sizes {
+		addVsRows(t, func(i int) float64 { return val(s*n + i) }, cmp, fmt.Sprintf("%.0f", gb(total)))
+	}
+}
+
+// addRows adds rows to t in order.
+func addRows(t *metrics.Table, rows [][]any) {
+	for _, row := range rows {
+		t.AddRow(row...)
+	}
+}
+
+func ratio(v, base float64) string {
+	if base <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2fx", v/base)
+}
+
+// delta formats a time saving versus a baseline (negative = faster).
+func delta(v, base float64) string {
+	if base <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%+.0f%%", (v-base)/base*100)
+}
+
 // dfsioRun holds one backend's write+read measurement.
 type dfsioRun struct {
 	writeMBps float64
@@ -155,17 +252,10 @@ type dfsioRun struct {
 // them back. bbServers > 0 lets scalability sweeps grow the buffer pool
 // with the cluster (the paper deploys dedicated Memcached nodes
 // proportionally).
-func runDFSIO(sz sizing, nodes int, total int64, b Backend, bbServers int, read bool) dfsioRun {
-	tb, err := New(Options{Nodes: nodes, Seed: 1, ChunkSize: sz.chunk, BBServers: bbServers})
-	if err != nil {
-		panic(err)
-	}
-	files := sz.files * nodes / sz.nodes
-	if files < nodes {
-		files = nodes
-	}
+func runDFSIO(sz sizing, nodes int, total int64, b Backend, bbServers int, read bool) (out dfsioRun) {
+	tb := cellTestbed(Options{Nodes: nodes, BBServers: bbServers})
+	files := max(sz.files*nodes/sz.nodes, nodes)
 	fileSize := total / int64(files)
-	var out dfsioRun
 	tb.Run(func(ctx *Ctx) {
 		w, err := ctx.DFSIOWrite(b, "/bench/dfsio", files, fileSize)
 		if err != nil {
@@ -184,157 +274,71 @@ func runDFSIO(sz sizing, nodes int, total int64, b Backend, bbServers int, read 
 	return out
 }
 
-// dfsioSweep runs fig3's and fig4's (size × backend) cells: the write
-// phase, then the read phase when read is set. writeMBps is fixed before
-// the read starts, so a write-only sweep reports the same write figures.
-// Each cell is an independent job so parallelFor can spread cells over
-// workers; the result maps are assembled afterwards in deterministic job
-// order.
-func dfsioSweep(scale Scale, read bool) map[int64]map[Backend]dfsioRun {
+// dfsioSweep runs fig3's and fig4's grid(dataSizes, comparedBackends)
+// cells: the write phase, then the read phase when read is set. writeMBps
+// is fixed before the read starts, so a write-only sweep reports the same
+// write figures.
+func dfsioSweep(scale Scale, read bool) []dfsioRun {
 	sz := sizingFor(scale)
-	jobs := sizeBackendJobs(sz.dataSizes)
-	results := make([]dfsioRun, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		results[i] = runDFSIO(sz, sz.nodes, jobs[i].total, jobs[i].b, 0, read)
+	return sweep(grid(sz.dataSizes, comparedBackends), func(c pair[int64, Backend]) dfsioRun {
+		return runDFSIO(sz, sz.nodes, c.a, c.b, 0, read)
 	})
-	out := make(map[int64]map[Backend]dfsioRun)
-	for i, j := range jobs {
-		row := out[j.total]
-		if row == nil {
-			row = make(map[Backend]dfsioRun)
-			out[j.total] = row
-		}
-		row[j.b] = results[i]
-	}
-	return out
 }
 
 func fig3(scale Scale) *metrics.Table {
 	t := metrics.NewTable("fig3: TestDFSIO WRITE throughput (MB/s)",
 		"data(GB)", "backend", "MB/s", "vs-hdfs", "vs-lustre")
-	sweep := dfsioSweep(scale, false)
-	for _, total := range sortedSizes(sweep) {
-		row := sweep[total]
-		h := row[BackendHDFS].writeMBps
-		l := row[BackendLustre].writeMBps
-		for _, b := range comparedBackends {
-			v := row[b].writeMBps
-			t.AddRow(fmt.Sprintf("%.0f", gb(total)), b.String(), v, ratio(v, h), ratio(v, l))
-		}
-	}
+	runs := dfsioSweep(scale, false)
+	addSizeRows(t, sizingFor(scale).dataSizes, func(i int) float64 { return runs[i].writeMBps }, ratio)
 	return t
 }
 
 func fig4(scale Scale) *metrics.Table {
 	t := metrics.NewTable("fig4: TestDFSIO READ throughput (MB/s)",
 		"data(GB)", "backend", "MB/s", "vs-hdfs", "vs-lustre")
-	sweep := dfsioSweep(scale, true)
-	for _, total := range sortedSizes(sweep) {
-		row := sweep[total]
-		h := row[BackendHDFS].readMBps
-		l := row[BackendLustre].readMBps
-		for _, b := range comparedBackends {
-			v := row[b].readMBps
-			t.AddRow(fmt.Sprintf("%.0f", gb(total)), b.String(), v, ratio(v, h), ratio(v, l))
-		}
-	}
+	runs := dfsioSweep(scale, true)
+	addSizeRows(t, sizingFor(scale).dataSizes, func(i int) float64 { return runs[i].readMBps }, ratio)
 	return t
-}
-
-func ratio(v, base float64) string {
-	if base <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", v/base)
 }
 
 func fig5(scale Scale) *metrics.Table {
 	sz := sizingFor(scale)
 	t := metrics.NewTable("fig5: Sort execution time (s)",
 		"data(GB)", "backend", "time(s)", "vs-hdfs", "vs-lustre")
-	jobs := sizeBackendJobs(sz.sortSizes)
-	times := make([]time.Duration, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		total, b := jobs[i].total, jobs[i].b
-		tb := newBench(sz, sz.nodes)
-		maps := sz.files
+	secs := sweep(grid(sz.sortSizes, comparedBackends), func(c pair[int64, Backend]) (took float64) {
+		tb := cellTestbed(Options{Nodes: sz.nodes})
 		tb.Run(func(ctx *Ctx) {
-			if _, err := ctx.RandomWriter(b, "/bench/rw", maps, total/int64(maps)); err != nil {
+			if _, err := ctx.RandomWriter(c.b, "/bench/rw", sz.files, c.a/int64(sz.files)); err != nil {
 				return
 			}
-			res, err := ctx.Sort(b, "/bench/rw", "/bench/sorted", sz.nodes*2)
+			res, err := ctx.Sort(c.b, "/bench/rw", "/bench/sorted", sz.nodes*2)
 			if err != nil {
 				return
 			}
-			times[i] = res.Duration
+			took = res.Duration.Seconds()
 		})
+		return took
 	})
-	addTimedRows(t, jobs, times)
+	addSizeRows(t, sz.sortSizes, func(i int) float64 { return secs[i] }, delta)
 	return t
-}
-
-// sizeBackendJob is one (data size × backend) experiment cell.
-type sizeBackendJob struct {
-	total int64
-	b     Backend
-}
-
-func sizeBackendJobs(sizes []int64) []sizeBackendJob {
-	var jobs []sizeBackendJob
-	for _, total := range sizes {
-		for _, b := range comparedBackends {
-			jobs = append(jobs, sizeBackendJob{total, b})
-		}
-	}
-	return jobs
-}
-
-// addTimedRows emits the shared fig5/fig6 row shape (per-size blocks with
-// time and vs-baseline columns) from per-job durations.
-func addTimedRows(t *metrics.Table, jobs []sizeBackendJob, times []time.Duration) {
-	byCell := make(map[sizeBackendJob]time.Duration, len(jobs))
-	for i, j := range jobs {
-		byCell[j] = times[i]
-	}
-	for i, j := range jobs {
-		if i > 0 && jobs[i-1].total == j.total {
-			continue // one block per size
-		}
-		h := byCell[sizeBackendJob{j.total, BackendHDFS}].Seconds()
-		l := byCell[sizeBackendJob{j.total, BackendLustre}].Seconds()
-		for _, b := range comparedBackends {
-			s := byCell[sizeBackendJob{j.total, b}].Seconds()
-			t.AddRow(fmt.Sprintf("%.0f", gb(j.total)), b.String(), s, delta(s, h), delta(s, l))
-		}
-	}
-}
-
-// delta formats a time saving versus a baseline (negative = faster).
-func delta(v, base float64) string {
-	if base <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%+.0f%%", (v-base)/base*100)
 }
 
 func fig6(scale Scale) *metrics.Table {
 	sz := sizingFor(scale)
 	t := metrics.NewTable("fig6: RandomWriter execution time (s)",
 		"data(GB)", "backend", "time(s)", "vs-hdfs", "vs-lustre")
-	jobs := sizeBackendJobs(sz.sortSizes)
-	times := make([]time.Duration, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		total, b := jobs[i].total, jobs[i].b
-		tb := newBench(sz, sz.nodes)
+	secs := sweep(grid(sz.sortSizes, comparedBackends), func(c pair[int64, Backend]) (took float64) {
+		tb := cellTestbed(Options{Nodes: sz.nodes})
 		tb.Run(func(ctx *Ctx) {
-			res, err := ctx.RandomWriter(b, "/bench/rw", sz.files, total/int64(sz.files))
+			res, err := ctx.RandomWriter(c.b, "/bench/rw", sz.files, c.a/int64(sz.files))
 			if err != nil {
 				return
 			}
-			times[i] = res.Duration
+			took = res.Duration.Seconds()
 		})
+		return took
 	})
-	addTimedRows(t, jobs, times)
+	addSizeRows(t, sz.sortSizes, func(i int) float64 { return secs[i] }, delta)
 	return t
 }
 
@@ -342,25 +346,11 @@ func fig7(scale Scale) *metrics.Table {
 	sz := sizingFor(scale)
 	t := metrics.NewTable("fig7: DFSIO throughput vs cluster size (fixed 2 GiB/node, 1 buffer server per 2 nodes)",
 		"nodes", "backend", "write MB/s", "read MB/s")
-	type job struct {
-		nodes int
-		b     Backend
-	}
-	var jobs []job
-	for _, nodes := range sz.scaleNodes {
-		for _, b := range []Backend{BackendHDFS, BackendLustre, BackendBBAsync} {
-			jobs = append(jobs, job{nodes, b})
-		}
-	}
-	results := make([]dfsioRun, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		total := int64(j.nodes) * 2 << 30
-		results[i] = runDFSIO(sz, j.nodes, total, j.b, j.nodes/2, true)
-	})
-	for i, j := range jobs {
-		t.AddRow(j.nodes, j.b.String(), results[i].writeMBps, results[i].readMBps)
-	}
+	cells := grid(sz.scaleNodes, []Backend{BackendHDFS, BackendLustre, BackendBBAsync})
+	addRows(t, sweep(cells, func(c pair[int, Backend]) []any {
+		r := runDFSIO(sz, c.a, int64(c.a)*2<<30, c.b, c.a/2, true)
+		return []any{c.a, c.b.String(), r.writeMBps, r.readMBps}
+	}))
 	return t
 }
 
@@ -369,10 +359,8 @@ func fig8(scale Scale) *metrics.Table {
 	total := sz.sortSizes[len(sz.sortSizes)-1]
 	t := metrics.NewTable("fig8: I/O-intensive mix makespan (concurrent Scan + DFSIO write)",
 		"backend", "makespan(s)", "vs-hdfs", "vs-lustre")
-	times := make([]time.Duration, len(comparedBackends))
-	parallelFor(len(comparedBackends), func(i int) {
-		b := comparedBackends[i]
-		tb := newBench(sz, sz.nodes)
+	secs := sweep(comparedBackends, func(b Backend) (took float64) {
+		tb := cellTestbed(Options{Nodes: sz.nodes})
 		tb.Run(func(ctx *Ctx) {
 			if _, err := ctx.RandomWriter(b, "/bench/data", sz.files, total/int64(sz.files)); err != nil {
 				return
@@ -386,19 +374,11 @@ func fig8(scale Scale) *metrics.Table {
 			})
 			scan.Wait(ctx)
 			write.Wait(ctx)
-			times[i] = ctx.Now() - start
+			took = (ctx.Now() - start).Seconds()
 		})
+		return took
 	})
-	byB := make(map[Backend]time.Duration, len(comparedBackends))
-	for i, b := range comparedBackends {
-		byB[b] = times[i]
-	}
-	h := byB[BackendHDFS].Seconds()
-	l := byB[BackendLustre].Seconds()
-	for i, b := range comparedBackends {
-		s := times[i].Seconds()
-		t.AddRow(b.String(), s, delta(s, h), delta(s, l))
-	}
+	addVsRows(t, func(i int) float64 { return secs[i] }, delta)
 	return t
 }
 
@@ -407,16 +387,10 @@ func fig9(scale Scale) *metrics.Table {
 	total := sz.sortSizes[0]
 	t := metrics.NewTable("fig9: buffer-server crash after write, before read",
 		"scheme", "read-ok", "lost-blocks", "recovered", "read(s)")
-	schemes := []Backend{BackendBBAsync, BackendBBLocality, BackendBBSync}
-	type ftResult struct {
-		readOK          bool
-		lost, recovered int64
-		readDur         time.Duration
-	}
-	results := make([]ftResult, len(schemes))
-	parallelFor(len(schemes), func(i int) {
-		b := schemes[i]
-		tb := newBench(sz, sz.nodes)
+	addRows(t, sweep([]Backend{BackendBBAsync, BackendBBLocality, BackendBBSync}, func(b Backend) []any {
+		var readOK bool
+		var readDur time.Duration
+		tb := cellTestbed(Options{Nodes: sz.nodes})
 		tb.Run(func(ctx *Ctx) {
 			if _, err := ctx.DFSIOWrite(b, "/bench/ft", sz.files, total/int64(sz.files)); err != nil {
 				return
@@ -426,16 +400,12 @@ func fig9(scale Scale) *metrics.Table {
 			ctx.Sleep(3 * time.Second) // recovery window
 			start := ctx.Now()
 			r, err := ctx.DFSIORead(b, "/bench/ft")
-			results[i].readDur = ctx.Now() - start
-			results[i].readOK = err == nil && r.MapTasks > 0
+			readDur = ctx.Now() - start
+			readOK = err == nil && r.MapTasks > 0
 		})
 		st, _ := tb.BurstBufferStats(b)
-		results[i].lost, results[i].recovered = st.BlocksLost, st.BlocksRecovered
-	})
-	for i, b := range schemes {
-		r := results[i]
-		t.AddRow(b.String(), r.readOK, r.lost, r.recovered, r.readDur.Seconds())
-	}
+		return []any{b.String(), readOK, st.BlocksLost, st.BlocksRecovered, readDur.Seconds()}
+	}))
 	return t
 }
 
@@ -444,21 +414,17 @@ func tab1(scale Scale) *metrics.Table {
 	total := sz.dataSizes[0]
 	t := metrics.NewTable(fmt.Sprintf("tab1: compute-node local storage used after writing %.0f GB (and flushing)", gb(total)),
 		"backend", "local-bytes(GB)", "of-dataset", "note")
-	usedBy := make([]int64, len(comparedBackends))
-	parallelFor(len(comparedBackends), func(i int) {
-		b := comparedBackends[i]
-		tb := newBench(sz, sz.nodes)
+	addRows(t, sweep(comparedBackends, func(b Backend) []any {
+		var used int64
+		tb := cellTestbed(Options{Nodes: sz.nodes})
 		tb.Run(func(ctx *Ctx) {
 			if _, err := ctx.DFSIOWrite(b, "/bench/ls", sz.files, total/int64(sz.files)); err != nil {
 				return
 			}
 			ctx.DrainBurstBuffer(b)
-			usedBy[i] = tb.LocalStorageUsed()
+			used = tb.LocalStorageUsed()
 		})
-	})
-	for i, b := range comparedBackends {
-		used := usedBy[i]
-		note := ""
+		note := "buffer + Lustre only"
 		switch b {
 		case BackendHDFS:
 			note = "3-way replication on local disks"
@@ -466,11 +432,9 @@ func tab1(scale Scale) *metrics.Table {
 			note = "all data on shared Lustre"
 		case BackendBBLocality:
 			note = "one local replica for locality"
-		default:
-			note = "buffer + Lustre only"
 		}
-		t.AddRow(b.String(), gb(used), fmt.Sprintf("%.0f%%", float64(used)/float64(total)*100), note)
-	}
+		return []any{b.String(), gb(used), fmt.Sprintf("%.0f%%", float64(used)/float64(total)*100), note}
+	}))
 	return t
 }
 
@@ -483,43 +447,19 @@ func tab2(scale Scale) *metrics.Table {
 	if scale == ScaleSmall {
 		mems = []int64{1 << 30, 4 << 30}
 	}
-	type job struct {
-		flushers int
-		mem      int64
-	}
-	var jobs []job
-	for _, flushers := range []int{1, 4, 16} {
-		for _, mem := range mems {
-			jobs = append(jobs, job{flushers, mem})
-		}
-	}
-	type ablResult struct {
-		mbps           float64
-		stalls, evicts int64
-	}
-	results := make([]ablResult, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		tb, err := New(Options{
-			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
-			BBFlushers: j.flushers, BBServerMemory: j.mem,
-		})
-		if err != nil {
-			panic(err)
-		}
+	addRows(t, sweep(grid([]int{1, 4, 16}, mems), func(c pair[int, int64]) []any {
+		var mbps float64
+		tb := cellTestbed(Options{Nodes: sz.nodes, BBFlushers: c.a, BBServerMemory: c.b})
 		tb.Run(func(ctx *Ctx) {
 			w, err := ctx.DFSIOWrite(BackendBBAsync, "/bench/abl", sz.files, total/int64(sz.files))
 			if err != nil {
 				return
 			}
-			results[i].mbps = w.AggregateMBps()
+			mbps = w.AggregateMBps()
 		})
 		st, _ := tb.BurstBufferStats(BackendBBAsync)
-		results[i].stalls, results[i].evicts = st.WriterStalls, st.Evictions
-	})
-	for i, j := range jobs {
-		t.AddRow(j.flushers, j.mem>>30, results[i].mbps, results[i].stalls, results[i].evicts)
-	}
+		return []any{c.a, c.b >> 30, mbps, st.WriterStalls, st.Evictions}
+	}))
 	return t
 }
 
@@ -528,37 +468,18 @@ func tab3(scale Scale) *metrics.Table {
 	total := sz.dataSizes[0]
 	t := metrics.NewTable(fmt.Sprintf("tab3: Lustre sensitivity, %.0f GB DFSIO write", gb(total)),
 		"stripe-count", "transport", "write MB/s")
-	type job struct {
-		stripes int
-		tr      Transport
-	}
-	var jobs []job
-	for _, stripes := range []int{1, 2, 4, 8} {
-		for _, tr := range []Transport{TransportRDMA, TransportIPoIB} {
-			jobs = append(jobs, job{stripes, tr})
-		}
-	}
-	mbps := make([]float64, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		tb, err := New(Options{
-			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
-			Transport: j.tr, LustreStripeCount: j.stripes,
-		})
-		if err != nil {
-			panic(err)
-		}
+	addRows(t, sweep(grid([]int{1, 2, 4, 8}, []Transport{TransportRDMA, TransportIPoIB}), func(c pair[int, Transport]) []any {
+		var mbps float64
+		tb := cellTestbed(Options{Nodes: sz.nodes, Transport: c.b, LustreStripeCount: c.a})
 		tb.Run(func(ctx *Ctx) {
 			w, err := ctx.DFSIOWrite(BackendLustre, "/bench/str", sz.files, total/int64(sz.files))
 			if err != nil {
 				return
 			}
-			mbps[i] = w.AggregateMBps()
+			mbps = w.AggregateMBps()
 		})
-	})
-	for i, j := range jobs {
-		t.AddRow(j.stripes, string(j.tr), mbps[i])
-	}
+		return []any{c.a, string(c.b), mbps}
+	}))
 	return t
 }
 
@@ -569,64 +490,48 @@ func tab3(scale Scale) *metrics.Table {
 func fig1(Scale) *metrics.Table {
 	t := metrics.NewTable("fig1: memcached op latency (µs)",
 		"value", "transport", "set(µs)", "get(µs)")
-	sizes := []int64{1, 64, 1 << 10, 16 << 10, 256 << 10, 1 << 20}
-	type job struct {
-		size int64
-		prof netsim.Profile
-	}
-	var jobs []job
-	for _, size := range sizes {
-		for _, prof := range []netsim.Profile{netsim.RDMA, netsim.IPoIB, netsim.TenGigE} {
-			jobs = append(jobs, job{size, prof})
-		}
-	}
-	type latResult struct{ setT, getT time.Duration }
-	results := make([]latResult, len(jobs))
-	parallelFor(len(jobs), func(idx int) {
-		size, prof := jobs[idx].size, jobs[idx].prof
-		{
-			env := sim.New(1)
-			nw := netsim.New(env, prof, 2)
-			eng := memcached.NewEngine(memcached.Config{MemLimit: 64 << 20, MaxItemSize: 2 << 20})
-			nw.Register(1, "kv", func(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-				p.Sleep(3 * time.Microsecond)
-				switch m.Op {
-				case "set":
-					_, err := eng.Set(memcached.Item{Key: m.Payload.(string), Size: int(size)})
-					return netsim.Reply{Size: 32, Err: err}
-				default:
-					it, err := eng.Get(m.Payload.(string))
-					return netsim.Reply{Size: 32, Payload: int64(it.Size), Err: err}
-				}
-			})
-			const ops = 50
-			env.Spawn("client", func(p *sim.Proc) {
-				// Call is synchronous and nothing retains the envelope, so
-				// one Msg serves every op; only the key string is fresh.
-				msg := netsim.Msg{From: 0, To: 1, Service: "kv", Size: 64}
-				start := p.Now()
-				for i := 0; i < ops; i++ {
-					_ = nw.RDMAWrite(p, 0, 1, size)
-					msg.Op, msg.Payload = "set", "k"+strconv.Itoa(i)
-					nw.Call(p, &msg)
-				}
-				results[idx].setT = p.Now() - start
-				start = p.Now()
-				for i := 0; i < ops; i++ {
-					msg.Op, msg.Payload = "get", "k"+strconv.Itoa(i)
-					nw.Call(p, &msg)
-					_ = nw.RDMARead(p, 0, 1, size)
-				}
-				results[idx].getT = p.Now() - start
-			})
-			env.Run()
-		}
-	})
 	const ops = 50
-	for i, j := range jobs {
-		t.AddRow(byteLabel(j.size), j.prof.Name,
-			float64(results[i].setT.Microseconds())/ops, float64(results[i].getT.Microseconds())/ops)
-	}
+	cells := grid([]int64{1, 64, 1 << 10, 16 << 10, 256 << 10, 1 << 20},
+		[]netsim.Profile{netsim.RDMA, netsim.IPoIB, netsim.TenGigE})
+	addRows(t, sweep(cells, func(c pair[int64, netsim.Profile]) []any {
+		size := c.a
+		var setT, getT time.Duration
+		env := sim.New(1)
+		nw := netsim.New(env, c.b, 2)
+		eng := memcached.NewEngine(memcached.Config{MemLimit: 64 << 20, MaxItemSize: 2 << 20})
+		nw.Register(1, "kv", func(p *sim.Proc, m *netsim.Msg) netsim.Reply {
+			p.Sleep(3 * time.Microsecond)
+			switch m.Op {
+			case "set":
+				_, err := eng.Set(memcached.Item{Key: m.Payload.(string), Size: int(size)})
+				return netsim.Reply{Size: 32, Err: err}
+			default:
+				it, err := eng.Get(m.Payload.(string))
+				return netsim.Reply{Size: 32, Payload: int64(it.Size), Err: err}
+			}
+		})
+		env.Spawn("client", func(p *sim.Proc) {
+			// Call is synchronous and nothing retains the envelope, so
+			// one Msg serves every op; only the key string is fresh.
+			msg := netsim.Msg{From: 0, To: 1, Service: "kv", Size: 64}
+			start := p.Now()
+			for i := 0; i < ops; i++ {
+				_ = nw.RDMAWrite(p, 0, 1, size)
+				msg.Op, msg.Payload = "set", "k"+strconv.Itoa(i)
+				nw.Call(p, &msg)
+			}
+			setT = p.Now() - start
+			start = p.Now()
+			for i := 0; i < ops; i++ {
+				msg.Op, msg.Payload = "get", "k"+strconv.Itoa(i)
+				nw.Call(p, &msg)
+				_ = nw.RDMARead(p, 0, 1, size)
+			}
+			getT = p.Now() - start
+		})
+		env.Run()
+		return []any{byteLabel(size), c.b.Name, float64(setT.Microseconds()) / ops, float64(getT.Microseconds()) / ops}
+	}))
 	return t
 }
 
@@ -638,11 +543,7 @@ func fig2(Scale) *metrics.Table {
 	const servers = 4
 	const valSize = 4 << 10
 	const opsPerClient = 400
-	clientCounts := []int{1, 2, 4, 8, 16, 32, 64}
-	type tpResult struct{ kops, mbps float64 }
-	results := make([]tpResult, len(clientCounts))
-	parallelFor(len(clientCounts), func(idx int) {
-		clients := clientCounts[idx]
+	addRows(t, sweep([]int{1, 2, 4, 8, 16, 32, 64}, func(clients int) []any {
 		env := sim.New(1)
 		nw := netsim.New(env, netsim.RDMA, clients+servers)
 		ring := hashring.New(0)
@@ -678,11 +579,8 @@ func fig2(Scale) *metrics.Table {
 		}
 		dur := env.Run()
 		totalOps := float64(clients * opsPerClient)
-		results[idx] = tpResult{totalOps / dur.Seconds() / 1e3, totalOps * valSize / 1e6 / dur.Seconds()}
-	})
-	for i, clients := range clientCounts {
-		t.AddRow(clients, results[i].kops, results[i].mbps)
-	}
+		return []any{clients, totalOps / dur.Seconds() / 1e3, totalOps * valSize / 1e6 / dur.Seconds()}
+	}))
 	return t
 }
 
@@ -697,15 +595,6 @@ func byteLabel(n int64) string {
 	}
 }
 
-func sortedSizes(m map[int64]map[Backend]dfsioRun) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // fig10 demonstrates the paper's motivation on diskless (Stampede-like)
 // compute nodes: stock HDFS has only the 12 GiB RAM disks to hold 3
 // replicas per block, so paper-scale datasets simply do not fit, while the
@@ -717,46 +606,21 @@ func fig10(scale Scale) *metrics.Table {
 	// HDFS on diskless nodes can hold at most nodes x 12 GiB / replication;
 	// sweep one size inside the wall and one beyond it.
 	hdfsCap := int64(sz.nodes) * 12 * (1 << 30) / 3
-	sizes := []int64{hdfsCap / 2, hdfsCap + hdfsCap/4}
-	type job struct {
-		total int64
-		b     Backend
-	}
-	var jobs []job
-	for _, total := range sizes {
-		for _, b := range []Backend{BackendHDFS, BackendBBAsync} {
-			jobs = append(jobs, job{total, b})
-		}
-	}
-	type dlResult struct {
-		outcome string
-		mbps    float64
-	}
-	results := make([]dlResult, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		tb, err := New(Options{
-			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
-			Hardware: HardwareDiskless,
-		})
-		if err != nil {
-			panic(err)
-		}
-		files := sz.files
-		results[i].outcome = "ok"
+	cells := grid([]int64{hdfsCap / 2, hdfsCap + hdfsCap/4}, []Backend{BackendHDFS, BackendBBAsync})
+	addRows(t, sweep(cells, func(c pair[int64, Backend]) []any {
+		outcome, mbps := "ok", 0.0
+		tb := cellTestbed(Options{Nodes: sz.nodes, Hardware: HardwareDiskless})
 		tb.Run(func(ctx *Ctx) {
-			res, err := ctx.DFSIOWrite(j.b, "/bench/dl", files, j.total/int64(files))
+			res, err := ctx.DFSIOWrite(c.b, "/bench/dl", sz.files, c.a/int64(sz.files))
 			if err != nil {
-				results[i].outcome = "FAILS (no space)"
+				outcome = "FAILS (no space)"
 				return
 			}
-			results[i].mbps = res.AggregateMBps()
-			ctx.DrainBurstBuffer(j.b)
+			mbps = res.AggregateMBps()
+			ctx.DrainBurstBuffer(c.b)
 		})
-	})
-	for i, j := range jobs {
-		t.AddRow(fmt.Sprintf("%.0f", gb(j.total)), j.b.String(), results[i].outcome, results[i].mbps)
-	}
+		return []any{fmt.Sprintf("%.0f", gb(c.a)), c.b.String(), outcome, mbps}
+	}))
 	return t
 }
 
@@ -773,51 +637,38 @@ func tab5(scale Scale) *metrics.Table {
 		"stalls", "stall-mean(ms)",
 		"reads l/b/rl/lu", "adaptive wt/async")
 	schemes := []Backend{BackendBBAsync, BackendBBLocality, BackendBBSync, BackendBBAdaptive}
-	type metRow struct {
-		wMBps, rMBps        float64
-		flushN, stallN      int64
-		flushMean, flushP99 float64
-		stallMean           float64
-		srcs, modes         string
-	}
-	rows := make([]metRow, len(schemes))
-	parallelFor(len(schemes), func(i int) {
-		b := schemes[i]
-		tb := newBench(sz, sz.nodes)
+	addRows(t, sweep(schemes, func(b Backend) []any {
+		var wMBps, rMBps float64
+		tb := cellTestbed(Options{Nodes: sz.nodes})
 		tb.Run(func(ctx *Ctx) {
 			w, err := ctx.DFSIOWrite(b, "/bench/met", sz.files, total/int64(sz.files))
 			if err != nil {
 				return
 			}
-			rows[i].wMBps = w.AggregateMBps()
+			wMBps = w.AggregateMBps()
 			if r, err := ctx.DFSIORead(b, "/bench/met"); err == nil {
-				rows[i].rMBps = r.AggregateMBps()
+				rMBps = r.AggregateMBps()
 			}
 			ctx.DrainBurstBuffer(b)
 		})
 		reg, _ := tb.BurstBufferMetrics(b)
 		flush := reg.Histogram("flush.latency.s")
 		stall := reg.Histogram("writer.stall.s")
-		rows[i].flushN, rows[i].flushMean, rows[i].flushP99 = flush.Count(), flush.Mean()*1e3, flush.Quantile(0.99)*1e3
-		rows[i].stallN, rows[i].stallMean = stall.Count(), stall.Mean()*1e3
-		rows[i].srcs = fmt.Sprintf("%d/%d/%d/%d",
+		srcs := fmt.Sprintf("%d/%d/%d/%d",
 			reg.Counter("read.src.local").Value(),
 			reg.Counter("read.src.buffer").Value(),
 			reg.Counter("read.src.remote-local").Value(),
 			reg.Counter("read.src.lustre").Value())
-		rows[i].modes = "-"
+		modes := "-"
 		if b == BackendBBAdaptive {
-			rows[i].modes = fmt.Sprintf("%d/%d",
+			modes = fmt.Sprintf("%d/%d",
 				reg.Counter("adaptive.blocks.writethrough").Value(),
 				reg.Counter("adaptive.blocks.async").Value())
 		}
-	})
-	for i, b := range schemes {
-		r := rows[i]
-		t.AddRow(b.String(), r.wMBps, r.rMBps,
-			r.flushN, r.flushMean, r.flushP99,
-			r.stallN, r.stallMean, r.srcs, r.modes)
-	}
+		return []any{b.String(), wMBps, rMBps,
+			flush.Count(), flush.Mean() * 1e3, flush.Quantile(0.99) * 1e3,
+			stall.Count(), stall.Mean() * 1e3, srcs, modes}
+	}))
 	return t
 }
 
@@ -833,72 +684,46 @@ func tab6(scale Scale) *metrics.Table {
 	t := metrics.NewTable(fmt.Sprintf("tab6: stage-out data plane, %.0f GB DFSIO write+drain+read", gb(total)),
 		"scheme", "data plane", "wr MB/s", "drain(ms)", "rd MB/s",
 		"batch-mean", "lustre-objs", "prefetch-hits")
-	schemes := []Backend{BackendBBAsync, BackendBBLocality, BackendBBAdaptive}
-	type cell struct {
-		scheme    Backend
-		coalesced bool
-	}
-	var cells []cell
-	for _, b := range schemes {
-		cells = append(cells, cell{b, false}, cell{b, true})
-	}
-	type dpRow struct {
-		wMBps, rMBps float64
-		drainMS      float64
-		batchMean    float64
-		objs         int64
-		prefetch     int64
-	}
-	rows := make([]dpRow, len(cells))
-	parallelFor(len(cells), func(i int) {
-		c := cells[i]
+	cells := grid([]Backend{BackendBBAsync, BackendBBLocality, BackendBBAdaptive}, []bool{false, true})
+	addRows(t, sweep(cells, func(c pair[Backend, bool]) []any {
+		scheme, coalesced := c.a, c.b
 		// A checkpoint-burst shape in both configurations: RDMA writers
 		// outrun a deliberately narrow Lustre (2 OSTs), so a
 		// deep dirty backlog exists from early in the write through the
 		// drain. Depth is what gives the scheduler adjacent-block runs to
 		// claim (placement hashes block keys, so runs also shrink as the
 		// server count grows — two servers keep real adjacency).
-		opts := Options{Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
-			BlockSize: 16 << 20, BBServers: 2, BBFlushers: 1,
+		opts := Options{Nodes: sz.nodes, BlockSize: 16 << 20, BBServers: 2, BBFlushers: 1,
 			LustreOSTs: 2, LustreStripeCount: 2}
-		if c.coalesced {
+		plane := "per-block"
+		if coalesced {
 			opts.BBFlushBatchBlocks = 8
 			opts.BBReadAhead = 1
+			plane = "coalesced+ra"
 		}
-		tb, err := New(opts)
-		if err != nil {
-			panic(err)
-		}
+		tb := cellTestbed(opts)
 		// Half the usual file count doubles the blocks per file, so the
 		// pending set holds longer adjacent runs for the scheduler.
 		files := sz.files / 2
+		var wMBps, drainMS, rMBps float64
 		tb.Run(func(ctx *Ctx) {
-			w, err := ctx.DFSIOWrite(c.scheme, "/bench/dp", files, total/int64(files))
+			w, err := ctx.DFSIOWrite(scheme, "/bench/dp", files, total/int64(files))
 			if err != nil {
 				return
 			}
-			rows[i].wMBps = w.AggregateMBps()
+			wMBps = w.AggregateMBps()
 			drainStart := ctx.Now()
-			ctx.DrainBurstBuffer(c.scheme)
-			rows[i].drainMS = (ctx.Now() - drainStart).Seconds() * 1e3
-			if r, err := ctx.DFSIORead(c.scheme, "/bench/dp"); err == nil {
-				rows[i].rMBps = r.AggregateMBps()
+			ctx.DrainBurstBuffer(scheme)
+			drainMS = (ctx.Now() - drainStart).Seconds() * 1e3
+			if r, err := ctx.DFSIORead(scheme, "/bench/dp"); err == nil {
+				rMBps = r.AggregateMBps()
 			}
 		})
-		reg, _ := tb.BurstBufferMetrics(c.scheme)
-		rows[i].batchMean = reg.Histogram("flush.batch.blocks").Mean()
-		rows[i].prefetch = reg.Counter("read.prefetch.hits").Value()
-		rows[i].objs = tb.LustreStats().FilesCreated
-	})
-	for i, c := range cells {
-		plane := "per-block"
-		if c.coalesced {
-			plane = "coalesced+ra"
-		}
-		r := rows[i]
-		t.AddRow(c.scheme.String(), plane, r.wMBps, r.drainMS, r.rMBps,
-			r.batchMean, r.objs, r.prefetch)
-	}
+		reg, _ := tb.BurstBufferMetrics(scheme)
+		return []any{scheme.String(), plane, wMBps, drainMS, rMBps,
+			reg.Histogram("flush.batch.blocks").Mean(), tb.LustreStats().FilesCreated,
+			reg.Counter("read.prefetch.hits").Value()}
+	}))
 	return t
 }
 
@@ -946,31 +771,14 @@ func tab7(scale Scale) *metrics.Table {
 	t := metrics.NewTable(fmt.Sprintf("tab7: multi-job buffer orchestration, %.2f GB staged per job", gb(perJob)),
 		"sched", "jobs", "makespan(s)", "wait-mean(s)", "wait-max(s)",
 		"stageout(s)", "overlap(s)", "brick-util")
-	type cell struct {
-		sched string
-		jobs  int
-	}
-	var cells []cell
-	for _, sp := range []string{"fcfs", "backfill"} {
-		for _, n := range []int{1, 2, 4} {
-			cells = append(cells, cell{sp, n})
-		}
-	}
-	type orow struct {
-		makespan, waitMean, waitMax, stageout, overlap, util float64
-	}
-	rows := make([]orow, len(cells))
-	parallelFor(len(cells), func(i int) {
-		c := cells[i]
-		tb, err := New(Options{Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
+	addRows(t, sweep(grid([]string{"fcfs", "backfill"}, []int{1, 2, 4}), func(c pair[string, int]) []any {
+		sched, jobs := c.a, c.b
+		tb := cellTestbed(Options{Nodes: sz.nodes,
 			BlockSize: 16 << 20, BBServers: 2, BBServerMemory: 4 << 30,
-			BBFlushers: 1, BBSched: c.sched,
+			BBFlushers: 1, BBSched: sched,
 			LustreOSTs: 2, LustreStripeCount: 2})
-		if err != nil {
-			panic(err)
-		}
-		bricks := []int{5, 4, 2, 2}[:c.jobs]
-		allocs := make([]*orchestrator.Allocation, c.jobs)
+		bricks := []int{5, 4, 2, 2}[:jobs]
+		allocs := make([]*orchestrator.Allocation, jobs)
 		tb.Run(func(ctx *Ctx) {
 			orch, err := ctx.BufferOrchestrator(BackendBBAsync)
 			if err != nil {
@@ -978,7 +786,7 @@ func tab7(scale Scale) *metrics.Table {
 			}
 			// Per-job input waits on Lustre; each allocation stages its
 			// share in before the job starts.
-			for j := 0; j < c.jobs; j++ {
+			for j := 0; j < jobs; j++ {
 				for f := 0; f < stageFiles; f++ {
 					if err := ctx.WriteFile(BackendLustre, j%sz.nodes,
 						fmt.Sprintf("/in/job%d/f%d", j, f), perJob/stageFiles); err != nil {
@@ -986,8 +794,8 @@ func tab7(scale Scale) *metrics.Table {
 					}
 				}
 			}
-			joins := make([]*Join, c.jobs)
-			for j := 0; j < c.jobs; j++ {
+			joins := make([]*Join, jobs)
+			for j := 0; j < jobs; j++ {
 				req := orchestrator.Request{
 					Name:   fmt.Sprintf("job%d", j),
 					Bricks: bricks[j],
@@ -1031,9 +839,8 @@ func tab7(scale Scale) *metrics.Table {
 		totalBricks := tb.bb[BackendBBAsync].TotalBricks()
 		start := allocs[0].Times.Submitted
 		var end time.Duration
-		var waitSum, brickSecs float64
-		var r orow
-		runs := make([]tenantSpan, c.jobs)
+		var waitSum, waitMax, stageout, overlap, brickSecs, util float64
+		runs := make([]tenantSpan, jobs)
 		for j, a := range allocs {
 			ti := a.Times
 			if ti.Freed > end {
@@ -1041,31 +848,25 @@ func tab7(scale Scale) *metrics.Table {
 			}
 			w := ti.QueueWait().Seconds()
 			waitSum += w
-			if w > r.waitMax {
-				r.waitMax = w
+			if w > waitMax {
+				waitMax = w
 			}
-			r.stageout += ti.StageOut().Seconds() / float64(c.jobs)
+			stageout += ti.StageOut().Seconds() / float64(jobs)
 			brickSecs += float64(bricks[j]) * (ti.Freed - ti.Placed).Seconds()
 			runs[j] = tenantSpan{ti.Ready, ti.Released}
 		}
-		r.makespan = (end - start).Seconds()
-		r.waitMean = waitSum / float64(c.jobs)
+		makespan := (end - start).Seconds()
 		// overlap: stage-out seconds spent while some other tenant's job
 		// was computing — the drain the orchestrator hides.
 		for j, a := range allocs {
 			others := append(append([]tenantSpan(nil), runs[:j]...), runs[j+1:]...)
-			r.overlap += overlapSecs(tenantSpan{a.Times.Released, a.Times.Freed}, others)
+			overlap += overlapSecs(tenantSpan{a.Times.Released, a.Times.Freed}, others)
 		}
-		if r.makespan > 0 {
-			r.util = brickSecs / (float64(totalBricks) * r.makespan)
+		if makespan > 0 {
+			util = brickSecs / (float64(totalBricks) * makespan)
 		}
-		rows[i] = r
-	})
-	for i, c := range cells {
-		r := rows[i]
-		t.AddRow(c.sched, c.jobs, r.makespan, r.waitMean, r.waitMax,
-			r.stageout, r.overlap, r.util)
-	}
+		return []any{sched, jobs, makespan, waitSum / float64(jobs), waitMax, stageout, overlap, util}
+	}))
 	return t
 }
 
@@ -1076,54 +877,40 @@ func tab4(scale Scale) *metrics.Table {
 	total := sz.sortSizes[0]
 	t := metrics.NewTable("tab4: extensions (bb-async)",
 		"config", "write MB/s", "lost-after-crash", "cold-read MB/s", "warm-read MB/s")
-	cfgs := []struct {
+	type extConfig struct {
 		label    string
 		replicas int
 		readmit  bool
-	}{
+	}
+	cfgs := []extConfig{
 		{"baseline", 1, false},
 		{"replicas=2", 2, false},
 		{"readmit", 1, true},
 	}
-	type extResult struct {
-		writeMBps          float64
-		lost               int64
-		coldMBps, warmMBps float64
-	}
-	results := make([]extResult, len(cfgs))
-	parallelFor(len(cfgs), func(i int) {
-		cfg := cfgs[i]
+	addRows(t, sweep(cfgs, func(cfg extConfig) []any {
+		var writeMBps, coldMBps, warmMBps float64
 		// Run A — durability: crash one server right after the writes ack.
-		tbA, err := New(Options{
-			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
+		tbA := cellTestbed(Options{Nodes: sz.nodes,
 			BBReplicas: cfg.replicas, BBReadmitOnRead: cfg.readmit,
 			BBFlushers: 1,
 		})
-		if err != nil {
-			panic(err)
-		}
 		tbA.Run(func(ctx *Ctx) {
 			w, err := ctx.DFSIOWrite(BackendBBAsync, "/bench/ext", sz.files, total/int64(sz.files))
 			if err != nil {
 				return
 			}
-			results[i].writeMBps = w.AggregateMBps()
+			writeMBps = w.AggregateMBps()
 			ctx.FailBufferServer(BackendBBAsync, 0)
 		})
 		stA, _ := tbA.BurstBufferStats(BackendBBAsync)
-		results[i].lost = stA.BlocksLost
 
 		// Run B — re-reads: write dataset A, then a larger dataset B that
 		// evicts A, then delete B. The first re-read of A is cold (Lustre);
 		// the second is warm only if re-admission refilled the cache.
-		tbB, err := New(Options{
-			Nodes: sz.nodes, Seed: 1, ChunkSize: sz.chunk,
+		tbB := cellTestbed(Options{Nodes: sz.nodes,
 			BBReplicas: cfg.replicas, BBReadmitOnRead: cfg.readmit,
 			BBServerMemory: total / 2,
 		})
-		if err != nil {
-			panic(err)
-		}
 		tbB.Run(func(ctx *Ctx) {
 			if _, err := ctx.DFSIOWrite(BackendBBAsync, "/bench/a", sz.files, total/2/int64(sz.files)); err != nil {
 				return
@@ -1135,18 +922,15 @@ func tab4(scale Scale) *metrics.Table {
 			ctx.DrainBurstBuffer(BackendBBAsync)
 			ctx.Cleanup(BackendBBAsync, "/bench/b")
 			if r, err := ctx.DFSIORead(BackendBBAsync, "/bench/a"); err == nil {
-				results[i].coldMBps = r.AggregateMBps()
+				coldMBps = r.AggregateMBps()
 			}
 			ctx.Sleep(2 * time.Second) // let re-admission fills land
 			if r, err := ctx.DFSIORead(BackendBBAsync, "/bench/a"); err == nil {
-				results[i].warmMBps = r.AggregateMBps()
+				warmMBps = r.AggregateMBps()
 			}
 		})
-	})
-	for i, cfg := range cfgs {
-		r := results[i]
-		t.AddRow(cfg.label, r.writeMBps, r.lost, r.coldMBps, r.warmMBps)
-	}
+		return []any{cfg.label, writeMBps, stA.BlocksLost, coldMBps, warmMBps}
+	}))
 	return t
 }
 
@@ -1171,19 +955,17 @@ func tab8(scale Scale) *metrics.Table {
 		filesPerNode, fileSize>>20, racksOf),
 		"nodes", "racks", "shards", "files", "virt(s)", "wall(s)",
 		"events/op", "MB-heap/node", "windows", "fingerprint")
-	for _, nodes := range nodesAxis {
-		for _, shards := range shardsAxis {
-			fb, err := NewFleet(Options{Nodes: nodes, RacksOf: racksOf,
-				Seed: 1, SimShards: shards})
-			if err != nil {
-				panic(err)
-			}
-			r := fb.DFSIOWrite(filesPerNode, fileSize)
-			t.AddRow(r.Nodes, r.Racks, r.Shards, r.Ops,
-				float64(r.Elapsed)/1e9, float64(r.Wall)/1e9,
-				r.EventsPerOp, fmt.Sprintf("%.3f", r.HeapMBPerNode), r.Windows,
-				fmt.Sprintf("%016x", r.Fingerprint))
+	for _, c := range grid(nodesAxis, shardsAxis) {
+		fb, err := NewFleet(Options{Nodes: c.a, RacksOf: racksOf,
+			Seed: 1, SimShards: c.b})
+		if err != nil {
+			panic(err)
 		}
+		r := fb.DFSIOWrite(filesPerNode, fileSize)
+		t.AddRow(r.Nodes, r.Racks, r.Shards, r.Ops,
+			float64(r.Elapsed)/1e9, float64(r.Wall)/1e9,
+			r.EventsPerOp, fmt.Sprintf("%.3f", r.HeapMBPerNode), r.Windows,
+			fmt.Sprintf("%016x", r.Fingerprint))
 	}
 	return t
 }
@@ -1267,12 +1049,10 @@ func tab9(scale Scale) *metrics.Table {
 			fmt.Sprintf("%.1f", linksPerOp),
 			fmt.Sprintf("%016x", r.Fingerprint))
 	}
-	for _, clients := range clientsAxis {
-		for _, shards := range shardsAxis {
-			r, linksPerOp := run(clients, shards, 256, 0)
-			load := fmt.Sprintf("%.2fx", 100*float64(clients)*256/capRef)
-			addRow(r, load, linksPerOp)
-		}
+	for _, c := range grid(clientsAxis, shardsAxis) {
+		r, linksPerOp := run(c.a, c.b, 256, 0)
+		load := fmt.Sprintf("%.2fx", 100*float64(c.a)*256/capRef)
+		addRow(r, load, linksPerOp)
 	}
 	for _, mult := range []int{1, 4, 20} {
 		reqBytes := int(float64(mult) * capRef / (100 * float64(overClients)))

@@ -9,32 +9,47 @@ import (
 )
 
 // withProcs runs f with runtime.GOMAXPROCS set to procs, the one control
-// of parallelFor's worker count, and restores the previous value.
+// of sweep's worker count, and restores the previous value.
 func withProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
 }
 
+// TestParallelForCoversAllIndices drives sweep, the experiments' one
+// parallel loop: every cell runs once, and its result lands at its index.
 func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, procs := range []int{1, 3, 8} {
 		withProcs(procs, func() {
 			const n = 100
 			var hits [n]atomic.Int64
-			parallelFor(n, func(i int) { hits[i].Add(1) })
+			cells := make([]int, n)
+			for i := range cells {
+				cells[i] = i
+			}
+			out := sweep(cells, func(i int) int { hits[i].Add(1); return 2 * i })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, got)
+					t.Fatalf("GOMAXPROCS=%d: cell %d ran %d times", procs, i, got)
+				}
+				if out[i] != 2*i {
+					t.Fatalf("GOMAXPROCS=%d: result %d = %d, want %d", procs, i, out[i], 2*i)
 				}
 			}
-			parallelFor(0, func(int) { t.Errorf("GOMAXPROCS=%d: f called for n=0", procs) })
+			none := sweep(nil, func(int) int {
+				t.Errorf("GOMAXPROCS=%d: run called for no cells", procs)
+				return 0
+			})
+			if len(none) != 0 {
+				t.Errorf("GOMAXPROCS=%d: no cells gave %d results", procs, len(none))
+			}
 		})
 	}
 	// One worker hands out the largest index first.
 	withProcs(1, func() {
 		var order []int
-		parallelFor(5, func(i int) { order = append(order, i) })
+		sweep([]int{0, 1, 2, 3, 4}, func(i int) struct{} { order = append(order, i); return struct{}{} })
 		if got := fmt.Sprint(order); got != "[4 3 2 1 0]" {
-			t.Errorf("GOMAXPROCS=1 ran indices in order %s, want [4 3 2 1 0]", got)
+			t.Errorf("GOMAXPROCS=1 ran cells in order %s, want [4 3 2 1 0]", got)
 		}
 	})
 }
@@ -87,22 +102,18 @@ func TestSuiteTablesPin(t *testing.T) {
 // TestDFSIOWriteOnlySweep proves fig3 loses nothing by skipping the read
 // phase: every cell's write throughput equals the write+read sweep's.
 func TestDFSIOWriteOnlySweep(t *testing.T) {
+	cells := grid(sizingFor(ScaleSmall).dataSizes, comparedBackends)
 	writeOnly, full := dfsioSweep(ScaleSmall, false), dfsioSweep(ScaleSmall, true)
-	if len(writeOnly) != len(full) {
-		t.Fatalf("write-only sweep has %d sizes, write+read %d", len(writeOnly), len(full))
+	if len(writeOnly) != len(cells) || len(full) != len(cells) {
+		t.Fatalf("%d cells: write-only sweep has %d results, write+read %d", len(cells), len(writeOnly), len(full))
 	}
-	for total, row := range full {
-		if len(writeOnly[total]) != len(row) {
-			t.Fatalf("%d bytes: write-only sweep has %d backends, write+read %d", total, len(writeOnly[total]), len(row))
+	for i, c := range cells {
+		w, r := writeOnly[i], full[i]
+		if w.writeMBps != r.writeMBps || w.writeMBps <= 0 {
+			t.Errorf("%d bytes, %s: write-only writeMBps %v, write+read %v", c.a, c.b, w.writeMBps, r.writeMBps)
 		}
-		for b, r := range row {
-			w := writeOnly[total][b]
-			if w.writeMBps != r.writeMBps || w.writeMBps <= 0 {
-				t.Errorf("%d bytes, %s: write-only writeMBps %v, write+read %v", total, b, w.writeMBps, r.writeMBps)
-			}
-			if w.readMBps != 0 {
-				t.Errorf("%d bytes, %s: write-only sweep read %v MB/s", total, b, w.readMBps)
-			}
+		if w.readMBps != 0 {
+			t.Errorf("%d bytes, %s: write-only sweep read %v MB/s", c.a, c.b, w.readMBps)
 		}
 	}
 }
