@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test vet race bench bench-smoke bench-kernel bench-dataplane bench-netsim bench-orchestration bench-fleet bench-swarm bench-cluster golden determinism stress repro tools clean
+.PHONY: all test vet race fuzz bench bench-smoke bench-kernel bench-dataplane bench-netsim bench-orchestration bench-fleet bench-swarm bench-cluster golden determinism stress repro tools clean
 
 all: test
 
@@ -14,6 +14,15 @@ vet:
 # harness, mcserver, mcclient, and CLIs use real goroutines.
 race:
 	go test -race ./...
+
+# Fuzz each socket-facing parser for FUZZTIME: the one frame decoder
+# (binproto.ReadHead) and the client's reply reader against arbitrary server
+# bytes. `go test` takes one -fuzz target per run; plain `go test ./...`
+# runs their seed corpora.
+FUZZTIME ?= 30s
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzReadHead$$' -fuzztime $(FUZZTIME) ./internal/memcached/binproto/
+	go test -run '^$$' -fuzz '^FuzzClientReplies$$' -fuzztime $(FUZZTIME) ./internal/memcached/mcclient/
 
 # Full micro-benchmark suite with allocation stats, summarized to
 # BENCH_10.json (serving-cluster PR: ClusterZipf is the headline — a

@@ -71,25 +71,6 @@ func BenchmarkReadFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkReadAlloc is the pre-optimization decode path (fresh frame and
-// body per call) kept for before/after comparison in BENCH_2.json.
-func BenchmarkReadAlloc(b *testing.B) {
-	var wire bytes.Buffer
-	if err := Write(&wire, benchFrame()); err != nil {
-		b.Fatal(err)
-	}
-	raw := wire.Bytes()
-	rd := bytes.NewReader(raw)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(raw)
-		if _, err := Read(rd); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAppendExtras covers the fixed-size extras encoders feeding a
 // reused scratch buffer (previously 8/4/20-byte allocations per op).
 func BenchmarkAppendExtras(b *testing.B) {

@@ -2,16 +2,19 @@
 // 24-byte headers, request/response framing, opcode and status constants,
 // and typed encoders/decoders for the commands the engine supports. It is
 // transport-agnostic — it reads from io.Reader and writes to io.Writer —
-// and is shared by the TCP server (mcserver) and client (mcclient).
+// and is shared by the TCP server (mcserver) and client (mcclient). One
+// decoder, ReadHead, reads every frame on both sides up to its value and
+// leaves the value to the caller; ReadFrame and Read wrap it for trusted
+// streams.
 package binproto
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"hbb/internal/memcached"
@@ -169,9 +172,6 @@ type Frame struct {
 	Value  []byte
 }
 
-// Request reports whether the frame is a request.
-func (f *Frame) Request() bool { return f.Magic == MagicRequest }
-
 // validate checks the outbound frame's section lengths.
 func (f *Frame) validate() error {
 	if len(f.Key) > MaxKeyLen {
@@ -259,17 +259,35 @@ func Write(w io.Writer, f *Frame) error {
 	return err
 }
 
-func checkMagic(b byte) error {
-	if b != MagicRequest && b != MagicResponse {
-		return fmt.Errorf("%w: 0x%02x", ErrBadMagic, b)
+// ReadHead decodes one frame from r up to its value: the header, extras and
+// key go into f, aliasing the returned buffer (never grown beyond 512
+// bytes), and the length of the value, which is still in r, is returned.
+// The caller decides where those bytes go — io.ReadFull into storage picked
+// by what the head says, or Discard — and must consume exactly that many
+// before the next frame. Nothing is allocated at a length a peer declared,
+// and a value lands where it will stay. It is the one decoder: the server
+// reads requests and the client reads replies through it.
+//
+// The end of the stream is a bare io.EOF only between frames; inside a
+// head it is io.ErrUnexpectedEOF. A peer that is not speaking the protocol
+// is found out by its first byte, not after 24 of them.
+func ReadHead(r io.Reader, f *Frame, buf []byte) (_ []byte, valueLen int, err error) {
+	if cap(buf) < HeaderSize {
+		buf = make([]byte, HeaderSize, 512)
 	}
-	return nil
-}
-
-// parseHeader decodes the 24-byte header h, whose magic the caller has
-// checked, into f (whose body sections stay empty) and returns the validated
-// section lengths.
-func parseHeader(h []byte, f *Frame) (extLen, keyLen, bodyLen int, err error) {
+	// The header is staged in buf, not in a stack array, which would escape
+	// through io.ReadFull and cost an allocation per frame.
+	h := buf[:HeaderSize]
+	n, err := io.ReadAtLeast(r, h, 1)
+	if err != nil {
+		return buf, 0, err
+	}
+	if h[0] != MagicRequest && h[0] != MagicResponse {
+		return buf, 0, fmt.Errorf("%w: 0x%02x", ErrBadMagic, h[0])
+	}
+	if err := readRest(r, h[n:]); err != nil {
+		return buf, 0, err
+	}
 	*f = Frame{
 		Magic:  h[0],
 		Op:     Opcode(h[1]),
@@ -277,94 +295,20 @@ func parseHeader(h []byte, f *Frame) (extLen, keyLen, bodyLen int, err error) {
 		Opaque: binary.BigEndian.Uint32(h[12:16]),
 		CAS:    binary.BigEndian.Uint64(h[16:24]),
 	}
-	keyLen = int(binary.BigEndian.Uint16(h[2:4]))
-	extLen = int(h[4])
-	bodyLen = int(binary.BigEndian.Uint32(h[8:12]))
+	keyLen := int(binary.BigEndian.Uint16(h[2:4]))
+	extLen := int(h[4])
+	bodyLen := int(binary.BigEndian.Uint32(h[8:12]))
 	switch {
 	case bodyLen > MaxBody:
-		err = ErrFrameTooLarge
+		return buf, 0, ErrFrameTooLarge
 	case keyLen > MaxKeyLen:
-		err = fmt.Errorf("%w (%d > %d)", ErrKeyTooLong, keyLen, MaxKeyLen)
+		return buf, 0, fmt.Errorf("%w (%d > %d)", ErrKeyTooLong, keyLen, MaxKeyLen)
 	case extLen > MaxExtrasLen:
-		err = fmt.Errorf("%w (%d > %d)", ErrExtrasTooLong, extLen, MaxExtrasLen)
+		return buf, 0, fmt.Errorf("%w (%d > %d)", ErrExtrasTooLong, extLen, MaxExtrasLen)
 	case bodyLen < keyLen+extLen:
-		err = fmt.Errorf("binproto: body %d shorter than key %d + extras %d", bodyLen, keyLen, extLen)
+		return buf, 0, fmt.Errorf("binproto: body %d shorter than key %d + extras %d", bodyLen, keyLen, extLen)
 	}
-	return extLen, keyLen, bodyLen, err
-}
-
-// ReadFrame decodes one frame from r into f, using buf as body storage and
-// returning the (possibly grown) buffer for reuse. On success f's Extras,
-// Key, and Value alias the returned buffer, so they are valid only until
-// the next ReadFrame call that reuses it; callers that retain frame bytes
-// must copy them out (mcserver's engine store path does).
-func ReadFrame(r io.Reader, f *Frame, buf []byte) ([]byte, error) {
-	buf, extLen, keyLen, bodyLen, err := readHeader(r, f, buf)
-	if err != nil {
-		return buf, err
-	}
-	if cap(buf) < bodyLen {
-		buf = make([]byte, bodyLen)
-	} else {
-		buf = buf[:bodyLen]
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, err
-	}
-	f.Extras = buf[:extLen]
-	f.Key = buf[extLen : extLen+keyLen]
-	f.Value = buf[extLen+keyLen : bodyLen]
-	return buf, nil
-}
-
-// readHeader reads one frame's header from r and decodes it into f. The
-// header is staged in the reusable buffer (not a stack array, which would
-// escape through io.ReadFull and cost an allocation per frame); every
-// header field is in f before the body read overwrites it.
-func readHeader(r io.Reader, f *Frame, buf []byte) (_ []byte, extLen, keyLen, bodyLen int, err error) {
-	if cap(buf) < HeaderSize {
-		buf = make([]byte, HeaderSize, 512)
-	}
-	h := buf[:HeaderSize]
-	// A peer that is not speaking the protocol is found out by its first
-	// byte, not after 24 of them.
-	n, err := io.ReadAtLeast(r, h, 1)
-	if err != nil {
-		return buf, 0, 0, 0, err
-	}
-	if err := checkMagic(h[0]); err != nil {
-		return buf, 0, 0, 0, err
-	}
-	if err := readRest(r, h[n:]); err != nil {
-		return buf, 0, 0, 0, err
-	}
-	extLen, keyLen, bodyLen, err = parseHeader(h, f)
-	return buf, extLen, keyLen, bodyLen, err
-}
-
-// readRest fills b with bytes that continue a frame already begun, where
-// the end of the stream is an error: io.EOF stays bare only between frames.
-func readRest(r io.Reader, b []byte) error {
-	_, err := io.ReadFull(r, b)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// ReadHead is ReadFrame up to the value: it decodes the header, extras and
-// key of one frame into f (aliasing the returned buffer, which is never
-// grown beyond 512 bytes) and returns the length of the value, which is
-// still in r. The caller decides where those bytes go
-// — io.ReadFull into storage picked by what the head says, or Discard —
-// and must consume exactly that many before the next frame. A server reads
-// requests this way: nothing is allocated at a length a peer declared, and
-// a value lands where it will stay.
-func ReadHead(r io.Reader, f *Frame, buf []byte) (_ []byte, valueLen int, err error) {
-	buf, extLen, keyLen, bodyLen, err := readHeader(r, f, buf)
-	if err != nil {
-		return buf, 0, err
-	}
+	// Every header field is in f; the extras and key may now overwrite it.
 	if cap(buf) < extLen+keyLen {
 		buf = make([]byte, extLen+keyLen, MaxExtrasLen+MaxKeyLen)
 	} else {
@@ -377,51 +321,37 @@ func ReadHead(r io.Reader, f *Frame, buf []byte) (_ []byte, valueLen int, err er
 	return buf, bodyLen - extLen - keyLen, nil
 }
 
-// Buffered reports whether r already holds one complete frame, so that the
-// next ReadBuffered returns without touching the underlying reader. A reader that
-// must not block uses it to drain what one socket read delivered.
-func Buffered(r *bufio.Reader) bool {
-	if r.Buffered() < HeaderSize {
-		return false
+// readRest fills b with bytes that continue a frame already begun, where
+// the end of the stream is an error: io.EOF stays bare only between frames.
+func readRest(r io.Reader, b []byte) error {
+	_, err := io.ReadFull(r, b)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	h, _ := r.Peek(HeaderSize)
-	return uint64(r.Buffered()-HeaderSize) >= uint64(binary.BigEndian.Uint32(h[8:12]))
+	return err
 }
 
-// ReadBuffered decodes one frame from r into f. The header is parsed in
-// place in r's buffer and f owns its body, allocated at its exact size (not
-// at all when the body is empty) — what a client wants, which hands the
-// value on to its caller and so can reuse neither a body buffer, as
-// ReadFrame does, nor afford Read's staging buffer per response.
-func ReadBuffered(r *bufio.Reader, f *Frame) error {
-	h, err := r.Peek(HeaderSize)
+// ReadFrame is ReadHead followed by the value: it decodes one whole frame
+// from r into f, using buf as body storage and returning the (possibly
+// grown) buffer for reuse. On success f's Extras, Key, and Value alias the
+// returned buffer, so they are valid only until the next ReadFrame call
+// that reuses it. It allocates at the declared length when buf is short,
+// so it is for trusted streams (tests and benchmarks), not for a socket.
+func ReadFrame(r io.Reader, f *Frame, buf []byte) ([]byte, error) {
+	buf, n, err := ReadHead(r, f, buf)
 	if err != nil {
-		if err == io.EOF && len(h) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
+		return buf, err
 	}
-	if err := checkMagic(h[0]); err != nil {
-		return err
+	head, ext := len(buf), len(f.Extras)
+	buf = slices.Grow(buf, n)[:head+n]
+	if err := readRest(r, buf[head:]); err != nil {
+		return buf, err
 	}
-	extLen, keyLen, bodyLen, err := parseHeader(h, f)
-	if err != nil {
-		return err
-	}
-	r.Discard(HeaderSize) // cannot fail: Peek has buffered that much
-	if bodyLen == 0 {
-		return nil
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	f.Extras, f.Key, f.Value = body[:extLen], body[extLen:extLen+keyLen], body[extLen+keyLen:]
-	return nil
+	f.Extras, f.Key, f.Value = buf[:ext], buf[ext:head], buf[head:]
+	return buf, nil
 }
 
-// Read decodes one frame from r. The returned frame owns its body bytes;
-// the hot paths use ReadFrame with a reused buffer instead.
+// Read decodes one frame from r into a frame that owns its bytes.
 func Read(r io.Reader) (*Frame, error) {
 	f := &Frame{}
 	if _, err := ReadFrame(r, f, nil); err != nil {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"hbb/internal/memcached"
@@ -360,85 +361,80 @@ func TestQuietOpcodes(t *testing.T) {
 	}
 }
 
-// TestReadBufferedMatchesRead: the bufio decode path must agree with Read
-// on every frame shape — including an empty body and a body larger than the
-// reader's buffer — own what it returns, and report truncation like Read.
-func TestReadBufferedMatchesRead(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// TestReadEndsBareOnlyBetweenFrames cuts a stream of replies of every
+// shape a client meets — an empty body, extras and a value, a key and a
+// value, a value larger than a default bufio.Reader — at every byte: what
+// comes before the cut decodes as sent, one byte at a time as well as
+// whole, and the cut reads as a bare io.EOF exactly where a frame ended, as
+// io.ErrUnexpectedEOF anywhere inside one.
+func TestReadEndsBareOnlyBetweenFrames(t *testing.T) {
 	frames := []*Frame{
 		{Magic: MagicResponse, Op: OpSet, Opaque: 1, CAS: 9},
 		{Magic: MagicResponse, Op: OpGet, Opaque: 2, Extras: GetExtras(3), Value: []byte("v")},
 		{Magic: MagicResponse, Op: OpStat, Opaque: 3, Key: []byte("pid"), Value: []byte("1")},
-		{Magic: MagicResponse, Op: OpGet, Opaque: 4, Extras: GetExtras(0), Value: randBytes(rng, 3*4096)},
+		{Magic: MagicResponse, Op: OpGet, Opaque: 4, Extras: GetExtras(0), Value: randBytes(rand.New(rand.NewSource(7)), 4096+5)},
 	}
 	var wire []byte
+	var ends []int
 	for _, f := range frames {
 		var err error
 		if wire, err = AppendFrame(wire, f); err != nil {
 			t.Fatal(err)
 		}
+		ends = append(ends, len(wire))
 	}
-	r := bufio.NewReaderSize(bytes.NewReader(wire), 4096)
-	want := bytes.NewReader(wire)
-	for i := range frames {
-		var got Frame
-		if err := ReadBuffered(r, &got); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	for cut := 0; cut <= len(wire); cut++ {
+		var r io.Reader = bytes.NewReader(wire[:cut])
+		if cut%41 == 0 { // on a sample of the cuts, through reads of one byte
+			r = iotest.OneByteReader(r)
 		}
-		ref, err := Read(want)
-		if err != nil {
-			t.Fatal(err)
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
 		}
-		if got.Op != ref.Op || got.Opaque != ref.Opaque || got.CAS != ref.CAS || got.Status != ref.Status ||
-			!bytes.Equal(got.Extras, ref.Extras) || !bytes.Equal(got.Key, ref.Key) || !bytes.Equal(got.Value, ref.Value) {
-			t.Errorf("frame %d: ReadBuffered %+v, Read %+v", i, got, *ref)
+		for i, want := range frames[:whole] {
+			got, err := Read(r)
+			if err != nil {
+				t.Fatalf("cut %d, frame %d: %v", cut, i, err)
+			}
+			if got.Op != want.Op || got.Status != want.Status || got.Opaque != want.Opaque || got.CAS != want.CAS ||
+				!bytes.Equal(got.Extras, want.Extras) || !bytes.Equal(got.Key, want.Key) || !bytes.Equal(got.Value, want.Value) {
+				t.Fatalf("cut %d, frame %d: read %+v, sent %+v", cut, i, got, want)
+			}
 		}
-		if i == 0 && (got.Extras != nil || got.Key != nil || got.Value != nil) {
-			t.Errorf("empty body allocated: %+v", got)
+		want := io.ErrUnexpectedEOF
+		if whole == 0 && cut == 0 || whole > 0 && ends[whole-1] == cut {
+			want = io.EOF
 		}
-	}
-	var f Frame
-	if err := ReadBuffered(r, &f); err != io.EOF {
-		t.Errorf("at end of stream: %v, want io.EOF", err)
-	}
-	if err := ReadBuffered(bufio.NewReader(bytes.NewReader(wire[:10])), &f); err != io.ErrUnexpectedEOF {
-		t.Errorf("truncated header: %v, want io.ErrUnexpectedEOF", err)
-	}
-	// The second frame (the first is a bare header) cut two bytes into its body.
-	if err := ReadBuffered(bufio.NewReader(bytes.NewReader(wire[HeaderSize:2*HeaderSize+2])), &f); err != io.ErrUnexpectedEOF {
-		t.Errorf("truncated body: %v, want io.ErrUnexpectedEOF", err)
-	}
-	bad := append([]byte(nil), wire...)
-	bad[0] = 0x42
-	if err := ReadBuffered(bufio.NewReader(bytes.NewReader(bad)), &f); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("bad magic: %v", err)
+		if _, err := Read(r); err != want {
+			t.Fatalf("cut %d after %d whole frames: %v, want %v", cut, whole, err, want)
+		}
 	}
 }
 
-// TestBufferedSeesOnlyCompleteFrames: Buffered must say yes exactly when a
-// whole frame sits in the reader's buffer, so a caller that reads on yes
-// never blocks.
-func TestBufferedSeesOnlyCompleteFrames(t *testing.T) {
-	one, err := AppendFrame(nil, &Frame{Magic: MagicResponse, Op: OpGet, Extras: GetExtras(0), Value: []byte("value")})
-	if err != nil {
-		t.Fatal(err)
+// firstByteOnly yields one byte and fails the test if asked for more.
+type firstByteOnly struct {
+	t    *testing.T
+	b    byte
+	read bool
+}
+
+func (r *firstByteOnly) Read(p []byte) (int, error) {
+	if r.read {
+		r.t.Fatal("the decoder waited for a second byte after a bad magic")
 	}
-	two := append(append([]byte(nil), one...), one...)
-	for cut := 0; cut <= len(two); cut++ {
-		r := bufio.NewReader(bytes.NewReader(two[:cut]))
-		r.Peek(1) // fill the buffer with whatever the stream has
-		if got, want := Buffered(r), cut >= len(one); got != want {
-			t.Fatalf("%d of %d bytes buffered: Buffered = %v, want %v", cut, len(one), got, want)
-		}
-		if cut < len(one) {
-			continue
-		}
+	r.read = true
+	p[0] = r.b
+	return 1, nil
+}
+
+// TestBadMagicCaughtAtTheFirstByte: a peer that is not speaking the
+// protocol is refused on its first byte, not after a header's worth.
+func TestBadMagicCaughtAtTheFirstByte(t *testing.T) {
+	for _, b := range []byte{0x00, 0x42, 'g', 0x82, 0xff} {
 		var f Frame
-		if err := ReadBuffered(r, &f); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := Buffered(r), cut == len(two); got != want {
-			t.Fatalf("after one frame, %d bytes left: Buffered = %v, want %v", cut-len(one), got, want)
+		if _, _, err := ReadHead(&firstByteOnly{t: t, b: b}, &f, nil); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("first byte 0x%02x: %v, want ErrBadMagic", b, err)
 		}
 	}
 }

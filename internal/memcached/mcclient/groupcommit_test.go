@@ -29,7 +29,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func inFlight(c *Client) int {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return len(c.pending)
+	n := 0
+	for i := range c.calls.n {
+		n += (*c.calls.at(i)).quiet + 1
+	}
+	return n
 }
 
 // TestGroupCommitLoneCallerOneWritePerOp: a single caller on an idle connection must

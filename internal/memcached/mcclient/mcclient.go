@@ -15,10 +15,11 @@
 // before it writes, which lets the callers that are about to issue join its
 // write; a lone caller on an idle connection writes at once.
 //
-// A dedicated reader goroutine correlates responses to callers by opaque:
-// it decodes every complete frame one socket read delivered, takes the lock
-// once for all of them and then wakes their callers, so up to the in-flight
-// window (see WithWindow) of requests can be on the wire at once. GetMulti
+// A dedicated reader goroutine matches replies to calls in issue order, the
+// order the protocol answers in, checks each reply's opaque against the
+// call it answers before it reads the reply's value, and wakes a caller as
+// soon as its call is answered, so up to DefaultWindow operations can be on
+// the wire at once. A reply costs memory only as its bytes arrive. GetMulti
 // and SetMulti batch many keys into a single quiet-op burst (GETQ/SETQ …
 // NOOP) costing one round-trip total; IssueSet and IssueDelete split a
 // round-trip into its issue and its wait, so one goroutine can have
@@ -29,9 +30,11 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,8 +42,8 @@ import (
 	"hbb/internal/memcached/binproto"
 )
 
-// DefaultWindow is the default cap on concurrently in-flight operations
-// per connection. Each GetMulti/SetMulti/Stats counts as one.
+// DefaultWindow is the cap on concurrently in-flight operations per
+// connection. Each GetMulti/SetMulti/Stats counts as one.
 const DefaultWindow = 128
 
 // ErrClosed is returned for operations on a closed client.
@@ -122,13 +125,13 @@ type Client struct {
 	policy ReconnectPolicy
 
 	// wmu guards everything below. It is never held across a socket write.
-	wmu     sync.Mutex
-	conn    net.Conn
-	gen     int // connection generation; stale failures are ignored
-	opaque  uint32
-	pending map[uint32]*Call
-	err     error // sticky per outage; cleared on successful reconnect
-	closed  bool  // explicit Close: never reconnect again
+	wmu    sync.Mutex
+	conn   net.Conn
+	gen    int // connection generation; stale failures are ignored
+	opaque uint32
+	calls  ring  // the calls on the wire, oldest first
+	err    error // sticky per outage; cleared on successful reconnect
+	closed bool  // explicit Close: never reconnect again
 
 	// Group commit: callers encode into out; the one flusher (flushing)
 	// takes it, leaves spare in its place and writes with wmu released.
@@ -140,6 +143,15 @@ type Client struct {
 
 // maxEncKeep is the largest encode buffer kept for reuse after a flush.
 const maxEncKeep = 64 << 10
+
+// ring holds the n calls on the wire in issue order, the i-th oldest at
+// at(i). Every call in it holds a window slot, so it never overflows.
+type ring struct {
+	slot    [DefaultWindow]*Call
+	head, n int
+}
+
+func (q *ring) at(i int) **Call { return &q.slot[(q.head+i)%DefaultWindow] }
 
 // outbuf is one side of the connection's double buffer: frames queued for
 // one write.
@@ -197,8 +209,8 @@ func (o *outbuf) reset() {
 
 // Call is one issued operation: a single request, a quiet-op burst with
 // its NOOP terminator, or a stats request answered by a stream of frames.
-// It is completed exactly once (Client.complete) — by the reader when the
-// terminating frame arrives, or by drain.
+// It is completed exactly once (Client.complete) — by the reader when it
+// hands back a call whose terminating frame has arrived, or by drain.
 type Call struct {
 	op     binproto.Opcode
 	first  uint32 // opaque of the first frame
@@ -216,21 +228,10 @@ type Call struct {
 	// answer, stat entries). Only the reader appends, before it completes
 	// the call; the caller reads them after a successful completion.
 	frames []binproto.Frame
-	failed bool // drain has completed the call; it may be pending under several opaques
 }
 
 // Option configures a Client at construction.
 type Option func(*Client)
-
-// WithWindow sets the in-flight operation window (minimum 1).
-func WithWindow(n int) Option {
-	return func(c *Client) {
-		if n < 1 {
-			n = 1
-		}
-		c.window = make(chan struct{}, n)
-	}
-}
 
 // WithReconnect enables transparent reconnect after connection failures.
 // In-flight operations still fail fast with a *ConnError (the bytes on the
@@ -288,13 +289,12 @@ func NewClient(conn net.Conn, opts ...Option) *Client {
 
 func newClient(conn net.Conn, addr string, dialTO time.Duration, opts ...Option) *Client {
 	c := &Client{
-		conn:    conn,
-		addr:    addr,
-		dialTO:  dialTO,
-		pending: make(map[uint32]*Call),
-		window:  make(chan struct{}, DefaultWindow),
-		out:     &outbuf{},
-		spare:   &outbuf{},
+		conn:   conn,
+		addr:   addr,
+		dialTO: dialTO,
+		window: make(chan struct{}, DefaultWindow),
+		out:    &outbuf{},
+		spare:  &outbuf{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -318,7 +318,7 @@ func (c *Client) Close() error {
 }
 
 // complete wakes the call's waiter with its outcome: the terminating frame
-// dispatch left in resp, or err. The operation is off the wire, so its
+// the reader left in resp, or err. The operation is off the wire, so its
 // window slot is free again.
 func (c *Client) complete(cl *Call, err error) {
 	cl.err = err
@@ -327,68 +327,148 @@ func (c *Client) complete(cl *Call, err error) {
 }
 
 // readLoop is the single reader goroutine for one connection generation.
-// It blocks for one frame, then decodes every further frame that is already
-// complete in its buffer, routes the whole batch to the waiting callers by
-// opaque under one hold of wmu, and wakes them after releasing it.
 func (c *Client) readLoop(r *bufio.Reader, gen int) {
-	var batch []binproto.Frame // reused; dispatch copies the frames out
-	var wake []*Call
+	rd := &reader{c: c, gen: gen, r: r}
 	for {
-		clear(batch) // let go of the previous batch's values
-		batch = batch[:0]
-		for len(batch) == 0 || binproto.Buffered(r) {
-			batch = append(batch, binproto.Frame{})
-			if err := binproto.ReadBuffered(r, &batch[len(batch)-1]); err != nil {
-				c.failAll(gen, err)
-				return
-			}
-		}
-		var err error
-		c.wmu.Lock()
-		for i := range batch {
-			if wake, err = c.dispatch(&batch[i], wake); err != nil {
-				break
-			}
-		}
-		c.wmu.Unlock()
-		for i, cl := range wake {
-			c.complete(cl, nil)
-			wake[i] = nil
-		}
-		wake = wake[:0]
-		if err != nil {
+		if err := rd.frame(); err != nil {
 			c.failAll(gen, err)
 			return
 		}
 	}
 }
 
-// dispatch routes one response frame with wmu held: a frame that ends its
-// call takes the call out of pending and onto wake, any other is collected
-// on the call. An opaque with no pending caller is a protocol violation and
-// poisons the connection.
-func (c *Client) dispatch(resp *binproto.Frame, wake []*Call) ([]*Call, error) {
-	cl, ok := c.pending[resp.Opaque]
-	if !ok {
-		return wake, fmt.Errorf("mcclient: opaque mismatch: unexpected response opaque %d", resp.Opaque)
+// maxStageKeep is the largest staging buffer a reader keeps between replies.
+const maxStageKeep = 1 << 20
+
+// reader is the state of one readLoop: cl is the oldest call on the wire,
+// which may still be answered on the opaques from its first+next on.
+type reader struct {
+	c     *Client
+	gen   int
+	r     *bufio.Reader
+	head  []byte // ReadHead's buffer: a reply's extras and key
+	stage []byte // a value that arrives over several reads
+	cl    *Call
+	next  uint32
+}
+
+// frame reads one reply and records it on the call it answers. Replies
+// come in issue order, so a reply answers the oldest call on the wire, on
+// what is left of its opaques: a quiet burst's answers strictly ascending,
+// then its NOOP; a stats stream's entries on its one opaque. Any other
+// opaque, or a frame that is no reply, is a protocol violation and is
+// refused before its value is read. The call a reply ends leaves the ring
+// and is completed at once.
+func (rd *reader) frame() error {
+	var f binproto.Frame
+	var n int
+	var err error
+	if rd.head, n, err = binproto.ReadHead(rd.r, &f, rd.head); err != nil {
+		return err
+	}
+	if f.Magic != binproto.MagicResponse {
+		return fmt.Errorf("%w: 0x%02x where a reply belongs", binproto.ErrBadMagic, f.Magic)
+	}
+	if rd.cl == nil {
+		if err := rd.sync(false); err != nil {
+			return err
+		} else if rd.cl == nil {
+			return fmt.Errorf("mcclient: reply with opaque %d to no request", f.Opaque)
+		}
+	}
+	cl := rd.cl
+	off := f.Opaque - cl.first
+	last := off == uint32(cl.quiet) && (!cl.stream || f.Status != binproto.StatusOK || len(f.Key) == 0)
+	if !last && (off < rd.next || off > uint32(cl.quiet)) {
+		return fmt.Errorf("mcclient: reply with opaque %d where %d..%d are owed", f.Opaque, cl.first+rd.next, cl.first+uint32(cl.quiet))
+	}
+	if err := rd.body(&f, n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended inside a frame
+		}
+		return err
 	}
 	switch {
-	case cl.quiet > 0 && resp.Opaque != cl.first+uint32(cl.quiet):
-		// A quiet op that did answer: a GETQ hit or a rejected SETQ.
-		delete(c.pending, resp.Opaque)
-		cl.frames = append(cl.frames, *resp)
-	case cl.stream && resp.Status == binproto.StatusOK && len(resp.Key) != 0:
-		cl.frames = append(cl.frames, *resp)
-	default:
-		// The NOOP terminator also retires every quiet op still pending:
-		// a silent miss (GETQ) or a silent success (SETQ).
-		for i := 0; i <= cl.quiet; i++ {
-			delete(c.pending, cl.first+uint32(i))
-		}
-		cl.resp = *resp
-		wake = append(wake, cl)
+	case last:
+		cl.resp = f
+		rd.next = 0
+		return rd.sync(true)
+	case off < uint32(cl.quiet):
+		rd.next = off + 1 // a quiet op that did answer: a GETQ hit or a rejected SETQ
 	}
-	return wake, nil
+	cl.frames = append(cl.frames, f)
+	return nil
+}
+
+// sync takes wmu to learn the oldest call on the wire, first taking the
+// call the reader has just finished off the ring when pop is set; it then
+// completes that call. Once the connection has failed, its calls, finished
+// or not, are drain's to complete.
+func (rd *reader) sync(pop bool) error {
+	c, q := rd.c, &rd.c.calls
+	c.wmu.Lock()
+	if c.gen != rd.gen || c.err != nil {
+		c.wmu.Unlock()
+		return net.ErrClosed
+	}
+	done := rd.cl
+	if pop {
+		*q.at(0) = nil
+		q.head, q.n = q.head+1, q.n-1
+	}
+	rd.cl = nil
+	if q.n > 0 {
+		rd.cl = *q.at(0)
+	}
+	c.wmu.Unlock()
+	if pop {
+		c.complete(done, nil)
+	}
+	return nil
+}
+
+// body gives f its extras, key and n-byte value in one exact-size
+// allocation of its own, copied straight out of the read buffer when the
+// value is all there, else out of the staging buffer. That buffer grows
+// only once what it holds has arrived, so it is at most twice the bytes
+// read: a peer that declares a huge value and stalls costs nothing. A reply
+// that failed keeps none of it, and its body is discarded unread.
+func (rd *reader) body(f *binproto.Frame, n int) error {
+	if f.Status != binproto.StatusOK {
+		f.Extras, f.Key = nil, nil
+		_, err := rd.r.Discard(n)
+		return err
+	}
+	value, buffered := rd.stage[:0], n <= rd.r.Buffered()
+	if buffered {
+		value, _ = rd.r.Peek(n)
+	}
+	for len(value) < n {
+		if len(value) == cap(value) {
+			if _, err := rd.r.Peek(1); err != nil {
+				return err
+			}
+			value = slices.Grow(value, min(max(len(value), rd.r.Buffered()), n-len(value)))
+		}
+		m, err := rd.r.Read(value[len(value):min(cap(value), n)])
+		if value = value[:len(value)+m]; err != nil {
+			return err
+		}
+	}
+	// Appending to a full slice spares the runtime zeroing what the copy
+	// overwrites, which make would not.
+	body := append(rd.head[:len(rd.head):len(rd.head)], value...)
+	if n == 0 {
+		body = append([]byte(nil), rd.head...) // nil for an empty body
+	}
+	ext, head := len(f.Extras), len(rd.head)
+	f.Extras, f.Key, f.Value = body[:ext], body[ext:head], body[head:]
+	if buffered {
+		rd.r.Discard(n)
+	} else if rd.stage = value; cap(value) > maxStageKeep {
+		rd.stage = nil
+	}
+	return nil
 }
 
 // failAll poisons the current connection generation: the sticky error is
@@ -434,8 +514,8 @@ func (c *Client) poison(cause error) {
 // reconnect.
 func (c *Client) drain() {
 	err := c.err
-	pending := c.pending
-	c.pending = make(map[uint32]*Call)
+	calls := c.calls
+	c.calls = ring{}
 	c.out.reset()
 	conn := c.conn
 	gen := c.gen
@@ -449,11 +529,8 @@ func (c *Client) drain() {
 	if reconnect {
 		go c.reconnectLoop(gen)
 	}
-	for _, cl := range pending {
-		if !cl.failed {
-			cl.failed = true
-			c.complete(cl, err)
-		}
+	for i := range calls.n {
+		c.complete(*calls.at(i), err)
 	}
 }
 
@@ -478,12 +555,10 @@ func (c *Client) reconnectLoop(gen int) {
 			return
 		}
 		if err == nil {
-			// The new connection starts with nothing pending and nothing
-			// queued: drain emptied both, and every issue since has failed
-			// fast on err.
+			// The new connection starts with no call on the wire and
+			// nothing queued: drain emptied both, and every issue since has
+			// failed fast on err.
 			c.conn = conn
-			c.pending = make(map[uint32]*Call)
-			c.out.reset()
 			c.err = nil
 			c.wmu.Unlock()
 			go c.readLoop(bufio.NewReader(conn), gen)
@@ -507,7 +582,7 @@ func (c *Client) reconnectLoop(gen int) {
 
 // issue is the one way onto the wire. It takes a window slot, queues the
 // call's frames — frame(0), or frame(0..quiet-1) and the NOOP that
-// terminates a quiet burst — in issue order, registers cl for the replies,
+// terminates a quiet burst — in issue order, queues cl for the replies,
 // and makes sure a flush carries them: if none is in progress the caller
 // becomes the flusher. A call that could not be issued comes back already
 // completed with the error, and nothing of it is queued.
@@ -517,7 +592,7 @@ func (c *Client) issue(cl *Call, frame func(i int) binproto.Frame) *Call {
 	c.window <- struct{}{}
 	c.wmu.Lock()
 	err := c.err
-	busy := len(c.pending) > 0
+	busy := c.calls.n > 0
 	encMark, segMark, cutMark := c.out.mark()
 	cl.first = c.opaque + 1
 	for i := 0; err == nil && i < n; i++ {
@@ -534,11 +609,9 @@ func (c *Client) issue(cl *Call, frame func(i int) binproto.Frame) *Call {
 		c.complete(cl, err)
 		return cl
 	}
-	last := cl.first + uint32(cl.quiet)
-	for op := cl.first; op != last+1; op++ {
-		c.pending[op] = cl
-	}
-	c.opaque = last
+	*c.calls.at(c.calls.n) = cl
+	c.calls.n++
+	c.opaque = cl.first + uint32(cl.quiet)
 	if c.flushing {
 		c.wmu.Unlock()
 		return cl

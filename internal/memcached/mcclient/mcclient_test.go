@@ -1,6 +1,7 @@
 package mcclient
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -73,6 +74,17 @@ func TestOpaqueMismatchDetected(t *testing.T) {
 	})
 	if err := c.Noop(); err == nil {
 		t.Error("opaque mismatch not surfaced")
+	}
+}
+
+// TestRequestMagicReplyFailsConnection: a frame that claims to be a
+// request is no reply, whatever its opaque, and fails the connection.
+func TestRequestMagicReplyFailsConnection(t *testing.T) {
+	c := fakeServer(t, func(req *binproto.Frame) *binproto.Frame {
+		return &binproto.Frame{Magic: binproto.MagicRequest, Op: req.Op, Opaque: req.Opaque}
+	})
+	if err := c.Noop(); !IsConnError(err) || !errors.Is(err, binproto.ErrBadMagic) {
+		t.Errorf("reply with request magic: %v, want a *ConnError for ErrBadMagic", err)
 	}
 }
 

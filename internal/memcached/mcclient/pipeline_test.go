@@ -150,7 +150,8 @@ func TestPipelinedConcurrentCallers(t *testing.T) {
 // TestWindowLimitsInFlight verifies a tiny window still completes a burst
 // larger than the window (slots recycle as responses drain).
 func TestWindowLimitsInFlight(t *testing.T) {
-	c := startServer(t, WithWindow(2))
+	c := startServer(t)
+	c.window = make(chan struct{}, 2)
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for i := 0; i < 32; i++ {

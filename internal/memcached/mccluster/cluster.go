@@ -36,9 +36,6 @@ type Options struct {
 	Replicas int
 	// DialTimeout bounds each connection attempt (default 2s).
 	DialTimeout time.Duration
-	// Window is the per-connection in-flight op cap — the socket-layer
-	// bounded-inflight guarantee (default mcclient.DefaultWindow).
-	Window int
 	// Reconnect is the per-connection transparent-reconnect policy.
 	// A zero value defaults to 8 attempts, 10ms base, 500ms cap; set
 	// MaxAttempts negative to disable reconnect.
@@ -80,9 +77,6 @@ func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
 	}
-	if o.Window <= 0 {
-		o.Window = mcclient.DefaultWindow
-	}
 	if o.Reconnect.MaxAttempts == 0 {
 		o.Reconnect = mcclient.ReconnectPolicy{
 			MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond,
@@ -123,7 +117,6 @@ func (o Options) Validate() error {
 type node struct {
 	addr     string
 	dialTO   time.Duration
-	window   int
 	policy   mcclient.ReconnectPolicy
 	cooldown time.Duration
 
@@ -145,11 +138,7 @@ func (n *node) client() (*mcclient.Client, error) {
 	if time.Now().Before(n.downUntil) {
 		return nil, &mcclient.ConnError{Addr: n.addr, Err: fmt.Errorf("in redial cooldown: %w", n.lastErr)}
 	}
-	opts := []mcclient.Option{mcclient.WithWindow(n.window)}
-	if n.policy.MaxAttempts > 0 {
-		opts = append(opts, mcclient.WithReconnect(n.policy))
-	}
-	c, err := mcclient.Dial(n.addr, n.dialTO, opts...)
+	c, err := mcclient.Dial(n.addr, n.dialTO, mcclient.WithReconnect(n.policy))
 	if err != nil {
 		n.lastErr = err
 		n.downUntil = time.Now().Add(n.cooldown)
@@ -232,7 +221,7 @@ func New(addrs []string, opts Options) (*Cluster, error) {
 		}
 		c.ring.Add(a)
 		c.nodes[a] = &node{
-			addr: a, dialTO: opts.DialTimeout, window: opts.Window,
+			addr: a, dialTO: opts.DialTimeout,
 			policy: opts.Reconnect, cooldown: opts.RedialCooldown,
 		}
 		c.addrs = append(c.addrs, a)

@@ -194,7 +194,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			return // EOF, or not the binary protocol: drop the connection
 		}
-		if !cs.req.Request() {
+		if cs.req.Magic != binproto.MagicRequest {
 			return
 		}
 		quit := s.dispatch(r, w, &cs.req, valueLen, cs)
