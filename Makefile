@@ -43,7 +43,7 @@ bench-smoke:
 	go test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
 # The simulation-kernel micro-benchmarks (sleep alone and contended, timer,
-# spawn, timeout, pipe, netsim RPC/cast) plus the serial experiment set they
+# spawn, timeout, pipe, netsim RPC) plus the serial experiment set they
 # add up to, merged into BENCH_13.json under LABEL. The file's "before" side
 # is the parent commit's output of the same commands, fed through
 # `benchjson -label before`.
@@ -59,11 +59,10 @@ bench-kernel: tools
 bench-dataplane:
 	go test -run '^$$' -bench 'StageOutDrain|ReadAheadStreaming|Tab6' -benchmem .
 
-# The two netsim transfer primitives on a raw 128 MiB payload (analytic
-# flow vs packet train, events/op and allocs/op side by side), and the
-# 3-replica HDFS pipeline write that rides the flows.
+# One netsim flow on a raw 128 MiB payload and the 3-replica HDFS
+# pipeline write that rides the flows (events/op and allocs/op).
 bench-netsim:
-	go test -run '^$$' -bench 'FlowTransfer|NetsimPacketTransfer|PipelineWrite' -benchmem ./internal/netsim/ ./internal/hdfs/
+	go test -run '^$$' -bench 'FlowTransfer|PipelineWrite' -benchmem ./internal/netsim/ ./internal/hdfs/
 
 # Multi-job orchestration benchmarks: the tab7 experiment regeneration and
 # the four-job contention makespan comparison (FCFS vs backfill).

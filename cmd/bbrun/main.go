@@ -164,8 +164,8 @@ func main() {
 		fmt.Printf("network:")
 		for _, name := range net.Names() {
 			if strings.HasPrefix(name, "net.bytes.") {
-				fmt.Printf("  %s=%.1fGiB", strings.TrimPrefix(name, "net.bytes."),
-					float64(net.Counter(name).Value())/(1<<30))
+				fmt.Printf("  %s=%.3fMiB", strings.TrimPrefix(name, "net.bytes."),
+					float64(net.Counter(name).Value())/(1<<20))
 			}
 		}
 		fmt.Printf("  flows=%d re-solves=%d aborts=%d  active=%s\n",

@@ -516,7 +516,7 @@ func fig1(Scale) *metrics.Table {
 			msg := netsim.Msg{From: 0, To: 1, Service: "kv", Size: 64}
 			start := p.Now()
 			for i := 0; i < ops; i++ {
-				_ = nw.RDMAWrite(p, 0, 1, size)
+				_ = nw.RDMAWriteFlow(p, 0, 1, size)
 				msg.Op, msg.Payload = "set", "k"+strconv.Itoa(i)
 				nw.Call(p, &msg)
 			}
@@ -525,7 +525,7 @@ func fig1(Scale) *metrics.Table {
 			for i := 0; i < ops; i++ {
 				msg.Op, msg.Payload = "get", "k"+strconv.Itoa(i)
 				nw.Call(p, &msg)
-				_ = nw.RDMARead(p, 0, 1, size)
+				_ = nw.RDMAReadFlow(p, 0, 1, size)
 			}
 			getT = p.Now() - start
 		})
@@ -571,7 +571,7 @@ func fig2(Scale) *metrics.Table {
 				for i := 0; i < opsPerClient; i++ {
 					key := prefix + strconv.Itoa(i)
 					node := engines[ring.Get(key)]
-					_ = nw.RDMAWrite(p, netsim.NodeID(c), node, valSize)
+					_ = nw.RDMAWriteFlow(p, netsim.NodeID(c), node, valSize)
 					msg.To, msg.Payload = node, key
 					nw.Call(p, &msg)
 				}

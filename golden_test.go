@@ -66,22 +66,23 @@ func goldenFingerprintOpts(t *testing.T, b Backend, opts Options) goldenRun {
 // the one bulk data path there is: payload rides netsim flows (HDFS
 // pipeline hops and read streams, Lustre stripe RPCs, burst-buffer RDMA
 // chunk moves, local-replica reads), devices and the ingest pipe take one
-// flat reservation per segment, control messages stay RPCs. The values
-// were recorded from the last commit that still had the chunked packet
-// train, with its flow option switched on in this test — not from the
-// change that deleted the train. Regenerate with
+// flat reservation per segment, control messages stay RPCs whose
+// envelopes cross each NIC at the share its flows leave them. The values
+// were recorded from the last commit that still had netsim's packet
+// pipes, with envelopes priced against the flows there — not from the
+// change that deleted the pipes. Regenerate with
 // `go test -run TestGoldenDeterminism -v` and copy the logged actual
 // values ONLY when a simulation-behaviour change is intentional; a
 // refactor must leave every value untouched.
 var seedGoldens = map[string]goldenRun{
-	"hdfs":   {writeNS: 523211018, readNS: 137415899, bytes: 536870912, stats: "", totalNS: 660789471, localUse: 1610612736},
-	"lustre": {writeNS: 148269659, readNS: 151411230, bytes: 536870912, stats: "", totalNS: 300190365, localUse: 0},
-	"bb-async": {writeNS: 136735445, readNS: 42673305, bytes: 536870912,
-		stats: "w=536870912 r=536870912 f=536870912 rb=8 rl=0 rlu=0 ev=0 st=0", totalNS: 232633718, localUse: 0},
-	"bb-locality": {writeNS: 137668511, readNS: 27408031, bytes: 536870912,
-		stats: "w=536870912 r=536870912 f=536870912 rb=0 rl=8 rlu=0 ev=0 st=0", totalNS: 228538771, localUse: 536870912},
-	"bb-sync": {writeNS: 157320897, readNS: 34796252, bytes: 536870912,
-		stats: "w=536870912 r=536870912 f=536870912 rb=8 rl=0 rlu=0 ev=0 st=0", totalNS: 192156605, localUse: 0},
+	"hdfs":   {writeNS: 523210763, readNS: 137415644, bytes: 536870912, stats: "", totalNS: 660788961, localUse: 1610612736},
+	"lustre": {writeNS: 148280074, readNS: 151411188, bytes: 536870912, stats: "", totalNS: 300200738, localUse: 0},
+	"bb-async": {writeNS: 136735536, readNS: 42673853, bytes: 536870912,
+		stats: "w=536870912 r=536870912 f=536870912 rb=8 rl=0 rlu=0 ev=0 st=0", totalNS: 232634357, localUse: 0},
+	"bb-locality": {writeNS: 137668602, readNS: 27407935, bytes: 536870912,
+		stats: "w=536870912 r=536870912 f=536870912 rb=0 rl=8 rlu=0 ev=0 st=0", totalNS: 228538766, localUse: 536870912},
+	"bb-sync": {writeNS: 157320897, readNS: 34813083, bytes: 536870912,
+		stats: "w=536870912 r=536870912 f=536870912 rb=8 rl=0 rlu=0 ev=0 st=0", totalNS: 192173436, localUse: 0},
 }
 
 func TestGoldenDeterminism(t *testing.T) {
@@ -109,8 +110,8 @@ func TestGoldenDeterminism(t *testing.T) {
 // data plane the same way seedGoldens guards the seed paths, and was
 // recorded the same way — regenerate only for an intentional behaviour
 // change.
-var coalescedGolden = goldenRun{writeNS: 124731698, readNS: 31479455, bytes: 536870912,
-	stats: "w=536870912 r=536870912 f=536870912 rb=32 rl=0 rlu=0 ev=0 st=0", totalNS: 166529284, localUse: 0}
+var coalescedGolden = goldenRun{writeNS: 124731964, readNS: 31649750, bytes: 536870912,
+	stats: "w=536870912 r=536870912 f=536870912 rb=32 rl=0 rlu=0 ev=0 st=0", totalNS: 166699845, localUse: 0}
 
 func TestGoldenCoalescing(t *testing.T) {
 	got := goldenFingerprintOpts(t, BackendBBAsync, Options{

@@ -155,7 +155,7 @@ func TestPaperClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders six experiments at full scale")
 	}
-	const want = "f20ff539fd9ed4e4"
+	const want = "a02f77e3d0715566"
 	tabs := map[string]*metrics.Table{}
 	h := fnv.New64a()
 	for _, id := range []string{"fig3", "fig4", "fig5", "fig8", "fig9", "tab1"} {

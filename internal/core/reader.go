@@ -186,7 +186,7 @@ func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[packet], isLocal bool
 			n := min64(remaining, fs.cfg.ItemChunk)
 			b.localDev.ReadFlat(q, n)
 			if !isLocal {
-				if err := fs.net.TransferFlow(q, b.localNode, client, n+64); err != nil {
+				if err := fs.net.Transfer(q, b.localNode, client, n+64, netsim.Native); err != nil {
 					out.PutWait(q, packet{err: true})
 					return
 				}

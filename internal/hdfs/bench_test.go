@@ -70,7 +70,7 @@ func BenchmarkPipelineWrite(b *testing.B) {
 // flat disk reservations. A per-packet event train on any hop (128
 // packets per block, ~2.7k events) cannot come back unnoticed.
 func TestPipelineWriteEventBudget(t *testing.T) {
-	const want = 306
+	const want = 292
 	if got := pipelineWrites(t, 1); got != want {
 		t.Errorf("one 128 MiB pipeline write took %d events, want %d", got, want)
 	}

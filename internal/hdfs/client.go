@@ -74,7 +74,7 @@ func (w *hdfsWriter) openPipeline(p *sim.Proc) error {
 		if okAll {
 			pl := &writePipeline{id: resp.id, targets: resp.targets, recvs: recvs}
 			if w.client != resp.targets[0] {
-				fl, err := w.fs.net.StartFlowLegacy(w.client, resp.targets[0])
+				fl, err := w.fs.net.StartFlow(w.client, resp.targets[0], netsim.Legacy)
 				if err != nil {
 					okAll = false // first hop died under us: retry below
 				} else {
@@ -199,11 +199,10 @@ func (w *hdfsWriter) recoverBlock(p *sim.Proc) error {
 // commits the block size at the NameNode.
 func (w *hdfsWriter) finishBlock(p *sim.Proc) error {
 	pl := w.pl
-	first := pl.targets[0]
-	if w.client != first {
-		// The marker itself can fail if the first hop just died; treat it
-		// like a data-packet failure.
-		if err := w.fs.net.SendLegacy(p, w.client, first, packetHeader); err != nil {
+	if pl.flow != nil {
+		// The marker is the stream's last, empty packet. It can fail if
+		// the first hop just died; treat it like a data-packet failure.
+		if err := pl.flow.Write(p, packetHeader); err != nil {
 			if err2 := w.recoverBlock(p); err2 != nil {
 				return err2
 			}

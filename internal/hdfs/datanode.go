@@ -184,7 +184,7 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 			if downstreamUp {
 				var err error
 				if fwd == nil {
-					fwd, err = dn.fs.net.StartFlowLegacy(dn.id, next.dn.id)
+					fwd, err = dn.fs.net.StartFlow(dn.id, next.dn.id, netsim.Legacy)
 				}
 				if err == nil {
 					err = fwd.Write(p, pkt.bytes+packetHeader)
@@ -244,7 +244,7 @@ func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Stor
 		var fl *netsim.Flow
 		if client != dn.id {
 			var err error
-			if fl, err = dn.fs.net.StartFlowLegacy(dn.id, client); err != nil {
+			if fl, err = dn.fs.net.StartFlow(dn.id, client, netsim.Legacy); err != nil {
 				out.PutWait(p, packet{err: true})
 				return
 			}

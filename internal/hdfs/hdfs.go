@@ -200,7 +200,7 @@ func (h *HDFS) handleNN(p *sim.Proc, m *netsim.Msg) netsim.Reply {
 func (h *HDFS) callNN(p *sim.Proc, from netsim.NodeID, op string, payload any) netsim.Reply {
 	return h.net.Call(p, &netsim.Msg{
 		From: from, To: h.NNNode, Service: nnService, Op: op,
-		Size: nnReqSize, Payload: payload, Legacy: true,
+		Size: nnReqSize, Payload: payload, Transport: netsim.Legacy,
 	})
 }
 
@@ -245,7 +245,7 @@ func (h *HDFS) rereplicate(p *sim.Proc, task ReplicationTask) {
 	// Background traffic: one flat read, one analytic flow, one flat write
 	// for the whole block.
 	blk.dev.ReadFlat(p, task.Size)
-	if err := h.net.TransferFlowLegacy(p, src.id, tgt.id, task.Size); err != nil {
+	if err := h.net.Transfer(p, src.id, tgt.id, task.Size, netsim.Legacy); err != nil {
 		dev.Dealloc(task.Size)
 		return
 	}

@@ -340,7 +340,7 @@ func (w *lustreWriter) Write(p *sim.Proc, n int64) error {
 		w.window.Acquire(p, 1)
 		// The bulk RPC to the OST paces the client; the OST-side device
 		// write proceeds asynchronously within the window.
-		if err := w.fs.net.TransferFlow(p, w.client, o.node, m+rpcHeader); err != nil {
+		if err := w.fs.net.Transfer(p, w.client, o.node, m+rpcHeader, netsim.Native); err != nil {
 			w.window.Release(1)
 			o.dev.Dealloc(m)
 			return err
@@ -436,7 +436,7 @@ func (l *Lustre) ReadRange(p *sim.Proc, client netsim.NodeID, path string, offse
 		o := l.ostFor(lo, chunk)
 		o.dev.ReadFlat(p, n)
 		if client != o.node {
-			if err := l.net.TransferFlow(p, o.node, client, n+rpcHeader); err != nil {
+			if err := l.net.Transfer(p, o.node, client, n+rpcHeader, netsim.Native); err != nil {
 				return err
 			}
 		}
@@ -499,7 +499,7 @@ func (r *lustreReader) issue(p *sim.Proc) {
 		dev.ReadFlat(q, m)
 		var err error
 		if client != node {
-			err = fs.net.TransferFlow(q, node, client, m+rpcHeader)
+			err = fs.net.Transfer(q, node, client, m+rpcHeader, netsim.Native)
 		}
 		in.Put(stripeFetch{bytes: m, err: err})
 	})

@@ -5,6 +5,7 @@ import (
 
 	"hbb/internal/cluster"
 	"hbb/internal/dfs"
+	"hbb/internal/netsim"
 	"hbb/internal/sim"
 	"hbb/internal/storage"
 )
@@ -253,7 +254,7 @@ func (e *engine) fetchPortion(p *sim.Proc, node *cluster.Node, t *task, mo *mapO
 		if mo.node == node.ID {
 			return nil
 		}
-		if err := e.cl.Net.TransferFlowLegacy(p, mo.node, node.ID, portion); err != nil {
+		if err := e.cl.Net.Transfer(p, mo.node, node.ID, portion, netsim.Legacy); err != nil {
 			mo.lost = true
 			continue
 		}

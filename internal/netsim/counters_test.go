@@ -83,7 +83,7 @@ func TestFlowCounterSemantics(t *testing.T) {
 			for i, w := range tc.writes {
 				e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 					p.Sleep(w.at)
-					f, err := nw.StartFlow(w.src, w.dst)
+					f, err := nw.StartFlow(w.src, w.dst, Native)
 					if err != nil {
 						t.Errorf("StartFlow: %v", err)
 						return

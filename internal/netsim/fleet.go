@@ -2,13 +2,13 @@ package netsim
 
 // Fleet is the datacenter-scale, memory-lean sibling of Network: a
 // rack-structured topology whose nodes carry only what the max-min flow
-// solver needs. Where a Network iface owns two to four sim.Pipes (chunk
-// trains, name strings) plus lazily-built flowLinks behind a pointer, a
-// fleet node is two inline maxmin.Link records — 96 bytes with the
-// solver's state (remaining capacity, list head, stamps) — so a
-// 10,000-node topology costs megabytes of heap, not gigabytes. There are
-// no packet pipes, no per-node service tables, and the solver scratch is
-// one per-rack maxmin.Solver shared across all of the rack's interfaces.
+// solver needs. Where a Network iface is a heap record holding up to four
+// lazily-built flowLinks behind pointers, a fleet node is two inline
+// maxmin.Link records — 96 bytes with the solver's state (remaining
+// capacity, list head, stamps) — so a 10,000-node topology costs
+// megabytes of heap, not gigabytes. There are no RPCs, no per-node
+// service tables, and the solver scratch is one per-rack maxmin.Solver
+// shared across all of the rack's interfaces.
 //
 // The fleet is also the unit of kernel sharding: racks are partitioned
 // across a sim.ShardGroup (round-robin), each rack's flow state is owned

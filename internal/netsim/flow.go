@@ -1,24 +1,20 @@
 package netsim
 
-// Flow-level fast path: instead of pushing bulk payloads through the
-// packet-train pipes (one Reserve+Sleep per chunk), a Flow claims a
-// max-min fair share of the sender-egress and receiver-ingress NICs and
-// computes its completion time analytically. The share solver re-runs
-// only when a flow starts, ends, or a node fails, and each re-solve is
-// incremental: max-min shares decompose over connected components of
-// the flow/link graph, so only the component containing the event's
-// links is water-filled. The solver itself is internal/maxmin (a Flow is
-// an entity of weight 1); this file owns what the solver does not:
-// byte accounting, completion timers, aborts and the blocking API. A
-// transfer costs O(flow transitions x its component), not O(bytes/chunk)
-// events or O(all flows) solver work.
+// Bulk payload: a Flow claims a max-min fair share of the sender-egress
+// and receiver-ingress NICs and computes its completion time
+// analytically. The share solver re-runs only when a flow starts, ends,
+// or a node fails, and each re-solve is incremental: max-min shares
+// decompose over connected components of the flow/link graph, so only
+// the component containing the event's links is water-filled. The solver
+// itself is internal/maxmin (a Flow is an entity of weight 1); this file
+// owns what the solver does not: byte accounting, completion timers,
+// aborts and the blocking API. A transfer costs O(flow transitions x its
+// component) work, independent of its size.
 //
 // Model notes:
-//   - Flow capacity is the NIC bandwidth shared among *flows only*;
-//     packet-mode pipe traffic on the same NIC is not subtracted, so the
-//     two together overbook it slightly — acceptable because what rides
-//     the pipes beside a flow is control traffic (RPC envelopes, the HDFS
-//     end-of-block marker): tens of bytes against megabytes.
+//   - Flow capacity is the NIC bandwidth shared among flows. RPC
+//     envelopes on the same NIC read the flows' count to price their own
+//     bytes (netsim.go, envelope) but take no capacity from them.
 //   - Software overhead (Profile.SWOverhead) is a per-message cost; the
 //     one-shot wrappers charge it once per transfer, and Flow.Write
 //     charges none, amortizing it away exactly as flow-level simulators
@@ -39,19 +35,14 @@ import (
 // flowLink is one direction of one NIC as seen by the flow solver.
 type flowLink = maxmin.Link[*Flow]
 
-func (f *iface) flowLinks(prof Profile, legacy bool) (eg, in *flowLink) {
-	if legacy {
-		if f.flLegEg == nil {
-			f.flLegEg = &flowLink{Cap: prof.Bandwidth}
-			f.flLegIn = &flowLink{Cap: prof.Bandwidth}
-		}
-		return f.flLegEg, f.flLegIn
+// links returns the NIC's egress and ingress links for a resolved
+// transport, creating them on first use.
+func (f *iface) links(t Transport, prof Profile) (eg, in *flowLink) {
+	if f.eg[t] == nil {
+		f.eg[t] = &flowLink{Cap: prof.Bandwidth}
+		f.in[t] = &flowLink{Cap: prof.Bandwidth}
 	}
-	if f.flEg == nil {
-		f.flEg = &flowLink{Cap: prof.Bandwidth}
-		f.flIn = &flowLink{Cap: prof.Bandwidth}
-	}
-	return f.flEg, f.flIn
+	return f.eg[t], f.in[t]
 }
 
 // Flow is an open bulk-transfer session between two nodes. A Flow is
@@ -59,11 +50,11 @@ func (f *iface) flowLinks(prof Profile, legacy bool) (eg, in *flowLink) {
 // until the bytes drain, so there is never more than one transfer in
 // flight per Flow.
 type Flow struct {
-	nw     *Network
-	src    NodeID
-	dst    NodeID
-	legacy bool
-	prof   Profile
+	nw   *Network
+	src  NodeID
+	dst  NodeID
+	tr   Transport // resolved: Legacy only when the network has one
+	prof Profile
 	// ent is the flow's solver entity: weight 1 over (src egress, dst
 	// ingress), both nil for a loopback flow, which never enters the
 	// solver. It carries the current fair-share rate.
@@ -80,38 +71,28 @@ type Flow struct {
 	closed   bool
 }
 
-// StartFlow opens a flow session from src to dst on the native
-// transport. Starting is free in virtual time; bandwidth is claimed only
-// while a Write is draining.
-func (nw *Network) StartFlow(src, dst NodeID) (*Flow, error) {
-	return nw.startFlow(src, dst, false)
-}
-
-// StartFlowLegacy is StartFlow over the legacy (socket) transport when
-// one is configured.
-func (nw *Network) StartFlowLegacy(src, dst NodeID) (*Flow, error) {
-	return nw.startFlow(src, dst, true)
-}
-
-func (nw *Network) startFlow(src, dst NodeID, legacy bool) (*Flow, error) {
+// StartFlow opens a flow session from src to dst over transport tr.
+// Starting is free in virtual time; bandwidth is claimed only while a
+// Write is draining.
+func (nw *Network) StartFlow(src, dst NodeID, tr Transport) (*Flow, error) {
 	if err := nw.checkLink(src, dst); err != nil {
 		return nil, err
 	}
-	useLeg := legacy && nw.legacy != nil
+	t := nw.transport(tr)
 	var f *Flow
 	if n := len(nw.flowPool); n > 0 {
 		f = nw.flowPool[n-1]
 		nw.flowPool = nw.flowPool[:n-1]
 		*f = Flow{nw: nw, finishFn: f.finishFn} // finishFn stays bound to f
-		f.src, f.dst, f.legacy, f.prof = src, dst, useLeg, nw.chooseTransport(legacy)
 	} else {
-		f = &Flow{nw: nw, src: src, dst: dst, legacy: useLeg, prof: nw.chooseTransport(legacy)}
+		f = &Flow{nw: nw}
 		f.finishFn = f.finish
 	}
+	f.src, f.dst, f.tr, f.prof = src, dst, t, nw.profs[t]
 	f.ent.Owner, f.ent.Weight = f, 1
 	if src != dst {
-		f.ent.A, _ = nw.ifaces[src].flowLinks(f.prof, useLeg)
-		_, f.ent.B = nw.ifaces[dst].flowLinks(f.prof, useLeg)
+		f.ent.A, _ = nw.ifaces[src].links(t, f.prof)
+		_, f.ent.B = nw.ifaces[dst].links(t, f.prof)
 	}
 	nw.flowsStarted.Inc()
 	return f, nil
@@ -137,9 +118,9 @@ func (f *Flow) Write(p *sim.Proc, n int64) error {
 	}
 	nw.ifaces[f.src].sent += n
 	nw.ifaces[f.dst].recv += n
-	nw.bytesMoved(f.legacy).Add(n)
+	nw.bulkBytes[f.tr].Add(n)
 	if f.src == f.dst {
-		return nil // loopback: no fabric time, as on the packet train
+		return nil // loopback: no fabric time
 	}
 	now := int64(p.Now())
 	f.lastUpd = now
@@ -255,7 +236,7 @@ func (nw *Network) abortFlows(id NodeID) {
 	// which the solver hands them back in, fixes the order writers wake in.
 	ifc := nw.ifaces[id]
 	var links []*flowLink
-	for _, l := range [4]*flowLink{ifc.flEg, ifc.flIn, ifc.flLegEg, ifc.flLegIn} {
+	for _, l := range [4]*flowLink{ifc.eg[Native], ifc.in[Native], ifc.eg[Legacy], ifc.in[Legacy]} {
 		if l != nil {
 			links = append(links, l)
 		}
@@ -291,19 +272,11 @@ func (nw *Network) abortFlows(id NodeID) {
 	}
 }
 
-// TransferFlow is a two-sided bulk send on the native transport: software
-// overhead on both hosts around one analytic transfer.
-func (nw *Network) TransferFlow(p *sim.Proc, src, dst NodeID, n int64) error {
-	return nw.transferFlowVia(p, src, dst, n, false)
-}
-
-// TransferFlowLegacy is TransferFlow over the legacy transport.
-func (nw *Network) TransferFlowLegacy(p *sim.Proc, src, dst NodeID, n int64) error {
-	return nw.transferFlowVia(p, src, dst, n, true)
-}
-
-func (nw *Network) transferFlowVia(p *sim.Proc, src, dst NodeID, n int64, legacy bool) error {
-	f, err := nw.startFlow(src, dst, legacy)
+// Transfer is a two-sided send of n bytes from src to dst over transport
+// tr: software overhead on both hosts around one flow. It blocks until
+// delivery.
+func (nw *Network) Transfer(p *sim.Proc, src, dst NodeID, n int64, tr Transport) error {
+	f, err := nw.StartFlow(src, dst, tr)
 	if err != nil {
 		return err
 	}
@@ -316,36 +289,49 @@ func (nw *Network) transferFlowVia(p *sim.Proc, src, dst NodeID, n int64, legacy
 	return err
 }
 
-// RDMAWriteFlow is RDMAWrite for bulk payload: same software overheads,
-// one analytic transfer instead of the chunk train.
+// TransferFlow is Transfer on the native transport, kept because the
+// benchmark harness calls it.
+func (nw *Network) TransferFlow(p *sim.Proc, src, dst NodeID, n int64) error {
+	return nw.Transfer(p, src, dst, n, Native)
+}
+
+// RDMAWriteFlow performs a one-sided write of n bytes from the caller into
+// remote memory over the native transport. On a transport without
+// one-sided semantics the remote host pays receive-side overhead too.
 func (nw *Network) RDMAWriteFlow(p *sim.Proc, local, remote NodeID, n int64) error {
-	f, err := nw.startFlow(local, remote, false)
+	f, err := nw.StartFlow(local, remote, Native)
 	if err != nil {
 		return err
 	}
-	p.Sleep(nw.prof.SWOverhead)
+	prof := f.prof
+	p.Sleep(prof.SWOverhead)
 	err = f.Write(p, n)
-	if err == nil && !nw.prof.OneSided {
-		p.Sleep(nw.prof.SWOverhead)
+	if err == nil && !prof.OneSided {
+		p.Sleep(prof.SWOverhead)
 	}
 	nw.putFlow(f)
 	return err
 }
 
-// RDMAReadFlow is RDMARead for bulk payload, likewise.
+// RDMAReadFlow performs a one-sided read of n bytes from remote into the
+// caller: one request latency, then the payload flows remote→local
+// without remote CPU involvement. On a transport without one-sided
+// semantics it degenerates to a request/response pair with software
+// overhead on both sides.
 func (nw *Network) RDMAReadFlow(p *sim.Proc, local, remote NodeID, n int64) error {
-	f, err := nw.startFlow(remote, local, false)
+	f, err := nw.StartFlow(remote, local, Native)
 	if err != nil {
 		return err
 	}
-	if nw.prof.OneSided {
-		p.Sleep(nw.prof.SWOverhead + nw.prof.Latency) // request descriptor
+	prof := f.prof
+	if prof.OneSided {
+		p.Sleep(prof.SWOverhead + prof.Latency) // request descriptor
 		err = f.Write(p, n)
 	} else {
-		p.Sleep(nw.prof.SWOverhead + nw.prof.Latency + nw.prof.SWOverhead)
+		p.Sleep(prof.SWOverhead + prof.Latency + prof.SWOverhead)
 		err = f.Write(p, n)
 		if err == nil {
-			p.Sleep(nw.prof.SWOverhead)
+			p.Sleep(prof.SWOverhead)
 		}
 	}
 	nw.putFlow(f)

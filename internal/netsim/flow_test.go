@@ -18,7 +18,7 @@ func flowWriteTime(t *testing.T, prof Profile, n int64) time.Duration {
 	nw := New(e, prof, 3)
 	var took time.Duration
 	e.Spawn("w", func(p *sim.Proc) {
-		f, err := nw.StartFlow(0, 1)
+		f, err := nw.StartFlow(0, 1, Native)
 		if err != nil {
 			t.Errorf("StartFlow: %v", err)
 			return
@@ -62,7 +62,7 @@ func TestFlowFairShareTwoFlows(t *testing.T) {
 		wg.Add(1)
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 			defer wg.Done()
-			f, err := nw.StartFlow(0, NodeID(1+i))
+			f, err := nw.StartFlow(0, NodeID(1+i), Native)
 			if err != nil {
 				t.Errorf("StartFlow: %v", err)
 				return
@@ -93,7 +93,7 @@ func TestFlowDepartureSpeedsSurvivor(t *testing.T) {
 	const n = 125 << 20 // n/B = 0.1048576 s
 	var endA, endB time.Duration
 	e.Spawn("a", func(p *sim.Proc) {
-		f, _ := nw.StartFlow(0, 1)
+		f, _ := nw.StartFlow(0, 1, Native)
 		if err := f.Write(p, 2*n); err != nil {
 			t.Errorf("A: %v", err)
 		}
@@ -101,7 +101,7 @@ func TestFlowDepartureSpeedsSurvivor(t *testing.T) {
 		f.Close(p)
 	})
 	e.Spawn("b", func(p *sim.Proc) {
-		f, _ := nw.StartFlow(0, 2)
+		f, _ := nw.StartFlow(0, 2, Native)
 		if err := f.Write(p, n); err != nil {
 			t.Errorf("B: %v", err)
 		}
@@ -128,7 +128,7 @@ func TestFlowAbortOnNodeFailure(t *testing.T) {
 	var writeErr error
 	var failedAt time.Duration
 	e.Spawn("w", func(p *sim.Proc) {
-		f, _ = nw.StartFlow(0, 1)
+		f, _ = nw.StartFlow(0, 1, Native)
 		writeErr = f.Write(p, 1<<30) // would take ~860 ms unperturbed
 	})
 	e.Spawn("killer", func(p *sim.Proc) {
@@ -169,7 +169,7 @@ func flowStressFingerprint() string {
 				dst = (dst + 1) % 8
 			}
 			p.Sleep(time.Duration(i) * 37 * time.Microsecond)
-			f, err := nw.StartFlow(src, dst)
+			f, err := nw.StartFlow(src, dst, Native)
 			if err != nil {
 				return
 			}
@@ -212,7 +212,7 @@ func TestFlowLoopbackIsFree(t *testing.T) {
 	e := sim.New(1)
 	nw := New(e, RDMA, 2)
 	e.Spawn("w", func(p *sim.Proc) {
-		f, _ := nw.StartFlow(0, 0)
+		f, _ := nw.StartFlow(0, 0, Native)
 		start := p.Now()
 		if err := f.Write(p, 1<<30); err != nil {
 			t.Errorf("loopback write: %v", err)
@@ -236,11 +236,11 @@ func TestAbortSkipsDisjointSurvivors(t *testing.T) {
 	nw := New(e, RDMA, 4)
 	var survivorEnd time.Duration
 	e.Spawn("victim", func(p *sim.Proc) {
-		f, _ := nw.StartFlow(0, 1)
+		f, _ := nw.StartFlow(0, 1, Native)
 		f.Write(p, 1<<30)
 	})
 	e.Spawn("survivor", func(p *sim.Proc) {
-		f, _ := nw.StartFlow(2, 3)
+		f, _ := nw.StartFlow(2, 3, Native)
 		if err := f.Write(p, 6_000_000); err != nil { // 1 ms at 6 GB/s
 			t.Errorf("survivor write: %v", err)
 		}
@@ -271,11 +271,11 @@ func TestAbortResolvesSharingSurvivors(t *testing.T) {
 	const n = 6_000_000 // 1 ms alone, 2 ms at half share
 	var survivorEnd time.Duration
 	e.Spawn("victim", func(p *sim.Proc) {
-		f, _ := nw.StartFlow(0, 1)
+		f, _ := nw.StartFlow(0, 1, Native)
 		f.Write(p, 1<<30)
 	})
 	e.Spawn("survivor", func(p *sim.Proc) {
-		f, _ := nw.StartFlow(0, 2)
+		f, _ := nw.StartFlow(0, 2, Native)
 		if err := f.Write(p, n); err != nil {
 			t.Errorf("survivor write: %v", err)
 		}
@@ -306,7 +306,7 @@ func BenchmarkSetDownAbort(b *testing.B) {
 		for j := 0; j < pairs; j++ {
 			j := j
 			e.Spawn(fmt.Sprintf("f%d", j), func(p *sim.Proc) {
-				f, _ := nw.StartFlow(NodeID(2*j), NodeID(2*j+1))
+				f, _ := nw.StartFlow(NodeID(2*j), NodeID(2*j+1), Native)
 				f.Write(p, 4<<20)
 				f.Close(p)
 			})
@@ -323,8 +323,8 @@ func BenchmarkSetDownAbort(b *testing.B) {
 }
 
 func TestTransferFlowMatchesSendSemantics(t *testing.T) {
-	// The one-shot wrapper must refuse downed endpoints exactly like
-	// SendLegacy, and must not charge receive overhead on loopback.
+	// The one-shot wrapper must refuse downed endpoints with ErrNodeDown,
+	// and must not charge receive overhead on loopback.
 	e := sim.New(1)
 	nw := New(e, TenGigE, 3)
 	nw.SetDown(2, true)

@@ -70,7 +70,7 @@ func flowDiffTrace(t *testing.T, seed int64) []string {
 		i, w := i, writers[i]
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 			p.Sleep(w.start)
-			f, err := nw.StartFlow(w.src, w.dst)
+			f, err := nw.StartFlow(w.src, w.dst, Native)
 			if err != nil {
 				trace = append(trace, fmt.Sprintf("w%d start t=%d err=%v", i, p.Now(), err))
 				return

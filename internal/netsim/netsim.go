@@ -1,8 +1,10 @@
 // Package netsim models a cluster interconnect: per-node NICs with egress
 // and ingress bandwidth, a non-blocking switch fabric, per-message latency,
-// and transport profiles for RDMA verbs, IPoIB, and Ethernet. It provides
-// raw transfers, request/response RPC, one-way casts, and one-sided
-// RDMA-style reads and writes, all on the sim kernel's virtual clock.
+// and transport profiles for RDMA verbs, IPoIB, and Ethernet. Each NIC
+// direction is one capacity: bulk payload drains through it as max-min
+// fair flows (flow.go), and request/response RPC envelopes cross it at the
+// share the flows draining there leave them, all on the sim kernel's
+// virtual clock.
 package netsim
 
 import (
@@ -48,24 +50,33 @@ var (
 		Bandwidth: 125e6, OneSided: false, SWOverhead: 20 * time.Microsecond}
 )
 
+// Transport selects which of a node's transports a message or flow rides.
+type Transport uint8
+
+const (
+	// Native is the fabric's own profile (RDMA verbs on InfiniBand).
+	Native Transport = iota
+	// Legacy is the socket transport SetLegacy installs (IPoIB for stock
+	// Hadoop); without one it falls back to Native.
+	Legacy
+)
+
 // ErrNodeDown reports a message sent to or from a failed node.
 var ErrNodeDown = errors.New("netsim: node down")
 
 // ErrNoService reports an RPC to an unregistered service.
 var ErrNoService = errors.New("netsim: no such service")
 
-// Msg is a request or one-way message. Size is the wire size in bytes;
-// Payload carries simulation-level metadata and costs nothing on the wire.
+// Msg is a request. Size is the wire size in bytes; Payload carries
+// simulation-level metadata and costs nothing on the wire.
 type Msg struct {
-	From    NodeID
-	To      NodeID
-	Service string
-	Op      string
-	Size    int64
-	Payload any
-	// Legacy routes the message over the socket transport (when one is
-	// configured) instead of native verbs.
-	Legacy bool
+	From      NodeID
+	To        NodeID
+	Service   string
+	Op        string
+	Size      int64
+	Payload   any
+	Transport Transport
 }
 
 // Reply is an RPC response.
@@ -75,66 +86,52 @@ type Reply struct {
 	Err     error
 }
 
-// Handler serves an RPC or cast. It runs on the simulated destination node;
-// for Call it executes within the caller's process (time it spends is part
-// of the call), for Cast it runs in a fresh process.
+// Handler serves an RPC. It runs on the simulated destination node within
+// the caller's process: time it spends is part of the call.
 type Handler func(p *sim.Proc, m *Msg) Reply
 
 type iface struct {
-	id NodeID
-	// Packet-train pipes, materialized on first use (RPC envelopes, casts,
-	// SendLegacy, packet-form RDMA ops). Flows never touch them, so a node
-	// that only ever rides the flow solver carries no pipe state — the
-	// difference between MBs and GBs of heap on a 10k-node topology.
-	egress  *sim.Pipe
-	ingress *sim.Pipe
-	// legacy pipes model a socket-based transport (IPoIB/TCP) sharing the
-	// physical port but with its own lower software-limited bandwidth.
-	legEgress  *sim.Pipe
-	legIngress *sim.Pipe
-	// flow-solver capacity records, created lazily on first use.
-	flEg, flIn       *flowLink
-	flLegEg, flLegIn *flowLink
-	down             bool
-	sent             int64
-	recv             int64
-}
-
-// service is one registered handler plus its precomputed cast process
-// name, so per-message delivery formats nothing.
-type service struct {
-	h        Handler
-	castName string
+	// eg and in are this NIC's egress and ingress capacity per transport,
+	// created on the first flow that crosses them, so an idle node or one
+	// that only answers RPCs carries none.
+	eg, in [2]*flowLink
+	down   bool
+	sent   int64
+	recv   int64
 }
 
 // Network is the fabric.
 type Network struct {
-	env      *sim.Env
-	prof     Profile
-	legacy   *Profile
-	ifaces   []*iface
-	services map[NodeID]map[string]*service
+	env *sim.Env
+	// profs is indexed by Transport; profs[Legacy] is meaningful only
+	// when hasLegacy is set.
+	profs     [2]Profile
+	hasLegacy bool
+	ifaces    []*iface
+	services  map[NodeID]map[string]Handler
 
-	// Flow fast-path state (see flow.go): the max-min solver holding the
-	// currently draining flows, native and legacy alike.
+	// Flow state (see flow.go): the max-min solver holding the currently
+	// draining flows, native and legacy alike.
 	solver maxmin.Solver[*Flow]
 	// flowPool recycles one-shot wrapper flows (see putFlow).
 	flowPool []*Flow
 
-	reg          *metrics.Registry
-	bytesNative  *metrics.Counter
-	bytesLegacy  *metrics.Counter
-	flowsStarted *metrics.Counter
-	flowResolves *metrics.Counter
-	flowAborts   *metrics.Counter
-	flowActive   *metrics.Histogram
+	reg *metrics.Registry
+	// bulkBytes and envBytes count flow payload and RPC envelope bytes per
+	// transport.
+	bulkBytes, envBytes [2]*metrics.Counter
+	flowsStarted        *metrics.Counter
+	flowResolves        *metrics.Counter
+	flowAborts          *metrics.Counter
+	flowActive          *metrics.Histogram
 }
 
 // New returns a fabric with n nodes using the given transport profile.
 func New(env *sim.Env, prof Profile, n int) *Network {
-	nw := &Network{env: env, prof: prof, services: make(map[NodeID]map[string]*service)}
+	nw := &Network{env: env, services: make(map[NodeID]map[string]Handler)}
+	nw.profs[Native] = prof
 	nw.reg = metrics.NewRegistry()
-	nw.bytesNative = nw.reg.Counter("net.bytes." + prof.Name)
+	nw.countBytes(Native)
 	nw.flowsStarted = nw.reg.Counter("net.flows.started")
 	nw.flowResolves = nw.reg.Counter("net.flow.resolves")
 	nw.flowAborts = nw.reg.Counter("net.flow.aborts")
@@ -145,35 +142,31 @@ func New(env *sim.Env, prof Profile, n int) *Network {
 	return nw
 }
 
-// Metrics returns the fabric's registry: per-transport bytes moved,
-// flow counts, and solver re-solve counters. Counters cost no virtual
-// time, so reading them never perturbs a run.
-func (nw *Network) Metrics() *metrics.Registry { return nw.reg }
-
-// bytesMoved picks the per-transport byte counter matching how
-// chooseTransport resolves the legacy flag.
-func (nw *Network) bytesMoved(legacy bool) *metrics.Counter {
-	if legacy && nw.legacy != nil {
-		return nw.bytesLegacy
-	}
-	return nw.bytesNative
+func (nw *Network) countBytes(t Transport) {
+	name := nw.profs[t].Name
+	nw.bulkBytes[t] = nw.reg.Counter("net.bytes.bulk." + name)
+	nw.envBytes[t] = nw.reg.Counter("net.bytes.envelope." + name)
 }
+
+// Metrics returns the fabric's registry: per-transport bulk and envelope
+// bytes moved, flow counts, and solver re-solve counters. Counters cost
+// no virtual time, so reading them never perturbs a run.
+func (nw *Network) Metrics() *metrics.Registry { return nw.reg }
 
 // Env returns the owning environment.
 func (nw *Network) Env() *sim.Env { return nw.env }
 
-// Profile returns the transport profile.
-func (nw *Network) Profile() Profile { return nw.prof }
+// Profile returns the native transport profile.
+func (nw *Network) Profile() Profile { return nw.profs[Native] }
 
 // Nodes returns the number of nodes on the fabric.
 func (nw *Network) Nodes() int { return len(nw.ifaces) }
 
 // AddNode attaches a new node and returns its ID. The node starts as pure
-// bookkeeping (~one cache line); pipes and flow-link records materialize
-// lazily on first use, so idle or flow-only nodes stay memory-lean.
+// bookkeeping; its flow links materialize on first use.
 func (nw *Network) AddNode() NodeID {
 	id := NodeID(len(nw.ifaces))
-	nw.ifaces = append(nw.ifaces, &iface{id: id})
+	nw.ifaces = append(nw.ifaces, &iface{})
 	return id
 }
 
@@ -184,12 +177,22 @@ func (nw *Network) SetLegacy(prof Profile) {
 	if len(nw.ifaces) != 0 {
 		panic("netsim: SetLegacy after nodes were added")
 	}
-	nw.legacy = &prof
-	nw.bytesLegacy = nw.reg.Counter("net.bytes." + prof.Name)
+	nw.profs[Legacy] = prof
+	nw.hasLegacy = true
+	nw.countBytes(Legacy)
 }
 
 // HasLegacy reports whether a legacy transport is configured.
-func (nw *Network) HasLegacy() bool { return nw.legacy != nil }
+func (nw *Network) HasLegacy() bool { return nw.hasLegacy }
+
+// transport resolves the transport a message or flow actually rides:
+// Legacy falls back to Native when no legacy profile is configured.
+func (nw *Network) transport(tr Transport) Transport {
+	if tr == Legacy && nw.hasLegacy {
+		return Legacy
+	}
+	return Native
+}
 
 func (nw *Network) checkNode(id NodeID) *iface {
 	if int(id) < 0 || int(id) >= len(nw.ifaces) {
@@ -217,83 +220,6 @@ func (nw *Network) Traffic(id NodeID) (sent, recv int64) {
 	return f.sent, f.recv
 }
 
-// chooseTransport resolves the profile and pipe set for a message. Legacy
-// selection silently falls back to the native transport when no legacy
-// profile is configured.
-func (nw *Network) chooseTransport(legacy bool) Profile {
-	if legacy && nw.legacy != nil {
-		return *nw.legacy
-	}
-	return nw.prof
-}
-
-// pipes returns the packet-train pipes for one transport, creating them
-// on first use. Pipe construction is pure state (no kernel registration),
-// so lazy creation is invisible to the simulation: the names and
-// bandwidths match what eager construction produced.
-func (f *iface) pipes(nw *Network, legacy bool) (eg, in *sim.Pipe) {
-	if legacy && nw.legacy != nil {
-		if f.legEgress == nil {
-			f.legEgress = sim.NewPipe(fmt.Sprintf("node%d.leg-egress", f.id), nw.legacy.Bandwidth)
-			f.legIngress = sim.NewPipe(fmt.Sprintf("node%d.leg-ingress", f.id), nw.legacy.Bandwidth)
-		}
-		return f.legEgress, f.legIngress
-	}
-	if f.egress == nil {
-		f.egress = sim.NewPipe(fmt.Sprintf("node%d.egress", f.id), nw.prof.Bandwidth)
-		f.ingress = sim.NewPipe(fmt.Sprintf("node%d.ingress", f.id), nw.prof.Bandwidth)
-	}
-	return f.egress, f.ingress
-}
-
-// transfer moves n bytes from src to dst, pipelined chunk-by-chunk through
-// the source egress pipe and the destination ingress pipe so that a single
-// flow achieves full NIC bandwidth while concurrent flows share each pipe
-// fairly. It blocks until the last byte is received.
-func (nw *Network) transfer(p *sim.Proc, src, dst NodeID, n int64) {
-	nw.transferVia(p, src, dst, n, false)
-}
-
-func (nw *Network) transferVia(p *sim.Proc, src, dst NodeID, n int64, legacy bool) {
-	if src == dst || n <= 0 {
-		return
-	}
-	prof := nw.chooseTransport(legacy)
-	e, _ := nw.ifaces[src].pipes(nw, legacy)
-	_, in := nw.ifaces[dst].pipes(nw, legacy)
-	nw.ifaces[src].sent += n
-	nw.ifaces[dst].recv += n
-	nw.bytesMoved(legacy).Add(n)
-	chunk := e.Chunk()
-	lat := int64(prof.Latency)
-	var lastIngressEnd int64
-	for n > 0 {
-		c := n
-		if c > chunk {
-			c = chunk
-		}
-		endE := e.Reserve(int64(p.Now()), c)
-		// The chunk reaches the far NIC one propagation delay after it
-		// leaves; ingress service cannot start before that.
-		endI := in.Reserve(endE+lat, c)
-		if endI > lastIngressEnd {
-			lastIngressEnd = endI
-		}
-		n -= c
-		if n > 0 {
-			// Pace the sender by its egress pipe so other local flows can
-			// interleave. The final chunk skips this: its egress end is
-			// always at or before the ingress tail awaited below, so the
-			// extra wake-up would change nothing but cost an event —
-			// one chunk (every RPC envelope) sleeps once.
-			p.Sleep(time.Duration(endE - int64(p.Now())))
-		}
-	}
-	if tail := lastIngressEnd - int64(p.Now()); tail > 0 {
-		p.Sleep(time.Duration(tail))
-	}
-}
-
 func (nw *Network) checkLink(src, dst NodeID) error {
 	if nw.checkNode(src).down {
 		return fmt.Errorf("%w: source node %d", ErrNodeDown, src)
@@ -304,120 +230,79 @@ func (nw *Network) checkLink(src, dst NodeID) error {
 	return nil
 }
 
-// SendLegacy moves n bytes from src to dst with no service dispatch,
-// blocking until delivery, over the legacy (socket) transport when one is
-// configured (modelling stock-Hadoop traffic) and the native one otherwise.
-//
-// It is a packet-train primitive for control-plane messages (the HDFS
-// end-of-block marker): latency-bound and cheap. Bulk payload rides the
-// Flow API — StartFlowLegacy/TransferFlowLegacy.
-func (nw *Network) SendLegacy(p *sim.Proc, src, dst NodeID, n int64) error {
-	if err := nw.checkLink(src, dst); err != nil {
-		return err
-	}
-	prof := nw.chooseTransport(true)
-	p.Sleep(prof.SWOverhead)
-	nw.transferVia(p, src, dst, n, true)
-	if src != dst {
-		p.Sleep(prof.SWOverhead) // receive-side processing
-	}
-	return nil
-}
-
-// RDMARead performs a one-sided read of n bytes from remote into the
-// caller: one request latency, then the payload flows remote→local without
-// remote CPU involvement. On non-one-sided transports it degenerates to a
-// request/response pair with software overhead on both sides.
-func (nw *Network) RDMARead(p *sim.Proc, local, remote NodeID, n int64) error {
-	if err := nw.checkLink(local, remote); err != nil {
-		return err
-	}
-	if nw.prof.OneSided {
-		p.Sleep(nw.prof.SWOverhead + nw.prof.Latency) // request descriptor
-		nw.transfer(p, remote, local, n)
-		return nil
-	}
-	p.Sleep(nw.prof.SWOverhead + nw.prof.Latency + nw.prof.SWOverhead)
-	nw.transfer(p, remote, local, n)
-	p.Sleep(nw.prof.SWOverhead)
-	return nil
-}
-
-// RDMAWrite performs a one-sided write of n bytes from the caller into
-// remote memory.
-func (nw *Network) RDMAWrite(p *sim.Proc, local, remote NodeID, n int64) error {
-	if err := nw.checkLink(local, remote); err != nil {
-		return err
-	}
-	p.Sleep(nw.prof.SWOverhead)
-	nw.transfer(p, local, remote, n)
-	if !nw.prof.OneSided {
-		p.Sleep(nw.prof.SWOverhead)
-	}
-	return nil
-}
-
 // Register installs a service handler on a node. Registering the same
 // service twice replaces the handler.
 func (nw *Network) Register(node NodeID, name string, h Handler) {
 	nw.checkNode(node)
 	m := nw.services[node]
 	if m == nil {
-		m = make(map[string]*service)
+		m = make(map[string]Handler)
 		nw.services[node] = m
 	}
-	m[name] = &service{h: h, castName: fmt.Sprintf("cast:%s@%d", name, node)}
+	m[name] = h
 }
 
-// Call performs a request/response RPC: the request travels src→dst, the
-// handler runs, the reply travels back. The handler's virtual time is part
-// of the call. Calls to self skip the fabric but still run the handler.
+// Call performs a request/response RPC: the request envelope travels
+// src→dst, the handler runs, the reply envelope travels back. The
+// handler's virtual time is part of the call. Calls to self skip the
+// fabric but still run the handler.
 func (nw *Network) Call(p *sim.Proc, m *Msg) Reply {
 	if err := nw.checkLink(m.From, m.To); err != nil {
 		return Reply{Err: err}
 	}
-	svc := nw.services[m.To][m.Service]
-	if svc == nil {
+	h := nw.services[m.To][m.Service]
+	if h == nil {
 		return Reply{Err: fmt.Errorf("%w: %q on node %d", ErrNoService, m.Service, m.To)}
 	}
-	prof := nw.chooseTransport(m.Legacy)
 	if m.From != m.To {
-		p.Sleep(prof.SWOverhead + prof.Latency + prof.SWOverhead)
-		nw.transferVia(p, m.From, m.To, m.Size, m.Legacy)
+		nw.envelope(p, m.From, m.To, m.Size, m.Transport)
 	}
-	rep := svc.h(p, m)
+	rep := h(p, m)
 	if m.From != m.To {
 		// The destination may have failed while the handler "ran".
 		if nw.ifaces[m.To].down {
 			return Reply{Err: fmt.Errorf("%w: destination node %d", ErrNodeDown, m.To)}
 		}
-		p.Sleep(prof.SWOverhead + prof.Latency + prof.SWOverhead)
-		nw.transferVia(p, m.To, m.From, rep.Size, m.Legacy)
+		nw.envelope(p, m.To, m.From, rep.Size, m.Transport)
 	}
 	return rep
 }
 
-// Cast delivers a one-way message and runs the handler in a process on the
-// destination; the caller blocks only for the send. Handlers may block
-// (sleep, transfer), so delivery cannot run as an inline callback timer;
-// instead it rides the kernel's pooled spawn path with a name precomputed
-// at Register time, so per-message delivery allocates no goroutine and
-// formats no string.
-func (nw *Network) Cast(p *sim.Proc, m *Msg) error {
-	if err := nw.checkLink(m.From, m.To); err != nil {
-		return err
+// envelope carries one RPC envelope of n bytes from src to dst in a single
+// sleep: software overhead on both hosts and the profile latency to post
+// it, then — for a non-empty envelope — one more latency in flight and the
+// bytes serialized onto the sender's egress and off the receiver's
+// ingress. Each NIC direction serves the envelope at the share a newcomer
+// gets beside the k flows draining through it, 1/(k+1) of line rate, so
+// an RPC on a NIC saturated by bulk transfers is slowed by them. An
+// envelope holds no capacity of its own: flows do not slow for it and
+// envelopes never queue behind one another, because envelopes are 0.004%
+// of the paper suite's fabric bytes (DESIGN.md, "Flow-level network
+// model").
+func (nw *Network) envelope(p *sim.Proc, src, dst NodeID, n int64, tr Transport) {
+	t := nw.transport(tr)
+	prof := nw.profs[t]
+	d := prof.SWOverhead + prof.Latency + prof.SWOverhead
+	if n > 0 {
+		s, r := nw.ifaces[src], nw.ifaces[dst]
+		s.sent += n
+		r.recv += n
+		nw.envBytes[t].Add(n)
+		d += prof.Latency + serialize(n, prof.Bandwidth, s.eg[t]) + serialize(n, prof.Bandwidth, r.in[t])
 	}
-	svc := nw.services[m.To][m.Service]
-	if svc == nil {
-		return fmt.Errorf("%w: %q on node %d", ErrNoService, m.Service, m.To)
+	p.Sleep(d)
+}
+
+// serialize is how long n envelope bytes take through one NIC direction of
+// line rate bw: the newcomer's equal share beside the flows draining on l
+// (nil when no flow ever crossed it), never less than 1 ns.
+func serialize(n int64, bw float64, l *flowLink) time.Duration {
+	k := 1
+	if l != nil {
+		for e := l.First(); e != nil; e = e.Next(l) {
+			k += e.Weight
+		}
 	}
-	if m.From != m.To {
-		prof := nw.chooseTransport(m.Legacy)
-		p.Sleep(prof.SWOverhead + prof.Latency)
-		nw.transferVia(p, m.From, m.To, m.Size, m.Legacy)
-	}
-	nw.env.Spawn(svc.castName, func(q *sim.Proc) {
-		svc.h(q, m)
-	})
-	return nil
+	ns := int64(float64(n) * float64(k) / bw * 1e9)
+	return time.Duration(max(ns, 1))
 }

@@ -14,14 +14,14 @@ func TestSingleFlowFullBandwidth(t *testing.T) {
 	var took time.Duration
 	e.Spawn("s", func(p *sim.Proc) {
 		start := p.Now()
-		if err := nw.SendLegacy(p, 0, 1, 1.25e9); err != nil {
+		if err := nw.Transfer(p, 0, 1, 1.25e9, Native); err != nil {
 			t.Errorf("send: %v", err)
 		}
 		took = p.Now() - start
 	})
 	e.Run()
-	// 1.25 GB at 1.25 GB/s: the two-hop pipeline should cost ~1s (one
-	// chunk of extra store-and-forward), not ~2s.
+	// 1.25 GB at 1.25 GB/s: ~1s, egress and ingress draining together,
+	// not ~2s of store-and-forward.
 	if took < 990*time.Millisecond || took > 1100*time.Millisecond {
 		t.Errorf("1.25GB over 10GbE took %v, want ~1s", took)
 	}
@@ -33,7 +33,7 @@ func TestLatencyDominatesSmallMessages(t *testing.T) {
 	var took time.Duration
 	e.Spawn("s", func(p *sim.Proc) {
 		start := p.Now()
-		_ = nw.SendLegacy(p, 0, 1, 64)
+		_ = nw.Transfer(p, 0, 1, 64, Native)
 		took = p.Now() - start
 	})
 	e.Run()
@@ -50,7 +50,7 @@ func TestRDMAFasterThanIPoIBSmallOps(t *testing.T) {
 		e.Spawn("s", func(p *sim.Proc) {
 			start := p.Now()
 			for i := 0; i < 100; i++ {
-				_ = nw.RDMARead(p, 0, 1, 4096)
+				_ = nw.RDMAReadFlow(p, 0, 1, 4096)
 			}
 			took = p.Now() - start
 		})
@@ -72,7 +72,7 @@ func TestIncastSharesIngress(t *testing.T) {
 		i := i
 		wg.Add(1)
 		e.Spawn("s", func(p *sim.Proc) {
-			_ = nw.SendLegacy(p, NodeID(i), 0, int64(per))
+			_ = nw.Transfer(p, NodeID(i), 0, int64(per), Native)
 			wg.Done()
 		})
 	}
@@ -94,7 +94,7 @@ func TestDisjointPairsDoNotContend(t *testing.T) {
 		pair := pair
 		wg.Add(1)
 		e.Spawn("s", func(p *sim.Proc) {
-			_ = nw.SendLegacy(p, pair[0], pair[1], 1.25e9)
+			_ = nw.Transfer(p, pair[0], pair[1], 1.25e9, Native)
 			wg.Done()
 		})
 	}
@@ -108,7 +108,7 @@ func TestSendToSelfIsFree(t *testing.T) {
 	e := sim.New(1)
 	nw := New(e, GigE, 1)
 	e.Spawn("s", func(p *sim.Proc) {
-		_ = nw.SendLegacy(p, 0, 0, 1<<30)
+		_ = nw.Transfer(p, 0, 0, 1<<30, Native)
 		if p.Now() > time.Millisecond {
 			t.Errorf("local send cost %v", p.Now())
 		}
@@ -160,7 +160,7 @@ func TestNodeDown(t *testing.T) {
 	nw.Register(1, "svc", func(p *sim.Proc, m *Msg) Reply { return Reply{} })
 	nw.SetDown(1, true)
 	e.Spawn("c", func(p *sim.Proc) {
-		if err := nw.SendLegacy(p, 0, 1, 10); !errors.Is(err, ErrNodeDown) {
+		if err := nw.Transfer(p, 0, 1, 10, Native); !errors.Is(err, ErrNodeDown) {
 			t.Errorf("Send to down node: %v", err)
 		}
 		rep := nw.Call(p, &Msg{From: 0, To: 1, Service: "svc", Size: 1})
@@ -168,36 +168,11 @@ func TestNodeDown(t *testing.T) {
 			t.Errorf("Call to down node: %v", rep.Err)
 		}
 		nw.SetDown(1, false)
-		if err := nw.SendLegacy(p, 0, 1, 10); err != nil {
+		if err := nw.Transfer(p, 0, 1, 10, Native); err != nil {
 			t.Errorf("Send after recovery: %v", err)
 		}
 	})
 	e.Run()
-}
-
-func TestCastRunsHandlerAsync(t *testing.T) {
-	e := sim.New(1)
-	nw := New(e, RDMA, 2)
-	var handled time.Duration
-	nw.Register(1, "bg", func(p *sim.Proc, m *Msg) Reply {
-		p.Sleep(10 * time.Millisecond)
-		handled = p.Now()
-		return Reply{}
-	})
-	var sentAt time.Duration
-	e.Spawn("c", func(p *sim.Proc) {
-		if err := nw.Cast(p, &Msg{From: 0, To: 1, Service: "bg", Size: 10}); err != nil {
-			t.Errorf("cast: %v", err)
-		}
-		sentAt = p.Now()
-	})
-	e.Run()
-	if sentAt > time.Millisecond {
-		t.Errorf("caster blocked until %v; cast must not wait for the handler", sentAt)
-	}
-	if handled < 10*time.Millisecond {
-		t.Errorf("handler finished at %v, want >= 10ms", handled)
-	}
 }
 
 func TestRDMAWriteOneSidedVsTwoSided(t *testing.T) {
@@ -208,7 +183,7 @@ func TestRDMAWriteOneSidedVsTwoSided(t *testing.T) {
 		e.Spawn("c", func(p *sim.Proc) {
 			start := p.Now()
 			for i := 0; i < 50; i++ {
-				_ = nw.RDMAWrite(p, 0, 1, 1024)
+				_ = nw.RDMAWriteFlow(p, 0, 1, 1024)
 			}
 			took = p.Now() - start
 		})
@@ -226,8 +201,8 @@ func TestTrafficCounters(t *testing.T) {
 	e := sim.New(1)
 	nw := New(e, RDMA, 2)
 	e.Spawn("c", func(p *sim.Proc) {
-		_ = nw.SendLegacy(p, 0, 1, 1000)
-		_ = nw.SendLegacy(p, 1, 0, 500)
+		_ = nw.Transfer(p, 0, 1, 1000, Native)
+		_ = nw.Transfer(p, 1, 0, 500, Native)
 	})
 	e.Run()
 	s0, r0 := nw.Traffic(0)
@@ -269,7 +244,7 @@ func TestPropertyTrafficConservation(t *testing.T) {
 		}
 		for _, x := range plan {
 			x := x
-			e.Spawn("x", func(p *sim.Proc) { _ = nw.SendLegacy(p, x.src, x.dst, x.n) })
+			e.Spawn("x", func(p *sim.Proc) { _ = nw.Transfer(p, x.src, x.dst, x.n, Native) })
 		}
 		e.Run()
 		wantSent := map[NodeID]int64{}
@@ -303,10 +278,10 @@ func TestLegacyTransportRouting(t *testing.T) {
 	var nativeT, legacyT time.Duration
 	e.Spawn("t", func(p *sim.Proc) {
 		start := p.Now()
-		_ = nw.RDMAWrite(p, 0, 1, 1<<30)
+		_ = nw.RDMAWriteFlow(p, 0, 1, 1<<30)
 		nativeT = p.Now() - start
 		start = p.Now()
-		_ = nw.SendLegacy(p, 0, 1, 1<<30)
+		_ = nw.Transfer(p, 0, 1, 1<<30, Legacy)
 		legacyT = p.Now() - start
 	})
 	e.Run()
@@ -316,23 +291,23 @@ func TestLegacyTransportRouting(t *testing.T) {
 	}
 }
 
-func TestSendLegacyFallsBackWithoutLegacy(t *testing.T) {
+func TestLegacyFallsBackToNative(t *testing.T) {
 	e := sim.New(1)
 	nw := New(e, RDMA, 2)
 	var a, b time.Duration
 	e.Spawn("t", func(p *sim.Proc) {
 		start := p.Now()
-		_ = nw.RDMAWrite(p, 0, 1, 1<<28)
+		_ = nw.RDMAWriteFlow(p, 0, 1, 1<<28)
 		a = p.Now() - start
 		start = p.Now()
-		_ = nw.SendLegacy(p, 0, 1, 1<<28)
+		_ = nw.Transfer(p, 0, 1, 1<<28, Legacy)
 		b = p.Now() - start
 	})
 	e.Run()
-	// Same native packet train; a two-sided send adds only the
-	// receive-side software overhead a one-sided write skips.
+	// Same native flow; a two-sided send adds only the receive-side
+	// software overhead a one-sided write skips.
 	if b != a+RDMA.SWOverhead {
-		t.Errorf("SendLegacy without legacy transport took %v, want native write %v + %v", b, a, RDMA.SWOverhead)
+		t.Errorf("legacy Transfer without a legacy transport took %v, want native write %v + %v", b, a, RDMA.SWOverhead)
 	}
 }
 
@@ -345,4 +320,41 @@ func TestSetLegacyAfterNodesPanics(t *testing.T) {
 		}
 	}()
 	nw.SetLegacy(IPoIB)
+}
+
+// TestCallSlowedByFlowsSharingItsNIC: an RPC envelope crosses each NIC
+// direction at the share the flows draining there leave it. Three bulk
+// flows out of node 0 hold its egress, so a 1 MiB request from node 0
+// serializes at a quarter of line rate; the same flows between two other
+// nodes leave the call exactly as fast as on an idle fabric.
+func TestCallSlowedByFlowsSharingItsNIC(t *testing.T) {
+	const req = 1 << 20
+	call := func(bulkSrc NodeID, flows int) time.Duration {
+		e := sim.New(1)
+		nw := New(e, RDMA, 4)
+		nw.Register(1, "echo", func(p *sim.Proc, m *Msg) Reply { return Reply{} })
+		for i := 0; i < flows; i++ {
+			e.Spawn("bulk", func(p *sim.Proc) { _ = nw.Transfer(p, bulkSrc, 3, 1<<30, Native) })
+		}
+		var took time.Duration
+		e.Spawn("rpc", func(p *sim.Proc) {
+			p.Sleep(time.Millisecond) // the flows are draining by now
+			start := p.Now()
+			if rep := nw.Call(p, &Msg{From: 0, To: 1, Service: "echo", Size: req}); rep.Err != nil {
+				t.Errorf("call: %v", rep.Err)
+			}
+			took = p.Now() - start
+		})
+		e.Run()
+		return took
+	}
+	idle, shared, disjoint := call(0, 0), call(0, 3), call(2, 3)
+	line := float64(req) / RDMA.Bandwidth * 1e9 // ns at full line rate
+	if d := float64(shared-idle) - 3*line; d < -2 || d > 2 {
+		t.Errorf("call beside 3 flows on its egress took %v, idle %v: want %v more (a quarter share)",
+			shared, idle, time.Duration(3*line))
+	}
+	if disjoint != idle {
+		t.Errorf("call beside flows on other NICs took %v, want the idle %v", disjoint, idle)
+	}
 }

@@ -112,11 +112,11 @@ func multiJobFingerprint(t *testing.T, sched string) multiJobRun {
 // the logged actual values ONLY when an orchestration-behaviour change is
 // intentional.
 var multiJobGolden = multiJobRun{
-	queueWaitNS: [2]int64{0, 129399209},
-	readyNS:     [2]int64{155742070, 285135281},
-	freedNS:     [2]int64{213809345, 340774058},
+	queueWaitNS: [2]int64{0, 129399197},
+	readyNS:     [2]int64{155742070, 285135269},
+	freedNS:     [2]int64{213809333, 340774012},
 	staged:      [2]int{4, 4},
-	totalNS:     340774058,
+	totalNS:     340774012,
 }
 
 func TestGoldenMultiJob(t *testing.T) {
