@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-// censusStructs are the simulator's config structs: every exported field
+// censusStructs are the module's config structs: every exported field
 // must be set by some caller outside tests, or it is a constant in
 // disguise. Keys are "import path.Type".
 var censusStructs = []string{
@@ -24,6 +24,9 @@ var censusStructs = []string{
 	"hbb/internal/lustre.Config",
 	"hbb/internal/cluster.FleetConfig",
 	"hbb/internal/swarm.Config",
+	"hbb/internal/memcached/mccluster.Options",
+	"hbb/internal/memcached.Config",
+	"hbb/internal/memcached/mcclient.ReconnectPolicy",
 }
 
 // censusExempt lists fields kept without a non-test setter, and why.

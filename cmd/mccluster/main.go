@@ -48,10 +48,6 @@ func main() {
 		duration    = flag.Duration("duration", 10*time.Second, "swarm: load phase length")
 		seed        = flag.Int64("seed", 1, "swarm: generator seed")
 		maxInflight = flag.Int("max-inflight", 0, "admission control bound (0 = unlimited)")
-
-		frontCache = flag.Int("front-cache", 4096, "front-cache entries (0 = disabled)")
-		fcTTL      = flag.Duration("front-cache-ttl", 100*time.Millisecond, "front-cache entry TTL")
-		noSpread   = flag.Bool("no-read-spread", false, "disable replica read spreading for hot keys")
 	)
 	flag.Parse()
 
@@ -60,15 +56,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer local.Close()
-	opts := mccluster.Options{
-		Replicas:       *replicas,
-		MaxInflight:    int64(*maxInflight),
-		FrontCacheSize: *frontCache,
-		FrontCacheTTL:  *fcTTL,
-		NoFrontCache:   *frontCache == 0,
-		NoReadSpread:   *noSpread,
-	}
-	cluster, err := mccluster.New(local.Addrs(), opts)
+	cluster, err := mccluster.New(local.Addrs(), mccluster.Options{
+		Replicas:    *replicas,
+		MaxInflight: int64(*maxInflight),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

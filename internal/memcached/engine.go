@@ -27,6 +27,7 @@ package memcached
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -64,16 +65,23 @@ type Config struct {
 	// MaxItemSize bounds a single item (key+value+overhead). Zero defaults
 	// to 1 MiB (memcached's classic -I default).
 	MaxItemSize int
-	// GrowthFactor is the slab-class chunk growth factor (memcached -f).
-	// Zero defaults to 1.25.
-	GrowthFactor float64
-	// MinChunk is the smallest chunk size. Zero defaults to 96.
-	MinChunk int
 	// Clock returns the current time in nanoseconds; expiry is evaluated
 	// against it. Nil defaults to a clock frozen at 1 (items never expire
 	// unless ExpireAt is set in the past).
 	Clock func() int64
+
+	// growthFactor and minChunk shape the slab classes; zero means the
+	// constants below. Only this package's tests set them.
+	growthFactor float64
+	minChunk     int
 }
+
+const (
+	// growthFactor is the slab-class chunk growth factor (memcached -f).
+	growthFactor = 1.25
+	// minChunk is the smallest chunk size.
+	minChunk = 96
+)
 
 func (c Config) withDefaults() Config {
 	if c.MemLimit == 0 {
@@ -82,11 +90,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxItemSize == 0 {
 		c.MaxItemSize = 1 << 20
 	}
-	if c.GrowthFactor == 0 {
-		c.GrowthFactor = 1.25
+	if c.growthFactor == 0 {
+		c.growthFactor = growthFactor
 	}
-	if c.MinChunk == 0 {
-		c.MinChunk = 96
+	if c.minChunk == 0 {
+		c.minChunk = minChunk
 	}
 	if c.Clock == nil {
 		c.Clock = func() int64 { return 1 }
@@ -355,28 +363,40 @@ func (e *Engine) footprint(key string, size int) (int, error) {
 	return foot, nil
 }
 
-// admit checks mode's condition and, when it holds, removes the item
-// currently under key to make way for the new one.
-func (e *Engine) admit(key string, mode StoreMode, expect uint64) error {
+// check returns the live item under key, or the error that mode's
+// condition fails with; a failed CAS is counted.
+func (e *Engine) check(key string, mode StoreMode, expect uint64) (*entry, error) {
 	old := e.lookup(key)
 	switch mode {
 	case StoreAdd:
 		if old != nil {
-			return ErrNotStored
+			return nil, ErrNotStored
 		}
 	case StoreReplace:
 		if old == nil {
-			return ErrNotStored
+			return nil, ErrNotStored
 		}
 	case StoreCAS:
 		if old == nil {
 			e.stats.CasMisses++
-			return ErrNotFound
+			return nil, ErrNotFound
 		}
 		if old.it.CAS != expect {
 			e.stats.CasBadval++
-			return ErrExists
+			return nil, ErrExists
 		}
+	}
+	return old, nil
+}
+
+// admit checks mode's condition and, when it holds, removes the item
+// currently under key to make way for the new one.
+func (e *Engine) admit(key string, mode StoreMode, expect uint64) error {
+	old, err := e.check(key, mode, expect)
+	if err != nil {
+		return err
+	}
+	if mode == StoreCAS {
 		e.stats.CasHits++
 	}
 	if old != nil {
@@ -431,16 +451,20 @@ func (e *Engine) store(it Item, mode StoreMode, expect uint64) (uint64, error) {
 type Reservation struct {
 	// Value is where the value goes, at its full length. It is the chunk
 	// itself for a class above InlineValue and a fresh heap slice below.
-	Value []byte
-	en    *entry
+	Value  []byte
+	en     *entry
+	mode   StoreMode
+	expect uint64
 }
 
 // Reserve is the first half of a store that puts the value in place
-// without an intermediate copy: it finds room for it (Key, Size, Flags and
+// without an intermediate copy: it checks mode's condition (expect is the
+// CAS for StoreCAS), finds room for the item (Key, Size, Flags and
 // ExpireAt; Value is ignored), evicting as Set does, and returns the
-// storage to fill. It fails, with nothing to undo, when the item cannot be
-// stored at all.
-func (e *Engine) Reserve(it Item) (Reservation, error) {
+// storage to fill. It fails, with nothing to undo and nothing evicted, when
+// the item cannot be stored at all or the condition fails; Commit checks
+// the condition again, since the key may change in between.
+func (e *Engine) Reserve(it Item, mode StoreMode, expect uint64) (Reservation, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.CmdSet++
@@ -449,6 +473,9 @@ func (e *Engine) Reserve(it Item) (Reservation, error) {
 	}
 	foot, err := e.footprint(it.Key, it.Size)
 	if err != nil {
+		return Reservation{}, err
+	}
+	if _, err := e.check(it.Key, mode, expect); err != nil {
 		return Reservation{}, err
 	}
 	ci, mem, err := e.slabs.take(foot, true, e.evictOne)
@@ -462,7 +489,7 @@ func (e *Engine) Reserve(it Item) (Reservation, error) {
 	}
 	en := &entry{it: it, class: uint16(ci), pins: reserved}
 	e.slabs.class(en).held++
-	return Reservation{Value: it.Value, en: en}, nil
+	return Reservation{Value: it.Value, en: en, mode: mode, expect: expect}, nil
 }
 
 // settle ends a reservation's hold on its chunk.
@@ -474,13 +501,13 @@ func (e *Engine) settle(r Reservation) {
 	e.slabs.class(r.en).held--
 }
 
-// Commit stores a filled reservation under mode's condition (expect is the
-// CAS for StoreCAS). When the condition fails the reservation is aborted.
-func (e *Engine) Commit(r Reservation, mode StoreMode, expect uint64) (uint64, error) {
+// Commit stores a filled reservation under the condition Reserve was given.
+// When it no longer holds the reservation is aborted.
+func (e *Engine) Commit(r Reservation) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.settle(r)
-	if err := e.admit(r.en.it.Key, mode, expect); err != nil {
+	if err := e.admit(r.en.it.Key, r.mode, r.expect); err != nil {
 		e.slabs.giveBack(r.en)
 		return 0, err
 	}
@@ -536,47 +563,27 @@ func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64)
 		if init == nil {
 			return 0, ErrNotFound
 		}
-		v := *init
-		_, err := e.store(Item{Key: key, Value: []byte(fmt.Sprintf("%d", v)), ExpireAt: expireAt}, StoreSet, 0)
-		return v, err
+		_, err := e.store(Item{Key: key, Value: strconv.AppendUint(nil, *init, 10), ExpireAt: expireAt}, StoreSet, 0)
+		return *init, err
 	}
 	if en.it.Virtual() {
 		return 0, ErrBadDelta
 	}
-	var cur uint64
-	if _, err := fmt.Sscanf(string(en.it.Value), "%d", &cur); err != nil || !allDigits(en.it.Value) {
+	cur, err := strconv.ParseUint(string(en.it.Value), 10, 64)
+	if err != nil {
 		return 0, ErrBadDelta
 	}
-	var next uint64
-	if delta >= 0 {
-		next = cur + uint64(delta)
-	} else {
-		d := uint64(-delta)
-		if d > cur {
-			next = 0
-		} else {
-			next = cur - d
-		}
+	next := cur + uint64(delta)
+	if delta < 0 {
+		next = cur - min(cur, uint64(-delta))
 	}
 	it := en.it
-	it.Value = []byte(fmt.Sprintf("%d", next))
+	it.Value = strconv.AppendUint(nil, next, 10)
 	it.Size = 0
 	if _, err := e.store(it, StoreSet, 0); err != nil {
 		return 0, err
 	}
 	return next, nil
-}
-
-func allDigits(b []byte) bool {
-	if len(b) == 0 {
-		return false
-	}
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
 }
 
 // Flush invalidates every item currently stored (lazily, as memcached

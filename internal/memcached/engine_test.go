@@ -169,7 +169,7 @@ func TestTooLarge(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	// Arena of exactly one page; values sized so only a few fit per class.
-	e := NewEngine(Config{MemLimit: 1 << 20, MinChunk: 1 << 18, GrowthFactor: 1.01, MaxItemSize: 1 << 18})
+	e := NewEngine(Config{MemLimit: 1 << 20, minChunk: 1 << 18, growthFactor: 1.01, MaxItemSize: 1 << 18})
 	// Each item lands in the single 256KiB class; 4 chunks per 1MiB page.
 	val := make([]byte, 200<<10)
 	for i := 0; i < 4; i++ {
@@ -241,6 +241,29 @@ func TestIncrDecr(t *testing.T) {
 	e.Set(Item{Key: "s", Value: []byte("abc")})
 	if _, err := e.IncrDecr("s", 1, nil, 0); !errors.Is(err, ErrBadDelta) {
 		t.Errorf("incr non-numeric: %v", err)
+	}
+	// Only plain decimal digits that fit in 64 bits are a counter.
+	for _, c := range []struct {
+		value string
+		want  uint64
+		err   error
+	}{
+		{"", 0, ErrBadDelta},
+		{" 5", 0, ErrBadDelta},
+		{"+5", 0, ErrBadDelta},
+		{"-1", 0, ErrBadDelta},
+		{"007", 8, nil},
+		{"18446744073709551615", 0, nil},
+		{"18446744073709551616", 0, ErrBadDelta},
+	} {
+		e.Set(Item{Key: "c", Value: []byte(c.value)})
+		v, err := e.IncrDecr("c", 1, nil, 0)
+		if v != c.want || !errors.Is(err, c.err) {
+			t.Errorf("incr of %q: %d, %v; want %d, %v", c.value, v, err, c.want, c.err)
+		}
+		if it, _ := e.Get("c"); err == nil && string(it.Value) != fmt.Sprint(c.want) {
+			t.Errorf("incr of %q stored %q", c.value, it.Value)
+		}
 	}
 }
 
@@ -474,8 +497,8 @@ func TestLargePageArena(t *testing.T) {
 }
 
 func TestGrowthFactorShapesClasses(t *testing.T) {
-	coarse := newSlabArena(Config{GrowthFactor: 2.0}.withDefaults())
-	fine := newSlabArena(Config{GrowthFactor: 1.05, MinChunk: 96, MaxItemSize: 1 << 20, MemLimit: 64 << 20, Clock: func() int64 { return 1 }})
+	coarse := newSlabArena(Config{growthFactor: 2.0}.withDefaults())
+	fine := newSlabArena(Config{growthFactor: 1.05, minChunk: 96, MaxItemSize: 1 << 20, MemLimit: 64 << 20, Clock: func() int64 { return 1 }})
 	if len(fine.classes) <= len(coarse.classes) {
 		t.Errorf("finer growth factor produced %d classes vs %d", len(fine.classes), len(coarse.classes))
 	}
@@ -496,7 +519,7 @@ func TestOutOfMemoryWhenNothingEvictable(t *testing.T) {
 	// One page, chunks sized so two items need two pages worth of chunks
 	// in DIFFERENT classes: the second class has no page and nothing of
 	// its own to evict.
-	e := NewEngine(Config{MemLimit: 1 << 20, MinChunk: 200 << 10, GrowthFactor: 3.0, MaxItemSize: 900 << 10})
+	e := NewEngine(Config{MemLimit: 1 << 20, minChunk: 200 << 10, growthFactor: 3.0, MaxItemSize: 900 << 10})
 	// Five 200KiB chunks fill the arena's only page with small items.
 	for i := 0; i < 5; i++ {
 		if _, err := e.Set(Item{Key: fmt.Sprintf("s%d", i), Size: 100 << 10}); err != nil {

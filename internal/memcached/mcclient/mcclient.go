@@ -89,27 +89,19 @@ func IsPermanent(err error) bool {
 }
 
 // ReconnectPolicy bounds the transparent reconnect a client performs after
-// an established connection drops. Zero MaxAttempts disables reconnect
-// (the pre-reconnect sticky-error behaviour).
+// an established connection drops. A positive MaxAttempts needs positive
+// delays; zero or negative MaxAttempts disables reconnect (the
+// pre-reconnect sticky-error behaviour). mccluster holds the policy its
+// connections use.
 type ReconnectPolicy struct {
 	// MaxAttempts caps redial attempts per outage; when exhausted the
 	// client fails permanently.
 	MaxAttempts int
-	// BaseDelay is the first backoff step (default 10ms). Each attempt
-	// doubles it, jittered uniformly in [0.5d, 1.5d).
+	// BaseDelay is the first backoff step. Each attempt doubles it,
+	// jittered uniformly in [0.5d, 1.5d).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff step (default 1s).
+	// MaxDelay caps the backoff step.
 	MaxDelay time.Duration
-}
-
-func (p ReconnectPolicy) withDefaults() ReconnectPolicy {
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	return p
 }
 
 // Client is a connection to one memcached server.
@@ -240,7 +232,7 @@ type Option func(*Client)
 // fail fast too, and flow again once the redial succeeds. Only effective
 // for clients built with Dial (NewClient has no address to redial).
 func WithReconnect(p ReconnectPolicy) Option {
-	return func(c *Client) { c.policy = p.withDefaults() }
+	return func(c *Client) { c.policy = p }
 }
 
 // StatusError is returned for non-OK protocol responses.

@@ -46,7 +46,7 @@ func benchLocal(b *testing.B) *Local {
 			benchEnv.err = err
 			return
 		}
-		c, err := New(l.Addrs(), Options{Replicas: 2, NoFrontCache: true, NoReadSpread: true})
+		c, err := New(l.Addrs(), Options{Replicas: 2})
 		if err != nil {
 			benchEnv.err = err
 			return
@@ -125,13 +125,11 @@ func runZipfReads(b *testing.B, opts Options) {
 func BenchmarkClusterZipf(b *testing.B) {
 	b.Run("SinglePrimary", func(b *testing.B) {
 		// Hot-key-blind baseline: one copy consulted, no cache, no spread.
-		runZipfReads(b, Options{
-			Replicas: 1, NoFrontCache: true, NoReadSpread: true, NoReadRepair: true,
-		})
+		runZipfReads(b, Options{Replicas: 1, noFrontCache: true, noReadSpread: true})
 	})
 	b.Run("ReplicaSpread", func(b *testing.B) {
 		// Spreading alone: replica fan-out without the front cache.
-		runZipfReads(b, Options{Replicas: 2, NoFrontCache: true, NoReadRepair: true})
+		runZipfReads(b, Options{Replicas: 2, noFrontCache: true})
 	})
 	b.Run("FrontCacheSpread", func(b *testing.B) {
 		// The full hot-key path; must sustain >= 2x SinglePrimary.

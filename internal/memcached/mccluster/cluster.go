@@ -27,75 +27,69 @@ func IsOverload(err error) bool { return errors.Is(err, ErrOverload) }
 // Options configures a cluster client. The zero value gives production
 // defaults: 2-way replication, reconnecting connections, hot-key
 // detection feeding a 4096-entry front cache with a 100ms TTL, replica
-// read spreading, and read repair. The No* switches exist for A/B runs
-// (the hot-key-blind baseline in BenchmarkClusterZipf disables all
-// three).
+// read spreading, and read repair.
 type Options struct {
 	// Replicas is R: each key lives on its primary plus R-1 distinct
 	// ring successors. Default 2, clamped to the server count.
 	Replicas int
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
-	// Reconnect is the per-connection transparent-reconnect policy.
-	// A zero value defaults to 8 attempts, 10ms base, 500ms cap; set
-	// MaxAttempts negative to disable reconnect.
-	Reconnect mcclient.ReconnectPolicy
-	// RedialCooldown is how long a node with a permanently-failed client
-	// waits before the next lazy redial (default 250ms).
-	RedialCooldown time.Duration
-
-	// FrontCacheSize is the hot-key front cache capacity in entries
-	// (default 4096), each a value of at most memcached.InlineValue bytes;
-	// FrontCacheTTL bounds staleness against writers on other clients
-	// (default 100ms). HotTrack is the space-saver sketch size (default 2x
-	// FrontCacheSize) and HotMinHits the guaranteed count (occurrences
-	// seen, not the sketch's over-estimate) at which a key counts as hot
-	// (default 8).
-	FrontCacheSize int
-	FrontCacheTTL  time.Duration
-	HotTrack       int
-	HotMinHits     int
-
-	// NoFrontCache disables the front cache, NoReadSpread pins hot-key
-	// reads to the primary, NoReadRepair disables write-back of stale
-	// replicas discovered on the read path.
-	NoFrontCache bool
-	NoReadSpread bool
-	NoReadRepair bool
 
 	// MaxInflight, when positive, is the cluster-wide admission bound:
 	// GETs are shed once that many operations are outstanding, SETs only
 	// at twice the bound — under overload reads degrade first, writes
 	// survive longest (same policy as swarm.Config.MaxInflight).
 	MaxInflight int64
+
+	// Test seams, set only by this package's tests; zero means the
+	// default below, and reconnect.MaxAttempts -1 disables reconnect.
+	// noFrontCache and noReadSpread make the hot-key-blind baselines that
+	// BenchmarkClusterZipf measures the hot-key path against, and let
+	// tests make every read reach a socket.
+	reconnect                  mcclient.ReconnectPolicy
+	redialCooldown             time.Duration
+	frontCacheTTL              time.Duration
+	hotMinHits                 int
+	noFrontCache, noReadSpread bool
+}
+
+const (
+	// dialTimeout bounds each connection attempt.
+	dialTimeout = 2 * time.Second
+	// redialCooldown is how long a node whose client failed permanently
+	// waits before the next lazy redial.
+	redialCooldown = 250 * time.Millisecond
+	// frontCacheSize is the front cache's capacity in entries, each a
+	// value of at most memcached.InlineValue bytes; frontCacheTTL bounds
+	// an entry's staleness against writers on other clients.
+	frontCacheSize = 4096
+	frontCacheTTL  = 100 * time.Millisecond
+	// hotTrack is the space-saver sketch's size, and hotMinHits the
+	// guaranteed count (occurrences seen, not the sketch's over-estimate)
+	// at which a key counts as hot.
+	hotTrack   = 2 * frontCacheSize
+	hotMinHits = 8
+)
+
+// reconnect is every connection's redial policy: at most 8 attempts per
+// outage, backing off from 10ms and doubling up to 500ms.
+var reconnect = mcclient.ReconnectPolicy{
+	MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond,
 }
 
 func (o Options) withDefaults() Options {
 	if o.Replicas <= 0 {
 		o.Replicas = 2
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
+	if o.reconnect.MaxAttempts == 0 {
+		o.reconnect = reconnect
 	}
-	if o.Reconnect.MaxAttempts == 0 {
-		o.Reconnect = mcclient.ReconnectPolicy{
-			MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond,
-		}
+	if o.redialCooldown <= 0 {
+		o.redialCooldown = redialCooldown
 	}
-	if o.RedialCooldown <= 0 {
-		o.RedialCooldown = 250 * time.Millisecond
+	if o.frontCacheTTL <= 0 {
+		o.frontCacheTTL = frontCacheTTL
 	}
-	if o.FrontCacheSize <= 0 {
-		o.FrontCacheSize = 4096
-	}
-	if o.FrontCacheTTL <= 0 {
-		o.FrontCacheTTL = 100 * time.Millisecond
-	}
-	if o.HotTrack <= 0 {
-		o.HotTrack = 2 * o.FrontCacheSize
-	}
-	if o.HotMinHits <= 0 {
-		o.HotMinHits = 8
+	if o.hotMinHits <= 0 {
+		o.hotMinHits = hotMinHits
 	}
 	return o
 }
@@ -116,7 +110,6 @@ func (o Options) Validate() error {
 // operation once its client's bounded reconnect budget is spent.
 type node struct {
 	addr     string
-	dialTO   time.Duration
 	policy   mcclient.ReconnectPolicy
 	cooldown time.Duration
 
@@ -138,7 +131,7 @@ func (n *node) client() (*mcclient.Client, error) {
 	if time.Now().Before(n.downUntil) {
 		return nil, &mcclient.ConnError{Addr: n.addr, Err: fmt.Errorf("in redial cooldown: %w", n.lastErr)}
 	}
-	c, err := mcclient.Dial(n.addr, n.dialTO, mcclient.WithReconnect(n.policy))
+	c, err := mcclient.Dial(n.addr, dialTimeout, mcclient.WithReconnect(n.policy))
 	if err != nil {
 		n.lastErr = err
 		n.downUntil = time.Now().Add(n.cooldown)
@@ -186,7 +179,7 @@ type Cluster struct {
 	reps  int
 
 	hot       *hotTracker // nil when both front cache and spreading are off
-	fc        *frontCache // nil when NoFrontCache
+	fc        *frontCache // nil when noFrontCache
 	repairSem chan struct{}
 	rrSeq     atomic.Uint64
 	inflight  atomic.Int64
@@ -220,21 +213,18 @@ func New(addrs []string, opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("mccluster: duplicate server address %q", a)
 		}
 		c.ring.Add(a)
-		c.nodes[a] = &node{
-			addr: a, dialTO: opts.DialTimeout,
-			policy: opts.Reconnect, cooldown: opts.RedialCooldown,
-		}
+		c.nodes[a] = &node{addr: a, policy: opts.reconnect, cooldown: opts.redialCooldown}
 		c.addrs = append(c.addrs, a)
 	}
 	c.reps = opts.Replicas
 	if c.reps > len(addrs) {
 		c.reps = len(addrs)
 	}
-	if !opts.NoFrontCache || !opts.NoReadSpread {
-		c.hot = newHotTracker(opts.HotTrack, uint64(opts.HotMinHits))
+	if !opts.noFrontCache || !opts.noReadSpread {
+		c.hot = newHotTracker(hotTrack, uint64(opts.hotMinHits))
 	}
-	if !opts.NoFrontCache {
-		c.fc = newFrontCache(opts.FrontCacheSize, opts.FrontCacheTTL)
+	if !opts.noFrontCache {
+		c.fc = newFrontCache(frontCacheSize, opts.frontCacheTTL)
 	}
 	return c, nil
 }
@@ -332,7 +322,7 @@ func (c *Cluster) Get(key string) (*mcclient.Item, error) {
 		return nil, ErrNoReplicas
 	}
 	start := 0
-	if hot && !c.opts.NoReadSpread && len(replicas) > 1 {
+	if hot && !c.opts.noReadSpread && len(replicas) > 1 {
 		start = int(c.rrSeq.Add(1) % uint64(len(replicas)))
 		if start != 0 {
 			c.spreadReads.Add(1)
@@ -357,7 +347,7 @@ func (c *Cluster) Get(key string) (*mcclient.Item, error) {
 			if failed > 0 {
 				c.failovers.Add(1)
 			}
-			if len(stale) > 0 && !c.opts.NoReadRepair {
+			if len(stale) > 0 {
 				c.repairAsync(key, it, stale)
 			}
 			if hot && c.fc != nil {

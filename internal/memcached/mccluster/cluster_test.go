@@ -48,7 +48,7 @@ func addrIndex(l *Local, addr string) int {
 // TestClusterPlacementAndReplication: every set lands on exactly the R
 // servers the ring names, and a get through the cluster returns it.
 func TestClusterPlacementAndReplication(t *testing.T) {
-	l, c := launch(t, 3, Options{Replicas: 2, NoFrontCache: true, NoReadSpread: true})
+	l, c := launch(t, 3, Options{Replicas: 2, noFrontCache: true, noReadSpread: true})
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		if _, err := c.Set(&mcclient.Item{Key: key, Value: []byte(key)}); err != nil {
@@ -86,12 +86,12 @@ func TestClusterGetMissIsNotFound(t *testing.T) {
 	}
 }
 
-// TestClusterFrontCacheHotPath: a key requested past HotMinHits is served
+// TestClusterFrontCacheHotPath: a key requested past hotMinHits is served
 // from the front cache (server-side GET counters stop moving), and a set
 // through the client invalidates it immediately.
 func TestClusterFrontCacheHotPath(t *testing.T) {
 	l, c := launch(t, 3, Options{
-		Replicas: 2, HotMinHits: 4, FrontCacheTTL: time.Hour, NoReadSpread: true,
+		Replicas: 2, hotMinHits: 4, frontCacheTTL: time.Hour, noReadSpread: true,
 	})
 	key := "hotkey"
 	if _, err := c.Set(&mcclient.Item{Key: key, Value: []byte("v1")}); err != nil {
@@ -134,7 +134,7 @@ func TestClusterFrontCacheHotPath(t *testing.T) {
 }
 
 // TestClusterDistinctKeysStayCold: 100,000 keys read once each, past the
-// length at which the sketch's over-estimate reaches HotMinHits, flag no
+// length at which the sketch's over-estimate reaches hotMinHits, flag no
 // key hot and leave the front cache empty.
 func TestClusterDistinctKeysStayCold(t *testing.T) {
 	_, c := launch(t, 3, Options{Replicas: 2})
@@ -168,7 +168,7 @@ func TestClusterDistinctKeysStayCold(t *testing.T) {
 // spreading on, a hot key's gets hit both of its replicas.
 func TestClusterReadSpreadingFansHotReads(t *testing.T) {
 	l, c := launch(t, 3, Options{
-		Replicas: 2, NoFrontCache: true, HotMinHits: 4, HotTrack: 64,
+		Replicas: 2, noFrontCache: true, hotMinHits: 4,
 	})
 	key := "hotkey"
 	if _, err := c.Set(&mcclient.Item{Key: key, Value: []byte("v")}); err != nil {
@@ -199,9 +199,9 @@ func TestClusterReadSpreadingFansHotReads(t *testing.T) {
 // keep succeeding via the survivor and count a failover.
 func TestClusterFailoverGet(t *testing.T) {
 	l, c := launch(t, 3, Options{
-		Replicas: 2, NoFrontCache: true, NoReadSpread: true,
-		Reconnect:      mcclient.ReconnectPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		RedialCooldown: 50 * time.Millisecond,
+		Replicas: 2, noFrontCache: true, noReadSpread: true,
+		reconnect:      mcclient.ReconnectPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		redialCooldown: 50 * time.Millisecond,
 	})
 	key := "failover-key"
 	if _, err := c.Set(&mcclient.Item{Key: key, Value: []byte("v")}); err != nil {
@@ -232,7 +232,7 @@ func TestClusterFailoverGet(t *testing.T) {
 // simulates a restarted process) is repaired in the background by the
 // next read that fails over past it.
 func TestClusterReadRepair(t *testing.T) {
-	l, c := launch(t, 3, Options{Replicas: 2, NoFrontCache: true, NoReadSpread: true})
+	l, c := launch(t, 3, Options{Replicas: 2, noFrontCache: true, noReadSpread: true})
 	key := "repair-me"
 	if _, err := c.Set(&mcclient.Item{Key: key, Value: []byte("v")}); err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestClusterReadRepair(t *testing.T) {
 // GET bound reads bounce with ErrOverload while writes still flow; at
 // twice the bound writes shed too.
 func TestClusterAdmissionShedsGetsBeforeSets(t *testing.T) {
-	_, c := launch(t, 3, Options{Replicas: 2, MaxInflight: 10, NoFrontCache: true, NoReadSpread: true})
+	_, c := launch(t, 3, Options{Replicas: 2, MaxInflight: 10, noFrontCache: true, noReadSpread: true})
 	c.inflight.Store(10)
 	if _, err := c.Get("k"); !errors.Is(err, ErrOverload) {
 		t.Fatalf("get at the bound: %v, want ErrOverload", err)
@@ -290,7 +290,7 @@ func TestClusterAdmissionShedsGetsBeforeSets(t *testing.T) {
 // TestClusterMultiOps: SetMulti replicates every key R ways and GetMulti
 // returns the full set, failing over per server.
 func TestClusterMultiOps(t *testing.T) {
-	l, c := launch(t, 4, Options{Replicas: 2, NoFrontCache: true, NoReadSpread: true})
+	l, c := launch(t, 4, Options{Replicas: 2, noFrontCache: true, noReadSpread: true})
 	var items []*mcclient.Item
 	var keys []string
 	for i := 0; i < 100; i++ {
@@ -331,7 +331,7 @@ func TestClusterMultiOps(t *testing.T) {
 
 // TestClusterDelete removes all copies and invalidates the cache.
 func TestClusterDelete(t *testing.T) {
-	l, c := launch(t, 3, Options{Replicas: 2, HotMinHits: 2, FrontCacheTTL: time.Hour})
+	l, c := launch(t, 3, Options{Replicas: 2, hotMinHits: 2, frontCacheTTL: time.Hour})
 	key := "del-key"
 	if _, err := c.Set(&mcclient.Item{Key: key, Value: []byte("v")}); err != nil {
 		t.Fatal(err)

@@ -23,12 +23,12 @@ import (
 func TestClusterFailoverStress(t *testing.T) {
 	l, c := launch(t, 3, Options{
 		Replicas:     2,
-		NoFrontCache: true, // reads must hit sockets, not a local cache
-		NoReadSpread: true,
-		Reconnect: mcclient.ReconnectPolicy{
+		noFrontCache: true, // reads must hit sockets, not a local cache
+		noReadSpread: true,
+		reconnect: mcclient.ReconnectPolicy{
 			MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond,
 		},
-		RedialCooldown: 20 * time.Millisecond,
+		redialCooldown: 20 * time.Millisecond,
 	})
 
 	const (
@@ -164,7 +164,7 @@ func TestClusterFailoverStress(t *testing.T) {
 func TestClusterConcurrentMixedLoad(t *testing.T) {
 	_, c := launch(t, 3, Options{
 		Replicas:    2,
-		HotMinHits:  4,
+		hotMinHits:  4,
 		MaxInflight: 256,
 	})
 	const goroutines = 8

@@ -35,9 +35,9 @@ func TestClusterFanOutOneReplicaDown(t *testing.T) {
 	// failure the dead node answers from its sticky error, with no redial
 	// goroutine to confuse the count.
 	l, c := launch(t, 3, Options{
-		Replicas: 2, NoFrontCache: true, NoReadSpread: true,
-		Reconnect:      mcclient.ReconnectPolicy{MaxAttempts: -1},
-		RedialCooldown: time.Hour,
+		Replicas: 2, noFrontCache: true, noReadSpread: true,
+		reconnect:      mcclient.ReconnectPolicy{MaxAttempts: -1},
+		redialCooldown: time.Hour,
 	})
 	victim := 1
 	key := keyOn(t, c, l.Addrs()[victim], "fan")
@@ -106,9 +106,9 @@ func TestClusterFanOutOneReplicaDown(t *testing.T) {
 // return is a reported race; the read-back checks nothing was torn.
 func TestClusterFanOutConcurrentValueReuse(t *testing.T) {
 	l, c := launch(t, 3, Options{
-		Replicas: 2, NoFrontCache: true, NoReadSpread: true,
-		Reconnect:      mcclient.ReconnectPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-		RedialCooldown: time.Hour,
+		Replicas: 2, noFrontCache: true, noReadSpread: true,
+		reconnect:      mcclient.ReconnectPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		redialCooldown: time.Hour,
 	})
 	const callers, rounds, size = 6, 60, 24 << 10
 	var wg sync.WaitGroup
@@ -151,7 +151,7 @@ func TestClusterFanOutConcurrentValueReuse(t *testing.T) {
 // loopback, one caller, so ns/op is two overlapped round-trips and
 // allocs/op is what the fan-out itself costs.
 func BenchmarkClusterSet(b *testing.B) {
-	_, c := launch(b, 3, Options{Replicas: 2, NoFrontCache: true, NoReadSpread: true})
+	_, c := launch(b, 3, Options{Replicas: 2, noFrontCache: true, noReadSpread: true})
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("set:%04d", i)

@@ -279,20 +279,6 @@ func (s *Server) store(r *bufio.Reader, w io.Writer, req *binproto.Frame, valueL
 	if err != nil {
 		return refuse(r, w, req, valueLen, binproto.StatusInvalidArgs)
 	}
-	e := s.engine
-	res, err := e.Reserve(memcached.Item{
-		Key:      string(req.Key),
-		Size:     valueLen,
-		Flags:    flags,
-		ExpireAt: s.expiryToAbs(expiry),
-	})
-	if err != nil {
-		return refuse(r, w, req, valueLen, statusFor(err))
-	}
-	if _, err := io.ReadFull(r, res.Value); err != nil {
-		e.Abort(res)
-		return true
-	}
 	mode := memcached.StoreSet
 	switch {
 	case req.Op == binproto.OpAdd:
@@ -302,7 +288,21 @@ func (s *Server) store(r *bufio.Reader, w io.Writer, req *binproto.Frame, valueL
 	case req.CAS != 0:
 		mode = memcached.StoreCAS
 	}
-	cas, err := e.Commit(res, mode, req.CAS)
+	e := s.engine
+	res, err := e.Reserve(memcached.Item{
+		Key:      string(req.Key),
+		Size:     valueLen,
+		Flags:    flags,
+		ExpireAt: s.expiryToAbs(expiry),
+	}, mode, req.CAS)
+	if err != nil {
+		return refuse(r, w, req, valueLen, statusFor(err))
+	}
+	if _, err := io.ReadFull(r, res.Value); err != nil {
+		e.Abort(res)
+		return true
+	}
+	cas, err := e.Commit(res)
 	if err != nil {
 		return respond(w, req, statusFor(err), binproto.Frame{})
 	}

@@ -114,6 +114,42 @@ func TestConcurrentMixedOpsStress(t *testing.T) {
 	}
 }
 
+// TestDoomedStoresEvictNothing: over the wire, in a full class, an Add of
+// a present key and a CAS with a stale token are refused before the engine
+// takes a chunk for them, so 10^4 of each leave Evictions and CurrItems
+// where they were.
+func TestDoomedStoresEvictNothing(t *testing.T) {
+	srv, addr := startRawServer(t, memcached.Config{MemLimit: 1 << 20})
+	c, err := mcclient.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	value := make([]byte, 1000)
+	var key string
+	var cas uint64
+	for i := 0; srv.Engine().Stats().Evictions == 0; i++ {
+		key = fmt.Sprintf("k%d", i)
+		if cas, err = c.Set(&mcclient.Item{Key: key, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.Engine().Stats()
+	it := &mcclient.Item{Key: key, Value: value}
+	for i := 0; i < 10000; i++ {
+		if _, err := c.Add(it); !mcclient.IsNotStored(err) {
+			t.Fatalf("add of a present key: %v", err)
+		}
+		if _, err := c.CompareAndSwap(it, cas+1); !mcclient.IsExists(err) {
+			t.Fatalf("cas with a stale token: %v", err)
+		}
+	}
+	after := srv.Engine().Stats()
+	if after.Evictions != before.Evictions || after.CurrItems != before.CurrItems {
+		t.Errorf("evictions %d -> %d, items %d -> %d", before.Evictions, after.Evictions, before.CurrItems, after.CurrItems)
+	}
+}
+
 // TestQuietOpsOverTCP speaks raw GETQ/SETQ: quiet sets answer only on
 // error, quiet gets answer only on hit, and the trailing NOOP bounds the
 // batch.

@@ -82,7 +82,7 @@ func newSlabArena(cfg Config) *slabArena {
 	if a.maxPages < 1 {
 		a.maxPages = 1
 	}
-	size := cfg.MinChunk
+	size := cfg.minChunk
 	for {
 		if size > cfg.MaxItemSize {
 			size = cfg.MaxItemSize
@@ -94,7 +94,7 @@ func newSlabArena(cfg Config) *slabArena {
 		if size == cfg.MaxItemSize {
 			break
 		}
-		next := int(float64(size) * cfg.GrowthFactor)
+		next := int(float64(size) * cfg.growthFactor)
 		if next <= size {
 			next = size + 1
 		}

@@ -112,7 +112,7 @@ func TestReserveCommitModes(t *testing.T) {
 	e := NewEngine(Config{MemLimit: 8 << 20})
 	defer e.Close()
 	put := func(key string, seed, size int, mode StoreMode, expect uint64) (uint64, error) {
-		r, err := e.Reserve(Item{Key: key, Size: size, Flags: uint32(seed)})
+		r, err := e.Reserve(Item{Key: key, Size: size, Flags: uint32(seed)}, mode, expect)
 		if err != nil {
 			return 0, err
 		}
@@ -120,7 +120,7 @@ func TestReserveCommitModes(t *testing.T) {
 			t.Fatalf("reservation of %d bytes has %d", size, len(r.Value))
 		}
 		copy(r.Value, pattern(seed, size))
-		return e.Commit(r, mode, expect)
+		return e.Commit(r)
 	}
 	for _, size := range []int{5, big} {
 		key := fmt.Sprintf("k%d", size)
@@ -155,8 +155,8 @@ func TestReserveCommitModes(t *testing.T) {
 		if it, _ := e.Get(key); !bytes.Equal(it.Value, pattern(8, size)) || it.Flags != 8 {
 			t.Errorf("last commit is not what Get returns")
 		}
-		// Ten commits, four of them stored, one item: every other chunk
-		// went back.
+		// Ten stores, four of them stored, one item: every other chunk
+		// is free.
 		if c := classOf(e, key, size); c.Items != 1 || c.Held != 0 || c.Free+1 != c.Pages*int64(e.slabs.classes[e.slabs.classFor(itemFootprint(key, size))].perPage) {
 			t.Errorf("class ledger after the commits: %+v", c)
 		}
@@ -170,30 +170,30 @@ func TestReserveCommitModes(t *testing.T) {
 func TestReserveRefusesWhatCannotBeStored(t *testing.T) {
 	e := NewEngine(Config{MemLimit: 2 << 20})
 	defer e.Close()
-	if _, err := e.Reserve(Item{Key: "k", Size: 2 << 20}); !errors.Is(err, ErrTooLarge) {
+	if _, err := e.Reserve(Item{Key: "k", Size: 2 << 20}, StoreSet, 0); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("2 MiB against the 1 MiB MaxItemSize: %v", err)
 	}
-	if _, err := e.Reserve(Item{Key: "k", Size: -1}); !errors.Is(err, ErrInvalidArg) {
+	if _, err := e.Reserve(Item{Key: "k", Size: -1}, StoreSet, 0); !errors.Is(err, ErrInvalidArg) {
 		t.Errorf("negative size: %v", err)
 	}
 	// Two pages, both held by open reservations of one class: a third has
 	// nothing to evict.
-	a, err := e.Reserve(Item{Key: "a", Size: 900 << 10})
+	a, err := e.Reserve(Item{Key: "a", Size: 900 << 10}, StoreSet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Reserve(Item{Key: "b", Size: 900 << 10})
+	b, err := e.Reserve(Item{Key: "b", Size: 900 << 10}, StoreSet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Reserve(Item{Key: "c", Size: 900 << 10}); !errors.Is(err, ErrNoMemory) {
+	if _, err := e.Reserve(Item{Key: "c", Size: 900 << 10}, StoreSet, 0); !errors.Is(err, ErrNoMemory) {
 		t.Errorf("third reservation: %v", err)
 	}
 	e.Abort(a)
-	if _, err := e.Commit(b, StoreSet, 0); err != nil {
+	if _, err := e.Commit(b); err != nil {
 		t.Fatal(err)
 	}
-	c, err := e.Reserve(Item{Key: "c", Size: 900 << 10})
+	c, err := e.Reserve(Item{Key: "c", Size: 900 << 10}, StoreSet, 0)
 	if err != nil {
 		t.Fatalf("reservation after an abort: %v", err)
 	}
@@ -201,6 +201,43 @@ func TestReserveRefusesWhatCannotBeStored(t *testing.T) {
 	if e.Mapped() != 2<<20 || e.Mapped() > e.Config().MemLimit {
 		t.Errorf("Mapped = %d", e.Mapped())
 	}
+}
+
+// TestDoomedStoresEvictNothing: in a full class, an Add of a present key
+// and a CAS with a stale token fail before Reserve takes a chunk, so 10^4
+// of each evict nothing, free nothing and count each failed CAS once.
+func TestDoomedStoresEvictNothing(t *testing.T) {
+	e := NewEngine(Config{MemLimit: 2 << 20})
+	defer e.Close()
+	var key string
+	var cas uint64
+	for i := 0; e.Stats().Evictions == 0; i++ {
+		key = fmt.Sprintf("k%d", i)
+		var err error
+		if cas, err = e.Set(Item{Key: key, Value: pattern(i, big)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, class := e.Stats(), classOf(e, key, big)
+	for i := 0; i < 10000; i++ {
+		if _, err := e.Reserve(Item{Key: key, Size: big}, StoreAdd, 0); !errors.Is(err, ErrNotStored) {
+			t.Fatalf("add of a present key: %v", err)
+		}
+		if _, err := e.Reserve(Item{Key: key, Size: big}, StoreCAS, cas+1); !errors.Is(err, ErrExists) {
+			t.Fatalf("cas with a stale token: %v", err)
+		}
+	}
+	after := e.Stats()
+	if after.Evictions != before.Evictions || after.CurrItems != before.CurrItems {
+		t.Errorf("evictions %d -> %d, items %d -> %d", before.Evictions, after.Evictions, before.CurrItems, after.CurrItems)
+	}
+	if after.CasBadval != before.CasBadval+10000 || after.CasHits != before.CasHits {
+		t.Errorf("cas badval %d -> %d, hits %d -> %d", before.CasBadval, after.CasBadval, before.CasHits, after.CasHits)
+	}
+	if c := classOf(e, key, big); c != class {
+		t.Errorf("class ledger %+v -> %+v", class, c)
+	}
+	checkLedger(t, e)
 }
 
 func TestPinOutlivesRemoval(t *testing.T) {
@@ -321,7 +358,8 @@ func TestSlabLedgerStress(t *testing.T) {
 			e.Delete(k)
 			delete(seedOf, k)
 		case 5:
-			if r, err := e.Reserve(Item{Key: k, Size: size}); err == nil {
+			mode := StoreMode(rng.Intn(3)) // set, add, replace
+			if r, err := e.Reserve(Item{Key: k, Size: size}, mode, 0); err == nil {
 				open = append(open, r)
 			}
 		case 6, 7:
@@ -336,8 +374,7 @@ func TestSlabLedgerStress(t *testing.T) {
 				continue
 			}
 			copy(r.Value, pattern(i, len(r.Value)))
-			mode := StoreMode(rng.Intn(3)) // set, add, replace
-			if _, err := e.Commit(r, mode, 0); err == nil {
+			if _, err := e.Commit(r); err == nil {
 				seedOf[r.en.it.Key] = i
 			} else if !errors.Is(err, ErrNotStored) {
 				t.Fatal(err)
@@ -441,13 +478,13 @@ func TestPinnedReaderConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("w%d-%d", w, i)
-				r, err := e.Reserve(Item{Key: key, Size: big})
+				r, err := e.Reserve(Item{Key: key, Size: big}, StoreSet, 0)
 				if err != nil {
 					t.Errorf("reserve %s: %v", key, err)
 					return
 				}
 				copy(r.Value, pattern(i, big))
-				if _, err := e.Commit(r, StoreSet, 0); err != nil {
+				if _, err := e.Commit(r); err != nil {
 					t.Errorf("commit %s: %v", key, err)
 					return
 				}
@@ -559,8 +596,12 @@ func TestEngineConcurrentStress(t *testing.T) {
 					}
 				case 5:
 					stores.Add(1)
+					mode := StoreMode(rng.Intn(4))
+					if mode == StoreCAS {
+						cases.Add(1)
+					}
 					var r Reservation
-					if r, err = e.Reserve(Item{Key: key, Size: size, Flags: uint32(stamp)}); err != nil {
+					if r, err = e.Reserve(Item{Key: key, Size: size, Flags: uint32(stamp)}, mode, 0); err != nil {
 						break
 					}
 					if rng.Intn(3) == 0 {
@@ -568,11 +609,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 						break
 					}
 					copy(r.Value, it.Value)
-					mode := StoreMode(rng.Intn(4))
-					if mode == StoreCAS {
-						cases.Add(1)
-					}
-					_, err = e.Commit(r, mode, 0)
+					_, err = e.Commit(r)
 				case 6:
 					if pin != nil {
 						if !stamped(pin.Item) {
