@@ -54,8 +54,8 @@ bench-kernel: tools
 	./bin/benchjson -out BENCH_13.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; coroutine hand-off PR — before = channel handshake through a scheduler goroutine (parent commit), after = iter.Pull switches with inline self-continuation; SimSleepContended (two alternating sleepers) is the path that still switches; events/op and allocs/op must match between the sides except WaitTimeout (-1 alloc: no timeout closure) and Experiments (ring build formats no strings)" < bench.out
 	rm -f bench.out
 
-# Just the stage-out data-plane benchmarks: coalesced drain vs per-block,
-# streaming readahead, and the tab6 experiment regeneration.
+# Just the stage-out data-plane benchmarks: drain at run cap 8 vs run
+# cap 1, streaming readahead, and the tab6 experiment regeneration.
 bench-dataplane:
 	go test -run '^$$' -bench 'StageOutDrain|ReadAheadStreaming|Tab6' -benchmem .
 
@@ -112,12 +112,13 @@ bench-cluster: tools
 	./bin/benchjson -out BENCH_14.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; mcclient group-commit PR — before = one write, one reader lock and (for a SET) two goroutines per round-trip (parent commit), after = leader/follower flush, batched dispatch, goroutine-free replica fan-out; ClientParallel writes/op is exactly 1 before; ClientSequential (a lone caller) must stay at 1 write and must not slow down" < bench.out
 	rm -f bench.out
 
-# Golden determinism suite: seed schemes, coalescing, and the multi-job
-# orchestration fingerprint must match their recorded values; and the
-# abstract's claims must hold on the full-scale fig3/fig4/fig5/fig8/fig9/tab1
-# tables, whose FNV-64a EXPERIMENTS.md's numbers are pinned to.
+# Golden determinism suite: the seed schemes, run cap 8, and the multi-job
+# orchestration fingerprint must match their recorded values; the paper
+# suite's small-scale tables must match their FNV-64a (model.tables_fnv64);
+# and the abstract's claims must hold on the full-scale fig3/fig4/fig5/fig8/
+# fig9/tab1 tables, whose FNV-64a EXPERIMENTS.md's numbers are pinned to.
 golden:
-	go test -run 'TestGolden|TestPaperClaims' -v .
+	go test -run 'TestGolden|TestPaperClaims|TestSuiteTablesPin' -v .
 
 # Determinism matrix: the goldens, the paper suite's table hash (cells on
 # 1 and 4 workers), the swarm and DFSIO pins (each cell at 1, 2, 4 and 7

@@ -128,12 +128,13 @@ func BenchmarkTab4Extensions(b *testing.B) { benchExperiment(b, "tab4") }
 func BenchmarkTab5PolicyMetrics(b *testing.B) { benchExperiment(b, "tab5") }
 
 // BenchmarkTab6DataPlane regenerates the stage-out data-plane comparison
-// (coalesced flush runs and block readahead vs the seed per-block drain).
+// (run cap 8 with block readahead vs run cap 1).
 func BenchmarkTab6DataPlane(b *testing.B) { benchExperiment(b, "tab6") }
 
 // drainBurstOnce runs the tab6 checkpoint-burst shape once and returns the
 // simulated drain time: 8 files x 8 blocks through two throttled buffer
-// servers onto a narrow Lustre, then a timed full drain.
+// servers onto a narrow Lustre, then a timed full drain, at run cap 8
+// when coalesced and run cap 1 otherwise.
 func drainBurstOnce(b *testing.B, coalesced bool) time.Duration {
 	opts := Options{Nodes: 4, Seed: 1, ChunkSize: 4 << 20,
 		BlockSize: 16 << 20, BBServers: 2, BBFlushers: 1,
@@ -157,9 +158,9 @@ func drainBurstOnce(b *testing.B, coalesced bool) time.Duration {
 	return drain
 }
 
-// BenchmarkStageOutDrain reports the simulated drain time of the seed
-// per-block stage-out and the coalescing scheduler side by side, so both
-// the virtual-time win and the simulator's own alloc cost show up in
+// BenchmarkStageOutDrain reports the simulated drain time at run cap 1
+// (one block per Lustre object) and run cap 8 side by side, so both the
+// virtual-time win and the simulator's own alloc cost show up in
 // benchstat diffs.
 func BenchmarkStageOutDrain(b *testing.B) {
 	b.ReportAllocs()

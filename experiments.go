@@ -672,12 +672,12 @@ func tab5(scale Scale) *metrics.Table {
 	return t
 }
 
-// tab6 compares the seed per-block stage-out against the coalescing data
-// plane: same DFSIO write, then a timed full drain to Lustre and a
-// streaming read-back, per burst-buffer scheme, with and without
-// coalescing (FlushBatchBlocks=8, ReadAhead=1). Files span multiple
-// 16 MiB blocks so adjacent-block runs exist to coalesce; the Lustre
-// object count shows the saved per-block metadata round-trips.
+// tab6 compares stage-out at run cap 1 ("per-block") against run cap 8
+// with readahead ("coalesced+ra": FlushBatchBlocks=8, ReadAhead=1): same
+// DFSIO write, then a timed full drain to Lustre and a streaming
+// read-back, per burst-buffer scheme. Files span multiple 16 MiB blocks
+// so adjacent-block runs exist to coalesce; the Lustre object count shows
+// the saved per-block metadata round-trips.
 func tab6(scale Scale) *metrics.Table {
 	sz := sizingFor(scale)
 	total := sz.sortSizes[0]

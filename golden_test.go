@@ -104,10 +104,10 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// coalescedGolden pins the coalescing stage-out pipeline's fingerprint:
-// bb-async with 16 MiB blocks (so each 64 MiB golden file spans 4 blocks),
-// FlushBatchBlocks=8 and one block of readahead. It guards the stage-out
-// data plane the same way seedGoldens guards the seed paths, and was
+// coalescedGolden pins the stage-out data plane's fingerprint at run cap
+// 8: bb-async with 16 MiB blocks (so each 64 MiB golden file spans 4
+// blocks), FlushBatchBlocks=8 and one block of readahead. It guards
+// multi-block runs the same way seedGoldens guards runs of one, and was
 // recorded the same way — regenerate only for an intentional behaviour
 // change.
 var coalescedGolden = goldenRun{writeNS: 124731964, readNS: 31649750, bytes: 536870912,

@@ -206,11 +206,10 @@ type Options struct {
 	// BBReadmitOnRead re-admits Lustre-read blocks into the buffer as
 	// clean cache fills.
 	BBReadmitOnRead bool
-	// BBFlushBatchBlocks enables the coalescing stage-out scheduler when
-	// > 1: dirty blocks are grouped by file and runs of up to this many
-	// adjacent blocks drain to Lustre as one object (one Create + one
-	// metadata round-trip per run), with crash requeues and flush retries
-	// prioritized. Zero or 1 keeps the seed one-object-per-block drain.
+	// BBFlushBatchBlocks caps the stage-out run length: the flush
+	// scheduler drains runs of up to this many adjacent dirty blocks of a
+	// file to Lustre as one object (one Create + one metadata round-trip
+	// per run). Zero or 1 (the default) flushes one block per object.
 	BBFlushBatchBlocks int
 	// BBReadAhead prefetches this many whole blocks ahead of a streaming
 	// reader (source choice + fetch overlap with delivery). Zero disables.

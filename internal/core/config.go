@@ -70,13 +70,11 @@ type Config struct {
 	// buffer as clean cache fills (when the owning server has free space),
 	// so repeated reads of evicted data regain RDMA speed.
 	ReadmitOnRead bool
-	// FlushBatchBlocks, when > 1, enables the coalescing stage-out
-	// scheduler: dirty blocks are grouped by file, runs of adjacent blocks
-	// are flushed as a single Lustre object (one Create + one metadata
-	// round-trip per run instead of per block), and eviction-pressure
-	// promotions jump ahead of background flushes. It caps the number of
-	// blocks per coalesced run. Zero or 1 (the default) keeps the seed
-	// FIFO one-object-per-block behavior byte-identical.
+	// FlushBatchBlocks caps the blocks one Lustre object takes: the flush
+	// scheduler claims runs of up to this many adjacent dirty blocks of a
+	// file and flushes each run as one object (one Create + one metadata
+	// round-trip per run instead of per block). Zero or 1 (the default)
+	// flushes every block to its own object.
 	FlushBatchBlocks int
 	// ReadAhead is the number of whole blocks a reader prefetches ahead of
 	// the one it is streaming, overlapping the next block's source choice
@@ -177,10 +175,6 @@ func (c Config) Validate() error {
 	if d.FlushBatchBlocks < 0 {
 		return fmt.Errorf("core: FlushBatchBlocks cannot be negative, got %d", c.FlushBatchBlocks)
 	}
-	if d.coalescing() && d.Flushers < 1 {
-		return fmt.Errorf("core: FlushBatchBlocks=%d needs at least one flusher, got %d",
-			d.FlushBatchBlocks, d.Flushers)
-	}
 	if d.Flushers < 0 {
 		return fmt.Errorf("core: Flushers cannot be negative, got %d", c.Flushers)
 	}
@@ -193,9 +187,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// coalescing reports whether the stage-out scheduler is enabled.
-func (c Config) coalescing() bool { return c.FlushBatchBlocks > 1 }
 
 // policyName resolves the effective policy registry key.
 func (c Config) policyName() string {

@@ -28,8 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative replicas", Config{BufferReplicas: -1}, "BufferReplicas"},
 		{"negative flushers", Config{Flushers: -1}, "Flushers"},
 		{"negative flush batch", Config{FlushBatchBlocks: -1}, "FlushBatchBlocks"},
-		{"coalescing with no flushers", Config{Flushers: -1, FlushBatchBlocks: 8},
-			"needs at least one flusher"},
 		{"negative readahead", Config{ReadAhead: -1}, "ReadAhead"},
 		{"memory cannot admit a block",
 			Config{ServerMemory: 64 << 20, BlockSize: 128 << 20}, "cannot admit"},

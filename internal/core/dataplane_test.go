@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -15,55 +16,86 @@ func coalescedCfg(policy string, batch int) Config {
 	return cfg
 }
 
-// TestFlushSchedulerRunClaim unit-tests the coalescing scheduler's two
+// TestFlushSchedulerRunClaim unit-tests the flush scheduler's two
 // policies directly: urgent work preempts background work, and a claim
 // extends over the pending run of adjacent same-file blocks, sorted,
-// capped at the batch size.
+// capped at the run cap. The default config (cap 1) claims the same
+// blocks one at a time, urgent first, then in arrival order.
 func TestFlushSchedulerRunClaim(t *testing.T) {
-	rig := newRig(2, coalescedCfg("bb-async", 3))
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		order [][]int // expected claims as indices into the blocks below
+	}{
+		// Oldest background seed is a2; the claim extends backward first,
+		// so the run coalesces to [a0 a1 a2], sorted, capped at 3. The
+		// deleted a4 is never claimed, not even as a3's run extension.
+		{"cap-3", coalescedCfg("bb-async", 3), [][]int{{6}, {1, 3, 0}, {2}, {5}}},
+		{"cap-1", testCfg("bb-async"), [][]int{{6}, {0}, {1}, {2}, {3}, {5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(2, tc.cfg)
+			s := rig.fs.Servers()[0]
+			mk := func(id int64, file string, idx int) *bbBlock {
+				return &bbBlock{id: id, file: file, fileIdx: idx, size: mib,
+					state: stateDirty, srvs: []*BufferServer{s}, localNode: -1}
+			}
+			// Background: five adjacent blocks of /a enqueued out of order,
+			// plus a lone block of /b. Urgent: a block of /c arriving last.
+			blocks := []*bbBlock{mk(2, "/a", 2), mk(0, "/a", 0), mk(3, "/a", 3),
+				mk(1, "/a", 1), mk(4, "/a", 4), mk(5, "/b", 0), mk(6, "/c", 0)}
+			for _, b := range blocks[:6] {
+				s.sched.enqueue(b, false)
+			}
+			s.sched.enqueue(blocks[6], true)
+			if got := s.dirtyBacklog(); got != 7 {
+				t.Fatalf("dirtyBacklog = %d, want 7", got)
+			}
+			blocks[4].deleted = true // invalidated while pending
+			var run []*bbBlock
+			for i, want := range tc.order {
+				run = s.sched.next(run)
+				ok := len(run) == len(want)
+				for j := 0; ok && j < len(want); j++ {
+					ok = run[j] == blocks[want[j]]
+				}
+				if !ok {
+					t.Fatalf("claim %d = %v, want blocks %v", i, runIDs(run), want)
+				}
+			}
+			if run = s.sched.next(run); len(run) != 0 {
+				t.Fatalf("drained scheduler returned %v", runIDs(run))
+			}
+			if got := s.dirtyBacklog(); got != 0 {
+				t.Fatalf("dirtyBacklog after drain = %d, want 0", got)
+			}
+		})
+	}
+}
+
+// TestFlushSchedulerDisplacedSlot deletes a file while its block is
+// pending and rewrites it under the same name: the new block takes the
+// old one's (file, index) slot. The backlog must count it once and drain
+// to zero, or DrainFlushers would wait forever.
+func TestFlushSchedulerDisplacedSlot(t *testing.T) {
+	rig := newRig(2, testCfg("bb-async"))
 	s := rig.fs.Servers()[0]
-	mk := func(file string, idx int) *bbBlock {
-		return &bbBlock{id: int64(idx), file: file, fileIdx: idx, size: mib,
-			state: stateDirty, srvs: []*BufferServer{s}, localNode: -1}
+	old := &bbBlock{id: 1, file: "/f", state: stateDirty, srvs: []*BufferServer{s}, localNode: -1}
+	s.sched.enqueue(old, false)
+	old.deleted = true
+	rewritten := &bbBlock{id: 2, file: "/f", state: stateDirty, srvs: []*BufferServer{s}, localNode: -1}
+	s.sched.enqueue(rewritten, false)
+	if got := s.dirtyBacklog(); got != 1 {
+		t.Fatalf("dirtyBacklog = %d, want 1", got)
 	}
-	// Background: five adjacent blocks of /a enqueued out of order, plus a
-	// lone block of /b. Urgent: a block of /c arriving last.
-	a0, a1, a2, a3, a4 := mk("/a", 0), mk("/a", 1), mk("/a", 2), mk("/a", 3), mk("/a", 4)
-	b0, c0 := mk("/b", 0), mk("/c", 0)
-	for _, b := range []*bbBlock{a2, a0, a3, a1, a4, b0} {
-		s.sched.enqueue(b, false)
+	if run := s.sched.next(nil); len(run) != 1 || run[0] != rewritten {
+		t.Fatalf("claim = %v, want the rewritten block", runIDs(run))
 	}
-	s.sched.enqueue(c0, true)
-	if got := s.sched.pendingCount(); got != 7 {
-		t.Fatalf("pendingCount = %d, want 7", got)
-	}
-	// Urgent /c preempts everything that arrived before it.
-	run := s.sched.next()
-	if len(run) != 1 || run[0] != c0 {
-		t.Fatalf("first claim = %v, want the urgent /c block", runIDs(run))
-	}
-	// Oldest background seed is a2; the claim extends backward first, so
-	// the run coalesces to [a0 a1 a2], sorted, capped at max=3.
-	run = s.sched.next()
-	if len(run) != 3 || run[0] != a0 || run[1] != a1 || run[2] != a2 {
-		t.Fatalf("second claim = %v, want sorted run [a0 a1 a2]", runIDs(run))
-	}
-	// A block invalidated while pending (deleted) must not be claimed, not
-	// even as a run extension of its neighbor a3.
-	a4.deleted = true
-	run = s.sched.next()
-	if len(run) != 1 || run[0] != a3 {
-		t.Fatalf("third claim = %v, want [a3] (deleted a4 not extended)", runIDs(run))
-	}
-	run = s.sched.next()
-	if len(run) != 1 || run[0] != b0 {
-		t.Fatalf("fourth claim = %v, want [b0] (deleted a4 dropped)", runIDs(run))
-	}
-	if run = s.sched.next(); run != nil {
+	if run := s.sched.next(nil); len(run) != 0 {
 		t.Fatalf("drained scheduler returned %v", runIDs(run))
 	}
-	if got := s.sched.pendingCount(); got != 0 {
-		t.Fatalf("pendingCount after drain = %d, want 0", got)
+	if got := s.dirtyBacklog(); got != 0 {
+		t.Fatalf("dirtyBacklog after drain = %d, want 0", got)
 	}
 }
 
@@ -189,17 +221,13 @@ func TestReadAheadWithCoalescedLustre(t *testing.T) {
 }
 
 // TestFlushRetryExhaustionReleasesWriter is the retry-exhaustion contract
-// (both drain paths): a block that burns through maxBlockRetries must be
+// (at run caps 1 and 4): a block that burns through maxBlockRetries must be
 // accounted exactly once per attempt — never double-counted, never marked
 // lost — and a writer stalled on flush progress must not be stranded once
 // space frees up by other means (here: deleting the un-flushable file).
 func TestFlushRetryExhaustionReleasesWriter(t *testing.T) {
 	for _, batch := range []int{0, 4} {
-		name := "seed-path"
-		if batch > 1 {
-			name = "coalesced-path"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(fmt.Sprintf("cap-%d", max(batch, 1)), func(t *testing.T) {
 			cfg := testCfg("bb-async")
 			cfg.Servers = 1
 			cfg.ServerMemory = 64 * mib // budget 57.6 MiB: three 16 MiB blocks fit
@@ -252,6 +280,92 @@ func TestFlushRetryExhaustionReleasesWriter(t *testing.T) {
 				t.Error("second writer never stalled; test lost its backpressure scenario")
 			}
 		})
+	}
+}
+
+// fileBlocks returns the default instance's blocks of path, in file order.
+func fileBlocks(t *testing.T, fs *BurstFS, path string) []*bbBlock {
+	t.Helper()
+	f, err := fs.def.tree.GetFile(path)
+	if err != nil {
+		t.Fatalf("lookup %s: %v", path, err)
+	}
+	return filePayload(f).blocks
+}
+
+// TestFlushRetryTakesFreshObjectName leaves a partial object under a lone
+// block's Lustre name, as a flush that failed mid-write does, before the
+// flushers start. The first attempt collides with it; the retry must take
+// a fresh name and succeed, at run cap 1 and at run cap 4 alike.
+func TestFlushRetryTakesFreshObjectName(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("cap-%d", batch), func(t *testing.T) {
+			cfg := coalescedCfg("bb-async", batch)
+			cfg.Servers = 1
+			c := newRigCluster(2)
+			l := lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2})
+			rig := &testRig{c: c, l: l, fs: New(c, l, cfg)}
+			const size = 16 * mib // one block
+			var b *bbBlock
+			var partial string
+			rig.run(t, func(p *sim.Proc) {
+				writeFile(t, p, rig.fs, 0, "/f", size)
+				b = fileBlocks(t, rig.fs, "/f")[0]
+				partial = rig.fs.blockLustrePath(b)
+				w, err := rig.l.Create(p, 0, partial)
+				if err != nil {
+					t.Fatalf("create partial object: %v", err)
+				}
+				if err := w.Write(p, mib); err != nil {
+					t.Fatalf("write partial object: %v", err)
+				}
+				rig.fs.Start()
+				rig.fs.DrainFlushers(p)
+			})
+			st := rig.fs.Stats()
+			if st.FlushRetries != 1 || st.BytesFlushed != size {
+				t.Errorf("retries=%d flushed=%d; want one retry, then the whole block flushed",
+					st.FlushRetries, st.BytesFlushed)
+			}
+			if b.state != stateClean || b.lustrePath == partial || b.lustreOff != 0 {
+				t.Errorf("block state=%v path=%q off=%d; want clean in its own fresh object (not %q)",
+					b.state, b.lustrePath, b.lustreOff, partial)
+			}
+		})
+	}
+}
+
+// TestLocalityRecoveryAfterMidRunCrash crashes the only buffer server
+// while it writes the second block of an eight-block run. Every block of
+// the run is recovered from its node-local replica into an object of its
+// own, so each must read back from offset 0 of that object, not from the
+// run offset the failed attempt recorded.
+func TestLocalityRecoveryAfterMidRunCrash(t *testing.T) {
+	cfg := coalescedCfg("bb-locality", 8)
+	cfg.Servers = 1
+	cfg.Flushers = 1
+	c := newRigCluster(4)
+	l := lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2})
+	rig := &testRig{c: c, l: l, fs: New(c, l, cfg)}
+	const size = 128 * mib // 8 blocks of 16 MiB
+	rig.run(t, func(p *sim.Proc) {
+		writeFile(t, p, rig.fs, 0, "/f", size)
+		second := fileBlocks(t, rig.fs, "/f")[1]
+		rig.fs.Start()
+		for second.lustreOff == 0 { // set as the run's second block starts out
+			p.Sleep(time.Millisecond)
+		}
+		rig.fs.FailServer(0)
+		p.Sleep(5 * time.Second)    // allow local->Lustre recovery to finish
+		rig.fs.net.SetDown(0, true) // the local replicas go too: Lustre only
+		if got := readFile(t, p, rig.fs, 3, "/f"); got != size {
+			t.Fatalf("read %d after the crash, want %d", got, size)
+		}
+	})
+	st := rig.fs.Stats()
+	if st.BlocksRecovered != 8 || st.BlocksLost != 0 || st.ReadsLustre == 0 {
+		t.Errorf("recovered=%d lost=%d lustre-reads=%d; want all 8 recovered and read from Lustre",
+			st.BlocksRecovered, st.BlocksLost, st.ReadsLustre)
 	}
 }
 

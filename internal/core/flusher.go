@@ -6,38 +6,21 @@ import (
 	"hbb/internal/sim"
 )
 
-// flusherLoop is one background flusher of a buffer server: it drains the
-// dirty queue, copying blocks from the KV buffer to Lustre. Reading the
-// block out of server memory is effectively free next to the Lustre write,
-// which dominates. The loop ends when the queue is closed (Shutdown) or
-// the server fails. With the coalescing scheduler enabled the popped queue
-// entry is only a wake-up token: the scheduler decides which run of blocks
-// this flusher copies.
+// flusherLoop is one background flusher of a buffer server. Each wake-up
+// token it pops triggers one scheduler claim, and the claimed run of
+// blocks is copied from the KV buffer to Lustre. Reading the blocks out
+// of server memory is effectively free next to the Lustre write, which
+// dominates. The loop owns its run buffer across claims. It ends when the
+// wake-ups are closed (Shutdown) or the server fails.
 func (s *BufferServer) flusherLoop(p *sim.Proc) {
+	var run []*bbBlock
 	for {
-		b, ok := s.dirtyQueue.Get(p)
-		if !ok {
+		if _, ok := s.wakeups.Get(p); !ok || s.phys.failed {
 			return
 		}
-		if s.phys.failed {
-			return
+		if run = s.sched.next(run); len(run) > 0 {
+			s.flushRun(p, run)
 		}
-		if s.sched != nil {
-			if run := s.sched.next(); len(run) > 0 {
-				s.flushRun(p, run)
-			}
-			continue
-		}
-		if b.deleted || b.state != stateDirty || b.primary() != s {
-			continue // deleted, reassigned, or already handled
-		}
-		s.flushing++
-		b.state = stateFlushing
-		start := p.Now()
-		s.flushBlock(p, b)
-		s.flushing--
-		s.settleFlushed(p, b, start)
-		s.signalHolders(b)
 	}
 }
 
@@ -53,13 +36,16 @@ func (s *BufferServer) settleFlushed(p *sim.Proc, b *bbBlock, start time.Duratio
 		// loss is accounted exactly once there, and a recovery spawned by
 		// it may still be in flight holding the block in stateFlushing.
 		// Otherwise the failure was transient (e.g. a backing-store
-		// error): put the block back in the dirty queue so its bytes are
-		// not stranded un-flushable. The requeue tolerates a queue closed
-		// by a concurrent Shutdown.
+		// error): hand the block back to the scheduler as urgent work so
+		// its bytes are not stranded un-flushable. The failed attempt may
+		// have left a partial object under the block's name, so the retry
+		// takes a fresh one. The requeue tolerates wake-ups closed by a
+		// concurrent Shutdown.
 		if !s.phys.failed && b.primary() == s && !b.deleted {
 			b.state = stateDirty
 			if b.flushRetries < maxBlockRetries {
 				b.flushRetries++
+				b.attempt++
 				s.fs.stats.FlushRetries++
 				s.requeueDirty(p, b)
 			}
@@ -67,21 +53,11 @@ func (s *BufferServer) settleFlushed(p *sim.Proc, b *bbBlock, start time.Duratio
 	}
 }
 
-// signalHolders wakes writers stalled on any server holding a replica of
-// the block: the flush attempt made progress (or freed retry bookkeeping)
-// on every one of them, not just the flushing primary.
-func (s *BufferServer) signalHolders(b *bbBlock) {
-	s.signalFlushProgress()
-	for _, holder := range b.srvs {
-		if holder != s {
-			holder.signalFlushProgress()
-		}
-	}
-}
-
-// flushRun copies one coalesced run of blocks (same file, adjacent
-// indices, sorted) to a single Lustre object, then settles each block
-// exactly as the per-block path would.
+// flushRun copies one run of blocks (same file, adjacent indices, sorted)
+// to a single Lustre object, settles each block, then wakes writers
+// stalled on any server holding a replica of the run: the flush made
+// progress (or freed retry bookkeeping) on every one of them, not just
+// the flushing primary.
 func (s *BufferServer) flushRun(p *sim.Proc, run []*bbBlock) {
 	var total int64
 	for _, b := range run {
@@ -100,70 +76,69 @@ func (s *BufferServer) flushRun(p *sim.Proc, run []*bbBlock) {
 		s.settleFlushed(p, b, start)
 	}
 	// Wake each distinct holder once for the whole run.
-	signalled := map[*BufferServer]bool{s: true}
 	s.signalFlushProgress()
-	for _, b := range run {
+	for i, b := range run {
 		for _, holder := range b.srvs {
-			if !signalled[holder] {
-				signalled[holder] = true
+			if holder != s && !heldBy(run[:i], holder) {
 				holder.signalFlushProgress()
 			}
 		}
 	}
 }
 
-// flushRunObject writes a coalesced run as one Lustre object: one Create,
-// the blocks' chunks appended back to back, one Close (a single metadata
-// completion round-trip for the run). Blocks deleted before their bytes
-// went out are skipped. On success every surviving block records its
-// offset in the shared object and turns clean.
-func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
-	live := run[:0:0]
-	for _, b := range run {
-		if !b.deleted {
-			live = append(live, b)
+// heldBy reports whether any of the blocks has a replica on s.
+func heldBy(blocks []*bbBlock, s *BufferServer) bool {
+	for _, b := range blocks {
+		if b.onServer(s) {
+			return true
 		}
 	}
-	if len(live) == 0 {
-		return
+	return false
+}
+
+// flushRunObject writes a run as one Lustre object: one Create, the
+// blocks' chunks appended back to back, one Close (a single metadata
+// completion round-trip for the run). A run of one block keeps the
+// block's own object name. Blocks deleted before their bytes went out are
+// skipped, and a deletion landing mid-block aborts that block's remaining
+// chunk writes. On success every surviving block records its offset in
+// the object and turns clean.
+func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
+	if !anyLive(run) {
+		return // deleted while queued: skip the Lustre write entirely
 	}
-	path := s.fs.runLustrePath()
+	path := s.fs.blockLustrePath(run[0])
+	if len(run) > 1 {
+		path = s.fs.runLustrePath()
+	}
 	w, err := s.fs.backing.Create(p, s.phys.node, path)
 	if err != nil {
 		return // transient or crash; settleFlushed decides per block
 	}
-	offsets := make([]int64, len(live))
 	var off int64
-	for i, b := range live {
-		if b.deleted {
-			offsets[i] = -1
-			continue // deleted mid-run: skip its bytes entirely
-		}
-		offsets[i] = off
-		remaining := b.size
-		for remaining > 0 && !b.deleted {
+	for _, b := range run {
+		// A deleted block's lustreOff is never read. A failed attempt's
+		// is overwritten by whatever later sets lustrePath: a retried
+		// flush, or local recovery, which resets it to 0.
+		b.lustreOff = off
+		for remaining := b.size; remaining > 0 && !b.deleted; {
 			n := min64(remaining, s.fs.cfg.ItemChunk)
 			if err := w.Write(p, n); err != nil {
 				return
 			}
 			remaining -= n
-			off += n
-		}
-		if b.deleted {
-			offsets[i] = -1 // deleted mid-write: orphan bytes stay in the run
+			off += n // bytes of a block deleted mid-write stay in the object
 		}
 	}
 	if err := w.Close(p); err != nil {
 		return
 	}
 	flushed := false
-	for i, b := range live {
-		if offsets[i] < 0 || b.deleted || b.state != stateFlushing || s.phys.failed {
+	for _, b := range run {
+		if b.deleted || b.state != stateFlushing || s.phys.failed {
 			continue
 		}
 		b.lustrePath = path
-		b.lustreOff = offsets[i]
-		b.lustreRunLen = off
 		b.state = stateClean
 		for _, holder := range b.srvs {
 			holder.cleanLRU = append(holder.cleanLRU, b)
@@ -178,43 +153,12 @@ func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
 	}
 }
 
-// flushBlock copies one block to Lustre and marks it clean (evictable).
-// A block deleted while queued is skipped outright, and a deletion landing
-// mid-copy aborts the remaining chunk writes — no point staging bytes that
-// are already gone.
-func (s *BufferServer) flushBlock(p *sim.Proc, b *bbBlock) {
-	if b.deleted {
-		return // deleted while queued: skip the Lustre write entirely
-	}
-	path := s.fs.blockLustrePath(b)
-	w, err := s.fs.backing.Create(p, s.phys.node, path)
-	if err != nil {
-		// The server (or its link) failed mid-flush; FailServer's resident
-		// scan decides the block's fate.
-		return
-	}
-	remaining := b.size
-	for remaining > 0 && !b.deleted {
-		n := min64(remaining, s.fs.cfg.ItemChunk)
-		if err := w.Write(p, n); err != nil {
-			return
+// anyLive reports whether any block of the run is not deleted.
+func anyLive(run []*bbBlock) bool {
+	for _, b := range run {
+		if !b.deleted {
+			return true
 		}
-		remaining -= n
 	}
-	if err := w.Close(p); err != nil {
-		return
-	}
-	if b.deleted {
-		_ = s.fs.backing.Delete(p, s.phys.node, path)
-		return
-	}
-	if b.state != stateFlushing || s.phys.failed {
-		return
-	}
-	b.lustrePath = path
-	b.state = stateClean
-	for _, holder := range b.srvs {
-		holder.cleanLRU = append(holder.cleanLRU, b)
-	}
-	s.fs.stats.BytesFlushed += b.size
+	return false
 }

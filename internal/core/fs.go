@@ -44,9 +44,9 @@ type bbBlock struct {
 	// inst is the buffer instance the block belongs to: its namespace tree
 	// holds the file, its shares hold the payload, its stats count it.
 	inst *Instance
-	// file/fileIdx locate the block in its file — the coalescing flush
-	// scheduler groups dirty blocks by file and batches runs of adjacent
-	// fileIdx values into one Lustre object.
+	// file/fileIdx locate the block in its file — the flush scheduler
+	// groups dirty blocks by file and claims runs of adjacent fileIdx
+	// values into one Lustre object.
 	file    string
 	fileIdx int
 	// state tracks durability; srvs lists the buffer servers holding the
@@ -58,15 +58,12 @@ type bbBlock struct {
 	localNode netsim.NodeID
 	localDev  *storage.Device
 	// lustrePath is the backing object, set once a flush or sync write
-	// completed. When the block was flushed as part of a coalesced run,
-	// the object is shared with its neighbors: lustreOff is the block's
-	// byte offset inside it and lustreRunLen the object's total length
-	// (0 for a per-block object).
-	lustrePath   string
-	lustreOff    int64
-	lustreRunLen int64
-	// attempt counts server reassignments, keeping Lustre object names
-	// unique across retries.
+	// completed; lustreOff is the block's byte offset inside it (non-zero
+	// when a multi-block run or a stage-in source shares the object).
+	lustrePath string
+	lustreOff  int64
+	// attempt counts server reassignments and flush retries, keeping
+	// Lustre object names unique across retries.
 	attempt int
 	// flushRetries counts transient flush failures; bounded by
 	// maxBlockRetries so a persistently failing backing store cannot spin
@@ -130,7 +127,7 @@ type BurstFS struct {
 	instances []*Instance
 	def       *Instance
 	nextBlock int64
-	// nextRun numbers coalesced-run Lustre objects (unique across retries).
+	// nextRun numbers multi-block run Lustre objects (unique across retries).
 	nextRun int64
 	metrics *metrics.Registry
 	running bool
@@ -224,8 +221,8 @@ func (fs *BurstFS) Stats() Stats { return fs.def.stats }
 // Metrics returns the pool-wide metrics registry: flush-latency and
 // writer-stall histograms, read-source hit counters, and any counters the
 // active policies maintain. The default instance's metrics appear under
-// their classic bare names; other instances are namespaced
-// "bb.<instance>.".
+// their bare names only (its view has the empty prefix); every other
+// instance's are namespaced "bb.<instance>.".
 func (fs *BurstFS) Metrics() *metrics.Registry { return fs.metrics }
 
 // Config returns the effective configuration.
@@ -280,7 +277,7 @@ func (fs *BurstFS) blockLustrePath(b *bbBlock) string {
 	return fmt.Sprintf("%s/blk-%d.%d", lustreDir, b.id, b.attempt)
 }
 
-// runLustrePath names the next coalesced-run object. The counter makes
+// runLustrePath names the next multi-block run object. The counter makes
 // every run object unique, so a retried run never collides with the
 // half-written object of its failed attempt.
 func (fs *BurstFS) runLustrePath() string {
@@ -418,18 +415,17 @@ func (fs *BurstFS) handleMgr(p *sim.Proc, m *netsim.Msg) netsim.Reply {
 		for off := int64(0); off < req.size; off += inst.cfg.BlockSize {
 			fs.nextBlock++
 			b := &bbBlock{
-				id:           fs.nextBlock,
-				key:          fmt.Sprintf("blk-%d", fs.nextBlock),
-				inst:         inst,
-				file:         req.dst,
-				fileIdx:      len(filePayload(f).blocks),
-				size:         min64(inst.cfg.BlockSize, req.size-off),
-				state:        stateEvicted,
-				localNode:    -1,
-				lustrePath:   req.src,
-				lustreOff:    off,
-				lustreRunLen: req.size,
-				imported:     true,
+				id:         fs.nextBlock,
+				key:        fmt.Sprintf("blk-%d", fs.nextBlock),
+				inst:       inst,
+				file:       req.dst,
+				fileIdx:    len(filePayload(f).blocks),
+				size:       min64(inst.cfg.BlockSize, req.size-off),
+				state:      stateEvicted,
+				localNode:  -1,
+				lustrePath: req.src,
+				lustreOff:  off,
+				imported:   true,
 			}
 			filePayload(f).blocks = append(filePayload(f).blocks, b)
 			f.Size += b.size

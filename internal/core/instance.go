@@ -150,8 +150,11 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 		srvByName: make(map[string]*BufferServer),
 		bricks:    bricks,
 	}
-	alias := spec.Name == DefaultInstanceName
-	inst.metrics = fs.metrics.View(fmt.Sprintf("bb.%s.", spec.Name), alias)
+	prefix := ""
+	if spec.Name != DefaultInstanceName {
+		prefix = fmt.Sprintf("bb.%s.", spec.Name)
+	}
+	inst.metrics = fs.metrics.View(prefix)
 	for i, ph := range fs.phys {
 		if limits[i] <= 0 {
 			continue
@@ -195,7 +198,7 @@ func (inst *Instance) start() {
 // shutdown stops the instance's flusher pools once their queues drain.
 func (inst *Instance) shutdown() {
 	for _, s := range inst.servers {
-		s.dirtyQueue.Close()
+		s.wakeups.Close()
 	}
 }
 
@@ -316,16 +319,6 @@ func (inst *Instance) itemKeys(b *bbBlock) []string {
 
 func (inst *Instance) blockLustrePath(b *bbBlock) string { return inst.pool.blockLustrePath(b) }
 func (inst *Instance) runLustrePath() string             { return inst.pool.runLustrePath() }
-
-// openBlockObject opens a block's backing Lustre bytes for streaming:
-// a ranged reader inside the shared run object when the block was flushed
-// coalesced, the whole per-block object otherwise.
-func (inst *Instance) openBlockObject(p *sim.Proc, client netsim.NodeID, b *bbBlock) (dfs.Reader, error) {
-	if b.lustreRunLen > 0 {
-		return inst.backing.OpenRange(p, client, b.lustrePath, b.lustreOff, b.size)
-	}
-	return inst.backing.Open(p, client, b.lustrePath)
-}
 
 // Mkdir implements dfs.FileSystem.
 func (inst *Instance) Mkdir(p *sim.Proc, client netsim.NodeID, path string) error {
@@ -487,7 +480,9 @@ func (inst *Instance) recoverFromLocal(b *bbBlock) {
 			inst.stats.BlocksLost++
 			return
 		}
-		b.lustrePath = path
+		// The recovered object holds this block alone: a failed run
+		// attempt may have left a stale run offset behind.
+		b.lustrePath, b.lustreOff = path, 0
 		b.state = stateEvicted
 		inst.stats.BlocksRecovered++
 	})

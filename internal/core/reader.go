@@ -239,7 +239,7 @@ func (r *bbReader) produceLustre(b *bbBlock, out *sim.Store[packet]) {
 	fs := r.fs
 	client := r.client
 	fs.cl.Env.Spawn(fmt.Sprintf("bb.readlustre.b%d", b.id), func(q *sim.Proc) {
-		lr, err := fs.openBlockObject(q, client, b)
+		lr, err := fs.backing.OpenRange(q, client, b.lustrePath, b.lustreOff, b.size)
 		if err != nil {
 			out.PutWait(q, packet{err: true})
 			return
@@ -458,7 +458,7 @@ func (fs *Instance) Prestage(p *sim.Proc, client netsim.NodeID, path string) (in
 // stageInBlock copies one block Lustre -> buffer server, charging the
 // server-side Lustre read and the ingest pipe.
 func (fs *Instance) stageInBlock(p *sim.Proc, s *BufferServer, b *bbBlock) bool {
-	lr, err := fs.openBlockObject(p, s.phys.node, b)
+	lr, err := fs.backing.OpenRange(p, s.phys.node, b.lustrePath, b.lustreOff, b.size)
 	if err != nil {
 		return false
 	}

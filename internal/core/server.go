@@ -95,14 +95,11 @@ type BufferServer struct {
 
 	// bytes is the payload currently resident (dirty+flushing+clean).
 	bytes int64
-	// dirtyQueue feeds the server's flusher pool. With the coalescing
-	// scheduler enabled it degrades to a wake-up token channel: the real
-	// flush order lives in sched, and each popped token triggers one
-	// sched.next() batch claim.
-	dirtyQueue *sim.Store[*bbBlock]
-	// sched is the coalescing stage-out scheduler (nil unless
-	// Config.FlushBatchBlocks > 1; see scheduler.go).
-	sched *flushScheduler
+	// wakeups carries one token per enqueued dirty block to the flusher
+	// pool; each popped token triggers one sched.next() run claim.
+	wakeups *sim.Store[struct{}]
+	// sched orders the dirty blocks awaiting flush (see scheduler.go).
+	sched flushScheduler
 	// flushInflight is the payload currently being copied to Lustre by the
 	// flusher pool, bounded by Flushers × FlushBatchBlocks × BlockSize.
 	flushInflight int64
@@ -124,13 +121,11 @@ func newBufferServer(inst *Instance, ph *serverNode, limit int64) *BufferServer 
 		index:         ph.index,
 		name:          ph.name,
 		limit:         limit,
-		dirtyQueue:    sim.NewStore[*bbBlock](),
+		wakeups:       sim.NewStore[struct{}](),
 		resident:      make(map[*bbBlock]struct{}),
 		flushProgress: &sim.Event{},
 	}
-	if inst.cfg.coalescing() {
-		s.sched = newFlushScheduler(s, inst.cfg.FlushBatchBlocks)
-	}
+	s.sched = newFlushScheduler(s, inst.cfg.FlushBatchBlocks)
 	return s
 }
 
@@ -149,35 +144,24 @@ func (s *BufferServer) residentByID() []*bbBlock {
 }
 
 // enqueueDirty hands a dirty block to the flusher pool. urgent marks
-// pressure work (crash requeues) that the
-// coalescing scheduler flushes ahead of background stage-out; without the
-// scheduler every block is FIFO exactly as in the seed. Callback-safe:
-// nothing here yields.
+// pressure work (crash requeues) that the scheduler flushes ahead of
+// background stage-out. Callback-safe: nothing here yields.
 func (s *BufferServer) enqueueDirty(b *bbBlock, urgent bool) {
-	if s.sched != nil {
-		s.sched.enqueue(b, urgent)
-	}
-	s.dirtyQueue.Put(b)
+	s.sched.enqueue(b, urgent)
+	s.wakeups.Put(struct{}{})
 }
 
-// requeueDirty re-enqueues a block after a transient flush failure,
-// tolerating a queue closed by a concurrent Shutdown.
+// requeueDirty re-enqueues a block after a transient flush failure as
+// urgent work, tolerating wake-ups closed by a concurrent Shutdown.
 func (s *BufferServer) requeueDirty(p *sim.Proc, b *bbBlock) {
-	if s.sched != nil {
-		s.sched.enqueue(b, true)
-	}
-	s.dirtyQueue.PutWait(p, b)
+	s.sched.enqueue(b, true)
+	s.wakeups.PutWait(p, struct{}{})
 }
 
-// dirtyBacklog counts blocks awaiting flush. With the scheduler the queue
-// holds wake-up tokens (possibly more than real work after batch claims),
-// so the scheduler's pending index is authoritative.
-func (s *BufferServer) dirtyBacklog() int {
-	if s.sched != nil {
-		return s.sched.pendingCount()
-	}
-	return s.dirtyQueue.Len()
-}
+// dirtyBacklog counts blocks awaiting flush. The wake-up tokens may
+// outnumber them after multi-block claims, so the scheduler's pending
+// index is authoritative.
+func (s *BufferServer) dirtyBacklog() int { return len(s.sched.pending) }
 
 type bbSetReq struct {
 	key  string

@@ -371,29 +371,21 @@ func (w *lustreWriter) Close(p *sim.Proc) error {
 	return w.fs.callMDS(p, w.client, "complete", &mdsCompleteReq{path: w.file.Path, size: w.offset}).Err
 }
 
-// Open implements dfs.FileSystem.
+// Open implements dfs.FileSystem: a stream over the whole file.
 func (l *Lustre) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Reader, error) {
 	rep := l.callMDS(p, client, "open", path)
 	if rep.Err != nil {
 		return nil, rep.Err
 	}
 	f := rep.Payload.(*dfs.TreeFile)
-	return &lustreReader{
-		fs: l, client: client, file: f,
-		remainingIssue: f.Size,
-		remainingRead:  f.Size,
-		limit:          f.Size,
-		in:             sim.NewStore[stripeFetch](),
-		window:         sim.NewSemaphore(rpcsInFlight),
-	}, nil
+	return l.newReader(client, f, 0, f.Size), nil
 }
 
 // OpenRange returns a streaming reader over [offset, offset+length) of a
-// file — the coalesced stage-out path stores many blocks in one object, so
-// readers need windowed streaming from an interior offset. The reader
-// charges exactly the stripes overlapping the range, starting mid-stripe
-// when the offset is unaligned, with the same bounded prefetch window as
-// Open.
+// file — the stage-out path stores many blocks in one object, so readers
+// need windowed streaming from an interior offset. The reader charges
+// exactly the stripes overlapping the range, starting mid-stripe when the
+// offset is unaligned, with the same bounded prefetch window as Open.
 func (l *Lustre) OpenRange(p *sim.Proc, client netsim.NodeID, path string, offset, length int64) (dfs.Reader, error) {
 	rep := l.callMDS(p, client, "open", path)
 	if rep.Err != nil {
@@ -403,6 +395,12 @@ func (l *Lustre) OpenRange(p *sim.Proc, client netsim.NodeID, path string, offse
 	if offset < 0 || length < 0 || offset+length > f.Size {
 		return nil, fmt.Errorf("%w: range [%d,%d) of %d-byte file", dfs.ErrShortRead, offset, offset+length, f.Size)
 	}
+	return l.newReader(client, f, offset, length), nil
+}
+
+// newReader builds the streaming reader over [offset, offset+length) of
+// an opened file.
+func (l *Lustre) newReader(client netsim.NodeID, f *dfs.TreeFile, offset, length int64) *lustreReader {
 	return &lustreReader{
 		fs: l, client: client, file: f,
 		remainingIssue: length,
@@ -412,7 +410,7 @@ func (l *Lustre) OpenRange(p *sim.Proc, client netsim.NodeID, path string, offse
 		stripeSkip:     offset % l.cfg.StripeSize,
 		in:             sim.NewStore[stripeFetch](),
 		window:         sim.NewSemaphore(rpcsInFlight),
-	}, nil
+	}
 }
 
 // ReadRange implements dfs.RangeReader: it charges exactly the stripes

@@ -71,58 +71,21 @@ func (r *Registry) String() string {
 // View is a name-prefixed window onto a Registry: every metric created
 // through it lives in the underlying registry under prefix+name. Buffer
 // instances use views to namespace their metrics (`bb.<instance>.flush.*`)
-// inside one shared pool registry. A view created with alias=true — the
-// default instance's compatibility mode — registers each metric under BOTH
-// the bare name and the prefixed name (same Counter/Histogram object), so
-// report lines that predate instance namespacing keep resolving unchanged.
+// inside one shared pool registry; the default instance's view has the
+// empty prefix.
 type View struct {
 	r      *Registry
 	prefix string
-	alias  bool
 }
 
-// View returns a prefixed window onto the registry. alias additionally
-// publishes every metric under its bare name (compatibility for the
-// default namespace).
-func (r *Registry) View(prefix string, alias bool) *View {
-	return &View{r: r, prefix: prefix, alias: alias}
-}
+// View returns a prefixed window onto the registry.
+func (r *Registry) View(prefix string) *View { return &View{r: r, prefix: prefix} }
 
-// Prefix returns the view's name prefix.
-func (v *View) Prefix() string { return v.prefix }
+// Counter returns (creating if needed) the counter prefix+name.
+func (v *View) Counter(name string) *Counter { return v.r.Counter(v.prefix + name) }
 
-// Registry returns the backing registry.
-func (v *View) Registry() *Registry { return v.r }
-
-// Counter returns (creating if needed) the counter prefix+name; with alias
-// the bare name is authoritative and prefix+name is a second key for the
-// same counter.
-func (v *View) Counter(name string) *Counter {
-	if !v.alias {
-		return v.r.Counter(v.prefix + name)
-	}
-	c := v.r.Counter(name)
-	full := v.prefix + name
-	if _, ok := v.r.counters[full]; !ok {
-		v.r.counters[full] = c
-		v.r.order = append(v.r.order, full)
-	}
-	return c
-}
-
-// Histogram is Counter's histogram counterpart.
-func (v *View) Histogram(name string) *Histogram {
-	if !v.alias {
-		return v.r.Histogram(v.prefix + name)
-	}
-	h := v.r.Histogram(name)
-	full := v.prefix + name
-	if _, ok := v.r.hists[full]; !ok {
-		v.r.hists[full] = h
-		v.r.order = append(v.r.order, full)
-	}
-	return h
-}
+// Histogram returns (creating if needed) the histogram prefix+name.
+func (v *View) Histogram(name string) *Histogram { return v.r.Histogram(v.prefix + name) }
 
 // Counter is a monotonically adjustable integer.
 type Counter struct{ v int64 }

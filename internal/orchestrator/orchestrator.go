@@ -181,7 +181,7 @@ func New(cl *cluster.Cluster, pool *core.BurstFS, policy SchedPolicy) *Scheduler
 		cl:     cl,
 		pool:   pool,
 		policy: policy,
-		m:      pool.Metrics().View("orch.", false),
+		m:      pool.Metrics().View("orch."),
 	}
 }
 
