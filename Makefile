@@ -15,14 +15,16 @@ vet:
 race:
 	go test -race ./...
 
-# Fuzz each socket-facing parser for FUZZTIME: the one frame decoder
-# (binproto.ReadHead) and the client's reply reader against arbitrary server
-# bytes. `go test` takes one -fuzz target per run; plain `go test ./...`
-# runs their seed corpora.
+# Fuzz for FUZZTIME each: the one frame decoder (binproto.ReadHead), the
+# client's reply reader against arbitrary server bytes, and the engine
+# against its plain-map model over arbitrary operation programs. `go test`
+# takes one -fuzz target per run; plain `go test ./...` runs their seed
+# corpora.
 FUZZTIME ?= 30s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadHead$$' -fuzztime $(FUZZTIME) ./internal/memcached/binproto/
 	go test -run '^$$' -fuzz '^FuzzClientReplies$$' -fuzztime $(FUZZTIME) ./internal/memcached/mcclient/
+	go test -run '^$$' -fuzz '^FuzzEngineModel$$' -fuzztime $(FUZZTIME) ./internal/memcached/
 
 # Full micro-benchmark suite with allocation stats, summarized to
 # BENCH_10.json (serving-cluster PR: ClusterZipf is the headline — a
@@ -145,7 +147,8 @@ determinism:
 # readers against concurrent writers, TCP server (GET replies sent from
 # pinned chunks while writers overwrite them), pipelined client and its
 # group commit (shared writes, queued followers, failed flush, value
-# ownership), the cluster's replica fan-out, concurrent shard windows
+# ownership), the cluster's replica fan-out and GetMulti's overlapped
+# per-server bursts, concurrent shard windows
 # (adaptive against the fixed-horizon oracle), the cross-shard swarm
 # fingerprint, the swarm's tick calendar against its time-ordered heap
 # oracle (also over a 4-slot wheel), Env.Reschedule against Cancel + At,

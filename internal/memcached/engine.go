@@ -8,15 +8,18 @@
 // simulated datasets use real allocator/LRU/statistics code paths without
 // real memory.
 //
-// The engine owns the memory of its large values. A slab class whose chunks
-// exceed InlineValue cuts them from a region the engine maps outside the
-// collected heap, and a value stored there is copied in once and never
-// moves: Set copies the caller's slice, Reserve hands out the chunk itself
-// to be filled in place and committed, Acquire pins an item so that its
-// bytes can be sent from the chunk, and Get returns a copy. No slice into
-// the region is reachable without a Reservation or a Pin. Values of the
-// smaller classes are exact-size heap slices: the engine keeps the slice
-// Set was given and Get returns it, as before.
+// Items live outside the collected heap, laid out as memcached lays them
+// out: a header of plain integers (CAS, expiry, flags, sizes, LRU and
+// hash-chain links, class, pins), then the key, then the value. A real
+// item of any size is one chunk of its slab class, cut from a region the
+// engine maps itself; a virtual item is a header and a key in an arena of
+// bytes. The index maps a key's hash to the first item of that hash's
+// chain, so neither it nor the items hold a pointer for the collector to
+// trace. A value is copied in once and never moves: Set copies the
+// caller's slice, Reserve hands out the chunk itself to be filled in place
+// and committed, Acquire pins an item so that its bytes can be sent from
+// the chunk, and Get returns a copy. No slice into the region is reachable
+// without a Reservation or a Pin.
 //
 // The engine is safe for concurrent use: every exported method but Config
 // takes its one mutex. The two-phase calls are what let a value be moved with no lock
@@ -25,8 +28,11 @@
 package memcached
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"strconv"
 	"sync"
 )
@@ -63,7 +69,8 @@ type Config struct {
 	// -m). Zero defaults to 64 MiB.
 	MemLimit int64
 	// MaxItemSize bounds a single item (key+value+overhead). Zero defaults
-	// to 1 MiB (memcached's classic -I default).
+	// to 1 MiB (memcached's classic -I default); it is rounded down to a
+	// multiple of 8, so that every chunk starts 8-aligned.
 	MaxItemSize int
 	// Clock returns the current time in nanoseconds; expiry is evaluated
 	// against it. Nil defaults to a clock frozen at 1 (items never expire
@@ -90,6 +97,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxItemSize == 0 {
 		c.MaxItemSize = 1 << 20
 	}
+	c.MaxItemSize = max(c.MaxItemSize&^7, 8)
 	if c.growthFactor == 0 {
 		c.growthFactor = growthFactor
 	}
@@ -102,7 +110,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// itemOverhead approximates memcached's per-item metadata cost.
+// itemOverhead is memcached's per-item metadata cost, and the room in front
+// of every item's key that its header takes.
 const itemOverhead = 48
 
 // Stats is the engine's counter set (names follow memcached's `stats`).
@@ -124,31 +133,14 @@ type Stats struct {
 	LimitMaxMB   int64
 }
 
-// entry is 96 bytes, and a cache of small values is mostly entries: class,
-// dead and pins share the word class had to itself.
-type entry struct {
-	it    Item
-	class uint16
-	// dead marks an item removed from the table while pinned: the last
-	// Release gives its chunk back.
-	dead bool
-	// pins counts the readers holding the value in place, or is reserved
-	// while the entry is a Reservation being filled.
-	pins int32
-	// intrusive per-class LRU list
-	prev, next *entry
-}
-
-// reserved is entry.pins of a Reservation not yet committed or aborted.
-const reserved = -1
-
 // Engine is the key-value store. Exported methods lock mu; the unexported
 // helpers they call assume it is held and call no exported method.
 type Engine struct {
 	mu      sync.Mutex
 	cfg     Config
-	table   map[string]*entry
-	slabs   *slabArena
+	seed    maphash.Seed
+	table   map[uint64]ref // key hash -> the first item of its chain
+	slabs   slabArena
 	casSeq  uint64
 	stats   Stats
 	flushAt int64 // items stored before this instant are invalid
@@ -159,7 +151,8 @@ func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:   cfg,
-		table: make(map[string]*entry),
+		seed:  maphash.MakeSeed(),
+		table: make(map[uint64]ref),
 		slabs: newSlabArena(cfg),
 	}
 	e.stats.LimitMaxMB = cfg.MemLimit >> 20
@@ -185,86 +178,126 @@ func itemFootprint(key string, size int) int {
 	return len(key) + size + itemOverhead
 }
 
-func (e *Engine) expired(en *entry) bool {
-	if en.it.CAS < e.flushCAS() {
+// footprintOf is the slab footprint of a stored item.
+func footprintOf(h *header) int64 {
+	return int64(h.keyLen) + int64(h.size) + itemOverhead
+}
+
+func (e *Engine) expired(h *header) bool {
+	if h.cas < e.flushCAS() {
 		return true
 	}
-	return en.it.ExpireAt != 0 && en.it.ExpireAt <= e.cfg.Clock()
+	return h.expireAt != 0 && h.expireAt <= e.cfg.Clock()
 }
 
 // flushCAS returns the CAS floor set by the last Flush.
 func (e *Engine) flushCAS() uint64 { return uint64(e.flushAt) }
 
-// lookup finds a live entry, lazily reaping it if expired.
-func (e *Engine) lookup(key string) *entry {
-	en, ok := e.table[key]
-	if !ok {
-		return nil
+func (e *Engine) hash(key string) uint64 { return maphash.String(e.seed, key) }
+
+// lookup finds the live item under key, whose hash is hv, lazily reaping it
+// if expired.
+func (e *Engine) lookup(key string, hv uint64) ref {
+	for r := e.table[hv]; r != 0; {
+		m := e.slabs.mem(r)
+		h := hdrOf(m)
+		if string(m[hdrSize:hdrSize+int(h.keyLen)]) != key {
+			r = h.hnext
+			continue
+		}
+		if e.expired(h) {
+			e.stats.Expired++
+			e.remove(r)
+			return 0
+		}
+		return r
 	}
-	if e.expired(en) {
-		e.stats.Expired++
-		e.remove(en)
-		return nil
-	}
-	return en
+	return 0
 }
 
-// remove takes en out of the table and off its LRU list. Its chunk returns
-// to the class at once, unless a reader pins it.
-func (e *Engine) remove(en *entry) {
-	delete(e.table, en.it.Key)
-	e.slabs.unlink(en)
-	e.stats.CurrItems--
-	e.stats.Bytes -= int64(itemFootprint(en.it.Key, en.it.Size))
-	if en.pins > 0 {
-		en.dead = true
-		e.slabs.class(en).held++
+// unindex takes r off its hash chain.
+func (e *Engine) unindex(r ref) {
+	hv := maphash.Bytes(e.seed, e.slabs.key(r))
+	next := e.slabs.hdr(r).hnext
+	head := e.table[hv]
+	if head == r {
+		if next == 0 {
+			delete(e.table, hv)
+		} else {
+			e.table[hv] = next
+		}
 		return
 	}
-	e.slabs.giveBack(en)
+	for p := head; ; {
+		h := e.slabs.hdr(p)
+		if h.hnext == r {
+			h.hnext = next
+			return
+		}
+		p = h.hnext
+	}
+}
+
+// remove takes r out of the index and off its LRU list. Its chunk returns
+// to the class at once, unless a reader pins it.
+func (e *Engine) remove(r ref) {
+	e.unindex(r)
+	e.slabs.unlink(r)
+	h := e.slabs.hdr(r)
+	e.stats.CurrItems--
+	e.stats.Bytes -= footprintOf(h)
+	if h.pins > 0 {
+		h.dead = true
+		e.slabs.classes[h.class].held++
+		return
+	}
+	e.slabs.giveBack(r)
 }
 
 // hit is the lookup of a read: it counts the command and marks a found item
 // most-recently used.
-func (e *Engine) hit(key string) *entry {
+func (e *Engine) hit(key string) ref {
 	e.stats.CmdGet++
-	en := e.lookup(key)
-	if en == nil {
+	r := e.lookup(key, e.hash(key))
+	if r == 0 {
 		e.stats.GetMisses++
-		return nil
+		return 0
 	}
 	e.stats.GetHits++
-	e.slabs.touch(en)
-	return en
+	e.slabs.touch(r)
+	return r
 }
 
-// inRegion reports whether en's value lives in the mapped region.
-func (e *Engine) inRegion(en *entry) bool {
-	return en.it.Value != nil && e.slabs.class(en).slabbed()
+// item returns the stored item r, whose key is key, with its value in
+// place.
+func (e *Engine) item(key string, r ref) Item {
+	h := e.slabs.hdr(r)
+	return Item{
+		Key: key, Value: e.slabs.value(r), Size: int(h.size),
+		Flags: h.flags, CAS: h.cas, ExpireAt: h.expireAt,
+	}
 }
 
-// Get returns the item stored under key. A value that lives in the mapped
-// region is returned as a copy; Acquire reads it in place.
+// Get returns the item stored under key, its value copied out of the
+// region; Acquire reads it in place.
 func (e *Engine) Get(key string) (Item, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	en := e.hit(key)
-	if en == nil {
+	r := e.hit(key)
+	if r == 0 {
 		return Item{}, ErrNotFound
 	}
-	it := en.it
-	if e.inRegion(en) {
-		it.Value = append([]byte(nil), it.Value...)
-	}
+	it := e.item(key, r)
+	it.Value = bytes.Clone(it.Value)
 	return it, nil
 }
 
-// Pin is an item whose value stays where it is until Release: Value may
-// alias the engine's mapped region, so it must not be written, nor read
+// Pin is an item whose value stays where it is until Release: Value
+// aliases the engine's mapped region, so it must not be written, nor read
 // after Release or after the engine is closed or dropped.
 type Pin struct {
 	Item
-	en *entry // nil when the value is a heap slice, which needs no pin
+	r ref
 }
 
 // Acquire is Get without the copy: the item under key is pinned, and
@@ -273,33 +306,30 @@ type Pin struct {
 func (e *Engine) Acquire(key string) (Pin, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	en := e.hit(key)
-	if en == nil {
+	r := e.hit(key)
+	if r == 0 {
 		return Pin{}, ErrNotFound
 	}
-	p := Pin{Item: en.it}
-	if e.inRegion(en) {
-		en.pins++
-		p.en = en
-	}
-	return p, nil
+	e.slabs.hdr(r).pins++
+	return Pin{Item: e.item(key, r), r: r}, nil
 }
 
 // Release ends a pin taken by Acquire, once.
 func (e *Engine) Release(p Pin) {
-	en := p.en
-	if en == nil {
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if en.pins <= 0 {
+	var h *header
+	if p.r != 0 {
+		h = e.slabs.hdr(p.r)
+	}
+	if h == nil || h.pins <= 0 {
 		panic("memcached: Release of an item that is not pinned")
 	}
-	en.pins--
-	if en.pins == 0 && en.dead {
-		e.slabs.class(en).held--
-		e.slabs.giveBack(en)
+	h.pins--
+	if h.pins == 0 && h.dead {
+		h.dead = false
+		e.slabs.classes[h.class].held--
+		e.slabs.giveBack(p.r)
 	}
 }
 
@@ -307,12 +337,12 @@ func (e *Engine) Release(p Pin) {
 func (e *Engine) Touch(key string, expireAt int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	en := e.lookup(key)
-	if en == nil {
+	r := e.lookup(key, e.hash(key))
+	if r == 0 {
 		return ErrNotFound
 	}
-	en.it.ExpireAt = expireAt
-	e.slabs.touch(en)
+	e.slabs.hdr(r).expireAt = expireAt
+	e.slabs.touch(r)
 	return nil
 }
 
@@ -357,7 +387,7 @@ func (e *Engine) CompareAndSwap(it Item, expect uint64) (cas uint64, err error) 
 // footprint checks a key and value size against MaxItemSize.
 func (e *Engine) footprint(key string, size int) (int, error) {
 	foot := itemFootprint(key, size)
-	if foot > e.cfg.MaxItemSize {
+	if foot > e.cfg.MaxItemSize || uint64(size) > math.MaxUint32 {
 		return 0, fmt.Errorf("%w: %d > max %d", ErrTooLarge, foot, e.cfg.MaxItemSize)
 	}
 	return foot, nil
@@ -365,25 +395,25 @@ func (e *Engine) footprint(key string, size int) (int, error) {
 
 // check returns the live item under key, or the error that mode's
 // condition fails with; a failed CAS is counted.
-func (e *Engine) check(key string, mode StoreMode, expect uint64) (*entry, error) {
-	old := e.lookup(key)
+func (e *Engine) check(key string, hv uint64, mode StoreMode, expect uint64) (ref, error) {
+	old := e.lookup(key, hv)
 	switch mode {
 	case StoreAdd:
-		if old != nil {
-			return nil, ErrNotStored
+		if old != 0 {
+			return 0, ErrNotStored
 		}
 	case StoreReplace:
-		if old == nil {
-			return nil, ErrNotStored
+		if old == 0 {
+			return 0, ErrNotStored
 		}
 	case StoreCAS:
-		if old == nil {
+		if old == 0 {
 			e.stats.CasMisses++
-			return nil, ErrNotFound
+			return 0, ErrNotFound
 		}
-		if old.it.CAS != expect {
+		if e.slabs.hdr(old).cas != expect {
 			e.stats.CasBadval++
-			return nil, ErrExists
+			return 0, ErrExists
 		}
 	}
 	return old, nil
@@ -391,31 +421,41 @@ func (e *Engine) check(key string, mode StoreMode, expect uint64) (*entry, error
 
 // admit checks mode's condition and, when it holds, removes the item
 // currently under key to make way for the new one.
-func (e *Engine) admit(key string, mode StoreMode, expect uint64) error {
-	old, err := e.check(key, mode, expect)
+func (e *Engine) admit(key string, hv uint64, mode StoreMode, expect uint64) error {
+	old, err := e.check(key, hv, mode, expect)
 	if err != nil {
 		return err
 	}
 	if mode == StoreCAS {
 		e.stats.CasHits++
 	}
-	if old != nil {
+	if old != 0 {
 		e.remove(old)
 	}
 	return nil
 }
 
-// publish gives en, whose chunk is taken, the next CAS and makes it the
-// item under its key.
-func (e *Engine) publish(en *entry) uint64 {
+// fill writes it, all but its value, into the storage take returned for it.
+func (e *Engine) fill(r ref, it *Item) {
+	m := e.slabs.mem(r)
+	h := hdrOf(m)
+	h.flags, h.size, h.expireAt = it.Flags, uint32(it.Size), it.ExpireAt
+	copy(m[hdrSize:], it.Key)
+}
+
+// publish gives r, whose chunk is taken, the next CAS and makes it the
+// item under its key, whose hash is hv.
+func (e *Engine) publish(r ref, hv uint64) uint64 {
+	h := e.slabs.hdr(r)
 	e.casSeq++
-	en.it.CAS = e.casSeq
-	e.slabs.link(en)
-	e.table[en.it.Key] = en
+	h.cas = e.casSeq
+	e.slabs.link(r)
+	h.hnext = e.table[hv]
+	e.table[hv] = r
 	e.stats.CurrItems++
 	e.stats.TotalItems++
-	e.stats.Bytes += int64(itemFootprint(en.it.Key, en.it.Size))
-	return en.it.CAS
+	e.stats.Bytes += footprintOf(h)
+	return h.cas
 }
 
 func (e *Engine) store(it Item, mode StoreMode, expect uint64) (uint64, error) {
@@ -430,29 +470,29 @@ func (e *Engine) store(it Item, mode StoreMode, expect uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := e.admit(it.Key, mode, expect); err != nil {
+	hv := e.hash(it.Key)
+	if err := e.admit(it.Key, hv, mode, expect); err != nil {
 		return 0, err
 	}
-	ci, mem, err := e.slabs.take(foot, it.Value != nil, e.evictOne)
+	r, err := e.slabs.take(foot, it.Value != nil, len(it.Key), e.evictOne)
 	if err != nil {
 		return 0, err
 	}
-	if mem != nil {
-		// The one copy of a large value: out of the caller's slice, which
-		// stays the caller's, into the chunk.
-		it.Value = mem[:copy(mem, it.Value)]
-	}
-	return e.publish(&entry{it: it, class: uint16(ci)}), nil
+	e.fill(r, &it)
+	// The one copy of a value: out of the caller's slice, which stays the
+	// caller's, into the chunk.
+	copy(e.slabs.value(r), it.Value)
+	return e.publish(r, hv), nil
 }
 
 // Reservation is storage for one value that is not stored yet: fill Value,
 // then Commit or Abort, once. While it is open it holds a chunk of its
 // class that nothing can evict.
 type Reservation struct {
-	// Value is where the value goes, at its full length. It is the chunk
-	// itself for a class above InlineValue and a fresh heap slice below.
+	// Value is where the value goes, at its full length: the chunk itself.
 	Value  []byte
-	en     *entry
+	r      ref
+	key    string
 	mode   StoreMode
 	expect uint64
 }
@@ -475,30 +515,31 @@ func (e *Engine) Reserve(it Item, mode StoreMode, expect uint64) (Reservation, e
 	if err != nil {
 		return Reservation{}, err
 	}
-	if _, err := e.check(it.Key, mode, expect); err != nil {
+	if _, err := e.check(it.Key, e.hash(it.Key), mode, expect); err != nil {
 		return Reservation{}, err
 	}
-	ci, mem, err := e.slabs.take(foot, true, e.evictOne)
+	r, err := e.slabs.take(foot, true, len(it.Key), e.evictOne)
 	if err != nil {
 		return Reservation{}, err
 	}
-	if mem != nil {
-		it.Value = mem[:it.Size]
-	} else {
-		it.Value = make([]byte, it.Size)
-	}
-	en := &entry{it: it, class: uint16(ci), pins: reserved}
-	e.slabs.class(en).held++
-	return Reservation{Value: it.Value, en: en, mode: mode, expect: expect}, nil
+	e.fill(r, &it)
+	h := e.slabs.hdr(r)
+	h.pins = reserved
+	e.slabs.classes[h.class].held++
+	return Reservation{Value: e.slabs.value(r), r: r, key: it.Key, mode: mode, expect: expect}, nil
 }
 
 // settle ends a reservation's hold on its chunk.
 func (e *Engine) settle(r Reservation) {
-	if r.en == nil || r.en.pins != reserved {
+	var h *header
+	if r.r != 0 {
+		h = e.slabs.hdr(r.r)
+	}
+	if h == nil || h.pins != reserved {
 		panic("memcached: Commit or Abort of a reservation that is not open")
 	}
-	r.en.pins = 0
-	e.slabs.class(r.en).held--
+	h.pins = 0
+	e.slabs.classes[h.class].held--
 }
 
 // Commit stores a filled reservation under the condition Reserve was given.
@@ -507,11 +548,12 @@ func (e *Engine) Commit(r Reservation) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.settle(r)
-	if err := e.admit(r.en.it.Key, r.mode, r.expect); err != nil {
-		e.slabs.giveBack(r.en)
+	hv := e.hash(r.key)
+	if err := e.admit(r.key, hv, r.mode, r.expect); err != nil {
+		e.slabs.giveBack(r.r)
 		return 0, err
 	}
-	return e.publish(r.en), nil
+	return e.publish(r.r, hv), nil
 }
 
 // Abort gives a reservation's storage back unused.
@@ -519,22 +561,22 @@ func (e *Engine) Abort(r Reservation) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.settle(r)
-	e.slabs.giveBack(r.en)
+	e.slabs.giveBack(r.r)
 }
 
 // evictOne evicts the least-recently-used live item of the given class,
 // preferring expired items. It reports whether anything was freed.
 func (e *Engine) evictOne(class int) bool {
-	en := e.slabs.tail(class)
-	if en == nil {
+	r := e.slabs.tail(class)
+	if r == 0 {
 		return false
 	}
-	if !e.expired(en) {
+	if !e.expired(e.slabs.hdr(r)) {
 		e.stats.Evictions++
 	} else {
 		e.stats.Expired++
 	}
-	e.remove(en)
+	e.remove(r)
 	return true
 }
 
@@ -542,13 +584,13 @@ func (e *Engine) evictOne(class int) bool {
 func (e *Engine) Delete(key string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	en := e.lookup(key)
-	if en == nil {
+	r := e.lookup(key, e.hash(key))
+	if r == 0 {
 		e.stats.DeleteMisses++
 		return ErrNotFound
 	}
 	e.stats.DeleteHits++
-	e.remove(en)
+	e.remove(r)
 	return nil
 }
 
@@ -558,18 +600,18 @@ func (e *Engine) Delete(key string) error {
 func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	en := e.lookup(key)
-	if en == nil {
+	r := e.lookup(key, e.hash(key))
+	if r == 0 {
 		if init == nil {
 			return 0, ErrNotFound
 		}
 		_, err := e.store(Item{Key: key, Value: strconv.AppendUint(nil, *init, 10), ExpireAt: expireAt}, StoreSet, 0)
 		return *init, err
 	}
-	if en.it.Virtual() {
+	if r.virtual() {
 		return 0, ErrBadDelta
 	}
-	cur, err := strconv.ParseUint(string(en.it.Value), 10, 64)
+	cur, err := strconv.ParseUint(string(e.slabs.value(r)), 10, 64)
 	if err != nil {
 		return 0, ErrBadDelta
 	}
@@ -577,9 +619,8 @@ func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64)
 	if delta < 0 {
 		next = cur - min(cur, uint64(-delta))
 	}
-	it := en.it
-	it.Value = strconv.AppendUint(nil, next, 10)
-	it.Size = 0
+	h := e.slabs.hdr(r)
+	it := Item{Key: key, Value: strconv.AppendUint(nil, next, 10), Flags: h.flags, ExpireAt: h.expireAt}
 	if _, err := e.store(it, StoreSet, 0); err != nil {
 		return 0, err
 	}
@@ -598,7 +639,7 @@ func (e *Engine) Flush() {
 func (e *Engine) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.table)
+	return int(e.stats.CurrItems)
 }
 
 // Keys returns the keys of all live items, reaping expired ones. Order is
@@ -607,12 +648,13 @@ func (e *Engine) Len() int {
 func (e *Engine) Keys() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	keys := make([]string, 0, len(e.table))
-	for k, en := range e.table {
-		if e.expired(en) {
-			continue
+	keys := make([]string, 0, e.stats.CurrItems)
+	for _, r := range e.table {
+		for ; r != 0; r = e.slabs.hdr(r).hnext {
+			if !e.expired(e.slabs.hdr(r)) {
+				keys = append(keys, string(e.slabs.key(r)))
+			}
 		}
-		keys = append(keys, k)
 	}
 	return keys
 }
@@ -631,9 +673,9 @@ func (e *Engine) Slabs() []SlabStats {
 	return e.slabs.stats()
 }
 
-// Mapped returns the bytes of the engine's mapped region: zero until a
-// class above InlineValue stores its first real value, at most MemLimit
-// after (one page when MemLimit is smaller than that).
+// Mapped returns the bytes of the engine's mapped region: zero until the
+// first real item is stored, at most MemLimit after (one page when
+// MemLimit is smaller than that).
 func (e *Engine) Mapped() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -649,6 +691,6 @@ func (e *Engine) Close() {
 	defer e.mu.Unlock()
 	e.slabs.unmap()
 	e.slabs = newSlabArena(e.cfg)
-	e.table = make(map[string]*entry)
+	e.table = make(map[uint64]ref)
 	e.stats.CurrItems, e.stats.Bytes = 0, 0
 }

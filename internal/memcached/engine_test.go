@@ -289,9 +289,9 @@ func TestBytesAccountingBalances(t *testing.T) {
 
 func TestSlabClassFor(t *testing.T) {
 	a := newSlabArena(Config{}.withDefaults())
-	for _, c := range a.classes {
-		if c.chunkSize%8 != 0 && c.chunkSize != a.classes[len(a.classes)-1].chunkSize {
-			t.Errorf("chunk size %d not 8-aligned", c.chunkSize)
+	for _, size := range a.sizes {
+		if size%8 != 0 {
+			t.Errorf("chunk size %d not 8-aligned", size)
 		}
 	}
 	// classFor must return the smallest class that fits.
@@ -300,10 +300,10 @@ func TestSlabClassFor(t *testing.T) {
 		if ci < 0 {
 			t.Fatalf("no class for %d", foot)
 		}
-		if a.classes[ci].chunkSize < foot {
-			t.Errorf("class %d (%d) too small for %d", ci, a.classes[ci].chunkSize, foot)
+		if a.sizes[ci] < foot {
+			t.Errorf("class %d (%d) too small for %d", ci, a.sizes[ci], foot)
 		}
-		if ci > 0 && a.classes[ci-1].chunkSize >= foot {
+		if ci > 0 && a.sizes[ci-1] >= foot {
 			t.Errorf("class %d not minimal for %d", ci, foot)
 		}
 	}
@@ -312,114 +312,11 @@ func TestSlabClassFor(t *testing.T) {
 	}
 }
 
-// TestPropertyEngineMatchesModel drives the engine with random operation
-// sequences and compares every observable result against a plain-map model.
-// Eviction is disabled (huge arena) so the model is exact.
+// TestPropertyEngineMatchesModel plays 30 random programs against the
+// engine and its model (FuzzEngineModel's body, see runModel).
 func TestPropertyEngineMatchesModel(t *testing.T) {
-	type modelItem struct {
-		value string
-		cas   uint64
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine(Config{MemLimit: 1 << 30})
-		model := make(map[string]modelItem)
-		keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-		for op := 0; op < 500; op++ {
-			k := keys[rng.Intn(len(keys))]
-			switch rng.Intn(6) {
-			case 0: // set
-				v := fmt.Sprintf("v%d", rng.Intn(1000))
-				cas, err := e.Set(Item{Key: k, Value: []byte(v)})
-				if err != nil {
-					t.Logf("set error: %v", err)
-					return false
-				}
-				model[k] = modelItem{v, cas}
-			case 1: // get
-				it, err := e.Get(k)
-				m, ok := model[k]
-				if ok != (err == nil) {
-					t.Logf("get %q: engine err=%v model ok=%v", k, err, ok)
-					return false
-				}
-				if ok && (string(it.Value) != m.value || it.CAS != m.cas) {
-					t.Logf("get %q: engine %q/%d model %q/%d", k, it.Value, it.CAS, m.value, m.cas)
-					return false
-				}
-			case 2: // delete
-				err := e.Delete(k)
-				_, ok := model[k]
-				if ok != (err == nil) {
-					return false
-				}
-				delete(model, k)
-			case 3: // add
-				v := fmt.Sprintf("a%d", rng.Intn(1000))
-				cas, err := e.Add(Item{Key: k, Value: []byte(v)})
-				if _, ok := model[k]; ok {
-					if !errors.Is(err, ErrNotStored) {
-						return false
-					}
-				} else {
-					if err != nil {
-						return false
-					}
-					model[k] = modelItem{v, cas}
-				}
-			case 4: // replace
-				v := fmt.Sprintf("r%d", rng.Intn(1000))
-				cas, err := e.Replace(Item{Key: k, Value: []byte(v)})
-				if _, ok := model[k]; !ok {
-					if !errors.Is(err, ErrNotStored) {
-						return false
-					}
-				} else {
-					if err != nil {
-						return false
-					}
-					model[k] = modelItem{v, cas}
-				}
-			case 5: // cas
-				v := fmt.Sprintf("c%d", rng.Intn(1000))
-				m, ok := model[k]
-				var expect uint64 = 12345
-				if ok && rng.Intn(2) == 0 {
-					expect = m.cas
-				}
-				cas, err := e.CompareAndSwap(Item{Key: k, Value: []byte(v)}, expect)
-				switch {
-				case !ok:
-					if !errors.Is(err, ErrNotFound) {
-						return false
-					}
-				case expect != m.cas:
-					if !errors.Is(err, ErrExists) {
-						return false
-					}
-				default:
-					if err != nil {
-						return false
-					}
-					model[k] = modelItem{v, cas}
-				}
-			}
-		}
-		// Final state must match exactly.
-		if e.Len() != len(model) {
-			t.Logf("len: engine %d model %d", e.Len(), len(model))
-			return false
-		}
-		for k, m := range model {
-			it, err := e.Get(k)
-			if err != nil || string(it.Value) != m.value {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	for seed := int64(100); seed < 130; seed++ {
+		runModel(t, seedProgram(seed, 1500))
 	}
 }
 
@@ -483,6 +380,22 @@ func TestLongKeys(t *testing.T) {
 	if it, err := e.Get(key); err != nil || string(it.Value) != "v" {
 		t.Errorf("get long key: %v", err)
 	}
+	// A virtual item whose key outgrows a page of the virtual arena gets a
+	// page of its own, between items that share pages.
+	huge := strings.Repeat("h", vpageSize+1)
+	for _, k := range []string{"before", huge, "after"} {
+		if _, err := e.Set(Item{Key: k, Size: 10}); err != nil {
+			t.Fatalf("virtual item with a %d-byte key: %v", len(k), err)
+		}
+	}
+	for _, k := range []string{"before", huge, "after"} {
+		if it, err := e.Get(k); err != nil || it.Size != 10 {
+			t.Errorf("get of a %d-byte key: %+v, %v", len(k), it, err)
+		}
+	}
+	if err := e.Delete(huge); err != nil || e.Len() != 3 {
+		t.Errorf("delete of the huge key: %v, %d items left", err, e.Len())
+	}
 }
 
 func TestLargePageArena(t *testing.T) {
@@ -499,17 +412,17 @@ func TestLargePageArena(t *testing.T) {
 func TestGrowthFactorShapesClasses(t *testing.T) {
 	coarse := newSlabArena(Config{growthFactor: 2.0}.withDefaults())
 	fine := newSlabArena(Config{growthFactor: 1.05, minChunk: 96, MaxItemSize: 1 << 20, MemLimit: 64 << 20, Clock: func() int64 { return 1 }})
-	if len(fine.classes) <= len(coarse.classes) {
-		t.Errorf("finer growth factor produced %d classes vs %d", len(fine.classes), len(coarse.classes))
+	if len(fine.sizes) <= len(coarse.sizes) {
+		t.Errorf("finer growth factor produced %d classes vs %d", len(fine.sizes), len(coarse.sizes))
 	}
 	// Chunk sizes strictly increase and end exactly at MaxItemSize.
-	for _, a := range []*slabArena{coarse, fine} {
-		for i := 1; i < len(a.classes); i++ {
-			if a.classes[i].chunkSize <= a.classes[i-1].chunkSize {
+	for _, a := range []slabArena{coarse, fine} {
+		for i := 1; i < len(a.sizes); i++ {
+			if a.sizes[i] <= a.sizes[i-1] {
 				t.Fatalf("chunk sizes not increasing at %d", i)
 			}
 		}
-		if last := a.classes[len(a.classes)-1].chunkSize; last != 1<<20 {
+		if last := a.sizes[len(a.sizes)-1]; last != 1<<20 {
 			t.Errorf("last class = %d, want MaxItemSize", last)
 		}
 	}

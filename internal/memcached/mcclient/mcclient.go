@@ -21,9 +21,9 @@
 // soon as its call is answered, so up to DefaultWindow operations can be on
 // the wire at once. A reply costs memory only as its bytes arrive. GetMulti
 // and SetMulti batch many keys into a single quiet-op burst (GETQ/SETQ …
-// NOOP) costing one round-trip total; IssueSet and IssueDelete split a
-// round-trip into its issue and its wait, so one goroutine can have
-// operations in flight on several connections at once.
+// NOOP) costing one round-trip total; IssueSet, IssueDelete and
+// IssueGetMulti split a round-trip into its issue and its wait, so one
+// goroutine can have operations in flight on several connections at once.
 package mcclient
 
 import (
@@ -220,6 +220,8 @@ type Call struct {
 	// answer, stat entries). Only the reader appends, before it completes
 	// the call; the caller reads them after a successful completion.
 	frames []binproto.Frame
+	// keys are an IssueGetMulti call's keys, by opaque - first.
+	keys []string
 }
 
 // Option configures a Client at construction.
@@ -703,16 +705,29 @@ func (c *Client) Get(key string) (*Item, error) {
 // on the return path; the whole batch is one round-trip. Missing keys are
 // simply absent from the result map.
 func (c *Client) GetMulti(keys []string) (map[string]*Item, error) {
-	items := make(map[string]*Item, len(keys))
+	return c.IssueGetMulti(keys).Items()
+}
+
+// IssueGetMulti starts GetMulti's burst and returns without waiting for
+// the replies; Items waits for them. The keys are read at issue and by
+// Items, and must not change in between.
+func (c *Client) IssueGetMulti(keys []string) *Call {
+	cl := &Call{op: binproto.OpGetQ, quiet: len(keys), keys: keys}
 	if len(keys) == 0 {
-		return items, nil
+		return cl // complete as it is: no frame to send, no reply to wait for
 	}
-	cl := c.issue(&Call{op: binproto.OpGetQ, quiet: len(keys)}, func(i int) binproto.Frame {
+	return c.issue(cl, func(i int) binproto.Frame {
 		return binproto.Frame{Op: binproto.OpGetQ, Key: []byte(keys[i])}
 	})
+}
+
+// Items waits for a call IssueGetMulti started and returns what GetMulti
+// returns.
+func (cl *Call) Items() (map[string]*Item, error) {
 	if _, err := cl.wait(); err != nil {
 		return nil, err
 	}
+	items := make(map[string]*Item, len(cl.frames))
 	for i := range cl.frames {
 		f := &cl.frames[i]
 		if f.Status != binproto.StatusOK {
@@ -722,7 +737,7 @@ func (c *Client) GetMulti(keys []string) (map[string]*Item, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := keys[f.Opaque-cl.first]
+		key := cl.keys[f.Opaque-cl.first]
 		items[key] = &Item{Key: key, Value: f.Value, Flags: flags, CAS: f.CAS}
 	}
 	return items, nil

@@ -517,8 +517,8 @@ func (c *Cluster) Delete(key string) error {
 
 // GetMulti fetches many keys: hot keys come from the front cache, the
 // rest are grouped by primary and fetched with one pipelined GetMulti per
-// server; keys on unreachable servers fail over to their next replica in
-// further rounds. Missing keys are absent from the result (per GetMulti
+// server, every server's issued before any reply is awaited; keys on
+// unreachable servers fail over to their next replica in further rounds. Missing keys are absent from the result (per GetMulti
 // convention); per-key read repair is the single-key path's job.
 func (c *Cluster) GetMulti(keys []string) (map[string]*mcclient.Item, error) {
 	c.gets.Add(int64(len(keys)))
@@ -552,8 +552,17 @@ func (c *Cluster) GetMulti(keys []string) (map[string]*mcclient.Item, error) {
 
 	groups := c.ring.Group(remaining)
 	var lastErr error
+	type burst struct {
+		nd   *node
+		cl   *mcclient.Client
+		call *mcclient.Call
+		keys []string
+	}
 	for round := 1; len(groups) > 0 && round <= c.reps; round++ {
+		// Every server's burst goes out before any reply is awaited, so the
+		// round costs the slowest server's round-trip, not their sum.
 		var retry []string
+		bursts := make([]burst, 0, len(groups))
 		for addr, ks := range groups {
 			nd := c.nodes[addr]
 			cl, err := nd.client()
@@ -563,12 +572,15 @@ func (c *Cluster) GetMulti(keys []string) (map[string]*mcclient.Item, error) {
 				retry = append(retry, ks...)
 				continue
 			}
-			items, err := cl.GetMulti(ks)
+			bursts = append(bursts, burst{nd, cl, cl.IssueGetMulti(ks), ks})
+		}
+		for _, b := range bursts {
+			items, err := b.call.Items()
 			if err != nil {
 				if mcclient.IsConnError(err) {
-					c.opErr(nd, cl, err)
+					c.opErr(b.nd, b.cl, err)
 					lastErr = err
-					retry = append(retry, ks...)
+					retry = append(retry, b.keys...)
 					continue
 				}
 				return nil, err

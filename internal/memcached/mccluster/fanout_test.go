@@ -3,11 +3,14 @@ package mccluster
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"hbb/internal/memcached"
 	"hbb/internal/memcached/mcclient"
 )
 
@@ -164,5 +167,88 @@ func BenchmarkClusterSet(b *testing.B) {
 		if _, err := c.Set(item); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// slowProxy forwards connections to backend and holds every chunk of the
+// backend's replies for delay before passing it on.
+func slowProxy(t *testing.T, backend string, delay time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			front, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			back, err := net.Dial("tcp", backend)
+			if err != nil {
+				front.Close()
+				return
+			}
+			t.Cleanup(func() { front.Close(); back.Close() })
+			go io.Copy(back, front)
+			go func() {
+				buf := make([]byte, 64<<10)
+				for {
+					n, err := back.Read(buf)
+					if err != nil {
+						front.Close()
+						return
+					}
+					time.Sleep(delay)
+					if _, err := front.Write(buf[:n]); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClusterGetMultiFanOut: with every server's replies delayed by d, a
+// GetMulti over keys on three servers takes about d, not 3d: each server's
+// burst is on the wire before any reply is awaited.
+func TestClusterGetMultiFanOut(t *testing.T) {
+	const d = 150 * time.Millisecond
+	l, err := LaunchLocal(3, memcached.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	var addrs []string
+	for _, a := range l.Addrs() {
+		addrs = append(addrs, slowProxy(t, a, d))
+	}
+	c, err := New(addrs, Options{Replicas: 2, noFrontCache: true, noReadSpread: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	var keys []string
+	var items []*mcclient.Item
+	primaries := map[string]bool{}
+	for i := 0; len(primaries) < 3 || len(keys) < 30; i++ {
+		k := fmt.Sprintf("fan-%d", i)
+		keys = append(keys, k)
+		items = append(items, &mcclient.Item{Key: k, Value: []byte(k)})
+		primaries[c.ReplicasFor(k)[0]] = true
+	}
+	if failed, err := c.SetMulti(items); err != nil || len(failed) != 0 {
+		t.Fatalf("SetMulti: %v %v", failed, err)
+	}
+	start := time.Now()
+	got, err := c.GetMulti(keys)
+	took := time.Since(start)
+	if err != nil || len(got) != len(keys) {
+		t.Fatalf("GetMulti: %d of %d keys, %v", len(got), len(keys), err)
+	}
+	if took >= 2*d {
+		t.Errorf("GetMulti over 3 servers took %v with replies delayed %v each: the bursts ran one after another", took, d)
 	}
 }

@@ -10,7 +10,7 @@
 // allocated at a length the peer declares: what the engine cannot store is
 // discarded from the socket and answered with its status. The per-connection
 // frame and head buffers are reused, so steady-state request handling
-// allocates the key and, below memcached.InlineValue, the value.
+// allocates the key string and nothing for the value.
 package mcserver
 
 import (

@@ -3,7 +3,9 @@
 package memcached
 
 // mapRegion falls back to the collected heap where there is no mmap: the
-// region costs its full size at once and is freed by the collector.
+// region, which holds every real item, costs its full size at once and is
+// freed by the collector. It holds no pointers, so the collector never
+// scans it.
 func mapRegion(n int) ([]byte, error) { return make([]byte, n), nil }
 
 func unmapRegion([]byte) {}

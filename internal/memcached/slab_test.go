@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,11 +33,12 @@ func classOf(e *Engine, key string, size int) SlabStats {
 	return e.Slabs()[e.slabs.classFor(itemFootprint(key, size))]
 }
 
-// TestEntryStays96Bytes: a cache of 64-byte values is mostly entries, and
-// growing one to 128 bytes cost kv_zipf_read 5-30% of its resident set.
-func TestEntryStays96Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 96 {
-		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want 96", got)
+// TestHeaderFitsItemOverhead: an item's header sits in the itemOverhead
+// bytes its footprint already charges, so the chunk a footprint picks
+// holds the header, the key and the value.
+func TestHeaderFitsItemOverhead(t *testing.T) {
+	if got := unsafe.Sizeof(header{}); got > itemOverhead {
+		t.Fatalf("unsafe.Sizeof(header{}) = %d, want at most %d", got, itemOverhead)
 	}
 }
 
@@ -67,11 +69,20 @@ func TestLargeValueIsCopiedInAndOut(t *testing.T) {
 
 func TestSmallAndVirtualValuesBehaveAsBefore(t *testing.T) {
 	e := NewEngine(Config{MemLimit: 8 << 20})
+	defer e.Close()
 	small := []byte("small")
 	e.Set(Item{Key: "s", Value: small})
+	small[0] = 'S' // the caller's slice stays the caller's
 	it, _ := e.Get("s")
-	if &it.Value[0] != &small[0] {
-		t.Error("a small value is no longer the slice Set was given")
+	if string(it.Value) != "small" {
+		t.Fatalf("stored value follows the caller's slice: %q", it.Value)
+	}
+	it.Value[0] = 'X' // and what Get returns is a copy
+	if again, _ := e.Get("s"); string(again.Value) != "small" {
+		t.Errorf("Get returned a slice into the chunk: %q", again.Value)
+	}
+	if e.Mapped() != 8<<20 {
+		t.Errorf("Mapped = %d: a small real value lives in the region too", e.Mapped())
 	}
 	e.Set(Item{Key: "v", Size: big})
 	it, err := e.Get("v")
@@ -79,12 +90,12 @@ func TestSmallAndVirtualValuesBehaveAsBefore(t *testing.T) {
 		t.Errorf("virtual item = %+v, %v", it, err)
 	}
 	p, err := e.Acquire("v")
-	if err != nil || !p.Virtual() || p.en != nil {
+	if err != nil || !p.Virtual() {
 		t.Errorf("virtual pin = %+v, %v", p, err)
 	}
 	e.Release(p)
-	if e.Mapped() != 0 {
-		t.Errorf("Mapped = %d with nothing large and real stored", e.Mapped())
+	if c := classOf(e, "v", big); c.Items != 1 || c.Held != 0 || c.FreeMem != 0 {
+		t.Errorf("virtual item's class: %+v", c)
 	}
 }
 
@@ -157,7 +168,7 @@ func TestReserveCommitModes(t *testing.T) {
 		}
 		// Ten stores, four of them stored, one item: every other chunk
 		// is free.
-		if c := classOf(e, key, size); c.Items != 1 || c.Held != 0 || c.Free+1 != c.Pages*int64(e.slabs.classes[e.slabs.classFor(itemFootprint(key, size))].perPage) {
+		if c := classOf(e, key, size); c.Items != 1 || c.Held != 0 || c.Free+1 != c.Pages*int64(e.slabs.perPage(e.slabs.classFor(itemFootprint(key, size)))) {
 			t.Errorf("class ledger after the commits: %+v", c)
 		}
 	}
@@ -294,29 +305,44 @@ func checkLedger(t *testing.T, e *Engine) {
 	if e.Mapped() > e.cfg.MemLimit {
 		t.Fatalf("mapped %d > MemLimit %d", e.Mapped(), e.cfg.MemLimit)
 	}
+	a := &e.slabs
 	var pages, memPages int64
-	for i, c := range e.slabs.classes {
-		if got, want := int64(c.freeChunks)+c.items+c.held, c.pages*int64(c.perPage); got != want {
+	for i, c := range a.classes {
+		if c == nil {
+			continue
+		}
+		if got, want := int64(c.freeChunks)+c.items+c.held, c.pages*int64(a.perPage(i)); got != want {
 			t.Fatalf("class %d (%d B): free %d + items %d + held %d = %d, accounted %d",
-				i, c.chunkSize, c.freeChunks, c.items, c.held, got, want)
+				i, a.sizes[i], c.freeChunks, c.items, c.held, got, want)
 		}
 		var n int64
-		for en := c.head; en != nil; en = en.next {
+		for r := c.head; r != 0; r = a.hdr(r).next {
 			n++
 		}
 		if n != c.items {
-			t.Fatalf("class %d: %d entries on the list, items %d", i, n, c.items)
+			t.Fatalf("class %d: %d items on the list, items %d", i, n, c.items)
 		}
-		if int64(len(c.mem)) > c.pages || int64(c.carved) > c.pages*int64(c.perPage) {
-			t.Fatalf("class %d: %d pages and %d chunks of memory for %d pages of budget", i, len(c.mem), c.carved, c.pages)
+		if c.memPages > c.pages || c.carved > c.pages*int64(a.perPage(i)) {
+			t.Fatalf("class %d: %d pages and %d chunks of memory for %d pages of budget", i, c.memPages, c.carved, c.pages)
 		}
 		pages += c.pages
-		memPages += int64(len(c.mem))
+		memPages += c.memPages
 	}
-	if pages != e.slabs.pagesAllocated || memPages != e.slabs.regionPages || pages > e.slabs.maxPages {
+	if pages != a.pagesAllocated || memPages != a.regionPages || pages > a.maxPages {
 		t.Fatalf("pages: classes %d arena %d max %d; region: classes %d arena %d",
-			pages, e.slabs.pagesAllocated, e.slabs.maxPages, memPages, e.slabs.regionPages)
+			pages, a.pagesAllocated, a.maxPages, memPages, a.regionPages)
 	}
+}
+
+// tableBytes sums the footprints of the items the index holds.
+func tableBytes(e *Engine) (items, bytes int64) {
+	for _, r := range e.table {
+		for ; r != 0; r = e.slabs.hdr(r).hnext {
+			items++
+			bytes += footprintOf(e.slabs.hdr(r))
+		}
+	}
+	return items, bytes
 }
 
 // TestSlabLedgerStress drives one engine through 10^5 random steps of
@@ -375,7 +401,7 @@ func TestSlabLedgerStress(t *testing.T) {
 			}
 			copy(r.Value, pattern(i, len(r.Value)))
 			if _, err := e.Commit(r); err == nil {
-				seedOf[r.en.it.Key] = i
+				seedOf[r.key] = i
 			} else if !errors.Is(err, ErrNotStored) {
 				t.Fatal(err)
 			}
@@ -414,19 +440,20 @@ func TestSlabLedgerStress(t *testing.T) {
 	}
 	checkLedger(t, e)
 	for i, c := range e.slabs.classes {
+		if c == nil {
+			continue
+		}
 		if c.held != 0 {
 			t.Errorf("class %d: %d chunks held with no pin or reservation open", i, c.held)
 		}
-		if c.slabbed() {
-			var real int
-			for en := c.head; en != nil; en = en.next {
-				if en.it.Value != nil {
-					real++
-				}
+		var real int64
+		for r := c.head; r != 0; r = e.slabs.hdr(r).next {
+			if !r.virtual() {
+				real++
 			}
-			if real+len(c.free) != c.carved {
-				t.Errorf("class %d: %d values + %d free chunks of memory, %d cut", i, real, len(c.free), c.carved)
-			}
+		}
+		if real+c.nfree != c.carved {
+			t.Errorf("class %d: %d values + %d free chunks of memory, %d cut", i, real, c.nfree, c.carved)
 		}
 	}
 	if e.Mapped() == 0 {
@@ -672,19 +699,16 @@ func TestEngineConcurrentStress(t *testing.T) {
 	if n := st.DeleteHits + st.DeleteMisses; n != deletes.Load() {
 		t.Errorf("deletes: %d calls, %d counted", deletes.Load(), n)
 	}
-	var bytesHeld int64
-	for k, en := range e.table {
-		bytesHeld += int64(itemFootprint(k, en.it.Size))
-	}
-	if st.CurrItems != int64(e.Len()) || st.Bytes != bytesHeld {
-		t.Errorf("items %d, Len %d; bytes %d, table holds %d", st.CurrItems, e.Len(), st.Bytes, bytesHeld)
+	items, bytesHeld := tableBytes(e)
+	if st.CurrItems != items || st.Bytes != bytesHeld {
+		t.Errorf("items %d, index holds %d; bytes %d, index holds %d", st.CurrItems, items, st.Bytes, bytesHeld)
 	}
 	if st.Evictions == 0 {
 		t.Error("no eviction: the test does not fill the engine")
 	}
 	checkLedger(t, e)
 	for i, c := range e.slabs.classes {
-		if c.held != 0 {
+		if c != nil && c.held != 0 {
 			t.Errorf("class %d: %d chunks held with every pin and reservation settled", i, c.held)
 		}
 	}
@@ -716,4 +740,102 @@ func TestCloseUnmapsAndEngineStaysUsable(t *testing.T) {
 		}
 	}
 	e.Close() // twice is harmless
+}
+
+// TestNewEngineIsCheap: an engine allocates a class's state on the class's
+// first take, so constructing one costs a handful of objects however many
+// classes it has, and Slabs still reports every class.
+func TestNewEngineIsCheap(t *testing.T) {
+	cfg := Config{MemLimit: 64 << 20, growthFactor: 1.05}
+	if n := testing.AllocsPerRun(100, func() { NewEngine(cfg) }); n > 4 {
+		t.Errorf("NewEngine: %v allocations, want at most 4", n)
+	}
+	e := NewEngine(cfg)
+	slabs := e.Slabs()
+	if len(slabs) != len(e.slabs.sizes) || len(slabs) < 100 {
+		t.Fatalf("Slabs reports %d classes of %d", len(slabs), len(e.slabs.sizes))
+	}
+	for i, c := range slabs {
+		if c.ChunkSize != e.slabs.sizes[i] || c.Pages != 0 || c.Free != 0 || c.Items != 0 {
+			t.Fatalf("class %d of an empty engine: %+v", i, c)
+		}
+	}
+	if e.slabs.classes != nil {
+		t.Error("an empty engine has class state")
+	}
+}
+
+// TestItemsLeaveTheHeap: 10^5 stored items, by Set and by Reserve and
+// Commit, add almost nothing for the collector to trace: header, key and
+// value share a chunk of the mapped region, and the index holds integers.
+func TestItemsLeaveTheHeap(t *testing.T) {
+	const n = 100_000
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%07d", i)
+	}
+	value := pattern(1, 64)
+	stores := map[string]func(e *Engine, key string) error{
+		"set": func(e *Engine, key string) error {
+			_, err := e.Set(Item{Key: key, Value: value})
+			return err
+		},
+		"reserve": func(e *Engine, key string) error {
+			r, err := e.Reserve(Item{Key: key, Size: len(value)}, StoreSet, 0)
+			if err != nil {
+				return err
+			}
+			copy(r.Value, value)
+			_, err = e.Commit(r)
+			return err
+		},
+	}
+	for name, store := range stores {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(Config{MemLimit: 64 << 20})
+			defer e.Close()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for _, k := range keys {
+				if err := store(e, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if grew := int64(after.HeapObjects) - int64(before.HeapObjects); grew >= n/100 {
+				t.Errorf("heap objects grew by %d for %d items, want under %d", grew, n, n/100)
+			}
+			if e.Len() != n || e.Stats().Evictions != 0 {
+				t.Fatalf("%d items stored, %d evicted", e.Len(), e.Stats().Evictions)
+			}
+			if it, err := e.Get(keys[n/2]); err != nil || !bytes.Equal(it.Value, value) {
+				t.Fatalf("read back: %v", err)
+			}
+		})
+	}
+}
+
+// TestSteadyStateAllocatesNothing: overwriting an item with one of the same
+// size, and pinning and releasing one, allocate nothing.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	e := NewEngine(Config{MemLimit: 8 << 20})
+	defer e.Close()
+	it := Item{Key: "key:0000001", Value: pattern(2, 64)}
+	if _, err := e.Set(it); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { e.Set(it) }); n != 0 {
+		t.Errorf("same-size overwrite: %v allocations", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		p, err := e.Acquire(it.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release(p)
+	}); n != 0 {
+		t.Errorf("Acquire and Release: %v allocations", n)
+	}
 }
