@@ -126,9 +126,13 @@ golden:
 # 1 and 4 workers), the swarm and DFSIO pins (each cell at 1, 2, 4 and 7
 # shards, swarm cells -short), the fleet, swarm and shard-group
 # cross-shard checks (each also over its own GOMAXPROCS values, the one
-# worker control) and the pinned netsim solver traces must hold under
+# worker control), the shard-group worker tests (10^5 one-event windows
+# handed between the coordinator and its workers, same-shard and
+# cross-shard deliveries in one instant, 10^6 sends of a lone shard to
+# itself) and the pinned netsim solver traces must hold under
 # GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries are built once, so the
-# settings apply to the simulation, not to the compiler.
+# settings apply to the simulation, not to the compiler; the sim binary
+# runs under a short timeout, so a lost worker wake-up fails fast.
 determinism:
 	mkdir -p bin
 	go test -c -o bin/hbb.test .
@@ -138,7 +142,7 @@ determinism:
 		echo "GOMAXPROCS=$$procs GOGC=$$gc"; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSuiteTablesPin|TestSwarmFingerprintPins|TestFleetDFSIOWritePins|TestFleetCrossShardStress|TestFleetDFSIOWriteDeterminism|TestSwarmCrossShardStress' || exit 1; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress|TestFleetDeterminismAcrossShardsAndWorkers' || exit 1; \
-		GOMAXPROCS=$$procs GOGC=$$gc ./bin/sim.test -test.run 'TestShard' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/sim.test -test.run 'TestShard' -test.timeout 2m || exit 1; \
 	done; done
 
 # Concurrency stress tests under the race detector: the one engine under
@@ -149,7 +153,10 @@ determinism:
 # group commit (shared writes, queued followers, failed flush, value
 # ownership), the cluster's replica fan-out and GetMulti's overlapped
 # per-server bursts, concurrent shard windows
-# (adaptive against the fixed-horizon oracle), the cross-shard swarm
+# (adaptive against the fixed-horizon oracle), the persistent shard
+# workers' hand-off (10^5 one-event windows at GOMAXPROCS 1/2/8; a lost
+# or stale wake-up hangs it, hence the short timeout), same-shard sends
+# against cross-shard ones in one instant, the cross-shard swarm
 # fingerprint, the swarm's tick calendar against its time-ordered heap
 # oracle (also over a 4-slot wheel), Env.Reschedule against Cancel + At,
 # the max-min solver against its full-re-solve oracle (differential over
@@ -157,7 +164,7 @@ determinism:
 # multiplicity, Crossing order), and the pinned flow and fleet solver
 # traces (the fleet's also on a same-instant-heavy grid).
 stress:
-	go test -race -run 'Stress|Concurrent|Pipelined|GroupCommit|FanOut' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/maxmin/ ./internal/netsim/ ./internal/swarm/ .
+	go test -race -timeout 5m -run 'Stress|Concurrent|Pipelined|GroupCommit|FanOut' -count 2 ./internal/memcached/... ./internal/sim/ ./internal/maxmin/ ./internal/netsim/ ./internal/swarm/ .
 
 # Regenerate every paper figure/table at full scale (EXPERIMENTS.md data).
 repro: tools

@@ -939,8 +939,8 @@ func tab4(scale Scale) *metrics.Table {
 // event heap and at a rack-sharded kernel, reporting the simulator's own
 // scaling figures — wall-clock, events per file, retained MB of heap per
 // node — plus the trace fingerprint demonstrating shard-count
-// invariance. Cells run serially: each one uses every core via in-window
-// shard workers, and the heap figure needs the host to itself.
+// invariance. Cells run serially: each one uses every core via the shard
+// group's workers, and the heap figure needs the host to itself.
 func tab8(scale Scale) *metrics.Table {
 	nodesAxis := []int{100, 1000, 10000}
 	shardsAxis := []int{1, 4}

@@ -71,9 +71,9 @@ func TestFleetDFSIOWriteDeterminism(t *testing.T) {
 // cells are tab8's small-scale rows; the 240-node cell doubles the files
 // and their size. The values were recorded at the parent of the commit
 // that coalesced each rack's same-instant rate events into one settle,
-// under per-event re-solving; windows are pinned per shard count, and the
-// 7-shard windows were recorded before that axis was added to the test.
-// The 100-node fleet has 5 racks, too few for 7 shards (windows 0).
+// under per-event re-solving. Windows are pinned per shard count; one
+// shard runs as one window. The 100-node fleet has 5
+// racks, too few for 7 shards (windows 0).
 func TestFleetDFSIOWritePins(t *testing.T) {
 	for _, c := range []struct {
 		nodes, files    int
@@ -82,9 +82,9 @@ func TestFleetDFSIOWritePins(t *testing.T) {
 		events, elapsed int64
 		windows         [3]int64
 	}{
-		{100, 4, 1 << 20, 0x692ad8c9f13457c0, 3400, 4668962, [3]int64{147, 337, 0}},
-		{400, 4, 1 << 20, 0x8e12b3395dcf14b0, 13600, 5032356, [3]int64{657, 783, 812}},
-		{240, 8, 2 << 20, 0xbb91a4646b6e9acb, 15840, 18759925, [3]int64{1737, 2389, 2575}},
+		{100, 4, 1 << 20, 0x692ad8c9f13457c0, 3400, 4668962, [3]int64{1, 337, 0}},
+		{400, 4, 1 << 20, 0x8e12b3395dcf14b0, 13600, 5032356, [3]int64{1, 747, 807}},
+		{240, 8, 2 << 20, 0xbb91a4646b6e9acb, 15840, 18759925, [3]int64{1, 2073, 2554}},
 	} {
 		for si, shards := range []int{1, 2, 7} {
 			if c.windows[si] == 0 {

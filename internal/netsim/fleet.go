@@ -13,9 +13,11 @@ package netsim
 // The fleet is also the unit of kernel sharding: racks are partitioned
 // across a sim.ShardGroup (round-robin), each rack's flow state is owned
 // exclusively by its shard, and all cross-rack traffic is carried by
-// cross-shard messages at window barriers — even when the two racks
-// happen to share a shard, so the event trace is independent of the
-// shard count.
+// ShardGroup.Send messages, ordered by (delivery time, sending rack,
+// rack sequence). A message between two shards crosses at a window
+// barrier; one between racks that share a shard goes straight into the
+// shard's inbox. Either way it dispatches at the same canonical
+// position, so the event trace is independent of the shard count.
 //
 // Bandwidth model: each node has full-duplex NIC links (egress, ingress)
 // at the profile bandwidth, and each rack has an uplink and a downlink
@@ -336,7 +338,7 @@ var ErrFleetShard = errors.New("netsim: transfer issued off the source node's sh
 // without allocating. The record is written on the source shard before
 // any message departs and released back to the source-rack pool on the
 // source shard, so the destination shard's phase-two reads are ordered
-// by the barrier protocol and need no locking.
+// by the shard group's message hand-off and need no locking.
 type fleetXfer struct {
 	sr, dr *fleetRack
 	di     int
@@ -393,9 +395,10 @@ func (fl *Fleet) StartTransfer(src, dst int, n int64, done func()) error {
 		}
 		x.handoff = func() {
 			// Hand the payload to the destination rack one cross-rack
-			// latency later. This always rides the shard group — even
-			// when both racks share a shard — so delivery order is
-			// identical at any shard count.
+			// latency later. This always rides the shard group's Send —
+			// even when both racks share a shard, where it skips the
+			// barrier — so delivery order is identical at any shard
+			// count.
 			s, lat := x.sr, x.sr.fl.topo.CrossRackLatency
 			s.fl.group.Send(s.shard, x.dr.shard, s.env.Now()+lat, uint64(s.id), s.nextSeq(), x.phase2)
 		}

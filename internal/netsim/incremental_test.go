@@ -16,7 +16,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -150,13 +149,14 @@ func TestFlowSolverDifferentialStress(t *testing.T) {
 // fleetDiffTrace runs one seeded random Fleet workload — intra- and
 // cross-rack transfers, with repeated same-(src,dst) submissions to
 // exercise bundle joins and member backlogs — and returns every
-// completion in delivery order plus the final stats, and separately the
-// settle count. With a positive grid every start time is rounded down to
-// a multiple of it, so many legs start, and many finish, in one instant.
+// completion plus the final stats, and separately the settle count. Each
+// shard records its own completions in delivery order and the trace
+// concatenates them in shard order, so it does not depend on how the
+// group's windows interleave the two shards. With a positive grid every
+// start time is rounded down to a multiple of it, so many legs start,
+// and many finish, in one instant.
 func fleetDiffTrace(t *testing.T, seed int64, grid time.Duration) (trace []string, resolves int64) {
 	t.Helper()
-	// Both shards append to one trace, so windows run serially.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	topo := fleetTopo(4, 6, 2)
 	topo.UplinkBandwidth = 2 * RDMA.Bandwidth
 	fl, err := NewFleet(topo)
@@ -193,18 +193,23 @@ func fleetDiffTrace(t *testing.T, seed int64, grid time.Duration) (trace []strin
 			plans[i].at -= plans[i].at % grid
 		}
 	}
+	// A completion runs on its writer's shard; shards run concurrently.
+	perShard := make([][]string, topo.Shards)
 	for i := range plans {
 		i, pl := i, plans[i]
-		env := fl.Env(pl.src)
+		env, own := fl.Env(pl.src), &perShard[fl.ShardOf(pl.src)]
 		env.At(pl.at, func() {
 			if err := fl.StartTransfer(pl.src, pl.dst, pl.n, func() {
-				trace = append(trace, fmt.Sprintf("x%d t=%d", i, env.Now()))
+				*own = append(*own, fmt.Sprintf("x%d t=%d", i, env.Now()))
 			}); err != nil {
 				t.Errorf("StartTransfer %d: %v", i, err)
 			}
 		})
 	}
 	end := fl.Group().Run()
+	for _, s := range perShard {
+		trace = append(trace, s...)
+	}
 	st := fl.Stats()
 	trace = append(trace, fmt.Sprintf("end=%d flows=%d bytes=%d/%d",
 		end, st.Flows, st.BytesSent, st.BytesReceived))
@@ -224,19 +229,18 @@ func checkFleetPins(t *testing.T, grid time.Duration, want []uint64, resolves []
 	}, want)
 }
 
-// The fleet pins were recorded at the parent of the commit that made a
-// settle coalesce a rack's same-instant rate events, from the trace
-// above: every completion instant, in order, and the final stats with
-// the resolve count left out. The per-event engine reproduced the six
-// original pins (which hashed its resolve count too) at that commit, so
-// these trace-identity checks bind the coalescing settle to it. The
-// counts fall because same-instant events now share one settle: the
+// The fleet pins hash the trace above: every completion instant, shard
+// by shard, and the final stats with the resolve count left out. Kept
+// per shard, the trace does not depend on where windows fall, so any
+// window protocol that keeps each shard's event order reproduces it. The
+// per-event engine gives the same completions as the coalescing settle;
+// the counts fall because same-instant events share one settle: the
 // per-event engine ran one resolve per leg event, 522, 534, 544, 532, 526
 // and 538 for seeds 1-6 on either variant.
 func TestFleetSolverDifferentialStress(t *testing.T) {
 	checkFleetPins(t, 0, []uint64{
-		0x1b9897f0e85de5dd, 0x8736bf71c8eac584, 0x7656ab7c1f906c16,
-		0xca991dd9d3390306, 0xec411f04305c6532, 0x3ed0d05e4e6dc508,
+		0x862588535adc6b8b, 0x2eedef03fa3c343e, 0x50456558eba352a4,
+		0xff80089aaf2717d8, 0x95a428fb0fbc1410, 0xd1d8ee7aebe50be4,
 	}, []int64{520, 534, 544, 532, 526, 536})
 }
 
@@ -245,8 +249,8 @@ func TestFleetSolverDifferentialStress(t *testing.T) {
 // completions, the shape a settle coalesces most.
 func TestFleetSolverSameInstantStress(t *testing.T) {
 	checkFleetPins(t, 100*time.Microsecond, []uint64{
-		0x96c7832aa382dd62, 0x51c57e1e4e7f6b5c, 0xdf95e2fc2c76eced,
-		0xa98fa90709f9dfc7, 0x3d5e4dc4bf083f5e, 0xa7e92c55c90d8cc0,
+		0xa2312005142c3270, 0x827bb41733a024d2, 0x47b3ad52ec611d2b,
+		0x0d40c67a385579b9, 0x280464cef9e3f922, 0xf822435e7eb93cb0,
 	}, []int64{460, 471, 479, 468, 457, 476})
 }
 

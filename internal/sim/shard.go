@@ -19,11 +19,14 @@ package sim
 // identical for any shard count and any worker count (GOMAXPROCS, read
 // when Run starts), because
 //
-//   - cross-shard messages are buffered in per-sender outboxes and merged
-//     into each destination's inbox at window barriers in the canonical
-//     (delivery time, sender key, sender sequence) order — an order
+//   - every message lands in its destination's inbox at its canonical
+//     (delivery time, sender key, sender sequence) position — an order
 //     derived purely from sender-local state, not from shard placement,
-//     goroutine timing, or which barrier happened to carry the message;
+//     goroutine timing, or which barrier happened to carry the message.
+//     A send to the sender's own shard is inserted there at once; a send
+//     to another shard is buffered in the sender's outbox and merged at
+//     the next window barrier, which is always before the receiver's
+//     clock can reach it (it lands at or beyond the receiver's horizon);
 //   - inbox messages dispatch before same-instant heap events, so the
 //     interleaving of a delivery with local work at the same virtual
 //     nanosecond does not depend on when the message was injected;
@@ -32,8 +35,18 @@ package sim
 //     interaction goes through Send, even when two domains happen to be
 //     placed on the same shard).
 //
-// A single-shard group runs the exact same barrier protocol, which is
-// what makes the shards=1 trace the reference for shards=K.
+// So a single-shard group needs no barrier after its first: it runs as
+// one window, and its trace is the reference for shards=K.
+//
+// # Workers
+//
+// Run starts W - 1 worker goroutines, W = min(GOMAXPROCS, shards), once
+// and stops them before it returns, panics included. Shard i always runs
+// on goroutine i mod W; the coordinator (the goroutine that called Run)
+// is goroutine 0, and runs the barriers and its own shards. Hand-offs go
+// over channels: the coordinator sends a worker its window, the worker
+// answers once its shards have run. A receive may spin for a bounded
+// number of checks (spinChecks) before it blocks.
 //
 // # Adaptive lookahead
 //
@@ -57,38 +70,35 @@ package sim
 // exactly like the lock-step original — the adaptivity is free.
 //
 // The widened horizon is a statement about the *other shards' current
-// pending work*; the running shard's own sends create new hazards the
-// barrier-time computation could not see, so Send dynamically caps the
-// sender's window at the earliest possible consequence of the send:
-//
-//   - a self-send (destination domain on the same shard) is delivered at
-//     the next barrier, so the window must end just below the delivery
-//     time for the message not to be skipped;
-//   - a send to another shard can reflect — the receiver executes the
-//     delivery at `at` and may answer with a message landing back at
-//     at + lookahead, inside the widened window — so the sender stops at
-//     at + lookahead - 1. Longer chains (through any number of shards)
-//     only push the reflection later, so the two-hop bound is the tight
-//     one.
-//
-// Under the classic fixed horizon both caps sit at or beyond the window
-// end and never bind. Because the trace order is (time, class, canonical
-// key) — never "which barrier injected this" — reshaping the window
-// sequence cannot reshape the trace. The fixed horizon survives only as
-// a test oracle (the unexported ShardGroup.fixed), and
-// TestShardAdaptiveLookaheadStress pins the adaptive trace to it across
-// shard and worker counts.
+// pending work*; the running shard's own sends to another shard create a
+// hazard the barrier-time computation could not see. Such a send can
+// reflect — the receiver executes the delivery at `at` and may answer
+// with a message landing back at at + lookahead, inside the widened
+// window — so Send caps the sender's window at at + lookahead - 1.
+// Longer chains (through any number of shards) only push the reflection
+// later, so the two-hop bound is the tight one. A send to the sender's
+// own shard needs no cap: it is already in the inbox, where the running
+// window dispatches it in order. Under the classic fixed horizon the cap
+// sits at or beyond the window end and never binds. Because the trace
+// order is (time, class, canonical key) — never "which barrier injected
+// this" — reshaping the window sequence cannot reshape the trace. The
+// fixed horizon survives only as a test oracle (the unexported
+// ShardGroup.fixed), and TestShardAdaptiveLookaheadStress pins the
+// adaptive trace to it across shard and worker counts.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
 )
 
-// crossMsg is one buffered cross-shard delivery.
+// crossMsg is one ShardGroup.Send delivery, to another shard or the
+// sender's own.
 type crossMsg struct {
 	at  int64  // delivery time, virtual ns
 	key uint64 // sender domain (e.g. rack id) — first tie-break
@@ -97,17 +107,17 @@ type crossMsg struct {
 	fn  func()
 }
 
-// msgBefore is the canonical cross-shard delivery order: (time, sender
-// key, sender seq). key/seq pairs are unique per sender, so this is a
-// total order independent of shard placement and barrier timing.
-func msgBefore(a, b *crossMsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// msgCmp is the canonical delivery order: (time, sender key, sender
+// seq). key/seq pairs are unique per sender, so this is a total order
+// independent of shard placement and barrier timing.
+func msgCmp(a, b *crossMsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	if a.key != b.key {
-		return a.key < b.key
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // ShardGroup coordinates a set of shard Envs under conservative
@@ -115,9 +125,6 @@ func msgBefore(a, b *crossMsg) bool {
 type ShardGroup struct {
 	shards    []*Env
 	lookahead int64
-	// workers is GOMAXPROCS as Run found it: how many shards execute
-	// concurrently inside a window.
-	workers int
 	// fixed selects the classic lock-step horizon instead of the adaptive
 	// one. Only tests set it, as the oracle the adaptive trace must match.
 	fixed bool
@@ -130,13 +137,54 @@ type ShardGroup struct {
 	inject  [][]crossMsg // per-destination splice batches, reused
 	next    []int64      // per-shard earliest pending activity
 	limits  []int64      // per-shard window limit (inclusive)
-	active  []int
-	fails   []any
-	sem     chan struct{}
+	live    []bool       // shard runs in the current window
+	fails   []any        // per-shard panic of the current window
 
-	windows  int64
-	messages int64
-	running  bool
+	// start[w-1] hands goroutine w a window while Run runs; calls lists the
+	// workers with a live shard in the current window, and done is where
+	// each of them answers once its shards have run. spin is set when the
+	// current window runs shards on more than one goroutine (the
+	// coordinator is goroutine 0): then the receives after it spin before
+	// they block.
+	start  []chan struct{}
+	calls  []int
+	done   chan struct{}
+	spin   bool
+	exited sync.WaitGroup
+
+	windows int64
+	running bool
+}
+
+// A receive of a hand-off spins for up to spinChecks checks before it
+// blocks, yielding its P every yieldEvery checks so that a goroutine just
+// woken onto that P is not held up behind the spin. It spins only after a
+// window that ran shards on more than one goroutine: then a hand-off costs
+// a cache-line transfer, and each shard keeps its thread's caches. After a
+// window that ran on one goroutine alone (the fleet's overloaded swarm is
+// a chain of those, alternating between shards), it blocks at once, and
+// the scheduler runs the woken goroutine on the waker's thread: the chain
+// stays on one CPU instead of moving its messages between two.
+const (
+	spinChecks = 1 << 16
+	yieldEvery = 1 << 8
+)
+
+// recv receives from ch, spinning first if spin is set, and reports
+// whether ch was still open.
+func recv(ch <-chan struct{}, spin bool) bool {
+	for i := 1; spin && i <= spinChecks; i++ {
+		select {
+		case _, ok := <-ch:
+			return ok
+		default:
+		}
+		if i%yieldEvery == 0 {
+			runtime.Gosched()
+		}
+	}
+	_, ok := <-ch
+	return ok
 }
 
 // NewShardGroup creates n shard environments coordinated with the given
@@ -158,7 +206,9 @@ func NewShardGroup(n int, lookahead time.Duration, seed int64) *ShardGroup {
 		inject:    make([][]crossMsg, n),
 		next:      make([]int64, n),
 		limits:    make([]int64, n),
+		live:      make([]bool, n),
 		fails:     make([]any, n),
+		done:      make(chan struct{}, n),
 	}
 	for i := range g.shards {
 		g.shards[i] = New(seed + int64(i))
@@ -179,8 +229,15 @@ func (g *ShardGroup) Lookahead() time.Duration { return time.Duration(g.lookahea
 // Windows returns how many synchronization windows have run.
 func (g *ShardGroup) Windows() int64 { return g.windows }
 
-// Messages returns how many cross-shard messages have been delivered.
-func (g *ShardGroup) Messages() int64 { return g.messages }
+// Messages returns how many messages Send has delivered, to the sender's
+// own shard or another.
+func (g *ShardGroup) Messages() int64 {
+	var n int64
+	for _, e := range g.shards {
+		n += e.delivered
+	}
+	return n
+}
 
 // Events returns the total events dispatched across all shards.
 func (g *ShardGroup) Events() int64 {
@@ -218,9 +275,11 @@ func (g *ShardGroup) Send(src, dst int, at time.Duration, key, seq uint64, fn fu
 		panic(fmt.Sprintf("sim: cross-shard send at %v from shard %d (now %v) violates lookahead %v",
 			at, src, e.Now(), time.Duration(g.lookahead)))
 	}
-	// Sending obligates the sender to stop early. A self-send can land
-	// inside an adaptively widened window, so the window must end just
-	// below the delivery for the message to take the barrier-merge path.
+	m := crossMsg{at: int64(at), key: key, seq: seq, dst: dst, fn: fn}
+	if dst == src {
+		e.pushMsg(m)
+		return
+	}
 	// A send to another shard can *reflect*: the receiver executes the
 	// delivery at `at` in a later window and may answer with a message
 	// landing back here at at + lookahead — inside a widened window that
@@ -228,33 +287,27 @@ func (g *ShardGroup) Send(src, dst int, at time.Duration, key, seq uint64, fn fu
 	// us. Capping at the earliest possible consequence keeps the widened
 	// windows conservative over arbitrary send chains (any path back to
 	// the sender is at least two hops, i.e. at + lookahead at the
-	// earliest). Under the classic fixed horizon both caps sit at or
-	// beyond the window end and never bind.
-	c := int64(at) - 1
-	if dst != src {
-		c += g.lookahead
-	}
-	if c < e.windowCap {
+	// earliest). Under the classic fixed horizon the cap sits at or
+	// beyond the window end and never binds.
+	if c := int64(at) + g.lookahead - 1; c < e.windowCap {
 		e.windowCap = c
 	}
-	g.outbox[src] = append(g.outbox[src], crossMsg{at: int64(at), key: key, seq: seq, dst: dst, fn: fn})
+	g.outbox[src] = append(g.outbox[src], m)
 }
 
 // Run drives every shard until all heaps, inboxes, and outboxes drain,
 // then returns the final virtual time (the maximum across shards). Up to
 // GOMAXPROCS shards execute each window concurrently; any value yields
-// the identical event trace. Like Env.Run it re-raises the first process
-// panic.
+// the identical event trace. Like Env.Run it re-raises a process panic:
+// the lowest shard's, when several panic in one window.
 func (g *ShardGroup) Run() time.Duration {
 	if g.running {
 		panic("sim: ShardGroup.Run called re-entrantly")
 	}
 	g.running = true
-	g.workers = runtime.GOMAXPROCS(0)
-	if cap(g.sem) != g.workers {
-		g.sem = make(chan struct{}, g.workers)
-	}
+	g.startWorkers()
 	defer func() {
+		g.stopWorkers()
 		g.running = false
 		for _, e := range g.shards {
 			e.releasePool()
@@ -269,12 +322,7 @@ func (g *ShardGroup) Run() time.Duration {
 			g.outbox[i] = g.outbox[i][:0]
 		}
 		if len(g.pending) > 0 {
-			slices.SortFunc(g.pending, func(a, b crossMsg) int {
-				if msgBefore(&a, &b) {
-					return -1
-				}
-				return 1
-			})
+			slices.SortFunc(g.pending, func(a, b crossMsg) int { return msgCmp(&a, &b) })
 			for i := range g.inject {
 				g.inject[i] = g.inject[i][:0]
 			}
@@ -288,7 +336,6 @@ func (g *ShardGroup) Run() time.Duration {
 					g.shards[d].spliceMsgs(g.inject[d])
 				}
 			}
-			g.messages += int64(len(g.pending))
 			g.pending = g.pending[:0]
 		}
 		// Per-shard earliest activity, plus the two global minima the
@@ -324,8 +371,12 @@ func (g *ShardGroup) Run() time.Duration {
 		// Adaptive: shard i runs to (min over j != i of next(j)) +
 		// lookahead — only the unique earliest shard differs, extending to
 		// m2 + lookahead (unbounded when it is alone).
-		g.active = g.active[:0]
+		g.windows++
+		stride := len(g.start) + 1
+		g.calls = g.calls[:0]
+		own := false
 		for i := range g.shards {
+			g.live[i] = false
 			if g.next[i] == math.MaxInt64 {
 				continue
 			}
@@ -341,53 +392,128 @@ func (g *ShardGroup) Run() time.Duration {
 				continue
 			}
 			g.limits[i] = horizon - 1
-			g.active = append(g.active, i)
+			g.live[i] = true
+			// Shards i and i+stride share a goroutine, so a worker is
+			// called once, by its first live shard.
+			if w := i % stride; w == 0 {
+				own = true
+			} else if !slices.Contains(g.calls, w) {
+				g.calls = append(g.calls, w)
+			}
 		}
-		g.windows++
-		g.runShards()
+		g.spin = len(g.calls) > 1 || len(g.calls) == 1 && own
+		g.runWindow()
 	}
 	return g.Now()
 }
 
-// runShards executes the active shards up to their per-shard limits,
-// serially in shard order or on up to g.workers goroutines. Shard
-// domains are disjoint, so concurrent windows touch no shared state;
+// startWorkers starts min(GOMAXPROCS, shards) - 1 workers; goroutine w
+// runs shards w, w+W, ... for the whole run.
+func (g *ShardGroup) startWorkers() {
+	n := min(runtime.GOMAXPROCS(0), len(g.shards))
+	for w := 1; w < n; w++ {
+		start := make(chan struct{}, 1)
+		g.start = append(g.start, start)
+		g.exited.Add(1)
+		go g.work(w, n, start)
+	}
+}
+
+// stopWorkers closes every worker's start channel and returns once they
+// have exited.
+func (g *ShardGroup) stopWorkers() {
+	for _, start := range g.start {
+		close(start)
+	}
+	g.exited.Wait()
+	clear(g.start)
+	g.start = g.start[:0]
+}
+
+// work is worker goroutine w's loop (of stride goroutines): receive a
+// window, run its live shards, answer on done.
+func (g *ShardGroup) work(w, stride int, start <-chan struct{}) {
+	defer g.exited.Done()
+	spin := false
+	for recv(start, spin) {
+		g.runOwn(w, stride)
+		spin = g.spin // read before done lets the coordinator move on
+		g.done <- struct{}{}
+	}
+}
+
+// runWindow executes the live shards up to their per-shard limits: the
+// called workers theirs, the coordinator its own, then the coordinator
+// waits for the workers. Each called worker answers once per window, so
+// an answer always belongs to the window that is waiting for it. Shard
+// domains are disjoint, so concurrent shards touch no shared state;
 // panics are collected and the lowest-shard one is re-raised so failure
 // identity does not depend on goroutine timing.
-func (g *ShardGroup) runShards() {
-	if g.workers <= 1 || len(g.active) <= 1 {
-		for _, i := range g.active {
-			g.shards[i].run(g.limits[i])
-		}
-		return
+func (g *ShardGroup) runWindow() {
+	for _, w := range g.calls {
+		g.start[w-1] <- struct{}{}
 	}
-	var wg sync.WaitGroup
-	for _, i := range g.active {
-		wg.Add(1)
-		g.sem <- struct{}{}
-		go func(i int) {
-			defer func() {
-				g.fails[i] = recover()
-				<-g.sem
-				wg.Done()
-			}()
-			g.shards[i].run(g.limits[i])
-		}(i)
+	g.runOwn(0, len(g.start)+1)
+	for range g.calls {
+		recv(g.done, g.spin)
 	}
-	wg.Wait()
 	for _, f := range g.fails {
 		if f != nil {
+			clear(g.fails)
 			panic(f)
 		}
 	}
 }
 
+// runOwn runs goroutine w's live shards in shard order.
+func (g *ShardGroup) runOwn(w, stride int) {
+	for i := w; i < len(g.shards); i += stride {
+		if g.live[i] {
+			g.runShard(i)
+		}
+	}
+}
+
+// runShard runs shard i to its window limit, recording a panic instead
+// of unwinding so the window still completes on every goroutine. A
+// callback's panic keeps the stack it was raised on, which the
+// coordinator's re-panic would otherwise replace; a process's failure
+// already names its process.
+func (g *ShardGroup) runShard(i int) {
+	defer func() {
+		r := recover()
+		if r != nil && r != g.shards[i].failure {
+			r = fmt.Errorf("%v\n\n%s", r, debug.Stack())
+		}
+		g.fails[i] = r
+	}()
+	g.shards[i].run(g.limits[i])
+}
+
+// pushMsg inserts a delivery from the env's own shard at its canonical
+// (at, key, seq) position; it runs mid-window on the shard's goroutine.
+// The dispatched prefix is dropped before the backing array would grow,
+// so a shard that only messages itself keeps a bounded inbox.
+func (e *Env) pushMsg(m crossMsg) {
+	if len(e.msgs) == cap(e.msgs) && e.msgHead > 0 && e.msgHead >= len(e.msgs)/2 {
+		n := copy(e.msgs, e.msgs[e.msgHead:])
+		clear(e.msgs[n:])
+		e.msgs, e.msgHead = e.msgs[:n], 0
+	}
+	rem := e.msgs[e.msgHead:]
+	i := len(rem)
+	if i > 0 && msgCmp(&m, &rem[i-1]) < 0 {
+		i, _ = slices.BinarySearchFunc(rem, m, func(a, b crossMsg) int { return msgCmp(&a, &b) })
+	}
+	e.msgs = slices.Insert(e.msgs, e.msgHead+i, m)
+}
+
 // spliceMsgs merges a batch of cross-shard deliveries — already in
 // canonical (at, key, seq) order — into the env's inbox with one linear
-// splice. Undelivered leftovers from earlier barriers (deliveries beyond
-// a past window's end) keep their canonical position, so the final inbox
-// order never depends on which barrier carried which message. Runs on the
-// coordinator between windows; the two backing slices are reused.
+// splice. Undelivered leftovers (deliveries beyond a past window's end,
+// and the shard's own sends) keep their canonical position, so the final
+// inbox order never depends on which barrier carried which message. Runs
+// on the coordinator between windows; the two backing slices are reused.
 func (e *Env) spliceMsgs(batch []crossMsg) {
 	rem := e.msgs[e.msgHead:]
 	if len(rem) == 0 {
@@ -398,7 +524,7 @@ func (e *Env) spliceMsgs(batch []crossMsg) {
 	out := e.msgSpare[:0]
 	i, j := 0, 0
 	for i < len(rem) && j < len(batch) {
-		if msgBefore(&rem[i], &batch[j]) {
+		if msgCmp(&rem[i], &batch[j]) < 0 {
 			out = append(out, rem[i])
 			i++
 		} else {

@@ -198,16 +198,57 @@ func TestShardGroupValidation(t *testing.T) {
 	}
 }
 
+// TestShardGroupProcessPanicPropagates checks that a process panic on a
+// worker's shard reaches Run's caller; that when shards 1 and 2 of 4
+// panic in one window the lowest shard's panic is the one re-raised,
+// whatever the worker count; that a callback's panic keeps the stack it
+// was raised on; and that no worker goroutine outlives a panicking Run.
 func TestShardGroupProcessPanicPropagates(t *testing.T) {
 	g := NewShardGroup(2, time.Microsecond, 1)
 	g.Shard(1).Spawn("boom", func(p *Proc) {
 		p.Sleep(time.Microsecond)
 		panic("kaboom")
 	})
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "kaboom") {
-			t.Fatalf("want process panic to propagate, got %v", r)
-		}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "kaboom") {
+				t.Fatalf("want process panic to propagate, got %v", r)
+			}
+		}()
+		withProcs(4, func() { g.Run() })
 	}()
-	withProcs(4, func() { g.Run() })
+	for _, procs := range []int{1, 2, 4} {
+		base := goroutineBaseline()
+		g := NewShardGroup(4, time.Microsecond, 1)
+		for _, s := range []int{2, 1} {
+			g.Shard(s).Spawn(fmt.Sprintf("boom%d", s), func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				panic(fmt.Sprintf("shard %d failed", s))
+			})
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shard 1 failed") {
+					t.Errorf("GOMAXPROCS=%d: re-raised %v, want shard 1's panic", procs, r)
+				}
+			}()
+			withProcs(procs, func() { g.Run() })
+		}()
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("GOMAXPROCS=%d: %d goroutines after a panicking Run, want the %d from before", procs, n, base)
+		}
+	}
+	for _, procs := range []int{1, 2} {
+		g := NewShardGroup(2, time.Microsecond, 1)
+		g.Shard(1).At(time.Microsecond, func() { panic("callback failed") })
+		func() {
+			defer func() {
+				r := fmt.Sprint(recover())
+				if !strings.Contains(r, "callback failed") || !strings.Contains(r, "shard_test.go") {
+					t.Errorf("GOMAXPROCS=%d: re-raised %q, want the callback's panic with its stack", procs, r)
+				}
+			}()
+			withProcs(procs, func() { g.Run() })
+		}()
+	}
 }

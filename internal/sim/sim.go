@@ -64,10 +64,10 @@ type Env struct {
 	// switches counts hand-offs from a process to the Run goroutine, for the
 	// kernel tests that pin which yields switch and which do not.
 	switches int64
-	// Cross-shard delivery inbox, used only when the env belongs to a
-	// ShardGroup: msgs[msgHead:] holds pending deliveries in canonical
-	// (time, sender key, sender seq) order and msgSpare is the merge double
-	// buffer (see shard.go).
+	// Message inbox, used only when the env belongs to a ShardGroup:
+	// msgs[msgHead:] holds pending deliveries in canonical (time, sender
+	// key, sender seq) order and msgSpare is the merge double buffer (see
+	// shard.go).
 	msgs     []crossMsg
 	msgHead  int
 	msgSpare []crossMsg
@@ -78,6 +78,8 @@ type Env struct {
 	// hooks are the AtEndOfInstant callbacks waiting for the current
 	// instant to end, in registration order.
 	hooks []func()
+	// delivered counts the inbox messages dispatched.
+	delivered int64
 }
 
 // New returns an empty environment whose clock starts at zero. The seed
@@ -397,6 +399,7 @@ func (e *Env) advance() *Proc {
 			fn := m.fn
 			m.fn = nil
 			e.events++
+			e.delivered++
 			fn()
 			continue
 		}
