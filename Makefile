@@ -16,15 +16,17 @@ race:
 	go test -race ./...
 
 # Fuzz for FUZZTIME each: the one frame decoder (binproto.ReadHead), the
-# client's reply reader against arbitrary server bytes, and the engine
-# against its plain-map model over arbitrary operation programs. `go test`
-# takes one -fuzz target per run; plain `go test ./...` runs their seed
-# corpora.
+# client's reply reader against arbitrary server bytes, the engine against
+# its plain-map model over arbitrary operation programs, and the sim
+# kernel's event heap against its sorted-slice oracle over arbitrary
+# schedule/pop/cancel/reschedule programs. `go test` takes one -fuzz target
+# per run; plain `go test ./...` runs their seed corpora.
 FUZZTIME ?= 30s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadHead$$' -fuzztime $(FUZZTIME) ./internal/memcached/binproto/
 	go test -run '^$$' -fuzz '^FuzzClientReplies$$' -fuzztime $(FUZZTIME) ./internal/memcached/mcclient/
 	go test -run '^$$' -fuzz '^FuzzEngineModel$$' -fuzztime $(FUZZTIME) ./internal/memcached/
+	go test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # Full micro-benchmark suite with allocation stats, summarized to
 # BENCH_10.json (serving-cluster PR: ClusterZipf is the headline — a

@@ -564,8 +564,8 @@ func fig2(Scale) *metrics.Table {
 			c := c
 			env.Spawn(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
 				// One envelope per client, reused across the whole run:
-				// Call is synchronous, so only the key string (which the
-				// engine retains) is built fresh each op.
+				// Call is synchronous, so only the key string is built
+				// fresh each op (the engine copies it into its own arena).
 				msg := netsim.Msg{From: netsim.NodeID(c), Service: "kv", Op: "set", Size: 64}
 				prefix := "c" + strconv.Itoa(c) + "-k"
 				for i := 0; i < opsPerClient; i++ {

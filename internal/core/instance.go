@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"hbb/internal/cluster"
@@ -312,9 +313,15 @@ func (inst *Instance) itemKeys(b *bbBlock) []string {
 	n := int((b.size + inst.cfg.ItemChunk - 1) / inst.cfg.ItemChunk)
 	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("%s#%d", b.key, i)
+		keys[i] = itemKey(b.key, int64(i))
 	}
 	return keys
+}
+
+// itemKey names item i of the block keyed block: "block#i".
+func itemKey(block string, i int64) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(append(buf[:0], block...), '#'), i, 10))
 }
 
 func (inst *Instance) blockLustrePath(b *bbBlock) string { return inst.pool.blockLustrePath(b) }

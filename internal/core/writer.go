@@ -282,7 +282,7 @@ func (w *bbWriter) streamBytes(p *sim.Proc, m int64) error {
 func (w *bbWriter) issueItem(p *sim.Proc) error {
 	b := w.cur
 	idx := (b.size - 1) / w.fs.cfg.ItemChunk
-	key := fmt.Sprintf("%s#%d", b.key, idx)
+	key := itemKey(b.key, idx)
 	for _, s := range b.srvs {
 		rep := w.fs.net.Call(p, &netsim.Msg{
 			From: w.client, To: s.phys.node, Service: bbService, Op: "set",

@@ -303,10 +303,12 @@ func (l *Lustre) Create(p *sim.Proc, client netsim.NodeID, path string) (dfs.Wri
 		return nil, rep.Err
 	}
 	f := rep.Payload.(*dfs.TreeFile)
-	return &lustreWriter{
+	w := &lustreWriter{
 		fs: l, client: client, file: f,
 		window: sim.NewSemaphore(rpcsInFlight),
-	}, nil
+	}
+	w.stripeDone = w.finishStripe
+	return w, nil
 }
 
 // lustreWriter streams a file onto the OST pool with a bounded RPC window.
@@ -320,6 +322,16 @@ type lustreWriter struct {
 	chunk  int
 	closed bool
 	ioErr  error
+	// stripeDone is finishStripe bound once, so a stripe write allocates
+	// no completion of its own.
+	stripeDone func()
+}
+
+// finishStripe retires one stripe write: its place in the RPC window and
+// its count in the writes Close waits for.
+func (w *lustreWriter) finishStripe() {
+	w.window.Release(1)
+	w.wg.Done()
 }
 
 // Write implements dfs.Writer.
@@ -346,12 +358,10 @@ func (w *lustreWriter) Write(p *sim.Proc, n int64) error {
 			return err
 		}
 		w.wg.Add(1)
-		dev := o.dev
-		w.fs.cl.Env.Spawn(fmt.Sprintf("ost.write.%s", w.file.Path), func(q *sim.Proc) {
-			dev.WriteFlat(q, m)
-			w.window.Release(1)
-			w.wg.Done()
-		})
+		// A stripe write never blocks on a primitive (latency, then one
+		// flat reservation), so it runs as callbacks; a stripe read stays a
+		// process because it blocks on its flow to the client.
+		o.dev.StartWriteFlat(w.fs.cl.Env, m, w.stripeDone)
 		w.fs.stats.BytesWritten += m
 		w.offset += m
 		w.chunk++
@@ -493,7 +503,7 @@ func (r *lustreReader) issue(p *sim.Proc) {
 	fs := r.fs
 	client := r.client
 	in := r.in
-	fs.cl.Env.Spawn(fmt.Sprintf("ost.read.%s", r.file.Path), func(q *sim.Proc) {
+	fs.cl.Env.Spawn("ost.read."+r.file.Path, func(q *sim.Proc) {
 		dev.ReadFlat(q, m)
 		var err error
 		if client != node {

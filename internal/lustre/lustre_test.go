@@ -429,3 +429,52 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// stripedWrite writes and closes one file of the given number of 1 MiB
+// stripes over 4 OSTs on a fresh cluster, reporting the events dispatched
+// from Create to Close's return, and the virtual time Close returned at.
+func stripedWrite(t *testing.T, stripes int) (events int64, closed time.Duration) {
+	c := cluster.New(cluster.Config{
+		Nodes:     2,
+		Transport: netsim.IPoIB,
+		Hardware:  cluster.DisklessHardware(),
+		Seed:      3,
+	})
+	l := New(c, Config{OSTs: 4, StripeCount: 4})
+	c.Env.Spawn("driver", func(p *sim.Proc) {
+		before := p.Env().Events()
+		w, err := l.Create(p, 0, "/f")
+		if err == nil {
+			err = w.Write(p, int64(stripes)*mib)
+		}
+		if err == nil {
+			err = w.Close(p)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		events, closed = p.Env().Events()-before, p.Now()
+	})
+	c.Env.Run()
+	return events, closed
+}
+
+// TestLustreWriteEventBudget pins the event count and the finish time of
+// one 64-stripe Write+Close, recorded when every stripe write was a
+// process, so running stripe writes as callbacks provably keeps the event
+// trace. It also bounds what a stripe write allocates.
+func TestLustreWriteEventBudget(t *testing.T) {
+	const wantEvents, wantClosed = 532, 36821170 * time.Nanosecond
+	events, closed := stripedWrite(t, 64)
+	if events != wantEvents || closed != wantClosed {
+		t.Errorf("64-stripe write+close: %d events, closed at %d ns; want %d events at %d ns",
+			events, closed.Nanoseconds(), wantEvents, wantClosed.Nanoseconds())
+	}
+	one := testing.AllocsPerRun(5, func() { stripedWrite(t, 1) })
+	many := testing.AllocsPerRun(5, func() { stripedWrite(t, 65) })
+	// Each stripe was a named process (5.4 allocations a stripe); its
+	// callback chain is pooled per device.
+	if perStripe := (many - one) / 64; perStripe > 1 {
+		t.Errorf("a stripe write allocates %.2f times, want at most 1", perStripe)
+	}
+}

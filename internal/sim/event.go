@@ -7,19 +7,19 @@ import "time"
 // Wait return immediately. The zero value is ready to use.
 type Event struct {
 	triggered bool
-	waiters   []*waiter
+	waiters   []waiter
 	// Value carries an optional payload set by the triggering party.
 	Value any
 }
 
+// waiter is one process blocked on an Event, held by value: nothing about
+// it needs to outlive the wait.
 type waiter struct {
 	p *Proc
-	// fired guards against double-resume when a wait carries a timeout:
-	// whichever of {event, timeout} fires first flips it, and the loser's
-	// pending timer is cancelled.
-	fired bool
-	// timer is the pending timeout wake, if the wait carries one; Trigger
-	// cancels it eagerly so no tombstone lingers in the event queue.
+	// timer is the pending timeout wake, if the wait carries one. Whichever
+	// of {event, timeout} fires first wins: a timeout that already fired has
+	// left the event queue, so Trigger skips its waiter, and Trigger cancels
+	// a timeout that has not.
 	timer Timer
 }
 
@@ -34,21 +34,17 @@ func (ev *Event) Trigger() {
 	}
 	ev.triggered = true
 	for _, w := range ev.waiters {
-		if w.fired {
-			continue
-		}
-		w.fired = true
-		if w.timer != (Timer{}) {
-			// Remove the losing timeout from the event queue right away:
-			// it can no longer fire, and eager removal keeps a workload
-			// that repeatedly wins timed waits from accumulating far-future
-			// tombstones (and from a spurious second wake if the timeout
-			// lands on the same virtual instant as this trigger).
-			w.p.env.Cancel(w.timer)
+		// Removing the losing timeout from the event queue right away keeps
+		// a workload that repeatedly wins timed waits from accumulating
+		// far-future tombstones (and from a spurious second wake if the
+		// timeout lands on the same virtual instant as this trigger).
+		if w.timer != (Timer{}) && !w.p.env.Cancel(w.timer) {
+			continue // timed out already
 		}
 		w.p.unblock(wakeEvent)
 	}
-	ev.waiters = nil
+	clear(ev.waiters)
+	ev.waiters = ev.waiters[:0]
 }
 
 // Wait blocks the process until the event fires. Returns immediately if it
@@ -57,7 +53,7 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.triggered {
 		return
 	}
-	ev.waiters = append(ev.waiters, &waiter{p: p})
+	ev.waiters = append(ev.waiters, waiter{p: p})
 	p.block()
 }
 
@@ -72,25 +68,19 @@ func (ev *Event) WaitTimeout(p *Proc, d time.Duration) bool {
 	// a long-lived event do not accumulate garbage.
 	live := ev.waiters[:0]
 	for _, old := range ev.waiters {
-		if !old.fired {
+		if old.timer == (Timer{}) || old.p.env.q.lookup(old.timer) != nil {
 			live = append(live, old)
 		}
 	}
-	ev.waiters = live
-	w := &waiter{p: p}
-	ev.waiters = append(ev.waiters, w)
+	clear(ev.waiters[len(live):])
 	// The timeout is a timed wake with its own reason, so the process owns a
 	// scheduled event and yields rather than blocks; Trigger cancels it.
 	if d < 0 {
 		d = 0
 	}
-	w.timer = p.env.scheduleProc(p.env.now+int64(d), p, wakeTimeout)
-	if p.yield() == wakeTimeout {
-		// Timed out: mark the waiter dead so a later Trigger skips it.
-		w.fired = true
-		return false
-	}
-	return true
+	timer := p.env.scheduleProc(p.env.now+int64(d), p, wakeTimeout)
+	ev.waiters = append(live, waiter{p: p, timer: timer})
+	return p.yield() != wakeTimeout
 }
 
 // Signal is a single-waiter wake-up, the allocation-free alternative to
@@ -136,7 +126,9 @@ type WaitGroup struct {
 // are released; adding after that starts a new cycle.
 func (wg *WaitGroup) Add(delta int) {
 	if wg.n == 0 && delta > 0 && wg.done.triggered {
-		wg.done = Event{}
+		// Re-arm in place: Trigger emptied the waiter list and kept its
+		// buffer for the next cycle.
+		wg.done.triggered = false
 	}
 	wg.n += delta
 	if wg.n < 0 {

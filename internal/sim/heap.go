@@ -1,15 +1,19 @@
 package sim
 
-// The kernel's event queue is a flat indexed 4-ary min-heap over event
-// slots. Slots live in one growable arena and are recycled through a free
-// list, so steady-state scheduling allocates nothing; the heap itself holds
-// only slot indices. Every slot knows its heap position, which makes
-// cancellation an O(log n) removal instead of a tombstone that lingers
-// until its (possibly far-future) deadline pops, and lets a reschedule
-// re-key a live event where it sits (one sift, no remove + push). A 4-ary
-// layout halves the tree depth of a binary heap and keeps sift-downs inside
-// one cache line of child indices — the classic d-ary trade of a few extra
-// comparisons for fewer memory touches.
+// The kernel's event queue is a flat indexed 4-ary min-heap that carries
+// its own keys: each heap entry is (t, seq, slot), so comparisons never
+// leave the heap array. The payload of an event — which process to wake or
+// which callback to run — lives in a slot in one growable arena, recycled
+// through a free list, so steady-state scheduling allocates nothing. Every
+// slot knows its heap position, which makes cancellation an O(log n)
+// removal instead of a tombstone that lingers until its (possibly
+// far-future) deadline pops, and lets a reschedule re-key a live event
+// where it sits (one sift, no remove + push). The sifts move a hole: the
+// entry being placed is held aside while the entries it passes shift one
+// level, and it is written once, where it lands. A 4-ary layout halves the
+// tree depth of a binary heap and keeps a node's children in one run of
+// the array — the classic d-ary trade of a few extra comparisons for
+// fewer memory touches.
 
 // heapArity is the heap's branching factor.
 const heapArity = 4
@@ -24,11 +28,26 @@ type Timer struct {
 	gen  uint32
 }
 
-// eventSlot is one scheduled event: a process wake (p != nil) or an inline
-// callback (fn != nil).
+// heapEntry is one heap node: an event's key and the slot holding its
+// payload.
+type heapEntry struct {
+	t    int64
+	seq  uint64
+	slot int32
+}
+
+// before orders entries by (time, schedule sequence): FIFO at equal
+// timestamps, the invariant every determinism guarantee rests on.
+func (a *heapEntry) before(b *heapEntry) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// eventSlot is one scheduled event's payload: a process wake (p != nil)
+// or an inline callback (fn != nil).
 type eventSlot struct {
-	t      int64
-	seq    uint64
 	p      *Proc
 	fn     func()
 	pgen   uint32 // incarnation of p the wake targets (pooled shells)
@@ -38,7 +57,7 @@ type eventSlot struct {
 }
 
 type eventQueue struct {
-	heap  []int32
+	heap  []heapEntry
 	slots []eventSlot
 	free  []int32
 }
@@ -47,17 +66,7 @@ type eventQueue struct {
 func (q *eventQueue) Len() int { return len(q.heap) }
 
 // minTime returns the earliest pending timestamp. Callers must check Len.
-func (q *eventQueue) minTime() int64 { return q.slots[q.heap[0]].t }
-
-// before orders slots by (time, schedule sequence): FIFO at equal
-// timestamps, the invariant every determinism guarantee rests on.
-func (q *eventQueue) before(a, b int32) bool {
-	sa, sb := &q.slots[a], &q.slots[b]
-	if sa.t != sb.t {
-		return sa.t < sb.t
-	}
-	return sa.seq < sb.seq
-}
+func (q *eventQueue) minTime() int64 { return q.heap[0].t }
 
 // push schedules an event and returns its cancellation handle.
 func (q *eventQueue) push(t int64, seq uint64, p *Proc, pgen uint32, fn func(), r wakeReason) Timer {
@@ -70,19 +79,25 @@ func (q *eventQueue) push(t int64, seq uint64, p *Proc, pgen uint32, fn func(), 
 		idx = int32(len(q.slots) - 1)
 	}
 	sl := &q.slots[idx]
-	sl.t, sl.seq, sl.p, sl.pgen, sl.fn, sl.reason = t, seq, p, pgen, fn, r
-	sl.pos = int32(len(q.heap))
-	q.heap = append(q.heap, idx)
-	q.up(len(q.heap) - 1)
+	sl.p, sl.pgen, sl.fn, sl.reason = p, pgen, fn, r
+	q.heap = append(q.heap, heapEntry{}) // the hole the new entry rises from
+	q.up(len(q.heap)-1, heapEntry{t: t, seq: seq, slot: idx})
 	return Timer{slot: idx + 1, gen: sl.gen}
 }
 
-// pop removes and returns the earliest event. Callers must check Len.
+// pop removes and returns the earliest event: the last entry fills the
+// root's hole and sifts down. Callers must check Len.
 func (q *eventQueue) pop() (p *Proc, pgen uint32, fn func(), r wakeReason) {
-	idx := q.heap[0]
+	idx := q.heap[0].slot
+	last := len(q.heap) - 1
+	e := q.heap[last]
+	q.heap = q.heap[:last]
+	if last > 0 {
+		q.down(0, e)
+	}
 	sl := &q.slots[idx]
 	p, pgen, fn, r = sl.p, sl.pgen, sl.fn, sl.reason
-	q.removeAt(0)
+	q.release(idx)
 	return p, pgen, fn, r
 }
 
@@ -115,28 +130,37 @@ func (q *eventQueue) cancel(tm Timer) bool {
 // current position. seq is always fresh, hence larger than the old one,
 // so the key moves up only when t moves earlier.
 func (q *eventQueue) rekey(sl *eventSlot, t int64, seq uint64) {
-	earlier := t < sl.t
-	sl.t, sl.seq = t, seq
+	i := int(sl.pos)
+	e := q.heap[i]
+	earlier := t < e.t
+	e.t, e.seq = t, seq
 	if earlier {
-		q.up(int(sl.pos))
+		q.up(i, e)
 	} else {
-		q.down(int(sl.pos))
+		q.down(i, e)
 	}
 }
 
-// removeAt deletes the event at heap position i and recycles its slot.
+// removeAt deletes the event at heap position i and recycles its slot. The
+// last entry fills the hole, sifting up if it orders before the removed
+// one and down otherwise.
 func (q *eventQueue) removeAt(i int) {
-	idx := q.heap[i]
+	gone := q.heap[i]
 	last := len(q.heap) - 1
-	if i != last {
-		q.heap[i] = q.heap[last]
-		q.slots[q.heap[i]].pos = int32(i)
-	}
+	e := q.heap[last]
 	q.heap = q.heap[:last]
 	if i < last {
-		q.down(i)
-		q.up(i)
+		if e.before(&gone) {
+			q.up(i, e)
+		} else {
+			q.down(i, e)
+		}
 	}
+	q.release(gone.slot)
+}
+
+// release recycles a slot whose event left the heap.
+func (q *eventQueue) release(idx int32) {
 	sl := &q.slots[idx]
 	sl.gen++ // invalidate outstanding Timer handles
 	sl.p = nil
@@ -145,44 +169,47 @@ func (q *eventQueue) removeAt(i int) {
 	q.free = append(q.free, idx)
 }
 
-func (q *eventQueue) up(i int) {
+// up places e at the hole i, shifting ancestors that order after it down
+// one level.
+func (q *eventQueue) up(i int, e heapEntry) {
+	h := q.heap
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !q.before(q.heap[i], q.heap[parent]) {
-			return
+		if !e.before(&h[parent]) {
+			break
 		}
-		q.swap(i, parent)
+		h[i] = h[parent]
+		q.slots[h[i].slot].pos = int32(i)
 		i = parent
 	}
+	h[i] = e
+	q.slots[e.slot].pos = int32(i)
 }
 
-func (q *eventQueue) down(i int) {
-	n := len(q.heap)
+// down places e at the hole i, shifting the least child up one level while
+// it orders before e.
+func (q *eventQueue) down(i int, e heapEntry) {
+	h := q.heap
+	n := len(h)
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			break
 		}
 		best := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
+		end := min(first+heapArity, n)
 		for c := first + 1; c < end; c++ {
-			if q.before(q.heap[c], q.heap[best]) {
+			if h[c].before(&h[best]) {
 				best = c
 			}
 		}
-		if !q.before(q.heap[best], q.heap[i]) {
-			return
+		if !h[best].before(&e) {
+			break
 		}
-		q.swap(i, best)
+		h[i] = h[best]
+		q.slots[h[i].slot].pos = int32(i)
 		i = best
 	}
-}
-
-func (q *eventQueue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.slots[q.heap[i]].pos = int32(i)
-	q.slots[q.heap[j]].pos = int32(j)
+	h[i] = e
+	q.slots[e.slot].pos = int32(i)
 }

@@ -2,11 +2,12 @@ package sim
 
 // Semaphore is a counted resource with FIFO admission: Acquire requests are
 // granted strictly in arrival order, so a large request at the head of the
-// queue is not starved by small ones behind it.
+// queue is not starved by small ones behind it. Waiters queue by value in a
+// ring, so a blocking Acquire allocates nothing once the ring has grown.
 type Semaphore struct {
 	capacity int
 	used     int
-	queue    []*semWaiter
+	queue    ring[semWaiter]
 }
 
 type semWaiter struct {
@@ -29,25 +30,25 @@ func (s *Semaphore) Capacity() int { return s.capacity }
 func (s *Semaphore) InUse() int { return s.used }
 
 // Waiting returns the number of queued Acquire calls.
-func (s *Semaphore) Waiting() int { return len(s.queue) }
+func (s *Semaphore) Waiting() int { return s.queue.Len() }
 
 // Acquire obtains n units, blocking the process until they are available.
 func (s *Semaphore) Acquire(p *Proc, n int) {
 	if n > s.capacity {
 		panic("sim: acquire exceeds semaphore capacity")
 	}
-	if len(s.queue) == 0 && s.used+n <= s.capacity {
+	if s.queue.Len() == 0 && s.used+n <= s.capacity {
 		s.used += n
 		return
 	}
-	s.queue = append(s.queue, &semWaiter{p: p, n: n})
+	s.queue.push(semWaiter{p: p, n: n})
 	p.block()
 }
 
 // TryAcquire obtains n units only if they are immediately available,
 // reporting whether it succeeded.
 func (s *Semaphore) TryAcquire(n int) bool {
-	if len(s.queue) == 0 && s.used+n <= s.capacity {
+	if s.queue.Len() == 0 && s.used+n <= s.capacity {
 		s.used += n
 		return true
 	}
@@ -60,18 +61,13 @@ func (s *Semaphore) Release(n int) {
 	if s.used < 0 {
 		panic("sim: semaphore released more than acquired")
 	}
-	for len(s.queue) > 0 {
-		w := s.queue[0]
+	for s.queue.Len() > 0 {
+		w := s.queue.front()
 		if s.used+w.n > s.capacity {
 			break
 		}
 		s.used += w.n
-		// Nil the popped slot before reslicing: the backing array survives
-		// the pop, and a long-lived semaphore must not pin released waiters
-		// (and their processes) for its whole lifetime.
-		s.queue[0] = nil
-		s.queue = s.queue[1:]
-		w.p.unblock(wakeEvent)
+		s.queue.pop().p.unblock(wakeEvent)
 	}
 }
 

@@ -19,11 +19,14 @@
 // which resumes that successor. Only one of them ever executes, so process
 // code needs no locking to touch shared simulation state.
 //
-// Events live in a flat indexed 4-ary heap with a slot free list (scheduling
-// allocates nothing in steady state, cancellation is an O(log n) removal and
-// Reschedule moves a live timer in place, see heap.go); one-shot deferred
-// work can run as an inline callback timer (At, After) with no process at
-// all; and finished shells park in a pool that Spawn reuses, so process
+// Events live in a flat indexed 4-ary heap whose entries carry their own
+// (time, sequence) keys beside the index of a payload slot, recycled
+// through a free list (scheduling allocates nothing in steady state,
+// cancellation is an O(log n) removal and Reschedule moves a live timer in
+// place, see heap.go); one-shot deferred work can run as an inline
+// callback timer (At, After) with no process at all; the wait primitives
+// (Store, Semaphore, Event) queue their waiters without allocating once
+// warm; and finished shells park in a pool that Spawn reuses, so process
 // churn inside a run creates no coroutines.
 //
 // An instant ends when nothing more is due at the current time: every heap
@@ -136,7 +139,7 @@ type Proc struct {
 	inLoop  bool // the process is inside yield: its stack runs the event loop
 }
 
-type wakeReason int
+type wakeReason uint8
 
 const (
 	wakeEvent wakeReason = iota

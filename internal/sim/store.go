@@ -3,26 +3,31 @@ package sim
 // Store is a FIFO queue of items with blocking Get, the channel analogue
 // for simulation processes. Multiple getters are served in FIFO order. A
 // bounded store (NewBounded) additionally blocks PutWait when full,
-// providing backpressure for pipelines.
+// providing backpressure for pipelines. Items and blocked putters wait in
+// rings, and a blocked getter's hand-off record is recycled once it has
+// read its value, so a store in steady state allocates nothing.
 type Store[T any] struct {
-	items    []T
-	getters  []*storeGetter[T]
-	putters  []*storePutter[T]
-	capacity int // 0 = unbounded
+	items    ring[T]
+	getters  ring[*storeGetter[T]]
+	putters  ring[storePutter[T]]
+	spare    []*storeGetter[T] // getter records ready for reuse
+	capacity int               // 0 = unbounded
 	closed   bool
 }
 
+// storePutter is a PutWait blocked on a full store; its item enters the
+// store when a Get frees a place.
 type storePutter[T any] struct {
 	p *Proc
 	v T
 }
 
+// storeGetter is a Get blocked on an empty store: Put hands it the item
+// (ok) and Close releases it empty.
 type storeGetter[T any] struct {
 	p  *Proc
 	v  T
 	ok bool
-	// delivered marks whether a value (or close) was handed over.
-	delivered bool
 }
 
 // NewStore returns an empty unbounded store.
@@ -38,7 +43,7 @@ func NewBounded[T any](capacity int) *Store[T] {
 }
 
 // Len returns the number of queued items.
-func (s *Store[T]) Len() int { return len(s.items) }
+func (s *Store[T]) Len() int { return s.items.Len() }
 
 // Put appends an item, waking the oldest blocked getter if any. Put on a
 // closed store panics, and Put on a full bounded store panics (use PutWait
@@ -47,17 +52,16 @@ func (s *Store[T]) Put(v T) {
 	if s.closed {
 		panic("sim: Put on closed Store")
 	}
-	if len(s.getters) > 0 {
-		g := s.getters[0]
-		s.getters = s.getters[1:]
-		g.v, g.ok, g.delivered = v, true, true
+	if s.getters.Len() > 0 {
+		g := s.getters.pop()
+		g.v, g.ok = v, true
 		g.p.unblock(wakeEvent)
 		return
 	}
-	if s.capacity > 0 && len(s.items) >= s.capacity {
+	if s.capacity > 0 && s.items.Len() >= s.capacity {
 		panic("sim: Put on full bounded Store")
 	}
-	s.items = append(s.items, v)
+	s.items.push(v)
 }
 
 // PutWait appends an item, blocking the process while a bounded store is
@@ -68,9 +72,8 @@ func (s *Store[T]) PutWait(p *Proc, v T) bool {
 	if s.closed {
 		return false
 	}
-	if s.capacity > 0 && len(s.getters) == 0 && len(s.items) >= s.capacity {
-		pu := &storePutter[T]{p: p, v: v}
-		s.putters = append(s.putters, pu)
+	if s.capacity > 0 && s.getters.Len() == 0 && s.items.Len() >= s.capacity {
+		s.putters.push(storePutter[T]{p: p, v: v})
 		p.block()
 		return !s.closed
 	}
@@ -85,54 +88,56 @@ func (s *Store[T]) Close() {
 		return
 	}
 	s.closed = true
-	for _, g := range s.getters {
-		g.delivered = true
-		g.p.unblock(wakeEvent)
+	for s.getters.Len() > 0 {
+		s.getters.pop().p.unblock(wakeEvent)
 	}
-	s.getters = nil
 	// Blocked putters are released; their items are dropped.
-	for _, pu := range s.putters {
-		pu.p.unblock(wakeEvent)
+	for s.putters.Len() > 0 {
+		s.putters.pop().p.unblock(wakeEvent)
 	}
-	s.putters = nil
 }
 
 // Get removes and returns the oldest item, blocking the process until one
 // is available. ok is false if and only if the store is closed and empty.
 func (s *Store[T]) Get(p *Proc) (v T, ok bool) {
-	if len(s.items) > 0 {
-		v = s.items[0]
-		s.items = s.items[1:]
-		// Admit the oldest blocked putter into the freed slot.
-		if len(s.putters) > 0 {
-			pu := s.putters[0]
-			s.putters = s.putters[1:]
-			s.items = append(s.items, pu.v)
-			pu.p.unblock(wakeEvent)
-		}
-		return v, true
+	if s.items.Len() > 0 {
+		return s.take(), true
 	}
 	if s.closed {
 		return v, false
 	}
-	g := &storeGetter[T]{p: p}
-	s.getters = append(s.getters, g)
+	var g *storeGetter[T]
+	if n := len(s.spare) - 1; n >= 0 {
+		g = s.spare[n]
+		s.spare = s.spare[:n]
+	} else {
+		g = &storeGetter[T]{}
+	}
+	g.p = p
+	s.getters.push(g)
 	p.block()
-	return g.v, g.ok
+	v, ok = g.v, g.ok
+	*g = storeGetter[T]{}
+	s.spare = append(s.spare, g)
+	return v, ok
 }
 
 // TryGet removes and returns the oldest item without blocking.
 func (s *Store[T]) TryGet() (v T, ok bool) {
-	if len(s.items) == 0 {
+	if s.items.Len() == 0 {
 		return v, false
 	}
-	v = s.items[0]
-	s.items = s.items[1:]
-	if len(s.putters) > 0 {
-		pu := s.putters[0]
-		s.putters = s.putters[1:]
-		s.items = append(s.items, pu.v)
+	return s.take(), true
+}
+
+// take pops the oldest item and admits the oldest blocked putter into the
+// place it freed.
+func (s *Store[T]) take() T {
+	v := s.items.pop()
+	if s.putters.Len() > 0 {
+		pu := s.putters.pop()
+		s.items.push(pu.v)
 		pu.p.unblock(wakeEvent)
 	}
-	return v, true
+	return v
 }

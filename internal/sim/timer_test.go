@@ -184,17 +184,19 @@ func TestSpawnReusesShells(t *testing.T) {
 }
 
 func TestSemaphoreReleaseClearsQueueSlot(t *testing.T) {
-	// Release must nil the popped queue slot: the backing array outlives the
-	// pop, and a long-lived semaphore must not pin released waiters.
+	// Release must zero the popped queue slot: the ring's buffer outlives
+	// the pop, and a long-lived semaphore must not pin released waiters.
 	e := New(1)
 	s := NewSemaphore(1)
 	e.Spawn("holder", func(p *Proc) {
 		s.Acquire(p, 1)
 		p.Sleep(time.Millisecond) // let the waiter queue up
-		backing := s.queue[:1:1]
+		backing := s.queue.buf
 		s.Release(1)
-		if backing[0] != nil {
-			t.Error("Release left the popped queue slot populated, pinning the waiter")
+		for i := range backing {
+			if backing[i].p != nil {
+				t.Error("Release left the popped queue slot populated, pinning the waiter")
+			}
 		}
 	})
 	e.Spawn("waiter", func(p *Proc) {

@@ -105,6 +105,8 @@ type Device struct {
 	writeBytes int64
 	readOps    int64
 	writeOps   int64
+
+	idle []*flatWrite // finished StartWriteFlat chains, for reuse
 }
 
 // NewDevice returns a device with the given profile. The device's single
@@ -194,10 +196,78 @@ func (d *Device) Read(p *sim.Proc, n int64) {
 // interleaving train — the device-rate-coupled sink behind a segment that
 // arrived over a flow.
 func (d *Device) WriteFlat(p *sim.Proc, n int64) {
+	p.Sleep(d.startFlatWrite(n))
+	if end, ok := d.bookFlatWrite(p.Now(), n); ok {
+		p.Sleep(end - p.Now())
+	}
+}
+
+// StartWriteFlat is WriteFlat for a writer that never blocks: the same
+// three wakes — now, after the write latency, at the reservation's end —
+// as callback timers on env instead of process wakes, so the event trace
+// is WriteFlat's. done runs where WriteFlat would return.
+func (d *Device) StartWriteFlat(env *sim.Env, n int64, done func()) {
+	var w *flatWrite
+	if k := len(d.idle) - 1; k >= 0 {
+		w = d.idle[k]
+		d.idle = d.idle[:k]
+	} else {
+		w = &flatWrite{d: d}
+		w.step = w.advance
+	}
+	w.env, w.n, w.done = env, n, done
+	env.At(env.Now(), w.step)
+}
+
+// flatWrite is one StartWriteFlat in flight. Its step, bound once, is every
+// callback of the chain, so a device that has warmed up its idle list
+// starts a write without allocating.
+type flatWrite struct {
+	d     *Device
+	env   *sim.Env
+	n     int64
+	done  func()
+	step  func()
+	stage uint8
+}
+
+// advance runs the chain's next wake: count the write and wait out its
+// latency, then book the device, then finish.
+func (w *flatWrite) advance() {
+	w.stage++
+	switch w.stage {
+	case 1:
+		w.env.After(w.d.startFlatWrite(w.n), w.step)
+		return
+	case 2:
+		if end, ok := w.d.bookFlatWrite(w.env.Now(), w.n); ok {
+			w.env.At(end, w.step)
+			return
+		}
+	}
+	done := w.done
+	w.env, w.done, w.stage = nil, nil, 0
+	w.d.idle = append(w.d.idle, w)
+	done()
+}
+
+// startFlatWrite counts a flat write of n bytes and returns the latency
+// before it books the device.
+func (d *Device) startFlatWrite(n int64) time.Duration {
 	d.writeOps++
 	d.writeBytes += n
-	p.Sleep(d.prof.WriteLatency)
-	d.pipe.TransferFlat(p, d.scale(n, d.prof.WriteBW))
+	return d.prof.WriteLatency
+}
+
+// bookFlatWrite reserves the device for n written bytes from now as one
+// reservation and returns when it ends; ok is false when there is nothing
+// to book.
+func (d *Device) bookFlatWrite(now time.Duration, n int64) (end time.Duration, ok bool) {
+	scaled := d.scale(n, d.prof.WriteBW)
+	if scaled <= 0 {
+		return now, false
+	}
+	return time.Duration(d.pipe.Reserve(int64(now), scaled)), true
 }
 
 // ReadFlat is Read with a single flat reservation, for readers that then
