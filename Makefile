@@ -17,7 +17,10 @@ race:
 
 # Fuzz for FUZZTIME each: the one frame decoder (binproto.ReadHead), the
 # client's reply reader against arbitrary server bytes, the engine against
-# its plain-map model over arbitrary operation programs, and the sim
+# its plain-map model over arbitrary operation programs (on a roomy engine
+# and on a four-page one that fills: per-class LRU eviction, an overwrite
+# reusing its key's own chunk, pinned items passed over, ErrNoMemory with
+# every item of a class pinned), and the sim
 # kernel's event heap against its sorted-slice oracle over arbitrary
 # schedule/pop/cancel/reschedule programs. `go test` takes one -fuzz target
 # per run; plain `go test ./...` runs their seed corpora.
@@ -149,9 +152,12 @@ determinism:
 
 # Concurrency stress tests under the race detector: the one engine under
 # 16 goroutines (every exported call; counters and slab ledger checked
-# after), its slab ledger (10^5 random store/reserve/pin steps) and pinned
-# readers against concurrent writers, TCP server (GET replies sent from
-# pinned chunks while writers overwrite them), pipelined client and its
+# after), its slab ledger (10^5 random store/reserve/pin steps), pinned
+# readers against concurrent writers (eviction passes the pinned item
+# over), 16 goroutines overwriting their own keys of a full class through
+# Reserve/Commit (each reuses its key's chunk: no eviction), TCP server
+# (GET replies sent from pinned chunks while writers overwrite them),
+# pipelined client and its
 # group commit (shared writes, queued followers, failed flush, value
 # ownership), the cluster's replica fan-out and GetMulti's overlapped
 # per-server bursts, concurrent shard windows

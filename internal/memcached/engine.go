@@ -21,6 +21,13 @@
 // the chunk, and Get returns a copy. No slice into the region is reachable
 // without a Reservation or a Pin.
 //
+// Every store, Set and IncrDecr as well as Reserve, takes its chunk first
+// and replaces the key's old item only when it commits, so a store that
+// gets no chunk leaves the old item in place. In a full class an overwrite
+// takes the chunk of the key's own item, and eviction takes the
+// least-recently-used item no reader pins; with every item of the class
+// pinned, the store fails with ErrNoMemory and evicts nothing.
+//
 // The engine is safe for concurrent use: every exported method but Config
 // takes its one mutex. The two-phase calls are what let a value be moved with no lock
 // held: Reserve and Commit (or Abort) bracket the filling of a value's
@@ -143,7 +150,7 @@ type Engine struct {
 	slabs   slabArena
 	casSeq  uint64
 	stats   Stats
-	flushAt int64 // items stored before this instant are invalid
+	flushAt uint64 // items with a lower CAS were stored before the last Flush
 }
 
 // NewEngine returns an engine with the given configuration.
@@ -184,14 +191,11 @@ func footprintOf(h *header) int64 {
 }
 
 func (e *Engine) expired(h *header) bool {
-	if h.cas < e.flushCAS() {
+	if h.cas < e.flushAt {
 		return true
 	}
 	return h.expireAt != 0 && h.expireAt <= e.cfg.Clock()
 }
-
-// flushCAS returns the CAS floor set by the last Flush.
-func (e *Engine) flushCAS() uint64 { return uint64(e.flushAt) }
 
 func (e *Engine) hash(key string) uint64 { return maphash.String(e.seed, key) }
 
@@ -300,9 +304,10 @@ type Pin struct {
 	r ref
 }
 
-// Acquire is Get without the copy: the item under key is pinned, and
-// removing it meanwhile — by Delete, overwrite, expiry or eviction — leaves
-// its bytes intact until the pin is released.
+// Acquire is Get without the copy: the item under key is pinned, so
+// eviction passes it over, and removing it meanwhile — by Delete,
+// overwrite, expiry or Flush — leaves its bytes intact until the pin is
+// released.
 func (e *Engine) Acquire(key string) (Pin, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -360,129 +365,45 @@ const (
 func (e *Engine) Set(it Item) (cas uint64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.store(it, StoreSet, 0)
+	return e.set(&it)
 }
 
-// Add stores the item only if the key is absent.
-func (e *Engine) Add(it Item) (cas uint64, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.store(it, StoreAdd, 0)
-}
-
-// Replace stores the item only if the key is present.
-func (e *Engine) Replace(it Item) (cas uint64, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.store(it, StoreReplace, 0)
-}
-
-// CompareAndSwap stores the item only if the current CAS matches expect.
-func (e *Engine) CompareAndSwap(it Item, expect uint64) (cas uint64, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.store(it, StoreCAS, expect)
-}
-
-// footprint checks a key and value size against MaxItemSize.
-func (e *Engine) footprint(key string, size int) (int, error) {
-	foot := itemFootprint(key, size)
-	if foot > e.cfg.MaxItemSize || uint64(size) > math.MaxUint32 {
-		return 0, fmt.Errorf("%w: %d > max %d", ErrTooLarge, foot, e.cfg.MaxItemSize)
-	}
-	return foot, nil
-}
-
-// check returns the live item under key, or the error that mode's
-// condition fails with; a failed CAS is counted.
-func (e *Engine) check(key string, hv uint64, mode StoreMode, expect uint64) (ref, error) {
-	old := e.lookup(key, hv)
-	switch mode {
-	case StoreAdd:
-		if old != 0 {
-			return 0, ErrNotStored
-		}
-	case StoreReplace:
-		if old == 0 {
-			return 0, ErrNotStored
-		}
-	case StoreCAS:
-		if old == 0 {
-			e.stats.CasMisses++
-			return 0, ErrNotFound
-		}
-		if e.slabs.hdr(old).cas != expect {
-			e.stats.CasBadval++
-			return 0, ErrExists
-		}
-	}
-	return old, nil
-}
-
-// admit checks mode's condition and, when it holds, removes the item
-// currently under key to make way for the new one.
-func (e *Engine) admit(key string, hv uint64, mode StoreMode, expect uint64) error {
-	old, err := e.check(key, hv, mode, expect)
-	if err != nil {
-		return err
-	}
-	if mode == StoreCAS {
-		e.stats.CasHits++
-	}
-	if old != 0 {
-		e.remove(old)
-	}
-	return nil
-}
-
-// fill writes it, all but its value, into the storage take returned for it.
-func (e *Engine) fill(r ref, it *Item) {
-	m := e.slabs.mem(r)
-	h := hdrOf(m)
-	h.flags, h.size, h.expireAt = it.Flags, uint32(it.Size), it.ExpireAt
-	copy(m[hdrSize:], it.Key)
-}
-
-// publish gives r, whose chunk is taken, the next CAS and makes it the
-// item under its key, whose hash is hv.
-func (e *Engine) publish(r ref, hv uint64) uint64 {
-	h := e.slabs.hdr(r)
-	e.casSeq++
-	h.cas = e.casSeq
-	e.slabs.link(r)
-	h.hnext = e.table[hv]
-	e.table[hv] = r
-	e.stats.CurrItems++
-	e.stats.TotalItems++
-	e.stats.Bytes += footprintOf(h)
-	return h.cas
-}
-
-func (e *Engine) store(it Item, mode StoreMode, expect uint64) (uint64, error) {
-	e.stats.CmdSet++
-	if it.Size < 0 || (it.Value != nil && it.Size != 0 && it.Size != len(it.Value)) {
-		return 0, fmt.Errorf("%w: inconsistent size", ErrInvalidArg)
-	}
-	if it.Value != nil {
-		it.Size = len(it.Value)
-	}
-	foot, err := e.footprint(it.Key, it.Size)
+// set is Set with the lock held: reserve, copy and commit in one hold.
+func (e *Engine) set(it *Item) (uint64, error) {
+	var r Reservation
+	old, err := e.reserve(&r, it, StoreSet, 0, it.Value != nil)
 	if err != nil {
 		return 0, err
 	}
-	hv := e.hash(it.Key)
-	if err := e.admit(it.Key, hv, mode, expect); err != nil {
-		return 0, err
-	}
-	r, err := e.slabs.take(foot, it.Value != nil, len(it.Key), e.evictOne)
-	if err != nil {
-		return 0, err
-	}
-	e.fill(r, &it)
 	// The one copy of a value: out of the caller's slice, which stays the
 	// caller's, into the chunk.
-	copy(e.slabs.value(r), it.Value)
-	return e.publish(r, hv), nil
+	copy(r.Value, it.Value)
+	return e.commit(&r, old)
+}
+
+// casOf returns the CAS of the item r, or 0 for no item.
+func (e *Engine) casOf(r ref) uint64 {
+	if r == 0 {
+		return 0
+	}
+	return e.slabs.hdr(r).cas
+}
+
+// admits returns nil if mode's condition holds for a key whose item has
+// the CAS cur (0: no item), or the error it fails with; a failed CAS is
+// counted.
+func (e *Engine) admits(cur uint64, mode StoreMode, expect uint64) error {
+	switch {
+	case mode == StoreAdd && cur != 0, mode == StoreReplace && cur == 0:
+		return ErrNotStored
+	case mode == StoreCAS && cur == 0:
+		e.stats.CasMisses++
+		return ErrNotFound
+	case mode == StoreCAS && cur != expect:
+		e.stats.CasBadval++
+		return ErrExists
+	}
+	return nil
 }
 
 // Reservation is storage for one value that is not stored yet: fill Value,
@@ -493,91 +414,160 @@ type Reservation struct {
 	Value  []byte
 	r      ref
 	key    string
+	hv     uint64
 	mode   StoreMode
 	expect uint64
+	// displaced is the CAS of the key's item whose chunk this reservation
+	// took, or 0.
+	displaced uint64
 }
 
 // Reserve is the first half of a store that puts the value in place
 // without an intermediate copy: it checks mode's condition (expect is the
-// CAS for StoreCAS), finds room for the item (Key, Size, Flags and
-// ExpireAt; Value is ignored), evicting as Set does, and returns the
+// CAS for StoreCAS), takes a chunk for the item (Key, Size, Flags and
+// ExpireAt; a Value only sets the size) as Set does, and returns the
 // storage to fill. It fails, with nothing to undo and nothing evicted, when
 // the item cannot be stored at all or the condition fails; Commit checks
 // the condition again, since the key may change in between.
-func (e *Engine) Reserve(it Item, mode StoreMode, expect uint64) (Reservation, error) {
+func (e *Engine) Reserve(it Item, mode StoreMode, expect uint64) (r Reservation, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	_, err = e.reserve(&r, &it, mode, expect, true)
+	return r, err
+}
+
+// reserve checks mode's condition, takes a chunk of the item's class (a
+// region chunk if real, else a virtual slot), writes the item into it but
+// for its value, and holds it in r. The key's current item stays where it
+// is, unless room gives its chunk to the new one; old is that item, or 0
+// if there is none now.
+func (e *Engine) reserve(r *Reservation, it *Item, mode StoreMode, expect uint64, real bool) (old ref, err error) {
 	e.stats.CmdSet++
-	if it.Size < 0 {
-		return Reservation{}, fmt.Errorf("%w: negative size", ErrInvalidArg)
+	if it.Size < 0 || (it.Value != nil && it.Size != 0 && it.Size != len(it.Value)) {
+		return 0, fmt.Errorf("%w: inconsistent size", ErrInvalidArg)
 	}
-	foot, err := e.footprint(it.Key, it.Size)
+	if it.Value != nil {
+		it.Size = len(it.Value)
+	}
+	foot := itemFootprint(it.Key, it.Size)
+	if foot > e.cfg.MaxItemSize || uint64(it.Size) > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: %d > max %d", ErrTooLarge, foot, e.cfg.MaxItemSize)
+	}
+	hv := e.hash(it.Key)
+	old = e.lookup(it.Key, hv)
+	if err := e.admits(e.casOf(old), mode, expect); err != nil {
+		return 0, err
+	}
+	ci := e.slabs.classFor(foot)
+	displaced, err := e.room(ci, old)
 	if err != nil {
-		return Reservation{}, err
+		return 0, err
 	}
-	if _, err := e.check(it.Key, e.hash(it.Key), mode, expect); err != nil {
-		return Reservation{}, err
+	if displaced != 0 {
+		old = 0
 	}
-	r, err := e.slabs.take(foot, true, len(it.Key), e.evictOne)
+	c, err := e.slabs.take(ci, real, len(it.Key))
 	if err != nil {
-		return Reservation{}, err
+		return 0, err
 	}
-	e.fill(r, &it)
-	h := e.slabs.hdr(r)
+	m := e.slabs.mem(c)
+	h := hdrOf(m)
+	h.flags, h.size, h.expireAt = it.Flags, uint32(it.Size), it.ExpireAt
+	copy(m[hdrSize:], it.Key)
 	h.pins = reserved
-	e.slabs.classes[h.class].held++
-	return Reservation{Value: e.slabs.value(r), r: r, key: it.Key, mode: mode, expect: expect}, nil
+	e.slabs.classes[ci].held++
+	*r = Reservation{Value: e.slabs.value(c), r: c, key: it.Key, hv: hv, mode: mode, expect: expect, displaced: displaced}
+	return old, nil
 }
 
-// settle ends a reservation's hold on its chunk.
-func (e *Engine) settle(r Reservation) {
-	var h *header
+// room makes sure class ci has a chunk free for a store to the key whose
+// item is old (0: none). It takes a new page if the class has no free
+// chunk; with no page left it removes old, if old is in the class and
+// unpinned, and returns old's CAS; otherwise it evicts the class's
+// least-recently-used unpinned item. With every item pinned it fails and
+// evicts nothing.
+func (e *Engine) room(ci int, old ref) (displaced uint64, err error) {
+	if e.slabs.hasRoom(ci) {
+		return 0, nil
+	}
+	if old != 0 {
+		if h := e.slabs.hdr(old); int(h.class) == ci && h.pins == 0 {
+			displaced = h.cas
+			e.remove(old)
+			return displaced, nil
+		}
+	}
+	r := e.slabs.victim(ci)
+	if r == 0 {
+		return 0, ErrNoMemory
+	}
+	if e.expired(e.slabs.hdr(r)) {
+		e.stats.Expired++
+	} else {
+		e.stats.Evictions++
+	}
+	e.remove(r)
+	return 0, nil
+}
+
+// settle ends a reservation's hold on its chunk and returns its header.
+func (e *Engine) settle(r *Reservation) *header {
 	if r.r != 0 {
-		h = e.slabs.hdr(r.r)
+		if h := e.slabs.hdr(r.r); h.pins == reserved {
+			h.pins = 0
+			e.slabs.classes[h.class].held--
+			return h
+		}
 	}
-	if h == nil || h.pins != reserved {
-		panic("memcached: Commit or Abort of a reservation that is not open")
-	}
-	h.pins = 0
-	e.slabs.classes[h.class].held--
+	panic("memcached: Commit or Abort of a reservation that is not open")
 }
 
-// Commit stores a filled reservation under the condition Reserve was given.
-// When it no longer holds the reservation is aborted.
+// Commit stores a filled reservation under the condition Reserve was given,
+// replacing the key's current item. When the condition no longer holds the
+// reservation is aborted.
 func (e *Engine) Commit(r Reservation) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.settle(r)
-	hv := e.hash(r.key)
-	if err := e.admit(r.key, hv, r.mode, r.expect); err != nil {
+	return e.commit(&r, e.lookup(r.key, r.hv))
+}
+
+// commit rechecks r's condition against old, the key's live item, or, when
+// there is none and r displaced the key's item since the last Flush,
+// against that item's CAS; then it replaces old with r and publishes it.
+func (e *Engine) commit(r *Reservation, old ref) (uint64, error) {
+	h := e.settle(r)
+	cur := e.casOf(old)
+	if old == 0 && r.displaced >= e.flushAt {
+		cur = r.displaced
+	}
+	if err := e.admits(cur, r.mode, r.expect); err != nil {
 		e.slabs.giveBack(r.r)
 		return 0, err
 	}
-	return e.publish(r.r, hv), nil
+	if r.mode == StoreCAS {
+		e.stats.CasHits++
+	}
+	if old != 0 {
+		e.remove(old)
+	}
+	e.casSeq++
+	h.cas = e.casSeq
+	e.slabs.link(r.r)
+	h.hnext = e.table[r.hv]
+	e.table[r.hv] = r.r
+	e.stats.CurrItems++
+	e.stats.TotalItems++
+	e.stats.Bytes += footprintOf(h)
+	return h.cas, nil
 }
 
-// Abort gives a reservation's storage back unused.
+// Abort gives a reservation's storage back unused. A reservation that
+// displaced its key's item leaves the key absent.
 func (e *Engine) Abort(r Reservation) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.settle(r)
+	e.settle(&r)
 	e.slabs.giveBack(r.r)
-}
-
-// evictOne evicts the least-recently-used live item of the given class,
-// preferring expired items. It reports whether anything was freed.
-func (e *Engine) evictOne(class int) bool {
-	r := e.slabs.tail(class)
-	if r == 0 {
-		return false
-	}
-	if !e.expired(e.slabs.hdr(r)) {
-		e.stats.Evictions++
-	} else {
-		e.stats.Expired++
-	}
-	e.remove(r)
-	return true
 }
 
 // Delete removes the item stored under key.
@@ -605,7 +595,7 @@ func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64)
 		if init == nil {
 			return 0, ErrNotFound
 		}
-		_, err := e.store(Item{Key: key, Value: strconv.AppendUint(nil, *init, 10), ExpireAt: expireAt}, StoreSet, 0)
+		_, err := e.set(&Item{Key: key, Value: strconv.AppendUint(nil, *init, 10), ExpireAt: expireAt})
 		return *init, err
 	}
 	if r.virtual() {
@@ -621,7 +611,7 @@ func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64)
 	}
 	h := e.slabs.hdr(r)
 	it := Item{Key: key, Value: strconv.AppendUint(nil, next, 10), Flags: h.flags, ExpireAt: h.expireAt}
-	if _, err := e.store(it, StoreSet, 0); err != nil {
+	if _, err := e.set(&it); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -632,38 +622,7 @@ func (e *Engine) IncrDecr(key string, delta int64, init *uint64, expireAt int64)
 func (e *Engine) Flush() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flushAt = int64(e.casSeq) + 1
-}
-
-// Len returns the number of live (possibly expired-but-unreaped) items.
-func (e *Engine) Len() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return int(e.stats.CurrItems)
-}
-
-// Keys returns the keys of all live items, reaping expired ones. Order is
-// unspecified. Intended for tests and the simulation's recovery paths, not
-// part of the memcached protocol surface.
-func (e *Engine) Keys() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	keys := make([]string, 0, e.stats.CurrItems)
-	for _, r := range e.table {
-		for ; r != 0; r = e.slabs.hdr(r).hnext {
-			if !e.expired(e.slabs.hdr(r)) {
-				keys = append(keys, string(e.slabs.key(r)))
-			}
-		}
-	}
-	return keys
-}
-
-// MemUsed returns bytes of chunk memory in use (allocated pages).
-func (e *Engine) MemUsed() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.slabs.memUsed()
+	e.flushAt = e.casSeq + 1
 }
 
 // Slabs returns every slab class's ledger, smallest chunk first.

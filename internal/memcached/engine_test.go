@@ -13,6 +13,17 @@ func newTestEngine() *Engine {
 	return NewEngine(Config{MemLimit: 16 << 20})
 }
 
+// put stores it under mode as mcserver stores every SET, ADD, REPLACE and
+// CAS: Reserve, fill, Commit. It is how the tests reach the modes but Set.
+func put(e *Engine, it Item, mode StoreMode, expect uint64) (uint64, error) {
+	r, err := e.Reserve(it, mode, expect)
+	if err != nil {
+		return 0, err
+	}
+	copy(r.Value, it.Value)
+	return e.Commit(r)
+}
+
 func TestSetGet(t *testing.T) {
 	e := newTestEngine()
 	cas, err := e.Set(Item{Key: "k", Value: []byte("v"), Flags: 7})
@@ -53,23 +64,23 @@ func TestSetOverwrites(t *testing.T) {
 	if string(it.Value) != "bb" {
 		t.Errorf("value = %q", it.Value)
 	}
-	if e.Len() != 1 {
-		t.Errorf("len = %d", e.Len())
+	if n := e.Stats().CurrItems; n != 1 {
+		t.Errorf("items = %d", n)
 	}
 }
 
 func TestAddReplaceSemantics(t *testing.T) {
 	e := newTestEngine()
-	if _, err := e.Replace(Item{Key: "k", Value: []byte("x")}); !errors.Is(err, ErrNotStored) {
+	if _, err := put(e, Item{Key: "k", Value: []byte("x")}, StoreReplace, 0); !errors.Is(err, ErrNotStored) {
 		t.Errorf("replace missing: %v", err)
 	}
-	if _, err := e.Add(Item{Key: "k", Value: []byte("x")}); err != nil {
+	if _, err := put(e, Item{Key: "k", Value: []byte("x")}, StoreAdd, 0); err != nil {
 		t.Errorf("add new: %v", err)
 	}
-	if _, err := e.Add(Item{Key: "k", Value: []byte("y")}); !errors.Is(err, ErrNotStored) {
+	if _, err := put(e, Item{Key: "k", Value: []byte("y")}, StoreAdd, 0); !errors.Is(err, ErrNotStored) {
 		t.Errorf("add existing: %v", err)
 	}
-	if _, err := e.Replace(Item{Key: "k", Value: []byte("z")}); err != nil {
+	if _, err := put(e, Item{Key: "k", Value: []byte("z")}, StoreReplace, 0); err != nil {
 		t.Errorf("replace existing: %v", err)
 	}
 	it, _ := e.Get("k")
@@ -81,17 +92,17 @@ func TestAddReplaceSemantics(t *testing.T) {
 func TestCompareAndSwap(t *testing.T) {
 	e := newTestEngine()
 	cas, _ := e.Set(Item{Key: "k", Value: []byte("a")})
-	if _, err := e.CompareAndSwap(Item{Key: "k", Value: []byte("b")}, cas+99); !errors.Is(err, ErrExists) {
+	if _, err := put(e, Item{Key: "k", Value: []byte("b")}, StoreCAS, cas+99); !errors.Is(err, ErrExists) {
 		t.Errorf("stale CAS: %v", err)
 	}
-	nc, err := e.CompareAndSwap(Item{Key: "k", Value: []byte("b")}, cas)
+	nc, err := put(e, Item{Key: "k", Value: []byte("b")}, StoreCAS, cas)
 	if err != nil {
 		t.Fatalf("matching CAS: %v", err)
 	}
 	if nc == cas {
 		t.Error("CAS did not change after swap")
 	}
-	if _, err := e.CompareAndSwap(Item{Key: "missing", Value: []byte("b")}, 1); !errors.Is(err, ErrNotFound) {
+	if _, err := put(e, Item{Key: "missing", Value: []byte("b")}, StoreCAS, 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("CAS on missing key: %v", err)
 	}
 }
@@ -335,29 +346,17 @@ func TestPropertyFootprintInvariant(t *testing.T) {
 			}
 		}
 		var want int64
-		for _, k := range e.Keys() {
+		for _, k := range keysOf(e) {
 			it, err := e.Get(k)
 			if err != nil {
 				return false
 			}
 			want += int64(itemFootprint(k, it.Size))
 		}
-		return e.Stats().Bytes == want && e.MemUsed() <= 2<<20
+		return e.Stats().Bytes == want && pagesOf(e)*pageSize <= 2<<20
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestKeysSkipsExpired(t *testing.T) {
-	now := int64(100)
-	e := NewEngine(Config{Clock: func() int64 { return now }})
-	e.Set(Item{Key: "live", Value: []byte("x")})
-	e.Set(Item{Key: "dead", Value: []byte("y"), ExpireAt: 150})
-	now = 200
-	keys := e.Keys()
-	if len(keys) != 1 || keys[0] != "live" {
-		t.Errorf("keys = %v", keys)
 	}
 }
 
@@ -393,8 +392,8 @@ func TestLongKeys(t *testing.T) {
 			t.Errorf("get of a %d-byte key: %+v, %v", len(k), it, err)
 		}
 	}
-	if err := e.Delete(huge); err != nil || e.Len() != 3 {
-		t.Errorf("delete of the huge key: %v, %d items left", err, e.Len())
+	if err := e.Delete(huge); err != nil || e.Stats().CurrItems != 3 {
+		t.Errorf("delete of the huge key: %v, %d items left", err, e.Stats().CurrItems)
 	}
 }
 
@@ -404,8 +403,8 @@ func TestLargePageArena(t *testing.T) {
 	if _, err := e.Set(Item{Key: "big", Size: 7 << 20}); err != nil {
 		t.Fatalf("7MiB virtual item rejected: %v", err)
 	}
-	if e.MemUsed() < 8<<20 {
-		t.Errorf("mem used = %d; page should be at least MaxItemSize", e.MemUsed())
+	if e.slabs.page < 8<<20 || pagesOf(e) != 1 {
+		t.Errorf("%d pages of %d B; a page should be at least MaxItemSize", pagesOf(e), e.slabs.page)
 	}
 }
 

@@ -150,6 +150,40 @@ func TestDoomedStoresEvictNothing(t *testing.T) {
 	}
 }
 
+// TestOverwritesAtMemLimitEvictNothing: over the wire, in a full class
+// with no page left, 10^4 SETs of one key each take the key's own chunk,
+// so Evictions and CurrItems stay where they were.
+func TestOverwritesAtMemLimitEvictNothing(t *testing.T) {
+	srv, addr := startRawServer(t, memcached.Config{MemLimit: 1 << 20})
+	c, err := mcclient.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	value := make([]byte, 1000)
+	var key string
+	for i := 0; srv.Engine().Stats().Evictions == 0; i++ {
+		key = fmt.Sprintf("k%d", i)
+		if _, err := c.Set(&mcclient.Item{Key: key, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.Engine().Stats()
+	for i := 0; i < 10000; i++ {
+		value[0] = byte(i)
+		if _, err := c.Set(&mcclient.Item{Key: key, Value: value}); err != nil {
+			t.Fatalf("overwrite %d: %v", i, err)
+		}
+	}
+	after := srv.Engine().Stats()
+	if after.Evictions != before.Evictions || after.CurrItems != before.CurrItems {
+		t.Errorf("evictions %d -> %d, items %d -> %d", before.Evictions, after.Evictions, before.CurrItems, after.CurrItems)
+	}
+	if it, err := c.Get(key); err != nil || it.Value[0] != 9999%256 {
+		t.Errorf("the last overwrite is not what GET returns: %v", err)
+	}
+}
+
 // TestQuietOpsOverTCP speaks raw GETQ/SETQ: quiet sets answer only on
 // error, quiet gets answer only on hit, and the trailing NOOP bounds the
 // batch.

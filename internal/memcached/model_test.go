@@ -2,7 +2,9 @@ package memcached
 
 import (
 	"bytes"
+	"container/list"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -20,29 +22,45 @@ type modelItem struct {
 	class int
 	pins  int
 	dead  bool
+	lru   *list.Element // its place on its class's LRU list while stored
 }
 
-// modelClass is the model's ledger of one slab class.
-type modelClass struct{ pages, free, items, held, freeMem int64 }
+// modelClass is the model's ledger of one slab class and its LRU list,
+// most recently used at the front.
+type modelClass struct {
+	pages, free, held, freeMem int64
+	lru                        list.List
+}
 
-// model is a plain-map engine with the slab budget kept as counters. It
-// never evicts: the fuzz target's engine has room for everything it stores.
+// modelRes is an open reservation: the item it will store, the condition
+// it stores under, and the CAS of the key's item whose chunk it took.
+type modelRes struct {
+	mi        *modelItem
+	mode      StoreMode
+	expect    uint64
+	displaced uint64
+}
+
+// model is a plain-map engine with the slab budget kept as counters and
+// each class's LRU as a list: the store rules written out once, slowly.
 type model struct {
-	cfg     Config
-	now     *int64
-	items   map[string]*modelItem
-	casSeq  uint64
-	flushAt uint64
-	stats   Stats
-	slabs   []SlabStats // the class table: ChunkSize only
-	classes []modelClass
-	pages   int64
+	cfg      Config
+	now      *int64
+	items    map[string]*modelItem
+	casSeq   uint64
+	flushAt  uint64
+	stats    Stats
+	slabs    []SlabStats // the class table: ChunkSize only
+	classes  []modelClass
+	pages    int64
+	maxPages int64
 }
 
 func newModel(e *Engine, now *int64) *model {
 	m := &model{cfg: e.Config(), now: now, items: map[string]*modelItem{}, slabs: e.Slabs()}
 	m.classes = make([]modelClass, len(m.slabs))
 	m.stats.LimitMaxMB = m.cfg.MemLimit >> 20
+	m.maxPages = max(m.cfg.MemLimit/max(int64(pageSize), int64(m.cfg.MaxItemSize)), 1)
 	return m
 }
 
@@ -62,9 +80,12 @@ func (m *model) lookup(key string) *modelItem {
 
 func (m *model) foot(it *modelItem) int64 { return int64(itemFootprint(it.key, it.size)) }
 
+func (m *model) touch(it *modelItem) { m.classes[it.class].lru.MoveToFront(it.lru) }
+
 func (m *model) remove(it *modelItem) {
 	delete(m.items, it.key)
-	m.classes[it.class].items--
+	m.classes[it.class].lru.Remove(it.lru)
+	it.lru = nil
 	m.stats.CurrItems--
 	m.stats.Bytes -= m.foot(it)
 	if it.pins > 0 {
@@ -83,104 +104,134 @@ func (m *model) giveBack(it *modelItem) {
 	}
 }
 
-func (m *model) take(foot int, real bool) (int, error) {
-	ci := 0
-	for ci < len(m.slabs) && m.slabs[ci].ChunkSize < foot {
-		ci++
-	}
-	if ci == len(m.slabs) {
-		return 0, ErrTooLarge
-	}
+// room frees a chunk of class ci for a store to the key whose item is old:
+// a free chunk, else a new page, else old's own chunk if old is in the
+// class and unpinned (its CAS is returned), else the least-recently-used
+// unpinned item's. With every item pinned it fails and evicts nothing.
+func (m *model) room(ci int, old *modelItem) (uint64, error) {
 	c := &m.classes[ci]
-	if c.free == 0 {
-		page := max(int64(pageSize), int64(m.cfg.MaxItemSize))
-		if m.pages == m.cfg.MemLimit/page {
-			panic("model: the engine is full, and the model does not evict")
-		}
+	if c.free == 0 && m.pages < m.maxPages {
 		m.pages++
 		c.pages++
-		c.free += page / int64(m.slabs[ci].ChunkSize)
+		c.free += max(int64(pageSize), int64(m.cfg.MaxItemSize)) / int64(m.slabs[ci].ChunkSize)
 	}
+	if c.free > 0 {
+		return 0, nil
+	}
+	if old != nil && old.class == ci && old.pins == 0 {
+		m.remove(old)
+		return old.cas, nil
+	}
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		if v := el.Value.(*modelItem); v.pins == 0 {
+			if m.expired(v) {
+				m.stats.Expired++
+			} else {
+				m.stats.Evictions++
+			}
+			m.remove(v)
+			return 0, nil
+		}
+	}
+	return 0, ErrNoMemory
+}
+
+func (m *model) admits(cur uint64, mode StoreMode, expect uint64) error {
+	switch {
+	case mode == StoreAdd && cur != 0, mode == StoreReplace && cur == 0:
+		return ErrNotStored
+	case mode == StoreCAS && cur == 0:
+		m.stats.CasMisses++
+		return ErrNotFound
+	case mode == StoreCAS && cur != expect:
+		m.stats.CasBadval++
+		return ErrExists
+	}
+	return nil
+}
+
+func (m *model) reserve(it Item, mode StoreMode, expect uint64, real bool) (*modelRes, error) {
+	m.stats.CmdSet++
+	if it.Size < 0 || (it.Value != nil && it.Size != 0 && it.Size != len(it.Value)) {
+		return nil, ErrInvalidArg
+	}
+	if it.Value != nil {
+		it.Size = len(it.Value)
+	}
+	foot := itemFootprint(it.Key, it.Size)
+	if foot > m.cfg.MaxItemSize {
+		return nil, ErrTooLarge
+	}
+	old := m.lookup(it.Key)
+	var cur uint64
+	if old != nil {
+		cur = old.cas
+	}
+	if err := m.admits(cur, mode, expect); err != nil {
+		return nil, err
+	}
+	ci := 0
+	for m.slabs[ci].ChunkSize < foot {
+		ci++
+	}
+	displaced, err := m.room(ci, old)
+	if err != nil {
+		return nil, err
+	}
+	c := &m.classes[ci]
 	if real && c.freeMem > 0 {
 		c.freeMem--
 	}
 	c.free--
-	return ci, nil
-}
-
-func (m *model) publish(it *modelItem) uint64 {
-	m.casSeq++
-	it.cas = m.casSeq
-	m.items[it.key] = it
-	m.classes[it.class].items++
-	m.stats.CurrItems++
-	m.stats.TotalItems++
-	m.stats.Bytes += m.foot(it)
-	return it.cas
-}
-
-func (m *model) check(key string, mode StoreMode, expect uint64) (*modelItem, error) {
-	old := m.lookup(key)
-	switch {
-	case mode == StoreAdd && old != nil, mode == StoreReplace && old == nil:
-		return nil, ErrNotStored
-	case mode == StoreCAS && old == nil:
-		m.stats.CasMisses++
-		return nil, ErrNotFound
-	case mode == StoreCAS && old.cas != expect:
-		m.stats.CasBadval++
-		return nil, ErrExists
+	c.held++
+	mi := &modelItem{key: it.Key, size: it.Size, flags: it.Flags, exp: it.ExpireAt, class: ci}
+	if real {
+		mi.value = append(make([]byte, 0, it.Size), it.Value...)[:it.Size]
 	}
-	return old, nil
+	return &modelRes{mi, mode, expect, displaced}, nil
 }
 
-func (m *model) admit(key string, mode StoreMode, expect uint64) error {
-	old, err := m.check(key, mode, expect)
-	if err != nil {
-		return err
+func (m *model) commit(r *modelRes) (uint64, error) {
+	mi := r.mi
+	m.classes[mi.class].held--
+	old := m.lookup(mi.key)
+	var cur uint64
+	if old != nil {
+		cur = old.cas
+	} else if r.displaced >= m.flushAt {
+		cur = r.displaced
 	}
-	if mode == StoreCAS {
+	if err := m.admits(cur, r.mode, r.expect); err != nil {
+		m.giveBack(mi)
+		return 0, err
+	}
+	if r.mode == StoreCAS {
 		m.stats.CasHits++
 	}
 	if old != nil {
 		m.remove(old)
 	}
-	return nil
+	m.casSeq++
+	mi.cas = m.casSeq
+	m.items[mi.key] = mi
+	mi.lru = m.classes[mi.class].lru.PushFront(mi)
+	m.stats.CurrItems++
+	m.stats.TotalItems++
+	m.stats.Bytes += m.foot(mi)
+	return mi.cas, nil
 }
 
-// newItem takes a chunk for it and returns the model item for it, with a
-// copy of a real value.
-func (m *model) newItem(it Item, real bool) (*modelItem, error) {
-	ci, err := m.take(itemFootprint(it.Key, it.Size), real)
-	if err != nil {
-		return nil, err
-	}
-	mi := &modelItem{key: it.Key, size: it.Size, flags: it.Flags, exp: it.ExpireAt, class: ci}
-	if real {
-		mi.value = append(make([]byte, 0, it.Size), it.Value...)[:it.Size]
-	}
-	return mi, nil
+func (m *model) abort(r *modelRes) {
+	m.classes[r.mi.class].held--
+	m.giveBack(r.mi)
 }
 
-func (m *model) store(it Item, mode StoreMode, expect uint64) (uint64, error) {
-	m.stats.CmdSet++
-	if it.Size < 0 || (it.Value != nil && it.Size != 0 && it.Size != len(it.Value)) {
-		return 0, ErrInvalidArg
-	}
-	if it.Value != nil {
-		it.Size = len(it.Value)
-	}
-	if itemFootprint(it.Key, it.Size) > m.cfg.MaxItemSize {
-		return 0, ErrTooLarge
-	}
-	if err := m.admit(it.Key, mode, expect); err != nil {
-		return 0, err
-	}
-	mi, err := m.newItem(it, it.Value != nil)
+func (m *model) set(it Item) (uint64, error) {
+	r, err := m.reserve(it, StoreSet, 0, it.Value != nil)
 	if err != nil {
 		return 0, err
 	}
-	return m.publish(mi), nil
+	return m.commit(r)
 }
 
 func (m *model) get(key string) *modelItem {
@@ -191,6 +242,7 @@ func (m *model) get(key string) *modelItem {
 		return nil
 	}
 	m.stats.GetHits++
+	m.touch(it)
 	return it
 }
 
@@ -200,7 +252,7 @@ func (m *model) incrDecr(key string, delta int64, init *uint64, exp int64) (uint
 		if init == nil {
 			return 0, ErrNotFound
 		}
-		_, err := m.store(Item{Key: key, Value: strconv.AppendUint(nil, *init, 10), ExpireAt: exp}, StoreSet, 0)
+		_, err := m.set(Item{Key: key, Value: strconv.AppendUint(nil, *init, 10), ExpireAt: exp})
 		return *init, err
 	}
 	if it.value == nil {
@@ -214,38 +266,8 @@ func (m *model) incrDecr(key string, delta int64, init *uint64, exp int64) (uint
 	if delta < 0 {
 		next = cur - min(cur, uint64(-delta))
 	}
-	_, err = m.store(Item{Key: key, Value: strconv.AppendUint(nil, next, 10), Flags: it.flags, ExpireAt: it.exp}, StoreSet, 0)
+	_, err = m.set(Item{Key: key, Value: strconv.AppendUint(nil, next, 10), Flags: it.flags, ExpireAt: it.exp})
 	return next, err
-}
-
-func (m *model) reserve(it Item, mode StoreMode, expect uint64) (*modelItem, error) {
-	m.stats.CmdSet++
-	if itemFootprint(it.Key, it.Size) > m.cfg.MaxItemSize {
-		return nil, ErrTooLarge
-	}
-	if _, err := m.check(it.Key, mode, expect); err != nil {
-		return nil, err
-	}
-	mi, err := m.newItem(it, true)
-	if err != nil {
-		return nil, err
-	}
-	m.classes[mi.class].held++
-	return mi, nil
-}
-
-func (m *model) commit(mi *modelItem, mode StoreMode, expect uint64) (uint64, error) {
-	m.classes[mi.class].held--
-	if err := m.admit(mi.key, mode, expect); err != nil {
-		m.giveBack(mi)
-		return 0, err
-	}
-	return m.publish(mi), nil
-}
-
-func (m *model) abort(mi *modelItem) {
-	m.classes[mi.class].held--
-	m.giveBack(mi)
 }
 
 func (m *model) release(mi *modelItem) {
@@ -291,14 +313,23 @@ func checkItem(t *testing.T, step int, what string, it Item, mi *modelItem) {
 // runModel plays a program against a fresh engine and the model: real
 // small and large items, virtual items, every store mode, Get, Delete,
 // Touch, IncrDecr, Flush, reservations committed and aborted, pins held
-// across removal, and expiry on a stepped clock. Every result, the
-// counters and the slab ledger must match the model's after every step.
+// across removal, expiry on a stepped clock, and fills of fresh keys. The
+// program's first choice picks the engine: one with room for everything,
+// or four pages over a few coarse classes, which fills (evicting, reusing
+// an overwritten key's own chunk, skipping pinned items and failing with
+// every item pinned). Every result, the counters and the slab ledger must
+// match the model's after every step, and the index must hold the model's
+// live keys at the end.
 func runModel(t *testing.T, p program) {
 	if len(p) > 4096 {
 		p = p[:4096]
 	}
 	now := int64(1)
-	e := NewEngine(Config{MemLimit: 256 << 20, Clock: func() int64 { return now }})
+	cfg := Config{MemLimit: 256 << 20, Clock: func() int64 { return now }}
+	if p.next(2) == 1 {
+		cfg.MemLimit, cfg.growthFactor = 4<<20, 2
+	}
+	e := NewEngine(cfg)
 	defer e.Close()
 	m := newModel(e, &now)
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -308,10 +339,8 @@ func runModel(t *testing.T, p program) {
 		want []byte
 	}
 	type open struct {
-		r      Reservation
-		mi     *modelItem
-		mode   StoreMode
-		expect uint64
+		r  Reservation
+		mr *modelRes
 	}
 	var pins []pin
 	var opens []open
@@ -331,33 +360,35 @@ func runModel(t *testing.T, p program) {
 			return pattern(step, p.size(300))
 		}
 		expect := func() uint64 {
-			if mi := m.items[k]; mi != nil && p.next(2) == 0 {
+			v := uint64(p.next(1000))
+			if mi := m.items[k]; mi != nil && v < 500 {
 				return mi.cas
 			}
-			return uint64(p.next(1000))
+			return v
 		}
-		switch op := p.next(16); op {
+		switch op := p.next(17); op {
 		case 0, 1, 2, 3:
 			mode, token := StoreMode(op), expect()
 			it := Item{Key: k, Value: value(), Flags: uint32(step), ExpireAt: exp}
 			var cas uint64
 			var err error
-			switch mode {
-			case StoreSet:
+			if mode == StoreSet {
 				cas, err = e.Set(it)
-			case StoreAdd:
-				cas, err = e.Add(it)
-			case StoreReplace:
-				cas, err = e.Replace(it)
-			case StoreCAS:
-				cas, err = e.CompareAndSwap(it, token)
+			} else {
+				cas, err = put(e, it, mode, token)
 			}
-			wcas, werr := m.store(it, mode, token)
+			// Set stores a nil value as a virtual item; the other modes go
+			// through Reserve, which always takes a region chunk.
+			var wcas uint64
+			r, werr := m.reserve(it, mode, token, mode != StoreSet || it.Value != nil)
+			if werr == nil {
+				wcas, werr = m.commit(r)
+			}
 			checkModel(t, step, "store", cas, wcas, err, werr)
 		case 4:
 			it := Item{Key: k, Size: p.size(200_000), Flags: uint32(step), ExpireAt: exp}
 			cas, err := e.Set(it)
-			wcas, werr := m.store(it, StoreSet, 0)
+			wcas, werr := m.set(it)
 			checkModel(t, step, "virtual set", cas, wcas, err, werr)
 		case 5, 6:
 			it, err := e.Get(k)
@@ -386,6 +417,7 @@ func runModel(t *testing.T, p program) {
 				werr = ErrNotFound
 			} else {
 				mi.exp = exp
+				m.touch(mi)
 			}
 			checkModel(t, step, "touch", 0, 0, err, werr)
 		case 9:
@@ -414,11 +446,11 @@ func runModel(t *testing.T, p program) {
 			it := Item{Key: k, Size: len(v), Flags: uint32(step), ExpireAt: exp}
 			r, err := e.Reserve(it, mode, token)
 			it.Value = v
-			mi, werr := m.reserve(it, mode, token)
+			mr, werr := m.reserve(it, mode, token, true)
 			checkModel(t, step, "reserve", 0, 0, err, werr)
 			if err == nil {
 				copy(r.Value, v)
-				opens = append(opens, open{r, mi, mode, token})
+				opens = append(opens, open{r, mr})
 			}
 		case 13:
 			if len(opens) == 0 {
@@ -429,14 +461,14 @@ func runModel(t *testing.T, p program) {
 			opens = append(opens[:j], opens[j+1:]...)
 			if p.next(3) == 0 {
 				e.Abort(o.r)
-				m.abort(o.mi)
+				m.abort(o.mr)
 				continue
 			}
 			cas, err := e.Commit(o.r)
-			wcas, werr := m.commit(o.mi, o.mode, o.expect)
+			wcas, werr := m.commit(o.mr)
 			checkModel(t, step, "commit", cas, wcas, err, werr)
 		case 14:
-			if len(pins) == 4 {
+			if len(pins) == 16 {
 				continue
 			}
 			pn, err := e.Acquire(k)
@@ -461,6 +493,19 @@ func runModel(t *testing.T, p program) {
 			}
 			e.Release(pn.p)
 			m.release(pn.mi)
+		case 16:
+			// A fill: up to 128 items of one size under fresh keys, real
+			// or virtual.
+			n, v, virtual := 1+p.next(128), value(), p.next(2) == 1
+			for i := 0; i < n; i++ {
+				it := Item{Key: fmt.Sprintf("fill-%d-%d", step, i), Value: v, Flags: uint32(step), ExpireAt: exp}
+				if virtual {
+					it.Value, it.Size = nil, len(v)
+				}
+				cas, err := e.Set(it)
+				wcas, werr := m.set(it)
+				checkModel(t, step, "fill", cas, wcas, err, werr)
+			}
 		}
 		compareModel(t, step, e, m)
 	}
@@ -470,27 +515,39 @@ func runModel(t *testing.T, p program) {
 	}
 	for _, o := range opens {
 		e.Abort(o.r)
-		m.abort(o.mi)
+		m.abort(o.mr)
 	}
 	compareModel(t, -1, e, m)
-	if e.Len() != len(m.items) {
-		t.Fatalf("Len: engine %d, model %d", e.Len(), len(m.items))
-	}
 	live := map[string]bool{}
 	for k, mi := range m.items {
 		live[k] = !m.expired(mi)
 	}
-	for _, k := range e.Keys() {
+	for _, k := range keysOf(e) {
 		if !live[k] {
-			t.Fatalf("Keys lists %s, which the model holds no live item under", k)
+			t.Fatalf("the index holds %s, which the model holds no live item under", k)
 		}
 		delete(live, k)
 	}
 	for k, l := range live {
 		if l {
-			t.Fatalf("Keys misses %s", k)
+			t.Fatalf("the index misses %s", k)
 		}
 	}
+}
+
+// keysOf returns the keys of the engine's unexpired items, from its index.
+func keysOf(e *Engine) []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var keys []string
+	for _, r := range e.table {
+		for ; r != 0; r = e.slabs.hdr(r).hnext {
+			if !e.expired(e.slabs.hdr(r)) {
+				keys = append(keys, string(e.slabs.key(r)))
+			}
+		}
+	}
+	return keys
 }
 
 // compareModel compares the counters and every class's ledger.
@@ -500,9 +557,10 @@ func compareModel(t *testing.T, step int, e *Engine, m *model) {
 		t.Fatalf("step %d stats:\nengine %+v\nmodel  %+v", step, st, m.stats)
 	}
 	for i, s := range e.Slabs() {
-		c := m.classes[i]
-		if s.Pages != c.pages || s.Free != c.free || s.Items != c.items || s.Held != c.held || s.FreeMem != c.freeMem {
-			t.Fatalf("step %d class %d (%d B): engine %+v, model %+v", step, i, s.ChunkSize, s, c)
+		c := &m.classes[i]
+		if s.Pages != c.pages || s.Free != c.free || s.Items != int64(c.lru.Len()) || s.Held != c.held || s.FreeMem != c.freeMem {
+			t.Fatalf("step %d class %d (%d B): engine %+v, model pages %d free %d items %d held %d free memory %d",
+				step, i, s.ChunkSize, s, c.pages, c.free, c.lru.Len(), c.held, c.freeMem)
 		}
 	}
 }
@@ -514,11 +572,94 @@ func seedProgram(seed int64, n int) program {
 	return b
 }
 
+// asm assembles a runModel program: each choice is one byte, read modulo
+// its range.
+type asm []byte
+
+// step appends an operation on keys[k] with no expiry, then its choices:
+// ints, or slices of them.
+func (a asm) step(k, op int, choices ...any) asm {
+	a = append(a, byte(k), 1, byte(op))
+	for _, c := range choices {
+		switch c := c.(type) {
+		case int:
+			a = append(a, byte(c))
+		case []int:
+			for _, b := range c {
+				a = append(a, byte(b))
+			}
+		}
+	}
+	return a
+}
+
+// mid is the choices of a value of 5000+n random bytes; num, of a decimal
+// counter.
+func mid(n int) []int { return []int{1, n >> 8, n & 0xff} }
+func num(n int) []int { return []int{0, n} }
+
+// Operation codes of runModel's switch, and choices the assembled programs
+// give them.
+const (
+	opSet, opVirtual, opGet, opIncr, opFlush = 0, 4, 5, 9, 10
+	opReserve, opSettle, opAcquire           = 12, 13, 14
+	opRelease, opFill                        = 15, 16
+	anyCAS, liveCAS                          = 999, 0 // expect(): a miss, or the key's CAS
+	doCommit, doAbort                        = 1, 0   // opSettle of the first open reservation
+	fillReal, fillVirtual                    = 0, 1   // opFill's kind of item
+)
+
+// fullClassProgram fills one class of the small engine to its last page,
+// then overwrites, pins, reserves, aborts and flushes in it, stores into a
+// class that has no page, and fills the class again over flushed items.
+func fullClassProgram() []byte {
+	const a, b, c = 0, 1, 2
+	v := mid(34000)                               // class 49152: 21 chunks a page
+	p := asm{1}.step(a, opFill, 126, v, fillReal) // 127 items: all four pages, then evictions
+	for i := 0; i < 4; i++ {
+		p = p.step(a, opSet, anyCAS, v) // the first evicts, the rest take a's own chunk
+	}
+	p = p.step(a, opAcquire).step(a, opSet, anyCAS, v).step(a, opRelease, 0)
+	p = p.step(b, opReserve, int(StoreSet), anyCAS, v).step(b, opSettle, 0, doCommit)
+	p = p.step(b, opReserve, int(StoreSet), anyCAS, v).step(b, opGet).step(b, opSettle, 0, doCommit)
+	p = p.step(b, opReserve, int(StoreCAS), liveCAS, v).step(b, opSettle, 0, doCommit)
+	p = p.step(a, opSet, anyCAS, num(5)).step(a, opGet).step(c, opIncr, 150, 0, 7)
+	p = p.step(a, opReserve, int(StoreSet), anyCAS, v).step(a, opSettle, 0, doAbort).step(a, opGet)
+	p = p.step(a, opSet, anyCAS, v)
+	p = p.step(b, opReserve, int(StoreReplace), anyCAS, v).step(b, opFlush, 0).step(b, opSettle, 0, doCommit)
+	return p.step(c, opFill, 126, mid(33000), fillVirtual)
+}
+
+// allPinnedProgram fills the small engine's four pages, three of them with
+// fill items, and pins every chunk of the fourth's class, two of them
+// items removed under their pins: stores into the class then fail and
+// evict nothing, until the pins go.
+func allPinnedProgram() []byte {
+	big := []int{60000 >> 8, 60000 & 0xff} // a virtual size of class 98304: 10 chunks a page
+	p := asm{1}.step(0, opFill, 125, mid(15000), fillVirtual)
+	for k := 0; k < 8; k++ {
+		p = p.step(k, opVirtual, big)
+	}
+	for i := 0; i < 2; i++ {
+		p = p.step(0, opAcquire).step(0, opVirtual, big)
+	}
+	for k := 0; k < 8; k++ {
+		p = p.step(k, opAcquire)
+	}
+	p = p.step(0, opVirtual, big).step(3, opVirtual, big).step(0, opGet)
+	for i := 0; i < 10; i++ {
+		p = p.step(0, opRelease, 0)
+	}
+	return p.step(3, opVirtual, big).step(0, opVirtual, big)
+}
+
 // FuzzEngineModel plays arbitrary programs against the engine and the
 // model (see runModel).
 func FuzzEngineModel(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add([]byte(seedProgram(seed, 2000)))
 	}
+	f.Add(fullClassProgram())
+	f.Add(allPinnedProgram())
 	f.Fuzz(func(t *testing.T, p []byte) { runModel(t, p) })
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // ErrNoMemory reports that the arena is full and the needed slab class has
-// nothing to evict.
+// nothing to evict: no item, or only pinned ones.
 var ErrNoMemory = errors.New("memcached: out of memory storing object")
 
 // pageSize is the minimum slab page size; arenas whose MaxItemSize exceeds
@@ -230,31 +230,25 @@ func (a *slabArena) value(r ref) []byte {
 	return m[v : v+int(h.size) : v+int(h.size)]
 }
 
-// take removes one chunk from the budget of the class that fits foot,
-// growing the class by a page if the arena has room, otherwise evicting
-// via the callback until a chunk frees up, and returns the storage of an
-// item with a key of keyLen bytes: a region chunk for a real item, an
-// arena slot for a virtual one. Its header is zero but for class and
-// keyLen. The caller links the item into the class or holds the chunk.
-func (a *slabArena) take(foot int, real bool, keyLen int, evict func(class int) bool) (ref, error) {
-	ci := a.classFor(foot)
-	if ci < 0 {
-		return 0, ErrTooLarge
-	}
+// hasRoom reports whether class ci has a chunk of its budget free, first
+// growing the class by a page if it has none and the arena has one left.
+func (a *slabArena) hasRoom(ci int) bool {
 	c := a.class(ci)
-	for c.freeChunks == 0 {
-		if a.pagesAllocated < a.maxPages {
-			a.pagesAllocated++
-			c.pages++
-			c.freeChunks += a.perPage(ci)
-			break
-		}
-		// An evicted item that a reader pins keeps its chunk until the
-		// reader lets go, so one eviction may not be enough.
-		if !evict(ci) {
-			return 0, ErrNoMemory
-		}
+	if c.freeChunks == 0 && a.pagesAllocated < a.maxPages {
+		a.pagesAllocated++
+		c.pages++
+		c.freeChunks += a.perPage(ci)
 	}
+	return c.freeChunks > 0
+}
+
+// take removes one chunk from the budget of class ci, which hasRoom found
+// room in, and returns the storage of an item with a key of keyLen bytes:
+// a region chunk for a real item, an arena slot for a virtual one. Its
+// header is zero but for class and keyLen. The caller links the item into
+// the class or holds the chunk.
+func (a *slabArena) take(ci int, real bool, keyLen int) (ref, error) {
+	c := a.classes[ci]
 	var r ref
 	var err error
 	if real {
@@ -390,8 +384,15 @@ func (a *slabArena) touch(r ref) {
 	}
 }
 
-// tail returns the least-recently-used item of a class, or 0.
-func (a *slabArena) tail(ci int) ref { return a.classes[ci].tail }
+// victim returns the least-recently-used item of class ci that no reader
+// pins, or 0.
+func (a *slabArena) victim(ci int) ref {
+	r := a.classes[ci].tail
+	for r != 0 && a.hdr(r).pins != 0 {
+		r = a.hdr(r).prev
+	}
+	return r
+}
 
 func (a *slabArena) pushHead(c *slabClass, r ref) {
 	h := a.hdr(r)
@@ -445,6 +446,3 @@ func (a *slabArena) stats() []SlabStats {
 	}
 	return out
 }
-
-// memUsed returns bytes of page memory allocated.
-func (a *slabArena) memUsed() int64 { return a.pagesAllocated * a.page }

@@ -33,6 +33,14 @@ func classOf(e *Engine, key string, size int) SlabStats {
 	return e.Slabs()[e.slabs.classFor(itemFootprint(key, size))]
 }
 
+// pagesOf returns the pages the engine's classes hold, from its ledger.
+func pagesOf(e *Engine) (pages int64) {
+	for _, c := range e.Slabs() {
+		pages += c.Pages
+	}
+	return pages
+}
+
 // TestHeaderFitsItemOverhead: an item's header sits in the itemOverhead
 // bytes its footprint already charges, so the chunk a footprint picks
 // holds the header, the key and the value.
@@ -122,7 +130,7 @@ func TestVirtualOnlyEngineMapsNothing(t *testing.T) {
 func TestReserveCommitModes(t *testing.T) {
 	e := NewEngine(Config{MemLimit: 8 << 20})
 	defer e.Close()
-	put := func(key string, seed, size int, mode StoreMode, expect uint64) (uint64, error) {
+	putSeed := func(key string, seed, size int, mode StoreMode, expect uint64) (uint64, error) {
 		r, err := e.Reserve(Item{Key: key, Size: size, Flags: uint32(seed)}, mode, expect)
 		if err != nil {
 			return 0, err
@@ -135,32 +143,32 @@ func TestReserveCommitModes(t *testing.T) {
 	}
 	for _, size := range []int{5, big} {
 		key := fmt.Sprintf("k%d", size)
-		if _, err := put(key, 1, size, StoreReplace, 0); !errors.Is(err, ErrNotStored) {
+		if _, err := putSeed(key, 1, size, StoreReplace, 0); !errors.Is(err, ErrNotStored) {
 			t.Errorf("replace of a missing key: %v", err)
 		}
-		if _, err := put(key, 2, size, StoreCAS, 9); !errors.Is(err, ErrNotFound) {
+		if _, err := putSeed(key, 2, size, StoreCAS, 9); !errors.Is(err, ErrNotFound) {
 			t.Errorf("cas of a missing key: %v", err)
 		}
-		cas, err := put(key, 3, size, StoreAdd, 0)
+		cas, err := putSeed(key, 3, size, StoreAdd, 0)
 		if err != nil {
 			t.Fatalf("add: %v", err)
 		}
-		if _, err := put(key, 4, size, StoreAdd, 0); !errors.Is(err, ErrNotStored) {
+		if _, err := putSeed(key, 4, size, StoreAdd, 0); !errors.Is(err, ErrNotStored) {
 			t.Errorf("add of a present key: %v", err)
 		}
-		if _, err := put(key, 5, size, StoreCAS, cas+1); !errors.Is(err, ErrExists) {
+		if _, err := putSeed(key, 5, size, StoreCAS, cas+1); !errors.Is(err, ErrExists) {
 			t.Errorf("stale cas: %v", err)
 		}
 		if it, _ := e.Get(key); !bytes.Equal(it.Value, pattern(3, size)) || it.Flags != 3 || it.CAS != cas {
 			t.Errorf("failed commits disturbed the item: flags %d cas %d", it.Flags, it.CAS)
 		}
-		if _, err := put(key, 6, size, StoreCAS, cas); err != nil {
+		if _, err := putSeed(key, 6, size, StoreCAS, cas); err != nil {
 			t.Errorf("cas: %v", err)
 		}
-		if _, err := put(key, 7, size, StoreReplace, 0); err != nil {
+		if _, err := putSeed(key, 7, size, StoreReplace, 0); err != nil {
 			t.Errorf("replace: %v", err)
 		}
-		if _, err := put(key, 8, size, StoreSet, 0); err != nil {
+		if _, err := putSeed(key, 8, size, StoreSet, 0); err != nil {
 			t.Errorf("set: %v", err)
 		}
 		if it, _ := e.Get(key); !bytes.Equal(it.Value, pattern(8, size)) || it.Flags != 8 {
@@ -214,21 +222,37 @@ func TestReserveRefusesWhatCannotBeStored(t *testing.T) {
 	}
 }
 
+// fillClass stores values of size under fresh keys until the class they
+// land in evicts, so that it is full and the arena has no page left, and
+// returns the last key stored.
+func fillClass(t *testing.T, e *Engine, size int) (key string) {
+	t.Helper()
+	for i := 0; e.Stats().Evictions == 0; i++ {
+		key = fmt.Sprintf("k%d", i)
+		if _, err := e.Set(Item{Key: key, Value: pattern(i, size)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return key
+}
+
+// lruKeys returns the keys of class ci's items, least recently used first.
+func lruKeys(e *Engine, ci int) (keys []string) {
+	for r := e.slabs.classes[ci].tail; r != 0; r = e.slabs.hdr(r).prev {
+		keys = append(keys, string(e.slabs.key(r)))
+	}
+	return keys
+}
+
 // TestDoomedStoresEvictNothing: in a full class, an Add of a present key
 // and a CAS with a stale token fail before Reserve takes a chunk, so 10^4
 // of each evict nothing, free nothing and count each failed CAS once.
 func TestDoomedStoresEvictNothing(t *testing.T) {
 	e := NewEngine(Config{MemLimit: 2 << 20})
 	defer e.Close()
-	var key string
-	var cas uint64
-	for i := 0; e.Stats().Evictions == 0; i++ {
-		key = fmt.Sprintf("k%d", i)
-		var err error
-		if cas, err = e.Set(Item{Key: key, Value: pattern(i, big)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	key := fillClass(t, e, big)
+	it, _ := e.Get(key)
+	cas := it.CAS
 	before, class := e.Stats(), classOf(e, key, big)
 	for i := 0; i < 10000; i++ {
 		if _, err := e.Reserve(Item{Key: key, Size: big}, StoreAdd, 0); !errors.Is(err, ErrNotStored) {
@@ -251,16 +275,238 @@ func TestDoomedStoresEvictNothing(t *testing.T) {
 	checkLedger(t, e)
 }
 
+// TestOverwritesAtMemLimitEvictNothing: in a full class with no page left,
+// 10^4 overwrites of one key, through Set and through Reserve and Commit,
+// each take the key's own chunk, so Evictions and CurrItems stay where they
+// were.
+func TestOverwritesAtMemLimitEvictNothing(t *testing.T) {
+	stores := map[string]func(e *Engine, it Item) error{
+		"set": func(e *Engine, it Item) error {
+			_, err := e.Set(it)
+			return err
+		},
+		"reserve": func(e *Engine, it Item) error {
+			_, err := put(e, it, StoreSet, 0)
+			return err
+		},
+	}
+	for name, store := range stores {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(Config{MemLimit: 1 << 20})
+			defer e.Close()
+			key := fillClass(t, e, 1000)
+			before := e.Stats()
+			for i := 0; i < 10000; i++ {
+				if err := store(e, Item{Key: key, Value: pattern(i, 1000), Size: 1000}); err != nil {
+					t.Fatalf("overwrite %d: %v", i, err)
+				}
+			}
+			after := e.Stats()
+			if after.Evictions != before.Evictions || after.CurrItems != before.CurrItems {
+				t.Errorf("evictions %d -> %d, items %d -> %d", before.Evictions, after.Evictions, before.CurrItems, after.CurrItems)
+			}
+			if it, err := e.Get(key); err != nil || !bytes.Equal(it.Value, pattern(9999, 1000)) {
+				t.Errorf("the last overwrite is not what Get returns: %v", err)
+			}
+			checkLedger(t, e)
+		})
+	}
+}
+
+// TestOwnChunkReservation: in a full class, a reservation for a present
+// key takes that key's chunk, so the key reads as absent until Commit
+// stores it, with no eviction. A Flush in between fails a REPLACE, an Abort
+// leaves the key absent, and a store that gets no chunk at all leaves the
+// key's item as it was.
+func TestOwnChunkReservation(t *testing.T) {
+	e := NewEngine(Config{MemLimit: 1 << 20})
+	defer e.Close()
+	key := fillClass(t, e, 1000)
+	before := e.Stats()
+	r, err := e.Reserve(Item{Key: key, Size: 1000}, StoreReplace, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Get(key); !errors.Is(err, ErrNotFound) {
+		t.Errorf("the key's item is readable while a reservation holds its chunk: %v", err)
+	}
+	copy(r.Value, pattern(1, 1000))
+	if _, err := e.Commit(r); err != nil {
+		t.Fatalf("replace over the key's own chunk: %v", err)
+	}
+	if st := e.Stats(); st.Evictions != before.Evictions || st.CurrItems != before.CurrItems {
+		t.Errorf("evictions %d -> %d, items %d -> %d", before.Evictions, st.Evictions, before.CurrItems, st.CurrItems)
+	}
+	if r, err = e.Reserve(Item{Key: key, Size: 1000}, StoreReplace, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if _, err := e.Commit(r); !errors.Is(err, ErrNotStored) {
+		t.Errorf("replace of an item a Flush invalidated: %v", err)
+	}
+	e.Set(Item{Key: key, Value: pattern(2, 1000)})
+	if r, err = e.Reserve(Item{Key: key, Size: 1000}, StoreSet, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Abort(r)
+	if _, err := e.Get(key); !errors.Is(err, ErrNotFound) {
+		t.Errorf("an aborted reservation gave the displaced item back: %v", err)
+	}
+	// A value of another class: that class has no page and no item.
+	e.Set(Item{Key: key, Value: pattern(3, 1000)})
+	if _, err := e.Set(Item{Key: key, Value: pattern(4, 100)}); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("store into a class with no page: %v", err)
+	}
+	if it, err := e.Get(key); err != nil || !bytes.Equal(it.Value, pattern(3, 1000)) {
+		t.Errorf("a store that got no chunk removed the key's item: %v", err)
+	}
+	checkLedger(t, e)
+}
+
+// TestEvictionSkipsPinnedItems: eviction takes the least-recently-used
+// item that no reader pins. With the four least-recently-used items of a
+// full class pinned, a store evicts one unpinned item and the pinned ones
+// outlive 10^3 more stores, their bytes in place. With every item of the
+// class pinned, a store fails with ErrNoMemory, evicting nothing and
+// leaving the key's item.
+func TestEvictionSkipsPinnedItems(t *testing.T) {
+	t.Run("tail", func(t *testing.T) {
+		e := NewEngine(Config{MemLimit: 1 << 20})
+		defer e.Close()
+		key := fillClass(t, e, 1000)
+		ci := e.slabs.classFor(itemFootprint(key, 1000))
+		lru := lruKeys(e, ci)
+		var pins []Pin
+		for _, k := range lru[:4] {
+			p, err := e.Acquire(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pins = append(pins, p)
+		}
+		for _, k := range lru[4:] {
+			e.Get(k) // the pinned four are the tail again
+		}
+		before := e.Stats()
+		if _, err := e.Set(Item{Key: "new", Value: pattern(0, 1000)}); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Stats(); st.Evictions != before.Evictions+1 || st.CurrItems != before.CurrItems {
+			t.Errorf("one store: evictions %d -> %d, items %d -> %d", before.Evictions, st.Evictions, before.CurrItems, st.CurrItems)
+		}
+		for i := 0; i < 1000; i++ {
+			if _, err := e.Set(Item{Key: fmt.Sprintf("more-%d", i), Value: pattern(i, 1000)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range pins {
+			if it, err := e.Get(p.Key); err != nil || !bytes.Equal(it.Value, p.Value) {
+				t.Errorf("pinned %s was evicted: %v", p.Key, err)
+			}
+			e.Release(p)
+		}
+		if c := e.Slabs()[ci]; c.Held != 0 {
+			t.Errorf("%d chunks held with no item removed under a pin", c.Held)
+		}
+		checkLedger(t, e)
+	})
+	t.Run("all", func(t *testing.T) {
+		e := NewEngine(Config{MemLimit: 1 << 20})
+		defer e.Close()
+		const size = 200 << 10
+		key := fillClass(t, e, size)
+		ci := e.slabs.classFor(itemFootprint(key, size))
+		var pins []Pin
+		for _, k := range lruKeys(e, ci) {
+			p, err := e.Acquire(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pins = append(pins, p)
+		}
+		before := e.Stats()
+		for _, k := range []string{key, "new"} {
+			if _, err := e.Set(Item{Key: k, Value: pattern(1, size)}); !errors.Is(err, ErrNoMemory) {
+				t.Errorf("store of %s with every item pinned: %v", k, err)
+			}
+			if _, err := e.Reserve(Item{Key: k, Size: size}, StoreSet, 0); !errors.Is(err, ErrNoMemory) {
+				t.Errorf("reservation of %s with every item pinned: %v", k, err)
+			}
+		}
+		if st := e.Stats(); st.Evictions != before.Evictions || st.CurrItems != before.CurrItems {
+			t.Errorf("evictions %d -> %d, items %d -> %d", before.Evictions, st.Evictions, before.CurrItems, st.CurrItems)
+		}
+		for _, p := range pins {
+			if it, err := e.Get(p.Key); err != nil || !bytes.Equal(it.Value, p.Value) {
+				t.Errorf("pinned %s did not keep its item: %v", p.Key, err)
+			}
+		}
+		e.Release(pins[0])
+		if _, err := e.Set(Item{Key: "new", Value: pattern(1, size)}); err != nil {
+			t.Errorf("store after one release: %v", err)
+		}
+		if _, err := e.Get(pins[0].Key); !errors.Is(err, ErrNotFound) {
+			t.Errorf("the released item was not the one evicted: %v", err)
+		}
+		for _, p := range pins[1:] {
+			e.Release(p)
+		}
+		checkLedger(t, e)
+	})
+}
+
+// TestConcurrentOverwritesEvictNothing: 16 goroutines overwrite their own
+// keys of a full class 10^3 times each through Reserve and Commit, up to 16
+// reservations open at once. Each takes its key's own chunk, so Evictions
+// and CurrItems end where they began.
+func TestConcurrentOverwritesEvictNothing(t *testing.T) {
+	e := NewEngine(Config{MemLimit: 1 << 20})
+	defer e.Close()
+	const workers, rounds, size = 16, 1000, 1000
+	fillClass(t, e, size)
+	for w := 0; w < workers; w++ {
+		if _, err := e.Set(Item{Key: fmt.Sprintf("w%d", w), Value: pattern(w, size)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.Stats()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				r, err := e.Reserve(Item{Key: key, Size: size}, StoreSet, 0)
+				if err != nil {
+					t.Errorf("reserve %s: %v", key, err)
+					return
+				}
+				copy(r.Value, pattern(i, size))
+				if _, err := e.Commit(r); err != nil {
+					t.Errorf("commit %s: %v", key, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("w%d", w))
+	}
+	wg.Wait()
+	after := e.Stats()
+	if after.Evictions != before.Evictions || after.CurrItems != before.CurrItems {
+		t.Errorf("evictions %d -> %d, items %d -> %d", before.Evictions, after.Evictions, before.CurrItems, after.CurrItems)
+	}
+	for w := 0; w < workers; w++ {
+		if it, err := e.Get(fmt.Sprintf("w%d", w)); err != nil || !bytes.Equal(it.Value, pattern(rounds-1, size)) {
+			t.Errorf("w%d does not hold its last overwrite: %v", w, err)
+		}
+	}
+	checkLedger(t, e)
+}
+
 func TestPinOutlivesRemoval(t *testing.T) {
 	removals := map[string]func(e *Engine){
 		"delete":    func(e *Engine) { e.Delete("k") },
 		"overwrite": func(e *Engine) { e.Set(Item{Key: "k", Value: pattern(2, big)}) },
 		"flush":     func(e *Engine) { e.Flush(); e.Get("k") },
-		"evict": func(e *Engine) {
-			for i := 0; i < 200; i++ {
-				e.Set(Item{Key: fmt.Sprintf("other-%d", i), Value: pattern(i, big)})
-			}
-		},
 	}
 	for name, removeIt := range removals {
 		t.Run(name, func(t *testing.T) {
@@ -462,8 +708,8 @@ func TestSlabLedgerStress(t *testing.T) {
 }
 
 // TestPinnedReaderConcurrentWriters: a reader holds one item of a class
-// while writers push ten times MemLimit through that class; the bytes stay,
-// and the chunk is free again once the pin is released.
+// while writers push ten times MemLimit through that class; eviction passes
+// over the pinned item, so its bytes stay and it is still stored after.
 func TestPinnedReaderConcurrentWriters(t *testing.T) {
 	const memLimit = 8 << 20
 	e := NewEngine(Config{MemLimit: memLimit})
@@ -532,8 +778,8 @@ func TestPinnedReaderConcurrentWriters(t *testing.T) {
 	if e.Stats().Evictions == 0 {
 		t.Fatal("no eviction: the writers did not fill the engine")
 	}
-	if _, err := e.Get("pinned"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("the pinned item survived ten times MemLimit of writes: %v", err)
+	if it, err := e.Get("pinned"); err != nil || !bytes.Equal(it.Value, want) {
+		t.Errorf("eviction took the pinned item: %v", err)
 	}
 	held := func() (held, free int64) {
 		for _, c := range e.Slabs() {
@@ -543,11 +789,11 @@ func TestPinnedReaderConcurrentWriters(t *testing.T) {
 		return
 	}
 	h, f := held()
-	if h != 1 {
-		t.Errorf("held = %d with one pin open", h)
+	if h != 0 {
+		t.Errorf("held = %d with the pinned item still stored", h)
 	}
 	e.Release(p)
-	if h2, f2 := held(); h2 != 0 || f2 != f+1 {
+	if h2, f2 := held(); h2 != 0 || f2 != f {
 		t.Errorf("after release: held %d, free memory chunks %d -> %d", h2, f, f2)
 	}
 	if e.Mapped() > memLimit {
@@ -607,9 +853,9 @@ func TestEngineConcurrentStress(t *testing.T) {
 				case 1:
 					_, err = e.Set(Item{Key: key, Size: size})
 				case 2:
-					_, err = e.Add(it)
+					_, err = put(e, it, StoreAdd, 0)
 				case 3:
-					_, err = e.Replace(it)
+					_, err = put(e, it, StoreReplace, 0)
 				case 4:
 					gets.Add(1)
 					var cur Item
@@ -619,7 +865,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 						}
 						cases.Add(1)
 						stores.Add(1)
-						_, err = e.CompareAndSwap(it, cur.CAS)
+						_, err = put(e, it, StoreCAS, cur.CAS)
 					}
 				case 5:
 					stores.Add(1)
@@ -666,10 +912,9 @@ func TestEngineConcurrentStress(t *testing.T) {
 					if st := e.Stats(); st.GetHits+st.GetMisses != st.CmdGet {
 						t.Errorf("a Stats snapshot is not one instant: %+v", st)
 					}
-					if e.Mapped() > e.Config().MemLimit || e.MemUsed() > e.Config().MemLimit {
-						t.Errorf("mapped %d, used %d over MemLimit", e.Mapped(), e.MemUsed())
+					if used := pagesOf(e) * pageSize; e.Mapped() > e.Config().MemLimit || used > e.Config().MemLimit {
+						t.Errorf("mapped %d, used %d over MemLimit", e.Mapped(), used)
 					}
-					_, _, _ = e.Slabs(), e.Len(), e.Keys()
 				case 11:
 					if rng.Intn(100) == 0 {
 						e.Flush()
@@ -713,8 +958,8 @@ func TestEngineConcurrentStress(t *testing.T) {
 		}
 	}
 	e.Close()
-	if e.Mapped() != 0 || e.Len() != 0 {
-		t.Errorf("after Close: mapped %d, %d items", e.Mapped(), e.Len())
+	if n := e.Stats().CurrItems; e.Mapped() != 0 || n != 0 {
+		t.Errorf("after Close: mapped %d, %d items", e.Mapped(), n)
 	}
 }
 
@@ -735,8 +980,8 @@ func TestCloseUnmapsAndEngineStaysUsable(t *testing.T) {
 			t.Fatalf("cycle %d: engine mapped %d, process %d -> %d", cycle, e.Mapped(), before, full)
 		}
 		e.Close()
-		if MappedBytes() > full-4<<20 || e.Mapped() != 0 || e.Len() != 0 || e.Stats().CurrItems != 0 || e.MemUsed() != 0 {
-			t.Fatalf("cycle %d: after Close mapped %d (process %d -> %d), %d items", cycle, e.Mapped(), full, MappedBytes(), e.Len())
+		if n := e.Stats().CurrItems; MappedBytes() > full-4<<20 || e.Mapped() != 0 || n != 0 || pagesOf(e) != 0 {
+			t.Fatalf("cycle %d: after Close mapped %d (process %d -> %d), %d items", cycle, e.Mapped(), full, MappedBytes(), n)
 		}
 	}
 	e.Close() // twice is harmless
@@ -807,8 +1052,8 @@ func TestItemsLeaveTheHeap(t *testing.T) {
 			if grew := int64(after.HeapObjects) - int64(before.HeapObjects); grew >= n/100 {
 				t.Errorf("heap objects grew by %d for %d items, want under %d", grew, n, n/100)
 			}
-			if e.Len() != n || e.Stats().Evictions != 0 {
-				t.Fatalf("%d items stored, %d evicted", e.Len(), e.Stats().Evictions)
+			if st := e.Stats(); st.CurrItems != n || st.Evictions != 0 {
+				t.Fatalf("%d items stored, %d evicted", st.CurrItems, st.Evictions)
 			}
 			if it, err := e.Get(keys[n/2]); err != nil || !bytes.Equal(it.Value, value) {
 				t.Fatalf("read back: %v", err)
