@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test vet race fuzz bench bench-smoke bench-kernel bench-dataplane bench-netsim bench-orchestration bench-fleet bench-swarm bench-cluster golden determinism stress repro tools clean
+.PHONY: all test vet loc race fuzz bench bench-smoke bench-kernel bench-dataplane bench-netsim bench-orchestration bench-fleet bench-swarm bench-cluster golden determinism stress repro tools clean
 
 all: test
 
@@ -9,6 +9,10 @@ test:
 
 vet:
 	go vet ./...
+
+# Non-test Go lines outside benchmark/: the size ROADMAP item 5 tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 # Race-detector pass; the sim kernel runs one process at a time but the
 # harness, mcserver, mcclient, and CLIs use real goroutines.
@@ -119,7 +123,8 @@ bench-cluster: tools
 	./bin/benchjson -out BENCH_14.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; mcclient group-commit PR — before = one write, one reader lock and (for a SET) two goroutines per round-trip (parent commit), after = leader/follower flush, batched dispatch, goroutine-free replica fan-out; ClientParallel writes/op is exactly 1 before; ClientSequential (a lone caller) must stay at 1 write and must not slow down" < bench.out
 	rm -f bench.out
 
-# Golden determinism suite: the seed schemes, run cap 8, and the multi-job
+# Golden determinism suite: the seed schemes, bb-adaptive (with its
+# write-through/async block split), run cap 8, and the multi-job
 # orchestration fingerprint must match their recorded values; the paper
 # suite's small-scale tables must match their FNV-64a (model.tables_fnv64);
 # and the abstract's claims must hold on the full-scale fig3/fig4/fig5/fig8/
@@ -127,17 +132,18 @@ bench-cluster: tools
 golden:
 	go test -run 'TestGolden|TestPaperClaims|TestSuiteTablesPin' -v .
 
-# Determinism matrix: the goldens, the paper suite's table hash (cells on
-# 1 and 4 workers), the swarm and DFSIO pins (each cell at 1, 2, 4 and 7
-# shards, swarm cells -short), the fleet, swarm and shard-group
-# cross-shard checks (each also over its own GOMAXPROCS values, the one
-# worker control), the shard-group worker tests (10^5 one-event windows
-# handed between the coordinator and its workers, same-shard and
-# cross-shard deliveries in one instant, 10^6 sends of a lone shard to
-# itself) and the pinned netsim solver traces must hold under
-# GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries are built once, so the
-# settings apply to the simulation, not to the compiler; the sim binary
-# runs under a short timeout, so a lost worker wake-up fails fast.
+# Determinism matrix: the goldens (bb-adaptive's included), the paper
+# suite's table hash (cells on 1 and 4 workers), the swarm and DFSIO pins
+# (each cell at 1, 2, 4 and 7 shards, swarm cells -short), the fleet,
+# swarm and shard-group cross-shard checks (each also over its own
+# GOMAXPROCS values, the one worker control), the shard-group worker
+# tests (10^5 one-event windows handed between the coordinator and its
+# workers, same-shard and cross-shard deliveries in one instant, 10^6
+# sends of a lone shard to itself) and the pinned netsim solver traces
+# must hold under GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries are
+# built once, so the settings apply to the simulation, not to the
+# compiler; the sim binary runs under a short timeout, so a lost worker
+# wake-up fails fast.
 determinism:
 	mkdir -p bin
 	go test -c -o bin/hbb.test .

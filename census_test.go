@@ -41,35 +41,7 @@ var censusExempt = map[string]string{
 // variable's type is evident in the enclosing function (a parameter,
 // receiver, typed var, or a := from a composite literal).
 func TestSettingsCensus(t *testing.T) {
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path -> non-test files
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err != nil {
-			return err
-		}
-		pkg := "hbb"
-		if dir := filepath.ToSlash(filepath.Dir(p)); dir != "." {
-			pkg += "/" + dir
-		}
-		files[pkg] = append(files[pkg], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := moduleFiles(t)
 
 	fields := map[string][]string{} // struct key -> exported field names
 	for _, key := range censusStructs {
@@ -125,6 +97,42 @@ func TestSettingsCensus(t *testing.T) {
 	for _, k := range unset {
 		t.Errorf("%s is set by no caller outside tests: make it a constant or delete it", k)
 	}
+}
+
+// moduleFiles parses every non-test Go file of the module, keyed by
+// import path.
+func moduleFiles(t *testing.T) map[string][]*ast.File {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := "hbb"
+		if dir := filepath.ToSlash(filepath.Dir(p)); dir != "." {
+			pkg += "/" + dir
+		}
+		files[pkg] = append(files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func splitKey(key string) (pkg, name string) {

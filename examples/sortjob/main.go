@@ -1,7 +1,7 @@
 // Sortjob: the paper's Sort benchmark end-to-end — generate random
 // records with RandomWriter, sort them with a full map/shuffle/reduce job,
 // and compare execution time across every registered storage backend
-// (hdfs, lustre, and one burst buffer per policy, bb-adaptive included),
+// (hdfs, lustre, and one burst buffer per scheme, bb-adaptive included),
 // showing where each backend's bytes ended up.
 package main
 

@@ -624,7 +624,7 @@ func fig10(scale Scale) *metrics.Table {
 	return t
 }
 
-// tab5 drives the same DFSIO write+read through every burst-buffer policy
+// tab5 drives the same DFSIO write+read through every burst-buffer scheme
 // and reports the per-scheme metrics registry: flush latency, writer-stall
 // time, read-source hits, and — for bb-adaptive — the per-block mode split
 // its traffic detector chose.

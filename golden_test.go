@@ -18,6 +18,7 @@ type goldenRun struct {
 	stats    string // %+v of core.Stats, "" for non-buffer backends
 	totalNS  int64  // full virtual time of the run, flush drain included
 	localUse int64  // compute-node-local bytes after drain
+	modes    string // bb-adaptive's write-through/async block split, else ""
 }
 
 // goldenFingerprint runs the canonical short workload for one backend.
@@ -59,11 +60,17 @@ func goldenFingerprintOpts(t *testing.T, b Backend, opts Options) goldenRun {
 			st.ReadsBuffer, st.ReadsLocal, st.ReadsLustre,
 			st.Evictions, st.WriterStalls)
 	}
+	if b == BackendBBAdaptive {
+		m, _ := tb.BurstBufferMetrics(b)
+		g.modes = fmt.Sprintf("wt=%d async=%d",
+			m.Counter("adaptive.blocks.writethrough").Value(), m.Counter("adaptive.blocks.async").Value())
+	}
 	return g
 }
 
-// seedGoldens are the recorded fingerprints of the five seed backends on
-// the one bulk data path there is: payload rides netsim flows (HDFS
+// seedGoldens are the recorded fingerprints of the five seed backends and
+// the traffic-detecting bb-adaptive on the one bulk data path there is:
+// payload rides netsim flows (HDFS
 // pipeline hops and read streams, Lustre stripe RPCs, burst-buffer RDMA
 // chunk moves, local-replica reads), devices and the ingest pipe take one
 // flat reservation per segment, control messages stay RPCs whose
@@ -83,16 +90,22 @@ var seedGoldens = map[string]goldenRun{
 		stats: "w=536870912 r=536870912 f=536870912 rb=0 rl=8 rlu=0 ev=0 st=0", totalNS: 228538766, localUse: 536870912},
 	"bb-sync": {writeNS: 157320897, readNS: 34813083, bytes: 536870912,
 		stats: "w=536870912 r=536870912 f=536870912 rb=8 rl=0 rlu=0 ev=0 st=0", totalNS: 192173436, localUse: 0},
+	// Recorded before the scheme layer became one per-block plan: the
+	// eight blocks split 3 write-through / 5 async, so both modes and the
+	// detector's hysteresis run.
+	"bb-adaptive": {writeNS: 174098097, readNS: 34813083, bytes: 536870912,
+		stats: "w=536870912 r=536870912 f=536870912 rb=8 rl=0 rlu=0 ev=0 st=0", totalNS: 208950636, localUse: 0,
+		modes: "wt=3 async=5"},
 }
 
 func TestGoldenDeterminism(t *testing.T) {
-	for _, b := range []Backend{BackendHDFS, BackendLustre, BackendBBAsync, BackendBBLocality, BackendBBSync} {
+	for _, b := range AllBackends {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			got := goldenFingerprint(t, b)
 			want, ok := seedGoldens[b.String()]
-			t.Logf("actual: {writeNS: %d, readNS: %d, bytes: %d, stats: %q, totalNS: %d, localUse: %d}",
-				got.writeNS, got.readNS, got.bytes, got.stats, got.totalNS, got.localUse)
+			t.Logf("actual: {writeNS: %d, readNS: %d, bytes: %d, stats: %q, totalNS: %d, localUse: %d, modes: %q}",
+				got.writeNS, got.readNS, got.bytes, got.stats, got.totalNS, got.localUse, got.modes)
 			if !ok {
 				t.Fatalf("no golden recorded for %v", b)
 			}

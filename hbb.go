@@ -1,12 +1,12 @@
 // Package hbb is a simulation-backed reproduction of "Accelerating I/O
 // Performance of Big Data Analytics on HPC Clusters through RDMA-Based
 // Key-Value Store" (Islam et al., ICPP 2015): an RDMA-Memcached burst
-// buffer integrating HDFS with Lustre under pluggable policies — the
-// paper's three schemes plus an adaptive traffic-detecting one — with
-// the full substrate stack — a deterministic discrete-event kernel, an
-// InfiniBand-class fabric model, HDFS, Lustre, a real memcached engine,
-// and a MapReduce engine — plus the benchmark harness that regenerates
-// every figure and table of the evaluation.
+// buffer integrating HDFS with Lustre under four schemes — the paper's
+// three plus an adaptive traffic-detecting one — with the full substrate
+// stack — a deterministic discrete-event kernel, an InfiniBand-class
+// fabric model, HDFS, Lustre, a real memcached engine, and a MapReduce
+// engine — plus the benchmark harness that regenerates every figure and
+// table of the evaluation.
 //
 // The public entry point is a Testbed: a simulated HPC cluster with the
 // storage backends of the study attached. Drive it with Run, whose
@@ -75,20 +75,20 @@ const (
 	kindBurstBuffer
 )
 
-// backendDef is one registry entry; Backend values index this table.
+// backendDef is one registry entry; Backend values index this table. A
+// burst-buffer backend's name is its core.Config.Policy scheme name.
 type backendDef struct {
-	name   string
-	kind   backendKind
-	policy string // core policy name (burst-buffer kinds only)
+	name string
+	kind backendKind
 }
 
 var backendDefs = []backendDef{
 	{name: "hdfs", kind: kindHDFS},
 	{name: "lustre", kind: kindLustre},
-	{name: "bb-async", kind: kindBurstBuffer, policy: "bb-async"},
-	{name: "bb-locality", kind: kindBurstBuffer, policy: "bb-locality"},
-	{name: "bb-sync", kind: kindBurstBuffer, policy: "bb-sync"},
-	{name: "bb-adaptive", kind: kindBurstBuffer, policy: "bb-adaptive"},
+	{name: "bb-async", kind: kindBurstBuffer},
+	{name: "bb-locality", kind: kindBurstBuffer},
+	{name: "bb-sync", kind: kindBurstBuffer},
+	{name: "bb-adaptive", kind: kindBurstBuffer},
 }
 
 // AllBackends lists every backend in comparison order.
@@ -371,7 +371,7 @@ func New(opts Options) (*Testbed, error) {
 	// depend on map iteration, or runs would stop being reproducible.
 	for i, d := range backendDefs {
 		if d.kind == kindBurstBuffer {
-			tb.bb[Backend(i)] = core.New(cl, tb.lustre, bbcfg(d.policy))
+			tb.bb[Backend(i)] = core.New(cl, tb.lustre, bbcfg(d.name))
 		}
 	}
 	tb.traced = make(map[Backend]dfs.FileSystem)
@@ -401,7 +401,7 @@ func (tb *Testbed) rawFS(b Backend) dfs.FileSystem {
 	case kindLustre:
 		return tb.lustre
 	default:
-		return tb.bb[b]
+		return tb.bb[b].DefaultInstance()
 	}
 }
 
@@ -449,12 +449,12 @@ func (tb *Testbed) BurstBufferStats(b Backend) (core.Stats, bool) {
 	if !ok {
 		return core.Stats{}, false
 	}
-	return fs.Stats(), true
+	return fs.DefaultInstance().Stats(), true
 }
 
 // BurstBufferMetrics returns a burst-buffer backend's metrics registry
-// (flush-latency and writer-stall histograms, read-source and policy
-// counters).
+// (flush-latency and writer-stall histograms, read-source counters and
+// bb-adaptive's write-through/async block counts).
 func (tb *Testbed) BurstBufferMetrics(b Backend) (*metrics.Registry, bool) {
 	fs, ok := tb.bb[b]
 	if !ok {
@@ -619,7 +619,7 @@ func (c *Ctx) Cleanup(b Backend, dir string) {
 // dirty data to Lustre.
 func (c *Ctx) DrainBurstBuffer(b Backend) {
 	if fs, ok := c.tb.bb[b]; ok {
-		fs.DrainFlushers(c.p)
+		fs.DefaultInstance().DrainFlushers(c.p)
 	}
 }
 
@@ -631,7 +631,7 @@ func (c *Ctx) Prestage(b Backend, node int, path string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("hbb: %v is not a burst-buffer backend", b)
 	}
-	return fs.Prestage(c.p, netsim.NodeID(node), path)
+	return fs.DefaultInstance().Prestage(c.p, netsim.NodeID(node), path)
 }
 
 // Join is a handle to a concurrent driver task started with Ctx.Go.

@@ -1,32 +1,20 @@
 // Package core implements the paper's primary contribution: a burst buffer
 // built from RDMA-based Memcached servers, interposed between HDFS-style
 // clients and Lustre. How the buffer integrates the two file systems is
-// decided by a pluggable Policy (see policy.go): the write path asks the
-// policy for a per-block BlockPlan (flush mode plus optional Lustre/local
-// tees), the read path asks it for the ordered list of sources to try, and
-// eviction notifies it. Policies register by name via RegisterPolicy and
-// are selected with Config.Policy.
+// its scheme, named by Config.Policy, one per design axis the abstract
+// names plus a traffic-detecting hybrid (see plan.go):
 //
-// Four policies are built in. The first three are the paper's schemes,
-// one per design axis the abstract names — raw I/O performance,
-// data-locality, and fault-tolerance:
+//   - "bb-async" (raw I/O performance): blocks are acknowledged once in
+//     the buffer; a flusher pool drains them to Lustre in the background.
+//   - "bb-locality" (data-locality): a replica of each block also goes to
+//     the writer's node-local storage; Lustre persistence stays async.
+//   - "bb-sync" (fault-tolerance): each block is written through to
+//     Lustre before its ack; the buffer serves reads as an RDMA cache.
+//   - "bb-adaptive": write-through while calm, async during a burst.
 //
-//   - "bb-async" (asyncPolicy): writes land in the key-value burst buffer
-//     and are acknowledged immediately; a flusher pool drains dirty blocks
-//     to Lustre in the background. Fastest writes; a loss window exists
-//     until flush completes. No local storage used.
-//   - "bb-locality" (localityPolicy): one replica of each block is written
-//     to the writer's node-local storage in parallel with the buffer
-//     write, so map tasks retain HDFS-style data-locality; Lustre
-//     persistence stays asynchronous.
-//   - "bb-sync" (syncPolicy): the Lustre write happens before the client's
-//     block ack (write-through); the buffer then serves reads as an RDMA
-//     cache. Zero loss window, writes bounded by Lustre.
-//   - "bb-adaptive" (adaptivePolicy): traffic-detecting hybrid. While the
-//     buffer is calm it plans write-through blocks (sync-like, no loss
-//     window); when concurrent writers and flusher backlog reach
-//     adaptiveBurstBlocks it degrades to async buffering until the
-//     backlog falls to adaptiveCalmBlocks (hysteresis).
+// The schemes differ only in the per-block write plan (Instance.planBlock);
+// the writer, the reader's source order (node-local replica, buffer,
+// remote replica, Lustre), the flushers and eviction are shared.
 //
 // The buffer servers run the real memcached engine
 // (internal/memcached) with virtual (size-only) items, so allocator, LRU,
@@ -41,9 +29,9 @@ import (
 
 // Config parametrizes the burst buffer file system.
 type Config struct {
-	// Policy selects the integration policy by registry name (see
-	// RegisterPolicy). The built-ins are "bb-async", "bb-locality",
-	// "bb-sync", and "bb-adaptive"; empty means "bb-async".
+	// Policy names the integration scheme: "bb-async", "bb-locality",
+	// "bb-sync" or "bb-adaptive"; empty means "bb-async". Any other name
+	// fails Validate.
 	Policy string
 	// Servers is the number of dedicated burst-buffer (RDMA-Memcached)
 	// server nodes. Zero defaults to 4.
@@ -114,11 +102,11 @@ const (
 	prefetchWindow = 8
 	// adaptiveBurstBlocks is the bb-adaptive traffic detector's high
 	// watermark: when the number of in-flight blocks (streaming writers
-	// plus flusher backlog) reaches it, the policy degrades from
+	// plus flusher backlog) reaches it, the scheme degrades from
 	// write-through to async flushing.
 	adaptiveBurstBlocks = 4
 	// adaptiveCalmBlocks is the matching low watermark: once in-flight
-	// blocks fall back to this level the policy returns to write-through.
+	// blocks fall back to this level the scheme returns to write-through.
 	adaptiveCalmBlocks = 1
 )
 
@@ -181,19 +169,14 @@ func (c Config) Validate() error {
 	if d.ReadAhead < 0 {
 		return fmt.Errorf("core: ReadAhead cannot be negative, got %d", c.ReadAhead)
 	}
+	if _, err := parseScheme(d.Policy); err != nil {
+		return err
+	}
 	if int64(float64(d.ServerMemory)*HighWatermark) < d.BlockSize {
 		return fmt.Errorf("core: server memory %d cannot admit a single %d-byte block",
 			d.ServerMemory, d.BlockSize)
 	}
 	return nil
-}
-
-// policyName resolves the effective policy registry key.
-func (c Config) policyName() string {
-	if c.Policy != "" {
-		return c.Policy
-	}
-	return "bb-async"
 }
 
 // blockState tracks where a block's bytes currently live.

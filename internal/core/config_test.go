@@ -29,6 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative flushers", Config{Flushers: -1}, "Flushers"},
 		{"negative flush batch", Config{FlushBatchBlocks: -1}, "FlushBatchBlocks"},
 		{"negative readahead", Config{ReadAhead: -1}, "ReadAhead"},
+		{"unknown policy", Config{Policy: "bb-fast"}, "bb-adaptive"},
 		{"memory cannot admit a block",
 			Config{ServerMemory: 64 << 20, BlockSize: 128 << 20}, "cannot admit"},
 		// 140 MiB holds a 128 MiB block, but 0.9 of it does not.

@@ -16,13 +16,29 @@ import (
 const mib = int64(1) << 20
 
 type testRig struct {
-	c  *cluster.Cluster
-	l  *lustre.Lustre
-	fs *BurstFS
+	c    *cluster.Cluster
+	l    *lustre.Lustre
+	pool *BurstFS
+	fs   *Instance // the pool's default instance
 }
 
+// newRig starts a pool of cfg over a fresh cluster and a four-OST Lustre.
 func newRig(nodes int, cfg Config) *testRig {
-	c := cluster.New(cluster.Config{
+	c := newRigCluster(nodes)
+	rig := rigOn(c, lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2}), cfg)
+	rig.pool.Start()
+	return rig
+}
+
+// rigOn builds a pool over c and l without starting its flushers.
+func rigOn(c *cluster.Cluster, l *lustre.Lustre, cfg Config) *testRig {
+	pool := New(c, l, cfg)
+	return &testRig{c: c, l: l, pool: pool, fs: pool.DefaultInstance()}
+}
+
+// newRigCluster builds the compute nodes every rig runs on.
+func newRigCluster(nodes int) *cluster.Cluster {
+	return cluster.New(cluster.Config{
 		Nodes:     nodes,
 		Transport: netsim.RDMA,
 		Hardware: cluster.HardwareSpec{
@@ -31,17 +47,28 @@ func newRig(nodes int, cfg Config) *testRig {
 		},
 		Seed: 5,
 	})
-	l := lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2})
-	fs := New(c, l, cfg)
-	fs.Start()
-	return &testRig{c: c, l: l, fs: fs}
+}
+
+// newTinyLustre caps the OSTs so flushes fail while the buffer servers
+// stay healthy.
+func newTinyLustre(c *cluster.Cluster, ostCap int64) *lustre.Lustre {
+	return lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2, OSTCapacity: ostCap})
+}
+
+// localUsed sums the compute-node-local storage in use.
+func localUsed(c *cluster.Cluster) int64 {
+	var total int64
+	for _, n := range c.Nodes {
+		total += n.LocalUsed()
+	}
+	return total
 }
 
 // run executes fn as the driver and drains the simulation.
 func (r *testRig) run(t *testing.T, fn func(p *sim.Proc)) time.Duration {
 	t.Helper()
 	r.c.Env.Spawn("driver", func(p *sim.Proc) {
-		defer r.fs.Shutdown()
+		defer r.pool.Shutdown()
 		fn(p)
 	})
 	end := r.c.Env.Run()
@@ -61,7 +88,7 @@ func testCfg(policy string) Config {
 	}
 }
 
-func writeFile(t *testing.T, p *sim.Proc, fs *BurstFS, client netsim.NodeID, path string, size int64) {
+func writeFile(t *testing.T, p *sim.Proc, fs *Instance, client netsim.NodeID, path string, size int64) {
 	t.Helper()
 	w, err := fs.Create(p, client, path)
 	if err != nil {
@@ -75,7 +102,7 @@ func writeFile(t *testing.T, p *sim.Proc, fs *BurstFS, client netsim.NodeID, pat
 	}
 }
 
-func readFile(t *testing.T, p *sim.Proc, fs *BurstFS, client netsim.NodeID, path string) int64 {
+func readFile(t *testing.T, p *sim.Proc, fs *Instance, client netsim.NodeID, path string) int64 {
 	t.Helper()
 	r, err := fs.Open(p, client, path)
 	if err != nil {
@@ -189,8 +216,8 @@ func TestLocalityReplicaAndLocations(t *testing.T) {
 			}
 		}
 	})
-	if rig.fs.LocalStorageUsed() != size {
-		t.Errorf("local storage used = %d, want %d", rig.fs.LocalStorageUsed(), size)
+	if localUsed(rig.c) != size {
+		t.Errorf("local storage used = %d, want %d", localUsed(rig.c), size)
 	}
 }
 
@@ -201,7 +228,7 @@ func TestNonLocalitySchemesUseNoLocalStorage(t *testing.T) {
 			writeFile(t, p, rig.fs, 0, "/f", 64*mib)
 			rig.fs.DrainFlushers(p)
 		})
-		if used := rig.fs.LocalStorageUsed(); used != 0 {
+		if used := localUsed(rig.c); used != 0 {
 			t.Errorf("%v used %d bytes of local storage, want 0", policy, used)
 		}
 	}
@@ -326,8 +353,8 @@ func TestAsyncServerFailureLosesOnlyUnflushed(t *testing.T) {
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", size)
 		// Fail both servers immediately: some blocks are mid-flush.
-		rig.fs.FailServer(0)
-		rig.fs.FailServer(1)
+		rig.pool.FailServer(0)
+		rig.pool.FailServer(1)
 		r, err := rig.fs.Open(p, 1, "/f")
 		if err != nil {
 			t.Fatalf("open: %v", err)
@@ -358,8 +385,8 @@ func TestSyncSurvivesServerFailure(t *testing.T) {
 	const size = 64 * mib
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", size)
-		rig.fs.FailServer(0)
-		rig.fs.FailServer(1)
+		rig.pool.FailServer(0)
+		rig.pool.FailServer(1)
 		if got := readFile(t, p, rig.fs, 1, "/f"); got != size {
 			t.Fatalf("read %d after server failures, want %d", got, size)
 		}
@@ -379,8 +406,8 @@ func TestLocalitySurvivesServerFailureViaRecovery(t *testing.T) {
 	const size = 64 * mib
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", size)
-		rig.fs.FailServer(0)
-		rig.fs.FailServer(1)
+		rig.pool.FailServer(0)
+		rig.pool.FailServer(1)
 		p.Sleep(5 * time.Second) // allow local->Lustre recovery to finish
 		if got := readFile(t, p, rig.fs, 3, "/f"); got != size {
 			t.Fatalf("read %d after failures, want %d", got, size)
@@ -406,7 +433,7 @@ func TestWriterRetriesOnServerFailure(t *testing.T) {
 		}
 		// Kill the server holding the in-progress block.
 		bw := w.(*bbWriter)
-		rig.fs.FailServer(bw.cur.primary().index)
+		rig.pool.FailServer(bw.cur.primary().index)
 		if err := w.Write(p, 24*mib); err != nil {
 			t.Fatalf("write after server failure: %v", err)
 		}
@@ -434,7 +461,7 @@ func TestDeleteReleasesEverything(t *testing.T) {
 	if got := rig.fs.BufferedBytes(); got != 0 {
 		t.Errorf("buffer still holds %d bytes", got)
 	}
-	if got := rig.fs.LocalStorageUsed(); got != 0 {
+	if got := localUsed(rig.c); got != 0 {
 		t.Errorf("local storage still holds %d bytes", got)
 	}
 	for i, d := range rig.l.OSTDevices() {
@@ -550,7 +577,7 @@ func TestBufferReplicationSurvivesPrimaryCrash(t *testing.T) {
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", size)
 		// Every block sits on two servers; crash the whole first server.
-		rig.fs.FailServer(0)
+		rig.pool.FailServer(0)
 		if got := readFile(t, p, rig.fs, 1, "/f"); got != size {
 			t.Fatalf("read %d after primary crash, want %d", got, size)
 		}
@@ -685,7 +712,7 @@ func TestReplicatedReadsFailOverBetweenServers(t *testing.T) {
 			t.Fatal(err)
 		}
 		br := r.(*bbReader)
-		rig.fs.FailServer(br.blocks[0].primary().index)
+		rig.pool.FailServer(br.blocks[0].primary().index)
 		var total int64 = 4 * mib
 		for {
 			n, err := r.Read(p, 4*mib)
@@ -796,7 +823,7 @@ func TestPropertyReplicatedSurvivesAnySingleCrash(t *testing.T) {
 				for i := 0; i < 6; i++ {
 					writeFile(t, p, rig.fs, netsim.NodeID(i%4), fmt.Sprintf("/f%d", i), 24*mib)
 				}
-				rig.fs.FailServer(victim)
+				rig.pool.FailServer(victim)
 				for i := 0; i < 6; i++ {
 					if got := readFile(t, p, rig.fs, 1, fmt.Sprintf("/f%d", i)); got != 24*mib {
 						t.Fatalf("f%d read %d after crash of server %d", i, got, victim)
@@ -812,19 +839,19 @@ func TestPropertyReplicatedSurvivesAnySingleCrash(t *testing.T) {
 }
 
 func TestSchemeAndStateStrings(t *testing.T) {
-	// A scheme's report label is its policy's registry name; an empty
-	// Policy selects bb-async.
+	// A scheme's report label is its Config.Policy name; an empty Policy
+	// selects bb-async.
 	for _, name := range []string{"bb-async", "bb-locality", "bb-sync", "bb-adaptive"} {
-		pol, err := newPolicy(name, Config{})
+		sch, err := parseScheme(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pol.Name() != name {
-			t.Errorf("policy %q reports name %q", name, pol.Name())
+		if sch.String() != name {
+			t.Errorf("scheme %q reports name %q", name, sch)
 		}
 	}
-	if got := (Config{}).policyName(); got != "bb-async" {
-		t.Errorf("empty Policy selects %q, want bb-async", got)
+	if sch, err := parseScheme(""); sch != schemeAsync || err != nil {
+		t.Errorf("empty Policy selects %v, %v; want bb-async", sch, err)
 	}
 	for st, want := range map[blockState]string{
 		stateDirty: "dirty", stateFlushing: "flushing", stateClean: "clean",
@@ -841,8 +868,8 @@ func TestFSNameAndConfig(t *testing.T) {
 	if rig.fs.Name() != "bb-locality" {
 		t.Errorf("name = %q", rig.fs.Name())
 	}
-	if rig.fs.Config().Servers != 2 {
-		t.Errorf("config = %+v", rig.fs.Config())
+	if rig.pool.Config().Servers != 2 {
+		t.Errorf("config = %+v", rig.pool.Config())
 	}
 	rig.run(t, func(p *sim.Proc) {})
 }
@@ -885,7 +912,7 @@ func TestSyncWriterSurvivesMidBlockServerCrashWithTee(t *testing.T) {
 			t.Fatal(err)
 		}
 		bw := w.(*bbWriter)
-		rig.fs.FailServer(bw.cur.primary().index)
+		rig.pool.FailServer(bw.cur.primary().index)
 		if err := w.Write(p, 10*mib); err != nil {
 			t.Fatalf("write after crash: %v", err)
 		}
@@ -914,7 +941,7 @@ func TestLocalityWriterSurvivesMidBlockServerCrashWithLocalTee(t *testing.T) {
 			t.Fatal(err)
 		}
 		bw := w.(*bbWriter)
-		rig.fs.FailServer(bw.cur.primary().index)
+		rig.pool.FailServer(bw.cur.primary().index)
 		if err := w.Write(p, 10*mib); err != nil {
 			t.Fatalf("write after crash: %v", err)
 		}
@@ -928,7 +955,7 @@ func TestLocalityWriterSurvivesMidBlockServerCrashWithLocalTee(t *testing.T) {
 	})
 	// The failed attempt's local allocation was rolled back: exactly one
 	// block of local storage remains.
-	if used := rig.fs.LocalStorageUsed(); used != 16*mib {
+	if used := localUsed(rig.c); used != 16*mib {
 		t.Errorf("local storage = %d, want one block", used)
 	}
 }
@@ -949,7 +976,7 @@ func TestReaderDiscardAcrossFallback(t *testing.T) {
 		if _, err := r.Read(p, 5*mib); err != nil {
 			t.Fatal(err)
 		}
-		rig.fs.FailServer(0)
+		rig.pool.FailServer(0)
 		var total int64 = 5 * mib
 		for {
 			n, err := r.Read(p, 3*mib)

@@ -119,11 +119,11 @@ func TestCoalescedDrainRoundTrip(t *testing.T) {
 	cfg.Flushers = 2
 	c := newRigCluster(2)
 	l := lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2})
-	rig := &testRig{c: c, l: l, fs: New(c, l, cfg)}
+	rig := rigOn(c, l, cfg)
 	const size = 128 * mib // 8 blocks of 16 MiB
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/data/f", size)
-		rig.fs.Start()
+		rig.pool.Start()
 		rig.fs.DrainFlushers(p)
 		if got := readFile(t, p, rig.fs, 1, "/data/f"); got != size {
 			t.Fatalf("read %d, want %d", got, size)
@@ -234,9 +234,8 @@ func TestFlushRetryExhaustionReleasesWriter(t *testing.T) {
 			cfg.FlushBatchBlocks = batch
 			c := newRigCluster(2)
 			l := newTinyLustre(c, 2*mib) // every flush fails with ErrNoSpace
-			fs := New(c, l, cfg)
-			fs.Start()
-			rig := &testRig{c: c, l: l, fs: fs}
+			rig := rigOn(c, l, cfg)
+			rig.pool.Start()
 			var wrote2 bool
 			rig.run(t, func(p *sim.Proc) {
 				// Three blocks fill the buffer; none can ever flush.
@@ -284,9 +283,9 @@ func TestFlushRetryExhaustionReleasesWriter(t *testing.T) {
 }
 
 // fileBlocks returns the default instance's blocks of path, in file order.
-func fileBlocks(t *testing.T, fs *BurstFS, path string) []*bbBlock {
+func fileBlocks(t *testing.T, fs *Instance, path string) []*bbBlock {
 	t.Helper()
-	f, err := fs.def.tree.GetFile(path)
+	f, err := fs.tree.GetFile(path)
 	if err != nil {
 		t.Fatalf("lookup %s: %v", path, err)
 	}
@@ -304,7 +303,7 @@ func TestFlushRetryTakesFreshObjectName(t *testing.T) {
 			cfg.Servers = 1
 			c := newRigCluster(2)
 			l := lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2})
-			rig := &testRig{c: c, l: l, fs: New(c, l, cfg)}
+			rig := rigOn(c, l, cfg)
 			const size = 16 * mib // one block
 			var b *bbBlock
 			var partial string
@@ -319,7 +318,7 @@ func TestFlushRetryTakesFreshObjectName(t *testing.T) {
 				if err := w.Write(p, mib); err != nil {
 					t.Fatalf("write partial object: %v", err)
 				}
-				rig.fs.Start()
+				rig.pool.Start()
 				rig.fs.DrainFlushers(p)
 			})
 			st := rig.fs.Stats()
@@ -330,6 +329,41 @@ func TestFlushRetryTakesFreshObjectName(t *testing.T) {
 			if b.state != stateClean || b.lustrePath == partial || b.lustreOff != 0 {
 				t.Errorf("block state=%v path=%q off=%d; want clean in its own fresh object (not %q)",
 					b.state, b.lustrePath, b.lustreOff, partial)
+			}
+		})
+	}
+}
+
+// TestFailedFlushReclaimsPartialObject caps the OSTs below one block, so
+// every flush attempt fails mid-write. Each attempt must delete the partial
+// object it created, and the delete must free every stripe the writer
+// allocated (an unclosed object has size 0). Once the retries run out and
+// the file is deleted, the OSTs hold nothing, at run cap 1 and 4 alike.
+func TestFailedFlushReclaimsPartialObject(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("cap-%d", batch), func(t *testing.T) {
+			cfg := coalescedCfg("bb-async", batch)
+			cfg.Servers = 1
+			c := newRigCluster(2)
+			l := newTinyLustre(c, 6*mib) // a block stripes over two 6 MiB OSTs
+			rig := rigOn(c, l, cfg)
+			rig.pool.Start()
+			rig.run(t, func(p *sim.Proc) {
+				writeFile(t, p, rig.fs, 0, "/f", 16*mib)
+				p.Sleep(time.Second) // every attempt fails, then the retries run out
+				if err := rig.fs.Delete(p, 0, "/f"); err != nil {
+					t.Fatalf("delete: %v", err)
+				}
+			})
+			if got := rig.fs.Stats().FlushRetries; got != maxBlockRetries {
+				t.Errorf("FlushRetries = %d, want %d", got, maxBlockRetries)
+			}
+			var held int64
+			for _, d := range l.OSTDevices() {
+				held += d.Used()
+			}
+			if held != 0 {
+				t.Errorf("OSTs hold %d bytes after the file was deleted; failed flushes leaked their objects", held)
 			}
 		})
 	}
@@ -346,16 +380,16 @@ func TestLocalityRecoveryAfterMidRunCrash(t *testing.T) {
 	cfg.Flushers = 1
 	c := newRigCluster(4)
 	l := lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2})
-	rig := &testRig{c: c, l: l, fs: New(c, l, cfg)}
+	rig := rigOn(c, l, cfg)
 	const size = 128 * mib // 8 blocks of 16 MiB
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", size)
 		second := fileBlocks(t, rig.fs, "/f")[1]
-		rig.fs.Start()
+		rig.pool.Start()
 		for second.lustreOff == 0 { // set as the run's second block starts out
 			p.Sleep(time.Millisecond)
 		}
-		rig.fs.FailServer(0)
+		rig.pool.FailServer(0)
 		p.Sleep(5 * time.Second)    // allow local->Lustre recovery to finish
 		rig.fs.net.SetDown(0, true) // the local replicas go too: Lustre only
 		if got := readFile(t, p, rig.fs, 3, "/f"); got != size {

@@ -124,6 +124,7 @@ func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
 		for remaining := b.size; remaining > 0 && !b.deleted; {
 			n := min64(remaining, s.fs.cfg.ItemChunk)
 			if err := w.Write(p, n); err != nil {
+				s.discardObject(p, path)
 				return
 			}
 			remaining -= n
@@ -131,6 +132,7 @@ func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
 		}
 	}
 	if err := w.Close(p); err != nil {
+		s.discardObject(p, path)
 		return
 	}
 	flushed := false
@@ -149,6 +151,15 @@ func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
 	if !flushed {
 		// Every block was deleted or reassigned mid-run: nobody references
 		// the object, so release its stripes.
+		_ = s.fs.backing.Delete(p, s.phys.node, path)
+	}
+}
+
+// discardObject deletes the partial object of a failed flush attempt, best
+// effort, so its stripes go back to the OSTs; the retry writes a fresh
+// one. A crashed server's partial object is left behind.
+func (s *BufferServer) discardObject(p *sim.Proc, path string) {
+	if !s.phys.failed {
 		_ = s.fs.backing.Delete(p, s.phys.node, path)
 	}
 }

@@ -113,10 +113,10 @@ func (b *bbBlock) dropServer(s *BufferServer) {
 // substrate — the metadata manager, the RDMA-Memcached server nodes, and
 // their brick inventory — and carves buffer *instances* (see Instance) out
 // of it. The pool is born with one default instance spanning its full
-// capacity, and BurstFS delegates the classic dfs.FileSystem surface to
-// it, so single-tenant callers never see the indirection.
+// capacity; single-tenant callers use it as their dfs.FileSystem.
 type BurstFS struct {
 	cfg     Config
+	scheme  scheme
 	cl      *cluster.Cluster
 	net     *netsim.Network
 	backing *lustre.Lustre
@@ -132,8 +132,6 @@ type BurstFS struct {
 	metrics *metrics.Registry
 	running bool
 }
-
-var _ dfs.FileSystem = (*BurstFS)(nil)
 
 // New assembles a burst buffer over the cluster, backed by the given
 // Lustre instance. Buffer servers get their own fabric nodes (the paper
@@ -151,6 +149,7 @@ func New(cl *cluster.Cluster, backing *lustre.Lustre, cfg Config) *BurstFS {
 		MgrNode: cl.Net.AddNode(),
 		metrics: metrics.NewRegistry(),
 	}
+	fs.scheme, _ = parseScheme(cfg.Policy) // Validate accepted the name
 	for i := 0; i < cfg.Servers; i++ {
 		fs.phys = append(fs.phys, newServerNode(fs, i))
 	}
@@ -163,11 +162,9 @@ func New(cl *cluster.Cluster, backing *lustre.Lustre, cfg Config) *BurstFS {
 	return fs
 }
 
-// DefaultInstance returns the pool's full-capacity compatibility instance.
+// DefaultInstance returns the pool's full-capacity instance: the file
+// system single-tenant callers read and write.
 func (fs *BurstFS) DefaultInstance() *Instance { return fs.def }
-
-// Instances returns the live instances in creation order.
-func (fs *BurstFS) Instances() []*Instance { return fs.instances }
 
 // serverBrickCap is one physical server's brick inventory.
 func (fs *BurstFS) serverBrickCap() int {
@@ -209,30 +206,15 @@ func (fs *BurstFS) FreeBricksPerServer() []int {
 	return out
 }
 
-// Name implements dfs.FileSystem (default instance's policy name).
-func (fs *BurstFS) Name() string { return fs.def.Name() }
-
-// Policy returns the default instance's integration policy.
-func (fs *BurstFS) Policy() Policy { return fs.def.policy }
-
-// Stats returns the default instance's activity counters.
-func (fs *BurstFS) Stats() Stats { return fs.def.stats }
-
 // Metrics returns the pool-wide metrics registry: flush-latency and
-// writer-stall histograms, read-source hit counters, and any counters the
-// active policies maintain. The default instance's metrics appear under
+// writer-stall histograms, read-source hit counters, and bb-adaptive's
+// write-through/async block counts. The default instance's metrics appear under
 // their bare names only (its view has the empty prefix); every other
 // instance's are namespaced "bb.<instance>.".
 func (fs *BurstFS) Metrics() *metrics.Registry { return fs.metrics }
 
 // Config returns the effective configuration.
 func (fs *BurstFS) Config() Config { return fs.cfg }
-
-// Servers exposes the default instance's buffer servers (tests, reports).
-func (fs *BurstFS) Servers() []*BufferServer { return fs.def.servers }
-
-// BufferedBytes returns total payload resident in the default instance.
-func (fs *BurstFS) BufferedBytes() int64 { return fs.def.BufferedBytes() }
 
 // Start launches the flusher pools of every instance. bb-sync needs
 // none, but the pools are started anyway to drain recovery work
@@ -250,11 +232,6 @@ func (fs *BurstFS) Shutdown() {
 		inst.shutdown()
 	}
 }
-
-// DrainFlushers blocks the calling process until no dirty or flushing
-// blocks remain in the default instance (used by harnesses that want
-// flush-inclusive timings).
-func (fs *BurstFS) DrainFlushers(p *sim.Proc) { fs.def.DrainFlushers(p) }
 
 // FailServer simulates a buffer-server crash. Every instance placed on
 // the server reacts: in-buffer replicas are promoted first; then clean
@@ -463,57 +440,6 @@ func (fs *BurstFS) deleteBlocks(p *sim.Proc, blocks []*bbBlock) {
 		}
 		b.state = stateEvicted
 	}
-}
-
-// Create implements dfs.FileSystem on the default instance.
-func (fs *BurstFS) Create(p *sim.Proc, client netsim.NodeID, path string) (dfs.Writer, error) {
-	return fs.def.Create(p, client, path)
-}
-
-// Open implements dfs.FileSystem on the default instance.
-func (fs *BurstFS) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Reader, error) {
-	return fs.def.Open(p, client, path)
-}
-
-// Prestage warms the default instance's buffer with a file's evicted
-// blocks (see Instance.Prestage).
-func (fs *BurstFS) Prestage(p *sim.Proc, client netsim.NodeID, path string) (int, error) {
-	return fs.def.Prestage(p, client, path)
-}
-
-// Mkdir implements dfs.FileSystem.
-func (fs *BurstFS) Mkdir(p *sim.Proc, client netsim.NodeID, path string) error {
-	return fs.def.Mkdir(p, client, path)
-}
-
-// Stat implements dfs.FileSystem.
-func (fs *BurstFS) Stat(p *sim.Proc, client netsim.NodeID, path string) (dfs.FileInfo, error) {
-	return fs.def.Stat(p, client, path)
-}
-
-// List implements dfs.FileSystem.
-func (fs *BurstFS) List(p *sim.Proc, client netsim.NodeID, dir string) ([]dfs.FileInfo, error) {
-	return fs.def.List(p, client, dir)
-}
-
-// Delete implements dfs.FileSystem.
-func (fs *BurstFS) Delete(p *sim.Proc, client netsim.NodeID, path string) error {
-	return fs.def.Delete(p, client, path)
-}
-
-// BlockLocations implements dfs.FileSystem.
-func (fs *BurstFS) BlockLocations(p *sim.Proc, client netsim.NodeID, path string) ([]dfs.BlockLocation, error) {
-	return fs.def.BlockLocations(p, client, path)
-}
-
-// LocalStorageUsed reports bytes of compute-node-local storage consumed by
-// the burst buffer (tab1: zero except for bb-locality replicas).
-func (fs *BurstFS) LocalStorageUsed() int64 {
-	var total int64
-	for _, n := range fs.cl.Nodes {
-		total += n.LocalUsed()
-	}
-	return total
 }
 
 func min64(a, b int64) int64 {

@@ -14,16 +14,15 @@ import (
 	"hbb/internal/sim"
 )
 
-// DefaultInstanceName is the name of the compatibility instance every pool
-// is born with: it spans the pool's full capacity and serves the classic
-// single-tenant BurstFS API, so code written before instances existed keeps
-// running — and keeps producing byte-identical results.
+// DefaultInstanceName is the name of the instance every pool is born
+// with: it spans the pool's full capacity, unmetered, and is the file
+// system single-tenant callers use.
 const DefaultInstanceName = "default"
 
 // Instance is one allocatable burst buffer carved out of a pool (BurstFS).
 // The paper's buffer is shared cluster infrastructure; an Instance is what
-// one tenant gets from it: a private namespace tree, its own policy, stats,
-// and metrics namespace, and a byte share ("bricks") on each buffer server
+// one tenant gets from it: a private namespace tree, its own stats and
+// metrics namespace, and a byte share ("bricks") on each buffer server
 // it was placed on. The physical substrate — fabric nodes, memcached
 // engines, ingest pipes, Lustre — stays shared, which is exactly where
 // multi-job contention comes from.
@@ -34,9 +33,8 @@ type Instance struct {
 	name string
 	pool *BurstFS
 
-	// cfg is the pool configuration with Policy resolved per instance.
-	cfg    Config
-	policy Policy
+	// cfg is the pool's configuration.
+	cfg Config
 
 	// Shared substrate, copied from the pool for convenience.
 	cl      *cluster.Cluster
@@ -56,9 +54,11 @@ type Instance struct {
 	// default instance, which spans full server memory unmetered).
 	bricks int
 
-	// openBlocks counts blocks currently being streamed by writers — a
-	// live traffic signal policies may read (see adaptivePolicy).
+	// openBlocks counts blocks currently being streamed by writers, and
+	// burst is bb-adaptive's detector state: true while degraded to async
+	// (see planBlock).
 	openBlocks int
+	burst      bool
 
 	started  bool
 	released bool
@@ -71,9 +71,6 @@ type InstanceSpec struct {
 	// Name labels the instance (spawn names, metrics namespace). Must be
 	// unique within the pool.
 	Name string
-	// Policy selects the integration policy by registry name; empty uses
-	// the pool's default policy.
-	Policy string
 	// BricksPerServer grants the instance this many bricks on each pool
 	// server (len must equal the pool's server count; zero entries leave
 	// the instance unplaced on that server). Nil grants full server memory
@@ -96,19 +93,11 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 			return nil, fmt.Errorf("core: instance %q already exists", spec.Name)
 		}
 	}
-	cfg := fs.cfg
-	if spec.Policy != "" {
-		cfg.Policy = spec.Policy
-	}
-	pol, err := newPolicy(cfg.policyName(), cfg)
-	if err != nil {
-		return nil, err
-	}
 	limits := make([]int64, len(fs.phys))
 	bricks := 0
 	if spec.BricksPerServer == nil {
 		for i := range limits {
-			limits[i] = cfg.ServerMemory
+			limits[i] = fs.cfg.ServerMemory
 		}
 	} else {
 		if len(spec.BricksPerServer) != len(fs.phys) {
@@ -127,9 +116,9 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 					spec.Name, n, i, fs.serverBrickCap()-fs.phys[i].bricksUsed)
 			}
 			limits[i] = int64(n) * fs.cfg.BrickSize
-			if int64(float64(limits[i])*HighWatermark) < cfg.BlockSize {
+			if int64(float64(limits[i])*HighWatermark) < fs.cfg.BlockSize {
 				return nil, fmt.Errorf("core: instance %q: %d bricks on server %d cannot admit a single %d-byte block",
-					spec.Name, n, i, cfg.BlockSize)
+					spec.Name, n, i, fs.cfg.BlockSize)
 			}
 			bricks += n
 		}
@@ -140,8 +129,7 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 	inst := &Instance{
 		name:      spec.Name,
 		pool:      fs,
-		cfg:       cfg,
-		policy:    pol,
+		cfg:       fs.cfg,
 		cl:        fs.cl,
 		net:       fs.net,
 		backing:   fs.backing,
@@ -203,30 +191,21 @@ func (inst *Instance) shutdown() {
 	}
 }
 
-// InstanceName returns the instance's pool-unique name.
-func (inst *Instance) InstanceName() string { return inst.name }
-
-// Name implements dfs.FileSystem. The default instance reports the pool's
-// policy name (the seed behaviour every report keys on); other instances
-// report their own name.
+// Name implements dfs.FileSystem. The default instance reports the
+// scheme's name, which every report keys on; other instances report their
+// own name.
 func (inst *Instance) Name() string {
 	if inst.name == DefaultInstanceName {
-		return inst.policy.Name()
+		return inst.pool.scheme.String()
 	}
 	return inst.name
 }
-
-// Policy returns the instance's integration policy.
-func (inst *Instance) Policy() Policy { return inst.policy }
 
 // Stats returns the instance's activity counters.
 func (inst *Instance) Stats() Stats { return inst.stats }
 
 // Metrics returns the instance's namespaced metrics view.
 func (inst *Instance) Metrics() *metrics.View { return inst.metrics }
-
-// Bricks returns the instance's capacity grant (0 = unmetered default).
-func (inst *Instance) Bricks() int { return inst.bricks }
 
 // Servers exposes the instance's per-server shares (tests, reports).
 func (inst *Instance) Servers() []*BufferServer { return inst.servers }
@@ -355,7 +334,7 @@ func (inst *Instance) Delete(p *sim.Proc, client netsim.NodeID, path string) err
 	return inst.callMgr(p, client, "delete", inst.pathReq(path)).Err
 }
 
-// BlockLocations implements dfs.FileSystem: only locality-aware policies
+// BlockLocations implements dfs.FileSystem: only bb-locality blocks
 // yield node-local hosts (their local replicas); buffered and Lustre data
 // is equally remote from every compute node.
 func (inst *Instance) BlockLocations(p *sim.Proc, client netsim.NodeID, path string) ([]dfs.BlockLocation, error) {

@@ -2,78 +2,25 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
-	"hbb/internal/cluster"
-	"hbb/internal/lustre"
 	"hbb/internal/netsim"
 	"hbb/internal/sim"
 )
 
-// newRigCluster and newTinyLustre mirror newRig but let a test cap the
-// OSTs so flushes fail while the buffer servers stay healthy.
-func newRigCluster(nodes int) *cluster.Cluster {
-	return cluster.New(cluster.Config{
-		Nodes:     nodes,
-		Transport: netsim.RDMA,
-		Hardware: cluster.HardwareSpec{
-			RAMDiskCapacity: 2 << 30,
-			SSDCapacity:     4 << 30,
-		},
-		Seed: 5,
-	})
-}
-
-func newTinyLustre(c *cluster.Cluster, ostCap int64) *lustre.Lustre {
-	return lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2, OSTCapacity: ostCap})
-}
-
-// Test policies registered through the public seam: the same path an
-// external scheme would use (no writer/reader/flusher edits).
-func init() {
-	// test-lustre-first inverts the read preference: Lustre before the
-	// buffer, proving the reader honors ReadSources order.
-	RegisterPolicy("test-lustre-first", func(Config) Policy { return lustreFirstPolicy{} })
-}
-
-type lustreFirstPolicy struct{}
-
-func (lustreFirstPolicy) Name() string { return "test-lustre-first" }
-func (lustreFirstPolicy) OnBlockOpen(*Instance, *bbBlock) BlockPlan {
-	return BlockPlan{Mode: FlushAsync}
-}
-func (lustreFirstPolicy) ReadSources(*Instance, *bbBlock) []SourceKind {
-	return []SourceKind{SourceLustre, SourceRemoteLocal, SourceBuffer, SourceLocal}
-}
-func (lustreFirstPolicy) OnEvict(*Instance, *bbBlock) {}
-
-func TestPolicyRegistry(t *testing.T) {
-	names := PolicyNames()
-	want := map[string]bool{"bb-async": true, "bb-locality": true, "bb-sync": true, "bb-adaptive": true}
-	for _, n := range names {
-		delete(want, n)
-	}
-	if len(want) != 0 {
-		t.Errorf("built-in policies missing from registry: %v (have %v)", want, names)
-	}
-	if _, err := newPolicy("no-such-policy", Config{}); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate RegisterPolicy did not panic")
-			}
-		}()
-		RegisterPolicy("bb-async", func(Config) Policy { return asyncPolicy{} })
-	}()
-}
-
 func TestUnknownPolicyPanicsAtConstruction(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("BurstFS with unknown policy constructed")
+		r := recover()
+		if r == nil {
+			t.Fatal("BurstFS with unknown policy constructed")
+		}
+		msg := fmt.Sprint(r)
+		for _, name := range []string{"no-such-policy", "bb-async", "bb-locality", "bb-sync", "bb-adaptive"} {
+			if !strings.Contains(msg, name) {
+				t.Errorf("construction error %q does not name %q", msg, name)
+			}
 		}
 	}()
 	cfg := testCfg("bb-async")
@@ -82,7 +29,7 @@ func TestUnknownPolicyPanicsAtConstruction(t *testing.T) {
 }
 
 // readSrcCounts snapshots the reader's per-source metrics counters.
-func readSrcCounts(fs *BurstFS) map[string]int64 {
+func readSrcCounts(fs *Instance) map[string]int64 {
 	out := map[string]int64{}
 	for _, k := range []string{"local", "buffer", "remote-local", "lustre"} {
 		out[k] = fs.Metrics().Counter("read.src." + k).Value()
@@ -113,13 +60,13 @@ func TestReaderFallbackOrdering(t *testing.T) {
 		}, 0, "buffer"},
 		// Remote reader, buffer servers dead, replica restored: remote-local.
 		{"remote-local-after-buffer", func(rig *testRig) {
-			rig.fs.FailServer(0)
-			rig.fs.FailServer(1)
+			rig.pool.FailServer(0)
+			rig.pool.FailServer(1)
 		}, 3, "remote-local"},
 		// Replica node down too: Lustre is the last resort.
 		{"lustre-last", func(rig *testRig) {
-			rig.fs.FailServer(0)
-			rig.fs.FailServer(1)
+			rig.pool.FailServer(0)
+			rig.pool.FailServer(1)
 			rig.fs.net.SetDown(0, true)
 		}, 3, "lustre"},
 	}
@@ -169,8 +116,8 @@ func TestReaderFallbackMidBlockPrefixRefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Kill both buffer servers mid-block; the replica on node 0 is next.
-		rig.fs.FailServer(0)
-		rig.fs.FailServer(1)
+		rig.pool.FailServer(0)
+		rig.pool.FailServer(1)
 		var total int64 = 5 * mib
 		for {
 			n, err := r.Read(p, 3*mib)
@@ -191,30 +138,6 @@ func TestReaderFallbackMidBlockPrefixRefetch(t *testing.T) {
 			t.Errorf("source counts = %v, want one buffer then one remote-local fetch", srcs)
 		}
 	})
-}
-
-// TestCustomPolicyReadOrderHonored registers a policy preferring Lustre
-// over the buffer and checks the reader follows it even though the block
-// is still resident in the buffer.
-func TestCustomPolicyReadOrderHonored(t *testing.T) {
-	cfg := testCfg("bb-async")
-	cfg.Policy = "test-lustre-first"
-	rig := newRig(2, cfg)
-	const size = 16 * mib
-	rig.run(t, func(p *sim.Proc) {
-		writeFile(t, p, rig.fs, 0, "/f", size)
-		rig.fs.DrainFlushers(p) // now on Lustre AND still clean in the buffer
-		if got := readFile(t, p, rig.fs, 1, "/f"); got != size {
-			t.Fatalf("read %d, want %d", got, size)
-		}
-	})
-	st := rig.fs.Stats()
-	if st.ReadsLustre != 1 || st.ReadsBuffer != 0 {
-		t.Errorf("reads lustre/buffer = %d/%d; policy order not honored", st.ReadsLustre, st.ReadsBuffer)
-	}
-	if rig.fs.Name() != "test-lustre-first" {
-		t.Errorf("fs name = %q", rig.fs.Name())
-	}
 }
 
 func TestAdaptiveCalmWritesThrough(t *testing.T) {
@@ -310,9 +233,8 @@ func TestFlushRetryAccounting(t *testing.T) {
 	c := newRigCluster(2)
 	l := newTinyLustre(c, 2*mib) // OSTs far smaller than one block
 	cfg := testCfg("bb-async")
-	fs := New(c, l, cfg)
-	fs.Start()
-	rig := &testRig{c: c, l: l, fs: fs}
+	rig := rigOn(c, l, cfg)
+	rig.pool.Start()
 	const size = 16 * mib // one block
 	rig.run(t, func(p *sim.Proc) {
 		writeFile(t, p, rig.fs, 0, "/f", size)

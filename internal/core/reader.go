@@ -21,10 +21,9 @@ func (fs *Instance) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Re
 }
 
 // bbReader streams a file out of the burst buffer, choosing per block the
-// best untried live source in the order the policy prefers (by default:
-// node-local replica, then the RDMA buffer, then a remote local replica,
-// then Lustre). Mid-block failures fall back to the next source,
-// re-fetching the consumed prefix.
+// cheapest untried live source: node-local replica, then the RDMA buffer,
+// then a remote local replica, then Lustre. Mid-block failures fall back
+// to the next source, re-fetching the consumed prefix.
 type bbReader struct {
 	fs     *Instance
 	client netsim.NodeID
@@ -65,38 +64,29 @@ const (
 	srcLustre      = "lustre"
 )
 
-// chooseSource picks the best untried live source for a block, walking
-// the kinds in the order the policy's ReadSources returns them; for
+// chooseSource picks the cheapest untried live source for a block; for
 // buffered blocks every live in-buffer replica is a distinct source.
 func (r *bbReader) chooseSource(b *bbBlock, tried map[string]struct{}) (string, *BufferServer, error) {
 	try := func(s string) bool {
 		_, done := tried[s]
 		return !done
 	}
-	for _, kind := range r.fs.policy.ReadSources(r.fs, b) {
-		switch kind {
-		case SourceLocal:
-			if try(srcLocal) && b.localNode == r.client && b.localDev != nil && !r.fs.net.Down(b.localNode) {
-				return srcLocal, nil, nil
-			}
-		case SourceBuffer:
-			inBuffer := b.state == stateDirty || b.state == stateFlushing || b.state == stateClean
-			if inBuffer {
-				for _, s := range b.srvs {
-					if !s.phys.failed && try(srcBuffer+":"+s.name) {
-						return srcBuffer + ":" + s.name, s, nil
-					}
-				}
-			}
-		case SourceRemoteLocal:
-			if try(srcRemoteLocal) && b.localNode >= 0 && b.localDev != nil && !r.fs.net.Down(b.localNode) {
-				return srcRemoteLocal, nil, nil
-			}
-		case SourceLustre:
-			if try(srcLustre) && b.lustrePath != "" {
-				return srcLustre, nil, nil
+	replica := b.localDev != nil && !r.fs.net.Down(b.localNode)
+	if try(srcLocal) && b.localNode == r.client && replica {
+		return srcLocal, nil, nil
+	}
+	if b.state == stateDirty || b.state == stateFlushing || b.state == stateClean {
+		for _, s := range b.srvs {
+			if !s.phys.failed && try(srcBuffer+":"+s.name) {
+				return srcBuffer + ":" + s.name, s, nil
 			}
 		}
+	}
+	if try(srcRemoteLocal) && b.localNode >= 0 && replica {
+		return srcRemoteLocal, nil, nil
+	}
+	if try(srcLustre) && b.lustrePath != "" {
+		return srcLustre, nil, nil
 	}
 	return "", nil, fmt.Errorf("%w: block %d of %q (state %v) has no live source",
 		dfs.ErrCorrupt, b.id, r.path, b.state)
@@ -398,11 +388,7 @@ func (fs *Instance) maybeReadmit(client netsim.NodeID, b *bbBlock) {
 		if b.deleted || b.state != stateEvicted || s.phys.failed {
 			return
 		}
-		b.srvs = []*BufferServer{s}
-		s.admitted(b)
-		b.state = stateClean
-		s.cleanLRU = append(s.cleanLRU, b)
-		fs.stats.Readmissions++
+		s.admitClean(b)
 	})
 }
 
@@ -444,11 +430,7 @@ func (fs *Instance) Prestage(p *sim.Proc, client netsim.NodeID, path string) (in
 			if !ok || b.deleted || b.state != stateEvicted || s.phys.failed {
 				return
 			}
-			b.srvs = []*BufferServer{s}
-			s.admitted(b)
-			b.state = stateClean
-			s.cleanLRU = append(s.cleanLRU, b)
-			fs.stats.Readmissions++
+			s.admitClean(b)
 		})
 	}
 	wg.Wait(p)

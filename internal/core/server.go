@@ -129,9 +129,6 @@ func newBufferServer(inst *Instance, ph *serverNode, limit int64) *BufferServer 
 	return s
 }
 
-// Phys returns the share's physical server name (reports).
-func (s *BufferServer) Phys() string { return s.phys.name }
-
 // residentByID returns the share's resident blocks sorted by block ID —
 // the deterministic iteration order teardown paths need.
 func (s *BufferServer) residentByID() []*bbBlock {
@@ -220,6 +217,17 @@ func (s *BufferServer) admitted(b *bbBlock) {
 	s.resident[b] = struct{}{}
 }
 
+// admitClean makes s the only holder of an evicted block whose bytes it
+// just fetched back from Lustre (a read readmission or a stage-in): the
+// block turns clean and evictable.
+func (s *BufferServer) admitClean(b *bbBlock) {
+	b.srvs = []*BufferServer{s}
+	s.admitted(b)
+	b.state = stateClean
+	s.cleanLRU = append(s.cleanLRU, b)
+	s.fs.stats.Readmissions++
+}
+
 // onServer reports whether the block still holds a replica on s.
 func (b *bbBlock) onServer(s *BufferServer) bool {
 	for _, cand := range b.srvs {
@@ -256,7 +264,6 @@ func (s *BufferServer) ensureSpace(p *sim.Proc, size int64) error {
 				victim.state = stateEvicted
 			}
 			s.fs.stats.Evictions++
-			s.fs.policy.OnEvict(s.fs, victim)
 			continue
 		}
 		// Nothing clean: wait for the flusher pool to make progress.

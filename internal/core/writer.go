@@ -22,9 +22,8 @@ func (fs *Instance) Create(p *sim.Proc, client netsim.NodeID, path string) (dfs.
 }
 
 // bbWriter streams a file into the burst buffer, block by block, applying
-// the side channels and persistence mode the active policy planned for
-// each block. The writer owns the tee machinery and the flush dispatch; it
-// knows nothing about individual schemes.
+// the side channels and persistence mode planBlock chose for each block.
+// The writer owns the tee machinery and the flush dispatch.
 type bbWriter struct {
 	fs     *Instance
 	client netsim.NodeID
@@ -35,8 +34,8 @@ type bbWriter struct {
 	itemFill   int64 // bytes accumulated in the current (unissued) item
 	closed     bool
 
-	// plan is the policy's decision for the current block.
-	plan BlockPlan
+	// plan is the current block's write plan.
+	plan blockPlan
 	// Side channels for the current block, opened per the plan.
 	lustreTee *blockTee // write-through channel: server tees chunks to Lustre
 	localTee  *blockTee // local-device replica channel
@@ -61,8 +60,7 @@ func (t *blockTee) finish(p *sim.Proc) error {
 // space on every replica server (admission control at block granularity —
 // a block that starts streaming is guaranteed to finish and become
 // flushable, so writers can never deadlock the buffer with partial
-// blocks), asks the policy for the block's plan, and opens the planned
-// side channels.
+// blocks), plans the block, and opens the planned side channels.
 func (w *bbWriter) openBlock(p *sim.Proc) error {
 	rep := w.fs.callMgr(p, w.client, "addBlock", &mgrAddBlockReq{inst: w.fs, path: w.path, client: w.client})
 	if rep.Err != nil {
@@ -74,10 +72,8 @@ func (w *bbWriter) openBlock(p *sim.Proc) error {
 	if err := w.reserve(p); err != nil {
 		return err
 	}
-	// Count this block as in flight before consulting the policy, so a
-	// traffic-detecting policy sees its own writer's stream as load.
-	w.fs.openBlocks++
-	w.plan = w.fs.policy.OnBlockOpen(w.fs, w.cur)
+	w.fs.openBlocks++ // before planning: bb-adaptive counts this stream as load
+	w.plan = w.fs.planBlock()
 	w.startTees(p)
 	return nil
 }
@@ -104,15 +100,13 @@ func (w *bbWriter) reserve(p *sim.Proc) error {
 	return nil
 }
 
-// startTees launches the secondary sinks the policy planned for the
-// current block. The tee machinery is policy-agnostic: a plan only states
-// which channels to open.
+// startTees launches the secondary sinks planned for the current block.
 func (w *bbWriter) startTees(p *sim.Proc) {
 	w.lustreTee, w.localTee = nil, nil
-	if w.plan.LustreTee {
+	if w.plan.writeThrough {
 		w.startLustreTee(p)
 	}
-	if w.plan.LocalTee {
+	if w.plan.localTee {
 		w.startLocalTee(p)
 	}
 }
@@ -356,8 +350,8 @@ func (w *bbWriter) retryBlock(p *sim.Proc) error {
 }
 
 // finishBlock seals the current block: flushes the partial item, settles
-// the planned side channels, registers occupancy, dispatches the block per
-// the plan's flush mode, and commits metadata.
+// the planned side channels, registers occupancy, marks a written-through
+// block clean or queues the block for the flushers, and commits metadata.
 func (w *bbWriter) finishBlock(p *sim.Proc) error {
 	fs := w.fs
 	b := w.cur
@@ -382,8 +376,7 @@ func (w *bbWriter) finishBlock(p *sim.Proc) error {
 	if w.localTee != nil {
 		_ = w.localTee.finish(p)
 	}
-	switch w.plan.Mode {
-	case FlushWriteThrough:
+	if w.plan.writeThrough {
 		if err := w.lustreTee.finish(p); err != nil {
 			return fmt.Errorf("core: sync flush failed: %w", err)
 		}
@@ -392,7 +385,7 @@ func (w *bbWriter) finishBlock(p *sim.Proc) error {
 			s.cleanLRU = append(s.cleanLRU, b)
 		}
 		fs.stats.BytesFlushed += b.size
-	default: // FlushAsync
+	} else {
 		b.state = stateDirty
 		b.primary().enqueueDirty(b, false)
 	}

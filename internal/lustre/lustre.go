@@ -80,6 +80,10 @@ func (c Config) Validate() error {
 type layout struct {
 	startOST    int
 	stripeCount int
+	// allocated counts the OST bytes the file's writer holds. It equals
+	// the size once the file is closed, and it is what a delete frees: an
+	// object abandoned before Close still holds its stripes.
+	allocated int64
 }
 
 // Stats aggregates data-plane traffic.
@@ -223,7 +227,7 @@ type mdsCompleteReq struct {
 // chunk along the stripe pattern.
 func (l *Lustre) releaseStripes(f *dfs.TreeFile) {
 	lo := fileLayout(f)
-	remaining := f.Size
+	remaining := lo.allocated
 	for i := 0; remaining > 0; i++ {
 		n := remaining
 		if n > l.cfg.StripeSize {
@@ -349,12 +353,14 @@ func (w *lustreWriter) Write(p *sim.Proc, n int64) error {
 		if err := o.dev.Alloc(m); err != nil {
 			return fmt.Errorf("%w: %v", dfs.ErrNoSpace, err)
 		}
+		lo.allocated += m
 		w.window.Acquire(p, 1)
 		// The bulk RPC to the OST paces the client; the OST-side device
 		// write proceeds asynchronously within the window.
 		if err := w.fs.net.Transfer(p, w.client, o.node, m+rpcHeader, netsim.Native); err != nil {
 			w.window.Release(1)
 			o.dev.Dealloc(m)
+			lo.allocated -= m
 			return err
 		}
 		w.wg.Add(1)

@@ -102,9 +102,6 @@ type Request struct {
 	// Release: stage-out drains dirty data but the buffered files remain
 	// for a successor job. Free returns the bricks for real.
 	Persistent bool
-	// Policy optionally overrides the pool's integration policy for this
-	// instance (registry name, e.g. "bb-sync").
-	Policy string
 	// Client is the compute node that drives stage-in RPCs.
 	Client netsim.NodeID
 	// StageIn lists Lustre objects to import and prefetch before the
@@ -348,7 +345,6 @@ func (s *Scheduler) place(req Request) []int {
 func (s *Scheduler) admit(a *Allocation, shares []int) {
 	inst, err := s.pool.NewInstance(core.InstanceSpec{
 		Name:            a.req.Name,
-		Policy:          a.req.Policy,
 		BricksPerServer: shares,
 	})
 	if err != nil {
