@@ -3,7 +3,9 @@ package hbb
 import (
 	"go/ast"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -15,7 +17,53 @@ var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 var (
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 	selChain = regexp.MustCompile(`[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
+	// testName is a Go test identifier as the docs cite it; a `*` is a
+	// wildcard, and a /subtest suffix is not part of the match.
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_*][\w*]*`)
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
 )
+
+// moduleTests returns the test, fuzz, benchmark and example functions
+// declared in the module's _test.go files.
+func moduleTests(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		raw, err := os.ReadFile(p)
+		for _, m := range testDecl.FindAllSubmatch(raw, -1) {
+			names[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// testResolves reports whether a cited test name is declared, or, when it
+// holds a `*`, whether it matches a declared one.
+func testResolves(tests map[string]bool, name string) bool {
+	if !strings.Contains(name, "*") {
+		return tests[name]
+	}
+	re := regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(name), `\*`, ".*") + "$")
+	for n := range tests {
+		if re.MatchString(n) {
+			return true
+		}
+	}
+	return false
+}
 
 // moduleDecls indexes what the module declares outside tests: the
 // exported top-level names of each package (by package name), and the
@@ -159,10 +207,14 @@ func (m *moduleDecls) resolves(chain []string) bool {
 // TestDocReferencesResolve fails for every backticked `X.Y` in the docs
 // where X is a package or type of this module and Y, an exported name, is
 // not declared there (fields and methods reached through an embedded
-// struct count). Fenced code blocks are skipped; lowercase selectors such
-// as metric names, and packages outside the module, are not checked.
+// struct count), and for every backticked test name (`TestX`, `FuzzX`,
+// `BenchmarkX`, `ExampleX`, a `*` matching any run of characters) that no
+// _test.go of the module declares. Fenced code blocks are skipped;
+// lowercase selectors such as metric names, and packages outside the
+// module, are not checked.
 func TestDocReferencesResolve(t *testing.T) {
 	m := indexModule(t)
+	tests := moduleTests(t)
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -185,6 +237,11 @@ func TestDocReferencesResolve(t *testing.T) {
 					ref := span[1][loc[0]:loc[1]]
 					if !m.resolves(strings.Split(ref, ".")) {
 						t.Errorf("%s:%d: `%s` does not resolve in the module", doc, n+1, ref)
+					}
+				}
+				for _, name := range testName.FindAllString(span[1], -1) {
+					if !testResolves(tests, name) {
+						t.Errorf("%s:%d: test `%s` is not declared in the module", doc, n+1, name)
 					}
 				}
 			}

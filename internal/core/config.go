@@ -178,36 +178,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// blockState tracks where a block's bytes currently live.
-type blockState int
-
-const (
-	// stateDirty: only in the buffer; not yet on Lustre.
-	stateDirty blockState = iota
-	// stateFlushing: flusher is copying it to Lustre.
-	stateFlushing
-	// stateClean: in the buffer and on Lustre (evictable).
-	stateClean
-	// stateEvicted: on Lustre only.
-	stateEvicted
-	// stateLost: buffer server died before the block reached Lustre.
-	stateLost
-)
-
-func (s blockState) String() string {
-	switch s {
-	case stateDirty:
-		return "dirty"
-	case stateFlushing:
-		return "flushing"
-	case stateClean:
-		return "clean"
-	case stateEvicted:
-		return "evicted"
-	case stateLost:
-		return "lost"
-	default:
-		return "invalid"
-	}
-}

@@ -855,7 +855,8 @@ func TestSchemeAndStateStrings(t *testing.T) {
 	}
 	for st, want := range map[blockState]string{
 		stateDirty: "dirty", stateFlushing: "flushing", stateClean: "clean",
-		stateEvicted: "evicted", stateLost: "lost", blockState(99): "invalid",
+		stateEvicted: "evicted", stateLost: "lost", stateDeleted: "deleted",
+		blockState(-1): "invalid", blockState(99): "invalid",
 	} {
 		if st.String() != want {
 			t.Errorf("state %d = %q, want %q", st, st.String(), want)

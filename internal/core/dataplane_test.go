@@ -51,7 +51,7 @@ func TestFlushSchedulerRunClaim(t *testing.T) {
 			if got := s.dirtyBacklog(); got != 7 {
 				t.Fatalf("dirtyBacklog = %d, want 7", got)
 			}
-			blocks[4].deleted = true // invalidated while pending
+			blocks[4].state = stateDeleted // invalidated while pending
 			var run []*bbBlock
 			for i, want := range tc.order {
 				run = s.sched.next(run)
@@ -82,7 +82,7 @@ func TestFlushSchedulerDisplacedSlot(t *testing.T) {
 	s := rig.fs.Servers()[0]
 	old := &bbBlock{id: 1, file: "/f", state: stateDirty, srvs: []*BufferServer{s}, localNode: -1}
 	s.sched.enqueue(old, false)
-	old.deleted = true
+	old.state = stateDeleted
 	rewritten := &bbBlock{id: 2, file: "/f", state: stateDirty, srvs: []*BufferServer{s}, localNode: -1}
 	s.sched.enqueue(rewritten, false)
 	if got := s.dirtyBacklog(); got != 1 {
@@ -278,6 +278,7 @@ func TestFlushRetryExhaustionReleasesWriter(t *testing.T) {
 			if st.WriterStalls == 0 {
 				t.Error("second writer never stalled; test lost its backpressure scenario")
 			}
+			checkOSTLedger(t, rig)
 		})
 	}
 }
@@ -320,6 +321,11 @@ func TestFlushRetryTakesFreshObjectName(t *testing.T) {
 				}
 				rig.pool.Start()
 				rig.fs.DrainFlushers(p)
+				// The colliding object is this test's own: remove it so the
+				// ledger sees only the flush's objects.
+				if err := rig.l.Delete(p, 0, partial); err != nil {
+					t.Fatalf("delete partial object: %v", err)
+				}
 			})
 			st := rig.fs.Stats()
 			if st.FlushRetries != 1 || st.BytesFlushed != size {
@@ -330,6 +336,7 @@ func TestFlushRetryTakesFreshObjectName(t *testing.T) {
 				t.Errorf("block state=%v path=%q off=%d; want clean in its own fresh object (not %q)",
 					b.state, b.lustrePath, b.lustreOff, partial)
 			}
+			checkOSTLedger(t, rig)
 		})
 	}
 }
@@ -365,6 +372,7 @@ func TestFailedFlushReclaimsPartialObject(t *testing.T) {
 			if held != 0 {
 				t.Errorf("OSTs hold %d bytes after the file was deleted; failed flushes leaked their objects", held)
 			}
+			checkOSTLedger(t, rig)
 		})
 	}
 }
@@ -395,12 +403,18 @@ func TestLocalityRecoveryAfterMidRunCrash(t *testing.T) {
 		if got := readFile(t, p, rig.fs, 3, "/f"); got != size {
 			t.Fatalf("read %d after the crash, want %d", got, size)
 		}
+		// The crashed flusher could not delete its partial run object;
+		// remove it by hand so the ledger checks everything else.
+		if err := rig.l.Delete(p, rig.pool.MgrNode, lustreDir+"/run-1"); err != nil {
+			t.Fatalf("delete the crashed flusher's run object: %v", err)
+		}
 	})
 	st := rig.fs.Stats()
 	if st.BlocksRecovered != 8 || st.BlocksLost != 0 || st.ReadsLustre == 0 {
 		t.Errorf("recovered=%d lost=%d lustre-reads=%d; want all 8 recovered and read from Lustre",
 			st.BlocksRecovered, st.BlocksLost, st.ReadsLustre)
 	}
+	checkOSTLedger(t, rig)
 }
 
 // TestDeletedBlockFlushShortCircuit deletes a file while its only block is
@@ -426,4 +440,5 @@ func TestDeletedBlockFlushShortCircuit(t *testing.T) {
 	if lw := rig.l.Stats().BytesWritten; lw >= size {
 		t.Errorf("Lustre saw %d bytes of a deleted %d-byte block; flush did not short-circuit", lw, size)
 	}
+	checkOSTLedger(t, rig)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"hbb/internal/netsim"
 	"hbb/internal/sim"
 )
 
@@ -27,28 +28,22 @@ func (s *BufferServer) flusherLoop(p *sim.Proc) {
 // settleFlushed accounts one block after a flush attempt: a latency sample
 // on success, or a bounded transient-failure retry.
 func (s *BufferServer) settleFlushed(p *sim.Proc, b *bbBlock, start time.Duration) {
-	if b.state == stateClean {
+	switch {
+	case b.state == stateClean:
 		s.fs.metrics.Histogram("flush.latency.s").Observe((p.Now() - start).Seconds())
-	} else if b.state == stateFlushing {
-		// The copy did not complete and nobody else settled the block.
-		// If this server failed (or the block was reassigned away),
-		// FailServer's resident scan owns the block's fate — recovery or
-		// loss is accounted exactly once there, and a recovery spawned by
-		// it may still be in flight holding the block in stateFlushing.
-		// Otherwise the failure was transient (e.g. a backing-store
-		// error): hand the block back to the scheduler as urgent work so
-		// its bytes are not stranded un-flushable. The failed attempt may
-		// have left a partial object under the block's name, so the retry
-		// takes a fresh one. The requeue tolerates wake-ups closed by a
-		// concurrent Shutdown.
-		if !s.phys.failed && b.primary() == s && !b.deleted {
-			b.state = stateDirty
-			if b.flushRetries < maxBlockRetries {
-				b.flushRetries++
-				b.attempt++
-				s.fs.stats.FlushRetries++
-				s.requeueDirty(p, b)
-			}
+	case b.state == stateFlushing && !s.phys.failed:
+		// The copy failed on a live server and nobody moved the block on
+		// (a crash leaves its fate to FailServer): the failure was
+		// transient, e.g. a backing-store error. Hand the block back to
+		// the scheduler as urgent work so its bytes are not stranded; the
+		// retry takes a fresh object name. The requeue tolerates wake-ups
+		// closed by a concurrent Shutdown.
+		b.move(stateDirty)
+		if b.flushRetries < maxBlockRetries {
+			b.flushRetries++
+			b.attempt++
+			s.fs.stats.FlushRetries++
+			s.requeueDirty(p, b)
 		}
 	}
 }
@@ -62,7 +57,7 @@ func (s *BufferServer) flushRun(p *sim.Proc, run []*bbBlock) {
 	var total int64
 	for _, b := range run {
 		s.flushing++
-		b.state = stateFlushing
+		b.move(stateFlushing)
 		total += b.size
 	}
 	s.flushInflight += total
@@ -99,14 +94,11 @@ func heldBy(blocks []*bbBlock, s *BufferServer) bool {
 // flushRunObject writes a run as one Lustre object: one Create, the
 // blocks' chunks appended back to back, one Close (a single metadata
 // completion round-trip for the run). A run of one block keeps the
-// block's own object name. Blocks deleted before their bytes went out are
-// skipped, and a deletion landing mid-block aborts that block's remaining
-// chunk writes. On success every surviving block records its offset in
-// the object and turns clean.
+// block's own object name. The run was claimed dirty, so every block is
+// live when the object is created; a deletion landing mid-run aborts the
+// block's remaining chunk writes. On success every surviving block
+// records its offset in the object and turns clean.
 func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
-	if !anyLive(run) {
-		return // deleted while queued: skip the Lustre write entirely
-	}
 	path := s.fs.blockLustrePath(run[0])
 	if len(run) > 1 {
 		path = s.fs.runLustrePath()
@@ -121,10 +113,10 @@ func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
 		// is overwritten by whatever later sets lustrePath: a retried
 		// flush, or local recovery, which resets it to 0.
 		b.lustreOff = off
-		for remaining := b.size; remaining > 0 && !b.deleted; {
+		for remaining := b.size; remaining > 0 && b.state != stateDeleted; {
 			n := min64(remaining, s.fs.cfg.ItemChunk)
 			if err := w.Write(p, n); err != nil {
-				s.discardObject(p, path)
+				s.fs.discardObject(p, s.phys.node, path)
 				return
 			}
 			remaining -= n
@@ -132,44 +124,31 @@ func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
 		}
 	}
 	if err := w.Close(p); err != nil {
-		s.discardObject(p, path)
+		s.fs.discardObject(p, s.phys.node, path)
 		return
 	}
 	flushed := false
 	for _, b := range run {
-		if b.deleted || b.state != stateFlushing || s.phys.failed {
+		if b.state != stateFlushing || s.phys.failed {
 			continue
 		}
 		b.lustrePath = path
-		b.state = stateClean
-		for _, holder := range b.srvs {
-			holder.cleanLRU = append(holder.cleanLRU, b)
-		}
-		s.fs.stats.BytesFlushed += b.size
+		b.move(stateClean)
 		flushed = true
 	}
 	if !flushed {
 		// Every block was deleted or reassigned mid-run: nobody references
 		// the object, so release its stripes.
-		_ = s.fs.backing.Delete(p, s.phys.node, path)
+		s.fs.discardObject(p, s.phys.node, path)
 	}
 }
 
-// discardObject deletes the partial object of a failed flush attempt, best
-// effort, so its stripes go back to the OSTs; the retry writes a fresh
-// one. A crashed server's partial object is left behind.
-func (s *BufferServer) discardObject(p *sim.Proc, path string) {
-	if !s.phys.failed {
-		_ = s.fs.backing.Delete(p, s.phys.node, path)
+// discardObject deletes a Lustre object nobody will reference, best
+// effort: the flush, write-through and recovery writers call it when a
+// Write or Close fails. A writer whose node is down (FailServer downs a
+// crashed server's node) leaves the object behind.
+func (inst *Instance) discardObject(p *sim.Proc, node netsim.NodeID, path string) {
+	if !inst.net.Down(node) {
+		_ = inst.backing.Delete(p, node, path)
 	}
-}
-
-// anyLive reports whether any block of the run is not deleted.
-func anyLive(run []*bbBlock) bool {
-	for _, b := range run {
-		if !b.deleted {
-			return true
-		}
-	}
-	return false
 }

@@ -28,7 +28,7 @@ type Stats struct {
 	ReadsLustre     int64 // blocks served from Lustre
 	Evictions       int64 // clean blocks evicted for space
 	WriterStalls    int64 // times a writer waited on flush progress
-	BlocksLost      int64 // dirty blocks lost to server failures
+	BlocksLost      int64 // dirty blocks lost to server failures or Release
 	BlocksRecovered int64 // dirty blocks re-flushed from local replicas
 	BlockRetries    int64 // blocks restarted on another server
 	FlushRetries    int64 // blocks re-queued after a transient flush failure
@@ -49,8 +49,9 @@ type bbBlock struct {
 	// values into one Lustre object.
 	file    string
 	fileIdx int
-	// state tracks durability; srvs lists the buffer servers holding the
-	// block's payload, primary first (empty once evicted everywhere).
+	// state tracks durability and changes only through move (plan.go);
+	// srvs lists the buffer servers holding the block's payload, primary
+	// first (empty once evicted everywhere).
 	state blockState
 	srvs  []*BufferServer
 	// localNode/localDev identify the bb-locality replica (-1/nil when
@@ -69,7 +70,6 @@ type bbBlock struct {
 	// maxBlockRetries so a persistently failing backing store cannot spin
 	// the flusher loop forever.
 	flushRetries int
-	deleted      bool
 	// readmitting guards against duplicate cache-fill attempts.
 	readmitting bool
 	// imported marks stage-in blocks whose lustrePath is a caller-owned
@@ -330,7 +330,6 @@ func (fs *BurstFS) handleMgr(p *sim.Proc, m *netsim.Msg) netsim.Reply {
 			return netsim.Reply{Size: 64, Err: err}
 		}
 		b.srvs = srvs
-		b.state = stateDirty
 		b.attempt++
 		b.inst.stats.BlockRetries++
 		return netsim.Reply{Size: 96, Payload: b}
@@ -418,7 +417,7 @@ func (fs *BurstFS) handleMgr(p *sim.Proc, m *netsim.Msg) netsim.Reply {
 // local replicas, and Lustre objects.
 func (fs *BurstFS) deleteBlocks(p *sim.Proc, blocks []*bbBlock) {
 	for _, b := range blocks {
-		b.deleted = true
+		b.move(stateDeleted)
 		for _, s := range append([]*BufferServer(nil), b.srvs...) {
 			if !s.phys.failed {
 				s.deleteBlock(b)
@@ -438,7 +437,6 @@ func (fs *BurstFS) deleteBlocks(p *sim.Proc, blocks []*bbBlock) {
 			// (stage-in); deleting the buffer file must not delete it.
 			_ = fs.backing.Delete(p, fs.MgrNode, b.lustrePath)
 		}
-		b.state = stateEvicted
 	}
 }
 

@@ -223,8 +223,9 @@ func (inst *Instance) BufferedBytes() int64 {
 // flushers are stopped, every resident block's items are deleted from the
 // shared engines, and the instance stops accepting operations. Dirty data
 // is NOT drained here — call DrainFlushers first (the orchestrator's
-// stage-out does) or accept the loss. Releasing the default instance or
-// releasing twice panics: both are orchestration bugs.
+// stage-out does) or accept the loss, which counts in Stats.BlocksLost.
+// Releasing the default instance or releasing twice panics: both are
+// orchestration bugs.
 func (inst *Instance) Release() {
 	if inst.name == DefaultInstanceName {
 		panic("core: cannot release the default instance")
@@ -238,11 +239,11 @@ func (inst *Instance) Release() {
 		for _, b := range s.residentByID() {
 			s.deleteBlock(b)
 			b.dropServer(s)
-			if b.primary() == nil && b.state != stateLost {
-				if b.lustrePath != "" {
-					b.state = stateEvicted
+			if b.primary() == nil {
+				if b.state == stateClean {
+					b.move(stateEvicted)
 				} else {
-					b.state = stateLost
+					b.move(stateLost)
 				}
 			}
 		}
@@ -413,7 +414,9 @@ func (inst *Instance) failServer(ph *serverNode) {
 			// A surviving in-buffer replica takes over; dirty blocks go to
 			// the new primary's flusher queue.
 			if wasPrimary && (b.state == stateDirty || b.state == stateFlushing) {
-				b.state = stateDirty
+				if b.state == stateFlushing {
+					b.move(stateDirty)
+				}
 				// A crash requeue is pressure work: the surviving holder is
 				// carrying extra bytes it wants evictable soon.
 				next.enqueueDirty(b, true)
@@ -423,53 +426,54 @@ func (inst *Instance) failServer(ph *serverNode) {
 		}
 		switch b.state {
 		case stateClean:
-			b.state = stateEvicted
+			b.move(stateEvicted)
 		case stateDirty, stateFlushing:
 			if b.localNode >= 0 && !inst.net.Down(b.localNode) {
 				inst.recoverFromLocal(b)
 			} else {
-				b.state = stateLost
-				inst.stats.BlocksLost++
+				b.move(stateLost)
 			}
 		}
 	}
+	// Left queued here, blocks would hold DrainFlushers forever.
 	s.resident = make(map[*bbBlock]struct{})
 	s.bytes = 0
+	s.sched = newFlushScheduler(s, inst.cfg.FlushBatchBlocks)
 }
 
 // recoverFromLocal re-flushes a dirty block from its node-local replica to
-// Lustre after its buffer server died.
+// Lustre after its buffer server died. A delete during recovery stops it:
+// the object is discarded and the block stays deleted.
 func (inst *Instance) recoverFromLocal(b *bbBlock) {
+	node, dev := b.localNode, b.localDev // a delete clears the block's
 	inst.cl.Env.Spawn(fmt.Sprintf("bb.recover.b%d", b.id), func(p *sim.Proc) {
 		// A half-finished flush may already own the block's regular object
 		// name; recovery writes a distinct one.
 		path := fmt.Sprintf("%s/blk-%d.recovered", lustreDir, b.id)
-		w, err := inst.backing.Create(p, b.localNode, path)
-		if err != nil {
-			b.state = stateLost
-			inst.stats.BlocksLost++
-			return
-		}
-		remaining := b.size
-		for remaining > 0 {
-			n := min64(remaining, inst.cfg.ItemChunk)
-			b.localDev.Read(p, n)
-			if err := w.Write(p, n); err != nil {
-				b.state = stateLost
-				inst.stats.BlocksLost++
-				return
+		w, err := inst.backing.Create(p, node, path)
+		if err == nil {
+			for remaining := b.size; remaining > 0 && err == nil && b.state != stateDeleted; {
+				n := min64(remaining, inst.cfg.ItemChunk)
+				dev.Read(p, n)
+				err = w.Write(p, n)
+				remaining -= n
 			}
-			remaining -= n
+			if err == nil && b.state != stateDeleted {
+				err = w.Close(p)
+			}
+			if err != nil || b.state == stateDeleted {
+				inst.discardObject(p, node, path)
+			}
 		}
-		if err := w.Close(p); err != nil {
-			b.state = stateLost
-			inst.stats.BlocksLost++
-			return
+		switch {
+		case b.state == stateDeleted:
+		case err != nil:
+			b.move(stateLost)
+		default:
+			// The recovered object holds this block alone: a failed run
+			// attempt may have left a stale run offset behind.
+			b.lustrePath, b.lustreOff = path, 0
+			b.move(stateEvicted)
 		}
-		// The recovered object holds this block alone: a failed run
-		// attempt may have left a stale run offset behind.
-		b.lustrePath, b.lustreOff = path, 0
-		b.state = stateEvicted
-		inst.stats.BlocksRecovered++
 	})
 }

@@ -1,0 +1,254 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"hbb/internal/dfs"
+	"hbb/internal/lustre"
+	"hbb/internal/netsim"
+	"hbb/internal/sim"
+)
+
+// checkOSTLedger asserts, once a rig's run is over, that the OSTs hold
+// exactly the Lustre objects that live, non-imported blocks reference
+// (each once, however many blocks share it) plus the files outside the
+// buffer's directory. A leaked partial object, or a stripe freed twice,
+// breaks the equality.
+func checkOSTLedger(t *testing.T, rig *testRig) {
+	t.Helper()
+	var held int64
+	for _, d := range rig.l.OSTDevices() {
+		held += d.Used()
+	}
+	refs := map[string]bool{}
+	for _, inst := range rig.pool.instances {
+		for _, b := range treeBlocks(t, inst.tree, "/") {
+			if b.lustrePath != "" && !b.imported {
+				refs[b.lustrePath] = true
+			}
+		}
+	}
+	var want int64
+	node := rig.pool.MgrNode
+	rig.c.Env.Spawn("ledger", func(p *sim.Proc) {
+		for path := range refs {
+			fi, err := rig.l.Stat(p, node, path)
+			if err != nil {
+				t.Errorf("a live block references %s: %v", path, err)
+				continue
+			}
+			want += fi.Size
+		}
+		want += lustreUserBytes(t, p, rig.l, node, "/")
+	})
+	rig.c.Env.Run()
+	if held != want {
+		t.Errorf("OSTs hold %d bytes; live blocks' objects and user files account for %d", held, want)
+	}
+}
+
+// treeBlocks returns the blocks of every file under dir.
+func treeBlocks(t *testing.T, tree *dfs.Tree, dir string) []*bbBlock {
+	t.Helper()
+	fis, err := tree.List(dir)
+	if err != nil {
+		t.Fatalf("list %s: %v", dir, err)
+	}
+	var out []*bbBlock
+	for _, fi := range fis {
+		if fi.IsDir {
+			out = append(out, treeBlocks(t, tree, fi.Path)...)
+			continue
+		}
+		f, err := tree.GetFile(fi.Path)
+		if err != nil {
+			t.Fatalf("lookup %s: %v", fi.Path, err)
+		}
+		out = append(out, filePayload(f).blocks...)
+	}
+	return out
+}
+
+// lustreUserBytes sums the sizes of the Lustre files under dir that are
+// not the buffer's own objects.
+func lustreUserBytes(t *testing.T, p *sim.Proc, l *lustre.Lustre, node netsim.NodeID, dir string) int64 {
+	fis, err := l.List(p, node, dir)
+	if err != nil {
+		t.Errorf("list %s: %v", dir, err)
+		return 0
+	}
+	var n int64
+	for _, fi := range fis {
+		switch {
+		case fi.Path == lustreDir:
+		case fi.IsDir:
+			n += lustreUserBytes(t, p, l, node, fi.Path)
+		default:
+			n += fi.Size
+		}
+	}
+	return n
+}
+
+// TestWriteThroughFailureDiscardsObject fails a bb-sync write-through: a
+// 16 MiB block cannot fit on the two 6 MiB OSTs its object stripes over.
+// The tee must delete its partial object, so nothing is left once the
+// file is deleted.
+func TestWriteThroughFailureDiscardsObject(t *testing.T) {
+	cfg := testCfg("bb-sync")
+	cfg.Servers = 1
+	c := newRigCluster(2)
+	rig := rigOn(c, newTinyLustre(c, 6*mib), cfg)
+	rig.pool.Start()
+	rig.run(t, func(p *sim.Proc) {
+		w, err := rig.fs.Create(p, 0, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Write(p, 16*mib)
+		if err == nil || !strings.Contains(err.Error(), "sync flush failed") || !errors.Is(err, dfs.ErrNoSpace) {
+			t.Fatalf("write = %v, want a failed sync flush for lack of space", err)
+		}
+		if err := rig.fs.Delete(p, 0, "/f"); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+	})
+	checkOSTLedger(t, rig)
+}
+
+// TestFailedLocalRecoveryDiscardsObject crashes the only bb-locality
+// server before its flushers start, so the block's one way to Lustre is
+// recovery from its local replica, and that fails on 6 MiB OSTs. The
+// block is lost, and recovery must delete its partial object.
+func TestFailedLocalRecoveryDiscardsObject(t *testing.T) {
+	cfg := testCfg("bb-locality")
+	cfg.Servers = 1
+	c := newRigCluster(2)
+	rig := rigOn(c, newTinyLustre(c, 6*mib), cfg)
+	rig.run(t, func(p *sim.Proc) {
+		writeFile(t, p, rig.fs, 0, "/f", 16*mib)
+		rig.pool.FailServer(0)
+		p.Sleep(time.Second) // recovery fails long before this
+		if err := rig.fs.Delete(p, 0, "/f"); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+	})
+	if st := rig.fs.Stats(); st.BlocksLost != 1 || st.BlocksRecovered != 0 {
+		t.Errorf("lost=%d recovered=%d; want the block lost", st.BlocksLost, st.BlocksRecovered)
+	}
+	checkOSTLedger(t, rig)
+}
+
+// TestDeleteDuringRecovery deletes a bb-locality file 1 ms after its only
+// server crashed, while all four of its blocks recover from their local
+// replicas. Recovery must not touch the replica the delete released, must
+// leave each block deleted, and must delete the objects it was writing.
+func TestDeleteDuringRecovery(t *testing.T) {
+	cfg := testCfg("bb-locality")
+	cfg.Servers = 1
+	c := newRigCluster(2)
+	rig := rigOn(c, lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2}), cfg)
+	var blocks []*bbBlock
+	rig.run(t, func(p *sim.Proc) {
+		writeFile(t, p, rig.fs, 0, "/f", 64*mib)
+		blocks = fileBlocks(t, rig.fs, "/f")
+		rig.pool.FailServer(0)
+		p.Sleep(time.Millisecond)
+		if err := rig.fs.Delete(p, 0, "/f"); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		p.Sleep(5 * time.Second) // every recovery has stopped by now
+	})
+	for _, b := range blocks {
+		if b.state.String() != "deleted" {
+			t.Errorf("block %d ended %v, want deleted", b.id, b.state)
+		}
+	}
+	if st := rig.fs.Stats(); st.BlocksRecovered != 0 || st.BlocksLost != 0 {
+		t.Errorf("recovered=%d lost=%d; a deleted block is neither", st.BlocksRecovered, st.BlocksLost)
+	}
+	checkOSTLedger(t, rig)
+}
+
+// TestDrainFlushersAfterFailServer writes 256 MiB over three bb-async
+// servers before their flushers start, crashes the first and drains. The
+// crashed share's queued blocks were promoted or lost, so the drain must
+// return rather than wait on a scheduler whose flushers are gone.
+func TestDrainFlushersAfterFailServer(t *testing.T) {
+	for _, tc := range []struct {
+		replicas         int
+		lost, promotions int64
+		flushed          int64
+	}{
+		{replicas: 1, lost: 4, flushed: 192 * mib},
+		{replicas: 2, promotions: 9, flushed: 256 * mib},
+	} {
+		t.Run(fmt.Sprintf("replicas-%d", tc.replicas), func(t *testing.T) {
+			cfg := testCfg("bb-async")
+			cfg.Servers = 3
+			cfg.Flushers = 1
+			cfg.BufferReplicas = tc.replicas
+			c := newRigCluster(2)
+			rig := rigOn(c, lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2}), cfg)
+			drained := false
+			c.Env.Spawn("driver", func(p *sim.Proc) {
+				defer rig.pool.Shutdown()
+				writeFile(t, p, rig.fs, 0, "/f", 256*mib)
+				rig.pool.Start()
+				rig.pool.FailServer(0)
+				rig.fs.DrainFlushers(p)
+				drained = true
+			})
+			c.Env.RunUntil(120 * time.Second)
+			if !drained {
+				backlog := make([]int, len(rig.fs.servers))
+				for i, s := range rig.fs.servers {
+					backlog[i] = s.dirtyBacklog()
+				}
+				t.Fatalf("DrainFlushers still waiting at %v; backlog %v", c.Env.Now(), backlog)
+			}
+			st := rig.fs.Stats()
+			if st.BlocksLost != tc.lost || st.Promotions != tc.promotions || st.BytesFlushed != tc.flushed {
+				t.Errorf("lost=%d promotions=%d flushed=%d; want %d, %d, %d",
+					st.BlocksLost, st.Promotions, st.BytesFlushed, tc.lost, tc.promotions, tc.flushed)
+			}
+			checkOSTLedger(t, rig)
+		})
+	}
+}
+
+// TestDeleteWhileWriting deletes a file while its writer is half way
+// through the first block. The writer's next block boundary must report
+// the file gone, whatever the scheme, and no tee may keep what it wrote
+// for the deleted block: no Lustre object, no local replica.
+func TestDeleteWhileWriting(t *testing.T) {
+	for _, policy := range []string{"bb-async", "bb-locality", "bb-sync"} {
+		t.Run(policy, func(t *testing.T) {
+			rig := newRig(2, testCfg(policy))
+			rig.run(t, func(p *sim.Proc) {
+				w, err := rig.fs.Create(p, 0, "/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Write(p, 8*mib); err != nil {
+					t.Fatal(err)
+				}
+				if err := rig.fs.Delete(p, 1, "/f"); err != nil {
+					t.Fatalf("delete: %v", err)
+				}
+				if err := w.Write(p, 8*mib); !errors.Is(err, dfs.ErrNotFound) {
+					t.Errorf("write after the delete = %v, want ErrNotFound", err)
+				}
+				p.Sleep(time.Second)
+			})
+			if used := localUsed(rig.c); used != 0 {
+				t.Errorf("local storage holds %d bytes of a deleted file", used)
+			}
+			checkOSTLedger(t, rig)
+		})
+	}
+}

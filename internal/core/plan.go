@@ -91,3 +91,69 @@ func (inst *Instance) planBlock() blockPlan {
 	}
 	return blockPlan{}
 }
+
+// blockState is where a block's bytes live: one step of its lifecycle.
+type blockState int
+
+const (
+	// stateDirty: only in the buffer; not yet on Lustre.
+	stateDirty blockState = iota
+	// stateFlushing: a flusher is copying it to Lustre.
+	stateFlushing
+	// stateClean: in the buffer and on Lustre (evictable).
+	stateClean
+	// stateEvicted: on Lustre only.
+	stateEvicted
+	// stateLost: its last buffer copy went before it reached Lustre.
+	stateLost
+	// stateDeleted: its file was deleted; terminal.
+	stateDeleted
+)
+
+var stateNames = [...]string{"dirty", "flushing", "clean", "evicted", "lost", "deleted"}
+
+func (s blockState) String() string {
+	if s < 0 || int(s) >= len(stateNames) {
+		return "invalid"
+	}
+	return stateNames[s]
+}
+
+// legalMoves[from] holds one bit per state a block in from may move to.
+var legalMoves = [...]uint8{
+	stateDirty:    1<<stateFlushing | 1<<stateClean | 1<<stateEvicted | 1<<stateLost | 1<<stateDeleted,
+	stateFlushing: 1<<stateDirty | 1<<stateClean | 1<<stateEvicted | 1<<stateLost | 1<<stateDeleted,
+	stateClean:    1<<stateEvicted | 1<<stateDeleted,
+	stateEvicted:  1<<stateClean | 1<<stateDeleted,
+	stateLost:     1 << stateDeleted,
+	stateDeleted:  0,
+}
+
+// move is the one place a block changes state. It panics on a move
+// legalMoves does not list, and keeps the move's counters: a block turning
+// clean joins its holders' clean LRUs and counts as flushed (readmitted,
+// if it came from Lustre); a loss counts in BlocksLost, a dirty block's
+// recovery to Lustre in BlocksRecovered.
+func (b *bbBlock) move(to blockState) {
+	from := b.state
+	if legalMoves[from]&(1<<to) == 0 {
+		panic(fmt.Sprintf("core: block %d (%v) cannot move %v -> %v", b.id, b.inst.pool.scheme, from, to))
+	}
+	b.state = to
+	st := &b.inst.stats
+	switch {
+	case to == stateClean:
+		for _, s := range b.srvs {
+			s.cleanLRU = append(s.cleanLRU, b)
+		}
+		if from == stateEvicted {
+			st.Readmissions++
+		} else {
+			st.BytesFlushed += b.size
+		}
+	case to == stateLost:
+		st.BlocksLost++
+	case to == stateEvicted && from != stateClean:
+		st.BlocksRecovered++
+	}
+}

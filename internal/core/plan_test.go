@@ -254,4 +254,71 @@ func TestFlushRetryAccounting(t *testing.T) {
 	if st.BlocksLost != 0 {
 		t.Errorf("lost %d blocks; a transient flush failure must not lose data", st.BlocksLost)
 	}
+	checkOSTLedger(t, rig)
+}
+
+// TestBlockMoveTable pins the block lifecycle: of the 36 (from, to) pairs
+// exactly these are legal, move panics on every other one naming the
+// block, its scheme and both states, and each legal move keeps its
+// counter.
+func TestBlockMoveTable(t *testing.T) {
+	legal := map[[2]blockState]bool{}
+	for from, tos := range map[blockState][]blockState{
+		stateDirty:    {stateFlushing, stateClean, stateEvicted, stateLost, stateDeleted},
+		stateFlushing: {stateDirty, stateClean, stateEvicted, stateLost, stateDeleted},
+		stateClean:    {stateEvicted, stateDeleted},
+		stateEvicted:  {stateClean, stateDeleted},
+		stateLost:     {stateDeleted},
+	} {
+		for _, to := range tos {
+			legal[[2]blockState{from, to}] = true
+		}
+	}
+	rig := newRig(2, testCfg("bb-locality"))
+	for from := stateDirty; from <= stateDeleted; from++ {
+		for to := stateDirty; to <= stateDeleted; to++ {
+			rig.fs.stats = Stats{}
+			s := rig.fs.servers[0]
+			s.cleanLRU = nil
+			b := &bbBlock{id: 7, size: mib, inst: rig.fs, state: from, srvs: []*BufferServer{s}}
+			msg := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				b.move(to)
+				return ""
+			}()
+			if legal[[2]blockState{from, to}] {
+				if msg != "" {
+					t.Errorf("%v -> %v panicked: %s", from, to, msg)
+				} else if b.state != to {
+					t.Errorf("%v -> %v left the block %v", from, to, b.state)
+				}
+			} else if want := fmt.Sprintf("block 7 (bb-locality) cannot move %v -> %v", from, to); !strings.Contains(msg, want) {
+				t.Errorf("%v -> %v: panic %q, want one naming %q", from, to, msg, want)
+			}
+			if msg != "" {
+				continue
+			}
+			var want Stats
+			switch {
+			case to == stateClean && from == stateEvicted:
+				want.Readmissions = 1
+			case to == stateClean:
+				want.BytesFlushed = mib
+			case to == stateLost:
+				want.BlocksLost = 1
+			case to == stateEvicted && from != stateClean:
+				want.BlocksRecovered = 1
+			}
+			if rig.fs.stats != want {
+				t.Errorf("%v -> %v counted %+v, want %+v", from, to, rig.fs.stats, want)
+			}
+			if lru := len(s.cleanLRU) == 1; lru != (to == stateClean) {
+				t.Errorf("%v -> %v: clean LRU holds %d blocks", from, to, len(s.cleanLRU))
+			}
+		}
+	}
 }

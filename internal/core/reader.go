@@ -359,8 +359,7 @@ func (r *bbReader) Close(p *sim.Proc) error {
 // fill after a Lustre read, when configured and when the ring's owner has
 // headroom (cache fills never stall or evict).
 func (fs *Instance) maybeReadmit(client netsim.NodeID, b *bbBlock) {
-	if !fs.cfg.ReadmitOnRead || b.state != stateEvicted || b.deleted ||
-		len(b.srvs) != 0 || b.readmitting {
+	if !fs.cfg.ReadmitOnRead || b.state != stateEvicted || len(b.srvs) != 0 || b.readmitting {
 		return
 	}
 	srvs, err := fs.pickServers(b.key)
@@ -376,7 +375,7 @@ func (fs *Instance) maybeReadmit(client netsim.NodeID, b *bbBlock) {
 		defer func() { b.readmitting = false }()
 		remaining := b.size
 		for _, key := range fs.itemKeys(b) {
-			if s.phys.failed || b.deleted {
+			if s.phys.failed || b.state == stateDeleted {
 				return
 			}
 			n := min64(remaining, fs.cfg.ItemChunk)
@@ -385,7 +384,7 @@ func (fs *Instance) maybeReadmit(client netsim.NodeID, b *bbBlock) {
 			}
 			remaining -= n
 		}
-		if b.deleted || b.state != stateEvicted || s.phys.failed {
+		if b.state != stateEvicted || s.phys.failed {
 			return
 		}
 		s.admitClean(b)
@@ -407,7 +406,7 @@ func (fs *Instance) Prestage(p *sim.Proc, client netsim.NodeID, path string) (in
 	var wg sim.WaitGroup
 	for _, b := range rep.Payload.([]*bbBlock) {
 		b := b
-		if b.state != stateEvicted || b.deleted || b.readmitting || b.lustrePath == "" {
+		if b.state != stateEvicted || b.readmitting || b.lustrePath == "" {
 			continue
 		}
 		srvs, err := fs.pickServers(b.key)
@@ -427,7 +426,7 @@ func (fs *Instance) Prestage(p *sim.Proc, client netsim.NodeID, path string) (in
 			defer func() { b.readmitting = false }()
 			ok := fs.stageInBlock(q, s, b)
 			s.bytes -= b.size // the reservation; admitted() re-adds on success
-			if !ok || b.deleted || b.state != stateEvicted || s.phys.failed {
+			if !ok || b.state != stateEvicted || s.phys.failed {
 				return
 			}
 			s.admitClean(b)
@@ -447,7 +446,7 @@ func (fs *Instance) stageInBlock(p *sim.Proc, s *BufferServer, b *bbBlock) bool 
 	defer lr.Close(p)
 	remaining := b.size
 	for _, key := range fs.itemKeys(b) {
-		if s.phys.failed || b.deleted {
+		if s.phys.failed || b.state == stateDeleted {
 			return false
 		}
 		n := min64(remaining, fs.cfg.ItemChunk)

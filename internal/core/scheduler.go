@@ -66,9 +66,9 @@ func (fl *flushScheduler) claimable(file string, idx int) bool {
 }
 
 // flushable reports whether a pending block still needs this server to
-// flush it: not deleted, still dirty, and this server is its primary.
+// flush it: still dirty, and this server is its primary.
 func (fl *flushScheduler) flushable(b *bbBlock) bool {
-	return !b.deleted && b.state == stateDirty && b.primary() == fl.s
+	return b.state == stateDirty && b.primary() == fl.s
 }
 
 // pop returns the oldest still-pending valid block of a queue, discarding

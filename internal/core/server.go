@@ -223,9 +223,7 @@ func (s *BufferServer) admitted(b *bbBlock) {
 func (s *BufferServer) admitClean(b *bbBlock) {
 	b.srvs = []*BufferServer{s}
 	s.admitted(b)
-	b.state = stateClean
-	s.cleanLRU = append(s.cleanLRU, b)
-	s.fs.stats.Readmissions++
+	b.move(stateClean)
 }
 
 // onServer reports whether the block still holds a replica on s.
@@ -261,7 +259,7 @@ func (s *BufferServer) ensureSpace(p *sim.Proc, size int64) error {
 			s.deleteBlock(victim)
 			victim.dropServer(s)
 			if victim.primary() == nil {
-				victim.state = stateEvicted
+				victim.move(stateEvicted)
 			}
 			s.fs.stats.Evictions++
 			continue

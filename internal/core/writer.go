@@ -123,28 +123,23 @@ func (w *bbWriter) startLustreTee(p *sim.Proc) {
 		defer tee.done.Trigger()
 		path := fs.blockLustrePath(b)
 		lw, err := fs.backing.Create(q, srvNode, path)
-		if err != nil {
-			tee.err = err
-			drain(q, tee.in)
-			return
-		}
-		for {
-			n, ok := tee.in.Get(q)
-			if !ok {
-				break
-			}
+		tee.err = err
+		for n, ok := tee.in.Get(q); ok; n, ok = tee.in.Get(q) {
 			if tee.err == nil {
-				if err := lw.Write(q, n); err != nil {
-					tee.err = err
-				}
+				tee.err = lw.Write(q, n)
 			}
+		}
+		if err != nil {
+			return // no object was created
 		}
 		if tee.err == nil {
 			tee.err = lw.Close(q)
 		}
-		if tee.err == nil {
-			b.lustrePath = path
+		if tee.err != nil || b.state == stateDeleted {
+			fs.discardObject(q, srvNode, path)
+			return
 		}
+		b.lustrePath = path
 	})
 }
 
@@ -176,21 +171,13 @@ func (w *bbWriter) startLocalTee(p *sim.Proc) {
 			written += n
 		}
 		dev.Dealloc(fs.cfg.BlockSize - written)
-		if tee.err == nil && written > 0 {
+		if tee.err == nil && written > 0 && b.state != stateDeleted {
 			b.localNode = client
 			b.localDev = dev
 		} else {
 			dev.Dealloc(written)
 		}
 	})
-}
-
-func drain(p *sim.Proc, st *sim.Store[int64]) {
-	for {
-		if _, ok := st.Get(p); !ok {
-			return
-		}
-	}
 }
 
 // pickLocalDevice chooses the fastest local device with room for a block.
@@ -380,13 +367,13 @@ func (w *bbWriter) finishBlock(p *sim.Proc) error {
 		if err := w.lustreTee.finish(p); err != nil {
 			return fmt.Errorf("core: sync flush failed: %w", err)
 		}
-		b.state = stateClean
-		for _, s := range b.srvs {
-			s.cleanLRU = append(s.cleanLRU, b)
-		}
-		fs.stats.BytesFlushed += b.size
+	}
+	if b.state == stateDeleted {
+		return fmt.Errorf("core: %q deleted while written: %w", w.path, dfs.ErrNotFound)
+	}
+	if w.plan.writeThrough {
+		b.move(stateClean)
 	} else {
-		b.state = stateDirty
 		b.primary().enqueueDirty(b, false)
 	}
 	if rep := fs.callMgr(p, w.client, "commitBlock", &mgrCommitReq{path: w.path, block: b}); rep.Err != nil {

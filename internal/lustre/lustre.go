@@ -323,7 +323,6 @@ type lustreWriter struct {
 	window *sim.Semaphore
 	wg     sim.WaitGroup
 	offset int64
-	chunk  int
 	closed bool
 	ioErr  error
 	// stripeDone is finishStripe bound once, so a stripe write allocates
@@ -348,8 +347,11 @@ func (w *lustreWriter) Write(p *sim.Proc, n int64) error {
 		if w.ioErr != nil {
 			return w.ioErr
 		}
-		m := min64(n, w.fs.cfg.StripeSize)
-		o := w.fs.ostFor(lo, w.chunk)
+		// The offset places the bytes, as readers and releaseStripes do: a
+		// write fills the stripe it lands in before the next one starts.
+		stripe := w.fs.cfg.StripeSize
+		m := min64(n, stripe-w.offset%stripe)
+		o := w.fs.ostFor(lo, int(w.offset/stripe))
 		if err := o.dev.Alloc(m); err != nil {
 			return fmt.Errorf("%w: %v", dfs.ErrNoSpace, err)
 		}
@@ -370,7 +372,6 @@ func (w *lustreWriter) Write(p *sim.Proc, n int64) error {
 		o.dev.StartWriteFlat(w.fs.cl.Env, m, w.stripeDone)
 		w.fs.stats.BytesWritten += m
 		w.offset += m
-		w.chunk++
 		n -= m
 	}
 	return nil

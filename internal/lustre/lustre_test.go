@@ -478,3 +478,40 @@ func TestLustreWriteEventBudget(t *testing.T) {
 		t.Errorf("a stripe write allocates %.2f times, want at most 1", perStripe)
 	}
 }
+
+// TestSubStripeWritesFillStripes writes a file in pieces that do not line
+// up with the stripes. The offset alone places the bytes, so each OST holds
+// exactly the stripes a reader and the delete expect of it: two 512 KiB
+// writes share stripe 0, and two 768 KiB writes fill stripe 1 and half of
+// stripe 2.
+func TestSubStripeWritesFillStripes(t *testing.T) {
+	cfg := Config{OSTs: 4, StripeCount: 2, StripeSize: mib}
+	runLustre(t, 2, cfg, func(p *sim.Proc, l *Lustre) {
+		w, _ := l.Create(p, 0, "/f")
+		for _, n := range []int64{mib / 2, mib / 2, 3 * mib / 4, 3 * mib / 4} {
+			if err := w.Write(p, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		want := []int64{3 * mib / 2, mib, 0, 0} // stripes 0 and 2, stripe 1
+		for i, d := range l.OSTDevices() {
+			if d.Used() != want[i] {
+				t.Errorf("OST %d holds %d bytes, want %d", i, d.Used(), want[i])
+			}
+		}
+		if err := l.ReadRange(p, 1, "/f", mib/2, 2*mib); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Delete(p, 0, "/f"); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range l.OSTDevices() {
+			if d.Used() != 0 {
+				t.Errorf("OST %d still holds %d bytes after the delete", i, d.Used())
+			}
+		}
+	})
+}
