@@ -139,21 +139,25 @@ golden:
 # GOMAXPROCS values, the one worker control), the shard-group worker
 # tests (10^5 one-event windows handed between the coordinator and its
 # workers, same-shard and cross-shard deliveries in one instant, 10^6
-# sends of a lone shard to itself) and the pinned netsim solver traces
-# must hold under GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries are
-# built once, so the settings apply to the simulation, not to the
-# compiler; the sim binary runs under a short timeout, so a lost worker
-# wake-up fails fast.
+# sends of a lone shard to itself), the pinned netsim solver traces and
+# the burst buffer's crash-during-write sweep (no panic, the buffer's
+# ledger holding and no writer slot left at each of 413 crash instants
+# per scheme and replica count) must hold under GOMAXPROCS 1/2/8 x GOGC
+# 1/off. The test binaries are built once, so the settings apply to the
+# simulation, not to the compiler; the sim binary runs under a short
+# timeout, so a lost worker wake-up fails fast.
 determinism:
 	mkdir -p bin
 	go test -c -o bin/hbb.test .
 	go test -c -o bin/netsim.test ./internal/netsim/
 	go test -c -o bin/sim.test ./internal/sim/
+	go test -c -o bin/core.test ./internal/core/
 	for procs in 1 2 8; do for gc in 1 off; do \
 		echo "GOMAXPROCS=$$procs GOGC=$$gc"; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSuiteTablesPin|TestSwarmFingerprintPins|TestFleetDFSIOWritePins|TestFleetCrossShardStress|TestFleetDFSIOWriteDeterminism|TestSwarmCrossShardStress' || exit 1; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress|TestFleetDeterminismAcrossShardsAndWorkers' || exit 1; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/sim.test -test.run 'TestShard' -test.timeout 2m || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/core.test -test.run 'TestCrashDuringWriteSweep' || exit 1; \
 	done; done
 
 # Concurrency stress tests under the race detector: the one engine under

@@ -854,7 +854,7 @@ func TestSchemeAndStateStrings(t *testing.T) {
 		t.Errorf("empty Policy selects %v, %v; want bb-async", sch, err)
 	}
 	for st, want := range map[blockState]string{
-		stateDirty: "dirty", stateFlushing: "flushing", stateClean: "clean",
+		stateOpen: "open", stateDirty: "dirty", stateFlushing: "flushing", stateClean: "clean",
 		stateEvicted: "evicted", stateLost: "lost", stateDeleted: "deleted",
 		blockState(-1): "invalid", blockState(99): "invalid",
 	} {

@@ -279,6 +279,7 @@ func TestFlushRetryExhaustionReleasesWriter(t *testing.T) {
 				t.Error("second writer never stalled; test lost its backpressure scenario")
 			}
 			checkOSTLedger(t, rig)
+			checkBufferLedger(t, rig)
 		})
 	}
 }
@@ -311,7 +312,7 @@ func TestFlushRetryTakesFreshObjectName(t *testing.T) {
 			rig.run(t, func(p *sim.Proc) {
 				writeFile(t, p, rig.fs, 0, "/f", size)
 				b = fileBlocks(t, rig.fs, "/f")[0]
-				partial = rig.fs.blockLustrePath(b)
+				partial = rig.pool.blockLustrePath(b)
 				w, err := rig.l.Create(p, 0, partial)
 				if err != nil {
 					t.Fatalf("create partial object: %v", err)
@@ -337,6 +338,7 @@ func TestFlushRetryTakesFreshObjectName(t *testing.T) {
 					b.state, b.lustrePath, b.lustreOff, partial)
 			}
 			checkOSTLedger(t, rig)
+			checkBufferLedger(t, rig)
 		})
 	}
 }
@@ -373,6 +375,7 @@ func TestFailedFlushReclaimsPartialObject(t *testing.T) {
 				t.Errorf("OSTs hold %d bytes after the file was deleted; failed flushes leaked their objects", held)
 			}
 			checkOSTLedger(t, rig)
+			checkBufferLedger(t, rig)
 		})
 	}
 }
@@ -415,6 +418,7 @@ func TestLocalityRecoveryAfterMidRunCrash(t *testing.T) {
 			st.BlocksRecovered, st.BlocksLost, st.ReadsLustre)
 	}
 	checkOSTLedger(t, rig)
+	checkBufferLedger(t, rig)
 }
 
 // TestDeletedBlockFlushShortCircuit deletes a file while its only block is
@@ -441,4 +445,5 @@ func TestDeletedBlockFlushShortCircuit(t *testing.T) {
 		t.Errorf("Lustre saw %d bytes of a deleted %d-byte block; flush did not short-circuit", lw, size)
 	}
 	checkOSTLedger(t, rig)
+	checkBufferLedger(t, rig)
 }

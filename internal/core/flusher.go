@@ -99,9 +99,9 @@ func heldBy(blocks []*bbBlock, s *BufferServer) bool {
 // block's remaining chunk writes. On success every surviving block
 // records its offset in the object and turns clean.
 func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
-	path := s.fs.blockLustrePath(run[0])
+	path := s.fs.pool.blockLustrePath(run[0])
 	if len(run) > 1 {
-		path = s.fs.runLustrePath()
+		path = s.fs.pool.runLustrePath()
 	}
 	w, err := s.fs.backing.Create(p, s.phys.node, path)
 	if err != nil {
@@ -114,7 +114,7 @@ func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
 		// flush, or local recovery, which resets it to 0.
 		b.lustreOff = off
 		for remaining := b.size; remaining > 0 && b.state != stateDeleted; {
-			n := min64(remaining, s.fs.cfg.ItemChunk)
+			n := min(remaining, s.fs.cfg.ItemChunk)
 			if err := w.Write(p, n); err != nil {
 				s.fs.discardObject(p, s.phys.node, path)
 				return

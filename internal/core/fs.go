@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hbb/internal/cluster"
 	"hbb/internal/dfs"
@@ -54,10 +55,14 @@ type bbBlock struct {
 	// first (empty once evicted everywhere).
 	state blockState
 	srvs  []*BufferServer
-	// localNode/localDev identify the bb-locality replica (-1/nil when
-	// absent).
-	localNode netsim.NodeID
-	localDev  *storage.Device
+	// held, localDev/localBytes and open are the block's ledger
+	// (ledger.go). localNode is the node of the finished bb-locality
+	// replica on localDev (-1 when absent).
+	held       []shareHold
+	localDev   *storage.Device
+	localBytes int64
+	open       bool
+	localNode  netsim.NodeID
 	// lustrePath is the backing object, set once a flush or sync write
 	// completed; lustreOff is the block's byte offset inside it (non-zero
 	// when a multi-block run or a stage-in source shares the object).
@@ -99,13 +104,7 @@ func (b *bbBlock) primary() *BufferServer {
 
 // dropServer removes one in-buffer replica holder.
 func (b *bbBlock) dropServer(s *BufferServer) {
-	keep := b.srvs[:0]
-	for _, cand := range b.srvs {
-		if cand != s {
-			keep = append(keep, cand)
-		}
-	}
-	b.srvs = keep
+	b.srvs = slices.DeleteFunc(b.srvs, func(c *BufferServer) bool { return c == s })
 }
 
 // BurstFS is the burst-buffer pool: the paper's integration of HDFS
@@ -304,16 +303,7 @@ func (fs *BurstFS) handleMgr(p *sim.Proc, m *netsim.Msg) netsim.Reply {
 		if !f.UnderConstruction {
 			return netsim.Reply{Size: 64, Err: fmt.Errorf("%w: %q", dfs.ErrReadOnly, req.path)}
 		}
-		fs.nextBlock++
-		b := &bbBlock{
-			id:        fs.nextBlock,
-			key:       fmt.Sprintf("blk-%d", fs.nextBlock),
-			inst:      inst,
-			file:      req.path,
-			fileIdx:   len(filePayload(f).blocks),
-			state:     stateDirty,
-			localNode: -1,
-		}
+		b := fs.newBlock(inst, f, stateOpen)
 		srvs, err := inst.pickServers(b.key)
 		if err != nil {
 			return netsim.Reply{Size: 64, Err: err}
@@ -389,20 +379,9 @@ func (fs *BurstFS) handleMgr(p *sim.Proc, m *netsim.Msg) netsim.Reply {
 			return netsim.Reply{Size: 64, Err: err}
 		}
 		for off := int64(0); off < req.size; off += inst.cfg.BlockSize {
-			fs.nextBlock++
-			b := &bbBlock{
-				id:         fs.nextBlock,
-				key:        fmt.Sprintf("blk-%d", fs.nextBlock),
-				inst:       inst,
-				file:       req.dst,
-				fileIdx:    len(filePayload(f).blocks),
-				size:       min64(inst.cfg.BlockSize, req.size-off),
-				state:      stateEvicted,
-				localNode:  -1,
-				lustrePath: req.src,
-				lustreOff:  off,
-				imported:   true,
-			}
+			b := fs.newBlock(inst, f, stateEvicted)
+			b.size = min(inst.cfg.BlockSize, req.size-off)
+			b.lustrePath, b.lustreOff, b.imported = req.src, off, true
 			filePayload(f).blocks = append(filePayload(f).blocks, b)
 			f.Size += b.size
 		}
@@ -413,36 +392,25 @@ func (fs *BurstFS) handleMgr(p *sim.Proc, m *netsim.Msg) netsim.Reply {
 	}
 }
 
-// deleteBlocks releases every copy of the given blocks: buffer items,
-// local replicas, and Lustre objects.
+// newBlock numbers the next block of file f, born in state.
+func (fs *BurstFS) newBlock(inst *Instance, f *dfs.TreeFile, state blockState) *bbBlock {
+	fs.nextBlock++
+	return &bbBlock{id: fs.nextBlock, key: fmt.Sprintf("blk-%d", fs.nextBlock), inst: inst,
+		file: f.Path, fileIdx: len(filePayload(f).blocks), state: state, localNode: -1}
+}
+
+// deleteBlocks releases every copy of the given blocks: buffer items and
+// holds, local replicas, and Lustre objects. A block still being written
+// keeps only its writer's slot, which the writer's exit gives back.
 func (fs *BurstFS) deleteBlocks(p *sim.Proc, blocks []*bbBlock) {
 	for _, b := range blocks {
 		b.move(stateDeleted)
-		for _, s := range append([]*BufferServer(nil), b.srvs...) {
-			if !s.phys.failed {
-				s.deleteBlock(b)
-				// The freed bytes may satisfy a writer stalled on this
-				// server; flush progress is the space-available signal.
-				s.signalFlushProgress()
-			}
-			b.dropServer(s)
-		}
-		if b.localDev != nil {
-			b.localDev.Dealloc(b.size)
-			b.localDev = nil
-			b.localNode = -1
-		}
+		b.dropHolds()
+		b.srvs = nil
 		if b.lustrePath != "" && !b.imported {
 			// Imported blocks borrow a caller-owned Lustre object
 			// (stage-in); deleting the buffer file must not delete it.
 			_ = fs.backing.Delete(p, fs.MgrNode, b.lustrePath)
 		}
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

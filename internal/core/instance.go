@@ -54,9 +54,9 @@ type Instance struct {
 	// default instance, which spans full server memory unmetered).
 	bricks int
 
-	// openBlocks counts blocks currently being streamed by writers, and
-	// burst is bb-adaptive's detector state: true while degraded to async
-	// (see planBlock).
+	// openBlocks counts blocks currently being streamed by writers (each
+	// writer's slot is a ledger hold), and burst is bb-adaptive's detector
+	// state: true while degraded to async (see planBlock).
 	openBlocks int
 	burst      bool
 
@@ -210,7 +210,9 @@ func (inst *Instance) Metrics() *metrics.View { return inst.metrics }
 // Servers exposes the instance's per-server shares (tests, reports).
 func (inst *Instance) Servers() []*BufferServer { return inst.servers }
 
-// BufferedBytes returns payload resident across the instance's shares.
+// BufferedBytes returns the bytes the instance's shares hold: resident
+// payload plus the block-size reservations of blocks being written (and
+// of blocks being staged in).
 func (inst *Instance) BufferedBytes() int64 {
 	var total int64
 	for _, s := range inst.servers {
@@ -220,12 +222,12 @@ func (inst *Instance) BufferedBytes() int64 {
 }
 
 // Release tears the instance down and returns its bricks to the pool:
-// flushers are stopped, every resident block's items are deleted from the
-// shared engines, and the instance stops accepting operations. Dirty data
-// is NOT drained here — call DrainFlushers first (the orchestrator's
-// stage-out does) or accept the loss, which counts in Stats.BlocksLost.
-// Releasing the default instance or releasing twice panics: both are
-// orchestration bugs.
+// flushers are stopped, every block holding space on a share has its
+// items deleted from the shared engines and its hold released, and the
+// instance stops accepting operations. Dirty data is NOT drained here —
+// call DrainFlushers first (the orchestrator's stage-out does) or accept
+// the loss, which counts in Stats.BlocksLost. Releasing the default
+// instance or releasing twice panics: both are orchestration bugs.
 func (inst *Instance) Release() {
 	if inst.name == DefaultInstanceName {
 		panic("core: cannot release the default instance")
@@ -236,8 +238,11 @@ func (inst *Instance) Release() {
 	inst.released = true
 	inst.shutdown()
 	for _, s := range inst.servers {
-		for _, b := range s.residentByID() {
+		for _, b := range s.holdersByID() {
 			s.deleteBlock(b)
+			if b.state == stateOpen || !b.onServer(s) {
+				continue // its writer or stager settles it
+			}
 			b.dropServer(s)
 			if b.primary() == nil {
 				if b.state == stateClean {
@@ -250,7 +255,6 @@ func (inst *Instance) Release() {
 		if s.phys != nil && inst.bricks > 0 {
 			s.phys.bricksUsed -= int(s.limit / inst.pool.cfg.BrickSize)
 		}
-		s.bytes = 0
 	}
 	keep := inst.pool.instances[:0]
 	for _, in := range inst.pool.instances {
@@ -303,9 +307,6 @@ func itemKey(block string, i int64) string {
 	var buf [32]byte
 	return string(strconv.AppendInt(append(append(buf[:0], block...), '#'), i, 10))
 }
-
-func (inst *Instance) blockLustrePath(b *bbBlock) string { return inst.pool.blockLustrePath(b) }
-func (inst *Instance) runLustrePath() string             { return inst.pool.runLustrePath() }
 
 // Mkdir implements dfs.FileSystem.
 func (inst *Instance) Mkdir(p *sim.Proc, client netsim.NodeID, path string) error {
@@ -398,8 +399,9 @@ func (inst *Instance) StageInFile(p *sim.Proc, client netsim.NodeID, src, dst st
 
 // failServer applies a physical server crash to this instance's share of
 // it: the share leaves the placement ring, stalled writers are released
-// into the error path, and every resident block is promoted, recovered,
-// or lost exactly as the single-tenant path always did.
+// into the error path, every hold on the share is released, and every
+// resident block is promoted, recovered, or lost. A block still being
+// written or staged in is left to its writer's exit or its stager.
 func (inst *Instance) failServer(ph *serverNode) {
 	s := inst.srvByName[ph.name]
 	if s == nil {
@@ -407,7 +409,11 @@ func (inst *Instance) failServer(ph *serverNode) {
 	}
 	inst.ring.Remove(s.name)
 	s.signalFlushProgress() // release stalled writers into the error path
-	for b := range s.resident {
+	for b := range s.holders {
+		b.releaseShare(s)
+		if b.state == stateOpen || !b.onServer(s) {
+			continue // its writer or stager settles it
+		}
 		wasPrimary := b.primary() == s
 		b.dropServer(s)
 		if next := b.primary(); next != nil {
@@ -436,8 +442,6 @@ func (inst *Instance) failServer(ph *serverNode) {
 		}
 	}
 	// Left queued here, blocks would hold DrainFlushers forever.
-	s.resident = make(map[*bbBlock]struct{})
-	s.bytes = 0
 	s.sched = newFlushScheduler(s, inst.cfg.FlushBatchBlocks)
 }
 
@@ -453,7 +457,7 @@ func (inst *Instance) recoverFromLocal(b *bbBlock) {
 		w, err := inst.backing.Create(p, node, path)
 		if err == nil {
 			for remaining := b.size; remaining > 0 && err == nil && b.state != stateDeleted; {
-				n := min64(remaining, inst.cfg.ItemChunk)
+				n := min(remaining, inst.cfg.ItemChunk)
 				dev.Read(p, n)
 				err = w.Write(p, n)
 				remaining -= n

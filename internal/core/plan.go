@@ -96,8 +96,11 @@ func (inst *Instance) planBlock() blockPlan {
 type blockState int
 
 const (
+	// stateOpen: its writer is still streaming it; only the writer's exit
+	// (endAttempt) moves it on, or a delete.
+	stateOpen blockState = iota
 	// stateDirty: only in the buffer; not yet on Lustre.
-	stateDirty blockState = iota
+	stateDirty
 	// stateFlushing: a flusher is copying it to Lustre.
 	stateFlushing
 	// stateClean: in the buffer and on Lustre (evictable).
@@ -110,7 +113,7 @@ const (
 	stateDeleted
 )
 
-var stateNames = [...]string{"dirty", "flushing", "clean", "evicted", "lost", "deleted"}
+var stateNames = [...]string{"open", "dirty", "flushing", "clean", "evicted", "lost", "deleted"}
 
 func (s blockState) String() string {
 	if s < 0 || int(s) >= len(stateNames) {
@@ -121,7 +124,8 @@ func (s blockState) String() string {
 
 // legalMoves[from] holds one bit per state a block in from may move to.
 var legalMoves = [...]uint8{
-	stateDirty:    1<<stateFlushing | 1<<stateClean | 1<<stateEvicted | 1<<stateLost | 1<<stateDeleted,
+	stateOpen:     1<<stateDirty | 1<<stateClean | 1<<stateLost | 1<<stateDeleted,
+	stateDirty:    1<<stateFlushing | 1<<stateEvicted | 1<<stateLost | 1<<stateDeleted,
 	stateFlushing: 1<<stateDirty | 1<<stateClean | 1<<stateEvicted | 1<<stateLost | 1<<stateDeleted,
 	stateClean:    1<<stateEvicted | 1<<stateDeleted,
 	stateEvicted:  1<<stateClean | 1<<stateDeleted,

@@ -53,7 +53,7 @@ func TestReaderFallbackOrdering(t *testing.T) {
 		// Same node, local device gone: falls to the buffer.
 		{"buffer-after-local", func(rig *testRig) {
 			for _, s := range rig.fs.Servers() {
-				for b := range s.resident {
+				for b := range s.holders {
 					b.localDev, b.localNode = nil, -1
 				}
 			}
@@ -255,16 +255,18 @@ func TestFlushRetryAccounting(t *testing.T) {
 		t.Errorf("lost %d blocks; a transient flush failure must not lose data", st.BlocksLost)
 	}
 	checkOSTLedger(t, rig)
+	checkBufferLedger(t, rig)
 }
 
-// TestBlockMoveTable pins the block lifecycle: of the 36 (from, to) pairs
+// TestBlockMoveTable pins the block lifecycle: of the 49 (from, to) pairs
 // exactly these are legal, move panics on every other one naming the
 // block, its scheme and both states, and each legal move keeps its
 // counter.
 func TestBlockMoveTable(t *testing.T) {
 	legal := map[[2]blockState]bool{}
 	for from, tos := range map[blockState][]blockState{
-		stateDirty:    {stateFlushing, stateClean, stateEvicted, stateLost, stateDeleted},
+		stateOpen:     {stateDirty, stateClean, stateLost, stateDeleted},
+		stateDirty:    {stateFlushing, stateEvicted, stateLost, stateDeleted},
 		stateFlushing: {stateDirty, stateClean, stateEvicted, stateLost, stateDeleted},
 		stateClean:    {stateEvicted, stateDeleted},
 		stateEvicted:  {stateClean, stateDeleted},
@@ -275,8 +277,8 @@ func TestBlockMoveTable(t *testing.T) {
 		}
 	}
 	rig := newRig(2, testCfg("bb-locality"))
-	for from := stateDirty; from <= stateDeleted; from++ {
-		for to := stateDirty; to <= stateDeleted; to++ {
+	for from := stateOpen; from <= stateDeleted; from++ {
+		for to := stateOpen; to <= stateDeleted; to++ {
 			rig.fs.stats = Stats{}
 			s := rig.fs.servers[0]
 			s.cleanLRU = nil

@@ -173,7 +173,7 @@ func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[packet], isLocal bool
 				out.PutWait(q, packet{err: true})
 				return
 			}
-			n := min64(remaining, fs.cfg.ItemChunk)
+			n := min(remaining, fs.cfg.ItemChunk)
 			b.localDev.ReadFlat(q, n)
 			if !isLocal {
 				if err := fs.net.Transfer(q, b.localNode, client, n+64, netsim.Native); err != nil {
@@ -195,10 +195,7 @@ func (r *bbReader) produceBuffer(b *bbBlock, srv *BufferServer, out *sim.Store[p
 	fs := r.fs
 	client := r.client
 	keys := fs.itemKeys(b)
-	fetchers := 4
-	if fetchers > len(keys) {
-		fetchers = len(keys)
-	}
+	fetchers := min(4, len(keys))
 	if fetchers == 0 {
 		out.Put(packet{})
 		return
@@ -237,7 +234,7 @@ func (r *bbReader) produceLustre(b *bbBlock, out *sim.Store[packet]) {
 		defer lr.Close(q)
 		remaining := b.size
 		for remaining > 0 {
-			n, err := lr.Read(q, min64(remaining, fs.cfg.ItemChunk))
+			n, err := lr.Read(q, min(remaining, fs.cfg.ItemChunk))
 			if err != nil || n == 0 {
 				out.PutWait(q, packet{err: true})
 				return
@@ -298,7 +295,7 @@ func (r *bbReader) Read(p *sim.Proc, n int64) (int64, error) {
 			}
 			r.pending += pkt.bytes
 		}
-		take := min64(n-consumed, r.pending)
+		take := min(n-consumed, r.pending)
 		r.pending -= take
 		r.consumedBlk += take
 		consumed += take
@@ -325,7 +322,7 @@ func (r *bbReader) discard(p *sim.Proc, n int64) error {
 			}
 			r.pending += pkt.bytes
 		}
-		take := min64(n, r.pending)
+		take := min(n, r.pending)
 		r.pending -= take
 		n -= take
 	}
@@ -378,7 +375,7 @@ func (fs *Instance) maybeReadmit(client netsim.NodeID, b *bbBlock) {
 			if s.phys.failed || b.state == stateDeleted {
 				return
 			}
-			n := min64(remaining, fs.cfg.ItemChunk)
+			n := min(remaining, fs.cfg.ItemChunk)
 			if err := s.setChunk(q, client, key, n); err != nil {
 				return
 			}
@@ -418,14 +415,16 @@ func (fs *Instance) Prestage(p *sim.Proc, client netsim.NodeID, path string) (in
 			continue
 		}
 		b.readmitting = true
-		s.bytes += b.size // reserve so concurrent stage-ins don't overshoot
+		b.takeShare(s, b.size) // reserve so concurrent stage-ins don't overshoot
 		staged++
 		wg.Add(1)
 		fs.cl.Env.Spawn(fmt.Sprintf("bb.stagein.b%d", b.id), func(q *sim.Proc) {
 			defer wg.Done()
 			defer func() { b.readmitting = false }()
 			ok := fs.stageInBlock(q, s, b)
-			s.bytes -= b.size // the reservation; admitted() re-adds on success
+			if _, held := s.holders[b]; held { // unless a crash or delete released it
+				b.releaseShare(s) // admitClean takes the footprint
+			}
 			if !ok || b.state != stateEvicted || s.phys.failed {
 				return
 			}
@@ -449,7 +448,7 @@ func (fs *Instance) stageInBlock(p *sim.Proc, s *BufferServer, b *bbBlock) bool 
 		if s.phys.failed || b.state == stateDeleted {
 			return false
 		}
-		n := min64(remaining, fs.cfg.ItemChunk)
+		n := min(remaining, fs.cfg.ItemChunk)
 		got, err := lr.Read(p, n)
 		if err != nil || got != n {
 			return false

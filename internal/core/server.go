@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"hbb/internal/memcached"
 	"hbb/internal/netsim"
@@ -93,8 +95,11 @@ type BufferServer struct {
 	// to it (budget = limit × HighWatermark).
 	limit int64
 
-	// bytes is the payload currently resident (dirty+flushing+clean).
-	bytes int64
+	// bytes sums the holds of the blocks in holders: resident payload
+	// plus the reservations of blocks being written or staged in. Only
+	// the ledger (ledger.go) changes either.
+	bytes   int64
+	holders map[*bbBlock]struct{}
 	// wakeups carries one token per enqueued dirty block to the flusher
 	// pool; each popped token triggers one sched.next() run claim.
 	wakeups *sim.Store[struct{}]
@@ -105,8 +110,6 @@ type BufferServer struct {
 	flushInflight int64
 	// cleanLRU orders clean blocks for explicit eviction (head = oldest).
 	cleanLRU []*bbBlock
-	// resident is the set of blocks whose payload lives on this share.
-	resident map[*bbBlock]struct{}
 	// flushing counts blocks currently being copied to Lustre.
 	flushing int
 	// flushProgress fires whenever a flush completes, releasing writers
@@ -122,22 +125,17 @@ func newBufferServer(inst *Instance, ph *serverNode, limit int64) *BufferServer 
 		name:          ph.name,
 		limit:         limit,
 		wakeups:       sim.NewStore[struct{}](),
-		resident:      make(map[*bbBlock]struct{}),
+		holders:       make(map[*bbBlock]struct{}),
 		flushProgress: &sim.Event{},
 	}
 	s.sched = newFlushScheduler(s, inst.cfg.FlushBatchBlocks)
 	return s
 }
 
-// residentByID returns the share's resident blocks sorted by block ID —
-// the deterministic iteration order teardown paths need.
-func (s *BufferServer) residentByID() []*bbBlock {
-	out := make([]*bbBlock, 0, len(s.resident))
-	for b := range s.resident {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+// holdersByID returns the blocks holding space on the share sorted by
+// block ID — the deterministic iteration order teardown paths need.
+func (s *BufferServer) holdersByID() []*bbBlock {
+	return slices.SortedFunc(maps.Keys(s.holders), func(a, b *bbBlock) int { return cmp.Compare(a.id, b.id) })
 }
 
 // enqueueDirty hands a dirty block to the flusher pool. urgent marks
@@ -196,25 +194,15 @@ func (s *BufferServer) getChunk(p *sim.Proc, client netsim.NodeID, key string) (
 	return size, nil
 }
 
-// deleteBlock removes all of a block's items from the engine and adjusts
-// occupancy. It is invoked from manager-side logic (evictions, file
-// deletes) and costs no fabric time: the manager piggybacks invalidations
-// on its existing control traffic.
+// deleteBlock removes all of a block's items from the engine and releases
+// its hold on the share. It is invoked from manager-side logic (evictions,
+// file deletes) and costs no fabric time: the manager piggybacks
+// invalidations on its existing control traffic.
 func (s *BufferServer) deleteBlock(b *bbBlock) {
 	for _, k := range s.fs.itemKeys(b) {
 		_ = s.phys.engine.Delete(k)
 	}
-	s.bytes -= b.size
-	if s.bytes < 0 {
-		s.bytes = 0
-	}
-	delete(s.resident, b)
-}
-
-// admitted records a block's payload arrival.
-func (s *BufferServer) admitted(b *bbBlock) {
-	s.bytes += b.size
-	s.resident[b] = struct{}{}
+	b.releaseShare(s)
 }
 
 // admitClean makes s the only holder of an evicted block whose bytes it
@@ -222,19 +210,12 @@ func (s *BufferServer) admitted(b *bbBlock) {
 // block turns clean and evictable.
 func (s *BufferServer) admitClean(b *bbBlock) {
 	b.srvs = []*BufferServer{s}
-	s.admitted(b)
+	b.takeShare(s, b.size)
 	b.move(stateClean)
 }
 
 // onServer reports whether the block still holds a replica on s.
-func (b *bbBlock) onServer(s *BufferServer) bool {
-	for _, cand := range b.srvs {
-		if cand == s {
-			return true
-		}
-	}
-	return false
-}
+func (b *bbBlock) onServer(s *BufferServer) bool { return slices.Contains(b.srvs, s) }
 
 // budget returns the writer-stall threshold in bytes.
 func (s *BufferServer) budget() int64 {

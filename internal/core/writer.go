@@ -7,7 +7,6 @@ import (
 	"hbb/internal/dfs"
 	"hbb/internal/netsim"
 	"hbb/internal/sim"
-	"hbb/internal/storage"
 )
 
 // maxBlockRetries bounds per-block reassignments after server failures.
@@ -29,10 +28,8 @@ type bbWriter struct {
 	client netsim.NodeID
 	path   string
 
-	cur        *bbBlock
-	curWritten int64
-	itemFill   int64 // bytes accumulated in the current (unissued) item
-	closed     bool
+	cur    *bbBlock
+	closed bool
 
 	// plan is the current block's write plan.
 	plan blockPlan
@@ -41,157 +38,113 @@ type bbWriter struct {
 	localTee  *blockTee // local-device replica channel
 }
 
-// blockTee forwards chunk sizes to a secondary sink in parallel with the
-// buffer write.
+// blockTee is a side channel of one block attempt: a sink process
+// consumes the size of every chunk the writer streams to the buffer.
 type blockTee struct {
 	in   *sim.Store[int64]
-	done *sim.Event
+	done sim.Event
 	err  error
 }
 
-func (t *blockTee) push(p *sim.Proc, n int64) { t.in.PutWait(p, n) }
-func (t *blockTee) finish(p *sim.Proc) error {
-	t.in.Close()
-	t.done.Wait(p)
-	return t.err
+// startTee spawns a side channel of the current block; sink reads the
+// chunk sizes until the writer closes the channel and returns its error.
+func (w *bbWriter) startTee(kind string, sink func(q *sim.Proc, in *sim.Store[int64]) error) *blockTee {
+	t := &blockTee{in: sim.NewBounded[int64](prefetchWindow)}
+	w.fs.cl.Env.Spawn(fmt.Sprintf("bb.%s.b%d", kind, w.cur.id), func(q *sim.Proc) {
+		t.err = sink(q, t.in)
+		t.done.Trigger()
+	})
+	return t
 }
 
-// openBlock allocates the next block, reserves a full block of buffer
-// space on every replica server (admission control at block granularity —
-// a block that starts streaming is guaranteed to finish and become
-// flushable, so writers can never deadlock the buffer with partial
-// blocks), plans the block, and opens the planned side channels.
-func (w *bbWriter) openBlock(p *sim.Proc) error {
-	rep := w.fs.callMgr(p, w.client, "addBlock", &mgrAddBlockReq{inst: w.fs, path: w.path, client: w.client})
-	if rep.Err != nil {
-		return rep.Err
-	}
-	w.cur = rep.Payload.(*bbBlock)
-	w.curWritten = 0
-	w.itemFill = 0
-	if err := w.reserve(p); err != nil {
-		return err
-	}
-	w.fs.openBlocks++ // before planning: bb-adaptive counts this stream as load
-	w.plan = w.fs.planBlock()
-	w.startTees(p)
-	return nil
-}
-
-// reserve performs block-granularity admission on each replica server.
-// Servers are acquired in canonical (index) order so that concurrent
-// writers reserving overlapping replica sets cannot deadlock in a
-// hold-and-wait cycle.
-func (w *bbWriter) reserve(p *sim.Proc) error {
+// begin starts an attempt of the current block. It reserves a full block
+// on each replica server, in index order so that writers with overlapping
+// replica sets cannot deadlock (admission at block granularity: a block
+// that starts streaming can always finish and become flushable). The
+// first admitted attempt takes the writer's slot and plans the block.
+// Then it opens the planned side channels and rewrites the rewind bytes
+// of a failed attempt. A failure leaves what it took to endAttempt.
+func (w *bbWriter) begin(p *sim.Proc, rewind int64) error {
 	b := w.cur
+	b.size = 0
 	ordered := append([]*BufferServer(nil), b.srvs...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].index < ordered[j].index })
-	for i, s := range ordered {
+	for _, s := range ordered {
 		if err := s.ensureSpace(p, w.fs.cfg.BlockSize); err != nil {
-			// Roll back earlier reservations of this block.
-			for _, prev := range ordered[:i] {
-				prev.bytes -= w.fs.cfg.BlockSize
-				prev.signalFlushProgress()
-			}
 			return err
 		}
-		s.bytes += w.fs.cfg.BlockSize
+		b.takeShare(s, w.fs.cfg.BlockSize)
 	}
-	return nil
+	if !b.open {
+		b.takeOpen() // before planning: bb-adaptive counts this stream as load
+		w.plan = w.fs.planBlock()
+	}
+	w.startTees(p)
+	return w.streamBytes(p, rewind)
 }
 
-// startTees launches the secondary sinks planned for the current block.
+// startTees opens the side channels planned for the current block. The
+// write-through channel tees every chunk from the primary server to the
+// block's Lustre object, discarding it if a write fails or the block was
+// deleted. The locality channel writes a replica to the fastest device of
+// the writer's node with room for a block (without one the block degrades
+// to the async path); its block-size reservation becomes the replica's
+// footprint when it ends, unless a delete released it.
 func (w *bbWriter) startTees(p *sim.Proc) {
+	fs, b := w.fs, w.cur
 	w.lustreTee, w.localTee = nil, nil
 	if w.plan.writeThrough {
-		w.startLustreTee(p)
-	}
-	if w.plan.localTee {
-		w.startLocalTee(p)
-	}
-}
-
-// startLustreTee opens the write-through channel: the primary server tees
-// every chunk to a Lustre file in parallel with the buffer write.
-func (w *bbWriter) startLustreTee(p *sim.Proc) {
-	b := w.cur
-	fs := w.fs
-	tee := &blockTee{in: sim.NewBounded[int64](prefetchWindow), done: &sim.Event{}}
-	w.lustreTee = tee
-	srvNode := b.primary().phys.node
-	fs.cl.Env.Spawn(fmt.Sprintf("bb.synctee.b%d", b.id), func(q *sim.Proc) {
-		defer tee.done.Trigger()
-		path := fs.blockLustrePath(b)
-		lw, err := fs.backing.Create(q, srvNode, path)
-		tee.err = err
-		for n, ok := tee.in.Get(q); ok; n, ok = tee.in.Get(q) {
-			if tee.err == nil {
-				tee.err = lw.Write(q, n)
+		srvNode := b.primary().phys.node
+		w.lustreTee = w.startTee("synctee", func(q *sim.Proc, in *sim.Store[int64]) error {
+			path := fs.pool.blockLustrePath(b)
+			lw, cerr := fs.backing.Create(q, srvNode, path)
+			err := cerr
+			for n, ok := in.Get(q); ok; n, ok = in.Get(q) {
+				if err == nil {
+					err = lw.Write(q, n)
+				}
 			}
-		}
-		if err != nil {
-			return // no object was created
-		}
-		if tee.err == nil {
-			tee.err = lw.Close(q)
-		}
-		if tee.err != nil || b.state == stateDeleted {
-			fs.discardObject(q, srvNode, path)
-			return
-		}
-		b.lustrePath = path
-	})
-}
-
-// startLocalTee opens the locality channel: a replica of the block streams
-// to the writing client's node-local storage. If no local device has room
-// the block degrades gracefully to the plain buffered path.
-func (w *bbWriter) startLocalTee(p *sim.Proc) {
-	b := w.cur
-	fs := w.fs
-	dev := w.pickLocalDevice()
-	if dev == nil {
-		return // no local space: degrade gracefully to the async path
+			if cerr != nil {
+				return err // no object was created
+			}
+			if err == nil {
+				err = lw.Close(q)
+			}
+			if err != nil || b.state == stateDeleted {
+				fs.discardObject(q, srvNode, path)
+				return err
+			}
+			b.lustrePath = path
+			return nil
+		})
 	}
-	if err := dev.Alloc(fs.cfg.BlockSize); err != nil {
+	node := fs.cl.Node(w.client)
+	if !w.plan.localTee || node == nil {
 		return
 	}
-	tee := &blockTee{in: sim.NewBounded[int64](prefetchWindow), done: &sim.Event{}}
-	w.localTee = tee
-	client := w.client
-	fs.cl.Env.Spawn(fmt.Sprintf("bb.localtee.b%d", b.id), func(q *sim.Proc) {
-		defer tee.done.Trigger()
-		var written int64
-		for {
-			n, ok := tee.in.Get(q)
-			if !ok {
-				break
+	for _, dev := range node.LocalDevices() {
+		if dev.Free() < fs.cfg.BlockSize || b.takeLocal(dev, fs.cfg.BlockSize) != nil {
+			continue
+		}
+		client := w.client
+		w.localTee = w.startTee("localtee", func(q *sim.Proc, in *sim.Store[int64]) error {
+			var written int64
+			for n, ok := in.Get(q); ok; n, ok = in.Get(q) {
+				dev.Write(q, n)
+				written += n
 			}
-			dev.Write(q, n)
-			written += n
-		}
-		dev.Dealloc(fs.cfg.BlockSize - written)
-		if tee.err == nil && written > 0 && b.state != stateDeleted {
-			b.localNode = client
-			b.localDev = dev
-		} else {
-			dev.Dealloc(written)
-		}
-	})
-}
-
-// pickLocalDevice chooses the fastest local device with room for a block.
-func (w *bbWriter) pickLocalDevice() *storage.Device {
-	node := w.fs.cl.Node(w.client)
-	if node == nil {
-		return nil
+			if b.localDev == nil {
+				return nil // a delete released the reservation
+			}
+			b.releaseLocal()
+			if written > 0 && b.state != stateDeleted {
+				_ = b.takeLocal(dev, written) // fits: the reservation was larger
+				b.localNode = client
+			}
+			return nil
+		})
+		return
 	}
-	for _, d := range node.LocalDevices() {
-		if d.Free() >= w.fs.cfg.BlockSize {
-			return d
-		}
-	}
-	return nil
 }
 
 // Write implements dfs.Writer.
@@ -200,24 +153,26 @@ func (w *bbWriter) Write(p *sim.Proc, n int64) error {
 		return dfs.ErrClosed
 	}
 	for n > 0 {
+		var err error
 		if w.cur == nil {
-			if err := w.openBlock(p); err != nil {
-				return err
+			// The block is born open: its writer's until endAttempt.
+			rep := w.fs.callMgr(p, w.client, "addBlock", &mgrAddBlockReq{inst: w.fs, path: w.path, client: w.client})
+			if rep.Err != nil {
+				return rep.Err
+			}
+			w.cur = rep.Payload.(*bbBlock)
+			err = w.begin(p, 0)
+		}
+		if err == nil {
+			before := w.cur.size
+			err = w.streamBytes(p, min(n, w.fs.cfg.BlockSize-before))
+			n -= w.cur.size - before // the block keeps them; a restart rewrites them
+			if err == nil && w.cur.size < w.fs.cfg.BlockSize {
+				continue
 			}
 		}
-		m := min64(n, w.fs.cfg.BlockSize-w.curWritten)
-		if err := w.streamBytes(p, m); err != nil {
-			if err2 := w.retryBlock(p); err2 != nil {
-				return err2
-			}
-			continue
-		}
-		w.curWritten += m
-		n -= m
-		if w.curWritten == w.fs.cfg.BlockSize {
-			if err := w.finishBlock(p); err != nil {
-				return err
-			}
+		if err := w.endAttempt(p, err); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -229,7 +184,7 @@ func (w *bbWriter) streamBytes(p *sim.Proc, m int64) error {
 	fs := w.fs
 	b := w.cur
 	for m > 0 {
-		c := min64(m, fs.cfg.ItemChunk-w.itemFill)
+		c := min(m, fs.cfg.ItemChunk-b.size%fs.cfg.ItemChunk)
 		for _, s := range b.srvs {
 			if s.phys.failed {
 				return netsim.ErrNodeDown
@@ -239,27 +194,26 @@ func (w *bbWriter) streamBytes(p *sim.Proc, m int64) error {
 			}
 			s.phys.ingest.TransferFlat(p, c)
 		}
-		w.itemFill += c
 		b.size += c
 		fs.stats.BytesWritten += c
-		if w.itemFill == fs.cfg.ItemChunk {
+		if b.size%fs.cfg.ItemChunk == 0 {
 			if err := w.issueItem(p); err != nil {
 				return err
 			}
 		}
 		if w.lustreTee != nil {
-			w.lustreTee.push(p, c)
+			w.lustreTee.in.PutWait(p, c)
 		}
 		if w.localTee != nil {
-			w.localTee.push(p, c)
+			w.localTee.in.PutWait(p, c)
 		}
 		m -= c
 	}
 	return nil
 }
 
-// issueItem inserts the accumulated item into every replica server's KV
-// engine.
+// issueItem inserts the block's last item, the bytes streamed since the
+// previous one, into every replica server's KV engine.
 func (w *bbWriter) issueItem(p *sim.Proc) error {
 	b := w.cur
 	idx := (b.size - 1) / w.fs.cfg.ItemChunk
@@ -267,122 +221,119 @@ func (w *bbWriter) issueItem(p *sim.Proc) error {
 	for _, s := range b.srvs {
 		rep := w.fs.net.Call(p, &netsim.Msg{
 			From: w.client, To: s.phys.node, Service: bbService, Op: "set",
-			Size: 64, Payload: &bbSetReq{key: key, size: w.itemFill},
+			Size: 64, Payload: &bbSetReq{key: key, size: b.size - idx*w.fs.cfg.ItemChunk},
 		})
 		if rep.Err != nil {
-			w.itemFill = 0
 			return rep.Err
 		}
 	}
-	w.itemFill = 0
 	return nil
 }
 
-// cleanupTees settles the side channels of a failed block attempt.
-func (w *bbWriter) cleanupTees(p *sim.Proc) {
-	b := w.cur
-	if w.lustreTee != nil {
-		_ = w.lustreTee.finish(p)
-		w.lustreTee = nil
-	}
-	if w.localTee != nil {
-		_ = w.localTee.finish(p)
-		w.localTee = nil
-		if b.localDev != nil {
-			b.localDev.Dealloc(b.size)
-			b.localDev, b.localNode = nil, -1
+// endAttempt is the writer's one exit from a block attempt, on every path
+// out of one: the block is full or the writer closing (err == nil), or
+// the stream failed. It seals an intact attempt, settles the side
+// channels and decides the block's fate. A block deleted under the writer
+// reports ErrNotFound. A failed stream or a crashed server restarts the
+// block on the ring's next live servers, rewriting what it had streamed,
+// up to maxBlockRetries times; past that, or when its write-through
+// failed, the block is lost. Otherwise it commits, clean if written
+// through, else dirty and queued for the flushers. Except after a commit
+// it gives back every hold, and a persisted write-through object nobody
+// will reference; it always gives back the writer's slot, unless a
+// restart lets the writer stream on.
+func (w *bbWriter) endAttempt(p *sim.Proc, err error) error {
+	finishing, rewind := err == nil, w.cur.size
+	for tries := 0; ; tries++ {
+		b := w.cur
+		if err == nil && b.size%w.fs.cfg.ItemChunk > 0 { // the tail item
+			err = w.issueItem(p)
 		}
-	}
-	// Release the block reservations on the failed attempt's servers
-	// (already zeroed where a crash reset the server).
-	for _, s := range b.srvs {
-		if s.phys.failed {
-			continue
+		if err == nil && w.intact() {
+			w.seal()
 		}
-		s.bytes -= w.fs.cfg.BlockSize
-		if s.bytes < 0 {
-			s.bytes = 0
-		}
-		s.signalFlushProgress()
-	}
-}
-
-// retryBlock reassigns the current block to another server after a failure
-// and rewrites its bytes.
-func (w *bbWriter) retryBlock(p *sim.Proc) error {
-	b := w.cur
-	for attempt := 0; attempt < maxBlockRetries; attempt++ {
-		w.cleanupTees(p)
-		rewind := b.size
-		b.size = 0
-		rep := w.fs.callMgr(p, w.client, "reassignBlock", b)
-		if rep.Err != nil {
-			return rep.Err
-		}
-		w.curWritten = 0
-		w.itemFill = 0
-		if err := w.reserve(p); err != nil {
+		teeErr := w.settleTees(p)
+		retry := false
+		switch {
+		case b.state == stateDeleted:
+			err = fmt.Errorf("core: %q deleted while written: %w", w.path, dfs.ErrNotFound)
+		case err != nil || !w.intact():
+			if retry = tries < maxBlockRetries; !retry {
+				b.move(stateLost)
+				err = fmt.Errorf("core: block %d failed %d servers", b.id, maxBlockRetries)
+			}
+		case teeErr != nil:
+			b.move(stateLost)
+			err = fmt.Errorf("core: sync flush failed: %w", teeErr)
+		default:
+			if w.plan.writeThrough {
+				b.move(stateClean)
+			} else {
+				b.move(stateDirty)
+				b.primary().enqueueDirty(b, false)
+			}
+			err = w.fs.callMgr(p, w.client, "commitBlock", &mgrCommitReq{path: w.path, block: b}).Err
+			b.releaseOpen()
+			w.cur = nil
 			return err
 		}
-		w.startTees(p)
-		if rewind > 0 {
-			if err := w.streamBytes(p, rewind); err != nil {
-				continue
-			}
-			w.curWritten = rewind
+		b.dropHolds()
+		if b.lustrePath != "" && b.state != stateDeleted {
+			w.fs.discardObject(p, w.client, b.lustrePath)
+			b.lustrePath = ""
 		}
-		return nil
+		if !retry {
+			if b.open { // unless no attempt was ever admitted
+				b.releaseOpen()
+			}
+			w.cur = nil
+			return err
+		}
+		if err = w.fs.callMgr(p, w.client, "reassignBlock", b).Err; err == nil {
+			err = w.begin(p, rewind)
+		}
+		if err == nil && !finishing {
+			return nil
+		}
 	}
-	return fmt.Errorf("core: block %d failed %d servers", b.id, maxBlockRetries)
 }
 
-// finishBlock seals the current block: flushes the partial item, settles
-// the planned side channels, registers occupancy, marks a written-through
-// block clean or queues the block for the flushers, and commits metadata.
-func (w *bbWriter) finishBlock(p *sim.Proc) error {
-	fs := w.fs
-	b := w.cur
-	if w.itemFill > 0 {
-		if err := w.issueItem(p); err != nil {
-			if err2 := w.retryBlock(p); err2 != nil {
-				return err2
-			}
-			return w.finishBlock(p)
+// intact reports whether the attempt still holds space on each of its
+// servers and none of them crashed.
+func (w *bbWriter) intact() bool {
+	for _, s := range w.cur.srvs {
+		if _, held := s.holders[w.cur]; !held || s.phys.failed {
+			return false
 		}
 	}
-	// Swap the block-size reservation for the actual footprint and
-	// register residency on each holder; a smaller-than-block tail frees
-	// space, so wake any stalled reservers.
+	return true
+}
+
+// seal swaps each server's block-size reservation for the block's actual
+// footprint; a smaller tail frees space, so it wakes stalled reservers.
+func (w *bbWriter) seal() {
+	b := w.cur
 	for _, s := range b.srvs {
-		s.bytes -= fs.cfg.BlockSize // admitted() adds the real size back
-		s.admitted(b)
-		if b.size < fs.cfg.BlockSize {
+		b.releaseShare(s)
+		b.takeShare(s, b.size)
+		if b.size < w.fs.cfg.BlockSize {
 			s.signalFlushProgress()
 		}
 	}
-	if w.localTee != nil {
-		_ = w.localTee.finish(p)
-	}
-	if w.plan.writeThrough {
-		if err := w.lustreTee.finish(p); err != nil {
-			return fmt.Errorf("core: sync flush failed: %w", err)
+}
+
+// settleTees closes the attempt's side channels, local first, and waits
+// for them, returning the write-through channel's error.
+func (w *bbWriter) settleTees(p *sim.Proc) (err error) {
+	for _, t := range [...]*blockTee{w.localTee, w.lustreTee} {
+		if t != nil {
+			t.in.Close()
+			t.done.Wait(p)
+			err = t.err
 		}
 	}
-	if b.state == stateDeleted {
-		return fmt.Errorf("core: %q deleted while written: %w", w.path, dfs.ErrNotFound)
-	}
-	if w.plan.writeThrough {
-		b.move(stateClean)
-	} else {
-		b.primary().enqueueDirty(b, false)
-	}
-	if rep := fs.callMgr(p, w.client, "commitBlock", &mgrCommitReq{path: w.path, block: b}); rep.Err != nil {
-		return rep.Err
-	}
-	fs.openBlocks--
-	w.cur = nil
 	w.lustreTee, w.localTee = nil, nil
-	return nil
+	return err
 }
 
 // Close implements dfs.Writer.
@@ -392,7 +343,7 @@ func (w *bbWriter) Close(p *sim.Proc) error {
 	}
 	w.closed = true
 	if w.cur != nil {
-		if err := w.finishBlock(p); err != nil {
+		if err := w.endAttempt(p, nil); err != nil {
 			return err
 		}
 	}
