@@ -20,6 +20,7 @@ var censusStructs = []string{
 	"hbb.Options",
 	"hbb.SwarmOptions",
 	"hbb/internal/core.Config",
+	"hbb/internal/dfs.ServiceConfig",
 	"hbb/internal/hdfs.Config",
 	"hbb/internal/lustre.Config",
 	"hbb/internal/cluster.FleetConfig",

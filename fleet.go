@@ -387,7 +387,7 @@ func (fb *FleetBed) Stress(opsPerNode int) FleetResult {
 				switch op % 4 {
 				case 0: // HDFS pipeline: neighbor hop, then cross-rack hop
 					mid := rack*per + (slot+1)%per
-					dstRack := (rack + 1 + (node+op)%maxInt(racks-1, 1)) % racks
+					dstRack := (rack + 1 + (node+op)%max(racks-1, 1)) % racks
 					dst := dstRack*per + (slot+op)%per
 					xfer(p, rack, node, mid, 4<<20)
 					// The relay leaves from mid, which shares the source
@@ -413,11 +413,4 @@ func (fb *FleetBed) Stress(opsPerNode int) FleetResult {
 		})
 	}
 	return fb.runTraffic(fh, nodes*opsPerNode)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -996,25 +996,6 @@ func TestReaderDiscardAcrossFallback(t *testing.T) {
 	})
 }
 
-func TestServerHandleUnknownOp(t *testing.T) {
-	rig := newRig(2, testCfg("bb-async"))
-	rig.run(t, func(p *sim.Proc) {
-		s := rig.fs.Servers()[0]
-		rep := rig.fs.net.Call(p, &netsim.Msg{
-			From: 0, To: s.phys.node, Service: "bb", Op: "bogus", Size: 8,
-		})
-		if rep.Err == nil {
-			t.Error("unknown op accepted")
-		}
-		rep = rig.fs.net.Call(p, &netsim.Msg{
-			From: 0, To: s.phys.node, Service: "bb", Op: "delete", Size: 8, Payload: "missing",
-		})
-		if rep.Err == nil {
-			t.Error("delete of missing key succeeded")
-		}
-	})
-}
-
 func TestPrestageWarmsReads(t *testing.T) {
 	cfg := testCfg("bb-async")
 	rig := newRig(2, cfg)

@@ -13,9 +13,6 @@ import (
 	"hbb/internal/storage"
 )
 
-// mgrService is the fabric service name of the metadata manager.
-const mgrService = "bb.mgr"
-
 // lustreDir is where flushed blocks live on the backing parallel FS.
 const lustreDir = "/.bb"
 
@@ -120,6 +117,7 @@ type BurstFS struct {
 	net     *netsim.Network
 	backing *lustre.Lustre
 	MgrNode netsim.NodeID
+	mgr     *dfs.Service
 	// phys holds the physical buffer-server nodes; instances hold shares
 	// of them (BufferServer).
 	phys      []*serverNode
@@ -152,7 +150,9 @@ func New(cl *cluster.Cluster, backing *lustre.Lustre, cfg Config) *BurstFS {
 	for i := 0; i < cfg.Servers; i++ {
 		fs.phys = append(fs.phys, newServerNode(fs, i))
 	}
-	fs.net.Register(fs.MgrNode, mgrService, fs.handleMgr)
+	fs.mgr = dfs.NewService(fs.net, dfs.ServiceConfig{
+		Name: "bb.mgr", Node: fs.MgrNode, ReqSize: 192, OpLatency: mdOpLatency,
+	})
 	def, err := fs.NewInstance(InstanceSpec{Name: DefaultInstanceName})
 	if err != nil {
 		panic(err)
@@ -259,137 +259,6 @@ func (fs *BurstFS) blockLustrePath(b *bbBlock) string {
 func (fs *BurstFS) runLustrePath() string {
 	fs.nextRun++
 	return fmt.Sprintf("%s/run-%d", lustreDir, fs.nextRun)
-}
-
-// manager RPC payloads. Path-typed requests carry the owning instance so
-// one manager serves every instance's namespace tree.
-type mgrPathReq struct {
-	inst *Instance
-	path string
-}
-type mgrAddBlockReq struct {
-	inst   *Instance
-	path   string
-	client netsim.NodeID
-}
-type mgrCommitReq struct {
-	path  string
-	block *bbBlock
-}
-type mgrImportReq struct {
-	inst     *Instance
-	src, dst string
-	size     int64
-}
-
-// handleMgr serves the metadata manager.
-func (fs *BurstFS) handleMgr(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-	p.Sleep(mdOpLatency)
-	switch m.Op {
-	case "create":
-		req := m.Payload.(*mgrPathReq)
-		_, err := req.inst.tree.CreateFile(req.path)
-		return netsim.Reply{Size: 64, Err: err}
-	case "mkdir":
-		req := m.Payload.(*mgrPathReq)
-		return netsim.Reply{Size: 64, Err: req.inst.tree.MkdirAll(req.path)}
-	case "addBlock":
-		req := m.Payload.(*mgrAddBlockReq)
-		inst := req.inst
-		f, err := inst.tree.GetFile(req.path)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		if !f.UnderConstruction {
-			return netsim.Reply{Size: 64, Err: fmt.Errorf("%w: %q", dfs.ErrReadOnly, req.path)}
-		}
-		b := fs.newBlock(inst, f, stateOpen)
-		srvs, err := inst.pickServers(b.key)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		b.srvs = srvs
-		filePayload(f).blocks = append(filePayload(f).blocks, b)
-		return netsim.Reply{Size: 96, Payload: b}
-	case "reassignBlock":
-		// The block's server died mid-write: drop it from the old server's
-		// view and pick the next live one on the ring.
-		b := m.Payload.(*bbBlock)
-		srvs, err := b.inst.pickServers(b.key)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		b.srvs = srvs
-		b.attempt++
-		b.inst.stats.BlockRetries++
-		return netsim.Reply{Size: 96, Payload: b}
-	case "commitBlock":
-		req := m.Payload.(*mgrCommitReq)
-		f, err := req.block.inst.tree.GetFile(req.path)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		f.Size += req.block.size
-		return netsim.Reply{Size: 64}
-	case "complete":
-		req := m.Payload.(*mgrPathReq)
-		f, err := req.inst.tree.GetFile(req.path)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		f.UnderConstruction = false
-		return netsim.Reply{Size: 64}
-	case "getBlocks":
-		req := m.Payload.(*mgrPathReq)
-		f, err := req.inst.tree.GetFile(req.path)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		if f.UnderConstruction {
-			return netsim.Reply{Size: 64, Err: fmt.Errorf("%w: %q", dfs.ErrReadOnly, f.Path)}
-		}
-		blocks := filePayload(f).blocks
-		return netsim.Reply{Size: 64 + int64(len(blocks))*48, Payload: blocks}
-	case "stat":
-		req := m.Payload.(*mgrPathReq)
-		fi, err := req.inst.tree.Stat(req.path)
-		return netsim.Reply{Size: 128, Payload: fi, Err: err}
-	case "list":
-		req := m.Payload.(*mgrPathReq)
-		fis, err := req.inst.tree.List(req.path)
-		return netsim.Reply{Size: 64 + int64(len(fis))*64, Payload: fis, Err: err}
-	case "delete":
-		req := m.Payload.(*mgrPathReq)
-		f, err := req.inst.tree.Remove(req.path)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		if f != nil && f.Data != nil {
-			fs.deleteBlocks(p, filePayload(f).blocks)
-		}
-		return netsim.Reply{Size: 64}
-	case "importFile":
-		// Stage-in metadata: register an existing Lustre object as a
-		// buffer file whose blocks are evicted byte ranges of it. Prestage
-		// (or plain reads) then pull the bytes through the normal paths.
-		req := m.Payload.(*mgrImportReq)
-		inst := req.inst
-		f, err := inst.tree.CreateFile(req.dst)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		for off := int64(0); off < req.size; off += inst.cfg.BlockSize {
-			b := fs.newBlock(inst, f, stateEvicted)
-			b.size = min(inst.cfg.BlockSize, req.size-off)
-			b.lustrePath, b.lustreOff, b.imported = req.src, off, true
-			filePayload(f).blocks = append(filePayload(f).blocks, b)
-			f.Size += b.size
-		}
-		f.UnderConstruction = false
-		return netsim.Reply{Size: 64}
-	default:
-		return netsim.Reply{Err: fmt.Errorf("core: unknown mgr op %q", m.Op)}
-	}
 }
 
 // newBlock numbers the next block of file f, born in state.

@@ -40,7 +40,7 @@ type Instance struct {
 	cl      *cluster.Cluster
 	net     *netsim.Network
 	backing *lustre.Lustre
-	MgrNode netsim.NodeID
+	mgr     *dfs.Service
 
 	tree      *dfs.Tree
 	servers   []*BufferServer
@@ -133,7 +133,7 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 		cl:        fs.cl,
 		net:       fs.net,
 		backing:   fs.backing,
-		MgrNode:   fs.MgrNode,
+		mgr:       fs.mgr,
 		tree:      dfs.NewTree(),
 		ring:      hashring.New(0),
 		srvByName: make(map[string]*BufferServer),
@@ -223,8 +223,10 @@ func (inst *Instance) BufferedBytes() int64 {
 
 // Release tears the instance down and returns its bricks to the pool:
 // flushers are stopped, every block holding space on a share has its
-// items deleted from the shared engines and its hold released, and the
-// instance stops accepting operations. Dirty data is NOT drained here —
+// items deleted from the shared engines and its hold released, every
+// node-local replica is freed, and the instance stops accepting
+// operations. A block still being written keeps its holds for its
+// writer's exit. Dirty data is NOT drained here —
 // call DrainFlushers first (the orchestrator's stage-out does) or accept
 // the loss, which counts in Stats.BlocksLost. Releasing the default
 // instance or releasing twice panics: both are orchestration bugs.
@@ -256,6 +258,13 @@ func (inst *Instance) Release() {
 			s.phys.bricksUsed -= int(s.limit / inst.pool.cfg.BrickSize)
 		}
 	}
+	inst.tree.Walk(func(f *dfs.TreeFile) {
+		for _, b := range filePayload(f).blocks {
+			if b.localDev != nil && b.state != stateOpen {
+				b.releaseLocal()
+			}
+		}
+	})
 	keep := inst.pool.instances[:0]
 	for _, in := range inst.pool.instances {
 		if in != inst {
@@ -263,20 +272,6 @@ func (inst *Instance) Release() {
 		}
 	}
 	inst.pool.instances = keep
-}
-
-// callMgr issues one metadata RPC against the pool manager on behalf of
-// this instance; path-typed ops carry the instance so the manager resolves
-// the right namespace tree.
-func (inst *Instance) callMgr(p *sim.Proc, from netsim.NodeID, op string, payload any) netsim.Reply {
-	return inst.net.Call(p, &netsim.Msg{
-		From: from, To: inst.MgrNode, Service: mgrService, Op: op,
-		Size: 192, Payload: payload,
-	})
-}
-
-func (inst *Instance) pathReq(path string) *mgrPathReq {
-	return &mgrPathReq{inst: inst, path: path}
 }
 
 // pickServers maps a block key to its replica set of live shares.
@@ -310,41 +305,55 @@ func itemKey(block string, i int64) string {
 
 // Mkdir implements dfs.FileSystem.
 func (inst *Instance) Mkdir(p *sim.Proc, client netsim.NodeID, path string) error {
-	return inst.callMgr(p, client, "mkdir", inst.pathReq(path)).Err
+	return inst.mgr.Mkdir(p, client, inst.tree, path)
 }
 
 // Stat implements dfs.FileSystem.
 func (inst *Instance) Stat(p *sim.Proc, client netsim.NodeID, path string) (dfs.FileInfo, error) {
-	rep := inst.callMgr(p, client, "stat", inst.pathReq(path))
-	if rep.Err != nil {
-		return dfs.FileInfo{}, rep.Err
-	}
-	return rep.Payload.(dfs.FileInfo), nil
+	return inst.mgr.Stat(p, client, inst.tree, path)
 }
 
 // List implements dfs.FileSystem.
 func (inst *Instance) List(p *sim.Proc, client netsim.NodeID, dir string) ([]dfs.FileInfo, error) {
-	rep := inst.callMgr(p, client, "list", inst.pathReq(dir))
-	if rep.Err != nil {
-		return nil, rep.Err
-	}
-	return rep.Payload.([]dfs.FileInfo), nil
+	return inst.mgr.List(p, client, inst.tree, dir)
 }
 
 // Delete implements dfs.FileSystem.
 func (inst *Instance) Delete(p *sim.Proc, client netsim.NodeID, path string) error {
-	return inst.callMgr(p, client, "delete", inst.pathReq(path)).Err
+	return inst.mgr.Call(p, client, func(q *sim.Proc) (int64, error) {
+		f, err := inst.tree.Remove(path)
+		if err == nil && f != nil && f.Data != nil {
+			inst.pool.deleteBlocks(q, filePayload(f).blocks)
+		}
+		return 64, err
+	})
+}
+
+// getBlocks asks the manager for a sealed file's blocks in order.
+func (inst *Instance) getBlocks(p *sim.Proc, client netsim.NodeID, path string) ([]*bbBlock, error) {
+	var blocks []*bbBlock
+	err := inst.mgr.Call(p, client, func(*sim.Proc) (int64, error) {
+		f, err := inst.tree.GetFile(path)
+		if err != nil {
+			return 64, err
+		}
+		if f.UnderConstruction {
+			return 64, fmt.Errorf("%w: %q", dfs.ErrReadOnly, f.Path)
+		}
+		blocks = filePayload(f).blocks
+		return 64 + 48*int64(len(blocks)), nil
+	})
+	return blocks, err
 }
 
 // BlockLocations implements dfs.FileSystem: only bb-locality blocks
 // yield node-local hosts (their local replicas); buffered and Lustre data
 // is equally remote from every compute node.
 func (inst *Instance) BlockLocations(p *sim.Proc, client netsim.NodeID, path string) ([]dfs.BlockLocation, error) {
-	rep := inst.callMgr(p, client, "getBlocks", inst.pathReq(path))
-	if rep.Err != nil {
-		return nil, rep.Err
+	blocks, err := inst.getBlocks(p, client, path)
+	if err != nil {
+		return nil, err
 	}
-	blocks := rep.Payload.([]*bbBlock)
 	out := make([]dfs.BlockLocation, len(blocks))
 	var off int64
 	for i, b := range blocks {
@@ -378,9 +387,10 @@ func (inst *Instance) DrainFlushers(p *sim.Proc) {
 }
 
 // StageInFile imports an existing Lustre file into the instance namespace
-// and pulls its blocks into the buffer (burst-buffer stage-in): the file
-// appears at dst backed block-by-block by byte ranges of the Lustre
-// object, and Prestage then fetches every block its share has room for.
+// and pulls its blocks into the buffer (burst-buffer stage-in): the
+// manager registers the file at dst backed block-by-block by evicted byte
+// ranges of the Lustre object, and Prestage then fetches every block its
+// share has room for.
 // It returns the number of blocks staged into the buffer; blocks that did
 // not fit stay Lustre-backed and readable.
 func (inst *Instance) StageInFile(p *sim.Proc, client netsim.NodeID, src, dst string) (int, error) {
@@ -388,11 +398,23 @@ func (inst *Instance) StageInFile(p *sim.Proc, client netsim.NodeID, src, dst st
 	if err != nil {
 		return 0, err
 	}
-	rep := inst.callMgr(p, client, "importFile", &mgrImportReq{
-		inst: inst, src: src, dst: dst, size: fi.Size,
+	err = inst.mgr.Call(p, client, func(*sim.Proc) (int64, error) {
+		f, err := inst.tree.CreateFile(dst)
+		if err != nil {
+			return 64, err
+		}
+		for off := int64(0); off < fi.Size; off += inst.cfg.BlockSize {
+			b := inst.pool.newBlock(inst, f, stateEvicted)
+			b.size = min(inst.cfg.BlockSize, fi.Size-off)
+			b.lustrePath, b.lustreOff, b.imported = src, off, true
+			filePayload(f).blocks = append(filePayload(f).blocks, b)
+			f.Size += b.size
+		}
+		f.UnderConstruction = false
+		return 64, nil
 	})
-	if rep.Err != nil {
-		return 0, rep.Err
+	if err != nil {
+		return 0, err
 	}
 	return inst.Prestage(p, client, dst)
 }

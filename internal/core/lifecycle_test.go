@@ -317,6 +317,28 @@ func TestDeleteWhileWriting(t *testing.T) {
 	}
 }
 
+// TestReleaseFreesLocalReplicas releases a bb-locality instance whose
+// writes have drained: its node-local replicas go with it.
+func TestReleaseFreesLocalReplicas(t *testing.T) {
+	rig := newRig(2, testCfg("bb-locality"))
+	inst, err := rig.pool.NewInstance(InstanceSpec{Name: "job", BricksPerServer: []int{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.run(t, func(p *sim.Proc) {
+		writeFile(t, p, inst, 0, "/f", 32*mib)
+		inst.DrainFlushers(p)
+		if used := localUsed(rig.c); used != 32*mib {
+			t.Errorf("local replicas hold %d bytes before the release, want %d", used, 32*mib)
+		}
+		inst.Release()
+	})
+	checkBufferLedger(t, rig)
+	if used := localUsed(rig.c); used != 0 {
+		t.Errorf("local storage holds %d bytes of a released instance", used)
+	}
+}
+
 // TestCrashDuringWriteSweep crashes buffer server 0 at every 97 µs of the
 // first 40 ms of a 32 MiB write (413 instants), under every scheme with
 // one and two buffer replicas, then closes the file and lets recovery run

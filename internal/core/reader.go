@@ -10,14 +10,11 @@ import (
 
 // Open implements dfs.FileSystem.
 func (fs *Instance) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Reader, error) {
-	rep := fs.callMgr(p, client, "getBlocks", fs.pathReq(path))
-	if rep.Err != nil {
-		return nil, rep.Err
+	blocks, err := fs.getBlocks(p, client, path)
+	if err != nil {
+		return nil, err
 	}
-	return &bbReader{
-		fs: fs, client: client, path: path,
-		blocks: rep.Payload.([]*bbBlock),
-	}, nil
+	return &bbReader{fs: fs, client: client, path: path, blocks: blocks}, nil
 }
 
 // bbReader streams a file out of the burst buffer, choosing per block the
@@ -395,13 +392,13 @@ func (fs *Instance) maybeReadmit(client netsim.NodeID, b *bbBlock) {
 // under the watermark are skipped rather than stalling. It returns the
 // number of blocks staged.
 func (fs *Instance) Prestage(p *sim.Proc, client netsim.NodeID, path string) (int, error) {
-	rep := fs.callMgr(p, client, "getBlocks", fs.pathReq(path))
-	if rep.Err != nil {
-		return 0, rep.Err
+	blocks, err := fs.getBlocks(p, client, path)
+	if err != nil {
+		return 0, err
 	}
 	staged := 0
 	var wg sim.WaitGroup
-	for _, b := range rep.Payload.([]*bbBlock) {
+	for _, b := range blocks {
 		b := b
 		if b.state != stateEvicted || b.readmitting || b.lustrePath == "" {
 			continue
@@ -454,11 +451,7 @@ func (fs *Instance) stageInBlock(p *sim.Proc, s *BufferServer, b *bbBlock) bool 
 			return false
 		}
 		s.phys.ingest.TransferFlat(p, n)
-		rep := fs.net.Call(p, &netsim.Msg{
-			From: s.phys.node, To: s.phys.node, Service: bbService, Op: "set",
-			Size: 64, Payload: &bbSetReq{key: key, size: n},
-		})
-		if rep.Err != nil {
+		if s.phys.set(p, s.phys.node, key, n) != nil {
 			return false
 		}
 		remaining -= n

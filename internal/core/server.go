@@ -6,23 +6,23 @@ import (
 	"maps"
 	"slices"
 
+	"hbb/internal/dfs"
 	"hbb/internal/memcached"
 	"hbb/internal/netsim"
 	"hbb/internal/sim"
 )
 
-// bbService is the fabric service name of a buffer server.
-const bbService = "bb"
-
 // serverNode is one physical RDMA-Memcached node of the burst-buffer
-// pool: the fabric endpoint, the memcached engine, and the SET-side
-// ingest pipe. Instances hold BufferServer shares of it; the physical
-// resources — and therefore contention between instances — stay here.
+// pool: the fabric endpoint and its control service, the memcached
+// engine, and the SET-side ingest pipe. Instances hold BufferServer
+// shares of it; the physical resources — and therefore contention
+// between instances — stay here.
 type serverNode struct {
 	pool   *BurstFS
 	index  int
 	name   string
 	node   netsim.NodeID
+	svc    *dfs.Service
 	engine *memcached.Engine
 	// ingest models the server's SET-side processing bandwidth; one-sided
 	// GETs bypass it.
@@ -31,7 +31,7 @@ type serverNode struct {
 	// bricksUsed is the capacity already granted to metered instances.
 	bricksUsed int
 
-	setOps, getOps int64
+	setOps int64
 }
 
 func newServerNode(fs *BurstFS, index int) *serverNode {
@@ -47,37 +47,33 @@ func newServerNode(fs *BurstFS, index int) *serverNode {
 		}),
 	}
 	ph.ingest = sim.NewPipe(ph.name+".ingest", serverIngestRate)
-	fs.net.Register(ph.node, bbService, ph.handle)
+	ph.svc = dfs.NewService(fs.net, dfs.ServiceConfig{
+		Name: "bb", Node: ph.node, ReqSize: 64, OpLatency: serverOpLatency,
+	})
 	return ph
 }
 
-// handle serves the control-plane side of buffer operations. Payload
-// transfers are charged separately by the client via RDMA read/write.
-func (ph *serverNode) handle(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-	p.Sleep(serverOpLatency)
-	switch m.Op {
-	case "set":
-		req := m.Payload.(*bbSetReq)
+// set inserts a virtual item of size bytes under key into the engine: the
+// control RPC of a buffer SET, from a client on node from. Payload bytes
+// are charged separately (RDMA write, ingest pipe).
+func (ph *serverNode) set(p *sim.Proc, from netsim.NodeID, key string, size int64) error {
+	return ph.svc.Call(p, from, func(*sim.Proc) (int64, error) {
 		ph.setOps++
-		if _, err := ph.engine.Set(memcached.Item{Key: req.key, Size: int(req.size)}); err != nil {
-			return netsim.Reply{Size: 32, Err: err}
-		}
-		return netsim.Reply{Size: 32}
-	case "get":
-		req := m.Payload.(string)
-		ph.getOps++
-		it, err := ph.engine.Get(req)
-		if err != nil {
-			return netsim.Reply{Size: 32, Err: err}
-		}
-		return netsim.Reply{Size: 32, Payload: int64(it.Size)}
-	case "delete":
-		req := m.Payload.(string)
-		err := ph.engine.Delete(req)
-		return netsim.Reply{Size: 32, Err: err}
-	default:
-		return netsim.Reply{Err: fmt.Errorf("core: unknown bb op %q", m.Op)}
-	}
+		_, err := ph.engine.Set(memcached.Item{Key: key, Size: int(size)})
+		return 32, err
+	})
+}
+
+// get resolves the item under key and returns its size: the control RPC
+// of a buffer GET, before its one-sided RDMA read.
+func (ph *serverNode) get(p *sim.Proc, from netsim.NodeID, key string) (int64, error) {
+	var size int64
+	err := ph.svc.Call(p, from, func(*sim.Proc) (int64, error) {
+		it, err := ph.engine.Get(key)
+		size = int64(it.Size)
+		return 32, err
+	})
+	return size, err
 }
 
 // BufferServer is one instance's share of a physical buffer server: its
@@ -158,11 +154,6 @@ func (s *BufferServer) requeueDirty(p *sim.Proc, b *bbBlock) {
 // index is authoritative.
 func (s *BufferServer) dirtyBacklog() int { return len(s.sched.pending) }
 
-type bbSetReq struct {
-	key  string
-	size int64
-}
-
 // setChunk stores one chunk: the payload moves via one-sided RDMA write,
 // then a small control RPC inserts the virtual item.
 func (s *BufferServer) setChunk(p *sim.Proc, client netsim.NodeID, key string, size int64) error {
@@ -170,24 +161,16 @@ func (s *BufferServer) setChunk(p *sim.Proc, client netsim.NodeID, key string, s
 		return err
 	}
 	s.phys.ingest.TransferFlat(p, size)
-	rep := s.fs.net.Call(p, &netsim.Msg{
-		From: client, To: s.phys.node, Service: bbService, Op: "set",
-		Size: 64, Payload: &bbSetReq{key: key, size: size},
-	})
-	return rep.Err
+	return s.phys.set(p, client, key, size)
 }
 
 // getChunk fetches one chunk: a small control RPC resolves the item, then
 // the payload moves via one-sided RDMA read.
 func (s *BufferServer) getChunk(p *sim.Proc, client netsim.NodeID, key string) (int64, error) {
-	rep := s.fs.net.Call(p, &netsim.Msg{
-		From: client, To: s.phys.node, Service: bbService, Op: "get",
-		Size: 64, Payload: key,
-	})
-	if rep.Err != nil {
-		return 0, rep.Err
+	size, err := s.phys.get(p, client, key)
+	if err != nil {
+		return 0, err
 	}
-	size := rep.Payload.(int64)
 	if err := s.fs.net.RDMAReadFlow(p, client, s.phys.node, size); err != nil {
 		return 0, err
 	}

@@ -14,8 +14,12 @@ const maxBlockRetries = 3
 
 // Create implements dfs.FileSystem.
 func (fs *Instance) Create(p *sim.Proc, client netsim.NodeID, path string) (dfs.Writer, error) {
-	if rep := fs.callMgr(p, client, "create", fs.pathReq(path)); rep.Err != nil {
-		return nil, rep.Err
+	err := fs.mgr.Call(p, client, func(*sim.Proc) (int64, error) {
+		_, err := fs.tree.CreateFile(path)
+		return 64, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &bbWriter{fs: fs, client: client, path: path}, nil
 }
@@ -155,12 +159,9 @@ func (w *bbWriter) Write(p *sim.Proc, n int64) error {
 	for n > 0 {
 		var err error
 		if w.cur == nil {
-			// The block is born open: its writer's until endAttempt.
-			rep := w.fs.callMgr(p, w.client, "addBlock", &mgrAddBlockReq{inst: w.fs, path: w.path, client: w.client})
-			if rep.Err != nil {
-				return rep.Err
+			if err := w.addBlock(p); err != nil {
+				return err
 			}
-			w.cur = rep.Payload.(*bbBlock)
 			err = w.begin(p, 0)
 		}
 		if err == nil {
@@ -176,6 +177,32 @@ func (w *bbWriter) Write(p *sim.Proc, n int64) error {
 		}
 	}
 	return nil
+}
+
+// addBlock has the manager append a block to the file, born open (its
+// writer's until endAttempt) and placed on the ring's live servers.
+func (w *bbWriter) addBlock(p *sim.Proc) error {
+	inst := w.fs
+	var b *bbBlock
+	err := inst.mgr.Call(p, w.client, func(*sim.Proc) (int64, error) {
+		f, err := inst.tree.GetFile(w.path)
+		if err != nil {
+			return 64, err
+		}
+		if !f.UnderConstruction {
+			return 64, fmt.Errorf("%w: %q", dfs.ErrReadOnly, w.path)
+		}
+		b = inst.pool.newBlock(inst, f, stateOpen)
+		if b.srvs, err = inst.pickServers(b.key); err != nil {
+			return 64, err
+		}
+		filePayload(f).blocks = append(filePayload(f).blocks, b)
+		return 96, nil
+	})
+	if err == nil {
+		w.cur = b
+	}
+	return err
 }
 
 // streamBytes pushes m bytes of the current block into the buffer (every
@@ -217,14 +244,10 @@ func (w *bbWriter) streamBytes(p *sim.Proc, m int64) error {
 func (w *bbWriter) issueItem(p *sim.Proc) error {
 	b := w.cur
 	idx := (b.size - 1) / w.fs.cfg.ItemChunk
-	key := itemKey(b.key, idx)
+	key, size := itemKey(b.key, idx), b.size-idx*w.fs.cfg.ItemChunk
 	for _, s := range b.srvs {
-		rep := w.fs.net.Call(p, &netsim.Msg{
-			From: w.client, To: s.phys.node, Service: bbService, Op: "set",
-			Size: 64, Payload: &bbSetReq{key: key, size: b.size - idx*w.fs.cfg.ItemChunk},
-		})
-		if rep.Err != nil {
-			return rep.Err
+		if err := s.phys.set(p, w.client, key, size); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -272,7 +295,13 @@ func (w *bbWriter) endAttempt(p *sim.Proc, err error) error {
 				b.move(stateDirty)
 				b.primary().enqueueDirty(b, false)
 			}
-			err = w.fs.callMgr(p, w.client, "commitBlock", &mgrCommitReq{path: w.path, block: b}).Err
+			err = w.fs.mgr.Call(p, w.client, func(*sim.Proc) (int64, error) {
+				f, err := w.fs.tree.GetFile(w.path)
+				if err == nil {
+					f.Size += b.size
+				}
+				return 64, err
+			})
 			b.releaseOpen()
 			w.cur = nil
 			return err
@@ -289,13 +318,27 @@ func (w *bbWriter) endAttempt(p *sim.Proc, err error) error {
 			w.cur = nil
 			return err
 		}
-		if err = w.fs.callMgr(p, w.client, "reassignBlock", b).Err; err == nil {
+		if err = w.reassign(p); err == nil {
 			err = w.begin(p, rewind)
 		}
 		if err == nil && !finishing {
 			return nil
 		}
 	}
+}
+
+// reassign has the manager move the current block to the ring's next
+// live servers after one of its servers died mid-write.
+func (w *bbWriter) reassign(p *sim.Proc) error {
+	b := w.cur
+	return w.fs.mgr.Call(p, w.client, func(*sim.Proc) (n int64, err error) {
+		if b.srvs, err = b.inst.pickServers(b.key); err != nil {
+			return 64, err
+		}
+		b.attempt++
+		b.inst.stats.BlockRetries++
+		return 96, nil
+	})
 }
 
 // intact reports whether the attempt still holds space on each of its
@@ -347,5 +390,11 @@ func (w *bbWriter) Close(p *sim.Proc) error {
 			return err
 		}
 	}
-	return w.fs.callMgr(p, w.client, "complete", w.fs.pathReq(w.path)).Err
+	return w.fs.mgr.Call(p, w.client, func(*sim.Proc) (int64, error) {
+		f, err := w.fs.tree.GetFile(w.path)
+		if err == nil {
+			f.UnderConstruction = false
+		}
+		return 64, err
+	})
 }

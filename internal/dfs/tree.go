@@ -185,6 +185,25 @@ func (t *Tree) List(p string) ([]FileInfo, error) {
 	return out, nil
 }
 
+// Walk calls fn on every file record in the tree, in path order.
+func (t *Tree) Walk(fn func(*TreeFile)) {
+	var walk func(e *treeEntry)
+	walk = func(e *treeEntry) {
+		if e.file != nil {
+			fn(e.file)
+		}
+		names := make([]string, 0, len(e.children))
+		for n := range e.children {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			walk(e.children[n])
+		}
+	}
+	walk(t.root)
+}
+
 // Stat returns file info for a path.
 func (t *Tree) Stat(p string) (FileInfo, error) {
 	e, err := t.lookup(p)

@@ -14,8 +14,9 @@ const maxBlockRetries = 3
 
 // Create implements dfs.FileSystem.
 func (h *HDFS) Create(p *sim.Proc, client netsim.NodeID, path string) (dfs.Writer, error) {
-	if rep := h.callNN(p, client, "create", path); rep.Err != nil {
-		return nil, rep.Err
+	err := h.nn.Call(p, client, func(*sim.Proc) (int64, error) { return 64, h.nsys.CreateFile(path) })
+	if err != nil {
+		return nil, err
 	}
 	return &hdfsWriter{fs: h, client: client, path: path}, nil
 }
@@ -47,22 +48,23 @@ type writePipeline struct {
 // with failed targets excluded.
 func (w *hdfsWriter) openPipeline(p *sim.Proc) error {
 	for attempt := 0; attempt < maxBlockRetries; attempt++ {
-		rep := w.fs.callNN(p, w.client, "addBlock", &nnAddBlockReq{
-			path: w.path, writer: w.client, exclude: w.exclude,
+		pl := &writePipeline{}
+		err := w.fs.nn.Call(p, w.client, func(*sim.Proc) (n int64, err error) {
+			pl.id, pl.targets, err = w.fs.nsys.AddBlock(w.path, w.client, w.exclude)
+			return 64 + 16*int64(len(pl.targets)), err
 		})
-		if rep.Err != nil {
-			return rep.Err
+		if err != nil {
+			return err
 		}
-		resp := rep.Payload.(*nnAddBlockResp)
 		// Build the chain tail-first so each stage knows its downstream.
-		recvs := make([]*blockRecv, len(resp.targets))
+		recvs := make([]*blockRecv, len(pl.targets))
 		okAll := true
 		var next *blockRecv
-		for i := len(resp.targets) - 1; i >= 0; i-- {
-			dn := w.fs.dns[resp.targets[i]]
+		for i := len(pl.targets) - 1; i >= 0; i-- {
+			dn := w.fs.dns[pl.targets[i]]
 			var r *blockRecv
 			if dn != nil {
-				r = dn.receiveBlock(resp.id, next)
+				r = dn.receiveBlock(pl.id, next)
 			}
 			if r == nil {
 				okAll = false
@@ -72,9 +74,9 @@ func (w *hdfsWriter) openPipeline(p *sim.Proc) error {
 			next = r
 		}
 		if okAll {
-			pl := &writePipeline{id: resp.id, targets: resp.targets, recvs: recvs}
-			if w.client != resp.targets[0] {
-				fl, err := w.fs.net.StartFlow(w.client, resp.targets[0], netsim.Legacy)
+			pl.recvs = recvs
+			if w.client != pl.targets[0] {
+				fl, err := w.fs.net.StartFlow(w.client, pl.targets[0], netsim.Legacy)
 				if err != nil {
 					okAll = false // first hop died under us: retry below
 				} else {
@@ -94,13 +96,21 @@ func (w *hdfsWriter) openPipeline(p *sim.Proc) error {
 				r.abort()
 			}
 		}
-		w.fs.callNN(p, w.client, "abandonBlock", &nnAbandonReq{
-			path: w.path, id: resp.id, targets: resp.targets,
-		})
-		w.exclude = append(w.exclude, resp.targets...)
+		w.abandon(p, pl)
+		w.exclude = append(w.exclude, pl.targets...)
 		w.fs.stats.PipelineRetries++
 	}
 	return fmt.Errorf("%w: could not establish pipeline for %q", dfs.ErrNoSpace, w.path)
+}
+
+// abandon tells the NameNode a pipeline's block will not be written: the
+// block leaves the file and its targets' scheduled space is returned.
+func (w *hdfsWriter) abandon(p *sim.Proc, pl *writePipeline) {
+	w.fs.nn.Call(p, w.client, func(*sim.Proc) (int64, error) {
+		w.fs.nsys.AbandonBlock(w.path, pl.id)
+		w.fs.nsys.UnscheduleBlock(pl.targets)
+		return 64, nil
+	})
 }
 
 // Write implements dfs.Writer: it streams n logical bytes, opening blocks
@@ -117,7 +127,7 @@ func (w *hdfsWriter) Write(p *sim.Proc, n int64) error {
 			}
 		}
 		room := w.fs.cfg.BlockSize - w.blockWritten
-		m := min64(n, room)
+		m := min(n, room)
 		if err := w.streamBytes(p, m); err != nil {
 			// First-hop failure: abandon and rewrite this block elsewhere.
 			if err2 := w.recoverBlock(p); err2 != nil {
@@ -142,7 +152,7 @@ func (w *hdfsWriter) streamBytes(p *sim.Proc, m int64) error {
 	first := w.pl.targets[0]
 	seg := w.fs.cfg.flowSegment()
 	for m > 0 {
-		n := min64(m, seg)
+		n := min(m, seg)
 		if w.pl.flow != nil {
 			if err := w.pl.flow.Write(p, n+packetHeader); err != nil {
 				return err
@@ -177,7 +187,7 @@ func (w *hdfsWriter) recoverBlock(p *sim.Proc) error {
 			dn.dropBlock(pl.id)
 		}
 	}
-	w.fs.callNN(p, w.client, "abandonBlock", &nnAbandonReq{path: w.path, id: pl.id, targets: pl.targets})
+	w.abandon(p, pl)
 	w.exclude = append(w.exclude, pl.targets[0])
 	w.fs.stats.PipelineRetries++
 	// Rewind: the whole block must be rewritten by the caller.
@@ -223,9 +233,12 @@ func (w *hdfsWriter) finishBlock(p *sim.Proc) error {
 	if acked == 0 {
 		return fmt.Errorf("%w: no replica of block %d survived", dfs.ErrCorrupt, pl.id)
 	}
-	rep := w.fs.callNN(p, w.client, "commitBlock", &nnCommitReq{path: w.path, id: pl.id, size: w.blockWritten})
-	if rep.Err != nil {
-		return rep.Err
+	size := w.blockWritten
+	err := w.fs.nn.Call(p, w.client, func(*sim.Proc) (int64, error) {
+		return 64, w.fs.nsys.CommitBlock(w.path, pl.id, size)
+	})
+	if err != nil {
+		return err
 	}
 	w.fs.stats.BlocksWritten++
 	w.total += w.blockWritten
@@ -253,10 +266,10 @@ func (w *hdfsWriter) Close(p *sim.Proc) error {
 		for _, r := range w.pl.recvs {
 			r.done.Wait(p)
 		}
-		w.fs.callNN(p, w.client, "abandonBlock", &nnAbandonReq{path: w.path, id: w.pl.id, targets: w.pl.targets})
+		w.abandon(p, w.pl)
 		w.pl = nil
 	}
-	return w.fs.callNN(p, w.client, "complete", w.path).Err
+	return w.fs.nn.Call(p, w.client, func(*sim.Proc) (int64, error) { return 64, w.fs.nsys.CompleteFile(w.path) })
 }
 
 // Open implements dfs.FileSystem.
@@ -354,7 +367,7 @@ func (r *hdfsReader) Read(p *sim.Proc, n int64) (int64, error) {
 			}
 			r.pending += pkt.bytes
 		}
-		take := min64(n-consumed, r.pending)
+		take := min(n-consumed, r.pending)
 		r.pending -= take
 		r.consumedBlk += take
 		consumed += take
@@ -379,7 +392,7 @@ func (r *hdfsReader) discard(p *sim.Proc, n int64) error {
 			}
 			r.pending += pkt.bytes
 		}
-		take := min64(n, r.pending)
+		take := min(n, r.pending)
 		r.pending -= take
 		n -= take
 	}

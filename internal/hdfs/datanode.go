@@ -108,7 +108,11 @@ func (dn *DataNode) heartbeatLoop(p *sim.Proc) {
 		if dn.failed {
 			return
 		}
-		dn.fs.callNN(p, dn.id, "heartbeat", &nnHeartbeatReq{dn: dn.id, used: dn.used})
+		used := dn.used // as sent: writes go on while the request travels
+		dn.fs.nn.Call(p, dn.id, func(q *sim.Proc) (int64, error) {
+			dn.fs.nsys.Heartbeat(dn.id, used, q.Now())
+			return 64, nil
+		})
 	}
 }
 
@@ -219,9 +223,18 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 		dev.Dealloc(dn.fs.cfg.BlockSize - r.size)
 		dn.addBlock(blk, r.size, dev)
 		r.ok = true
-		dn.fs.callNN(p, dn.id, "blockReceived", &nnBlockReceivedReq{dn: dn.id, id: blk, size: r.size})
+		dn.reportBlock(p, blk, r.size)
 	})
 	return r
+}
+
+// reportBlock tells the NameNode this datanode now holds a replica of
+// block id of the given size.
+func (dn *DataNode) reportBlock(p *sim.Proc, id BlockID, size int64) {
+	dn.fs.nn.Call(p, dn.id, func(*sim.Proc) (int64, error) {
+		dn.fs.nsys.BlockReceived(dn.id, id, size)
+		return 64, nil
+	})
 }
 
 // abort tears down an in-progress receive from the client side.
@@ -256,7 +269,7 @@ func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Stor
 				out.PutWait(p, packet{err: true})
 				return
 			}
-			n := min64(remaining, seg)
+			n := min(remaining, seg)
 			b.dev.ReadFlat(p, n)
 			if fl != nil {
 				if err := fl.Write(p, n+packetHeader); err != nil {

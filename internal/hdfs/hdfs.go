@@ -15,9 +15,6 @@ import (
 	"hbb/internal/sim"
 )
 
-// nnService is the fabric service name of the NameNode.
-const nnService = "hdfs.nn"
-
 // Stats aggregates data-plane traffic for the file system.
 type Stats struct {
 	BytesWritten    int64
@@ -35,6 +32,7 @@ type HDFS struct {
 	cl     *cluster.Cluster
 	net    *netsim.Network
 	NNNode netsim.NodeID
+	nn     *dfs.Service
 	nsys   *Namesystem
 	dns    map[netsim.NodeID]*DataNode
 	stop   *sim.Event
@@ -62,7 +60,12 @@ func New(cl *cluster.Cluster, cfg Config) (*HDFS, error) {
 		stop:   &sim.Event{},
 	}
 	h.nsys = NewNamesystem(cfg, cl.Env.Rand())
-	h.net.Register(h.NNNode, nnService, h.handleNN)
+	// The NameNode speaks the legacy socket transport, as stock Hadoop's
+	// RPC does.
+	h.nn = dfs.NewService(h.net, dfs.ServiceConfig{
+		Name: "hdfs.nn", Node: h.NNNode, ReqSize: 256,
+		Transport: netsim.Legacy, OpLatency: nnOpLatency,
+	})
 	for _, node := range cl.Nodes {
 		dn := newDataNode(h, node)
 		if len(dn.devices) == 0 {
@@ -116,94 +119,6 @@ func (h *HDFS) FailDataNodeProcess(id netsim.NodeID) {
 	}
 }
 
-// nn RPC payloads. Handlers run inline in the caller's process; payloads
-// are passed by pointer and cost their Size on the wire.
-type nnAddBlockReq struct {
-	path    string
-	writer  netsim.NodeID
-	exclude []netsim.NodeID
-}
-type nnAddBlockResp struct {
-	id      BlockID
-	targets []netsim.NodeID
-}
-type nnCommitReq struct {
-	path string
-	id   BlockID
-	size int64
-}
-type nnBlockReceivedReq struct {
-	dn   netsim.NodeID
-	id   BlockID
-	size int64
-}
-type nnHeartbeatReq struct {
-	dn   netsim.NodeID
-	used int64
-}
-type nnAbandonReq struct {
-	path    string
-	id      BlockID
-	targets []netsim.NodeID
-}
-
-const nnReqSize = 256 // nominal metadata request wire size
-
-// handleNN is the NameNode service handler.
-func (h *HDFS) handleNN(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-	p.Sleep(nnOpLatency)
-	switch m.Op {
-	case "create":
-		return netsim.Reply{Size: 64, Err: h.nsys.CreateFile(m.Payload.(string))}
-	case "mkdir":
-		return netsim.Reply{Size: 64, Err: h.nsys.Mkdir(m.Payload.(string))}
-	case "addBlock":
-		req := m.Payload.(*nnAddBlockReq)
-		id, targets, err := h.nsys.AddBlock(req.path, req.writer, req.exclude)
-		return netsim.Reply{Size: 64 + int64(len(targets))*16, Payload: &nnAddBlockResp{id: id, targets: targets}, Err: err}
-	case "commitBlock":
-		req := m.Payload.(*nnCommitReq)
-		return netsim.Reply{Size: 64, Err: h.nsys.CommitBlock(req.path, req.id, req.size)}
-	case "abandonBlock":
-		req := m.Payload.(*nnAbandonReq)
-		h.nsys.AbandonBlock(req.path, req.id)
-		h.nsys.UnscheduleBlock(req.targets)
-		return netsim.Reply{Size: 64}
-	case "complete":
-		return netsim.Reply{Size: 64, Err: h.nsys.CompleteFile(m.Payload.(string))}
-	case "getBlocks":
-		blocks, err := h.nsys.FileBlocks(m.Payload.(string))
-		return netsim.Reply{Size: 64 + int64(len(blocks))*48, Payload: blocks, Err: err}
-	case "stat":
-		fi, err := h.nsys.Stat(m.Payload.(string))
-		return netsim.Reply{Size: 128, Payload: fi, Err: err}
-	case "list":
-		fis, err := h.nsys.List(m.Payload.(string))
-		return netsim.Reply{Size: 64 + int64(len(fis))*64, Payload: fis, Err: err}
-	case "delete":
-		freed, err := h.nsys.Delete(m.Payload.(string))
-		return netsim.Reply{Size: 64, Payload: freed, Err: err}
-	case "blockReceived":
-		req := m.Payload.(*nnBlockReceivedReq)
-		h.nsys.BlockReceived(req.dn, req.id, req.size)
-		return netsim.Reply{Size: 64}
-	case "heartbeat":
-		req := m.Payload.(*nnHeartbeatReq)
-		h.nsys.Heartbeat(req.dn, req.used, p.Now())
-		return netsim.Reply{Size: 64}
-	default:
-		return netsim.Reply{Err: fmt.Errorf("hdfs: unknown NN op %q", m.Op)}
-	}
-}
-
-// callNN performs a metadata RPC from a client node.
-func (h *HDFS) callNN(p *sim.Proc, from netsim.NodeID, op string, payload any) netsim.Reply {
-	return h.net.Call(p, &netsim.Msg{
-		From: from, To: h.NNNode, Service: nnService, Op: op,
-		Size: nnReqSize, Payload: payload, Transport: netsim.Legacy,
-	})
-}
-
 // monitorLoop is the NameNode's failure detector and replication driver.
 func (h *HDFS) monitorLoop(p *sim.Proc) {
 	for {
@@ -252,56 +167,43 @@ func (h *HDFS) rereplicate(p *sim.Proc, task ReplicationTask) {
 	dev.WriteFlat(p, task.Size)
 	tgt.addBlock(task.Block, task.Size, dev)
 	h.stats.Rereplications++
-	h.callNN(p, tgt.id, "blockReceived", &nnBlockReceivedReq{dn: tgt.id, id: task.Block, size: task.Size})
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	tgt.reportBlock(p, task.Block, task.Size)
 }
 
 // Mkdir implements dfs.FileSystem.
 func (h *HDFS) Mkdir(p *sim.Proc, client netsim.NodeID, path string) error {
-	return h.callNN(p, client, "mkdir", path).Err
+	return h.nn.Mkdir(p, client, h.nsys.ns, path)
 }
 
 // Stat implements dfs.FileSystem.
 func (h *HDFS) Stat(p *sim.Proc, client netsim.NodeID, path string) (dfs.FileInfo, error) {
-	rep := h.callNN(p, client, "stat", path)
-	if rep.Err != nil {
-		return dfs.FileInfo{}, rep.Err
-	}
-	return rep.Payload.(dfs.FileInfo), nil
+	return h.nn.Stat(p, client, h.nsys.ns, path)
 }
 
 // List implements dfs.FileSystem.
 func (h *HDFS) List(p *sim.Proc, client netsim.NodeID, dir string) ([]dfs.FileInfo, error) {
-	rep := h.callNN(p, client, "list", dir)
-	if rep.Err != nil {
-		return nil, rep.Err
-	}
-	return rep.Payload.([]dfs.FileInfo), nil
+	return h.nn.List(p, client, h.nsys.ns, dir)
 }
 
 // Delete implements dfs.FileSystem. Freed replicas are released on their
 // datanodes immediately (HDFS itself defers this to block reports; the
 // simulation takes the shortcut since the capacity effect is what matters).
 func (h *HDFS) Delete(p *sim.Proc, client netsim.NodeID, path string) error {
-	rep := h.callNN(p, client, "delete", path)
-	if rep.Err != nil {
-		return rep.Err
+	var freed map[netsim.NodeID][]BlockID
+	err := h.nn.Call(p, client, func(*sim.Proc) (n int64, err error) {
+		freed, err = h.nsys.Delete(path)
+		return 64, err
+	})
+	if err != nil {
+		return err
 	}
-	if freed, ok := rep.Payload.(map[netsim.NodeID][]BlockID); ok {
-		for id, blocks := range freed {
-			dn := h.dns[id]
-			if dn == nil {
-				continue
-			}
-			for _, b := range blocks {
-				dn.dropBlock(b)
-			}
+	for id, blocks := range freed {
+		dn := h.dns[id]
+		if dn == nil {
+			continue
+		}
+		for _, b := range blocks {
+			dn.dropBlock(b)
 		}
 	}
 	return nil
@@ -321,9 +223,10 @@ func (h *HDFS) BlockLocations(p *sim.Proc, client netsim.NodeID, path string) ([
 }
 
 func (h *HDFS) getBlocks(p *sim.Proc, client netsim.NodeID, path string) ([]BlockInfo, error) {
-	rep := h.callNN(p, client, "getBlocks", path)
-	if rep.Err != nil {
-		return nil, rep.Err
-	}
-	return rep.Payload.([]BlockInfo), nil
+	var blocks []BlockInfo
+	err := h.nn.Call(p, client, func(*sim.Proc) (n int64, err error) {
+		blocks, err = h.nsys.FileBlocks(path)
+		return 64 + 48*int64(len(blocks)), err
+	})
+	return blocks, err
 }

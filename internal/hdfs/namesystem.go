@@ -105,8 +105,7 @@ func (d *dnState) free() int64 { return d.capacity - d.used - d.scheduled }
 // Namesystem is the pure-metadata heart of HDFS: the namespace tree, the
 // block map, and the datanode registry with placement and re-replication
 // policy. It has no I/O of its own; the NameNode service front-ends it over
-// the fabric, and the burst-buffer file systems reuse it directly for their
-// own namespaces.
+// the fabric.
 type Namesystem struct {
 	cfg       Config
 	ns        *dfs.Tree
@@ -130,9 +129,6 @@ func NewNamesystem(cfg Config, rng *rand.Rand) *Namesystem {
 
 // Config returns the effective configuration.
 func (n *Namesystem) Config() Config { return n.cfg }
-
-// Mkdir creates a directory and missing parents.
-func (n *Namesystem) Mkdir(path string) error { return n.ns.MkdirAll(path) }
 
 // CreateFile registers a new file under construction.
 func (n *Namesystem) CreateFile(path string) error {
@@ -256,13 +252,6 @@ func (n *Namesystem) FileBlocks(path string) ([]BlockInfo, error) {
 	return out, nil
 }
 
-// Stat returns file info.
-func (n *Namesystem) Stat(path string) (dfs.FileInfo, error) { return n.ns.Stat(path) }
-
-// List returns directory entries.
-func (n *Namesystem) List(path string) ([]dfs.FileInfo, error) { return n.ns.List(path) }
-
-// Delete removes a path; for files it unregisters the blocks and returns
 // the replica IDs each datanode should drop.
 func (n *Namesystem) Delete(path string) (map[netsim.NodeID][]BlockID, error) {
 	fm, err := n.ns.Remove(path)

@@ -104,7 +104,7 @@ func TestBlockLifecycle(t *testing.T) {
 	if blocks[0].Size != 64<<20 || len(blocks[0].Locations) != 3 {
 		t.Errorf("block = %+v", blocks[0])
 	}
-	fi, _ := n.Stat("/f")
+	fi, _ := n.ns.Stat("/f")
 	if fi.Size != 64<<20 {
 		t.Errorf("file size = %d", fi.Size)
 	}

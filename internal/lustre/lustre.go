@@ -18,9 +18,6 @@ import (
 	"hbb/internal/storage"
 )
 
-// mdsService is the fabric service name of the MDS.
-const mdsService = "lustre.mds"
-
 // rpcHeader is the nominal wire overhead per bulk RPC.
 const rpcHeader = 128
 
@@ -105,6 +102,7 @@ type Lustre struct {
 	cl      *cluster.Cluster
 	net     *netsim.Network
 	MDSNode netsim.NodeID
+	mds     *dfs.Service
 	osts    []*ost
 	tree    *dfs.Tree
 	nextOST int
@@ -130,7 +128,9 @@ func New(cl *cluster.Cluster, cfg Config) *Lustre {
 			dev:  storage.NewDevice(fmt.Sprintf("ost%d", i), storage.OSTProfile(cfg.OSTCapacity)),
 		})
 	}
-	l.net.Register(l.MDSNode, mdsService, l.handleMDS)
+	l.mds = dfs.NewService(l.net, dfs.ServiceConfig{
+		Name: "lustre.mds", Node: l.MDSNode, ReqSize: 256, OpLatency: mdsOpLatency,
+	})
 	return l
 }
 
@@ -165,64 +165,6 @@ func fileLayout(f *dfs.TreeFile) *layout {
 	return f.Data.(*layout)
 }
 
-// handleMDS serves metadata operations.
-func (l *Lustre) handleMDS(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-	p.Sleep(mdsOpLatency)
-	switch m.Op {
-	case "create":
-		f, err := l.tree.CreateFile(m.Payload.(string))
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		f.Data = &layout{startOST: l.nextOST, stripeCount: l.cfg.StripeCount}
-		l.nextOST = (l.nextOST + l.cfg.StripeCount) % len(l.osts)
-		l.stats.FilesCreated++
-		return netsim.Reply{Size: 128, Payload: f}
-	case "open":
-		f, err := l.tree.GetFile(m.Payload.(string))
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		if f.UnderConstruction {
-			return netsim.Reply{Size: 64, Err: fmt.Errorf("%w: %q", dfs.ErrReadOnly, f.Path)}
-		}
-		return netsim.Reply{Size: 128, Payload: f}
-	case "complete":
-		req := m.Payload.(*mdsCompleteReq)
-		f, err := l.tree.GetFile(req.path)
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		f.Size = req.size
-		f.UnderConstruction = false
-		return netsim.Reply{Size: 64}
-	case "mkdir":
-		return netsim.Reply{Size: 64, Err: l.tree.MkdirAll(m.Payload.(string))}
-	case "stat":
-		fi, err := l.tree.Stat(m.Payload.(string))
-		return netsim.Reply{Size: 128, Payload: fi, Err: err}
-	case "list":
-		fis, err := l.tree.List(m.Payload.(string))
-		return netsim.Reply{Size: 64 + int64(len(fis))*64, Payload: fis, Err: err}
-	case "delete":
-		f, err := l.tree.Remove(m.Payload.(string))
-		if err != nil {
-			return netsim.Reply{Size: 64, Err: err}
-		}
-		if f != nil && f.Data != nil {
-			l.releaseStripes(f)
-		}
-		return netsim.Reply{Size: 64}
-	default:
-		return netsim.Reply{Err: fmt.Errorf("lustre: unknown MDS op %q", m.Op)}
-	}
-}
-
-type mdsCompleteReq struct {
-	path string
-	size int64
-}
-
 // releaseStripes returns a deleted file's space to its OSTs, chunk by
 // chunk along the stripe pattern.
 func (l *Lustre) releaseStripes(f *dfs.TreeFile) {
@@ -243,39 +185,31 @@ func (l *Lustre) ostFor(lo *layout, chunk int) *ost {
 	return l.osts[(lo.startOST+chunk%lo.stripeCount)%len(l.osts)]
 }
 
-func (l *Lustre) callMDS(p *sim.Proc, from netsim.NodeID, op string, payload any) netsim.Reply {
-	return l.net.Call(p, &netsim.Msg{
-		From: from, To: l.MDSNode, Service: mdsService, Op: op,
-		Size: 256, Payload: payload,
-	})
-}
-
 // Mkdir implements dfs.FileSystem.
 func (l *Lustre) Mkdir(p *sim.Proc, client netsim.NodeID, path string) error {
-	return l.callMDS(p, client, "mkdir", path).Err
+	return l.mds.Mkdir(p, client, l.tree, path)
 }
 
 // Stat implements dfs.FileSystem.
 func (l *Lustre) Stat(p *sim.Proc, client netsim.NodeID, path string) (dfs.FileInfo, error) {
-	rep := l.callMDS(p, client, "stat", path)
-	if rep.Err != nil {
-		return dfs.FileInfo{}, rep.Err
-	}
-	return rep.Payload.(dfs.FileInfo), nil
+	return l.mds.Stat(p, client, l.tree, path)
 }
 
 // List implements dfs.FileSystem.
 func (l *Lustre) List(p *sim.Proc, client netsim.NodeID, dir string) ([]dfs.FileInfo, error) {
-	rep := l.callMDS(p, client, "list", dir)
-	if rep.Err != nil {
-		return nil, rep.Err
-	}
-	return rep.Payload.([]dfs.FileInfo), nil
+	return l.mds.List(p, client, l.tree, dir)
 }
 
-// Delete implements dfs.FileSystem.
+// Delete implements dfs.FileSystem: the MDS unlinks the file and returns
+// its stripes' space to the OSTs.
 func (l *Lustre) Delete(p *sim.Proc, client netsim.NodeID, path string) error {
-	return l.callMDS(p, client, "delete", path).Err
+	return l.mds.Call(p, client, func(*sim.Proc) (int64, error) {
+		f, err := l.tree.Remove(path)
+		if err == nil && f != nil && f.Data != nil {
+			l.releaseStripes(f)
+		}
+		return 64, err
+	})
 }
 
 // BlockLocations implements dfs.FileSystem. Lustre data lives on shared
@@ -302,14 +236,20 @@ func (l *Lustre) BlockLocations(p *sim.Proc, client netsim.NodeID, path string) 
 
 // Create implements dfs.FileSystem.
 func (l *Lustre) Create(p *sim.Proc, client netsim.NodeID, path string) (dfs.Writer, error) {
-	rep := l.callMDS(p, client, "create", path)
-	if rep.Err != nil {
-		return nil, rep.Err
-	}
-	f := rep.Payload.(*dfs.TreeFile)
-	w := &lustreWriter{
-		fs: l, client: client, file: f,
-		window: sim.NewSemaphore(rpcsInFlight),
+	w := &lustreWriter{fs: l, client: client, window: sim.NewSemaphore(rpcsInFlight)}
+	err := l.mds.Call(p, client, func(*sim.Proc) (int64, error) {
+		f, err := l.tree.CreateFile(path)
+		if err != nil {
+			return 64, err
+		}
+		f.Data = &layout{startOST: l.nextOST, stripeCount: l.cfg.StripeCount}
+		l.nextOST = (l.nextOST + l.cfg.StripeCount) % len(l.osts)
+		l.stats.FilesCreated++
+		w.file = f
+		return 128, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	w.stripeDone = w.finishStripe
 	return w, nil
@@ -350,7 +290,7 @@ func (w *lustreWriter) Write(p *sim.Proc, n int64) error {
 		// The offset places the bytes, as readers and releaseStripes do: a
 		// write fills the stripe it lands in before the next one starts.
 		stripe := w.fs.cfg.StripeSize
-		m := min64(n, stripe-w.offset%stripe)
+		m := min(n, stripe-w.offset%stripe)
 		o := w.fs.ostFor(lo, int(w.offset/stripe))
 		if err := o.dev.Alloc(m); err != nil {
 			return fmt.Errorf("%w: %v", dfs.ErrNoSpace, err)
@@ -385,17 +325,53 @@ func (w *lustreWriter) Close(p *sim.Proc) error {
 	}
 	w.closed = true
 	w.wg.Wait(p)
-	return w.fs.callMDS(p, w.client, "complete", &mdsCompleteReq{path: w.file.Path, size: w.offset}).Err
+	size := w.offset
+	return w.fs.mds.Call(p, w.client, func(*sim.Proc) (int64, error) {
+		f, err := w.fs.tree.GetFile(w.file.Path)
+		if err != nil {
+			return 64, err
+		}
+		f.Size = size
+		f.UnderConstruction = false
+		return 64, nil
+	})
 }
 
 // Open implements dfs.FileSystem: a stream over the whole file.
 func (l *Lustre) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Reader, error) {
-	rep := l.callMDS(p, client, "open", path)
-	if rep.Err != nil {
-		return nil, rep.Err
+	f, err := l.open(p, client, path)
+	if err != nil {
+		return nil, err
 	}
-	f := rep.Payload.(*dfs.TreeFile)
 	return l.newReader(client, f, 0, f.Size), nil
+}
+
+// open looks a sealed file up at the MDS.
+func (l *Lustre) open(p *sim.Proc, client netsim.NodeID, path string) (*dfs.TreeFile, error) {
+	var f *dfs.TreeFile
+	err := l.mds.Call(p, client, func(*sim.Proc) (n int64, err error) {
+		if f, err = l.tree.GetFile(path); err != nil {
+			return 64, err
+		}
+		if f.UnderConstruction {
+			return 64, fmt.Errorf("%w: %q", dfs.ErrReadOnly, f.Path)
+		}
+		return 128, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// openRange opens a sealed file and checks that [offset, offset+length)
+// lies inside it.
+func (l *Lustre) openRange(p *sim.Proc, client netsim.NodeID, path string, offset, length int64) (*dfs.TreeFile, error) {
+	f, err := l.open(p, client, path)
+	if err == nil && (offset < 0 || length < 0 || offset+length > f.Size) {
+		err = fmt.Errorf("%w: range [%d,%d) of %d-byte file", dfs.ErrShortRead, offset, offset+length, f.Size)
+	}
+	return f, err
 }
 
 // OpenRange returns a streaming reader over [offset, offset+length) of a
@@ -404,13 +380,9 @@ func (l *Lustre) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Reade
 // exactly the stripes overlapping the range, starting mid-stripe when the
 // offset is unaligned, with the same bounded prefetch window as Open.
 func (l *Lustre) OpenRange(p *sim.Proc, client netsim.NodeID, path string, offset, length int64) (dfs.Reader, error) {
-	rep := l.callMDS(p, client, "open", path)
-	if rep.Err != nil {
-		return nil, rep.Err
-	}
-	f := rep.Payload.(*dfs.TreeFile)
-	if offset < 0 || length < 0 || offset+length > f.Size {
-		return nil, fmt.Errorf("%w: range [%d,%d) of %d-byte file", dfs.ErrShortRead, offset, offset+length, f.Size)
+	f, err := l.openRange(p, client, path, offset, length)
+	if err != nil {
+		return nil, err
 	}
 	return l.newReader(client, f, offset, length), nil
 }
@@ -434,19 +406,15 @@ func (l *Lustre) newReader(client netsim.NodeID, f *dfs.TreeFile, offset, length
 // overlapping [offset, offset+length) — MDS lookup, OST reads, and the
 // transfer to the client.
 func (l *Lustre) ReadRange(p *sim.Proc, client netsim.NodeID, path string, offset, length int64) error {
-	rep := l.callMDS(p, client, "open", path)
-	if rep.Err != nil {
-		return rep.Err
-	}
-	f := rep.Payload.(*dfs.TreeFile)
-	if offset < 0 || length < 0 || offset+length > f.Size {
-		return fmt.Errorf("%w: range [%d,%d) of %d-byte file", dfs.ErrShortRead, offset, offset+length, f.Size)
+	f, err := l.openRange(p, client, path, offset, length)
+	if err != nil {
+		return err
 	}
 	lo := fileLayout(f)
 	chunk := int(offset / l.cfg.StripeSize)
 	skip := offset % l.cfg.StripeSize
 	for length > 0 {
-		n := min64(length, l.cfg.StripeSize-skip)
+		n := min(length, l.cfg.StripeSize-skip)
 		skip = 0
 		o := l.ostFor(lo, chunk)
 		o.dev.ReadFlat(p, n)
@@ -499,7 +467,7 @@ type lustreReader struct {
 // issue launches one chunk fetch if any remain and the window allows.
 func (r *lustreReader) issue(p *sim.Proc) {
 	lo := fileLayout(r.file)
-	m := min64(r.remainingIssue, r.fs.cfg.StripeSize-r.stripeSkip)
+	m := min(r.remainingIssue, r.fs.cfg.StripeSize-r.stripeSkip)
 	r.stripeSkip = 0
 	o := r.fs.ostFor(lo, r.chunk)
 	r.remainingIssue -= m
@@ -548,7 +516,7 @@ func (r *lustreReader) Read(p *sim.Proc, n int64) (int64, error) {
 			}
 			r.pending += f.bytes
 		}
-		take := min64(n-consumed, r.pending)
+		take := min(n-consumed, r.pending)
 		r.pending -= take
 		r.remainingRead -= take
 		consumed += take
@@ -569,11 +537,4 @@ func (r *lustreReader) Close(p *sim.Proc) error {
 		r.window.Release(1)
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -78,7 +78,7 @@ func (e *engine) writeGenerated(p *sim.Proc, node *cluster.Node, t *task, bytes 
 	total := int64(float64(bytes) * orOne(j.MapOutputRatio))
 	remaining := total
 	for remaining > 0 {
-		n := min64(remaining, processChunk)
+		n := min(remaining, processChunk)
 		node.Compute(p, n, j.MapCPUFactor)
 		if err := w.Write(p, n); err != nil {
 			return err
@@ -153,7 +153,7 @@ func (e *engine) writeOutput(p *sim.Proc, node *cluster.Node, name string, bytes
 	}
 	remaining := bytes
 	for remaining > 0 {
-		n := min64(remaining, processChunk)
+		n := min(remaining, processChunk)
 		if cpuFactor > 0 {
 			node.Compute(p, n, cpuFactor)
 		}
@@ -224,7 +224,7 @@ func (e *engine) fetchPortion(p *sim.Proc, node *cluster.Node, t *task, mo *mapO
 		defer r.Close(p)
 		remaining := portion
 		for remaining > 0 {
-			n, err := r.Read(p, min64(remaining, processChunk))
+			n, err := r.Read(p, min(remaining, processChunk))
 			if err != nil {
 				return err
 			}
@@ -323,11 +323,4 @@ func (e *engine) releaseIntermediates(p *sim.Proc) {
 	if e.job.IntermediateFS != nil {
 		_ = e.job.IntermediateFS.Delete(p, e.cl.Nodes[0].ID, fmt.Sprintf("/.mr-%s", e.job.Name))
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
