@@ -139,7 +139,10 @@ golden:
 # GOMAXPROCS values, the one worker control), the shard-group worker
 # tests (10^5 one-event windows handed between the coordinator and its
 # workers, same-shard and cross-shard deliveries in one instant, 10^6
-# sends of a lone shard to itself), the pinned netsim solver traces and
+# sends of a lone shard to itself), the pinned netsim solver traces,
+# fig2's callback clients against their process oracle (rows and event
+# counts), a node failing under a callback chain and three parked writers
+# (each completed once, at the failure, in arrival order), and
 # the burst buffer's crash-during-write sweep (no panic, the buffer's
 # ledger holding and no writer slot left at each of 413 crash instants
 # per scheme and replica count) must hold under GOMAXPROCS 1/2/8 x GOGC
@@ -154,8 +157,8 @@ determinism:
 	go test -c -o bin/core.test ./internal/core/
 	for procs in 1 2 8; do for gc in 1 off; do \
 		echo "GOMAXPROCS=$$procs GOGC=$$gc"; \
-		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSuiteTablesPin|TestSwarmFingerprintPins|TestFleetDFSIOWritePins|TestFleetCrossShardStress|TestFleetDFSIOWriteDeterminism|TestSwarmCrossShardStress' || exit 1; \
-		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress|TestFleetDeterminismAcrossShardsAndWorkers' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSuiteTablesPin|TestSwarmFingerprintPins|TestFleetDFSIOWritePins|TestFleetCrossShardStress|TestFleetDFSIOWriteDeterminism|TestSwarmCrossShardStress|TestFig2MatchesProcessOracle' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress|TestFleetDeterminismAcrossShardsAndWorkers|TestSetDownCompletesChainsAndParkedWriters' || exit 1; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/sim.test -test.run 'TestShard' -test.timeout 2m || exit 1; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/core.test -test.run 'TestCrashDuringWriteSweep' || exit 1; \
 	done; done

@@ -540,48 +540,137 @@ func fig1(Scale) *metrics.Table {
 func fig2(Scale) *metrics.Table {
 	t := metrics.NewTable("fig2: aggregate KV throughput vs clients (4 servers, 4KiB sets)",
 		"clients", "Kops/s", "MB/s")
-	const servers = 4
-	const valSize = 4 << 10
-	const opsPerClient = 400
 	addRows(t, sweep([]int{1, 2, 4, 8, 16, 32, 64}, func(clients int) []any {
-		env := sim.New(1)
-		nw := netsim.New(env, netsim.RDMA, clients+servers)
-		ring := hashring.New(0)
-		engines := map[string]netsim.NodeID{}
-		for s := 0; s < servers; s++ {
-			name := fmt.Sprintf("srv%d", s)
-			node := netsim.NodeID(clients + s)
-			eng := memcached.NewEngine(memcached.Config{MemLimit: 256 << 20})
-			nw.Register(node, "kv", func(p *sim.Proc, m *netsim.Msg) netsim.Reply {
-				p.Sleep(3 * time.Microsecond)
-				_, err := eng.Set(memcached.Item{Key: m.Payload.(string), Size: valSize})
-				return netsim.Reply{Size: 32, Err: err}
-			})
-			ring.Add(name)
-			engines[name] = node
-		}
-		for c := 0; c < clients; c++ {
-			c := c
-			env.Spawn(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
-				// One envelope per client, reused across the whole run:
-				// Call is synchronous, so only the key string is built
-				// fresh each op (the engine copies it into its own arena).
-				msg := netsim.Msg{From: netsim.NodeID(c), Service: "kv", Op: "set", Size: 64}
-				prefix := "c" + strconv.Itoa(c) + "-k"
-				for i := 0; i < opsPerClient; i++ {
-					key := prefix + strconv.Itoa(i)
-					node := engines[ring.Get(key)]
-					_ = nw.RDMAWriteFlow(p, netsim.NodeID(c), node, valSize)
-					msg.To, msg.Payload = node, key
-					nw.Call(p, &msg)
-				}
-			})
-		}
-		dur := env.Run()
-		totalOps := float64(clients * opsPerClient)
-		return []any{clients, totalOps / dur.Seconds() / 1e3, totalOps * valSize / 1e6 / dur.Seconds()}
+		cell := newFig2Cell(clients)
+		return cell.row(cell.run())
 	}))
 	return t
+}
+
+// The fig2 cell's shape: each client SETs fig2Ops values of fig2Value
+// bytes, and a server spends fig2Service on each before it replies.
+const (
+	fig2Servers = 4
+	fig2Value   = 4 << 10
+	fig2Ops     = 400
+	fig2Service = 3 * time.Microsecond
+)
+
+// fig2Cell is one cell of fig2: closed-loop SET clients on nodes
+// 0..clients-1 and the servers after them. A client only ever waits — on
+// its value's RDMA write, the request envelope, the server's service time
+// and the reply envelope — so it is a chain of callbacks, not a process:
+// its steps run at the instants and sequence numbers where a process
+// client would wake, and the cell spawns no process.
+type fig2Cell struct {
+	env     *sim.Env
+	nw      *netsim.Network
+	ring    *hashring.Ring
+	servers map[string]*fig2Server
+	clients []fig2Client
+}
+
+type fig2Server struct {
+	node netsim.NodeID
+	eng  *memcached.Engine
+}
+
+// fig2Client is one client: the SET it is on (index, key and server), its
+// Op for the value's write, and its steps bound once as continuations, so
+// a SET allocates only its key.
+type fig2Client struct {
+	cell *fig2Cell
+	node netsim.NodeID
+	op   *netsim.Op
+	key  string
+	buf  []byte // the key's bytes: the client's prefix, then the index
+	plen int    // length of the prefix
+	i    int
+	srv  *fig2Server
+	// The steps after the value's write, the request envelope, the
+	// service time and the reply envelope.
+	written, requested, served, replied sim.Cont
+}
+
+func newFig2Cell(clients int) *fig2Cell {
+	env := sim.New(1)
+	cell := &fig2Cell{
+		env:     env,
+		nw:      netsim.New(env, netsim.RDMA, clients+fig2Servers),
+		ring:    hashring.New(0),
+		servers: map[string]*fig2Server{},
+		clients: make([]fig2Client, clients),
+	}
+	for s := 0; s < fig2Servers; s++ {
+		name := fmt.Sprintf("srv%d", s)
+		cell.ring.Add(name)
+		cell.servers[name] = &fig2Server{
+			node: netsim.NodeID(clients + s),
+			eng:  memcached.NewEngine(memcached.Config{MemLimit: 256 << 20}),
+		}
+	}
+	for i := range cell.clients {
+		c := &cell.clients[i]
+		c.cell, c.node, c.op = cell, netsim.NodeID(i), cell.nw.NewOp()
+		c.buf = append(make([]byte, 0, 24), "c"+strconv.Itoa(i)+"-k"...)
+		c.plen = len(c.buf)
+		c.written = sim.Callback(c.request)
+		c.requested = sim.Callback(c.serve)
+		c.served = sim.Callback(c.reply)
+		c.replied = sim.Callback(c.next)
+	}
+	return cell
+}
+
+// run drives every client through its fig2Ops SETs from the current
+// instant and returns the virtual time they took.
+func (cell *fig2Cell) run() time.Duration {
+	start := cell.env.Now()
+	for i := range cell.clients {
+		c := &cell.clients[i]
+		c.i = 0
+		cell.env.Resume(start, c.replied)
+	}
+	return cell.env.Run() - start
+}
+
+// row is the cell's table row for a run of duration d: clients, Kops/s,
+// MB/s.
+func (cell *fig2Cell) row(d time.Duration) []any {
+	ops := float64(len(cell.clients) * fig2Ops)
+	return []any{len(cell.clients), ops / d.Seconds() / 1e3, ops * fig2Value / 1e6 / d.Seconds()}
+}
+
+// next starts the client's next SET, if any: the value's one-sided write
+// into the server the key hashes to.
+func (c *fig2Client) next() {
+	if c.i == fig2Ops {
+		return
+	}
+	c.buf = strconv.AppendInt(c.buf[:c.plen], int64(c.i), 10)
+	c.key = string(c.buf)
+	c.i++
+	c.srv = c.cell.servers[c.cell.ring.Get(c.key)]
+	if !c.op.RDMAWrite(c.node, c.srv.node, fig2Value, c.written) {
+		c.request() // a write that fails at once does not stop the SET
+	}
+}
+
+// request sends the SET's request envelope.
+func (c *fig2Client) request() {
+	c.cell.nw.Envelope(c.node, c.srv.node, 64, netsim.Native, c.requested)
+}
+
+// serve spends the server's service time on the request.
+func (c *fig2Client) serve() {
+	c.cell.env.Resume(c.cell.env.Now()+fig2Service, c.served)
+}
+
+// reply stores the item (the engine copies the key into its own memory)
+// and sends the reply envelope.
+func (c *fig2Client) reply() {
+	_, _ = c.srv.eng.Set(memcached.Item{Key: c.key, Size: fig2Value})
+	c.cell.nw.Envelope(c.srv.node, c.node, 32, netsim.Native, c.replied)
 }
 
 func byteLabel(n int64) string {

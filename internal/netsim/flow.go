@@ -19,6 +19,11 @@ package netsim
 //     one-shot wrappers charge it once per transfer, and Flow.Write
 //     charges none, amortizing it away exactly as flow-level simulators
 //     do.
+//   - Every blocking operation (Flow.Write, Transfer, RDMAWriteFlow,
+//     RDMAReadFlow) is one Op: its steps run as callbacks at the instants
+//     a process would wake between its sleeps, and the last one resumes a
+//     continuation. The blocking form starts the Op with its caller's
+//     continuation and parks.
 //   - Completion timers are armed at now + ceil(remaining/rate); for a
 //     lone flow this reproduces the closed-form n/bandwidth time to
 //     within 1 ns of float rounding.
@@ -47,8 +52,8 @@ func (f *iface) links(t Transport, prof Profile) (eg, in *flowLink) {
 
 // Flow is an open bulk-transfer session between two nodes. A Flow is
 // owned by one simulated process at a time: Write blocks its caller
-// until the bytes drain, so there is never more than one transfer in
-// flight per Flow.
+// until the bytes drain, so there is never more than one write in flight
+// per Flow.
 type Flow struct {
 	nw   *Network
 	src  NodeID
@@ -65,9 +70,9 @@ type Flow struct {
 
 	timer    sim.Timer
 	timerSet bool
-	finishFn func()     // cached f.finish method value, one alloc per Flow
-	drained  sim.Signal // wakes the blocked writer, allocation-free
-	err      error      // sticky abort error (ErrNodeDown)
+	finishFn func() // cached f.finish method value, one alloc per Flow
+	op       *Op    // the write draining on the flow, told when it ends
+	err      error  // sticky abort error (ErrNodeDown)
 	closed   bool
 }
 
@@ -103,36 +108,45 @@ func (nw *Network) StartFlow(src, dst NodeID, tr Transport) (*Flow, error) {
 // node on the path fails mid-drain the call returns ErrNodeDown with the
 // bytes transmitted so far already delivered; the flow stays failed.
 func (f *Flow) Write(p *sim.Proc, n int64) error {
+	o := f.nw.getOp()
+	o.f, o.n, o.post, o.k = f, n, noPost, p.Cont()
+	if o.write() {
+		p.Park()
+	}
+	return f.nw.putOp(o)
+}
+
+// begin starts a write of n bytes for o: the bytes are booked and the
+// flow joins the solver. It reports false when the write is over at once:
+// the flow failed earlier, there is nothing to send, a node on the path is
+// down, or the flow is a loopback, which takes no fabric time.
+func (f *Flow) begin(o *Op, n int64) (draining bool, err error) {
 	if f.closed {
 		panic("netsim: Write on closed flow")
 	}
 	if f.err != nil {
-		return f.err
+		return false, f.err
 	}
 	if n <= 0 {
-		return nil
+		return false, nil
 	}
 	nw := f.nw
 	if err := nw.checkLink(f.src, f.dst); err != nil {
-		return err
+		return false, err
 	}
 	nw.ifaces[f.src].sent += n
 	nw.ifaces[f.dst].recv += n
 	nw.bulkBytes[f.tr].Add(n)
 	if f.src == f.dst {
-		return nil // loopback: no fabric time
+		return false, nil
 	}
-	now := int64(p.Now())
+	now := int64(nw.env.Now())
+	f.op = o
 	f.lastUpd = now
 	f.remaining = float64(n)
 	nw.solver.Add(&f.ent)
 	nw.resolve(now, &f.ent)
-	f.drained.Wait(p)
-	if f.err != nil {
-		return f.err
-	}
-	p.Sleep(f.prof.Latency)
-	return nil
+	return true, nil
 }
 
 // Close ends the session. The sticky abort error, if any, is returned so
@@ -188,7 +202,9 @@ func (f *Flow) finish() {
 	f.remaining = 0
 	f.nw.solver.Remove(&f.ent)
 	f.nw.resolve(now, &f.ent)
-	f.drained.Fire()
+	o := f.op
+	f.op = nil
+	o.drained()
 }
 
 // resolve re-solves the component(s) of the flow/link graph reachable
@@ -268,7 +284,9 @@ func (nw *Network) abortFlows(id NodeID) {
 		nw.settle(now, comp)
 	}
 	for _, e := range hit {
-		e.Owner.drained.Fire()
+		o := e.Owner.op
+		e.Owner.op = nil
+		o.drained()
 	}
 }
 
@@ -276,17 +294,11 @@ func (nw *Network) abortFlows(id NodeID) {
 // tr: software overhead on both hosts around one flow. It blocks until
 // delivery.
 func (nw *Network) Transfer(p *sim.Proc, src, dst NodeID, n int64, tr Transport) error {
-	f, err := nw.StartFlow(src, dst, tr)
-	if err != nil {
-		return err
+	o := nw.getOp()
+	if o.transfer(src, dst, n, tr, p.Cont()) {
+		p.Park()
 	}
-	p.Sleep(f.prof.SWOverhead)
-	err = f.Write(p, n)
-	if err == nil && src != dst {
-		p.Sleep(f.prof.SWOverhead) // receive-side processing
-	}
-	nw.putFlow(f)
-	return err
+	return nw.putOp(o)
 }
 
 // TransferFlow is Transfer on the native transport, kept because the
@@ -299,18 +311,11 @@ func (nw *Network) TransferFlow(p *sim.Proc, src, dst NodeID, n int64) error {
 // remote memory over the native transport. On a transport without
 // one-sided semantics the remote host pays receive-side overhead too.
 func (nw *Network) RDMAWriteFlow(p *sim.Proc, local, remote NodeID, n int64) error {
-	f, err := nw.StartFlow(local, remote, Native)
-	if err != nil {
-		return err
+	o := nw.getOp()
+	if o.RDMAWrite(local, remote, n, p.Cont()) {
+		p.Park()
 	}
-	prof := f.prof
-	p.Sleep(prof.SWOverhead)
-	err = f.Write(p, n)
-	if err == nil && !prof.OneSided {
-		p.Sleep(prof.SWOverhead)
-	}
-	nw.putFlow(f)
-	return err
+	return nw.putOp(o)
 }
 
 // RDMAReadFlow performs a one-sided read of n bytes from remote into the
@@ -319,29 +324,194 @@ func (nw *Network) RDMAWriteFlow(p *sim.Proc, local, remote NodeID, n int64) err
 // semantics it degenerates to a request/response pair with software
 // overhead on both sides.
 func (nw *Network) RDMAReadFlow(p *sim.Proc, local, remote NodeID, n int64) error {
-	f, err := nw.StartFlow(remote, local, Native)
-	if err != nil {
-		return err
+	o := nw.getOp()
+	if o.rdmaRead(local, remote, n, p.Cont()) {
+		p.Park()
 	}
-	prof := f.prof
-	if prof.OneSided {
-		p.Sleep(prof.SWOverhead + prof.Latency) // request descriptor
-		err = f.Write(p, n)
-	} else {
-		p.Sleep(prof.SWOverhead + prof.Latency + prof.SWOverhead)
-		err = f.Write(p, n)
-		if err == nil {
-			p.Sleep(prof.SWOverhead)
-		}
+	return nw.putOp(o)
+}
+
+// Op is one bulk operation in flight as a chain of callbacks: the steps a
+// blocking caller would sleep between, each run at the instant and
+// sequence number where that caller would wake, the last one resuming the
+// continuation the operation was started with. The blocking
+// forms run one from the network's pool with their caller's continuation;
+// a caller that never blocks (a closed-loop client written as callbacks)
+// keeps its own, from NewOp, and starts one operation on it at a time.
+type Op struct {
+	nw   *Network
+	f    *Flow
+	n    int64
+	own  bool          // the Op opened f and recycles it when it completes
+	post time.Duration // receive-side overhead after a clean write, or noPost
+	k    sim.Cont
+	err  error
+	// stage is the step the next callback runs; step is o.advance, bound
+	// once, so a warm Op starts an operation without allocating.
+	stage opStage
+	step  func()
+}
+
+type opStage uint8
+
+const (
+	opWrite   opStage = iota // the overhead before the write is over: start it
+	opDrained                // the writer's wake at the instant its last byte left
+	opLanded                 // one latency later: the write is over
+	opDone                   // nothing left: resume the continuation
+)
+
+// noPost marks an operation with no receive-side overhead after its write.
+const noPost time.Duration = -1
+
+// NewOp returns an Op for a caller that starts operations on it itself.
+func (nw *Network) NewOp() *Op {
+	o := &Op{nw: nw}
+	o.step = o.advance
+	return o
+}
+
+// Err returns the outcome of the Op's last operation: nil, or why it
+// failed (ErrNodeDown when a node on the path was or went down).
+func (o *Op) Err() error { return o.err }
+
+// getOp takes a pooled Op for a blocking form.
+func (nw *Network) getOp() *Op {
+	if n := len(nw.opPool) - 1; n >= 0 {
+		o := nw.opPool[n]
+		nw.opPool = nw.opPool[:n]
+		return o
 	}
-	nw.putFlow(f)
+	return nw.NewOp()
+}
+
+// putOp recycles a blocking form's Op and returns its outcome.
+func (nw *Network) putOp(o *Op) error {
+	err := o.err
+	o.err, o.k = nil, sim.Cont{}
+	nw.opPool = append(nw.opPool, o)
 	return err
 }
 
-// putFlow recycles a one-shot wrapper's flow. Only the wrappers may call
-// it: they never leak the *Flow, so no caller can touch the recycled
-// session. Single-threaded like all netsim state (the sim runs one
-// process at a time), so no lock is needed.
+// RDMAWrite starts RDMAWriteFlow's steps on o, ending in k; Err then
+// reports the outcome. It returns false when the write failed before it
+// began (a node down): k does not run and the caller carries on itself.
+func (o *Op) RDMAWrite(local, remote NodeID, n int64, k sim.Cont) bool {
+	prof := o.nw.profs[Native]
+	post := noPost
+	if !prof.OneSided {
+		post = prof.SWOverhead
+	}
+	return o.open(local, remote, Native, n, prof.SWOverhead, post, k)
+}
+
+// rdmaRead starts RDMAReadFlow's steps on o; see RDMAWrite.
+func (o *Op) rdmaRead(local, remote NodeID, n int64, k sim.Cont) bool {
+	prof := o.nw.profs[Native]
+	if prof.OneSided {
+		return o.open(remote, local, Native, n, prof.SWOverhead+prof.Latency, noPost, k) // request descriptor
+	}
+	return o.open(remote, local, Native, n, prof.SWOverhead+prof.Latency+prof.SWOverhead, prof.SWOverhead, k)
+}
+
+// transfer starts Transfer's steps on o; see RDMAWrite.
+func (o *Op) transfer(src, dst NodeID, n int64, tr Transport, k sim.Cont) bool {
+	sw := o.nw.profs[o.nw.transport(tr)].SWOverhead
+	post := sw // receive-side processing
+	if src == dst {
+		post = noPost
+	}
+	return o.open(src, dst, tr, n, sw, post, k)
+}
+
+// open starts an operation on a fresh flow from src to dst: pre of
+// software overhead, then the write, then post after a clean write. It
+// reports false, with Err set, when the flow cannot open.
+func (o *Op) open(src, dst NodeID, tr Transport, n int64, pre, post time.Duration, k sim.Cont) bool {
+	f, err := o.nw.StartFlow(src, dst, tr)
+	if err != nil {
+		o.err = err
+		return false
+	}
+	o.f, o.own, o.n, o.post, o.k, o.err = f, true, n, post, k, nil
+	o.then(pre, opWrite)
+	return true
+}
+
+// advance is every callback of the chain: it runs the step the Op is at.
+func (o *Op) advance() {
+	switch o.stage {
+	case opWrite:
+		if !o.write() {
+			o.nw.env.Complete(o.k) // the caller would have carried on here
+		}
+	case opDrained:
+		next := opLanded
+		if o.post == noPost {
+			next = opDone
+		}
+		o.then(o.f.prof.Latency, next)
+	case opLanded:
+		o.then(o.post, opDone)
+	}
+}
+
+// write starts the write of o.n bytes on o.f and reports whether the Op
+// is still pending: the bytes are draining, or the write ended at once and
+// the receive-side overhead follows. If not, the Op is over.
+func (o *Op) write() bool {
+	draining, err := o.f.begin(o, o.n)
+	if draining {
+		return true
+	}
+	o.err = err
+	if err == nil && o.post != noPost {
+		o.then(o.post, opDone)
+		return true
+	}
+	o.finish()
+	return false
+}
+
+// drained runs when o's write stops draining: its last byte left (the
+// writer wakes at this instant, then waits one latency for the byte to
+// land) or a node on the path failed (the writer wakes with the error).
+func (o *Op) drained() {
+	if err := o.f.err; err != nil {
+		o.err = err
+		o.then(0, opDone)
+		return
+	}
+	o.then(0, opDrained)
+}
+
+// then schedules the Op's next step d from now; when the step is opDone,
+// the Op ends and its continuation is the event, resumed directly.
+func (o *Op) then(d time.Duration, next opStage) {
+	env := o.nw.env
+	at := env.Now() + max(d, 0)
+	if next == opDone {
+		o.finish()
+		env.Resume(at, o.k)
+		return
+	}
+	o.stage = next
+	env.At(at, o.step)
+}
+
+// finish releases the Op's flow, recycling it when the Op opened it. The
+// outcome stays in the Op.
+func (o *Op) finish() {
+	if o.own {
+		o.nw.putFlow(o.f)
+	}
+	o.f, o.own = nil, false
+}
+
+// putFlow recycles a flow an Op opened. Only Ops may call it: they never
+// leak the *Flow, so no caller can touch the recycled session.
+// Single-threaded like all netsim state (the sim runs one process at a
+// time), so no lock is needed.
 func (nw *Network) putFlow(f *Flow) {
 	f.closed = true
 	nw.flowPool = append(nw.flowPool, f)

@@ -342,3 +342,120 @@ func TestTransferFlowMatchesSendSemantics(t *testing.T) {
 	})
 	e.Run()
 }
+
+// A node failing in mid-drain completes every operation draining through
+// it exactly once, at the failure instant, with ErrNodeDown, in the order
+// the writes arrived: a callback chain, a parked Flow.Write, a parked
+// RDMAWriteFlow and a parked Transfer. The flows the operations opened go
+// back to the pool, and a run stopped inside the chains reports no
+// parked writer as deadlocked.
+func TestSetDownCompletesChainsAndParkedWriters(t *testing.T) {
+	e := sim.New(1)
+	nw := New(e, RDMA, 5)
+	const sink, big = NodeID(4), int64(1 << 30)
+	const fail = time.Millisecond
+	type outcome struct {
+		who string
+		at  time.Duration
+		err error
+	}
+	var got []outcome
+	record := func(who string, err error) { got = append(got, outcome{who, e.Now(), err}) }
+
+	// One warm-up write each, so the failing round runs on pooled flows.
+	op := nw.NewOp()
+	var chainErr error
+	warm := sim.Callback(func() {
+		chainErr = op.Err()
+		op.RDMAWrite(0, sink, big, sim.Callback(func() { record("chain", op.Err()) }))
+	})
+	op.RDMAWrite(0, sink, 4096, warm)
+	// The warm-up writes end within 4 µs; the failing writes then arrive
+	// in the order chain, flow, rdma, transfer.
+	e.Spawn("flow", func(p *sim.Proc) {
+		p.Sleep(10 * time.Microsecond)
+		f, err := nw.StartFlow(1, sink, Native)
+		if err != nil {
+			t.Errorf("StartFlow: %v", err)
+			return
+		}
+		record("flow", f.Write(p, big))
+	})
+	e.Spawn("rdma", func(p *sim.Proc) {
+		if err := nw.RDMAWriteFlow(p, 2, sink, 4096); err != nil {
+			t.Errorf("warm-up RDMAWriteFlow: %v", err)
+		}
+		p.Sleep(20 * time.Microsecond)
+		record("rdma", nw.RDMAWriteFlow(p, 2, sink, big))
+	})
+	e.Spawn("transfer", func(p *sim.Proc) {
+		if err := nw.Transfer(p, 3, sink, 4096, Native); err != nil {
+			t.Errorf("warm-up Transfer: %v", err)
+		}
+		p.Sleep(30 * time.Microsecond)
+		record("transfer", nw.Transfer(p, 3, sink, big, Native))
+	})
+	e.At(fail, func() { nw.SetDown(sink, true) })
+
+	e.RunUntil(fail - time.Microsecond)
+	if chainErr != nil {
+		t.Fatalf("warm-up chain write: %v", chainErr)
+	}
+	if d := e.Deadlocked(); len(d) != 0 {
+		t.Errorf("mid-drain Deadlocked() = %v, want none", d)
+	}
+	if len(got) != 0 {
+		t.Fatalf("completions before the failure: %v", got)
+	}
+	pooled := len(nw.flowPool)
+	e.Run()
+
+	want := []string{"chain", "flow", "rdma", "transfer"}
+	if len(got) != len(want) {
+		t.Fatalf("completions %v, want one each of %v", got, want)
+	}
+	for i, o := range got {
+		if o.who != want[i] || o.at != fail || !errors.Is(o.err, ErrNodeDown) {
+			t.Errorf("completion %d: %s at %v with %v, want %s at %v with ErrNodeDown", i, o.who, o.at, o.err, want[i], fail)
+		}
+	}
+	// The warm-up round left three flows in the pool; the chain,
+	// RDMAWriteFlow and Transfer hold them mid-drain and give them back.
+	// Flow.Write's flow is its caller's.
+	if pooled != 0 || len(nw.flowPool) != 3 {
+		t.Errorf("flow pool holds %d mid-drain and %d after the failure, want 0 and 3", pooled, len(nw.flowPool))
+	}
+}
+
+// A node that fails during the software overhead before a write ends the
+// operation when the write would have begun, with no wait of its own:
+// the parked caller resumes in that step's event, and a callback chain's
+// continuation runs inside it.
+func TestNodeDownBeforeWriteEndsAtThatStep(t *testing.T) {
+	e := sim.New(1)
+	nw := New(e, RDMA, 3)
+	sw := RDMA.SWOverhead
+	var procAt, chainAt time.Duration
+	var procErr error
+	e.Spawn("caller", func(p *sim.Proc) {
+		procErr = nw.Transfer(p, 0, 1, 4096, Native)
+		procAt = p.Now()
+	})
+	op := nw.NewOp()
+	op.RDMAWrite(2, 1, 4096, sim.Callback(func() { chainAt = e.Now() }))
+	e.At(sw/2, func() { nw.SetDown(1, true) })
+	e.Run()
+	if !errors.Is(procErr, ErrNodeDown) || procAt != sw {
+		t.Errorf("Transfer: %v at %v, want ErrNodeDown at %v", procErr, procAt, sw)
+	}
+	if !errors.Is(op.Err(), ErrNodeDown) || chainAt != sw {
+		t.Errorf("chain: %v at %v, want ErrNodeDown at %v", op.Err(), chainAt, sw)
+	}
+	// Spawn's wake, the failure, and the two steps at sw.
+	if got := e.Events(); got != 4 {
+		t.Errorf("%d events, want 4", got)
+	}
+	if len(nw.flowPool) != 2 {
+		t.Errorf("flow pool holds %d, want both flows back", len(nw.flowPool))
+	}
+}

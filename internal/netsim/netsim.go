@@ -113,8 +113,10 @@ type Network struct {
 	// Flow state (see flow.go): the max-min solver holding the currently
 	// draining flows, native and legacy alike.
 	solver maxmin.Solver[*Flow]
-	// flowPool recycles one-shot wrapper flows (see putFlow).
+	// flowPool recycles the flows Ops open (see putFlow), opPool the Ops
+	// the blocking forms run.
 	flowPool []*Flow
+	opPool   []*Op
 
 	reg *metrics.Registry
 	// bulkBytes and envBytes count flow payload and RPC envelope bytes per
@@ -255,7 +257,8 @@ func (nw *Network) Call(p *sim.Proc, m *Msg) Reply {
 		return Reply{Err: fmt.Errorf("%w: %q on node %d", ErrNoService, m.Service, m.To)}
 	}
 	if m.From != m.To {
-		nw.envelope(p, m.From, m.To, m.Size, m.Transport)
+		nw.Envelope(m.From, m.To, m.Size, m.Transport, p.Cont())
+		p.Park()
 	}
 	rep := h(p, m)
 	if m.From != m.To {
@@ -263,23 +266,25 @@ func (nw *Network) Call(p *sim.Proc, m *Msg) Reply {
 		if nw.ifaces[m.To].down {
 			return Reply{Err: fmt.Errorf("%w: destination node %d", ErrNodeDown, m.To)}
 		}
-		nw.envelope(p, m.To, m.From, rep.Size, m.Transport)
+		nw.Envelope(m.To, m.From, rep.Size, m.Transport, p.Cont())
+		p.Park()
 	}
 	return rep
 }
 
-// envelope carries one RPC envelope of n bytes from src to dst in a single
-// sleep: software overhead on both hosts and the profile latency to post
-// it, then — for a non-empty envelope — one more latency in flight and the
-// bytes serialized onto the sender's egress and off the receiver's
-// ingress. Each NIC direction serves the envelope at the share a newcomer
+// Envelope carries one RPC envelope of n bytes from src to dst and
+// resumes k when it lands, with no node or service check (Call makes
+// those). The envelope takes one wait: software overhead on both hosts
+// and the profile latency to post it, then — for a non-empty envelope —
+// one more latency in flight and the bytes serialized onto the sender's
+// egress and off the receiver's ingress. Each NIC direction serves the envelope at the share a newcomer
 // gets beside the k flows draining through it, 1/(k+1) of line rate, so
 // an RPC on a NIC saturated by bulk transfers is slowed by them. An
 // envelope holds no capacity of its own: flows do not slow for it and
 // envelopes never queue behind one another, because envelopes are 0.004%
 // of the paper suite's fabric bytes (DESIGN.md, "Flow-level network
 // model").
-func (nw *Network) envelope(p *sim.Proc, src, dst NodeID, n int64, tr Transport) {
+func (nw *Network) Envelope(src, dst NodeID, n int64, tr Transport, k sim.Cont) {
 	t := nw.transport(tr)
 	prof := nw.profs[t]
 	d := prof.SWOverhead + prof.Latency + prof.SWOverhead
@@ -290,7 +295,7 @@ func (nw *Network) envelope(p *sim.Proc, src, dst NodeID, n int64, tr Transport)
 		nw.envBytes[t].Add(n)
 		d += prof.Latency + serialize(n, prof.Bandwidth, s.eg[t]) + serialize(n, prof.Bandwidth, r.in[t])
 	}
-	p.Sleep(d)
+	nw.env.Resume(nw.env.Now()+d, k)
 }
 
 // serialize is how long n envelope bytes take through one NIC direction of

@@ -85,7 +85,7 @@ func (ev *Event) WaitTimeout(p *Proc, d time.Duration) bool {
 
 // Signal is a single-waiter wake-up, the allocation-free alternative to
 // Event for rendezvous points where exactly one process ever waits (e.g.
-// a flow's blocked writer). Each Wait/Fire pair is one cycle; after both
+// a fleet transfer's writer). Each Wait/Fire pair is one cycle; after both
 // sides have met, the Signal is ready for the next cycle. The zero value
 // is ready to use.
 type Signal struct {

@@ -83,6 +83,10 @@ type Env struct {
 	hooks []func()
 	// delivered counts the inbox messages dispatched.
 	delivered int64
+	// direct is the process a callback completed in place (Complete): the
+	// event loop hands it control once that callback returns.
+	direct    *Proc
+	directGen uint32
 }
 
 // New returns an empty environment whose clock starts at zero. The seed
@@ -188,6 +192,75 @@ func (e *Env) After(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	return e.At(time.Duration(e.now)+d, fn)
+}
+
+// Cont is a continuation: where a chain of callbacks goes once its work
+// is done. It is either a callback (Callback) or a process parked in Park
+// (Proc.Cont). Resume schedules it as the matching event, a callback timer
+// or a wake, so a chain that ends in a process wakes that process directly,
+// with no callback in between. A blocking operation is its chain started
+// with the caller's Cont, then a Park.
+type Cont struct {
+	p   *Proc
+	gen uint32 // incarnation of p the wake targets (pooled shells)
+	fn  func()
+}
+
+// Callback returns the continuation that runs fn as a callback.
+func Callback(fn func()) Cont {
+	if fn == nil {
+		panic("sim: Callback with nil function")
+	}
+	return Cont{fn: fn}
+}
+
+// Cont returns the continuation that wakes p from Park.
+func (p *Proc) Cont() Cont { return Cont{p: p, gen: p.gen} }
+
+// Resume schedules k at virtual time t (clamped to the current time), as a
+// callback timer or as a wake of its parked process. The returned Timer
+// cancels it via Cancel. At keeps its own copy of these lines so the
+// callback-only paths pay no extra call.
+func (e *Env) Resume(t time.Duration, k Cont) Timer {
+	ti := int64(t)
+	if ti < e.now {
+		ti = e.now
+	}
+	seq := e.seq
+	e.seq++
+	return e.q.push(ti, seq, k.p, k.gen, k.fn, wakeEvent)
+}
+
+// Complete runs k now, inside the callback, delivery or end-of-instant
+// hook being dispatched, as the rest of that event: a callback is called
+// at once, and a parked process resumes as soon as the running callback
+// returns, as if this event had been its wake. It takes no sequence
+// number and is not counted by Events. A chain calls it when a step ends
+// the chain on the spot, where the process it stands in for would carry
+// on without sleeping. Only one process can be completed per event;
+// Complete panics on a second.
+func (e *Env) Complete(k Cont) {
+	if k.p == nil {
+		k.fn()
+		return
+	}
+	if e.direct != nil {
+		panic("sim: Complete called twice in one event")
+	}
+	e.direct, e.directGen = k.p, k.gen
+}
+
+// takeDirect returns the process a callback completed with Complete, if it
+// is still the incarnation the continuation named.
+func (e *Env) takeDirect() *Proc {
+	p := e.direct
+	e.direct = nil
+	if p.done || p.gen != e.directGen {
+		return nil
+	}
+	p.blocked = false
+	p.wake = wakeEvent
+	return p
 }
 
 // Cancel revokes a scheduled callback or timed wake before it fires,
@@ -379,6 +452,11 @@ func (e *Env) advance() *Proc {
 			// The instant is over (or the run stops inside it): hooks may
 			// schedule more work at now, so look again afterwards.
 			e.endInstant()
+			if e.direct != nil {
+				if p := e.takeDirect(); p != nil {
+					return p
+				}
+			}
 			continue
 		}
 		if t == math.MaxInt64 {
@@ -404,6 +482,11 @@ func (e *Env) advance() *Proc {
 			e.events++
 			e.delivered++
 			fn()
+			if e.direct != nil {
+				if p := e.takeDirect(); p != nil {
+					return p
+				}
+			}
 			continue
 		}
 		// Every heap event at t, including ones scheduled at t while
@@ -413,6 +496,12 @@ func (e *Env) advance() *Proc {
 			e.events++
 			if fn != nil {
 				fn()
+				if e.direct != nil {
+					// The callback completed a process in place.
+					if p := e.takeDirect(); p != nil {
+						return p
+					}
+				}
 				continue
 			}
 			if p.done || p.gen != pgen {
@@ -462,6 +551,11 @@ func (p *Proc) block() wakeReason {
 func (p *Proc) unblock(r wakeReason) {
 	p.env.scheduleProc(p.env.now, p, r)
 }
+
+// Park suspends the process until a chain resumes its Cont. The chain
+// holds the pending event that will wake it, so a parked process is not
+// blocked and Deadlocked does not report it.
+func (p *Proc) Park() { p.yield() }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
 // treated as zero (the process re-queues behind same-time events).

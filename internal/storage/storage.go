@@ -194,61 +194,71 @@ func (d *Device) Read(p *sim.Proc, n int64) {
 // WriteFlat charges the same latency and bandwidth as Write but books the
 // device in one reservation (a single wake) instead of the chunked
 // interleaving train — the device-rate-coupled sink behind a segment that
-// arrived over a flow.
+// arrived over a flow. It is the flat-write chain with the caller as its
+// continuation: the caller parks until the reservation ends.
 func (d *Device) WriteFlat(p *sim.Proc, n int64) {
-	p.Sleep(d.startFlatWrite(n))
-	if end, ok := d.bookFlatWrite(p.Now(), n); ok {
-		p.Sleep(end - p.Now())
-	}
+	d.flatWrite(p.Env(), n, p.Cont()).begin()
+	p.Park()
 }
 
-// StartWriteFlat is WriteFlat for a writer that never blocks: the same
-// three wakes — now, after the write latency, at the reservation's end —
-// as callback timers on env instead of process wakes, so the event trace
-// is WriteFlat's. done runs where WriteFlat would return.
+// StartWriteFlat is WriteFlat for a writer that never blocks: done runs
+// where WriteFlat would return. The chain starts with a hop at the current
+// instant, where a process running WriteFlat would first wake, so the
+// event trace is that process's.
 func (d *Device) StartWriteFlat(env *sim.Env, n int64, done func()) {
+	w := d.flatWrite(env, n, sim.Callback(done))
+	env.At(env.Now(), w.step)
+}
+
+// flatWrite takes an idle chain (or a new one) for a flat write of n bytes
+// ending in k.
+func (d *Device) flatWrite(env *sim.Env, n int64, k sim.Cont) *flatWrite {
 	var w *flatWrite
-	if k := len(d.idle) - 1; k >= 0 {
-		w = d.idle[k]
-		d.idle = d.idle[:k]
+	if i := len(d.idle) - 1; i >= 0 {
+		w = d.idle[i]
+		d.idle = d.idle[:i]
 	} else {
 		w = &flatWrite{d: d}
 		w.step = w.advance
 	}
-	w.env, w.n, w.done = env, n, done
-	env.At(env.Now(), w.step)
+	w.env, w.n, w.k, w.booking = env, n, k, false
+	return w
 }
 
-// flatWrite is one StartWriteFlat in flight. Its step, bound once, is every
+// flatWrite is one flat write in flight. Its step, bound once, is every
 // callback of the chain, so a device that has warmed up its idle list
 // starts a write without allocating.
 type flatWrite struct {
-	d     *Device
-	env   *sim.Env
-	n     int64
-	done  func()
-	step  func()
-	stage uint8
+	d       *Device
+	env     *sim.Env
+	n       int64
+	k       sim.Cont
+	step    func()
+	booking bool // the write latency is over: the next step books the device
 }
 
-// advance runs the chain's next wake: count the write and wait out its
-// latency, then book the device, then finish.
+// advance runs the chain's next step: the leading hop of StartWriteFlat,
+// or the booking after the write latency.
 func (w *flatWrite) advance() {
-	w.stage++
-	switch w.stage {
-	case 1:
-		w.env.After(w.d.startFlatWrite(w.n), w.step)
+	if !w.booking {
+		w.begin()
 		return
-	case 2:
-		if end, ok := w.d.bookFlatWrite(w.env.Now(), w.n); ok {
-			w.env.At(end, w.step)
-			return
-		}
 	}
-	done := w.done
-	w.env, w.done, w.stage = nil, nil, 0
-	w.d.idle = append(w.d.idle, w)
-	done()
+	d, env, k := w.d, w.env, w.k
+	end, ok := d.bookFlatWrite(env.Now(), w.n)
+	w.env, w.k = nil, sim.Cont{}
+	d.idle = append(d.idle, w)
+	if ok {
+		env.Resume(end, k)
+		return
+	}
+	env.Complete(k) // nothing to book: the writer carries on at this wake
+}
+
+// begin counts the write and waits out its latency.
+func (w *flatWrite) begin() {
+	w.booking = true
+	w.env.After(w.d.startFlatWrite(w.n), w.step)
 }
 
 // startFlatWrite counts a flat write of n bytes and returns the latency
