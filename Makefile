@@ -145,8 +145,9 @@ golden:
 # (each completed once, at the failure, in arrival order), and
 # the burst buffer's crash-during-write sweep (no panic, the buffer's
 # ledger holding and no writer slot left at each of 413 crash instants
-# per scheme and replica count) must hold under GOMAXPROCS 1/2/8 x GOGC
-# 1/off. The test binaries are built once, so the settings apply to the
+# per scheme and replica count) and a buffer read racing its block's
+# eviction (the GETs find nothing and the read falls back to Lustre) must
+# hold under GOMAXPROCS 1/2/8 x GOGC 1/off. The test binaries are built once, so the settings apply to the
 # simulation, not to the compiler; the sim binary runs under a short
 # timeout, so a lost worker wake-up fails fast.
 determinism:
@@ -160,7 +161,7 @@ determinism:
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/hbb.test -test.short -test.run 'TestGolden|TestSuiteTablesPin|TestSwarmFingerprintPins|TestFleetDFSIOWritePins|TestFleetCrossShardStress|TestFleetDFSIOWriteDeterminism|TestSwarmCrossShardStress|TestFig2MatchesProcessOracle' || exit 1; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/netsim.test -test.run 'DifferentialStress|SameInstantStress|TestFleetDeterminismAcrossShardsAndWorkers|TestSetDownCompletesChainsAndParkedWriters' || exit 1; \
 		GOMAXPROCS=$$procs GOGC=$$gc ./bin/sim.test -test.run 'TestShard' -test.timeout 2m || exit 1; \
-		GOMAXPROCS=$$procs GOGC=$$gc ./bin/core.test -test.run 'TestCrashDuringWriteSweep' || exit 1; \
+		GOMAXPROCS=$$procs GOGC=$$gc ./bin/core.test -test.run 'TestCrashDuringWriteSweep|TestBufferReadRacesEviction' || exit 1; \
 	done; done
 
 # Concurrency stress tests under the race detector: the one engine under

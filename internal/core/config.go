@@ -15,11 +15,6 @@
 // The schemes differ only in the per-block write plan (Instance.planBlock);
 // the writer, the reader's source order (node-local replica, buffer,
 // remote replica, Lustre), the flushers and eviction are shared.
-//
-// The buffer servers run the real memcached engine
-// (internal/memcached) with virtual (size-only) items, so allocator, LRU,
-// and statistics behaviour come from real code while simulated payloads
-// cost no host memory.
 package core
 
 import (
@@ -36,8 +31,9 @@ type Config struct {
 	// Servers is the number of dedicated burst-buffer (RDMA-Memcached)
 	// server nodes. Zero defaults to 4.
 	Servers int
-	// ServerMemory is each server's item-memory budget. Zero defaults to
-	// 16 GiB.
+	// ServerMemory is each server's byte budget: the default instance's
+	// share limit and the bricks metered instances are granted. Zero
+	// defaults to 16 GiB.
 	ServerMemory int64
 	// BlockSize is the file block size. Zero defaults to 128 MiB.
 	BlockSize int64

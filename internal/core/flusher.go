@@ -113,13 +113,12 @@ func (s *BufferServer) flushRunObject(p *sim.Proc, run []*bbBlock) {
 		// is overwritten by whatever later sets lustrePath: a retried
 		// flush, or local recovery, which resets it to 0.
 		b.lustreOff = off
-		for remaining := b.size; remaining > 0 && b.state != stateDeleted; {
-			n := min(remaining, s.fs.cfg.ItemChunk)
+		for i := 0; i < b.chunks() && b.state != stateDeleted; i++ {
+			n := b.chunk(i)
 			if err := w.Write(p, n); err != nil {
 				s.fs.discardObject(p, s.phys.node, path)
 				return
 			}
-			remaining -= n
 			off += n // bytes of a block deleted mid-write stay in the object
 		}
 	}

@@ -79,6 +79,19 @@ type bbBlock struct {
 	imported bool
 }
 
+// chunks is the number of item chunks the block's bytes are stored as:
+// full ItemChunk-sized ones and the tail.
+func (b *bbBlock) chunks() int {
+	c := b.inst.cfg.ItemChunk
+	return int((b.size + c - 1) / c)
+}
+
+// chunk is the size of chunk i of the block.
+func (b *bbBlock) chunk(i int) int64 {
+	c := b.inst.cfg.ItemChunk
+	return min(c, b.size-int64(i)*c)
+}
+
 // bbFile is the per-file payload in the namespace tree.
 type bbFile struct {
 	blocks []*bbBlock
@@ -268,8 +281,8 @@ func (fs *BurstFS) newBlock(inst *Instance, f *dfs.TreeFile, state blockState) *
 		file: f.Path, fileIdx: len(filePayload(f).blocks), state: state, localNode: -1}
 }
 
-// deleteBlocks releases every copy of the given blocks: buffer items and
-// holds, local replicas, and Lustre objects. A block still being written
+// deleteBlocks releases every copy of the given blocks: buffer holds,
+// local replicas, and Lustre objects. A block still being written
 // keeps only its writer's slot, which the writer's exit gives back.
 func (fs *BurstFS) deleteBlocks(p *sim.Proc, blocks []*bbBlock) {
 	for _, b := range blocks {

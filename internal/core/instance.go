@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"hbb/internal/cluster"
@@ -23,9 +22,9 @@ const DefaultInstanceName = "default"
 // The paper's buffer is shared cluster infrastructure; an Instance is what
 // one tenant gets from it: a private namespace tree, its own stats and
 // metrics namespace, and a byte share ("bricks") on each buffer server
-// it was placed on. The physical substrate — fabric nodes, memcached
-// engines, ingest pipes, Lustre — stays shared, which is exactly where
-// multi-job contention comes from.
+// it was placed on. The physical substrate — fabric nodes, ingest pipes,
+// Lustre — stays shared, which is exactly where multi-job contention
+// comes from.
 //
 // Instance implements dfs.FileSystem; writers, readers, and flushers all
 // operate on an Instance, never on the pool directly.
@@ -223,10 +222,9 @@ func (inst *Instance) BufferedBytes() int64 {
 
 // Release tears the instance down and returns its bricks to the pool:
 // flushers are stopped, every block holding space on a share has its
-// items deleted from the shared engines and its hold released, every
-// node-local replica is freed, and the instance stops accepting
-// operations. A block still being written keeps its holds for its
-// writer's exit. Dirty data is NOT drained here —
+// hold released, every node-local replica is freed, and the instance
+// stops accepting operations. A block still being written keeps its
+// holds for its writer's exit. Dirty data is NOT drained here —
 // call DrainFlushers first (the orchestrator's stage-out does) or accept
 // the loss, which counts in Stats.BlocksLost. Releasing the default
 // instance or releasing twice panics: both are orchestration bugs.
@@ -241,7 +239,7 @@ func (inst *Instance) Release() {
 	inst.shutdown()
 	for _, s := range inst.servers {
 		for _, b := range s.holdersByID() {
-			s.deleteBlock(b)
+			b.releaseShare(s)
 			if b.state == stateOpen || !b.onServer(s) {
 				continue // its writer or stager settles it
 			}
@@ -285,22 +283,6 @@ func (inst *Instance) pickServers(key string) ([]*BufferServer, error) {
 		out[i] = inst.srvByName[n]
 	}
 	return out, nil
-}
-
-// itemKeys returns the chunked item keys of a block.
-func (inst *Instance) itemKeys(b *bbBlock) []string {
-	n := int((b.size + inst.cfg.ItemChunk - 1) / inst.cfg.ItemChunk)
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = itemKey(b.key, int64(i))
-	}
-	return keys
-}
-
-// itemKey names item i of the block keyed block: "block#i".
-func itemKey(block string, i int64) string {
-	var buf [32]byte
-	return string(strconv.AppendInt(append(append(buf[:0], block...), '#'), i, 10))
 }
 
 // Mkdir implements dfs.FileSystem.
@@ -478,11 +460,10 @@ func (inst *Instance) recoverFromLocal(b *bbBlock) {
 		path := fmt.Sprintf("%s/blk-%d.recovered", lustreDir, b.id)
 		w, err := inst.backing.Create(p, node, path)
 		if err == nil {
-			for remaining := b.size; remaining > 0 && err == nil && b.state != stateDeleted; {
-				n := min(remaining, inst.cfg.ItemChunk)
+			for i := 0; i < b.chunks() && err == nil && b.state != stateDeleted; i++ {
+				n := b.chunk(i)
 				dev.Read(p, n)
 				err = w.Write(p, n)
-				remaining -= n
 			}
 			if err == nil && b.state != stateDeleted {
 				err = w.Close(p)

@@ -12,7 +12,10 @@ import (
 // node-local device (localDev, localBytes), and its writer's slot in
 // Instance.openBlocks (open). Each kind has one take and one release, and
 // nothing else changes those sums. A release returns exactly what the
-// record says, and panics on a hold the block does not have. Read
+// record says, and panics on a hold the block does not have. A share
+// serves a block's chunks while the block holds it, so releasing the hold
+// is the buffer's delete; it costs no fabric time, since the manager
+// piggybacks invalidations on its existing control traffic. Read
 // re-admission (maybeReadmit) is the one admission without a hold.
 
 // shareHold is a block's bytes on one buffer share.
@@ -77,12 +80,11 @@ func (b *bbBlock) releaseOpen() {
 }
 
 // dropHolds releases every share and local hold the record lists, in the
-// order taken, deleting the block's items from each share's engine and
-// waking writers stalled on the freed space.
+// order taken, waking writers stalled on the freed space.
 func (b *bbBlock) dropHolds() {
 	for len(b.held) > 0 {
 		s := b.held[0].s
-		s.deleteBlock(b)
+		b.releaseShare(s)
 		s.signalFlushProgress()
 	}
 	if b.localDev != nil {

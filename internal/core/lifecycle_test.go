@@ -339,6 +339,54 @@ func TestReleaseFreesLocalReplicas(t *testing.T) {
 	}
 }
 
+// TestBufferReadRacesEviction evicts a clean 16 MiB block from its server
+// while a reader streams it from there. The GETs that reach the server
+// after the eviction find nothing (ErrNotFound), and the reader falls
+// back to the block's Lustre copy: it reads the whole block, once from
+// each source, and the buffer's ledger holds.
+func TestBufferReadRacesEviction(t *testing.T) {
+	rig := newRig(2, testCfg("bb-sync"))
+	rig.run(t, func(p *sim.Proc) {
+		writeFile(t, p, rig.fs, 0, "/f", 16*mib)
+		r, err := rig.fs.Open(p, 1, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, err := r.Read(p, mib) // the buffer fetchers are under way
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Evict the block as ensureSpace does.
+		b := r.(*bbReader).blocks[0]
+		s := b.primary()
+		if b.state != stateClean || s == nil {
+			t.Fatalf("block is %v on %v, want clean in the buffer", b.state, s)
+		}
+		b.releaseShare(s)
+		b.dropServer(s)
+		b.move(stateEvicted)
+		for {
+			n, err := r.Read(p, 4*mib)
+			if err != nil {
+				t.Fatalf("read after the eviction: %v", err)
+			}
+			if n == 0 {
+				break
+			}
+			total += n
+		}
+		r.Close(p)
+		if total != 16*mib {
+			t.Errorf("read %d bytes, want %d", total, 16*mib)
+		}
+		rig.fs.DrainFlushers(p)
+	})
+	if st := rig.fs.Stats(); st.ReadsBuffer != 1 || st.ReadsLustre != 1 {
+		t.Errorf("reads: %d from the buffer, %d from Lustre; want 1 and 1", st.ReadsBuffer, st.ReadsLustre)
+	}
+	checkBufferLedger(t, rig)
+}
+
 // TestCrashDuringWriteSweep crashes buffer server 0 at every 97 µs of the
 // first 40 ms of a 32 MiB write (413 instants), under every scheme with
 // one and two buffer replicas, then closes the file and lets recovery run

@@ -164,13 +164,12 @@ func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[packet], isLocal bool
 	fs := r.fs
 	client := r.client
 	fs.cl.Env.Spawn(fmt.Sprintf("bb.readlocal.b%d", b.id), func(q *sim.Proc) {
-		remaining := b.size
-		for remaining > 0 {
+		for i := range b.chunks() {
 			if b.localDev == nil || fs.net.Down(b.localNode) {
 				out.PutWait(q, packet{err: true})
 				return
 			}
-			n := min(remaining, fs.cfg.ItemChunk)
+			n := b.chunk(i)
 			b.localDev.ReadFlat(q, n)
 			if !isLocal {
 				if err := fs.net.Transfer(q, b.localNode, client, n+64, netsim.Native); err != nil {
@@ -178,7 +177,6 @@ func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[packet], isLocal bool
 					return
 				}
 			}
-			remaining -= n
 			if !out.PutWait(q, packet{bytes: n}) {
 				return
 			}
@@ -191,8 +189,8 @@ func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[packet], isLocal bool
 func (r *bbReader) produceBuffer(b *bbBlock, srv *BufferServer, out *sim.Store[packet]) {
 	fs := r.fs
 	client := r.client
-	keys := fs.itemKeys(b)
-	fetchers := min(4, len(keys))
+	chunks := b.chunks()
+	fetchers := min(4, chunks)
 	if fetchers == 0 {
 		out.Put(packet{})
 		return
@@ -200,12 +198,12 @@ func (r *bbReader) produceBuffer(b *bbBlock, srv *BufferServer, out *sim.Store[p
 	for f := 0; f < fetchers; f++ {
 		f := f
 		fs.cl.Env.Spawn(fmt.Sprintf("bb.readbuf.b%d.%d", b.id, f), func(q *sim.Proc) {
-			for i := f; i < len(keys); i += fetchers {
+			for i := f; i < chunks; i += fetchers {
 				if srv.phys.failed {
 					out.PutWait(q, packet{err: true})
 					return
 				}
-				n, err := srv.getChunk(q, client, keys[i])
+				n, err := srv.getChunk(q, client, b, i)
 				if err != nil {
 					out.PutWait(q, packet{err: true})
 					return
@@ -367,16 +365,13 @@ func (fs *Instance) maybeReadmit(client netsim.NodeID, b *bbBlock) {
 	b.readmitting = true
 	fs.cl.Env.Spawn(fmt.Sprintf("bb.readmit.b%d", b.id), func(q *sim.Proc) {
 		defer func() { b.readmitting = false }()
-		remaining := b.size
-		for _, key := range fs.itemKeys(b) {
+		for i := range b.chunks() {
 			if s.phys.failed || b.state == stateDeleted {
 				return
 			}
-			n := min(remaining, fs.cfg.ItemChunk)
-			if err := s.setChunk(q, client, key, n); err != nil {
+			if err := s.setChunk(q, client, b.chunk(i)); err != nil {
 				return
 			}
-			remaining -= n
 		}
 		if b.state != stateEvicted || s.phys.failed {
 			return
@@ -440,21 +435,19 @@ func (fs *Instance) stageInBlock(p *sim.Proc, s *BufferServer, b *bbBlock) bool 
 		return false
 	}
 	defer lr.Close(p)
-	remaining := b.size
-	for _, key := range fs.itemKeys(b) {
+	for i := range b.chunks() {
 		if s.phys.failed || b.state == stateDeleted {
 			return false
 		}
-		n := min(remaining, fs.cfg.ItemChunk)
+		n := b.chunk(i)
 		got, err := lr.Read(p, n)
 		if err != nil || got != n {
 			return false
 		}
 		s.phys.ingest.TransferFlat(p, n)
-		if s.phys.set(p, s.phys.node, key, n) != nil {
+		if s.phys.set(p, s.phys.node) != nil {
 			return false
 		}
-		remaining -= n
 	}
 	return true
 }

@@ -7,31 +7,28 @@ import (
 	"slices"
 
 	"hbb/internal/dfs"
-	"hbb/internal/memcached"
 	"hbb/internal/netsim"
 	"hbb/internal/sim"
 )
 
 // serverNode is one physical RDMA-Memcached node of the burst-buffer
-// pool: the fabric endpoint and its control service, the memcached
-// engine, and the SET-side ingest pipe. Instances hold BufferServer
-// shares of it; the physical resources — and therefore contention
-// between instances — stay here.
+// pool: the fabric endpoint and its control service, and the SET-side
+// ingest pipe. Instances hold BufferServer shares of it; the physical
+// resources — and therefore contention between instances — stay here.
+// What the node stores is its shares' ledgers: a block's chunks are
+// present while the block holds the share.
 type serverNode struct {
-	pool   *BurstFS
-	index  int
-	name   string
-	node   netsim.NodeID
-	svc    *dfs.Service
-	engine *memcached.Engine
+	pool  *BurstFS
+	index int
+	name  string
+	node  netsim.NodeID
+	svc   *dfs.Service
 	// ingest models the server's SET-side processing bandwidth; one-sided
 	// GETs bypass it.
 	ingest *sim.Pipe
 	failed bool
 	// bricksUsed is the capacity already granted to metered instances.
 	bricksUsed int
-
-	setOps int64
 }
 
 func newServerNode(fs *BurstFS, index int) *serverNode {
@@ -40,11 +37,6 @@ func newServerNode(fs *BurstFS, index int) *serverNode {
 		index: index,
 		name:  fmt.Sprintf("bbsrv%d", index),
 		node:  fs.net.AddNode(),
-		engine: memcached.NewEngine(memcached.Config{
-			MemLimit:    fs.cfg.ServerMemory,
-			MaxItemSize: int(fs.cfg.ItemChunk) + 512,
-			Clock:       func() int64 { return int64(fs.cl.Env.Now()) },
-		}),
 	}
 	ph.ingest = sim.NewPipe(ph.name+".ingest", serverIngestRate)
 	ph.svc = dfs.NewService(fs.net, dfs.ServiceConfig{
@@ -53,27 +45,11 @@ func newServerNode(fs *BurstFS, index int) *serverNode {
 	return ph
 }
 
-// set inserts a virtual item of size bytes under key into the engine: the
-// control RPC of a buffer SET, from a client on node from. Payload bytes
-// are charged separately (RDMA write, ingest pipe).
-func (ph *serverNode) set(p *sim.Proc, from netsim.NodeID, key string, size int64) error {
-	return ph.svc.Call(p, from, func(*sim.Proc) (int64, error) {
-		ph.setOps++
-		_, err := ph.engine.Set(memcached.Item{Key: key, Size: int(size)})
-		return 32, err
-	})
-}
-
-// get resolves the item under key and returns its size: the control RPC
-// of a buffer GET, before its one-sided RDMA read.
-func (ph *serverNode) get(p *sim.Proc, from netsim.NodeID, key string) (int64, error) {
-	var size int64
-	err := ph.svc.Call(p, from, func(*sim.Proc) (int64, error) {
-		it, err := ph.engine.Get(key)
-		size = int64(it.Size)
-		return 32, err
-	})
-	return size, err
+// set is the control RPC of a buffer SET of one chunk, from a client on
+// node from. It stores nothing: the payload is charged separately (RDMA
+// write, ingest pipe) and the block's ledger already counts its bytes.
+func (ph *serverNode) set(p *sim.Proc, from netsim.NodeID) error {
+	return ph.svc.Call(p, from, func(*sim.Proc) (int64, error) { return 32, nil })
 }
 
 // BufferServer is one instance's share of a physical buffer server: its
@@ -154,20 +130,35 @@ func (s *BufferServer) requeueDirty(p *sim.Proc, b *bbBlock) {
 // index is authoritative.
 func (s *BufferServer) dirtyBacklog() int { return len(s.sched.pending) }
 
-// setChunk stores one chunk: the payload moves via one-sided RDMA write,
-// then a small control RPC inserts the virtual item.
-func (s *BufferServer) setChunk(p *sim.Proc, client netsim.NodeID, key string, size int64) error {
+// setChunk stores one chunk of size bytes: the payload moves via
+// one-sided RDMA write, then a small control RPC completes the SET.
+func (s *BufferServer) setChunk(p *sim.Proc, client netsim.NodeID, size int64) error {
 	if err := s.fs.net.RDMAWriteFlow(p, client, s.phys.node, size); err != nil {
 		return err
 	}
 	s.phys.ingest.TransferFlat(p, size)
-	return s.phys.set(p, client, key, size)
+	return s.phys.set(p, client)
 }
 
-// getChunk fetches one chunk: a small control RPC resolves the item, then
-// the payload moves via one-sided RDMA read.
-func (s *BufferServer) getChunk(p *sim.Proc, client netsim.NodeID, key string) (int64, error) {
-	size, err := s.phys.get(p, client, key)
+// get is the control RPC of a buffer GET, before its one-sided RDMA read:
+// chunk i of block b is present, and its size returned, while b holds the
+// share; otherwise the reply is dfs.ErrNotFound, at the same cost.
+func (s *BufferServer) get(p *sim.Proc, from netsim.NodeID, b *bbBlock, i int) (int64, error) {
+	var size int64
+	err := s.phys.svc.Call(p, from, func(*sim.Proc) (int64, error) {
+		if _, ok := s.holders[b]; !ok {
+			return 32, dfs.ErrNotFound
+		}
+		size = b.chunk(i)
+		return 32, nil
+	})
+	return size, err
+}
+
+// getChunk fetches chunk i of block b: a small control RPC looks it up,
+// then the payload moves via one-sided RDMA read.
+func (s *BufferServer) getChunk(p *sim.Proc, client netsim.NodeID, b *bbBlock, i int) (int64, error) {
+	size, err := s.get(p, client, b, i)
 	if err != nil {
 		return 0, err
 	}
@@ -175,17 +166,6 @@ func (s *BufferServer) getChunk(p *sim.Proc, client netsim.NodeID, key string) (
 		return 0, err
 	}
 	return size, nil
-}
-
-// deleteBlock removes all of a block's items from the engine and releases
-// its hold on the share. It is invoked from manager-side logic (evictions,
-// file deletes) and costs no fabric time: the manager piggybacks
-// invalidations on its existing control traffic.
-func (s *BufferServer) deleteBlock(b *bbBlock) {
-	for _, k := range s.fs.itemKeys(b) {
-		_ = s.phys.engine.Delete(k)
-	}
-	b.releaseShare(s)
 }
 
 // admitClean makes s the only holder of an evicted block whose bytes it
@@ -220,7 +200,7 @@ func (s *BufferServer) ensureSpace(p *sim.Proc, size int64) error {
 			if victim.state != stateClean || !victim.onServer(s) {
 				continue // deleted, re-dirtied, or already dropped here
 			}
-			s.deleteBlock(victim)
+			victim.releaseShare(s)
 			victim.dropServer(s)
 			if victim.primary() == nil {
 				victim.move(stateEvicted)

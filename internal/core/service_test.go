@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,6 +35,11 @@ func TestServiceCostOnIdleFabric(t *testing.T) {
 	l := lustre.New(c, lustre.Config{OSTs: 4, StripeCount: 2})
 	pool := New(c, l, testCfg("bb-async")) // neither it nor HDFS is started: the fabric stays idle
 	ph := pool.phys[0]
+	// A buffer GET is answered from the share's ledger: held is a 1 MiB
+	// block the share holds, gone one it does not.
+	share := pool.DefaultInstance().Servers()[0]
+	held, gone := &bbBlock{inst: share.fs, size: mib}, &bbBlock{inst: share.fs, size: mib}
+	held.takeShare(share, mib)
 
 	// envelope mirrors netsim's price of an n-byte envelope on a NIC no
 	// flow crosses: software overhead at both ends and one latency, then
@@ -63,13 +70,19 @@ func TestServiceCostOnIdleFabric(t *testing.T) {
 		do    func(p *sim.Proc) error
 	}
 	calls := []call{
-		{name: "set", srv: bb, reply: 32, do: func(p *sim.Proc) error { return ph.set(p, client, "k#0", mib) }},
+		{name: "set", srv: bb, reply: 32, do: func(p *sim.Proc) error { return ph.set(p, client) }},
 		{name: "get", srv: bb, reply: 32, do: func(p *sim.Proc) error {
-			n, err := ph.get(p, client, "k#0")
+			n, err := share.get(p, client, held, 0)
 			if err == nil && n != mib {
 				t.Errorf("get returned %d bytes, want %d", n, mib)
 			}
 			return err
+		}},
+		{name: "get/not-found", srv: bb, reply: 32, do: func(p *sim.Proc) error {
+			if _, err := share.get(p, client, gone, 0); !errors.Is(err, dfs.ErrNotFound) {
+				return fmt.Errorf("get of a block the share does not hold: %v, want ErrNotFound", err)
+			}
+			return nil
 		}},
 	}
 	for _, fs := range []struct {

@@ -239,14 +239,11 @@ func (w *bbWriter) streamBytes(p *sim.Proc, m int64) error {
 	return nil
 }
 
-// issueItem inserts the block's last item, the bytes streamed since the
-// previous one, into every replica server's KV engine.
+// issueItem completes the SET of the block's last chunk, the bytes
+// streamed since the previous one, on every replica server.
 func (w *bbWriter) issueItem(p *sim.Proc) error {
-	b := w.cur
-	idx := (b.size - 1) / w.fs.cfg.ItemChunk
-	key, size := itemKey(b.key, idx), b.size-idx*w.fs.cfg.ItemChunk
-	for _, s := range b.srvs {
-		if err := s.phys.set(p, w.client, key, size); err != nil {
+	for _, s := range w.cur.srvs {
+		if err := s.phys.set(p, w.client); err != nil {
 			return err
 		}
 	}

@@ -1,12 +1,12 @@
 // Package memcached implements a Memcached-compatible in-memory key-value
 // engine: slab-class allocation, per-class LRU eviction, CAS, lazy TTL
 // expiry, and the usual counter statistics. The engine is the substrate for
-// both the real TCP server (internal/memcached/mcserver, speaking the
-// memcached binary protocol) and the simulated RDMA-Memcached burst-buffer
-// servers (internal/core), which store "virtual" values — size-only items
-// whose payload bytes are never materialized — so that multi-gigabyte
-// simulated datasets use real allocator/LRU/statistics code paths without
-// real memory.
+// the socket tier — the real TCP server (internal/memcached/mcserver,
+// speaking the memcached binary protocol) and the clusters built on it —
+// and for the simulated Memcached micro-benchmarks (fig1 and fig2), which
+// store "virtual" values — size-only items whose payload bytes are never
+// materialized — so that their servers use real allocator/LRU/statistics
+// code paths without real memory.
 //
 // Items live outside the collected heap, laid out as memcached lays them
 // out: a header of plain integers (CAS, expiry, flags, sizes, LRU and
