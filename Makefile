@@ -24,9 +24,12 @@ race:
 # its plain-map model over arbitrary operation programs (on a roomy engine
 # and on a four-page one that fills: per-class LRU eviction, an overwrite
 # reusing its key's own chunk, pinned items passed over, ErrNoMemory with
-# every item of a class pinned), and the sim
+# every item of a class pinned), the sim
 # kernel's event heap against its sorted-slice oracle over arbitrary
-# schedule/pop/cancel/reschedule programs. `go test` takes one -fuzz target
+# schedule/pop/cancel/reschedule programs, and the log-linear
+# metrics.Histogram against its sorted-sample oracle (zeros, negatives,
+# +-1e308; exact count/min/max/mean, quantiles within 1/32, Merge equal to
+# observing both streams): five targets. `go test` takes one -fuzz target
 # per run; plain `go test ./...` runs their seed corpora.
 FUZZTIME ?= 30s
 fuzz:
@@ -34,6 +37,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzClientReplies$$' -fuzztime $(FUZZTIME) ./internal/memcached/mcclient/
 	go test -run '^$$' -fuzz '^FuzzEngineModel$$' -fuzztime $(FUZZTIME) ./internal/memcached/
 	go test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	go test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime $(FUZZTIME) ./internal/metrics/
 
 # Full micro-benchmark suite with allocation stats, summarized to
 # BENCH_10.json (serving-cluster PR: ClusterZipf is the headline — a

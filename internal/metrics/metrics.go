@@ -1,7 +1,9 @@
 // Package metrics provides lightweight counters, histograms, and report
-// tables used by the simulation and the benchmark harness. None of the
-// types are goroutine-safe; in the simulation exactly one process runs at a
-// time, so no locking is needed.
+// tables used by the simulation and the benchmark harness. A histogram is
+// fixed-size and log-linear: it keeps bucket counts, not samples, so it
+// can stay on in every run at any sample count. None of the types are
+// goroutine-safe; in the simulation exactly one process runs at a time,
+// so no locking is needed.
 package metrics
 
 import (
@@ -99,27 +101,116 @@ func (c *Counter) Inc() { c.v++ }
 // Value returns the current value.
 func (c *Counter) Value() int64 { return c.v }
 
-// Histogram records float64 observations and reports count, mean, min/max,
-// and approximate quantiles (exact up to its retention cap, reservoir-free:
-// it simply keeps all samples up to the cap, which the simulation's sample
-// counts never exceed in practice).
+// Histogram records float64 observations in a fixed-size log-linear
+// layout and reports count, mean, min/max and quantiles. A bucket is a
+// float64's sign, exponent and top subBits mantissa bits: 32 linear
+// buckets per power of two, each at most 1/32 of its values wide (the
+// layout of the benchmark harness's latency histogram). Zero has a
+// counter of its own. The 32 counters of a power of two are one page,
+// allocated when that power of two is first observed, so Observe
+// allocates nothing after that and memory does not grow with the count.
+//
+// Count, sum, min and max are exact. Quantile keeps the q·(n−1) rank
+// convention of a sorted sample list: q=0 and q=1 return min and max
+// exactly, and any other quantile is within 1/32 of the sorted-list
+// answer (within 2^-1027 for subnormal values). NaN observations are
+// ignored.
 type Histogram struct {
-	samples []float64
-	sum     float64
-	count   int64
-	min     float64
-	max     float64
-	sorted  bool
-	cap     int
+	pos, neg buckets // magnitudes of the positive and the negative observations
+	zeros    int64
+	count    int64
+	sum      float64
+	min      float64
+	max      float64
 }
 
-// NewHistogram returns an empty histogram retaining up to 1<<20 samples.
+// subBits is log2 of the linear buckets per power of two.
+const subBits = 5
+
+type page [1 << subBits]int64
+
+// buckets counts magnitudes by biased float64 exponent: pages[i] holds
+// exponent lo+i, nil until a magnitude with that exponent is added.
+type buckets struct {
+	lo    int
+	n     int64
+	pages []*page
+}
+
+// bucketOf returns the exponent and linear sub-bucket of a magnitude m > 0.
+func bucketOf(m float64) (exp, sub int) {
+	b := math.Float64bits(m)
+	return int(b >> 52), int(b>>(52-subBits)) & (1<<subBits - 1)
+}
+
+func (b *buckets) add(exp, sub int, n int64) {
+	switch {
+	case b.pages == nil:
+		b.lo, b.pages = exp, make([]*page, 1)
+	case exp < b.lo:
+		grown := make([]*page, b.lo+len(b.pages)-exp)
+		copy(grown[b.lo-exp:], b.pages)
+		b.lo, b.pages = exp, grown
+	case exp >= b.lo+len(b.pages):
+		b.pages = append(b.pages, make([]*page, exp-b.lo-len(b.pages)+1)...)
+	}
+	p := b.pages[exp-b.lo]
+	if p == nil {
+		p = new(page)
+		b.pages[exp-b.lo] = p
+	}
+	p[sub] += n
+	b.n += n
+}
+
+func (b *buckets) merge(o *buckets) {
+	for i, p := range o.pages {
+		if p == nil {
+			continue
+		}
+		for sub, c := range p {
+			if c != 0 {
+				b.add(o.lo+i, sub, c)
+			}
+		}
+	}
+}
+
+// at estimates the r-th smallest magnitude (0-based, r < b.n): its
+// bucket's lower bound plus the bucket's width times r's position among
+// the bucket's counts, as if they were spread evenly across it.
+func (b *buckets) at(r int64) float64 {
+	for i, p := range b.pages {
+		if p == nil {
+			continue
+		}
+		for sub, c := range p {
+			if r >= c {
+				r -= c
+				continue
+			}
+			exp := uint64(b.lo+i) << 52
+			low := math.Float64frombits(exp | uint64(sub)<<(52-subBits))
+			if math.IsInf(low, 1) { // +Inf's bucket has no upper bound
+				return low
+			}
+			high := math.Float64frombits(exp + uint64(sub+1)<<(52-subBits))
+			return low + (high-low)*((float64(r)+0.5)/float64(c))
+		}
+	}
+	panic("metrics: histogram rank out of range")
+}
+
+// NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{min: math.Inf(1), max: math.Inf(-1), cap: 1 << 20}
+	return &Histogram{min: math.Inf(1), max: math.Inf(-1)}
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	h.count++
 	h.sum += v
 	if v < h.min {
@@ -128,20 +219,27 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, v)
-		h.sorted = false
+	switch {
+	case v > 0:
+		exp, sub := bucketOf(v)
+		h.pos.add(exp, sub, 1)
+	case v < 0:
+		exp, sub := bucketOf(-v)
+		h.neg.add(exp, sub, 1)
+	default:
+		h.zeros++
 	}
 }
 
 // ObserveDuration records a duration sample in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Merge folds another histogram's observations into h. Sharded runs keep
-// one histogram per shard-owned domain (no locking, no cross-shard
-// writes) and merge them into a registry histogram after the run; the
-// result is identical to observing every sample on h directly, up to the
-// retention cap.
+// Merge folds another histogram's observations into h by adding its
+// bucket counts. Sharded runs keep one histogram per shard-owned domain
+// (no locking, no cross-shard writes) and merge them into a registry
+// histogram after the run; the result has the same buckets, count, min
+// and max as observing every sample on h directly, so its quantiles are
+// identical.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.count == 0 {
 		return
@@ -154,13 +252,9 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o.max > h.max {
 		h.max = o.max
 	}
-	for _, v := range o.samples {
-		if len(h.samples) >= h.cap {
-			break
-		}
-		h.samples = append(h.samples, v)
-	}
-	h.sorted = false
+	h.zeros += o.zeros
+	h.pos.merge(&o.pos)
+	h.neg.merge(&o.neg)
 }
 
 // Count returns the number of observations.
@@ -190,29 +284,52 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) over retained samples.
+// Quantile returns the q-quantile (0 <= q <= 1): the value at rank
+// q·(n−1) of the sorted observations, interpolated linearly between the
+// two ranks around it, each rank read from its bucket and clamped into
+// [Min, Max]. 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.samples) == 0 {
+	if h.count == 0 {
 		return 0
 	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
 	if q <= 0 {
-		return h.samples[0]
+		return h.min
 	}
 	if q >= 1 {
-		return h.samples[len(h.samples)-1]
+		return h.max
 	}
-	idx := q * float64(len(h.samples)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return h.samples[lo]
-	}
+	idx := q * float64(h.count-1)
+	lo := int64(idx)
 	frac := idx - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
+	v := h.rank(lo)
+	if frac == 0 {
+		return v
+	}
+	w := h.rank(lo + 1)
+	if v == w { // also keeps equal infinite ranks from interpolating to NaN
+		return v
+	}
+	return min(max(v*(1-frac)+w*frac, h.min), h.max)
+}
+
+// rank estimates the k-th smallest observation (0-based).
+func (h *Histogram) rank(k int64) float64 {
+	if k == 0 {
+		return h.min
+	}
+	if k == h.count-1 {
+		return h.max
+	}
+	var v float64
+	switch neg := h.neg.n; {
+	case k < neg:
+		v = -h.neg.at(neg - 1 - k)
+	case k < neg+h.zeros:
+		v = 0
+	default:
+		v = h.pos.at(k - neg - h.zeros)
+	}
+	return min(max(v, h.min), h.max)
 }
 
 // String summarizes the histogram.
