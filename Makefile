@@ -24,7 +24,9 @@ race:
 # its plain-map model over arbitrary operation programs (on a roomy engine
 # and on a four-page one that fills: per-class LRU eviction, an overwrite
 # reusing its key's own chunk, pinned items passed over, ErrNoMemory with
-# every item of a class pinned), the sim
+# every item of a class pinned; the hash index starts at one bucket, so
+# every program crosses its doublings and walks chains of several items,
+# and the model checks the index's size after every step), the sim
 # kernel's event heap against its sorted-slice oracle over arbitrary
 # schedule/pop/cancel/reschedule programs, and the log-linear
 # metrics.Histogram against its sorted-sample oracle (zeros, negatives,

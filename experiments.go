@@ -597,18 +597,19 @@ func newFig2Cell(clients int) *fig2Cell {
 	cell := &fig2Cell{
 		env:     env,
 		nw:      netsim.New(env, netsim.RDMA, clients+fig2Servers),
-		ring:    hashring.New(0),
 		servers: map[string]*fig2Server{},
 		clients: make([]fig2Client, clients),
 	}
-	for s := 0; s < fig2Servers; s++ {
+	names := make([]string, fig2Servers)
+	for s := range names {
 		name := fmt.Sprintf("srv%d", s)
-		cell.ring.Add(name)
+		names[s] = name
 		cell.servers[name] = &fig2Server{
 			node: netsim.NodeID(clients + s),
 			eng:  memcached.NewEngine(memcached.Config{MemLimit: 256 << 20}),
 		}
 	}
+	cell.ring = hashring.New(0, names...)
 	for i := range cell.clients {
 		c := &cell.clients[i]
 		c.cell, c.node, c.op = cell, netsim.NodeID(i), cell.nw.NewOp()

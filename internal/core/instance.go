@@ -134,7 +134,6 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 		backing:   fs.backing,
 		mgr:       fs.mgr,
 		tree:      dfs.NewTree(),
-		ring:      hashring.New(0),
 		srvByName: make(map[string]*BufferServer),
 		bricks:    bricks,
 	}
@@ -143,6 +142,7 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 		prefix = fmt.Sprintf("bb.%s.", spec.Name)
 	}
 	inst.metrics = fs.metrics.View(prefix)
+	var names []string
 	for i, ph := range fs.phys {
 		if limits[i] <= 0 {
 			continue
@@ -150,11 +150,12 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 		s := newBufferServer(inst, ph, limits[i])
 		inst.servers = append(inst.servers, s)
 		inst.srvByName[s.name] = s
-		inst.ring.Add(s.name)
+		names = append(names, s.name)
 		if spec.BricksPerServer != nil {
 			ph.bricksUsed += spec.BricksPerServer[i]
 		}
 	}
+	inst.ring = hashring.New(0, names...)
 	fs.instances = append(fs.instances, inst)
 	if fs.running {
 		inst.start()

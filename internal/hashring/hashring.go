@@ -18,8 +18,7 @@ const DefaultReplicas = 160
 // Ring is a consistent-hash ring. The zero value is not usable; call New.
 type Ring struct {
 	replicas int
-	points   []point // sorted by hash
-	fresh    []point // Add's scratch: the new node's points, reused
+	points   []point // sorted by hash; equal hashes in the order nodes were added
 	nodes    map[string]struct{}
 }
 
@@ -28,13 +27,21 @@ type point struct {
 	node string
 }
 
-// New returns an empty ring with the given number of virtual points per
-// node (<= 0 selects DefaultReplicas).
-func New(replicas int) *Ring {
+// New returns a ring with the given number of virtual points per node (<= 0
+// selects DefaultReplicas) holding nodes; a repeated node is held once. The
+// ring is built in one pass, every node's points and then one sort, and
+// equals the ring Add builds from the same nodes in the same order.
+func New(replicas int, nodes ...string) *Ring {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
-	return &Ring{replicas: replicas, nodes: make(map[string]struct{})}
+	r := &Ring{replicas: replicas, nodes: make(map[string]struct{}, len(nodes))}
+	r.points = make([]point, 0, len(nodes)*replicas)
+	for _, n := range nodes {
+		r.appendPoints(n)
+	}
+	sortPoints(r.points)
+	return r
 }
 
 // FNV-1a, 64 bit.
@@ -65,37 +72,35 @@ func mix(x uint64) uint64 {
 
 func hashOf(s string) uint64 { return mix(fnvAdd(fnvOffset, s)) }
 
-// Add inserts a node. Adding an existing node is a no-op. Virtual point i
-// of a node hashes the label "node#i"; the node's points are sorted on
-// their own and merged into the ring in one pass, so building a ring of n
-// nodes costs n linear merges, not n full sorts.
+// Add inserts a node. Adding an existing node is a no-op.
 func (r *Ring) Add(node string) {
+	if r.appendPoints(node) {
+		sortPoints(r.points)
+	}
+}
+
+// appendPoints appends node's virtual points to the ring, unsorted, and
+// reports whether the node is new; a node the ring holds adds nothing.
+// Virtual point i of a node hashes the label "node#i".
+func (r *Ring) appendPoints(node string) bool {
 	if _, ok := r.nodes[node]; ok {
-		return
+		return false
 	}
 	r.nodes[node] = struct{}{}
 	prefix := fnvAdd(fnvAdd(fnvOffset, node), "#")
-	fresh := r.fresh[:0]
 	var digits [20]byte
 	for i := 0; i < r.replicas; i++ {
 		h := fnvAdd(prefix, strconv.AppendInt(digits[:0], int64(i), 10))
-		fresh = append(fresh, point{hash: mix(h), node: node})
+		r.points = append(r.points, point{hash: mix(h), node: node})
 	}
-	r.fresh = fresh
-	slices.SortFunc(fresh, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
-	// Merge from the back, in place: grow the ring by the new points' room
-	// and fill it from the largest hash down.
-	i := len(r.points) - 1
-	r.points = append(r.points, fresh...)
-	for j, k := len(fresh)-1, len(r.points)-1; j >= 0; k-- {
-		if i >= 0 && r.points[i].hash > fresh[j].hash {
-			r.points[k] = r.points[i]
-			i--
-		} else {
-			r.points[k] = fresh[j]
-			j--
-		}
-	}
+	return true
+}
+
+// sortPoints orders points by hash. The sort is stable, so of two points
+// with equal hashes the one appended first, the earlier node's, stays
+// first, whether the nodes came in one New or one Add at a time.
+func sortPoints(points []point) {
+	slices.SortStableFunc(points, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
 }
 
 // Remove deletes a node and all its virtual points. Removing an absent

@@ -1,6 +1,7 @@
 package hashring
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -294,7 +295,8 @@ func TestGroupN(t *testing.T) {
 // construction placement was defined by: virtual point i of a node is the
 // finalized FNV-1a hash of the label "node#i" (hash/fnv over the formatted
 // string), and the ring is all points sorted by hash. Add builds the same
-// table incrementally, across adds, removes and re-adds.
+// table a node at a time, across adds, removes and re-adds, and New builds
+// it from the whole node list at once.
 func TestPointsMatchReferenceConstruction(t *testing.T) {
 	ref := func(nodes []string, replicas int) []point {
 		var pts []point
@@ -317,8 +319,14 @@ func TestPointsMatchReferenceConstruction(t *testing.T) {
 		for _, n := range nodes {
 			r.Add(n)
 		}
-		if want := ref(nodes, replicas); !slices.Equal(r.points, want) {
+		want := ref(nodes, replicas)
+		if !slices.Equal(r.points, want) {
 			t.Fatalf("replicas=%d: ring table differs from the reference construction", replicas)
+		}
+		// New builds the same table in one pass; a repeated node counts once.
+		one := New(replicas, append(slices.Clone(nodes), nodes[4], nodes[0])...)
+		if !slices.Equal(one.points, want) || !slices.Equal(one.Nodes(), r.Nodes()) {
+			t.Fatalf("replicas=%d: the one-pass ring differs from the ring Add built", replicas)
 		}
 		r.Remove(nodes[3])
 		r.Remove(nodes[10])
@@ -332,5 +340,48 @@ func TestPointsMatchReferenceConstruction(t *testing.T) {
 	h.Write([]byte("some/key"))
 	if got, want := hashOf("some/key"), mix(h.Sum64()); got != want {
 		t.Errorf("hashOf = %x, want %x", got, want)
+	}
+}
+
+// mergeAdd is how Add built a ring before New built it in one pass: the new
+// node's points sorted on their own, then merged in from the back, so that
+// of two equal hashes the point already in the ring stays first. It is the
+// oracle for the order of equal hashes.
+func mergeAdd(ring, fresh []point) []point {
+	fresh = slices.Clone(fresh)
+	slices.SortFunc(fresh, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
+	i := len(ring) - 1
+	ring = append(ring, fresh...)
+	for j, k := len(fresh)-1, len(ring)-1; j >= 0; k-- {
+		if i >= 0 && ring[i].hash > fresh[j].hash {
+			ring[k] = ring[i]
+			i--
+		} else {
+			ring[k] = fresh[j]
+			j--
+		}
+	}
+	return ring
+}
+
+// TestEqualHashesKeepNodeOrder forces ties: eight nodes' points take hashes
+// from a range of four. The one sort New and Add end with orders them as
+// the merging construction did, the earlier node's point first, whether it
+// sorts all nodes' points at once or after each node's.
+func TestEqualHashesKeepNodeOrder(t *testing.T) {
+	var all, each, merged []point
+	for n := 0; n < 8; n++ {
+		var pts []point
+		for i := 0; i < 16; i++ {
+			pts = append(pts, point{hash: uint64(n*5+i*3) % 4, node: fmt.Sprintf("node%d", n)})
+		}
+		all = append(all, pts...)
+		each = append(each, pts...)
+		sortPoints(each)
+		merged = mergeAdd(merged, pts)
+	}
+	sortPoints(all)
+	if !slices.Equal(all, merged) || !slices.Equal(each, merged) {
+		t.Fatalf("equal hashes out of node order:\none pass %v\nby node  %v\nmerged   %v", all, each, merged)
 	}
 }

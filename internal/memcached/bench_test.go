@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // benchKeys pre-formats a key set so benchmarks measure engine cost, not
@@ -46,7 +47,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineSerial is one goroutine's Get: the map lookup, the LRU
+// BenchmarkEngineSerial is one goroutine's Get: the chain walk, the LRU
 // touch and one uncontended lock.
 func BenchmarkEngineSerial(b *testing.B) {
 	e := NewEngine(Config{MemLimit: 64 << 20})
@@ -59,4 +60,31 @@ func BenchmarkEngineSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Get(keys[i%len(keys)])
 	}
+}
+
+// BenchmarkIndexDoubling stores 2^18 items into a new engine and reports
+// the longest Set that doubled the index, the pause every caller of the
+// engine waits out while the chains are relinked, and the time all the
+// doubling Sets of a fill took.
+func BenchmarkIndexDoubling(b *testing.B) {
+	keys := benchKeys(1 << 18)
+	val := make([]byte, 8)
+	var longest, total time.Duration
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(Config{})
+		power := e.Stats().HashPowerLevel
+		for _, k := range keys {
+			start := time.Now()
+			if _, err := e.Set(Item{Key: k, Value: val}); err != nil {
+				b.Fatal(err)
+			}
+			d := time.Since(start)
+			if p := e.Stats().HashPowerLevel; p != power {
+				power, longest, total = p, max(longest, d), total+d
+			}
+		}
+		e.Close()
+	}
+	b.ReportMetric(float64(longest.Microseconds())/1e3, "max-doubling-ms")
+	b.ReportMetric(float64(total.Microseconds())/1e3/float64(b.N), "doubling-ms/op")
 }

@@ -13,13 +13,15 @@
 // hash-chain links, class, pins), then the key, then the value. A real
 // item of any size is one chunk of its slab class, cut from a region the
 // engine maps itself; a virtual item is a header and a key in an arena of
-// bytes. The index maps a key's hash to the first item of that hash's
-// chain, so neither it nor the items hold a pointer for the collector to
-// trace. A value is copied in once and never moves: Set copies the
-// caller's slice, Reserve hands out the chunk itself to be filled in place
-// and committed, Acquire pins an item so that its bytes can be sent from
-// the chunk, and Get returns a copy. No slice into the region is reachable
-// without a Reservation or a Pin.
+// bytes. The index is memcached's: a power-of-two array of chain heads, a
+// key's bucket the low bits of its hash, the items chained through their
+// headers. It doubles, relinking every chain at once, when the items
+// outnumber its buckets 3 to 2, and never shrinks. Neither it nor the items
+// hold a pointer for the collector to trace. A value is copied in once and
+// never moves: Set copies the caller's slice, Reserve hands out the chunk
+// itself to be filled in place and committed, Acquire pins an item so that
+// its bytes can be sent from the chunk, and Get returns a copy. No slice
+// into the region is reachable without a Reservation or a Pin.
 //
 // Every store, Set and IncrDecr as well as Reserve, takes its chunk first
 // and replaces the key's old item only when it commits, so a store that
@@ -40,8 +42,10 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
+	"unsafe"
 )
 
 // Errors returned by engine operations. They map 1:1 onto memcached binary
@@ -137,7 +141,12 @@ type Stats struct {
 	Bytes        int64 // bytes used by item data (key+value+overhead)
 	Evictions    int64
 	Expired      int64
-	LimitMaxMB   int64
+	// LimitMaxBytes is MemLimit.
+	LimitMaxBytes int64
+	// HashPowerLevel is the index's size as a power of two; HashBytes is
+	// its memory.
+	HashPowerLevel int64
+	HashBytes      int64
 }
 
 // Engine is the key-value store. Exported methods lock mu; the unexported
@@ -146,12 +155,16 @@ type Engine struct {
 	mu      sync.Mutex
 	cfg     Config
 	seed    maphash.Seed
-	table   map[uint64]ref // key hash -> the first item of its chain
+	table   []ref // chain heads; a key's bucket is the low bits of its hash
 	slabs   slabArena
 	casSeq  uint64
 	stats   Stats
 	flushAt uint64 // items with a lower CAS were stored before the last Flush
 }
+
+// hashPowerStart is the index's size, as a power of two, in a new or
+// closed engine. Only this package's tests change it.
+var hashPowerStart = 8
 
 // NewEngine returns an engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
@@ -159,10 +172,10 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		seed:  maphash.MakeSeed(),
-		table: make(map[uint64]ref),
+		table: make([]ref, 1<<hashPowerStart),
 		slabs: newSlabArena(cfg),
 	}
-	e.stats.LimitMaxMB = cfg.MemLimit >> 20
+	e.stats.LimitMaxBytes = cfg.MemLimit
 	return e
 }
 
@@ -177,7 +190,10 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.stats
+	st := e.stats
+	st.HashPowerLevel = int64(bits.TrailingZeros(uint(len(e.table))))
+	st.HashBytes = int64(len(e.table)) * int64(unsafe.Sizeof(ref(0)))
+	return st
 }
 
 // itemFootprint is the slab footprint of an item.
@@ -199,10 +215,13 @@ func (e *Engine) expired(h *header) bool {
 
 func (e *Engine) hash(key string) uint64 { return maphash.String(e.seed, key) }
 
+// bucket is the index slot of the chain of the keys whose hash is hv.
+func (e *Engine) bucket(hv uint64) *ref { return &e.table[hv&uint64(len(e.table)-1)] }
+
 // lookup finds the live item under key, whose hash is hv, lazily reaping it
 // if expired.
 func (e *Engine) lookup(key string, hv uint64) ref {
-	for r := e.table[hv]; r != 0; {
+	for r := *e.bucket(hv); r != 0; {
 		m := e.slabs.mem(r)
 		h := hdrOf(m)
 		if string(m[hdrSize:hdrSize+int(h.keyLen)]) != key {
@@ -221,24 +240,26 @@ func (e *Engine) lookup(key string, hv uint64) ref {
 
 // unindex takes r off its hash chain.
 func (e *Engine) unindex(r ref) {
-	hv := maphash.Bytes(e.seed, e.slabs.key(r))
-	next := e.slabs.hdr(r).hnext
-	head := e.table[hv]
-	if head == r {
-		if next == 0 {
-			delete(e.table, hv)
-		} else {
-			e.table[hv] = next
-		}
-		return
+	link := e.bucket(maphash.Bytes(e.seed, e.slabs.key(r)))
+	for *link != r {
+		link = &e.slabs.hdr(*link).hnext
 	}
-	for p := head; ; {
-		h := e.slabs.hdr(p)
-		if h.hnext == r {
-			h.hnext = next
-			return
+	*link = e.slabs.hdr(r).hnext
+}
+
+// grow doubles the index and relinks every chain into it, as memcached's
+// assoc_expand does, but in one step.
+func (e *Engine) grow() {
+	old := e.table
+	e.table = make([]ref, 2*len(old))
+	for _, r := range old {
+		for r != 0 {
+			h := e.slabs.hdr(r)
+			next := h.hnext
+			head := e.bucket(maphash.Bytes(e.seed, e.slabs.key(r)))
+			h.hnext, *head = *head, r
+			r = next
 		}
-		p = h.hnext
 	}
 }
 
@@ -553,11 +574,14 @@ func (e *Engine) commit(r *Reservation, old ref) (uint64, error) {
 	e.casSeq++
 	h.cas = e.casSeq
 	e.slabs.link(r.r)
-	h.hnext = e.table[r.hv]
-	e.table[r.hv] = r.r
+	head := e.bucket(r.hv)
+	h.hnext, *head = *head, r.r
 	e.stats.CurrItems++
 	e.stats.TotalItems++
 	e.stats.Bytes += footprintOf(h)
+	if 2*e.stats.CurrItems > 3*int64(len(e.table)) {
+		e.grow()
+	}
 	return h.cas, nil
 }
 
@@ -650,6 +674,6 @@ func (e *Engine) Close() {
 	defer e.mu.Unlock()
 	e.slabs.unmap()
 	e.slabs = newSlabArena(e.cfg)
-	e.table = make(map[uint64]ref)
+	e.table = make([]ref, 1<<hashPowerStart)
 	e.stats.CurrItems, e.stats.Bytes = 0, 0
 }

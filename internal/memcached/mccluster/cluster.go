@@ -204,7 +204,7 @@ func New(addrs []string, opts Options) (*Cluster, error) {
 	opts = opts.withDefaults()
 	c := &Cluster{
 		opts:      opts,
-		ring:      hashring.New(0),
+		ring:      hashring.New(0, addrs...),
 		nodes:     make(map[string]*node, len(addrs)),
 		repairSem: make(chan struct{}, 64),
 	}
@@ -212,7 +212,6 @@ func New(addrs []string, opts Options) (*Cluster, error) {
 		if _, dup := c.nodes[a]; dup {
 			return nil, fmt.Errorf("mccluster: duplicate server address %q", a)
 		}
-		c.ring.Add(a)
 		c.nodes[a] = &node{addr: a, policy: opts.reconnect, cooldown: opts.redialCooldown}
 		c.addrs = append(c.addrs, a)
 	}

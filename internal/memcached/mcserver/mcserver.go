@@ -417,6 +417,7 @@ func statPairs(st memcached.Stats) []statPair {
 		{"cas_badval", st.CasBadval},
 		{"curr_items", st.CurrItems}, {"total_items", st.TotalItems},
 		{"bytes", st.Bytes}, {"evictions", st.Evictions},
-		{"expired", st.Expired}, {"limit_maxbytes", st.LimitMaxMB << 20},
+		{"expired", st.Expired}, {"limit_maxbytes", st.LimitMaxBytes},
+		{"hash_power_level", st.HashPowerLevel}, {"hash_bytes", st.HashBytes},
 	}
 }

@@ -162,8 +162,26 @@ func TestFlushVersionNoopStats(t *testing.T) {
 			t.Errorf("stats missing %q (got %v)", k, stats)
 		}
 	}
-	if stats["cmd_set"] != "2" {
-		t.Errorf("cmd_set = %s, want 2", stats["cmd_set"])
+	// The index's size: a new engine's 2^8 chain heads of 4 bytes.
+	for k, want := range map[string]string{"cmd_set": "2", "hash_power_level": "8", "hash_bytes": "1024"} {
+		if stats[k] != want {
+			t.Errorf("%s = %q, want %s", k, stats[k], want)
+		}
+	}
+}
+
+// TestStatsReportExactMemLimit: limit_maxbytes is the engine's MemLimit to
+// the byte, also under 1 MiB and off a whole MiB.
+func TestStatsReportExactMemLimit(t *testing.T) {
+	for _, limit := range []int64{512 << 10, 3<<20 + 1000} {
+		c := startServer(t, memcached.Config{MemLimit: limit})
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		if got, want := stats["limit_maxbytes"], fmt.Sprint(limit); got != want {
+			t.Errorf("MemLimit %d: limit_maxbytes = %s, want %s", limit, got, want)
+		}
 	}
 }
 

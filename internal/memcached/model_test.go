@@ -59,7 +59,8 @@ type model struct {
 func newModel(e *Engine, now *int64) *model {
 	m := &model{cfg: e.Config(), now: now, items: map[string]*modelItem{}, slabs: e.Slabs()}
 	m.classes = make([]modelClass, len(m.slabs))
-	m.stats.LimitMaxMB = m.cfg.MemLimit >> 20
+	m.stats.LimitMaxBytes = m.cfg.MemLimit
+	m.stats.HashPowerLevel, m.stats.HashBytes = int64(hashPowerStart), 4<<hashPowerStart
 	m.maxPages = max(m.cfg.MemLimit/max(int64(pageSize), int64(m.cfg.MaxItemSize)), 1)
 	return m
 }
@@ -218,6 +219,11 @@ func (m *model) commit(r *modelRes) (uint64, error) {
 	m.stats.CurrItems++
 	m.stats.TotalItems++
 	m.stats.Bytes += m.foot(mi)
+	// The index doubles once it holds more than 1.5 items a bucket.
+	if 2*m.stats.CurrItems > 3<<m.stats.HashPowerLevel {
+		m.stats.HashPowerLevel++
+		m.stats.HashBytes *= 2
+	}
 	return mi.cas, nil
 }
 
@@ -317,9 +323,9 @@ func checkItem(t *testing.T, step int, what string, it Item, mi *modelItem) {
 // program's first choice picks the engine: one with room for everything,
 // or four pages over a few coarse classes, which fills (evicting, reusing
 // an overwritten key's own chunk, skipping pinned items and failing with
-// every item pinned). Every result, the counters and the slab ledger must
-// match the model's after every step, and the index must hold the model's
-// live keys at the end.
+// every item pinned). Every result, the counters (the index's size among
+// them) and the slab ledger must match the model's after every step, and
+// the index must hold the model's live keys at the end.
 func runModel(t *testing.T, p program) {
 	if len(p) > 4096 {
 		p = p[:4096]
@@ -653,9 +659,19 @@ func allPinnedProgram() []byte {
 	return p.step(3, opVirtual, big).step(0, opVirtual, big)
 }
 
+// withHashPower starts the index of every engine made before tb ends at
+// 2^p buckets.
+func withHashPower(tb testing.TB, p int) {
+	old := hashPowerStart
+	hashPowerStart = p
+	tb.Cleanup(func() { hashPowerStart = old })
+}
+
 // FuzzEngineModel plays arbitrary programs against the engine and the
-// model (see runModel).
+// model (see runModel). The index starts at one bucket, so a program
+// crosses doublings and walks chains of several items.
 func FuzzEngineModel(f *testing.F) {
+	withHashPower(f, 0)
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add([]byte(seedProgram(seed, 2000)))
 	}
