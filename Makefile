@@ -42,16 +42,17 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime $(FUZZTIME) ./internal/metrics/
 
 # Full micro-benchmark suite with allocation stats, summarized to
-# BENCH_10.json (serving-cluster PR: ClusterZipf is the headline — a
-# zipf(1.1) read stream over 2^20 keys against 3 real-socket servers,
-# FrontCacheSpread must sustain >= 2x SinglePrimary req/s with the
-# front-cache hit rate and shed fraction reported alongside). The
-# -benchtime 1x smokes run via bench-fleet/bench-swarm; this target
+# BENCH.json (benchjson's default) under LABEL, with the host and the
+# commit in the report's note: the one target that writes a benchmark
+# record. A before/after comparison runs it at the parent commit with
+# LABEL=before, then here with LABEL=after, into the same file. The
+# -benchtime 1x smokes run via bench-fleet/bench-swarm; the first pass
 # excludes them to keep the full-suite wall time bounded.
+LABEL ?= after
 bench: tools
 	go test -run '^$$' -bench . -benchmem -skip 'FleetDFSIO10k|SwarmMillion|SwarmOverload' ./... > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	go test -run '^$$' -bench 'FleetDFSIO10k|SwarmMillion|SwarmOverload' -benchtime 1x . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	./bin/benchjson -out BENCH_10.json -note "host: $$(nproc) CPU core(s); serving-cluster PR — ClusterZipf A/Bs hot-key-blind single-primary placement against the replicated cluster client (space-saver hot-key detection, front cache, replica read spreading, admission control) over real loopback sockets: FrontCacheSpread must hold >= 2x SinglePrimary req/s (hit% and shed% reported); sim-side numbers must match BENCH_9" < bench.out
+	./bin/benchjson -label $(LABEL) -note "host: $$(uname -n), $$(nproc) CPU core(s); commit: $$(git describe --always --dirty 2>/dev/null || echo unknown)" < bench.out
 	rm -f bench.out
 
 # One-iteration benchmark pass: proves every benchmark still compiles and
@@ -61,15 +62,10 @@ bench-smoke:
 
 # The simulation-kernel micro-benchmarks (sleep alone and contended, timer,
 # spawn, timeout, pipe, netsim RPC) plus the serial experiment set they
-# add up to, merged into BENCH_13.json under LABEL. The file's "before" side
-# is the parent commit's output of the same commands, fed through
-# `benchjson -label before`.
-LABEL ?= after
-bench-kernel: tools
-	go test -run '^$$' -bench 'Sim|Pipe|Netsim' -benchmem ./internal/sim/ ./internal/netsim/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'Experiments$$' -benchmem . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	./bin/benchjson -out BENCH_13.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; coroutine hand-off PR — before = channel handshake through a scheduler goroutine (parent commit), after = iter.Pull switches with inline self-continuation; SimSleepContended (two alternating sleepers) is the path that still switches; events/op and allocs/op must match between the sides except WaitTimeout (-1 alloc: no timeout closure) and Experiments (ring build formats no strings)" < bench.out
-	rm -f bench.out
+# add up to. Prints only; `make bench` writes the record.
+bench-kernel:
+	go test -run '^$$' -bench 'Sim|Pipe|Netsim' -benchmem ./internal/sim/ ./internal/netsim/
+	go test -run '^$$' -bench 'Experiments$$' -benchmem .
 
 # Just the stage-out data-plane benchmarks: drain at run cap 8 vs run
 # cap 1, streaming readahead, and the tab6 experiment regeneration.
@@ -93,41 +89,35 @@ bench-fleet:
 	go test -run '^$$' -bench 'Tab8FleetScaling|FleetDFSIO10k|FleetShardSpeedup' -benchmem -benchtime 1x -timeout 20m .
 	go test -run '^$$' -bench 'SetDownAbort' -benchmem ./internal/netsim/
 
-# Open-loop swarm, merged into BENCH_19.json under LABEL (the file's
-# "before" side is the parent commit running the same commands with
-# internal/swarm/bench_test.go copied in): the zero-alloc arrival engine
-# hot path at 25 k clients per rack (cache-resident) and 250 k per rack
-# (cache-cold, where the million-client runs are) in ns/arrival, then what
-# rides on it — adaptive sync's window count beside the fixed-horizon
-# oracle the sim tests keep (ShardSyncSparse), the max-min solver's cost
-# pins (links touched per flow and per settle; req/wall-s on the
-# 20x-overloaded swarm), the tab9 table, and the million-client smoke once
-# (-benchtime 1x; req/wall-s and B-heap/client headline).
-bench-swarm: tools
-	go test -run '^$$' -bench 'SwarmArrivals' -benchmem ./internal/swarm/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'ShardSyncSparse' -benchmem ./internal/sim/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'FleetResolveTouched' -benchmem ./internal/netsim/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'SwarmShardSpeedup' -benchmem . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'Tab9SwarmScaling|SwarmMillion|SwarmOverload' -benchmem -benchtime 1x -timeout 20m . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	./bin/benchjson -out BENCH_19.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; swarm tick-calendar PR — before = per-rack 4-ary index heap of clients keyed by next arrival (parent commit), after = per-rack tick calendar (one list head per tick, one link per client); SwarmArrivals ns/arrival and SwarmMillion req/wall-s are the headline; allocs/op, events/req, links/op, requests and B-heap/client (to 0.1) must match between the sides; ShardSyncSparse and FleetResolveTouched do not execute internal/swarm" < bench.out
-	rm -f bench.out
+# Open-loop swarm: the zero-alloc arrival engine hot path at 25 k clients
+# per rack (cache-resident) and 250 k per rack (cache-cold, where the
+# million-client runs are) in ns/arrival, then what rides on it —
+# adaptive sync's window count beside the fixed-horizon oracle the sim
+# tests keep (ShardSyncSparse), the max-min solver's cost pins (links
+# touched per flow and per settle; req/wall-s on the 20x-overloaded
+# swarm), the tab9 table, and the million-client smoke once (-benchtime
+# 1x; req/wall-s and B-heap/client headline). Prints only; `make bench`
+# writes the record.
+bench-swarm:
+	go test -run '^$$' -bench 'SwarmArrivals' -benchmem ./internal/swarm/
+	go test -run '^$$' -bench 'ShardSyncSparse' -benchmem ./internal/sim/
+	go test -run '^$$' -bench 'FleetResolveTouched' -benchmem ./internal/netsim/
+	go test -run '^$$' -bench 'SwarmShardSpeedup' -benchmem .
+	go test -run '^$$' -bench 'Tab9SwarmScaling|SwarmMillion|SwarmOverload' -benchmem -benchtime 1x -timeout 20m .
 
-# Serving-tier benchmarks, merged into BENCH_14.json under LABEL (the
-# file's "before" side is the parent commit's output of the same commands
-# with the two new benchmark files copied in): ClientParallel (8 callers on
-# one connection, writes/op from a counting conn) and ClusterSet (R=2
-# fan-out, allocs/op) are the group-commit headline; the ClusterZipf
-# placement A/B (2s per variant for stable req/s) and the hot-path micros
-# (front-cache get, space-saver offer) ride along, and so does the block
-# path beside its roofline: BlockRoofline moves kv_block_stream's 32 x 256
-# KiB blocks over loopback with writev/io.ReadFull and no protocol (R=2 for
-# writes), BlockCluster moves them through SetMulti/GetMulti; both in MB/s.
-bench-cluster: tools
-	go test -run '^$$' -bench 'ClientParallel|ClientSequential' -benchmem ./internal/memcached/mcclient/ > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'ClusterSet|FrontCacheGet|SpaceSaverOffer|BlockRoofline|BlockCluster' -benchmem ./internal/memcached/mccluster/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	go test -run '^$$' -bench 'ClusterZipf' -benchtime 2s ./internal/memcached/mccluster/ >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	./bin/benchjson -out BENCH_14.json -label $(LABEL) -note "host: $$(nproc) CPU core(s), one sample per benchmark; mcclient group-commit PR — before = one write, one reader lock and (for a SET) two goroutines per round-trip (parent commit), after = leader/follower flush, batched dispatch, goroutine-free replica fan-out; ClientParallel writes/op is exactly 1 before; ClientSequential (a lone caller) must stay at 1 write and must not slow down" < bench.out
-	rm -f bench.out
+# Serving-tier benchmarks: ClientParallel (8 callers on one connection,
+# writes/op from a counting conn) and ClusterSet (R=2 fan-out, allocs/op)
+# are the group-commit headline; the ClusterZipf placement A/B (2s per
+# variant for stable req/s) and the hot-path micros (front-cache get,
+# space-saver offer) ride along, and so does the block path beside its
+# roofline: BlockRoofline moves kv_block_stream's 32 x 256 KiB blocks over
+# loopback with writev/io.ReadFull and no protocol (R=2 for writes),
+# BlockCluster moves them through SetMulti/GetMulti; both in MB/s. Prints
+# only; `make bench` writes the record.
+bench-cluster:
+	go test -run '^$$' -bench 'ClientParallel|ClientSequential' -benchmem ./internal/memcached/mcclient/
+	go test -run '^$$' -bench 'ClusterSet|FrontCacheGet|SpaceSaverOffer|BlockRoofline|BlockCluster' -benchmem ./internal/memcached/mccluster/
+	go test -run '^$$' -bench 'ClusterZipf' -benchtime 2s ./internal/memcached/mccluster/
 
 # Golden determinism suite: the seed schemes, bb-adaptive (with its
 # write-through/async block split), run cap 8, and the multi-job

@@ -13,8 +13,9 @@
 //   - "bb-adaptive": write-through while calm, async during a burst.
 //
 // The schemes differ only in the per-block write plan (Instance.planBlock);
-// the writer, the reader's source order (node-local replica, buffer,
-// remote replica, Lustre), the flushers and eviction are shared.
+// the writer, the reader (a source ladder for the shared dfs.BlockStream:
+// node-local replica, buffer, remote replica, Lustre), the flushers and
+// eviction are shared.
 package core
 
 import (

@@ -14,43 +14,23 @@ func (fs *Instance) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Re
 	if err != nil {
 		return nil, err
 	}
-	return &bbReader{fs: fs, client: client, path: path, blocks: blocks}, nil
+	r := &bbReader{fs: fs, client: client, path: path, blocks: blocks}
+	r.BlockStream = dfs.NewBlockStream[string](r, len(blocks), fs.cfg.ReadAhead)
+	return r, nil
 }
 
-// bbReader streams a file out of the burst buffer, choosing per block the
-// cheapest untried live source: node-local replica, then the RDMA buffer,
-// then a remote local replica, then Lustre. Mid-block failures fall back
-// to the next source, re-fetching the consumed prefix.
+// bbReader streams a file out of the burst buffer. Its dfs.BlockStream
+// reads each block from the cheapest untried live source: node-local
+// replica, then the RDMA buffer's replicas, then a remote local replica,
+// then Lustre; a source failing mid-block falls back to the next.
+// Config.ReadAhead blocks' fetches start while the current one streams,
+// overlapping Lustre metadata and first-stripe latency with delivery.
 type bbReader struct {
+	dfs.BlockStream[string]
 	fs     *Instance
 	client netsim.NodeID
 	path   string
 	blocks []*bbBlock
-	idx    int
-	closed bool
-
-	fetch       *sim.Store[packet]
-	pending     int64
-	consumedBlk int64
-	tried       map[string]struct{}
-	// ahead holds prefetched fetch streams by block index
-	// (Config.ReadAhead > 0): the next blocks' source choice and producers
-	// start while the current block streams, overlapping Lustre metadata
-	// and first-stripe latency with delivery.
-	ahead map[int]aheadFetch
-}
-
-// aheadFetch is one prefetched block stream and the source it came from
-// (so a mid-stream fallback knows what was already tried).
-type aheadFetch struct {
-	fetch *sim.Store[packet]
-	src   string
-}
-
-// packet mirrors the HDFS streaming unit: a byte count or an error marker.
-type packet struct {
-	bytes int64
-	err   bool
 }
 
 // tried-set keys for the source kinds.
@@ -89,15 +69,19 @@ func (r *bbReader) chooseSource(b *bbBlock, tried map[string]struct{}) (string, 
 		dfs.ErrCorrupt, b.id, r.path, b.state)
 }
 
-// launchFetch picks the best untried source for a block, marks it tried,
-// and starts its producer, returning the source key and packet stream.
-func (r *bbReader) launchFetch(b *bbBlock, tried map[string]struct{}) (string, *sim.Store[packet], error) {
+// Size implements dfs.BlockSource.
+func (r *bbReader) Size(i int) int64 { return r.blocks[i].size }
+
+// Fetch implements dfs.BlockSource: it picks block i's best untried
+// source, marks it tried, and starts its producer.
+func (r *bbReader) Fetch(i int, tried map[string]struct{}) (*sim.Store[dfs.Packet], error) {
+	b := r.blocks[i]
 	src, srv, err := r.chooseSource(b, tried)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	tried[src] = struct{}{}
-	out := sim.NewBounded[packet](prefetchWindow)
+	out := sim.NewBounded[dfs.Packet](prefetchWindow)
 	switch {
 	case src == srcLocal:
 		r.fs.stats.ReadsLocal++
@@ -117,67 +101,39 @@ func (r *bbReader) launchFetch(b *bbBlock, tried map[string]struct{}) (string, *
 		r.produceLustre(b, out)
 		r.fs.maybeReadmit(r.client, b)
 	}
-	return src, out, nil
+	return out, nil
 }
 
-// startFetch launches the producer for the current block's chosen source.
-func (r *bbReader) startFetch(p *sim.Proc) error {
-	_, out, err := r.launchFetch(r.blocks[r.idx], r.tried)
-	if err != nil {
-		return err
-	}
-	r.fetch = out
-	r.pending = 0
-	return nil
-}
-
-// prefetchAhead keeps Config.ReadAhead upcoming blocks' fetches in flight
-// while the current block streams. A block with no live source yet is left
-// for the foreground read to surface (or retry once flushes land).
-func (r *bbReader) prefetchAhead() {
-	n := r.fs.cfg.ReadAhead
-	if n <= 0 {
-		return
-	}
-	for i := r.idx + 1; i <= r.idx+n && i < len(r.blocks); i++ {
-		if _, ok := r.ahead[i]; ok {
-			continue
-		}
-		b := r.blocks[i]
-		if b.size == 0 {
-			continue
-		}
-		src, out, err := r.launchFetch(b, make(map[string]struct{}))
-		if err != nil {
-			return
-		}
-		if r.ahead == nil {
-			r.ahead = make(map[int]aheadFetch)
-		}
-		r.ahead[i] = aheadFetch{fetch: out, src: src}
+// Note implements dfs.BlockSource.
+func (r *bbReader) Note(e dfs.StreamEvent, n int64) {
+	switch e {
+	case dfs.Delivered:
+		r.fs.stats.BytesRead += n
+	case dfs.Adopted:
+		r.fs.metrics.Counter("read.prefetch.hits").Inc()
 	}
 }
 
 // produceLocal streams a block from its node-local replica device, over
 // the fabric when the reader is remote.
-func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[packet], isLocal bool) {
+func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[dfs.Packet], isLocal bool) {
 	fs := r.fs
 	client := r.client
 	fs.cl.Env.Spawn(fmt.Sprintf("bb.readlocal.b%d", b.id), func(q *sim.Proc) {
 		for i := range b.chunks() {
 			if b.localDev == nil || fs.net.Down(b.localNode) {
-				out.PutWait(q, packet{err: true})
+				out.PutWait(q, dfs.Packet{Err: true})
 				return
 			}
 			n := b.chunk(i)
 			b.localDev.ReadFlat(q, n)
 			if !isLocal {
 				if err := fs.net.Transfer(q, b.localNode, client, n+64, netsim.Native); err != nil {
-					out.PutWait(q, packet{err: true})
+					out.PutWait(q, dfs.Packet{Err: true})
 					return
 				}
 			}
-			if !out.PutWait(q, packet{bytes: n}) {
+			if !out.PutWait(q, dfs.Packet{Bytes: n}) {
 				return
 			}
 		}
@@ -186,13 +142,13 @@ func (r *bbReader) produceLocal(b *bbBlock, out *sim.Store[packet], isLocal bool
 
 // produceBuffer streams a block from one RDMA-Memcached replica server
 // with a small pool of parallel fetchers to hide per-chunk latency.
-func (r *bbReader) produceBuffer(b *bbBlock, srv *BufferServer, out *sim.Store[packet]) {
+func (r *bbReader) produceBuffer(b *bbBlock, srv *BufferServer, out *sim.Store[dfs.Packet]) {
 	fs := r.fs
 	client := r.client
 	chunks := b.chunks()
 	fetchers := min(4, chunks)
 	if fetchers == 0 {
-		out.Put(packet{})
+		out.Put(dfs.Packet{})
 		return
 	}
 	for f := 0; f < fetchers; f++ {
@@ -200,15 +156,15 @@ func (r *bbReader) produceBuffer(b *bbBlock, srv *BufferServer, out *sim.Store[p
 		fs.cl.Env.Spawn(fmt.Sprintf("bb.readbuf.b%d.%d", b.id, f), func(q *sim.Proc) {
 			for i := f; i < chunks; i += fetchers {
 				if srv.phys.failed {
-					out.PutWait(q, packet{err: true})
+					out.PutWait(q, dfs.Packet{Err: true})
 					return
 				}
 				n, err := srv.getChunk(q, client, b, i)
 				if err != nil {
-					out.PutWait(q, packet{err: true})
+					out.PutWait(q, dfs.Packet{Err: true})
 					return
 				}
-				if !out.PutWait(q, packet{bytes: n}) {
+				if !out.PutWait(q, dfs.Packet{Bytes: n}) {
 					return
 				}
 			}
@@ -217,13 +173,13 @@ func (r *bbReader) produceBuffer(b *bbBlock, srv *BufferServer, out *sim.Store[p
 }
 
 // produceLustre streams a block from its backing Lustre object.
-func (r *bbReader) produceLustre(b *bbBlock, out *sim.Store[packet]) {
+func (r *bbReader) produceLustre(b *bbBlock, out *sim.Store[dfs.Packet]) {
 	fs := r.fs
 	client := r.client
 	fs.cl.Env.Spawn(fmt.Sprintf("bb.readlustre.b%d", b.id), func(q *sim.Proc) {
 		lr, err := fs.backing.OpenRange(q, client, b.lustrePath, b.lustreOff, b.size)
 		if err != nil {
-			out.PutWait(q, packet{err: true})
+			out.PutWait(q, dfs.Packet{Err: true})
 			return
 		}
 		defer lr.Close(q)
@@ -231,120 +187,15 @@ func (r *bbReader) produceLustre(b *bbBlock, out *sim.Store[packet]) {
 		for remaining > 0 {
 			n, err := lr.Read(q, min(remaining, fs.cfg.ItemChunk))
 			if err != nil || n == 0 {
-				out.PutWait(q, packet{err: true})
+				out.PutWait(q, dfs.Packet{Err: true})
 				return
 			}
 			remaining -= n
-			if !out.PutWait(q, packet{bytes: n}) {
+			if !out.PutWait(q, dfs.Packet{Bytes: n}) {
 				return
 			}
 		}
 	})
-}
-
-// Read implements dfs.Reader.
-func (r *bbReader) Read(p *sim.Proc, n int64) (int64, error) {
-	if r.closed {
-		return 0, dfs.ErrClosed
-	}
-	var consumed int64
-	for consumed < n {
-		if r.idx >= len(r.blocks) {
-			return consumed, nil // EOF
-		}
-		b := r.blocks[r.idx]
-		if b.size == 0 {
-			r.idx++
-			continue
-		}
-		if r.fetch == nil {
-			r.consumedBlk = 0
-			if pf, ok := r.ahead[r.idx]; ok {
-				// The block's fetch was prefetched while its predecessor
-				// streamed; adopt it.
-				delete(r.ahead, r.idx)
-				r.tried = map[string]struct{}{pf.src: {}}
-				r.fetch = pf.fetch
-				r.pending = 0
-				r.fs.metrics.Counter("read.prefetch.hits").Inc()
-			} else {
-				r.tried = make(map[string]struct{})
-				if err := r.startFetch(p); err != nil {
-					return consumed, err
-				}
-			}
-			r.prefetchAhead()
-		}
-		if r.pending == 0 {
-			pkt, _ := r.fetch.Get(p)
-			if pkt.err {
-				// Source failed mid-stream: fall back and skip the prefix.
-				skip := r.consumedBlk
-				if err := r.startFetch(p); err != nil {
-					return consumed, err
-				}
-				if err := r.discard(p, skip); err != nil {
-					return consumed, err
-				}
-				continue
-			}
-			r.pending += pkt.bytes
-		}
-		take := min(n-consumed, r.pending)
-		r.pending -= take
-		r.consumedBlk += take
-		consumed += take
-		r.fs.stats.BytesRead += take
-		if r.consumedBlk >= b.size {
-			r.abandonFetch()
-			r.idx++
-		}
-	}
-	return consumed, nil
-}
-
-// discard drops n bytes from the current fetch (fallback prefix skip).
-func (r *bbReader) discard(p *sim.Proc, n int64) error {
-	for n > 0 {
-		if r.pending == 0 {
-			pkt, _ := r.fetch.Get(p)
-			if pkt.err {
-				if err := r.startFetch(p); err != nil {
-					return err
-				}
-				n = r.consumedBlk
-				continue
-			}
-			r.pending += pkt.bytes
-		}
-		take := min(n, r.pending)
-		r.pending -= take
-		n -= take
-	}
-	return nil
-}
-
-// abandonFetch releases the current producer.
-func (r *bbReader) abandonFetch() {
-	if r.fetch != nil {
-		r.fetch.Close()
-		r.fetch = nil
-	}
-	r.pending = 0
-}
-
-// Close implements dfs.Reader.
-func (r *bbReader) Close(p *sim.Proc) error {
-	if r.closed {
-		return dfs.ErrClosed
-	}
-	r.closed = true
-	r.abandonFetch()
-	for i, pf := range r.ahead {
-		pf.fetch.Close()
-		delete(r.ahead, i)
-	}
-	return nil
 }
 
 // maybeReadmit re-admits an evicted block into the buffer as a clean cache

@@ -3,7 +3,7 @@
 // buffer's integration schemes — and consumed by the MapReduce engine and
 // the workloads. Data is modelled as byte counts: writers and readers move
 // sizes, not payloads, while all metadata (paths, block maps, placement) is
-// real.
+// real. BlockStream is the block reader the block file systems share.
 package dfs
 
 import (
@@ -61,6 +61,13 @@ type Reader interface {
 // (Hadoop-on-Lustre) uses it so reducers fetch precisely their partition.
 type RangeReader interface {
 	ReadRange(p *sim.Proc, client netsim.NodeID, path string, offset, length int64) error
+}
+
+// RangeFileSystem is a FileSystem with the RangeReader capability: what a
+// shared-FS shuffle spills map output to.
+type RangeFileSystem interface {
+	FileSystem
+	RangeReader
 }
 
 // FileSystem is the storage abstraction. All methods charge virtual time

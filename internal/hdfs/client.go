@@ -1,7 +1,6 @@
 package hdfs
 
 import (
-	"errors"
 	"fmt"
 
 	"hbb/internal/dfs"
@@ -160,7 +159,7 @@ func (w *hdfsWriter) streamBytes(p *sim.Proc, m int64) error {
 		} else if dn := w.fs.dns[first]; dn != nil && dn.failed {
 			return netsim.ErrNodeDown
 		}
-		if !w.pl.recvs[0].in.PutWait(p, packet{bytes: n}) {
+		if !w.pl.recvs[0].in.PutWait(p, dfs.Packet{Bytes: n}) {
 			return netsim.ErrNodeDown
 		}
 		w.fs.stats.BytesWritten += n
@@ -219,7 +218,7 @@ func (w *hdfsWriter) finishBlock(p *sim.Proc) error {
 			return w.finishBlock(p)
 		}
 	}
-	pl.recvs[0].in.PutWait(p, packet{last: true})
+	pl.recvs[0].in.PutWait(p, dfs.Packet{Last: true})
 	acked := 0
 	for _, r := range pl.recvs {
 		r.done.Wait(p)
@@ -278,33 +277,34 @@ func (h *HDFS) Open(p *sim.Proc, client netsim.NodeID, path string) (dfs.Reader,
 	if err != nil {
 		return nil, err
 	}
-	return &hdfsReader{fs: h, client: client, path: path, blocks: blocks}, nil
+	r := &hdfsReader{fs: h, client: client, path: path, blocks: blocks}
+	r.BlockStream = dfs.NewBlockStream[netsim.NodeID](r, len(blocks), 0)
+	return r, nil
 }
 
-// hdfsReader streams a file out of HDFS, preferring node-local replicas
-// and falling back to other replicas on failure.
+// hdfsReader streams a file out of HDFS. Its dfs.BlockStream reads each
+// block from the node-local replica when there is one, else from a random
+// live remote replica, and falls back to the block's other replicas when
+// one fails.
 type hdfsReader struct {
+	dfs.BlockStream[netsim.NodeID]
 	fs     *HDFS
 	client netsim.NodeID
 	path   string
 	blocks []BlockInfo
-	idx    int
-	closed bool
-
-	fetch        *sim.Store[packet]
-	pending      int64 // bytes received but not yet consumed
-	consumedBlk  int64 // bytes of the current block already consumed
-	triedReplica map[netsim.NodeID]struct{}
 }
 
-// startFetch launches a streamer for the current block from the best
-// untried replica.
-func (r *hdfsReader) startFetch(p *sim.Proc) error {
-	b := r.blocks[r.idx]
+// Size implements dfs.BlockSource.
+func (r *hdfsReader) Size(i int) int64 { return r.blocks[i].Size }
+
+// Fetch implements dfs.BlockSource: it starts a streamer for block i on
+// the best untried live replica.
+func (r *hdfsReader) Fetch(i int, tried map[netsim.NodeID]struct{}) (*sim.Store[dfs.Packet], error) {
+	b := r.blocks[i]
 	var choice netsim.NodeID = -1
 	var remote []netsim.NodeID
 	for _, loc := range b.Locations {
-		if _, tried := r.triedReplica[loc]; tried {
+		if _, ok := tried[loc]; ok {
 			continue
 		}
 		dn := r.fs.dns[loc]
@@ -319,98 +319,24 @@ func (r *hdfsReader) startFetch(p *sim.Proc) error {
 	}
 	if choice == -1 {
 		if len(remote) == 0 {
-			return fmt.Errorf("%w: block %d of %q has no live replica", dfs.ErrCorrupt, b.ID, r.path)
+			return nil, fmt.Errorf("%w: block %d of %q has no live replica", dfs.ErrCorrupt, b.ID, r.path)
 		}
 		choice = remote[r.fs.cl.Env.Rand().Intn(len(remote))]
 	}
-	r.triedReplica[choice] = struct{}{}
-	r.fetch = sim.NewBounded[packet](windowPackets)
-	r.pending = 0
-	r.consumedBlk = 0
-	r.fs.dns[choice].streamBlock(b.ID, r.client, r.fetch)
-	return nil
+	tried[choice] = struct{}{}
+	out := sim.NewBounded[dfs.Packet](windowPackets)
+	r.fs.dns[choice].streamBlock(b.ID, r.client, out)
+	return out, nil
 }
 
-// Read implements dfs.Reader.
-func (r *hdfsReader) Read(p *sim.Proc, n int64) (int64, error) {
-	if r.closed {
-		return 0, dfs.ErrClosed
+// Note implements dfs.BlockSource.
+func (r *hdfsReader) Note(e dfs.StreamEvent, n int64) {
+	switch e {
+	case dfs.Delivered:
+		r.fs.stats.BytesRead += n
+	case dfs.BlockDone:
+		r.fs.stats.BlocksRead++
+	case dfs.FellBack:
+		r.fs.stats.ReplicaRetries++
 	}
-	var consumed int64
-	for consumed < n {
-		if r.idx >= len(r.blocks) {
-			return consumed, nil // EOF
-		}
-		if r.fetch == nil {
-			r.triedReplica = make(map[netsim.NodeID]struct{})
-			if err := r.startFetch(p); err != nil {
-				return consumed, err
-			}
-		}
-		if r.pending == 0 {
-			pkt, ok := r.fetch.Get(p)
-			if !ok || pkt.err {
-				// Replica failed mid-stream: retry the block from another
-				// replica (the already-consumed prefix is re-fetched; we
-				// approximate by restarting the stream and discarding the
-				// prefix at no extra consumption).
-				r.fs.stats.ReplicaRetries++
-				skip := r.consumedBlk
-				if err := r.startFetch(p); err != nil {
-					return consumed, err
-				}
-				if err := r.discard(p, skip); err != nil {
-					return consumed, err
-				}
-				r.consumedBlk = skip
-				continue
-			}
-			r.pending += pkt.bytes
-		}
-		take := min(n-consumed, r.pending)
-		r.pending -= take
-		r.consumedBlk += take
-		consumed += take
-		r.fs.stats.BytesRead += take
-		if r.consumedBlk >= r.blocks[r.idx].Size {
-			r.fs.stats.BlocksRead++
-			r.fetch = nil
-			r.idx++
-		}
-	}
-	return consumed, nil
-}
-
-// discard consumes and drops n bytes from the current fetch (used when
-// re-reading a block after a replica failure).
-func (r *hdfsReader) discard(p *sim.Proc, n int64) error {
-	for n > 0 {
-		if r.pending == 0 {
-			pkt, ok := r.fetch.Get(p)
-			if !ok || pkt.err {
-				return errors.New("hdfs: replica failed during re-read")
-			}
-			r.pending += pkt.bytes
-		}
-		take := min(n, r.pending)
-		r.pending -= take
-		n -= take
-	}
-	return nil
-}
-
-// Close implements dfs.Reader. Any in-flight streamer drains into the
-// bounded store and ends.
-func (r *hdfsReader) Close(p *sim.Proc) error {
-	if r.closed {
-		return dfs.ErrClosed
-	}
-	r.closed = true
-	if r.fetch != nil {
-		// Abandon the stream: the streamer's next PutWait reports the drop
-		// and it stops.
-		r.fetch.Close()
-		r.fetch = nil
-	}
-	return nil
 }

@@ -4,17 +4,11 @@ import (
 	"fmt"
 
 	"hbb/internal/cluster"
+	"hbb/internal/dfs"
 	"hbb/internal/netsim"
 	"hbb/internal/sim"
 	"hbb/internal/storage"
 )
-
-// packet is the streaming unit flowing through pipelines and read fetches.
-type packet struct {
-	bytes int64
-	last  bool
-	err   bool
-}
 
 // packetHeader is the nominal wire overhead of a zero-payload packet (the
 // end-of-block marker and acks).
@@ -120,7 +114,7 @@ func (dn *DataNode) heartbeatLoop(p *sim.Proc) {
 type blockRecv struct {
 	dn   *DataNode
 	blk  BlockID
-	in   *sim.Store[packet]
+	in   *sim.Store[dfs.Packet]
 	done *sim.Event
 	ok   bool
 	size int64
@@ -145,11 +139,11 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 	r := &blockRecv{
 		dn:   dn,
 		blk:  blk,
-		in:   sim.NewBounded[packet](windowPackets),
+		in:   sim.NewBounded[dfs.Packet](windowPackets),
 		done: &sim.Event{},
 		dev:  dev,
 	}
-	wstore := sim.NewBounded[packet](windowPackets)
+	wstore := sim.NewBounded[dfs.Packet](windowPackets)
 	writerDone := &sim.Event{}
 
 	// Disk writer: drains segments to the device with one flat reservation
@@ -164,9 +158,9 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 			if dn.failed {
 				continue // drain without effect
 			}
-			if pkt.bytes > 0 {
-				dev.WriteFlat(p, pkt.bytes)
-				r.size += pkt.bytes
+			if pkt.Bytes > 0 {
+				dev.WriteFlat(p, pkt.Bytes)
+				r.size += pkt.Bytes
 			}
 		}
 	})
@@ -191,7 +185,7 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 					fwd, err = dn.fs.net.StartFlow(dn.id, next.dn.id, netsim.Legacy)
 				}
 				if err == nil {
-					err = fwd.Write(p, pkt.bytes+packetHeader)
+					err = fwd.Write(p, pkt.Bytes+packetHeader)
 				}
 				if err != nil {
 					// Downstream died: stop forwarding; its stage aborts.
@@ -201,7 +195,7 @@ func (dn *DataNode) receiveBlock(blk BlockID, next *blockRecv) *blockRecv {
 					downstreamUp = false
 				}
 			}
-			if pkt.last {
+			if pkt.Last {
 				sawLast = true
 				break
 			}
@@ -246,11 +240,11 @@ func (r *blockRecv) abort() {
 // to the client node through the bounded store: window-sized segments
 // over one flow for the whole block, with flat device reads. Errors
 // (missing replica, node failure) surface as a packet with err set.
-func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Store[packet]) {
+func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Store[dfs.Packet]) {
 	dn.fs.cl.Env.Spawn(fmt.Sprintf("dn%d.read.b%d", dn.id, blk), func(p *sim.Proc) {
 		b, ok := dn.blocks[blk]
 		if !ok || dn.failed {
-			out.PutWait(p, packet{err: true})
+			out.PutWait(p, dfs.Packet{Err: true})
 			return
 		}
 		seg := dn.fs.cfg.flowSegment()
@@ -258,7 +252,7 @@ func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Stor
 		if client != dn.id {
 			var err error
 			if fl, err = dn.fs.net.StartFlow(dn.id, client, netsim.Legacy); err != nil {
-				out.PutWait(p, packet{err: true})
+				out.PutWait(p, dfs.Packet{Err: true})
 				return
 			}
 			defer fl.Close(p)
@@ -266,19 +260,19 @@ func (dn *DataNode) streamBlock(blk BlockID, client netsim.NodeID, out *sim.Stor
 		remaining := b.size
 		for remaining > 0 {
 			if dn.failed {
-				out.PutWait(p, packet{err: true})
+				out.PutWait(p, dfs.Packet{Err: true})
 				return
 			}
 			n := min(remaining, seg)
 			b.dev.ReadFlat(p, n)
 			if fl != nil {
 				if err := fl.Write(p, n+packetHeader); err != nil {
-					out.PutWait(p, packet{err: true})
+					out.PutWait(p, dfs.Packet{Err: true})
 					return
 				}
 			}
 			remaining -= n
-			if !out.PutWait(p, packet{bytes: n, last: remaining == 0}) {
+			if !out.PutWait(p, dfs.Packet{Bytes: n, Last: remaining == 0}) {
 				return // reader abandoned the stream
 			}
 		}

@@ -1,8 +1,9 @@
 // Package hdfs implements a Hadoop-Distributed-File-System-like storage
 // substrate on the simulation kernel: a NameNode service (namespace, block
 // map, rack-aware placement, re-replication), DataNodes with chunked
-// replication pipelines over the fabric, streaming reads with replica
-// fallback, heartbeats, and failure handling. Control-plane logic is real
+// replication pipelines over the fabric, streaming reads (a replica
+// ladder for the shared dfs.BlockStream, which falls back across a
+// block's replicas), heartbeats, and failure handling. Control-plane logic is real
 // code; data-plane transfers charge virtual time on NICs and devices.
 package hdfs
 

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -353,19 +354,31 @@ func TestReadFailsOverToAnotherReplica(t *testing.T) {
 		w, _ := h.Create(p, 0, "/f")
 		w.Write(p, fileSize)
 		w.Close(p)
-		// Read from a non-replica node; kill the replica being streamed
-		// after the first few MiB.
-		r, err := h.Open(p, 5, "/f")
+		// Read from a node that holds no replica of the first block; after
+		// the first few MiB, fail the replica streaming it: the only one
+		// whose device has served a read.
+		locs, _ := h.BlockLocations(p, 0, "/f")
+		reader := netsim.NodeID(0)
+		for slices.Contains(locs[0].Hosts, reader) {
+			reader++
+		}
+		r, err := h.Open(p, reader, "/f")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Read(p, 4*testMiB); err != nil {
 			t.Fatalf("read prefix: %v", err)
 		}
-		// The reader is fetching from some replica; fail the whole first
-		// block's replica set one by one except the last.
-		locs, _ := h.BlockLocations(p, 5, "/f")
-		h.FailDataNode(locs[0].Hosts[0])
+		var streaming []netsim.NodeID
+		for _, id := range locs[0].Hosts {
+			if read, _, _, _ := h.dns[id].devices[0].Stats(); read > 0 {
+				streaming = append(streaming, id)
+			}
+		}
+		if len(streaming) != 1 {
+			t.Fatalf("replicas serving the first block: %v, want one", streaming)
+		}
+		h.FailDataNode(streaming[0])
 		var total int64 = 4 * testMiB
 		for {
 			n, err := r.Read(p, 4*testMiB)
@@ -382,8 +395,8 @@ func TestReadFailsOverToAnotherReplica(t *testing.T) {
 		}
 		r.Close(p)
 	})
-	if h.Stats().ReplicaRetries == 0 {
-		t.Log("note: reader did not need a retry (failed replica was not the stream source)")
+	if st := h.Stats(); st.ReplicaRetries < 1 || st.BytesRead != fileSize {
+		t.Fatalf("ReplicaRetries = %d, BytesRead = %d; want >= 1 and %d", st.ReplicaRetries, st.BytesRead, fileSize)
 	}
 }
 

@@ -312,17 +312,6 @@ func (n *Namesystem) Heartbeat(id netsim.NodeID, used int64, now time.Duration) 
 	d.alive = true
 }
 
-// AliveDatanodes returns the IDs of live datanodes in sorted order.
-func (n *Namesystem) AliveDatanodes() []netsim.NodeID {
-	var out []netsim.NodeID
-	for _, id := range n.dnOrder {
-		if n.dns[id].alive {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // CheckDatanodes marks datanodes dead whose heartbeat is older than the
 // timeout and strips them from block locations. It returns the newly dead.
 func (n *Namesystem) CheckDatanodes(now time.Duration) []netsim.NodeID {
@@ -388,15 +377,6 @@ func (n *Namesystem) ReplicationTasks(limit int) []ReplicationTask {
 		tasks = append(tasks, ReplicationTask{Block: id, Size: bm.size, Source: src, Target: targets[0]})
 	}
 	return tasks
-}
-
-// BlockFile returns the path of the file owning a block.
-func (n *Namesystem) BlockFile(id BlockID) (string, bool) {
-	bm, ok := n.blocks[id]
-	if !ok {
-		return "", false
-	}
-	return bm.file, true
 }
 
 // choosePlacement implements rack-aware placement: first replica on the
@@ -491,13 +471,4 @@ func (n *Namesystem) UnscheduleBlock(targets []netsim.NodeID) {
 			}
 		}
 	}
-}
-
-// TotalUsed returns the bytes reported used across all datanodes.
-func (n *Namesystem) TotalUsed() int64 {
-	var total int64
-	for _, d := range n.dns {
-		total += d.used
-	}
-	return total
 }

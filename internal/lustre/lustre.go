@@ -152,15 +152,6 @@ func (l *Lustre) OSTDevices() []*storage.Device {
 	return out
 }
 
-// AggregateBandwidth returns the OST pool's total write bandwidth.
-func (l *Lustre) AggregateBandwidth() float64 {
-	var total float64
-	for _, o := range l.osts {
-		total += o.dev.Profile().WriteBW
-	}
-	return total
-}
-
 func fileLayout(f *dfs.TreeFile) *layout {
 	return f.Data.(*layout)
 }

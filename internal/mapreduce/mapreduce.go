@@ -54,7 +54,9 @@ type Job struct {
 	// node's local storage, as stock Hadoop does. Hadoop-on-Lustre
 	// deployments point intermediate directories at Lustre as well, which
 	// is exactly the amplification the paper's burst buffer sidesteps.
-	IntermediateFS dfs.FileSystem
+	// Each reducer reads its byte range of every map output with
+	// ReadRange.
+	IntermediateFS dfs.RangeFileSystem
 
 	// NumReducers is the reduce task count (0 = map-only job).
 	NumReducers int

@@ -344,43 +344,6 @@ func TestThroughputMetric(t *testing.T) {
 	}
 }
 
-func TestIntermediatesOnSharedFSWithoutRangeReader(t *testing.T) {
-	// HDFS does not implement dfs.RangeReader, so the shared-FS shuffle
-	// takes the open/read/close fallback path.
-	r := newRig(4)
-	var res Result
-	r.run(t, func(p *sim.Proc) {
-		if _, err := Run(p, r.c, Job{
-			Name: "gen", Maps: 4, GenBytesPerMap: 16 * mib,
-			OutputFS: r.h, OutputDir: "/in",
-		}); err != nil {
-			t.Fatal(err)
-		}
-		fis, _ := r.h.List(p, 0, "/in")
-		var inputs []string
-		for _, fi := range fis {
-			inputs = append(inputs, fi.Path)
-		}
-		var err error
-		res, err = Run(p, r.c, Job{
-			Name: "shared-int", Input: inputs, InputFS: r.h,
-			OutputFS: r.h, OutputDir: "/out",
-			IntermediateFS: r.h,
-			NumReducers:    2, MapOutputRatio: 1.0, ReduceOutputRatio: 1.0,
-		})
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		// Intermediate files were cleaned up after the job.
-		if _, err := r.h.Stat(p, 0, "/.mr-shared-int"); err == nil {
-			t.Error("intermediate directory survived the job")
-		}
-	})
-	if res.BytesShuffled != 4*16*mib {
-		t.Errorf("shuffled = %d", res.BytesShuffled)
-	}
-}
-
 func TestIntermediatesOnLustreUseRangeReads(t *testing.T) {
 	r := newRig(4)
 	r.run(t, func(p *sim.Proc) {
@@ -410,6 +373,10 @@ func TestIntermediatesOnLustreUseRangeReads(t *testing.T) {
 		want := int64(2 * 4 * 16 * mib)
 		if read < want || read > want*11/10 {
 			t.Errorf("lustre read %d bytes, want ~%d (no shuffle amplification)", read, want)
+		}
+		// Intermediate files were cleaned up after the job.
+		if _, err := r.l.Stat(p, 0, "/.mr-lu-int"); err == nil {
+			t.Error("intermediate directory survived the job")
 		}
 	})
 }

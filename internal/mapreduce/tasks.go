@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hbb/internal/cluster"
-	"hbb/internal/dfs"
 	"hbb/internal/netsim"
 	"hbb/internal/sim"
 	"hbb/internal/storage"
@@ -214,26 +213,7 @@ func (e *engine) fetchPortion(p *sim.Proc, node *cluster.Node, t *task, mo *mapO
 		} else {
 			offset += rem
 		}
-		if rr, ok := e.job.IntermediateFS.(dfs.RangeReader); ok {
-			return rr.ReadRange(p, node.ID, mo.path, offset, portion)
-		}
-		r, err := e.job.IntermediateFS.Open(p, node.ID, mo.path)
-		if err != nil {
-			return err
-		}
-		defer r.Close(p)
-		remaining := portion
-		for remaining > 0 {
-			n, err := r.Read(p, min(remaining, processChunk))
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			remaining -= n
-		}
-		return nil
+		return e.job.IntermediateFS.ReadRange(p, node.ID, mo.path, offset, portion)
 	}
 	for attempt := 0; attempt < maxTaskAttempts; attempt++ {
 		if mo.lost || e.cl.Net.Down(mo.node) {

@@ -70,15 +70,3 @@ func (s *Semaphore) Release(n int) {
 		s.queue.pop().p.unblock(wakeEvent)
 	}
 }
-
-// Mutex is a Semaphore of capacity one with Lock/Unlock naming.
-type Mutex struct{ s *Semaphore }
-
-// NewMutex returns an unlocked mutex.
-func NewMutex() *Mutex { return &Mutex{s: NewSemaphore(1)} }
-
-// Lock acquires the mutex, blocking the process until it is free.
-func (m *Mutex) Lock(p *Proc) { m.s.Acquire(p, 1) }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.s.Release(1) }

@@ -318,25 +318,6 @@ func TestTryAcquire(t *testing.T) {
 	e.Run()
 }
 
-func TestMutex(t *testing.T) {
-	e := New(1)
-	mu := NewMutex()
-	counter := 0
-	for i := 0; i < 4; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			mu.Lock(p)
-			v := counter
-			p.Sleep(time.Millisecond)
-			counter = v + 1
-			mu.Unlock()
-		})
-	}
-	e.Run()
-	if counter != 4 {
-		t.Errorf("counter = %d, want 4 (mutual exclusion violated)", counter)
-	}
-}
-
 func TestStoreFIFO(t *testing.T) {
 	e := New(1)
 	st := NewStore[int]()

@@ -297,9 +297,6 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 // Config returns the defaulted configuration the swarm runs with.
 func (s *Swarm) Config() Config { return s.cfg }
 
-// Tick returns the derived arrival-scan interval.
-func (s *Swarm) Tick() time.Duration { return time.Duration(s.tickNs) }
-
 // Start schedules every rack's first arrival tick. Call once, before
 // the fleet's shard group runs.
 func (s *Swarm) Start() {

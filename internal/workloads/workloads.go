@@ -143,9 +143,9 @@ func Scan(p *sim.Proc, cl *cluster.Cluster, fs dfs.FileSystem, dir string, outFS
 // intermediatesOn returns the FS map outputs should spill to: Lustre-mode
 // Hadoop deployments point intermediate directories at Lustre as well
 // (compute nodes are storage-poor); every other mode spills node-locally.
-func intermediatesOn(fs dfs.FileSystem) dfs.FileSystem {
-	if fs.Name() == "lustre" {
-		return fs
+func intermediatesOn(fs dfs.FileSystem) dfs.RangeFileSystem {
+	if rfs, ok := fs.(dfs.RangeFileSystem); ok && fs.Name() == "lustre" {
+		return rfs
 	}
 	return nil
 }
