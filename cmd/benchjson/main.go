@@ -9,7 +9,8 @@
 //
 // With -label, every result is tagged (e.g. "before", "after") and merged
 // into the report already at -out, replacing earlier results that carry the
-// same label; one file then holds both sides of a comparison.
+// same label; one file then holds both sides of a comparison, and -note is
+// kept per label, so it names each side's host and commit.
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"os"
@@ -37,18 +39,32 @@ type Benchmark struct {
 
 // Report is the JSON document benchjson emits.
 type Report struct {
-	GOOS       string      `json:"goos,omitempty"`
-	GOARCH     string      `json:"goarch,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
-	Note       string      `json:"note,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	Note   string `json:"note,omitempty"`
+	// Notes holds each label's -note: label → note.
+	Notes      map[string]string `json:"notes,omitempty"`
+	Benchmarks []Benchmark       `json:"benchmarks"`
 }
 
 func main() {
-	out := flag.String("out", "BENCH.json", "output JSON path")
-	note := flag.String("note", "", "free-form context recorded in the report (hardware caveats etc.)")
-	label := flag.String("label", "", "tag every result with this label and merge into the report already at -out")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		log.Fatalf("benchjson: %v", err)
+	}
+}
+
+// run is the command: it parses args, tees stdin to stdout, and writes
+// the report, logging the result count to stderr.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fset := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fset.SetOutput(stderr)
+	out := fset.String("out", "BENCH.json", "output JSON path")
+	note := fset.String("note", "", "free-form context recorded in the report (hardware caveats etc.), kept per label under -label")
+	label := fset.String("label", "", "tag every result with this label and merge into the report already at -out")
+	if err := fset.Parse(args); err != nil {
+		return err
+	}
 
 	rep := Report{Benchmarks: []Benchmark{}}
 	if *label != "" {
@@ -57,19 +73,25 @@ func main() {
 			err = json.Unmarshal(prev, &rep)
 		}
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			log.Fatalf("benchjson: merge into %s: %v", *out, err)
+			return fmt.Errorf("merge into %s: %v", *out, err)
 		}
 		rep.Benchmarks = slices.DeleteFunc(rep.Benchmarks, func(b Benchmark) bool { return b.Label == *label })
-	}
-	if *note != "" {
+		delete(rep.Notes, *label)
+		if *note != "" {
+			if rep.Notes == nil {
+				rep.Notes = map[string]string{}
+			}
+			rep.Notes[*label] = *note
+		}
+	} else if *note != "" {
 		rep.Note = *note
 	}
 	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 		switch {
 		case strings.HasPrefix(line, "goos: "):
 			rep.GOOS = strings.TrimPrefix(line, "goos: ")
@@ -87,16 +109,17 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		log.Fatalf("benchjson: read: %v", err)
+		return fmt.Errorf("read: %v", err)
 	}
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
-		log.Fatalf("benchjson: encode: %v", err)
+		return fmt.Errorf("encode: %v", err)
 	}
 	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		log.Fatalf("benchjson: write: %v", err)
+		return fmt.Errorf("write: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+	fmt.Fprintf(stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+	return nil
 }
 
 // parseBench decodes one result line:

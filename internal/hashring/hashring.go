@@ -6,8 +6,6 @@
 package hashring
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 	"strconv"
 )
@@ -96,11 +94,63 @@ func (r *Ring) appendPoints(node string) bool {
 	return true
 }
 
-// sortPoints orders points by hash. The sort is stable, so of two points
-// with equal hashes the one appended first, the earlier node's, stays
-// first, whether the nodes came in one New or one Add at a time.
+// sortPoints orders points by hash; of two points with equal hashes the
+// one appended first, the earlier node's, stays first, whether the nodes
+// came in one New or one Add at a time. It orders the points' positions,
+// not the points: a counting scatter on the hash's top byte, then an
+// insertion sort of each byte's bucket on the whole hash. Both steps are
+// stable, so ties keep append order by construction. The order is then
+// applied in place, a cycle at a time, so the scratch is one int32 a
+// point. Hashes are uniform, so buckets average len/256 points.
 func sortPoints(points []point) {
-	slices.SortStableFunc(points, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
+	n := len(points)
+	if n < 2 {
+		return
+	}
+	var at [257]int
+	for _, p := range points {
+		at[p.hash>>56+1]++
+	}
+	for d := 1; d <= 256; d++ {
+		at[d] += at[d-1]
+	}
+	pos := make([]int32, n)
+	next := at
+	for i, p := range points {
+		d := p.hash >> 56
+		pos[next[d]] = int32(i)
+		next[d]++
+	}
+	for d := 0; d < 256; d++ {
+		bucket := pos[at[d]:at[d+1]]
+		for i := 1; i < len(bucket); i++ {
+			v := bucket[i]
+			h := points[v].hash
+			j := i
+			for ; j > 0 && points[bucket[j-1]].hash > h; j-- {
+				bucket[j] = bucket[j-1]
+			}
+			bucket[j] = v
+		}
+	}
+	// Slot j takes the point at pos[j]; a filled slot holds -1.
+	for start := range pos {
+		if pos[start] < 0 {
+			continue
+		}
+		first := points[start]
+		j := start
+		for {
+			k := int(pos[j])
+			pos[j] = -1
+			if k == start {
+				points[j] = first
+				break
+			}
+			points[j] = points[k]
+			j = k
+		}
+	}
 }
 
 // Remove deletes a node and all its virtual points. Removing an absent

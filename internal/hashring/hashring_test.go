@@ -385,3 +385,35 @@ func TestEqualHashesKeepNodeOrder(t *testing.T) {
 		t.Fatalf("equal hashes out of node order:\none pass %v\nby node  %v\nmerged   %v", all, each, merged)
 	}
 }
+
+// TestSortPointsIsStable sorts points whose hashes repeat across many
+// top bytes, so ties fall in every bucket and buckets hold many points,
+// against the standard library's stable sort.
+func TestSortPointsIsStable(t *testing.T) {
+	for _, n := range []int{2, 3, 100, 5000} {
+		var pts []point
+		for i := 0; i < n; i++ {
+			h := mix(uint64(i%37)) & 0xff000000000000ff
+			pts = append(pts, point{hash: h, node: fmt.Sprint(i)})
+		}
+		want := slices.Clone(pts)
+		slices.SortStableFunc(want, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
+		sortPoints(pts)
+		if !slices.Equal(pts, want) {
+			t.Fatalf("%d points: order differs from the stable sort", n)
+		}
+	}
+}
+
+// BenchmarkNew builds a 16-node ring at the default replica count, the
+// construction every burst-buffer instance pays once.
+func BenchmarkNew(b *testing.B) {
+	var nodes []string
+	for i := 0; i < 16; i++ {
+		nodes = append(nodes, fmt.Sprintf("bb%d", i))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(0, nodes...)
+	}
+}

@@ -332,36 +332,71 @@ func (fl *Fleet) checkNode(node int) (*fleetRack, int) {
 // ErrFleetShard reports a Transfer issued from the wrong shard.
 var ErrFleetShard = errors.New("netsim: transfer issued off the source node's shard")
 
-// fleetXfer is one in-flight StartTransfer: a pooled record whose phase
-// closures are built once (at pool miss) and reused for every transfer
-// the record carries, so the swarm's arrival hot path starts transfers
-// without allocating. The record is written on the source shard before
-// any message departs and released back to the source-rack pool on the
-// source shard, so the destination shard's phase-two reads are ordered
-// by the shard group's message hand-off and need no locking.
+// fleetXfer is one in-flight StartTransfer: a pooled record that walks
+// the transfer's phases through one cached callback, step, built once at
+// pool miss and reused for every transfer the record carries, so the
+// swarm's arrival hot path starts transfers without allocating. The
+// record is written on the source shard before any message departs and
+// released back to the source-rack pool on the source shard, so the
+// destination shard's reads and writes of it are ordered by the shard
+// group's message hand-off and need no locking.
 type fleetXfer struct {
 	sr, dr *fleetRack
 	di     int
 	n      int64
 	done   func()
-	// Cached phases of the cross-rack store-and-forward protocol.
-	handoff    func() // egress leg drained (src shard): message the dst rack
-	phase2     func() // payload arrived (dst shard): drain downlink leg
-	phase2Done func() // downlink leg drained (dst shard): ack the writer
-	ackFn      func() // ack arrived (src shard): complete
-	// Cached intra-rack completion pair: flow finish schedules finish one
-	// NIC latency later.
-	intraDone func()
-	finishFn  func()
+	phase  xferPhase // what the next step call does
+	stepFn func()    // cached x.step method value
 }
 
-func (x *fleetXfer) finish() {
-	done := x.done
-	sr := x.sr
-	x.done = nil
-	x.dr = nil
-	sr.xfers = append(sr.xfers, x)
-	done()
+// xferPhase is the fleetXfer step a callback runs next. An intra-rack
+// transfer goes xferLanded → xferFinish; a cross-rack one is
+// store-and-forward through the core: xferHandoff → xferDownlink →
+// xferAck → xferFinish.
+type xferPhase uint8
+
+const (
+	xferLanded   xferPhase = iota // intra-rack flow drained (src shard)
+	xferHandoff                   // egress leg drained (src shard)
+	xferDownlink                  // payload arrived (dst shard)
+	xferAck                       // downlink leg drained (dst shard)
+	xferFinish                    // ack arrived, or NIC latency passed (src shard)
+)
+
+// step runs the transfer's current phase and sets up the next.
+func (x *fleetXfer) step() {
+	switch x.phase {
+	case xferLanded:
+		// The writer sees the last byte one NIC latency after the flow
+		// drains.
+		x.phase = xferFinish
+		x.sr.env.After(x.sr.fl.topo.Profile.Latency, x.stepFn)
+	case xferHandoff:
+		// Hand the payload to the destination rack one cross-rack latency
+		// later. This always rides the shard group's Send — even when both
+		// racks share a shard, where it skips the barrier — so delivery
+		// order is identical at any shard count.
+		x.phase = xferDownlink
+		s := x.sr
+		s.fl.group.Send(s.shard, x.dr.shard, s.env.Now()+s.fl.topo.CrossRackLatency, uint64(s.id), s.nextSeq(), x.stepFn)
+	case xferDownlink:
+		x.phase = xferAck
+		d := x.dr
+		d.recv += x.n
+		d.startFlow(int64(d.env.Now()), &d.down, &d.nodes[x.di].in, x.n, x.stepFn)
+	case xferAck:
+		// Completion ack back to the writer's shard.
+		x.phase = xferFinish
+		d := x.dr
+		d.fl.group.Send(d.shard, x.sr.shard, d.env.Now()+d.fl.topo.CrossRackLatency, uint64(d.id), d.nextSeq(), x.stepFn)
+	case xferFinish:
+		done := x.done
+		sr := x.sr
+		x.done = nil
+		x.dr = nil
+		sr.xfers = append(sr.xfers, x)
+		done()
+	}
 }
 
 // StartTransfer begins moving n payload bytes from src to dst and
@@ -389,40 +424,19 @@ func (fl *Fleet) StartTransfer(src, dst int, n int64, done func()) error {
 		sr.xfers = sr.xfers[:k]
 	} else {
 		x = &fleetXfer{sr: sr}
-		x.finishFn = x.finish
-		x.intraDone = func() {
-			x.sr.env.After(x.sr.fl.topo.Profile.Latency, x.finishFn)
-		}
-		x.handoff = func() {
-			// Hand the payload to the destination rack one cross-rack
-			// latency later. This always rides the shard group's Send —
-			// even when both racks share a shard, where it skips the
-			// barrier — so delivery order is identical at any shard
-			// count.
-			s, lat := x.sr, x.sr.fl.topo.CrossRackLatency
-			s.fl.group.Send(s.shard, x.dr.shard, s.env.Now()+lat, uint64(s.id), s.nextSeq(), x.phase2)
-		}
-		x.phase2 = func() {
-			d := x.dr
-			d.recv += x.n
-			d.startFlow(int64(d.env.Now()), &d.down, &d.nodes[x.di].in, x.n, x.phase2Done)
-		}
-		x.phase2Done = func() {
-			// Completion ack back to the writer's shard.
-			d, lat := x.dr, x.sr.fl.topo.CrossRackLatency
-			d.fl.group.Send(d.shard, x.sr.shard, d.env.Now()+lat, uint64(d.id), d.nextSeq(), x.ackFn)
-		}
-		x.ackFn = x.finishFn
+		x.stepFn = x.step
 	}
 	x.dr, x.di, x.n, x.done = dr, di, n, done
 	now := int64(sr.env.Now())
 	sr.sent += n
 	if sr == dr {
 		dr.recv += n
-		sr.startFlow(now, &sr.nodes[si].eg, &dr.nodes[di].in, n, x.intraDone)
+		x.phase = xferLanded
+		sr.startFlow(now, &sr.nodes[si].eg, &dr.nodes[di].in, n, x.stepFn)
 		return nil
 	}
-	sr.startFlow(now, &sr.nodes[si].eg, &sr.up, n, x.handoff)
+	x.phase = xferHandoff
+	sr.startFlow(now, &sr.nodes[si].eg, &sr.up, n, x.stepFn)
 	return nil
 }
 

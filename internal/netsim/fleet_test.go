@@ -233,6 +233,42 @@ func TestFleetSettleDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestFleetTransferRecordAllocs: a transfer record is two allocations
+// when the pool misses, the record and its one step callback, and a warm
+// pool starts transfers, intra- and cross-rack, without allocating.
+func TestFleetTransferRecordAllocs(t *testing.T) {
+	fl, err := NewFleet(fleetTopo(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := fl.Env(0)
+	done := func() {}
+	start := func() {
+		for _, dst := range [...]int{1, 3} { // one intra-rack, one cross-rack
+			if err := fl.StartTransfer(0, dst, 1<<20, done); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	step := func() {
+		env.At(env.Now(), start)
+		fl.Group().Run()
+	}
+	step() // size the pools and scratch
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Errorf("warm transfers allocated %.1f times, want 0", n)
+	}
+	src := fl.racks[0]
+	miss := func() {
+		clear(src.xfers)
+		src.xfers = src.xfers[:0]
+		step()
+	}
+	if n := testing.AllocsPerRun(50, miss) / 2; n > 2 {
+		t.Errorf("a transfer record pool miss allocated %.1f times, want <= 2", n)
+	}
+}
+
 // fleetTraceFingerprint runs a mixed intra/cross-rack workload and folds
 // every transfer completion into per-rack hashes combined in rack order,
 // so the result is independent of shard placement but sensitive to any

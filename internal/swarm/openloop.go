@@ -19,12 +19,20 @@ import (
 // Not safe for concurrent use; shard by creating one OpenLoop per
 // dispatcher with distinct seeds.
 type OpenLoop struct {
-	clients []clientRec
+	clients []openClient
 	heap    []int32 // 4-ary min-heap of client indices ordered by next arrival
 	zipf    *rand.Zipf
 	rng     *rand.Rand
 	gapMean float64 // mean inter-arrival per client, ns
 	keys    int
+}
+
+// openClient is one OpenLoop client: its next deadline and its
+// splitmix64 state. Unlike a rackGen cell it stores the state, since its
+// streams are seeded differently and its heap, not a calendar, orders it.
+type openClient struct {
+	next  int64
+	state uint64
 }
 
 // NewOpenLoop builds a generator for `clients` open-loop clients jointly
@@ -46,7 +54,7 @@ func NewOpenLoop(clients int, qps float64, keys int, skew float64, seed int64) (
 		return nil, fmt.Errorf("swarm: zipf skew must exceed 1 (or be 0 for uniform keys), got %g", skew)
 	}
 	o := &OpenLoop{
-		clients: make([]clientRec, clients),
+		clients: make([]openClient, clients),
 		heap:    make([]int32, clients),
 		rng:     rand.New(rand.NewSource(seed)),
 		gapMean: float64(clients) / qps * 1e9,
@@ -57,7 +65,7 @@ func NewOpenLoop(clients int, qps float64, keys int, skew float64, seed int64) (
 	}
 	for i := range o.clients {
 		c := &o.clients[i]
-		c.state = uint64(seed) + uint64(i)*0x9e3779b97f4a7c15
+		c.state = uint64(seed) + uint64(i)*gamma
 		// First arrival uniform in [0, gapMean): spreads the population so
 		// the stream starts at steady-state rate instead of a herd at t=0.
 		c.next = int64(unitOpen(splitmix64(&c.state)) * o.gapMean)
@@ -75,7 +83,7 @@ func (o *OpenLoop) Next() (at int64, key int) {
 	ci := o.heap[0]
 	c := &o.clients[ci]
 	at = c.next
-	c.next += c.expGap(o.gapMean)
+	c.next += expGap(splitmix64(&c.state), o.gapMean)
 	o.siftDown(0)
 	if o.zipf != nil {
 		key = int(o.zipf.Uint64())

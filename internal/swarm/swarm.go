@@ -9,14 +9,17 @@
 // the overload behavior worth measuring. This package keeps clients
 // open-loop and record-shaped instead:
 //
-//   - a client is 16 bytes: its next arrival instant on the integer
-//     virtual timeline and a splitmix64 PRNG state. Per-client arrival
-//     schedules are target-QPS exponential (Poisson);
-//   - each rack owns a flat slice of its clients plus a tick calendar —
-//     one list head per tick and one 4-byte link per client, a client
-//     filed under the first tick at or after its next arrival — and one
-//     callback-timer "tick" drains all arrivals due in the last tick
-//     interval: O(1) per arrival, and no per-client events exist at all;
+//   - a client is one 16-byte cell: its next arrival instant on the
+//     integer virtual timeline, the number of draws it has made from its
+//     splitmix64 stream (the stream's state is a function of the seed,
+//     the client's global index and that count, so it is not stored),
+//     and its calendar link. Per-client arrival schedules are target-QPS
+//     exponential (Poisson);
+//   - each rack owns a flat slice of its cells plus a tick calendar — one
+//     list head per tick, a client filed under the first tick at or after
+//     its next arrival — and one callback-timer "tick" drains all
+//     arrivals due in the last tick interval: O(1) per arrival, one cache
+//     line per client visit, and no per-client events exist at all;
 //   - arrivals in one tick fold into per-destination-rack batches: one
 //     fleetXfer flow injection per (tick, destination rack) carries the
 //     summed payload, so kernel work scales with traffic shape, not
@@ -105,7 +108,24 @@ func (c Config) Validate() error {
 	if c.MaxInflight < 0 {
 		return fmt.Errorf("swarm: MaxInflight must be positive (or 0 for unbounded), got %d", c.MaxInflight)
 	}
+	if d := c.withDefaults(); d.meanDraws() >= maxMeanDraws {
+		return fmt.Errorf("swarm: Duration %v at %g QPS over %d Clients is %.3g draws per client, past the 32-bit draw count's limit of %d",
+			d.Duration, c.TargetQPS, c.Clients, d.meanDraws(), maxMeanDraws)
+	}
 	return nil
+}
+
+// maxMeanDraws bounds a client's mean draw count at half the cell's
+// 32-bit counter: a client whose count averages below 2^31 never reaches
+// 2^32, where its stream would wrap back to its start.
+const maxMeanDraws = 1 << 31
+
+// meanDraws is the mean number of gaps a client draws before it retires:
+// one at start, then one per arrival before the horizon. A gap is at
+// least 1 ns, so a mean gap below that counts as 1 ns.
+func (c Config) meanDraws() float64 {
+	gap := max(float64(c.Clients)/c.TargetQPS*1e9, 1)
+	return 1 + float64(c.Duration)/gap
 }
 
 // tick picks the arrival-scan interval: aim for ~64 arrivals per rack
@@ -123,18 +143,24 @@ func (c Config) tick(racks int) int64 {
 	return t
 }
 
-// clientRec is one swarm client: 16 bytes of next-arrival time and
-// PRNG state. A million clients cost ~16 MB plus a 4-byte calendar link
-// each.
-type clientRec struct {
+// cell is one swarm client: its next arrival, the number of gaps drawn
+// from its splitmix64 stream, and its calendar link (the next client filed
+// under the same tick, or -1). The stream's state after d draws is
+// base + d·γ, where base = seed·γ + global index + 1 (rackGen.draw), so
+// the cell stores the count, not the state. A million clients cost 16 MB.
+type cell struct {
 	next  int64
-	state uint64
+	draws uint32
+	link  int32
 }
 
-// expGap draws one exponential inter-arrival of the given mean (ns) from
-// the client's own stream, at least 1 ns so a schedule always advances.
-func (c *clientRec) expGap(mean float64) int64 {
-	d := int64(-math.Log(unitOpen(splitmix64(&c.state))) * mean)
+// gamma is splitmix64's increment.
+const gamma = 0x9e3779b97f4a7c15
+
+// expGap turns one PRNG draw into an exponential inter-arrival of the
+// given mean (ns), at least 1 ns so a schedule always advances.
+func expGap(v uint64, mean float64) int64 {
+	d := int64(-math.Log(unitOpen(v)) * mean)
 	if d < 1 {
 		d = 1
 	}
@@ -145,7 +171,7 @@ func (c *clientRec) expGap(mean float64) int64 {
 // keeps streams independent across clients seeded with consecutive
 // values.
 func splitmix64(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
+	*s += gamma
 	z := *s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -176,21 +202,25 @@ type Swarm struct {
 	horizon int64
 }
 
-// rackGen owns one rack's share of the swarm: its client records, the
+// rackGen owns one rack's share of the swarm: its client cells, the
 // tick calendar, the key-popularity stream, per-tick batching scratch,
 // and the rack-local counters and trace hash. Only the rack's owning
 // shard ever touches it.
 type rackGen struct {
-	sw      *Swarm
-	id      int
-	env     *sim.Env
-	clients []clientRec
+	sw    *Swarm
+	id    int
+	env   *sim.Env
+	cells []cell
+	// base is cell 0's stream state before its first draw: seed·γ plus
+	// the cell's global client index plus 1. Cell i's is base + i.
+	base uint64
 
 	// Tick calendar: head[k%len(head)] starts the list, chained through
-	// link and ended by -1, of the clients due at tick k, the first
-	// multiple of tickNs at or after their next arrival; cur is the next
-	// tick to drain, live the clients filed. The wheel is bounded: a client
-	// filed over a lap ahead waits in its slot until due. Two invariants:
+	// the cells' links and ended by -1, of the clients due at tick k, the
+	// first multiple of tickNs at or after their next arrival; cur is the
+	// next tick to drain, live the clients filed. The wheel is bounded: a
+	// client filed over a lap ahead waits in its slot until due. Two
+	// invariants:
 	//   - ticks fire at exact multiples of tickNs (Start and runTick own
 	//     them); a late one would find the arrivals since the last multiple
 	//     a slot ahead and deliver them one tick late, never lose them;
@@ -198,7 +228,6 @@ type rackGen struct {
 	//     comes from the rack's shared stream, each gap from the client's
 	//     own, and flush folds only per-(tick, destination rack) sums.
 	head []int32
-	link []int32
 	cur  int64
 	live int
 
@@ -276,13 +305,12 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 			g.zipf = rand.NewZipf(g.rng, cfg.Zipf, 1, keys-1)
 		}
 		g.tickFn = g.runTick
-		g.clients = make([]clientRec, count)
-		g.link = make([]int32, count)
+		g.cells = make([]cell, count)
+		g.base = uint64(cfg.Seed)*gamma + uint64(next+1)
 		g.head = slices.Repeat([]int32{-1}, int(slots))
-		for i := range g.clients {
-			c := &g.clients[i]
-			c.state = uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(next+i+1)
-			c.next = c.expGap(g.gapMean)
+		for i := range g.cells {
+			c := &g.cells[i]
+			c.next = g.draw(int32(i))
 			if c.next < s.horizon {
 				g.file(int32(i))
 				g.live++
@@ -307,20 +335,31 @@ func (s *Swarm) Start() {
 	}
 }
 
+// draw returns client ci's next exponential gap from its own stream and
+// counts the draw.
+func (g *rackGen) draw(ci int32) int64 {
+	c := &g.cells[ci]
+	st := g.base + uint64(ci) + uint64(c.draws)*gamma
+	c.draws++
+	return expGap(splitmix64(&st), g.gapMean)
+}
+
 // file chains client ci under the first tick at or after its next arrival.
 func (g *rackGen) file(ci int32) {
 	tick := uint64(g.sw.tickNs)
-	k := (uint64(g.clients[ci].next) + tick - 1) / tick
+	c := &g.cells[ci]
+	k := (uint64(c.next) + tick - 1) / tick
 	s := k % uint64(len(g.head))
-	g.link[ci] = g.head[s]
+	c.link = g.head[s]
 	g.head[s] = ci
 }
 
 // advance drains every arrival due at or before now into the per-rack
 // scratch accumulators and re-schedules each client, returning the
 // number of arrivals. This is the swarm's hot path: O(1) per arrival, no
-// comparisons between clients, and it allocates nothing (the scratch and
-// calendar are pre-sized, the PRNGs are inline).
+// comparisons between clients, one cell read per client visit, and it
+// allocates nothing (the scratch and calendar are pre-sized, the PRNGs
+// are inline).
 func (g *rackGen) advance(now int64) int64 {
 	topo := g.sw.fl.Topology()
 	nodes := uint64(topo.Racks * topo.NodesPerRack)
@@ -333,8 +372,8 @@ func (g *rackGen) advance(now int64) int64 {
 		ci := g.head[s]
 		g.head[s] = -1
 		for ci >= 0 {
-			c := &g.clients[ci]
-			following := g.link[ci]
+			c := &g.cells[ci]
+			following := c.link
 			// Due several times when its gap is shorter than the tick, not
 			// at all when it was filed over a lap ahead.
 			for c.next <= now && c.next < horizon {
@@ -355,7 +394,7 @@ func (g *rackGen) advance(now int64) int64 {
 				}
 				g.bytes[dRack] += reqBytes
 				g.reqs[dRack]++
-				c.next += c.expGap(g.gapMean)
+				c.next += g.draw(ci)
 			}
 			if c.next >= horizon {
 				// Past the generation horizon: retire it, even when still

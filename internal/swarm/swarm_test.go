@@ -2,10 +2,14 @@ package swarm
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hbb/internal/metrics"
 	"hbb/internal/netsim"
@@ -47,6 +51,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative request bytes", func(c *Config) { c.RequestBytes = -1 }, "RequestBytes"},
 		{"negative duration", func(c *Config) { c.Duration = -time.Second }, "Duration"},
 		{"negative max inflight", func(c *Config) { c.MaxInflight = -1 }, "MaxInflight"},
+		// A 100 ns mean gap over an hour: 3.6e10 draws per client.
+		{"draw count overflow", func(c *Config) { c.TargetQPS, c.Duration = 1e8, time.Hour }, "Duration"},
+		// Gaps are at least 1 ns, but 5e9 of them still overflow.
+		{"sub-nanosecond gaps", func(c *Config) { c.TargetQPS, c.Duration = 1e12, 5*time.Second }, "Duration"},
 	} {
 		cfg := valid
 		tc.mut(&cfg)
@@ -228,8 +236,8 @@ type heapRef struct {
 
 func newHeapRef(g *rackGen) *heapRef {
 	h := &heapRef{g: g}
-	for i := range g.clients {
-		if g.clients[i].next < g.sw.horizon {
+	for i := range g.cells {
+		if g.cells[i].next < g.sw.horizon {
 			h.heap = append(h.heap, int32(i))
 			h.siftUp(len(h.heap) - 1)
 		}
@@ -238,7 +246,7 @@ func newHeapRef(g *rackGen) *heapRef {
 }
 
 func (h *heapRef) before(a, b int32) bool {
-	ca, cb := &h.g.clients[a], &h.g.clients[b]
+	ca, cb := &h.g.cells[a], &h.g.cells[b]
 	if ca.next != cb.next {
 		return ca.next < cb.next
 	}
@@ -290,7 +298,7 @@ func (h *heapRef) advance(now int64) int64 {
 	var arrivals int64
 	for len(h.heap) > 0 {
 		ci := h.heap[0]
-		c := &g.clients[ci]
+		c := &g.cells[ci]
 		if c.next > now {
 			break
 		}
@@ -309,7 +317,7 @@ func (h *heapRef) advance(now int64) int64 {
 		}
 		g.bytes[dRack] += reqBytes
 		g.reqs[dRack]++
-		c.next += c.expGap(g.gapMean)
+		c.next += g.draw(ci)
 		if c.next >= g.sw.horizon {
 			n := len(h.heap) - 1
 			h.heap[0] = h.heap[n]
@@ -361,8 +369,8 @@ func traceRun(t *testing.T, cfg Config, oracle bool, wheel int) ([][]tickRec, ui
 			advance, live = h.advance, func() int { return len(h.heap) }
 		} else if wheel > 0 {
 			g.head = slices.Repeat([]int32{-1}, wheel)
-			for i := range g.clients {
-				if g.clients[i].next < s.horizon {
+			for i := range g.cells {
+				if g.cells[i].next < s.horizon {
 					g.file(int32(i))
 				}
 			}
@@ -481,10 +489,15 @@ func TestCalendarWheelLapsStress(t *testing.T) {
 
 // TestCalendarIsBounded: the wheel is capped, so an hour-long horizon at
 // a 1 µs tick (3.6e9 tick instants) still costs under 1 MiB per rack.
+// 3e8 QPS over 4 racks clamps the tick to 1 µs while each client's 1.08e9
+// mean draws stay inside its counter.
 func TestCalendarIsBounded(t *testing.T) {
-	s, err := New(Config{Clients: 1000, TargetQPS: 1e12, Duration: time.Hour}, testFleet(t, 4, 8, 1))
+	s, err := New(Config{Clients: 1000, TargetQPS: 3e8, Duration: time.Hour}, testFleet(t, 4, 8, 1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.tickNs != int64(time.Microsecond) {
+		t.Fatalf("tick %d ns, want 1 µs", s.tickNs)
 	}
 	for _, g := range s.racks {
 		if b := 4 * len(g.head); b >= 1<<20 {
@@ -505,5 +518,66 @@ func TestAdvanceDoesNotAllocate(t *testing.T) {
 		dropScratch(g)
 	}); n != 0 {
 		t.Errorf("advance allocates %.1f times per tick", n)
+	}
+}
+
+// clientRec is the client record the swarm kept before cells: the next
+// arrival and a stored splitmix64 state, seeded with seed·γ + global index
+// + 1. It is the oracle for the cell's recomputed stream.
+type clientRec struct {
+	next  int64
+	state uint64
+}
+
+func (c *clientRec) expGap(mean float64) int64 {
+	d := int64(-math.Log(unitOpen(splitmix64(&c.state))) * mean)
+	if d < 1 {
+		d = 1
+	}
+	return d
+}
+
+// TestCellDrawsMatchStoredState: a cell's gaps, drawn from the state its
+// draw count implies, are the stream a stored state steps through, for
+// any seed, global index and mean, over 1000+ draws.
+func TestCellDrawsMatchStoredState(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 64; trial++ {
+		seed := int64(rng.Uint64())
+		first := rng.Intn(1 << 24) // global index of the rack's cell 0
+		g := &rackGen{cells: make([]cell, 1+rng.Intn(1000)), gapMean: math.Exp(rng.Float64() * 20)}
+		g.base = uint64(seed)*gamma + uint64(first+1)
+		ci := int32(rng.Intn(len(g.cells)))
+		ref := clientRec{state: uint64(seed)*0x9e3779b97f4a7c15 + uint64(first+int(ci)+1)}
+		for d := 0; d < 1000+rng.Intn(1000); d++ {
+			if got, want := g.draw(ci), ref.expGap(g.gapMean); got != want {
+				t.Fatalf("seed %d client %d draw %d: gap %d, stored state gives %d", seed, first+int(ci), d, got, want)
+			}
+		}
+	}
+}
+
+func TestCellIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(cell{}); n != 16 {
+		t.Errorf("cell is %d bytes, want 16", n)
+	}
+}
+
+// TestSwarmHeapPerClient: a 2^18-client swarm retains its 16-byte cells
+// and little else; the calendar and per-rack scratch add a fraction of a
+// byte per client.
+func TestSwarmHeapPerClient(t *testing.T) {
+	const clients = 1 << 18
+	fl := testFleet(t, 12, 20, 1)
+	before := metrics.SnapHeap()
+	s, err := New(Config{Clients: clients, TargetQPS: 100 * clients, Zipf: 1.1,
+		RequestBytes: 256, Duration: 10 * time.Millisecond, Seed: 1}, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := metrics.SnapHeap()
+	runtime.KeepAlive(s)
+	if per := float64(after.HeapAlloc-before.HeapAlloc) / clients; per > 16.5 {
+		t.Errorf("swarm retains %.2f B of heap per client, want <= 16.5", per)
 	}
 }
