@@ -175,8 +175,8 @@ determinism:
 # workers' hand-off (10^5 one-event windows at GOMAXPROCS 1/2/8; a lost
 # or stale wake-up hangs it, hence the short timeout), same-shard sends
 # against cross-shard ones in one instant, the cross-shard swarm
-# fingerprint, the swarm's tick calendar against its time-ordered heap
-# oracle (also over a 4-slot wheel), Env.Reschedule against Cancel + At,
+# fingerprint, the swarm's window schedule against its time-ordered heap
+# oracle (also over windows of 1-7 ticks), Env.Reschedule against Cancel + At,
 # the max-min solver against its full-re-solve oracle (differential over
 # single and coalesced events, fairness certificate, weight =
 # multiplicity, Crossing order), and the pinned flow and fleet solver

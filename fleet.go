@@ -323,7 +323,7 @@ func (fb *FleetBed) RunSwarm() (SwarmResult, error) {
 		Shed:             st.Shed,
 		AchievedQPS:      st.AchievedQPS,
 		EventsPerRequest: fr.EventsPerOp,
-		HeapBPerClient:   heap.DeltaMBPerNode(fb.base, st.Clients) * 1e6,
+		HeapBPerClient:   float64(heap.DeltaBytes(fb.base)) / float64(st.Clients),
 		MaxInflight:      st.MaxInflight,
 	}
 	sw.FillMetrics(fb.reg())

@@ -22,14 +22,19 @@ func SnapHeap() HeapSnapshot {
 	return HeapSnapshot{HeapAlloc: ms.HeapAlloc}
 }
 
-// DeltaMB returns the heap growth since an earlier snapshot in MiB,
+// DeltaBytes returns the heap growth since an earlier snapshot in bytes,
 // clamped at zero (a GC between snapshots can shrink the heap below the
 // baseline; negative footprints are meaningless for reporting).
-func (s HeapSnapshot) DeltaMB(since HeapSnapshot) float64 {
+func (s HeapSnapshot) DeltaBytes(since HeapSnapshot) uint64 {
 	if s.HeapAlloc <= since.HeapAlloc {
 		return 0
 	}
-	return float64(s.HeapAlloc-since.HeapAlloc) / (1 << 20)
+	return s.HeapAlloc - since.HeapAlloc
+}
+
+// DeltaMB is DeltaBytes in MiB.
+func (s HeapSnapshot) DeltaMB(since HeapSnapshot) float64 {
+	return float64(s.DeltaBytes(since)) / (1 << 20)
 }
 
 // DeltaMBPerNode is DeltaMB divided across n nodes — the per-node memory

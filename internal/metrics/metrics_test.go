@@ -422,6 +422,12 @@ func TestHeapSnapshot(t *testing.T) {
 		block[i] = byte(i) // touch every page so the allocation is real
 	}
 	after := SnapHeap()
+	if got := after.DeltaBytes(before); got < 30<<20 || got > 40<<20 {
+		t.Errorf("DeltaBytes = %d, want ~32 MiB for a 32 MiB retained block", got)
+	}
+	if b, mb := after.DeltaBytes(before), after.DeltaMB(before); float64(b) != mb*(1<<20) {
+		t.Errorf("DeltaBytes %d is not DeltaMB %g in bytes", b, mb)
+	}
 	if got := after.DeltaMB(before); got < 30 || got > 40 {
 		t.Errorf("DeltaMB = %.1f, want ~32 for a 32 MiB retained block", got)
 	}
@@ -436,7 +442,7 @@ func TestHeapSnapshot(t *testing.T) {
 	if got := shrunk.DeltaMB(after); got < 0 {
 		t.Errorf("DeltaMB went negative: %v", got)
 	}
-	if before.DeltaMB(after) != 0 {
+	if before.DeltaBytes(after) != 0 || before.DeltaMB(after) != 0 {
 		t.Error("DeltaMB against a larger baseline must clamp to 0")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // streams, exponential inter-arrival draws, and zipfian key popularity
 // as the simulated fleet swarm, but emitting wall-clock-relative
 // nanosecond deadlines instead of DES ticks. It must emit exact deadlines
-// in order, so unlike rackGen's tick calendar it keeps a heap — the
+// in order, so unlike rackGen's per-tick counts it keeps a heap — the
 // package's only one.
 //
 // The generator is open-loop: Next hands out the globally ordered
@@ -28,8 +28,9 @@ type OpenLoop struct {
 }
 
 // openClient is one OpenLoop client: its next deadline and its
-// splitmix64 state. Unlike a rackGen cell it stores the state, since its
-// streams are seeded differently and its heap, not a calendar, orders it.
+// splitmix64 state. Unlike a rackGen carried record it stores the state,
+// since its streams are seeded differently and its heap, not a window
+// sweep, orders it.
 type openClient struct {
 	next  int64
 	state uint64

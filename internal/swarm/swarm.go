@@ -7,19 +7,20 @@
 // per client — nothing a million-client sweep can afford, and the
 // offered load collapses whenever the system slows down, hiding exactly
 // the overload behavior worth measuring. This package keeps clients
-// open-loop and record-shaped instead:
+// open-loop and stream-shaped instead:
 //
-//   - a client is one 16-byte cell: its next arrival instant on the
-//     integer virtual timeline, the number of draws it has made from its
-//     splitmix64 stream (the stream's state is a function of the seed,
-//     the client's global index and that count, so it is not stored),
-//     and its calendar link. Per-client arrival schedules are target-QPS
-//     exponential (Poisson);
-//   - each rack owns a flat slice of its cells plus a tick calendar — one
-//     list head per tick, a client filed under the first tick at or after
-//     its next arrival — and one callback-timer "tick" drains all
-//     arrivals due in the last tick interval: O(1) per arrival, one cache
-//     line per client visit, and no per-client events exist at all;
+//   - a client is its splitmix64 stream, seeded by the seed and the
+//     client's global index: its arrival instants on the integer virtual
+//     timeline follow from the stream alone, target-QPS exponential
+//     (Poisson), so nothing about a client is stored while the stream
+//     runs;
+//   - each rack keeps a window schedule: one arrival count per tick over
+//     a window of ticks, filled by one sequential sweep of the rack's
+//     clients at the window's start. Only a client still live past the
+//     window is kept, as a 16-byte carried record (next arrival, draws
+//     made, index); a run whose horizon fits one window keeps none. One
+//     callback-timer "tick" then draws its count of keys: O(1) per
+//     arrival, and no per-client events exist at all;
 //   - arrivals in one tick fold into per-destination-rack batches: one
 //     fleetXfer flow injection per (tick, destination rack) carries the
 //     summed payload, so kernel work scales with traffic shape, not
@@ -31,16 +32,15 @@
 // Determinism matches the fleet's contract: every rack draws from its
 // own generator seeded by (seed, rack), folds its own trace hash, and
 // touches only rack-local state, so the swarm's fingerprint is identical
-// for any shard or worker count. The arrival hot path — calendar unlink,
-// two PRNG draws, scratch accumulate, calendar re-file — allocates nothing
-// in steady state (BenchmarkSwarmArrivals pins 0 allocs/op).
+// for any shard or worker count. The arrival hot path — key draws,
+// scratch accumulate, and the window sweeps — allocates nothing in
+// steady state (BenchmarkSwarmArrivals pins 0 allocs/op).
 package swarm
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"hbb/internal/metrics"
@@ -115,9 +115,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// maxMeanDraws bounds a client's mean draw count at half the cell's
-// 32-bit counter: a client whose count averages below 2^31 never reaches
-// 2^32, where its stream would wrap back to its start.
+// maxMeanDraws bounds a client's mean draw count at half the carried
+// record's 32-bit counter: a client whose count averages below 2^31 never
+// reaches 2^32, where its stream would wrap back to its start.
 const maxMeanDraws = 1 << 31
 
 // meanDraws is the mean number of gaps a client draws before it retires:
@@ -143,15 +143,22 @@ func (c Config) tick(racks int) int64 {
 	return t
 }
 
-// cell is one swarm client: its next arrival, the number of gaps drawn
-// from its splitmix64 stream, and its calendar link (the next client filed
-// under the same tick, or -1). The stream's state after d draws is
-// base + d·γ, where base = seed·γ + global index + 1 (rackGen.draw), so
-// the cell stores the count, not the state. A million clients cost 16 MB.
-type cell struct {
+// maxWindow caps a window at 2^16 ticks, 256 KiB of counts per rack, so
+// the schedule does not scale with Duration.
+const maxWindow = 1 << 16
+
+// windowCap is the cap New applies; only this package's tests shrink it,
+// to carry clients across many windows.
+var windowCap int64 = maxWindow
+
+// carry is a client still live past the current window: its next
+// arrival, the number of gaps drawn from its splitmix64 stream, and its
+// index in the rack. The stream's state after d draws is base + index +
+// d·γ (rackGen.base), so the record stores the count, not the state.
+type carry struct {
 	next  int64
 	draws uint32
-	link  int32
+	idx   int32
 }
 
 // gamma is splitmix64's increment.
@@ -202,34 +209,37 @@ type Swarm struct {
 	horizon int64
 }
 
-// rackGen owns one rack's share of the swarm: its client cells, the
-// tick calendar, the key-popularity stream, per-tick batching scratch,
+// rackGen owns one rack's share of the swarm: its window schedule and
+// carried clients, the key-popularity stream, per-tick batching scratch,
 // and the rack-local counters and trace hash. Only the rack's owning
 // shard ever touches it.
 type rackGen struct {
-	sw    *Swarm
-	id    int
-	env   *sim.Env
-	cells []cell
-	// base is cell 0's stream state before its first draw: seed·γ plus
-	// the cell's global client index plus 1. Cell i's is base + i.
+	sw  *Swarm
+	id  int
+	env *sim.Env
+	// n is the rack's client count; base is client 0's stream state before
+	// its first draw: seed·γ plus its global client index plus 1. Client
+	// i's is base + i.
+	n    int32
 	base uint64
 
-	// Tick calendar: head[k%len(head)] starts the list, chained through
-	// the cells' links and ended by -1, of the clients due at tick k, the
-	// first multiple of tickNs at or after their next arrival; cur is the
-	// next tick to drain, live the clients filed. The wheel is bounded: a
-	// client filed over a lap ahead waits in its slot until due. Two
-	// invariants:
+	// Window schedule: counts[k-k0] is the number of arrivals due at tick
+	// k, the first multiple of tickNs at or after the arrival, for the
+	// window's ticks k0 ≤ k < k0+len(counts); last is the window's last
+	// tick with an arrival (k0-1 when none), cur the next tick to drain,
+	// and carried the clients, in index order, with an arrival past the
+	// window. Two invariants:
 	//   - ticks fire at exact multiples of tickNs (Start and runTick own
-	//     them); a late one would find the arrivals since the last multiple
-	//     a slot ahead and deliver them one tick late, never lose them;
-	//   - the order a tick's arrivals drain in is unobservable: each key
-	//     comes from the rack's shared stream, each gap from the client's
-	//     own, and flush folds only per-(tick, destination rack) sums.
-	head []int32
-	cur  int64
-	live int
+	//     them); a late one would drain the counts of the ticks it missed
+	//     with its own, never lose them;
+	//   - which client made an arrival is unobservable: each key comes from
+	//     the rack's shared stream and flush folds only per-(tick,
+	//     destination rack) sums, so a tick needs only its count.
+	counts  []int32
+	k0      int64
+	last    int64
+	cur     int64
+	carried []carry
 
 	zipf    *rand.Zipf
 	rng     *rand.Rand
@@ -279,9 +289,9 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 		horizon: int64(cfg.Duration),
 	}
 	perClient := float64(cfg.Clients) / cfg.TargetQPS * 1e9 // mean gap, ns
-	// One slot per tick up to the horizon (arrivals stop before it), capped
-	// so the calendar does not scale with Duration.
-	slots := min((s.horizon+s.tickNs-1)/s.tickNs+1, 1<<16)
+	// A window spans every tick up to the horizon (arrivals stop before
+	// it), capped so the schedule does not scale with Duration.
+	window := min((s.horizon+s.tickNs-1)/s.tickNs+1, windowCap)
 	base, rem := cfg.Clients/racks, cfg.Clients%racks
 	next := 0
 	for r := range s.racks {
@@ -293,6 +303,9 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 			sw:      s,
 			id:      r,
 			env:     fl.Env(r * topo.NodesPerRack),
+			n:       int32(count),
+			base:    uint64(cfg.Seed)*gamma + uint64(next+1),
+			counts:  make([]int32, window),
 			gapMean: perClient,
 			bytes:   make([]int64, racks),
 			reqs:    make([]int64, racks),
@@ -305,17 +318,7 @@ func New(cfg Config, fl *netsim.Fleet) (*Swarm, error) {
 			g.zipf = rand.NewZipf(g.rng, cfg.Zipf, 1, keys-1)
 		}
 		g.tickFn = g.runTick
-		g.cells = make([]cell, count)
-		g.base = uint64(cfg.Seed)*gamma + uint64(next+1)
-		g.head = slices.Repeat([]int32{-1}, int(slots))
-		for i := range g.cells {
-			c := &g.cells[i]
-			c.next = g.draw(int32(i))
-			if c.next < s.horizon {
-				g.file(int32(i))
-				g.live++
-			}
-		}
+		g.sweep(0)
 		next += count
 		s.racks[r] = g
 	}
@@ -329,81 +332,100 @@ func (s *Swarm) Config() Config { return s.cfg }
 // the fleet's shard group runs.
 func (s *Swarm) Start() {
 	for _, g := range s.racks {
-		if g.live > 0 {
+		if g.pending() {
 			g.env.At(time.Duration(s.tickNs), g.tickFn)
 		}
 	}
 }
 
-// draw returns client ci's next exponential gap from its own stream and
-// counts the draw.
-func (g *rackGen) draw(ci int32) int64 {
-	c := &g.cells[ci]
-	st := g.base + uint64(ci) + uint64(c.draws)*gamma
-	c.draws++
-	return expGap(splitmix64(&st), g.gapMean)
+// pending reports whether the rack has an arrival at tick cur or later.
+func (g *rackGen) pending() bool {
+	return g.cur <= g.last || len(g.carried) > 0
 }
 
-// file chains client ci under the first tick at or after its next arrival.
-func (g *rackGen) file(ci int32) {
-	tick := uint64(g.sw.tickNs)
-	c := &g.cells[ci]
-	k := (uint64(c.next) + tick - 1) / tick
-	s := k % uint64(len(g.head))
-	c.link = g.head[s]
-	g.head[s] = ci
+// sweep bins the arrivals of the window starting at tick k0: one pass
+// over the rack's clients in index order, each running its own stream
+// through the window and kept as a carried record only when it is still
+// live past it. The first window (k0 = 0, swept by New) starts every
+// client at its first draw; later windows resume the carried clients
+// and compact them in place, so a sweep allocates nothing after New.
+func (g *rackGen) sweep(k0 int64) {
+	tick, horizon, mean := g.sw.tickNs, g.sw.horizon, g.gapMean
+	counts := g.counts
+	clear(counts)
+	// An arrival at t is due at tick ⌈t/tick⌉, so the window holds those
+	// at or before its last tick's instant; none lands at or past the
+	// horizon.
+	limit := min((k0+int64(len(counts))-1)*tick, horizon-1)
+	n := len(g.carried)
+	if k0 == 0 {
+		n = int(g.n)
+	}
+	kept := g.carried[:0]
+	for i := range n {
+		var c carry
+		var st uint64
+		if k0 == 0 {
+			st = g.base + uint64(i)
+			c = carry{next: expGap(splitmix64(&st), mean), draws: 1, idx: int32(i)}
+		} else {
+			c = g.carried[i]
+			st = g.base + uint64(c.idx) + uint64(c.draws)*gamma
+		}
+		for c.next <= limit {
+			counts[(c.next+tick-1)/tick-k0]++
+			c.next += expGap(splitmix64(&st), mean)
+			c.draws++
+		}
+		if c.next < horizon {
+			kept = append(kept, c)
+		}
+	}
+	g.carried = kept
+	g.k0, g.last = k0, k0-1
+	for k := len(counts) - 1; k >= 0; k-- {
+		if counts[k] > 0 {
+			g.last = k0 + int64(k)
+			break
+		}
+	}
 }
 
-// advance drains every arrival due at or before now into the per-rack
-// scratch accumulators and re-schedules each client, returning the
-// number of arrivals. This is the swarm's hot path: O(1) per arrival, no
-// comparisons between clients, one cell read per client visit, and it
-// allocates nothing (the scratch and calendar are pre-sized, the PRNGs
-// are inline).
+// advance draws one key per arrival due at or before now into the
+// per-rack scratch accumulators, sweeping the next window when the
+// drain crosses into it, and returns the number of arrivals. This is the
+// swarm's hot path: O(1) per arrival, no per-client state touched inside
+// a window, and it allocates nothing (the scratch and schedule are
+// pre-sized, carried records compact in place, the PRNGs are inline).
 func (g *rackGen) advance(now int64) int64 {
 	topo := g.sw.fl.Topology()
 	nodes := uint64(topo.Racks * topo.NodesPerRack)
 	per := topo.NodesPerRack
 	reqBytes := g.sw.cfg.RequestBytes
-	horizon := g.sw.horizon
 	var arrivals int64
 	for last := now / g.sw.tickNs; g.cur <= last; g.cur++ {
-		s := g.cur % int64(len(g.head))
-		ci := g.head[s]
-		g.head[s] = -1
-		for ci >= 0 {
-			c := &g.cells[ci]
-			following := c.link
-			// Due several times when its gap is shorter than the tick, not
-			// at all when it was filed over a lap ahead.
-			for c.next <= now && c.next < horizon {
-				arrivals++
-				var key uint64
-				if g.zipf != nil {
-					key = g.zipf.Uint64()
-				} else {
-					key = g.rng.Uint64() % keys
-				}
-				// Fixed multiplicative hash: a hot key is always served by the
-				// same node, so zipfian skew creates stable hot racks.
-				dstNode := (key * 2654435761) % nodes
-				dRack := int32(dstNode) / int32(per)
-				if g.bytes[dRack] == 0 {
-					g.touched = append(g.touched, dRack)
-					g.slot[dRack] = int32(dstNode) % int32(per)
-				}
-				g.bytes[dRack] += reqBytes
-				g.reqs[dRack]++
-				c.next += g.draw(ci)
-			}
-			if c.next >= horizon {
-				// Past the generation horizon: retire it, even when still
-				// <= now (the last tick can land beyond the horizon).
-				g.live--
+		if g.cur-g.k0 == int64(len(g.counts)) {
+			g.sweep(g.cur)
+		}
+		n := g.counts[g.cur-g.k0]
+		arrivals += int64(n)
+		for range n {
+			var key uint64
+			if g.zipf != nil {
+				key = g.zipf.Uint64()
 			} else {
-				g.file(ci)
+				key = g.rng.Uint64() % keys
 			}
-			ci = following
+			// Fixed multiplicative hash: a hot key is always served by the
+			// same node, so zipfian skew creates stable hot racks.
+			dstNode := (key * 2654435761) % nodes
+			dRack := int32(dstNode) / int32(per)
+			if g.bytes[dRack] == 0 {
+				g.touched = append(g.touched, dRack)
+				g.slot[dRack] = int32(dstNode) % int32(per)
+			}
+			g.bytes[dRack] += reqBytes
+			g.reqs[dRack]++
 		}
 	}
 	g.arrivals += arrivals
@@ -470,12 +492,12 @@ func (b *batch) done() {
 }
 
 // runTick is the rack's cached tick callback: drain due arrivals,
-// inject the batches, and re-arm while clients remain.
+// inject the batches, and re-arm while an arrival remains.
 func (g *rackGen) runTick() {
 	now := int64(g.env.Now())
 	g.advance(now)
 	g.flush(now)
-	if g.live > 0 {
+	if g.pending() {
 		g.env.After(time.Duration(g.sw.tickNs), g.tickFn)
 	}
 }

@@ -1,6 +1,7 @@
 package swarm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -227,17 +228,29 @@ func TestSwarmTickClamp(t *testing.T) {
 // heapRef is the arrival engine this package shipped before the tick
 // calendar, kept as its oracle: a 4-ary heap of client indices ordered by
 // (next arrival, client index) that pops arrivals in exact time order. It
-// runs over a rackGen's records, streams and scratch and ignores the
-// calendar.
+// holds its own client records, each a stored splitmix64 state seeded
+// with seed·γ + global index + 1, and draws keys into a rackGen's streams
+// and scratch, ignoring its window schedule.
 type heapRef struct {
-	g    *rackGen
-	heap []int32
+	g       *rackGen
+	clients []clientRec
+	heap    []int32
 }
 
-func newHeapRef(g *rackGen) *heapRef {
-	h := &heapRef{g: g}
-	for i := range g.cells {
-		if g.cells[i].next < g.sw.horizon {
+func newHeapRef(s *Swarm, r int) *heapRef {
+	g := s.racks[r]
+	racks := len(s.racks)
+	per, rem := s.cfg.Clients/racks, s.cfg.Clients%racks
+	first, n := r*per+min(r, rem), per
+	if r < rem {
+		n++
+	}
+	h := &heapRef{g: g, clients: make([]clientRec, n)}
+	for i := range h.clients {
+		c := &h.clients[i]
+		c.state = uint64(s.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(first+i+1)
+		c.next = c.expGap(g.gapMean)
+		if c.next < s.horizon {
 			h.heap = append(h.heap, int32(i))
 			h.siftUp(len(h.heap) - 1)
 		}
@@ -246,7 +259,7 @@ func newHeapRef(g *rackGen) *heapRef {
 }
 
 func (h *heapRef) before(a, b int32) bool {
-	ca, cb := &h.g.cells[a], &h.g.cells[b]
+	ca, cb := &h.clients[a], &h.clients[b]
 	if ca.next != cb.next {
 		return ca.next < cb.next
 	}
@@ -298,7 +311,7 @@ func (h *heapRef) advance(now int64) int64 {
 	var arrivals int64
 	for len(h.heap) > 0 {
 		ci := h.heap[0]
-		c := &g.cells[ci]
+		c := &h.clients[ci]
 		if c.next > now {
 			break
 		}
@@ -317,7 +330,7 @@ func (h *heapRef) advance(now int64) int64 {
 		}
 		g.bytes[dRack] += reqBytes
 		g.reqs[dRack]++
-		c.next += g.draw(ci)
+		c.next += c.expGap(g.gapMean)
 		if c.next >= g.sw.horizon {
 			n := len(h.heap) - 1
 			h.heap[0] = h.heap[n]
@@ -334,163 +347,200 @@ func (h *heapRef) advance(now int64) int64 {
 }
 
 // tickRec is what one tick left in a rack's scratch between advance and
-// flush: everything the rest of the system can observe of the arrivals.
+// flush, and whether the rack re-armed: everything the rest of the system
+// can observe of the arrivals.
 type tickRec struct {
 	now, arrivals int64
-	live          int
+	more          bool
 	touched       []int32
 	bytes, reqs   []int64 // per touched rack, in touched order
 	slot          []int32
 }
 
 func (r tickRec) equal(o tickRec) bool {
-	return r.now == o.now && r.arrivals == o.arrivals && r.live == o.live &&
+	return r.now == o.now && r.arrivals == o.arrivals && r.more == o.more &&
 		slices.Equal(r.touched, o.touched) && slices.Equal(r.bytes, o.bytes) &&
 		slices.Equal(r.reqs, o.reqs) && slices.Equal(r.slot, o.slot)
 }
 
+// withWindowCap runs fn with New's window cap set to ticks.
+func withWindowCap(ticks int64, fn func()) {
+	defer func(old int64) { windowCap = old }(windowCap)
+	windowCap = ticks
+	fn()
+}
+
 // traceRun runs cfg to completion on a one-shard fleet and returns every
-// rack's per-tick records, the fingerprint and the stats. The calendar
-// side runs rackGen.advance (over a wheel re-filed into wheel slots when
-// that is positive); the oracle side runs heapRef.advance. Both flush
-// into a real fleet, so MaxInflight shedding sees real completions.
-func traceRun(t *testing.T, cfg Config, oracle bool, wheel int) ([][]tickRec, uint64, Stats) {
+// rack's per-tick records, the fingerprint, the stats and the kernel's
+// event count. The schedule side runs rackGen.advance and pending over
+// windows of at most window ticks when that is positive; the oracle side
+// runs heapRef.advance. Both flush into a real fleet, so MaxInflight
+// shedding sees real completions.
+func traceRun(t *testing.T, cfg Config, oracle bool, window int64) ([][]tickRec, uint64, Stats, int64) {
 	t.Helper()
 	fl := testFleet(t, 6, 4, 1)
-	s, err := New(cfg, fl)
+	var s *Swarm
+	var err error
+	withWindowCap(cmp.Or(window, maxWindow), func() { s, err = New(cfg, fl) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := make([][]tickRec, len(s.racks))
 	for _, g := range s.racks {
-		advance, live := g.advance, func() int { return g.live }
+		advance, more := g.advance, g.pending
 		if oracle {
-			h := newHeapRef(g)
-			advance, live = h.advance, func() int { return len(h.heap) }
-		} else if wheel > 0 {
-			g.head = slices.Repeat([]int32{-1}, wheel)
-			for i := range g.cells {
-				if g.cells[i].next < s.horizon {
-					g.file(int32(i))
-				}
-			}
+			h := newHeapRef(s, g.id)
+			advance, more = h.advance, func() bool { return len(h.heap) > 0 }
 		}
 		g.tickFn = func() {
 			now := int64(g.env.Now())
-			rec := tickRec{now: now, arrivals: advance(now), live: live(), touched: slices.Clone(g.touched)}
+			rec := tickRec{now: now, arrivals: advance(now), touched: slices.Clone(g.touched)}
 			for _, d := range g.touched {
 				rec.bytes = append(rec.bytes, g.bytes[d])
 				rec.reqs = append(rec.reqs, g.reqs[d])
 				rec.slot = append(rec.slot, g.slot[d])
 			}
-			trace[g.id] = append(trace[g.id], rec)
 			g.flush(now)
-			if live() > 0 {
+			rec.more = more()
+			trace[g.id] = append(trace[g.id], rec)
+			if rec.more {
 				g.env.After(time.Duration(s.tickNs), g.tickFn)
 			}
 		}
+		if oracle && more() {
+			g.env.At(time.Duration(s.tickNs), g.tickFn)
+		}
 	}
-	s.Start()
+	if !oracle {
+		s.Start()
+	}
 	fl.Group().Run()
-	return trace, s.Fingerprint(), s.Stats()
+	return trace, s.Fingerprint(), s.Stats(), fl.Group().Events()
 }
 
-// diffTraces fails the test at the first tick where the calendar's
+// diffTraces fails the test at the first tick where the schedule's
 // record differs from the oracle's.
 func diffTraces(t *testing.T, got, want [][]tickRec) {
 	t.Helper()
 	for r := range want {
 		if len(got[r]) != len(want[r]) {
-			t.Fatalf("rack %d: calendar ran %d ticks, heap %d", r, len(got[r]), len(want[r]))
+			t.Fatalf("rack %d: schedule ran %d ticks, heap %d", r, len(got[r]), len(want[r]))
 		}
 		for i, w := range want[r] {
 			if !got[r][i].equal(w) {
-				t.Fatalf("rack %d tick %d:\ncalendar %+v\nheap     %+v", r, i, got[r][i], w)
+				t.Fatalf("rack %d tick %d:\nschedule %+v\nheap     %+v", r, i, got[r][i], w)
 			}
 		}
 	}
 }
 
-// TestCalendarMatchesHeapStress is the differential test behind the tick
-// calendar: on every shape that stresses the filing rule it must leave
-// exactly the scratch the time-ordered heap leaves, tick by tick.
-func TestCalendarMatchesHeapStress(t *testing.T) {
-	shapes := []struct {
-		name  string
-		cfg   Config
-		check func(*testing.T, [][]tickRec, Stats)
-	}{
-		// 2 clients per rack at a 2 µs gap under a 64 µs tick: each client
-		// is due ~32 times per tick.
-		{"gap-below-tick", Config{Clients: 12, TargetQPS: 6e6, Duration: time.Millisecond},
-			func(t *testing.T, tr [][]tickRec, st Stats) {
-				if per := st.Arrivals / int64(len(tr[0])) / 6; per < 4*2 {
-					t.Errorf("%d arrivals per rack tick from 2 clients: no client is due several times", per)
-				}
-			}},
-		// 2 ms gap over a 1 ms horizon: a client fires at most about once.
-		{"gap-above-horizon", Config{Clients: 6000, TargetQPS: 3e6, Duration: time.Millisecond},
-			func(t *testing.T, tr [][]tickRec, st Stats) {
-				if st.Arrivals == 0 || st.Arrivals > 6000 {
-					t.Errorf("%d arrivals from 6000 clients: want most retiring after one", st.Arrivals)
-				}
-			}},
-		// 128 µs tick: the horizon falls inside a tick, so the last tick
-		// lands past it.
-		{"ragged-horizon", Config{Clients: 3000, TargetQPS: 3e6, Duration: 2003777},
-			func(t *testing.T, tr [][]tickRec, st Stats) {
-				if last := tr[0][len(tr[0])-1].now; last <= 2003777 {
-					t.Errorf("last tick at %d does not land past the horizon", last)
-				}
-			}},
-		{"shedding", Config{Clients: 2000, TargetQPS: 2e6, RequestBytes: 256 << 10,
-			Duration: 2 * time.Millisecond, MaxInflight: 200},
-			func(t *testing.T, tr [][]tickRec, st Stats) {
-				if st.Shed == 0 {
-					t.Error("nothing shed")
-				}
-			}},
+// stressShapes are the configurations that stress the binning rule.
+var stressShapes = []struct {
+	name  string
+	cfg   Config
+	check func(*testing.T, [][]tickRec, Stats)
+}{
+	// 2 clients per rack at a 2 µs gap under a 64 µs tick: each client
+	// is due ~32 times per tick.
+	{"gap-below-tick", Config{Clients: 12, TargetQPS: 6e6, Duration: time.Millisecond},
+		func(t *testing.T, tr [][]tickRec, st Stats) {
+			if per := st.Arrivals / int64(len(tr[0])) / 6; per < 4*2 {
+				t.Errorf("%d arrivals per rack tick from 2 clients: no client is due several times", per)
+			}
+		}},
+	// 2 ms gap over a 1 ms horizon: a client fires at most about once.
+	{"gap-above-horizon", Config{Clients: 6000, TargetQPS: 3e6, Duration: time.Millisecond},
+		func(t *testing.T, tr [][]tickRec, st Stats) {
+			if st.Arrivals == 0 || st.Arrivals > 6000 {
+				t.Errorf("%d arrivals from 6000 clients: want most retiring after one", st.Arrivals)
+			}
+		}},
+	// 128 µs tick: the horizon falls inside a tick, so the last tick
+	// lands past it.
+	{"ragged-horizon", Config{Clients: 3000, TargetQPS: 3e6, Duration: 2003777},
+		func(t *testing.T, tr [][]tickRec, st Stats) {
+			if last := tr[0][len(tr[0])-1].now; last <= 2003777 {
+				t.Errorf("last tick at %d does not land past the horizon", last)
+			}
+		}},
+	{"shedding", Config{Clients: 2000, TargetQPS: 2e6, RequestBytes: 256 << 10,
+		Duration: 2 * time.Millisecond, MaxInflight: 200},
+		func(t *testing.T, tr [][]tickRec, st Stats) {
+			if st.Shed == 0 {
+				t.Error("nothing shed")
+			}
+		}},
+	// 78 ticks of 128 µs with a mean gap of 8 ticks: under short windows
+	// most clients are carried across many of them.
+	{"long-run", Config{Clients: 3000, TargetQPS: 3e6, Duration: 10 * time.Millisecond,
+		MaxInflight: 4000},
+		func(t *testing.T, tr [][]tickRec, st Stats) {
+			if len(tr[0]) < 70 {
+				t.Errorf("only %d ticks", len(tr[0]))
+			}
+		}},
+}
+
+// diffAgainstHeap runs cfg through the oracle and through the schedule
+// over windows of at most window ticks (0: the runtime cap) and fails
+// on the first difference.
+func diffAgainstHeap(t *testing.T, cfg Config, window int64) ([][]tickRec, Stats) {
+	t.Helper()
+	want, wantFP, wantSt, wantEv := traceRun(t, cfg, true, 0)
+	got, gotFP, gotSt, gotEv := traceRun(t, cfg, false, window)
+	diffTraces(t, got, want)
+	if gotFP != wantFP || gotSt != wantSt || gotEv != wantEv {
+		t.Fatalf("seed %d window %d: fingerprint %x stats %+v events %d, heap %x %+v %d",
+			cfg.Seed, window, gotFP, gotSt, gotEv, wantFP, wantSt, wantEv)
 	}
-	for _, sh := range shapes {
+	return got, gotSt
+}
+
+// TestCalendarMatchesHeapStress is the differential test behind the
+// window schedule: on every shape that stresses the binning rule it must
+// leave exactly the scratch the time-ordered heap leaves, tick by tick,
+// and re-arm exactly when the heap still holds a client.
+func TestCalendarMatchesHeapStress(t *testing.T) {
+	for _, sh := range stressShapes {
 		for _, zipf := range []float64{1.1, 0} {
 			t.Run(fmt.Sprintf("%s/zipf=%g", sh.name, zipf), func(t *testing.T) {
 				for seed := int64(1); seed <= 8; seed++ {
 					cfg := sh.cfg
 					cfg.Zipf, cfg.Seed = zipf, seed
-					want, wantFP, wantSt := traceRun(t, cfg, true, 0)
-					got, gotFP, gotSt := traceRun(t, cfg, false, 0)
-					diffTraces(t, got, want)
-					if gotFP != wantFP || gotSt != wantSt {
-						t.Fatalf("seed %d: fingerprint %x stats %+v, heap %x %+v", seed, gotFP, gotSt, wantFP, wantSt)
-					}
-					sh.check(t, got, gotSt)
+					got, st := diffAgainstHeap(t, cfg, 0)
+					sh.check(t, got, st)
 				}
 			})
 		}
 	}
 }
 
-// TestCalendarWheelLapsStress shrinks the wheel to 4 slots under a
-// 78-tick run whose mean gap is 8 ticks, so the wheel turns 19 times and
-// most clients are filed more than one lap ahead; the trace must not move.
-func TestCalendarWheelLapsStress(t *testing.T) {
-	cfg := Config{Clients: 3000, TargetQPS: 3e6, Zipf: 1.1, Duration: 10 * time.Millisecond,
-		MaxInflight: 4000, Seed: 9}
-	want, wantFP, wantSt := traceRun(t, cfg, true, 0)
-	got, gotFP, gotSt := traceRun(t, cfg, false, 4)
-	if laps := len(got[0]) / 4; laps < 10 {
-		t.Fatalf("only %d laps of the wheel", laps)
-	}
-	diffTraces(t, got, want)
-	if gotFP != wantFP || gotSt != wantSt {
-		t.Errorf("fingerprint %x stats %+v, heap %x %+v", gotFP, gotSt, wantFP, wantSt)
+// TestCalendarWindowsMatchHeapStress shrinks the window to 1–7 ticks, so
+// each later window is swept on the rack's own shard mid-run and the
+// long run's clients are carried across dozens of windows; on every
+// shape the trace must not move.
+func TestCalendarWindowsMatchHeapStress(t *testing.T) {
+	for _, sh := range stressShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for window := int64(1); window <= 7; window++ {
+				for seed := int64(1); seed <= 4; seed++ {
+					cfg := sh.cfg
+					cfg.Zipf, cfg.Seed = 1.1, seed
+					got, _ := diffAgainstHeap(t, cfg, window)
+					if n := int64(len(got[0])); sh.name == "long-run" && n < 10*window {
+						t.Errorf("window %d: %d ticks span under ten windows", window, n)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestCalendarIsBounded: the wheel is capped, so an hour-long horizon at
-// a 1 µs tick (3.6e9 tick instants) still costs under 1 MiB per rack.
-// 3e8 QPS over 4 racks clamps the tick to 1 µs while each client's 1.08e9
-// mean draws stay inside its counter.
+// TestCalendarIsBounded: the window is capped, so an hour-long horizon
+// at a 1 µs tick (3.6e9 tick instants) still costs under 1 MiB per rack,
+// counts and carried clients together. 3e8 QPS over 4 racks clamps the
+// tick to 1 µs while each client's 1.08e9 mean draws stay inside its
+// counter.
 func TestCalendarIsBounded(t *testing.T) {
 	s, err := New(Config{Clients: 1000, TargetQPS: 3e8, Duration: time.Hour}, testFleet(t, 4, 8, 1))
 	if err != nil {
@@ -500,18 +550,24 @@ func TestCalendarIsBounded(t *testing.T) {
 		t.Fatalf("tick %d ns, want 1 µs", s.tickNs)
 	}
 	for _, g := range s.racks {
-		if b := 4 * len(g.head); b >= 1<<20 {
-			t.Errorf("rack %d calendar is %d bytes", g.id, b)
+		if len(g.carried) != int(g.n) {
+			t.Errorf("rack %d carries %d of %d clients past its first window", g.id, len(g.carried), g.n)
+		}
+		b := 4*cap(g.counts) + int(unsafe.Sizeof(carry{}))*cap(g.carried)
+		if b >= 1<<20 {
+			t.Errorf("rack %d schedule is %d bytes", g.id, b)
 		}
 	}
 }
 
-// TestAdvanceDoesNotAllocate pins the arrival hot path at 0 allocs.
+// TestAdvanceDoesNotAllocate pins the arrival hot path at 0 allocs,
+// window sweeps included.
 func TestAdvanceDoesNotAllocate(t *testing.T) {
-	g, tick := arrivalsRack(t, 20000)
-	now := 10 * tick
+	g, tick := arrivalsRack(t, 20000, 256)
+	now := 250 * tick // six ticks before the second window
 	g.advance(now)
 	dropScratch(g)
+	k0 := g.k0
 	if n := testing.AllocsPerRun(200, func() {
 		now += tick
 		g.advance(now)
@@ -519,11 +575,15 @@ func TestAdvanceDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("advance allocates %.1f times per tick", n)
 	}
+	if g.k0 == k0 {
+		t.Error("no window was swept while allocations were counted")
+	}
 }
 
-// clientRec is the client record the swarm kept before cells: the next
-// arrival and a stored splitmix64 state, seeded with seed·γ + global index
-// + 1. It is the oracle for the cell's recomputed stream.
+// clientRec is the client record the swarm kept before its window
+// schedule: the next arrival and a stored splitmix64 state, seeded with
+// seed·γ + global index + 1. It is the oracle for the stream the sweeps
+// recompute from a draw count.
 type clientRec struct {
 	next  int64
 	state uint64
@@ -537,35 +597,66 @@ func (c *clientRec) expGap(mean float64) int64 {
 	return d
 }
 
-// TestCellDrawsMatchStoredState: a cell's gaps, drawn from the state its
-// draw count implies, are the stream a stored state steps through, for
-// any seed, global index and mean, over 1000+ draws.
-func TestCellDrawsMatchStoredState(t *testing.T) {
+// TestSweepDrawsMatchStoredState: window after window, the sweeps' counts
+// and carried records are what stored-state clients stepping through
+// their streams give, for any seed, global index, mean, tick and window,
+// over 1000+ draws a client.
+func TestSweepDrawsMatchStoredState(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 64; trial++ {
+	for trial := 0; trial < 32; trial++ {
 		seed := int64(rng.Uint64())
-		first := rng.Intn(1 << 24) // global index of the rack's cell 0
-		g := &rackGen{cells: make([]cell, 1+rng.Intn(1000)), gapMean: math.Exp(rng.Float64() * 20)}
-		g.base = uint64(seed)*gamma + uint64(first+1)
-		ci := int32(rng.Intn(len(g.cells)))
-		ref := clientRec{state: uint64(seed)*0x9e3779b97f4a7c15 + uint64(first+int(ci)+1)}
-		for d := 0; d < 1000+rng.Intn(1000); d++ {
-			if got, want := g.draw(ci), ref.expGap(g.gapMean); got != want {
-				t.Fatalf("seed %d client %d draw %d: gap %d, stored state gives %d", seed, first+int(ci), d, got, want)
+		first := rng.Intn(1 << 24) // global index of the rack's client 0
+		n := 1 + rng.Intn(20)
+		gapMean := math.Exp(rng.Float64() * 20)
+		tick := max(1, int64(gapMean*math.Exp(rng.Float64()*5-3)))
+		window := int64(1 + rng.Intn(8))
+		horizon := int64(gapMean * float64(1000+rng.Intn(1000)))
+		g := &rackGen{sw: &Swarm{tickNs: tick, horizon: horizon}, n: int32(n),
+			base: uint64(seed)*gamma + uint64(first+1), gapMean: gapMean, counts: make([]int32, window)}
+		refs := make([]clientRec, n)
+		draws := make([]uint32, n)
+		for i := range refs {
+			refs[i].state = uint64(seed)*0x9e3779b97f4a7c15 + uint64(first+i+1)
+			refs[i].next, draws[i] = refs[i].expGap(gapMean), 1
+		}
+		for k0 := int64(0); ; k0 += window {
+			g.sweep(k0)
+			want := make([]int32, window)
+			var carried []carry
+			for i := range refs {
+				r := &refs[i]
+				for k := (r.next + tick - 1) / tick; r.next < horizon && k < k0+window; k = (r.next + tick - 1) / tick {
+					want[k-k0]++
+					r.next += r.expGap(gapMean)
+					draws[i]++
+				}
+				if r.next < horizon {
+					carried = append(carried, carry{next: r.next, draws: draws[i], idx: int32(i)})
+				}
 			}
+			if !slices.Equal(g.counts, want) || !slices.Equal(g.carried, carried) {
+				t.Fatalf("seed %d clients %d+%d window %d at tick %d:\ncounts %v carried %v\nstored %v carried %v",
+					seed, first, n, window, k0, g.counts, g.carried, want, carried)
+			}
+			if len(carried) == 0 {
+				break
+			}
+		}
+		if slices.Max(draws) < 1000 {
+			t.Fatalf("seed %d: at most %d draws a client", seed, slices.Max(draws))
 		}
 	}
 }
 
-func TestCellIs16Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(cell{}); n != 16 {
-		t.Errorf("cell is %d bytes, want 16", n)
+func TestCarryIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(carry{}); n != 16 {
+		t.Errorf("carry is %d bytes, want 16", n)
 	}
 }
 
-// TestSwarmHeapPerClient: a 2^18-client swarm retains its 16-byte cells
-// and little else; the calendar and per-rack scratch add a fraction of a
-// byte per client.
+// TestSwarmHeapPerClient: a 2^18-client swarm whose horizon fits one
+// window retains nothing per client; the schedule and per-rack scratch
+// add under a byte per client.
 func TestSwarmHeapPerClient(t *testing.T) {
 	const clients = 1 << 18
 	fl := testFleet(t, 12, 20, 1)
@@ -577,7 +668,7 @@ func TestSwarmHeapPerClient(t *testing.T) {
 	}
 	after := metrics.SnapHeap()
 	runtime.KeepAlive(s)
-	if per := float64(after.HeapAlloc-before.HeapAlloc) / clients; per > 16.5 {
-		t.Errorf("swarm retains %.2f B of heap per client, want <= 16.5", per)
+	if per := float64(after.HeapAlloc-before.HeapAlloc) / clients; per > 1 {
+		t.Errorf("swarm retains %.2f B of heap per client, want <= 1", per)
 	}
 }

@@ -2,9 +2,13 @@ package hbb
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"hbb/internal/metrics"
+	"hbb/internal/swarm"
 )
 
 func swarmOpts(shards int) Options {
@@ -75,6 +79,42 @@ func TestSwarmAchievesTargetQPS(t *testing.T) {
 	}
 	if m := fb.Metrics(); m.Counter("swarm.arrivals").Value() != res.Requests {
 		t.Errorf("registry swarm.arrivals %d, want %d", m.Counter("swarm.arrivals").Value(), res.Requests)
+	}
+}
+
+// TestSwarmHeapPerClientIsBytes: SwarmResult.HeapBPerClient is the heap
+// the fleet and its swarm retain, in bytes per client. It must match,
+// within 1%, a byte count taken directly around an identical fleet and
+// swarm built and run by hand and kept alive. A first run warms the
+// process's one-time allocations so neither side counts them.
+func TestSwarmHeapPerClientIsBytes(t *testing.T) {
+	opts := swarmOpts(1)
+	var res SwarmResult
+	for range 2 {
+		fb, err := NewFleet(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = fb.RunSwarm(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := metrics.SnapHeap()
+	fb, err := NewFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := swarm.New(opts.Swarm.config(opts.Seed), fb.fc.Fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Start()
+	fb.fc.Run()
+	direct := float64(metrics.SnapHeap().DeltaBytes(before)) / float64(res.Clients)
+	runtime.KeepAlive(sw)
+	runtime.KeepAlive(fb)
+	if math.Abs(res.HeapBPerClient-direct) > 0.01*direct {
+		t.Errorf("HeapBPerClient %.3f B, heap measured directly %.3f B per client", res.HeapBPerClient, direct)
 	}
 }
 
