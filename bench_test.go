@@ -426,8 +426,9 @@ func swarmOverloadOnce(b *testing.B) (SwarmResult, *FleetBed) {
 // BenchmarkSwarmOverload runs the counted-bundle max-min solver on a
 // 20x-oversubscribed swarm; req/wall-s is the headline. links/op is
 // solver links touched per rack settle — bounded by the affected
-// components however deep the backlog grows. (BENCH_9.json records the
-// ~27x this engine gained over the per-leg full re-solve it replaced.)
+// components however deep the backlog grows. (CHANGES.md's incremental
+// max-min solver entry records the ~27x this engine gained over the
+// per-leg full re-solve it replaced.)
 func BenchmarkSwarmOverload(b *testing.B) {
 	runtime.GC()
 	b.ResetTimer()

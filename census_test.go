@@ -23,7 +23,6 @@ var censusStructs = []string{
 	"hbb/internal/dfs.ServiceConfig",
 	"hbb/internal/hdfs.Config",
 	"hbb/internal/lustre.Config",
-	"hbb/internal/cluster.FleetConfig",
 	"hbb/internal/swarm.Config",
 	"hbb/internal/memcached/mccluster.Options",
 	"hbb/internal/memcached.Config",
@@ -97,6 +96,45 @@ func TestSettingsCensus(t *testing.T) {
 	sort.Strings(unset)
 	for _, k := range unset {
 		t.Errorf("%s is set by no caller outside tests: make it a constant or delete it", k)
+	}
+}
+
+// TestEveryPackageHasTests fails for each directory of the module that
+// holds non-test Go files but no _test.go: everything that ships, the
+// commands included, runs under go test.
+func TestEveryPackageHasTests(t *testing.T) {
+	code, tested := map[string]bool{}, map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		switch {
+		case strings.HasSuffix(p, "_test.go"):
+			tested[dir] = true
+		case strings.HasSuffix(p, ".go"):
+			code[dir] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare []string
+	for dir := range code {
+		if !tested[dir] {
+			bare = append(bare, dir)
+		}
+	}
+	sort.Strings(bare)
+	for _, dir := range bare {
+		t.Errorf("%s has Go files but no _test.go", dir)
 	}
 }
 

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -23,36 +25,41 @@ import (
 )
 
 func main() {
-	var (
-		id       = flag.String("experiment", "all", "experiment id (fig1..fig10, tab1..tab9) or 'all'")
-		scale    = flag.String("scale", "small", "sizing: 'small' (quick) or 'full' (paper-scale)")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		backends = flag.String("backends", "", "comma-separated backends the macro-benchmarks compare (default: the paper's five; registered: "+strings.Join(hbb.BackendNames(), ",")+")")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	)
-	flag.Parse()
-
-	stopCPU, err := profiling.StartCPU(*cpuProf)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "bbench:", err)
 		os.Exit(1)
 	}
-	defer stopCPU()
-	defer func() {
-		if err := profiling.WriteHeap(*memProf); err != nil {
-			fmt.Fprintln(os.Stderr, "bbench:", err)
-		}
-	}()
+}
+
+// run is the command: it parses args and prints the chosen experiments'
+// tables (or the experiment list) to stdout.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fset := flag.NewFlagSet("bbench", flag.ContinueOnError)
+	fset.SetOutput(stderr)
+	var (
+		id       = fset.String("experiment", "all", "experiment id (fig1..fig10, tab1..tab9) or 'all'")
+		scale    = fset.String("scale", "small", "sizing: 'small' (quick) or 'full' (paper-scale)")
+		list     = fset.Bool("list", false, "list experiments and exit")
+		backends = fset.String("backends", "", "comma-separated backends the macro-benchmarks compare (default: the paper's five; registered: "+strings.Join(hbb.BackendNames(), ",")+")")
+		cpuProf  = fset.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fset.String("memprofile", "", "write an allocation profile to this file on exit")
+	)
+	if err := fset.Parse(args); err != nil {
+		return err
+	}
+
+	stop, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	if *backends != "" {
 		var bs []hbb.Backend
 		for _, name := range strings.Split(*backends, ",") {
 			b, err := hbb.ParseBackend(strings.TrimSpace(name))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "bbench:", err)
-				flag.Usage()
-				os.Exit(2)
+				return err
 			}
 			bs = append(bs, b)
 		}
@@ -61,19 +68,18 @@ func main() {
 
 	if *list {
 		for _, e := range hbb.Experiments() {
-			fmt.Printf("%-5s %s\n      claim: %s\n", e.ID, e.Title, e.Claim)
+			fmt.Fprintf(stdout, "%-5s %s\n      claim: %s\n", e.ID, e.Title, e.Claim)
 		}
-		return
+		return nil
 	}
 	sc := hbb.Scale(*scale)
 	if sc != hbb.ScaleSmall && sc != hbb.ScaleFull {
-		fmt.Fprintf(os.Stderr, "bbench: unknown scale %q\n", *scale)
-		os.Exit(2)
+		return fmt.Errorf("unknown scale %q", *scale)
 	}
-	render := func(e hbb.Experiment) string {
+	render := func(e hbb.Experiment) {
 		start := time.Now()
 		table := e.Run(sc)
-		return fmt.Sprintf("# %s — %s\n# claim: %s\n%s# (generated in %.1fs wall time, scale=%s)\n\n",
+		fmt.Fprintf(stdout, "# %s — %s\n# claim: %s\n%s# (generated in %.1fs wall time, scale=%s)\n\n",
 			e.ID, e.Title, e.Claim, table, time.Since(start).Seconds(), sc)
 	}
 	if *id == "all" {
@@ -81,14 +87,14 @@ func main() {
 		// cells on GOMAXPROCS workers, and tab8/tab9's host-time columns
 		// get the host to themselves.
 		for _, e := range hbb.Experiments() {
-			fmt.Print(render(e))
+			render(e)
 		}
-		return
+		return nil
 	}
 	e, ok := hbb.ExperimentByID(*id)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "bbench: unknown experiment %q (try -list)\n", *id)
-		os.Exit(2)
+		return fmt.Errorf("unknown experiment %q (try -list)", *id)
 	}
-	fmt.Print(render(e))
+	render(e)
+	return nil
 }

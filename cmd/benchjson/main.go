@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | benchjson -out BENCH_2.json
+//	go test -bench=. -benchmem ./... | benchjson -out BENCH.json
 //
 // With -label, every result is tagged (e.g. "before", "after") and merged
 // into the report already at -out, replacing earlier results that carry the

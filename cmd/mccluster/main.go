@@ -16,9 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -33,27 +34,43 @@ import (
 )
 
 func main() {
-	var (
-		servers  = flag.Int("servers", 3, "number of memcached servers to launch")
-		replicas = flag.Int("replicas", 2, "copies of each key (clamped to -servers)")
-		memMB    = flag.Int64("mem-mb", 64, "per-server item memory budget (MiB)")
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr, stop); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "mccluster:", err)
+		os.Exit(1)
+	}
+}
 
-		doSwarm     = flag.Bool("swarm", false, "drive the cluster with an open-loop load phase, then exit")
-		clients     = flag.Int("clients", 1000, "swarm: open-loop client population")
-		qps         = flag.Float64("qps", 50000, "swarm: aggregate target request rate")
-		keys        = flag.Int("keys", 1_000_000, "swarm: distinct key population")
-		zipf        = flag.Float64("zipf", 1.1, "swarm: key popularity skew (0 = uniform, else > 1)")
-		valueBytes  = flag.Int("value-bytes", 64, "swarm: value size for sets")
-		setFrac     = flag.Float64("set-frac", 0.1, "swarm: fraction of requests that are sets")
-		duration    = flag.Duration("duration", 10*time.Second, "swarm: load phase length")
-		seed        = flag.Int64("seed", 1, "swarm: generator seed")
-		maxInflight = flag.Int("max-inflight", 0, "admission control bound (0 = unlimited)")
+// run is the command: it parses args and launches the cluster, then
+// either serves until a value arrives on stop or runs the swarm phase and
+// prints its report to stdout. Progress is logged to stderr.
+func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
+	fset := flag.NewFlagSet("mccluster", flag.ContinueOnError)
+	fset.SetOutput(stderr)
+	var (
+		servers  = fset.Int("servers", 3, "number of memcached servers to launch")
+		replicas = fset.Int("replicas", 2, "copies of each key (clamped to -servers)")
+		memMB    = fset.Int64("mem-mb", 64, "per-server item memory budget (MiB)")
+
+		doSwarm     = fset.Bool("swarm", false, "drive the cluster with an open-loop load phase, then exit")
+		clients     = fset.Int("clients", 1000, "swarm: open-loop client population")
+		qps         = fset.Float64("qps", 50000, "swarm: aggregate target request rate")
+		keys        = fset.Int("keys", 1_000_000, "swarm: distinct key population")
+		zipf        = fset.Float64("zipf", 1.1, "swarm: key popularity skew (0 = uniform, else > 1)")
+		valueBytes  = fset.Int("value-bytes", 64, "swarm: value size for sets")
+		setFrac     = fset.Float64("set-frac", 0.1, "swarm: fraction of requests that are sets")
+		duration    = fset.Duration("duration", 10*time.Second, "swarm: load phase length")
+		seed        = fset.Int64("seed", 1, "swarm: generator seed")
+		maxInflight = fset.Int("max-inflight", 0, "admission control bound (0 = unlimited)")
 	)
-	flag.Parse()
+	if err := fset.Parse(args); err != nil {
+		return err
+	}
 
 	local, err := mccluster.LaunchLocal(*servers, memcached.Config{MemLimit: *memMB << 20})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer local.Close()
 	cluster, err := mccluster.New(local.Addrs(), mccluster.Options{
@@ -61,26 +78,23 @@ func main() {
 		MaxInflight: int64(*maxInflight),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cluster.Close()
 
-	log.Printf("mccluster: %d servers, R=%d, %d MiB each", *servers, *replicas, *memMB)
+	fmt.Fprintf(stderr, "mccluster: %d servers, R=%d, %d MiB each\n", *servers, *replicas, *memMB)
 	for i, a := range local.Addrs() {
-		log.Printf("  server %d: %s", i, a)
+		fmt.Fprintf(stderr, "  server %d: %s\n", i, a)
 	}
 
 	if !*doSwarm {
-		log.Printf("mccluster: serving until interrupt")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		return
+		fmt.Fprintln(stderr, "mccluster: serving until interrupt")
+		<-stop
+		return nil
 	}
-
-	if err := runSwarm(cluster, *clients, *qps, *keys, *zipf, *valueBytes, *setFrac, *duration, *seed); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintf(stderr, "mccluster: swarm %d clients, %.0f req/s target, %d keys, zipf %g, %s\n",
+		*clients, *qps, *keys, *zipf, *duration)
+	return runSwarm(stdout, cluster, *clients, *qps, *keys, *zipf, *valueBytes, *setFrac, *duration, *seed)
 }
 
 // runSwarm replays the open-loop arrival stream against the cluster in
@@ -88,7 +102,7 @@ func main() {
 // response never closes the loop; when the pool is saturated the request
 // is counted as dropped at the generator, mirroring what an overloaded
 // kernel accept queue would do.
-func runSwarm(c *mccluster.Cluster, clients int, qps float64, keys int, skew float64,
+func runSwarm(w io.Writer, c *mccluster.Cluster, clients int, qps float64, keys int, skew float64,
 	valueBytes int, setFrac float64, duration time.Duration, seed int64) error {
 	gen, err := swarm.NewOpenLoop(clients, qps, keys, skew, seed)
 	if err != nil {
@@ -141,8 +155,6 @@ func runSwarm(c *mccluster.Cluster, clients int, qps float64, keys int, skew flo
 		}()
 	}
 
-	log.Printf("mccluster: swarm %d clients, %.0f req/s target, %d keys, zipf %g, %s",
-		clients, qps, keys, skew, duration)
 	start := time.Now()
 	deadline := start.Add(duration)
 	setMod := int64(1 << 30)
@@ -172,17 +184,17 @@ func runSwarm(c *mccluster.Cluster, clients int, qps float64, keys int, skew flo
 
 	st := c.Stats()
 	completed := ok.Load() + failed.Load() + shed.Load()
-	fmt.Printf("\nswarm report (%.2fs wall):\n", elapsed.Seconds())
-	fmt.Printf("  issued            %10d (%.0f req/s target)\n", issued.Load(), qps)
-	fmt.Printf("  completed         %10d (%.0f req/s achieved)\n", completed, float64(completed)/elapsed.Seconds())
-	fmt.Printf("  ok / failed       %10d / %d\n", ok.Load(), failed.Load())
-	fmt.Printf("  shed (admission)  %10d (%.2f%% of completed)\n", shed.Load(), pct(shed.Load(), completed))
-	fmt.Printf("  dropped (genside) %10d\n", dropped.Load())
-	fmt.Printf("  front-cache hits  %10d (%.2f%% of gets)\n", st.FrontCacheHits, st.HitRate()*100)
-	fmt.Printf("  hot gets          %10d, spread reads %d\n", st.HotGets, st.SpreadReads)
-	fmt.Printf("  failovers         %10d, repairs %d, replica errors %d\n", st.Failovers, st.Repairs, st.ReplicaErrors)
+	fmt.Fprintf(w, "\nswarm report (%.2fs wall):\n", elapsed.Seconds())
+	fmt.Fprintf(w, "  issued            %10d (%.0f req/s target)\n", issued.Load(), qps)
+	fmt.Fprintf(w, "  completed         %10d (%.0f req/s achieved)\n", completed, float64(completed)/elapsed.Seconds())
+	fmt.Fprintf(w, "  ok / failed       %10d / %d\n", ok.Load(), failed.Load())
+	fmt.Fprintf(w, "  shed (admission)  %10d (%.2f%% of completed)\n", shed.Load(), pct(shed.Load(), completed))
+	fmt.Fprintf(w, "  dropped (genside) %10d\n", dropped.Load())
+	fmt.Fprintf(w, "  front-cache hits  %10d (%.2f%% of gets)\n", st.FrontCacheHits, st.HitRate()*100)
+	fmt.Fprintf(w, "  hot gets          %10d, spread reads %d\n", st.HotGets, st.SpreadReads)
+	fmt.Fprintf(w, "  failovers         %10d, repairs %d, replica errors %d\n", st.Failovers, st.Repairs, st.ReplicaErrors)
 	if hot := c.HotKeys(5); len(hot) > 0 {
-		fmt.Printf("  hottest keys      %v\n", hot)
+		fmt.Fprintf(w, "  hottest keys      %v\n", hot)
 	}
 	return nil
 }

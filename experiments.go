@@ -1082,7 +1082,8 @@ func tab8(scale Scale) *metrics.Table {
 // with rate events): the incremental solver holds it near-flat from 1x
 // to 20x, where a per-leg full
 // re-solve's per-event cost tracks the outstanding-transfer
-// population (BENCH_9.json records that A/B).
+// population (CHANGES.md's incremental max-min solver entry records
+// that A/B).
 func tab9(scale Scale) *metrics.Table {
 	// capRef is the ~40 GB/s stable-capacity reference the overload
 	// multiples are quoted against (zipf-hot NIC bound, see above).

@@ -14,8 +14,8 @@ import (
 	"fmt"
 	"time"
 
-	"hbb/internal/cluster"
 	"hbb/internal/metrics"
+	"hbb/internal/netsim"
 	"hbb/internal/sim"
 	"hbb/internal/swarm"
 )
@@ -25,11 +25,18 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// crossRackLatency is the fleet's rack-to-rack propagation latency and,
+// being the minimum cross-shard delay, the sharded kernel's lookahead.
+const crossRackLatency = 5 * time.Microsecond
+
+// uplinkPerNIC sizes each rack's up/down trunk in NIC bandwidths.
+const uplinkPerNIC = 4
+
 // FleetBed is a fleet-mode testbed. It is single-shot: build, load one
 // workload, read the result.
 type FleetBed struct {
 	opts    Options
-	fc      *cluster.FleetCluster
+	fleet   *netsim.Fleet
 	base    metrics.HeapSnapshot
 	metrics *metrics.Registry
 	ran     bool
@@ -63,21 +70,20 @@ func NewFleet(opts Options) (*FleetBed, error) {
 		}
 	}
 	base := metrics.SnapHeap()
-	fc, err := cluster.NewFleet(cluster.FleetConfig{
-		Racks:        opts.Nodes / racksOf,
-		NodesPerRack: racksOf,
-		Transport:    prof,
-		Shards:       opts.SimShards,
-		Seed:         opts.Seed,
+	fl, err := netsim.NewFleet(netsim.FleetTopology{
+		Racks:            opts.Nodes / racksOf,
+		NodesPerRack:     racksOf,
+		Profile:          prof,
+		CrossRackLatency: crossRackLatency,
+		UplinkBandwidth:  uplinkPerNIC * prof.Bandwidth,
+		Shards:           opts.SimShards,
+		Seed:             opts.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &FleetBed{opts: opts, fc: fc, base: base}, nil
+	return &FleetBed{opts: opts, fleet: fl, base: base}, nil
 }
-
-// Cluster returns the underlying fleet cluster.
-func (fb *FleetBed) Cluster() *cluster.FleetCluster { return fb.fc }
 
 // SwarmOptions configures the open-loop client swarm a fleet run can
 // carry (Options.Swarm). Clients > 0 enables it; the remaining fields
@@ -213,15 +219,15 @@ func (fb *FleetBed) claim() {
 // snapshot behind HeapMBPerNode is returned for per-client figures.
 func (fb *FleetBed) run(summary func() (ops int, bytes int64, h uint64)) (FleetResult, metrics.HeapSnapshot) {
 	start := time.Now()
-	end := fb.fc.Run()
+	g := fb.fleet.Group()
+	end := g.Run()
 	wall := time.Since(start)
 	ops, bytes, h := summary()
 	h ^= uint64(end)
 	h *= fnvPrime
-	topo := fb.fc.Fleet.Topology()
-	g := fb.fc.Fleet.Group()
+	topo := fb.fleet.Topology()
 	res := FleetResult{
-		Nodes:       fb.fc.Nodes(),
+		Nodes:       fb.fleet.Nodes(),
 		Racks:       topo.Racks,
 		Shards:      topo.Shards,
 		Ops:         ops,
@@ -259,7 +265,7 @@ func (fb *FleetBed) runTraffic(fh *fleetHash, ops int) FleetResult {
 // any shard or worker count.
 func (fb *FleetBed) DFSIOWrite(filesPerNode int, fileSize int64) FleetResult {
 	fb.claim()
-	fl := fb.fc.Fleet
+	fl := fb.fleet
 	topo := fl.Topology()
 	racks, per := topo.Racks, topo.NodesPerRack
 	nodes := racks * per
@@ -305,7 +311,7 @@ func (fb *FleetBed) RunSwarm() (SwarmResult, error) {
 		return SwarmResult{}, fmt.Errorf("hbb: RunSwarm without Options.Swarm configured")
 	}
 	fb.claim()
-	sw, err := swarm.New(fb.opts.Swarm.config(fb.opts.Seed), fb.fc.Fleet)
+	sw, err := swarm.New(fb.opts.Swarm.config(fb.opts.Seed), fb.fleet)
 	if err != nil {
 		return SwarmResult{}, err
 	}
@@ -336,7 +342,7 @@ func (fb *FleetBed) RunSwarm() (SwarmResult, error) {
 // assert on — constant-bounded for link-disjoint workloads no matter how
 // many flows are active.
 func (fb *FleetBed) fillFleetMetrics() {
-	st := fb.fc.Fleet.Stats()
+	st := fb.fleet.Stats()
 	reg := fb.reg()
 	reg.Counter("fleet.flows").Add(st.Flows)
 	reg.Counter("fleet.resolves").Add(st.Resolves)
@@ -363,7 +369,7 @@ func (fb *FleetBed) reg() *metrics.Registry {
 // count — the cross-shard determinism stress.
 func (fb *FleetBed) Stress(opsPerNode int) FleetResult {
 	fb.claim()
-	fl := fb.fc.Fleet
+	fl := fb.fleet
 	topo := fl.Topology()
 	racks, per := topo.Racks, topo.NodesPerRack
 	nodes := racks * per

@@ -112,8 +112,8 @@ func TestFleetOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("small fleet (one partial rack clamped): %v", err)
 	}
-	if fb.Cluster().Nodes() != 4 {
-		t.Errorf("nodes = %d, want 4", fb.Cluster().Nodes())
+	if fb.fleet.Nodes() != 4 {
+		t.Errorf("nodes = %d, want 4", fb.fleet.Nodes())
 	}
 	if _, err := NewFleet(Options{Nodes: 40, RacksOf: 10, SimShards: 9}); err == nil {
 		t.Error("shards > racks accepted")

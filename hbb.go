@@ -345,14 +345,18 @@ func New(opts Options) (*Testbed, error) {
 		ipoib := netsim.IPoIB
 		legacy = &ipoib
 	}
-	cl := cluster.New(cluster.Config{
+	ccfg := cluster.Config{
 		Nodes:     opts.Nodes,
 		RacksOf:   opts.RacksOf,
 		Transport: prof,
 		Legacy:    legacy,
 		Hardware:  hw,
 		Seed:      opts.Seed,
-	})
+	}
+	if err := ccfg.Validate(); err != nil {
+		return nil, err
+	}
+	cl := cluster.New(ccfg)
 	tb := &Testbed{
 		opts:    opts,
 		cluster: cl,

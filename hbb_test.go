@@ -54,6 +54,8 @@ func TestNewRejectsUnbuildableSettings(t *testing.T) {
 		{"negative servers", Options{BBServers: -2}, "Servers"},
 		{"server memory below one block", Options{BBServerMemory: 1 << 20}, "cannot admit"},
 		{"negative OSTs", Options{LustreOSTs: -1}, "OSTs"},
+		{"negative nodes", Options{Nodes: -1}, "node"},
+		{"negative nodes per rack", Options{RacksOf: -3}, "rack"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -282,6 +284,14 @@ func TestFaultInjectionViaPublicAPI(t *testing.T) {
 		}
 		if res.MapTasks != 8 {
 			t.Errorf("read tasks = %d", res.MapTasks)
+		}
+		// Write-through leaves nothing only in the buffer: with every
+		// server down, a file still reads whole from Lustre.
+		for i := 1; i < 4; i++ {
+			ctx.FailBufferServer(BackendBBSync, i)
+		}
+		if n, err := ctx.ReadFile(BackendBBSync, 1, "/d/part-m-00000"); err != nil || n != 128<<20 {
+			t.Errorf("read after total buffer loss: %d bytes, %v", n, err)
 		}
 	})
 	st, ok := tb.BurstBufferStats(BackendBBSync)

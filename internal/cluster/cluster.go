@@ -47,6 +47,33 @@ type Config struct {
 	Seed     int64
 }
 
+// Validate reports whether the configuration describes a buildable
+// cluster. New panics on a bad node count; callers that build the config
+// from user settings (hbb.New) validate first and return the error.
+func (cfg Config) Validate() error {
+	if cfg.Nodes < 1 {
+		return fmt.Errorf("cluster: need at least one node, have %d", cfg.Nodes)
+	}
+	if cfg.RacksOf < 0 {
+		return fmt.Errorf("cluster: nodes per rack must be >= 1 (or 0 for one rack), have %d", cfg.RacksOf)
+	}
+	if cfg.Transport.Bandwidth <= 0 {
+		return fmt.Errorf("cluster: transport NIC bandwidth must be positive, have %g", cfg.Transport.Bandwidth)
+	}
+	if cfg.Transport.Latency <= 0 {
+		return fmt.Errorf("cluster: transport latency must be positive, have %v", cfg.Transport.Latency)
+	}
+	if cfg.Legacy != nil {
+		if cfg.Legacy.Bandwidth <= 0 {
+			return fmt.Errorf("cluster: legacy NIC bandwidth must be positive, have %g", cfg.Legacy.Bandwidth)
+		}
+		if cfg.Legacy.Latency <= 0 {
+			return fmt.Errorf("cluster: legacy latency must be positive, have %v", cfg.Legacy.Latency)
+		}
+	}
+	return nil
+}
+
 // Node is one simulated compute node.
 type Node struct {
 	ID   netsim.NodeID

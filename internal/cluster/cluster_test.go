@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -127,4 +128,43 @@ func TestZeroNodesPanics(t *testing.T) {
 		}
 	}()
 	New(Config{Transport: netsim.RDMA})
+}
+
+func TestConfigValidate(t *testing.T) {
+	base := Config{Nodes: 8, RacksOf: 4, Transport: netsim.RDMA, Hardware: HPCLocalHardware(), Seed: 1}
+	mod := func(f func(*Config)) Config {
+		c := base
+		f(&c)
+		return c
+	}
+	legacy := netsim.IPoIB
+	badLegacy := netsim.IPoIB
+	badLegacy.Bandwidth = 0
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantErr string
+	}{
+		{"valid", base, ""},
+		{"one big rack", mod(func(c *Config) { c.RacksOf = 0 }), ""},
+		{"with legacy", mod(func(c *Config) { c.Legacy = &legacy }), ""},
+		{"zero nodes", mod(func(c *Config) { c.Nodes = 0 }), "node"},
+		{"negative nodes", mod(func(c *Config) { c.Nodes = -4 }), "node"},
+		{"negative racksOf", mod(func(c *Config) { c.RacksOf = -1 }), "rack"},
+		{"zero bandwidth", mod(func(c *Config) { c.Transport.Bandwidth = 0 }), "bandwidth"},
+		{"zero latency", mod(func(c *Config) { c.Transport.Latency = 0 }), "latency"},
+		{"bad legacy", mod(func(c *Config) { c.Legacy = &badLegacy }), "legacy"},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %v, want mention of %q", tc.name, err, tc.wantErr)
+		}
+	}
 }

@@ -1,13 +1,7 @@
-// Kvstore: the burst buffer's key-value substrate running for real — a
-// memcached-binary-protocol server on a loopback TCP port, exercised with
-// the bundled client: sets, gets, CAS, counters, and server statistics.
-// Unlike the simulation (which moves byte counts), every payload here is
-// real data over a real socket.
-package main
+package mcserver_test
 
 import (
 	"fmt"
-	"log"
 	"net"
 	"time"
 
@@ -16,20 +10,24 @@ import (
 	"hbb/internal/memcached/mcserver"
 )
 
-func main() {
+// The burst buffer's key-value substrate running for real: a
+// memcached-binary-protocol server on a loopback TCP port, exercised with
+// the bundled client (sets, gets, CAS, counters, expiry and server
+// statistics). Unlike the simulation, which moves byte counts, every
+// payload here is real data over a real socket.
+func ExampleServer() {
 	srv := mcserver.New(memcached.Config{MemLimit: 64 << 20})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.Serve(ln) }()
 	defer func() { srv.Close(); <-done }()
-	fmt.Println("server listening on", ln.Addr())
 
 	c, err := mcclient.Dial(ln.Addr().String(), time.Second)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	defer c.Close()
 
@@ -38,11 +36,11 @@ func main() {
 
 	// Basic set/get.
 	if _, err := c.Set(&mcclient.Item{Key: "block:42", Value: []byte("128MiB-of-HDFS-block"), Flags: 7}); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	it, err := c.Get("block:42")
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("get block:42 -> %q (flags %d, cas %d)\n", it.Value, it.Flags, it.CAS)
 
@@ -51,20 +49,22 @@ func main() {
 		fmt.Println("stale CAS correctly rejected")
 	}
 	if _, err := c.CompareAndSwap(&mcclient.Item{Key: "block:42", Value: []byte("fresh")}, it.CAS); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	// Counters (flush bookkeeping uses these in a real deployment).
 	for i := 0; i < 5; i++ {
 		if _, err := c.Incr("flushed-blocks", 1, 0, 0); err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 	}
 	v, _ := c.Incr("flushed-blocks", 0, 0, 0)
 	fmt.Println("flushed-blocks counter:", v)
 
 	// TTL: the item disappears after its expiry.
-	c.Set(&mcclient.Item{Key: "lease", Value: []byte("x"), Expiry: 1})
+	if _, err := c.Set(&mcclient.Item{Key: "lease", Value: []byte("x"), Expiry: 1}); err != nil {
+		panic(err)
+	}
 	time.Sleep(1100 * time.Millisecond)
 	if _, err := c.Get("lease"); mcclient.IsNotFound(err) {
 		fmt.Println("lease expired as scheduled")
@@ -72,8 +72,15 @@ func main() {
 
 	stats, err := c.Stats()
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("server stats: %s sets, %s gets, %s items, %s bytes\n",
 		stats["cmd_set"], stats["cmd_get"], stats["curr_items"], stats["bytes"])
+	// Output:
+	// server version: hbb-memcached/1.1
+	// get block:42 -> "128MiB-of-HDFS-block" (flags 7, cas 1)
+	// stale CAS correctly rejected
+	// flushed-blocks counter: 4
+	// lease expired as scheduled
+	// server stats: 10 sets, 2 gets, 2 items, 124 bytes
 }

@@ -64,18 +64,14 @@ func (s *Server) Engine() *memcached.Engine { return s.engine }
 // ConnsAccepted returns the number of connections accepted so far.
 func (s *Server) ConnsAccepted() int64 { return s.connsAccepted.Load() }
 
-// ListenAndServe listens on addr and serves until Stop or Close is called.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts connections from ln until Stop or Close is called.
+// Serve accepts connections from ln until Stop or Close is called. Called
+// after Stop, it closes ln and returns at once.
 func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
+	if s.closed {
+		s.lnMu.Unlock()
+		return ln.Close()
+	}
 	s.ln = ln
 	s.lnMu.Unlock()
 	for {

@@ -1,6 +1,7 @@
 package mcserver
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -333,4 +334,33 @@ func TestStopForceClosesAfterTimeout(t *testing.T) {
 		t.Fatalf("Stop took %v despite 50ms drain timeout", elapsed)
 	}
 	<-done
+}
+
+// TestServeAfterStopReturns: a Stop that lands before Serve registers its
+// listener (an interrupt while the serving goroutine starts) still ends
+// Serve, and the listener is closed rather than left accepting.
+func TestServeAfterStopReturns(t *testing.T) {
+	srv := New(memcached.Config{})
+	defer srv.Close()
+	if err := srv.Stop(0); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after Stop: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		ln.Close()
+		t.Fatal("Serve after Stop did not return")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("listener after Serve returned: Accept error %v, want net.ErrClosed", err)
+	}
 }

@@ -4,44 +4,51 @@
 package profiling
 
 import (
+	"errors"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// StartCPU begins writing a CPU profile to path and returns the function
-// that stops the profile and closes the file. An empty path is a no-op;
-// the returned stop function is always safe to call.
-func StartCPU(path string) (stop func(), err error) {
-	if path == "" {
-		return func() {}, nil
+// Start begins writing a CPU profile to cpuPath and returns the function
+// that ends the run's profiling: it stops the CPU profile and closes its
+// file, then dumps an allocation profile (pprof "allocs", which includes
+// in-use space, after a GC so in-use numbers reflect live data) to
+// memPath. An empty path skips that profile; stop is non-nil whenever err
+// is nil.
+func Start(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memPath != "" {
+			errs = append(errs, writeHeap(memPath))
+		}
+		return errors.Join(errs...)
 	}, nil
 }
 
-// WriteHeap dumps an allocation profile (pprof "allocs", which includes
-// in-use space) to path. An empty path is a no-op. A GC runs first so the
-// in-use numbers reflect live data.
-func WriteHeap(path string) error {
-	if path == "" {
-		return nil
-	}
+func writeHeap(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	runtime.GC()
-	return pprof.Lookup("allocs").WriteTo(f, 0)
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

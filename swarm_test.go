@@ -104,12 +104,12 @@ func TestSwarmHeapPerClientIsBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := swarm.New(opts.Swarm.config(opts.Seed), fb.fc.Fleet)
+	sw, err := swarm.New(opts.Swarm.config(opts.Seed), fb.fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sw.Start()
-	fb.fc.Run()
+	fb.fleet.Group().Run()
 	direct := float64(metrics.SnapHeap().DeltaBytes(before)) / float64(res.Clients)
 	runtime.KeepAlive(sw)
 	runtime.KeepAlive(fb)
