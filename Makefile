@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test vet loc race fuzz bench bench-smoke bench-kernel bench-dataplane bench-netsim bench-orchestration bench-fleet bench-swarm bench-cluster golden determinism stress repro tools clean
+.PHONY: all test vet loc loc-check race fuzz bench bench-smoke bench-kernel bench-dataplane bench-netsim bench-orchestration bench-fleet bench-swarm bench-cluster golden determinism stress repro tools clean
 
 all: test
 
@@ -11,8 +11,15 @@ vet:
 	go vet ./...
 
 # Non-test Go lines outside benchmark/: the size ROADMAP item 5 tracks.
+LOC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@$(LOC)
+
+# The line-count ratchet: fails when `make loc` is above the ceiling kept
+# in LOC_CEILING, so a change that grows the code raises the ceiling in
+# its own diff.
+loc-check:
+	@n=$$($(LOC)); max=$$(cat LOC_CEILING); echo "$$n non-test Go lines, ceiling $$max"; test "$$n" -le "$$max"
 
 # Race-detector pass; the sim kernel runs one process at a time but the
 # harness, mcserver, mcclient, and CLIs use real goroutines.

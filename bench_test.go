@@ -78,7 +78,7 @@ func BenchmarkDFSIOWriteHeadline(b *testing.B) {
 		mbps := map[Backend]float64{}
 		for _, bk := range []Backend{BackendHDFS, BackendLustre, BackendBBAsync} {
 			bk := bk
-			tb, err := New(Options{Nodes: 8, Seed: 1, ChunkSize: 4 << 20})
+			tb, err := New(Options{Nodes: 8, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func BenchmarkTab6DataPlane(b *testing.B) { benchExperiment(b, "tab6") }
 // servers onto a narrow Lustre, then a timed full drain, at run cap 8
 // when coalesced and run cap 1 otherwise.
 func drainBurstOnce(b *testing.B, coalesced bool) time.Duration {
-	opts := Options{Nodes: 4, Seed: 1, ChunkSize: 4 << 20,
+	opts := Options{Nodes: 4, Seed: 1,
 		BlockSize: 16 << 20, BBServers: 2, BBFlushers: 1,
 		LustreOSTs: 2, LustreStripeCount: 2}
 	if coalesced {
@@ -179,7 +179,7 @@ func BenchmarkStageOutDrain(b *testing.B) {
 func BenchmarkReadAheadStreaming(b *testing.B) {
 	b.ReportAllocs()
 	run := func(readAhead int) float64 {
-		tb, err := New(Options{Nodes: 4, Seed: 1, ChunkSize: 4 << 20,
+		tb, err := New(Options{Nodes: 4, Seed: 1,
 			BlockSize: 16 << 20, BBReadAhead: readAhead})
 		if err != nil {
 			b.Fatal(err)
@@ -217,7 +217,7 @@ func BenchmarkTab7Orchestration(b *testing.B) { benchExperiment(b, "tab7") }
 // asks [5,4,2,2] against an 8-brick pool, each tenant staging in, running
 // a map-only job on its instance, and releasing.
 func contentionOnce(b *testing.B, sched string) time.Duration {
-	tb, err := New(Options{Nodes: 4, Seed: 1, ChunkSize: 4 << 20,
+	tb, err := New(Options{Nodes: 4, Seed: 1,
 		BlockSize: 16 << 20, BBServers: 2, BBServerMemory: 4 << 30,
 		BBFlushers: 1, BBSched: sched,
 		LustreOSTs: 2, LustreStripeCount: 2})

@@ -1,6 +1,8 @@
 // Command bbrun executes one workload on one storage backend of the
 // simulated testbed and prints its metrics — the single-run companion to
-// bbench's full sweeps.
+// bbench's full sweeps. A burst-buffer backend runs on its pool's
+// default instance, so no flag reaches the multi-job orchestrator (bbench
+// tab7 drives it).
 //
 // Usage:
 //
@@ -52,8 +54,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		zipf     = fset.Float64("zipf", 1.1, "swarm: key-popularity skew (> 1, or 0 for uniform)")
 		reqBytes = fset.Int64("req-bytes", 256, "swarm: request payload bytes")
 		swarmMS  = fset.Int64("swarm-ms", 10, "swarm: generation horizon in virtual milliseconds")
-		brickGiB = fset.Int("bb-brick-gib", 1, "burst-buffer capacity granule in GiB (orchestrated allocations are whole bricks)")
-		bbSched  = fset.String("bb-sched", "fcfs", "buffer orchestrator queue discipline: fcfs | backfill")
 		trace    = fset.String("trace", "", "write a per-operation FS trace to this file")
 		cpuProf  = fset.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fset.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -78,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			Transport: hbb.Transport(*transp),
 			Seed:      *seed,
 			SimShards: *shards,
-			FleetMode: true,
 		}
 		if *swarm {
 			opts.Swarm = hbb.SwarmOptions{
@@ -106,13 +105,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		*files = *nodes * 4
 	}
 	opts := hbb.Options{
-		Nodes:      *nodes,
-		Transport:  hbb.Transport(*transp),
-		Hardware:   hbb.Hardware(*hardware),
-		Seed:       *seed,
-		ChunkSize:  4 << 20,
-		BBBrickGiB: *brickGiB,
-		BBSched:    *bbSched,
+		Nodes:     *nodes,
+		Transport: hbb.Transport(*transp),
+		Hardware:  hbb.Hardware(*hardware),
+		Seed:      *seed,
 	}
 	if *trace != "" {
 		f, err := os.Create(*trace)

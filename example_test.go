@@ -50,14 +50,14 @@ func Example() {
 			float64(st.BytesWritten)/(1<<30), float64(st.BytesFlushed)/(1<<30))
 	})
 	// Output:
-	// read 512 MiB from the burst buffer in 91.633716ms of virtual time
+	// read 512 MiB from the burst buffer in 90.046804ms of virtual time
 	//
 	// TestDFSIO write, 16 x 256 MiB:
 	//   hdfs            1693 MB/s  (2.54s)
-	//   lustre          3971 MB/s  (1.08s)
-	//   bb-async        4758 MB/s  (0.90s)
+	//   lustre          3908 MB/s  (1.10s)
+	//   bb-async        4749 MB/s  (0.90s)
 	//
-	// burst buffer: wrote 4.5 GiB, flushed 1.9 GiB to Lustre in the background
+	// burst buffer: wrote 4.5 GiB, flushed 2.1 GiB to Lustre in the background
 }
 
 // Compare the paper's headline TestDFSIO write ordering across the two
@@ -66,7 +66,7 @@ func ExampleCtx_DFSIOWrite() {
 	results := map[hbb.Backend]float64{}
 	for _, b := range []hbb.Backend{hbb.BackendHDFS, hbb.BackendLustre, hbb.BackendBBAsync} {
 		b := b
-		tb, _ := hbb.New(hbb.Options{Nodes: 8, Seed: 1, ChunkSize: 4 << 20})
+		tb, _ := hbb.New(hbb.Options{Nodes: 8, Seed: 1})
 		tb.Run(func(ctx *hbb.Ctx) {
 			res, err := ctx.DFSIOWrite(b, "/bench", 32, 512<<20)
 			if err != nil {
@@ -144,7 +144,7 @@ func ExampleCtx_Sort() {
 	fmt.Printf("%-12s %9s %9s %12s %11s\n", "backend", "gen(s)", "sort(s)", "local-maps", "shuffled")
 	var hdfsTime, lustreTime float64
 	for _, b := range hbb.AllBackends {
-		tb, err := hbb.New(hbb.Options{Nodes: nodes, Seed: 11, ChunkSize: 4 << 20})
+		tb, err := hbb.New(hbb.Options{Nodes: nodes, Seed: 11})
 		if err != nil {
 			panic(err)
 		}
@@ -221,9 +221,9 @@ func ExampleHardware() {
 	//
 	// writing 16 GB:
 	//   hdfs       ok: 9232 MB/s (local storage used: 48.0 GB)
-	//   bb-async   ok: 5319 MB/s (local storage used: 0.0 GB)
+	//   bb-async   ok: 5309 MB/s (local storage used: 0.0 GB)
 	//
 	// writing 64 GB:
 	//   hdfs       FAILS: mapreduce: map task 5 failed 4 times: dfs: no space left: no usable datanode for 134217728-byte block
-	//   bb-async   ok: 5010 MB/s (local storage used: 0.0 GB)
+	//   bb-async   ok: 4974 MB/s (local storage used: 0.0 GB)
 }

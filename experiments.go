@@ -168,9 +168,9 @@ func sizingFor(scale Scale) sizing {
 func gb(b int64) float64 { return float64(b) / (1 << 30) }
 
 // cellTestbed builds one experiment cell's testbed from opts, with every
-// experiment's seed (1) and transfer chunk size (4 MiB).
+// experiment's seed (1).
 func cellTestbed(opts Options) *Testbed {
-	opts.Seed, opts.ChunkSize = 1, 4<<20
+	opts.Seed = 1
 	tb, err := New(opts)
 	if err != nil {
 		panic(err)

@@ -24,7 +24,7 @@ type goldenRun struct {
 // goldenFingerprint runs the canonical short workload for one backend.
 func goldenFingerprint(t *testing.T, b Backend) goldenRun {
 	t.Helper()
-	return goldenFingerprintOpts(t, b, Options{Nodes: 4, Seed: 42, ChunkSize: 4 << 20})
+	return goldenFingerprintOpts(t, b, Options{Nodes: 4, Seed: 42})
 }
 
 // goldenFingerprintOpts is goldenFingerprint with an explicit testbed
@@ -128,7 +128,7 @@ var coalescedGolden = goldenRun{writeNS: 124731964, readNS: 31649750, bytes: 536
 
 func TestGoldenCoalescing(t *testing.T) {
 	got := goldenFingerprintOpts(t, BackendBBAsync, Options{
-		Nodes: 4, Seed: 42, ChunkSize: 4 << 20, BlockSize: 16 << 20,
+		Nodes: 4, Seed: 42, BlockSize: 16 << 20,
 		BBFlushBatchBlocks: 8, BBReadAhead: 1,
 	})
 	t.Logf("actual: {writeNS: %d, readNS: %d, bytes: %d, stats: %q, totalNS: %d, localUse: %d}",

@@ -214,22 +214,10 @@ type Options struct {
 	// BBReadAhead prefetches this many whole blocks ahead of a streaming
 	// reader (source choice + fetch overlap with delivery). Zero disables.
 	BBReadAhead int
-	// BBBrickGiB is the burst-buffer pool's capacity granule in GiB:
-	// buffer instances and orchestrated multi-job allocations are granted
-	// whole bricks per server (ServerMemory/brick bricks each). It does
-	// not affect the default single-tenant path. Zero defaults to 1 GiB.
-	BBBrickGiB int
 	// BBSched selects the buffer orchestrator's queue discipline: "fcfs"
 	// (default; strict arrival order) or "backfill" (later requests that
 	// fit may jump a blocked queue head).
 	BBSched string
-	// ChunkSize sets the streaming granularity: the HDFS packet size (a
-	// pipeline segment is a window of 8 packets), the burst buffer's KV
-	// item size and the Lustre stripe size. Each unit crosses the fabric
-	// as one flow transfer and books its device with one flat
-	// reservation. Zero defaults to 1 MiB; large experiments raise it to
-	// 4–8 MiB to cut event counts.
-	ChunkSize int64
 	// FleetMode marks options meant for NewFleet's datacenter-scale
 	// flow-only testbed. Nothing reads it: NewFleet and New select the
 	// testbed. It stays because the benchmark harness sets it.
@@ -276,11 +264,14 @@ func (o Options) withDefaults() Options {
 	if o.BBFlushers == 0 {
 		o.BBFlushers = 4
 	}
-	if o.ChunkSize == 0 {
-		o.ChunkSize = 1 << 20
-	}
 	return o
 }
+
+// chunkSize is the testbed's streaming granularity: the HDFS packet size
+// (a pipeline segment is a window of 8 packets), the burst buffer's KV
+// item size and the Lustre stripe size. Each unit crosses the fabric as
+// one flow transfer and books its device with one flat reservation.
+const chunkSize = 4 << 20
 
 // Testbed is a simulated cluster with every backend of the study attached.
 type Testbed struct {
@@ -317,7 +308,7 @@ func New(opts Options) (*Testbed, error) {
 	lcfg := lustre.Config{
 		OSTs:        opts.LustreOSTs,
 		StripeCount: opts.LustreStripeCount,
-		StripeSize:  opts.ChunkSize,
+		StripeSize:  chunkSize,
 	}
 	if err := lcfg.Validate(); err != nil {
 		return nil, err
@@ -328,13 +319,12 @@ func New(opts Options) (*Testbed, error) {
 			Servers:          opts.BBServers,
 			ServerMemory:     opts.BBServerMemory,
 			BlockSize:        opts.BlockSize,
-			ItemChunk:        opts.ChunkSize,
+			ItemChunk:        chunkSize,
 			Flushers:         opts.BBFlushers,
 			BufferReplicas:   opts.BBReplicas,
 			ReadmitOnRead:    opts.BBReadmitOnRead,
 			FlushBatchBlocks: opts.BBFlushBatchBlocks,
 			ReadAhead:        opts.BBReadAhead,
-			BrickSize:        int64(opts.BBBrickGiB) << 30,
 		}
 	}
 	if err := bbcfg("").Validate(); err != nil {
@@ -366,7 +356,7 @@ func New(opts Options) (*Testbed, error) {
 	tb.lustre = lustre.New(cl, lcfg)
 	tb.hdfs, err = hdfs.New(cl, hdfs.Config{
 		BlockSize:  opts.BlockSize,
-		PacketSize: opts.ChunkSize,
+		PacketSize: chunkSize,
 	})
 	if err != nil {
 		return nil, err
@@ -591,11 +581,6 @@ func (c *Ctx) Scan(b Backend, dir, outDir string, selectivity float64) (mapreduc
 	return workloads.Scan(c.p, c.tb.cluster, fs, dir, fs, outDir, selectivity)
 }
 
-// RunJob executes an arbitrary MapReduce job (advanced use).
-func (c *Ctx) RunJob(job mapreduce.Job) (mapreduce.Result, error) {
-	return mapreduce.Run(c.p, c.tb.cluster, job)
-}
-
 // SubmitJob starts a MapReduce job without blocking the driver; the
 // returned submission's Wait rendezvouses with its result. Several
 // submissions contend for cluster slots, buffer bricks, and Lustre
@@ -611,7 +596,7 @@ func (c *Ctx) BufferOrchestrator(b Backend) (*orchestrator.Scheduler, error) {
 }
 
 // FSFor exposes the dfs.FileSystem of a backend for jobs built with
-// RunJob.
+// SubmitJob.
 func (c *Ctx) FSFor(b Backend) dfs.FileSystem { return c.tb.fs(b) }
 
 // Cleanup removes a flat benchmark directory.

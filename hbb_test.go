@@ -23,9 +23,6 @@ func newTB(t *testing.T, opts Options) *Testbed {
 	if opts.Seed == 0 {
 		opts.Seed = 99
 	}
-	if opts.ChunkSize == 0 {
-		opts.ChunkSize = 4 << 20
-	}
 	tb, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -298,6 +295,27 @@ func TestFaultInjectionViaPublicAPI(t *testing.T) {
 	if !ok || st.BlocksLost != 0 {
 		t.Errorf("sync scheme lost blocks: %+v", st)
 	}
+
+	// A compute node's crash kills its DataNode: the file's other
+	// replicas serve reads at once, and the NameNode re-replicates each
+	// of its four blocks off the dead node.
+	tb = newTB(t, Options{Nodes: 8})
+	tb.Run(func(ctx *Ctx) {
+		if err := ctx.WriteFile(BackendHDFS, 0, "/h", 512<<20); err != nil {
+			t.Fatal(err)
+		}
+		ctx.FailNode(0)
+		if n, err := ctx.ReadFile(BackendHDFS, 3, "/h"); err != nil || n != 512<<20 {
+			t.Errorf("read after node crash: %d bytes, %v", n, err)
+		}
+		ctx.Sleep(20 * time.Second)
+		if got := tb.HDFSStats().Rereplications; got != 4 {
+			t.Errorf("re-replications = %d, want 4", got)
+		}
+		if n, err := ctx.ReadFile(BackendHDFS, 5, "/h"); err != nil || n != 512<<20 {
+			t.Errorf("read after re-replication: %d bytes, %v", n, err)
+		}
+	})
 }
 
 func TestConcurrentDriversWithGo(t *testing.T) {

@@ -67,13 +67,6 @@ type Config struct {
 	// current-block delivery. Zero (the default) disables readahead,
 	// keeping seed read behavior.
 	ReadAhead int
-	// BrickSize is the pool's capacity-accounting granule for buffer
-	// instances: NewInstance grants capacity in whole bricks per server,
-	// and the orchestrator schedules jobs against the pool's brick
-	// inventory (ServerMemory/BrickSize bricks per server). It has no
-	// effect on the default single-tenant path, which spans full server
-	// memory unmetered. Zero defaults to 1 GiB.
-	BrickSize int64
 }
 
 // The buffer's fixed parameters.
@@ -81,6 +74,13 @@ const (
 	// HighWatermark is the buffer-fullness fraction beyond which writers
 	// stall waiting for flushes (dirty data is never evicted).
 	HighWatermark = 0.9
+	// BrickSize is the pool's capacity-accounting granule for buffer
+	// instances: NewInstance grants capacity in whole bricks per server,
+	// and the orchestrator schedules jobs against the pool's brick
+	// inventory (ServerMemory/BrickSize bricks per server). It has no
+	// effect on the default single-tenant path, which spans full server
+	// memory unmetered.
+	BrickSize = 1 << 30
 	// mdOpLatency is the metadata manager's per-op processing cost (the
 	// manager is a lean service compared to a NameNode).
 	mdOpLatency = 30 * time.Microsecond
@@ -126,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.BufferReplicas == 0 {
 		c.BufferReplicas = 1
 	}
-	if c.BrickSize == 0 {
-		c.BrickSize = 1 << 30
-	}
 	return c
 }
 
@@ -150,9 +147,6 @@ func (c Config) Validate() error {
 	}
 	if d.ItemChunk <= 0 {
 		return fmt.Errorf("core: ItemChunk must be positive, got %d", c.ItemChunk)
-	}
-	if d.BrickSize <= 0 {
-		return fmt.Errorf("core: BrickSize must be positive, got %d", c.BrickSize)
 	}
 	if d.BufferReplicas <= 0 {
 		return fmt.Errorf("core: BufferReplicas must be positive, got %d", c.BufferReplicas)

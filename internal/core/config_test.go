@@ -24,7 +24,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative server memory", Config{ServerMemory: -1}, "ServerMemory"},
 		{"negative block size", Config{BlockSize: -1}, "BlockSize"},
 		{"negative item chunk", Config{ItemChunk: -1}, "ItemChunk"},
-		{"negative brick size", Config{BrickSize: -1}, "BrickSize"},
 		{"negative replicas", Config{BufferReplicas: -1}, "BufferReplicas"},
 		{"negative flushers", Config{Flushers: -1}, "Flushers"},
 		{"negative flush batch", Config{FlushBatchBlocks: -1}, "FlushBatchBlocks"},

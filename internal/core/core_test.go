@@ -677,6 +677,54 @@ func TestReadmitOnRead(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadmitsStayUnderBudget: four readers of evicted files
+// re-admit at once; each fill reserves its block on the share before it
+// copies, so no share ends above its writer-stall budget.
+func TestConcurrentReadmitsStayUnderBudget(t *testing.T) {
+	cfg := testCfg("bb-async")
+	cfg.ServerMemory = 64 * mib
+	cfg.ReadmitOnRead = true
+	rig := newRig(4, cfg)
+	const files, size = 4, 48 * mib
+	rig.run(t, func(p *sim.Proc) {
+		for i := range files {
+			writeFile(t, p, rig.fs, netsim.NodeID(i), fmt.Sprintf("/f%d", i), size)
+		}
+		rig.fs.DrainFlushers(p)
+		for _, s := range rig.fs.Servers() {
+			for _, b := range s.cleanLRU {
+				if b.state == stateClean && b.onServer(s) {
+					b.releaseShare(s)
+					b.dropServer(s)
+					if b.primary() == nil {
+						b.state = stateEvicted
+					}
+				}
+			}
+			s.cleanLRU = nil
+		}
+		var wg sim.WaitGroup
+		for i := range files {
+			wg.Add(1)
+			rig.c.Env.Spawn(fmt.Sprintf("reader%d", i), func(q *sim.Proc) {
+				defer wg.Done()
+				readFile(t, q, rig.fs, netsim.NodeID(i), fmt.Sprintf("/f%d", i))
+			})
+		}
+		wg.Wait(p)
+		p.Sleep(2 * time.Second) // let the cache fills complete
+	})
+	if rig.fs.Stats().Readmissions == 0 {
+		t.Fatal("no re-admissions recorded")
+	}
+	for _, s := range rig.fs.Servers() {
+		if s.bytes > s.budget() {
+			t.Errorf("%s holds %.1f MiB, over its %.1f MiB budget", s.name, float64(s.bytes)/(1<<20), float64(s.budget())/(1<<20))
+		}
+	}
+	checkBufferLedger(t, rig)
+}
+
 func TestReadmitDisabledByDefault(t *testing.T) {
 	rig := newRig(2, testCfg("bb-async"))
 	rig.run(t, func(p *sim.Proc) {

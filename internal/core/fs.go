@@ -180,7 +180,7 @@ func (fs *BurstFS) DefaultInstance() *Instance { return fs.def }
 
 // serverBrickCap is one physical server's brick inventory.
 func (fs *BurstFS) serverBrickCap() int {
-	return int(fs.cfg.ServerMemory / fs.cfg.BrickSize)
+	return int(fs.cfg.ServerMemory / BrickSize)
 }
 
 // TotalBricks returns the pool-wide brick inventory (the default instance

@@ -114,7 +114,7 @@ func (fs *BurstFS) NewInstance(spec InstanceSpec) (*Instance, error) {
 				return nil, fmt.Errorf("core: instance %q: %d bricks on server %d exceed the %d free",
 					spec.Name, n, i, fs.serverBrickCap()-fs.phys[i].bricksUsed)
 			}
-			limits[i] = int64(n) * fs.cfg.BrickSize
+			limits[i] = int64(n) * BrickSize
 			if int64(float64(limits[i])*HighWatermark) < fs.cfg.BlockSize {
 				return nil, fmt.Errorf("core: instance %q: %d bricks on server %d cannot admit a single %d-byte block",
 					spec.Name, n, i, fs.cfg.BlockSize)
@@ -254,7 +254,7 @@ func (inst *Instance) Release() {
 			}
 		}
 		if s.phys != nil && inst.bricks > 0 {
-			s.phys.bricksUsed -= int(s.limit / inst.pool.cfg.BrickSize)
+			s.phys.bricksUsed -= int(s.limit / BrickSize)
 		}
 	}
 	inst.tree.Walk(func(f *dfs.TreeFile) {

@@ -15,8 +15,7 @@ import (
 // record says, and panics on a hold the block does not have. A share
 // serves a block's chunks while the block holds it, so releasing the hold
 // is the buffer's delete; it costs no fabric time, since the manager
-// piggybacks invalidations on its existing control traffic. Read
-// re-admission (maybeReadmit) is the one admission without a hold.
+// piggybacks invalidations on its existing control traffic.
 
 // shareHold is a block's bytes on one buffer share.
 type shareHold struct {

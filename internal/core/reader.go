@@ -199,35 +199,22 @@ func (r *bbReader) produceLustre(b *bbBlock, out *sim.Store[dfs.Packet]) {
 }
 
 // maybeReadmit re-admits an evicted block into the buffer as a clean cache
-// fill after a Lustre read, when configured and when the ring's owner has
-// headroom (cache fills never stall or evict).
+// fill after a Lustre read, when configured: the client SETs the block's
+// chunks to the ring's owner.
 func (fs *Instance) maybeReadmit(client netsim.NodeID, b *bbBlock) {
-	if !fs.cfg.ReadmitOnRead || b.state != stateEvicted || len(b.srvs) != 0 || b.readmitting {
+	if !fs.cfg.ReadmitOnRead {
 		return
 	}
-	srvs, err := fs.pickServers(b.key)
-	if err != nil {
-		return
-	}
-	s := srvs[0]
-	if s.phys.failed || s.bytes+b.size > s.budget() {
-		return
-	}
-	b.readmitting = true
-	fs.cl.Env.Spawn(fmt.Sprintf("bb.readmit.b%d", b.id), func(q *sim.Proc) {
-		defer func() { b.readmitting = false }()
+	fs.fillClean(b, "readmit", nil, func(q *sim.Proc, s *BufferServer) bool {
 		for i := range b.chunks() {
 			if s.phys.failed || b.state == stateDeleted {
-				return
+				return false
 			}
-			if err := s.setChunk(q, client, b.chunk(i)); err != nil {
-				return
+			if s.setChunk(q, client, b.chunk(i)) != nil {
+				return false
 			}
 		}
-		if b.state != stateEvicted || s.phys.failed {
-			return
-		}
-		s.admitClean(b)
+		return true
 	})
 }
 
@@ -245,37 +232,59 @@ func (fs *Instance) Prestage(p *sim.Proc, client netsim.NodeID, path string) (in
 	staged := 0
 	var wg sim.WaitGroup
 	for _, b := range blocks {
-		b := b
-		if b.state != stateEvicted || b.readmitting || b.lustrePath == "" {
-			continue
-		}
-		srvs, err := fs.pickServers(b.key)
+		ok, err := fs.fillClean(b, "stagein", &wg, func(q *sim.Proc, s *BufferServer) bool {
+			return fs.stageInBlock(q, s, b)
+		})
 		if err != nil {
 			return staged, err
 		}
-		s := srvs[0]
-		if s.phys.failed || s.bytes+b.size > s.budget() {
-			continue
+		if ok {
+			staged++
 		}
-		b.readmitting = true
-		b.takeShare(s, b.size) // reserve so concurrent stage-ins don't overshoot
-		staged++
-		wg.Add(1)
-		fs.cl.Env.Spawn(fmt.Sprintf("bb.stagein.b%d", b.id), func(q *sim.Proc) {
-			defer wg.Done()
-			defer func() { b.readmitting = false }()
-			ok := fs.stageInBlock(q, s, b)
-			if _, held := s.holders[b]; held { // unless a crash or delete released it
-				b.releaseShare(s) // admitClean takes the footprint
-			}
-			if !ok || b.state != stateEvicted || s.phys.failed {
-				return
-			}
-			s.admitClean(b)
-		})
 	}
 	wg.Wait(p)
 	return staged, nil
+}
+
+// fillClean is the one admission of an evicted block as a clean cache
+// fill (read re-admission and stage-in). When the ring's owner is live
+// and its share has headroom, it reserves the block's bytes there, so
+// concurrent fills cannot overshoot the share, and spawns copyIn to move
+// the chunks; at the end the reservation is given back and, if the copy
+// succeeded and the block is still evicted, admitClean takes the
+// footprint. It reports whether it started a fill; wg, when non-nil,
+// counts the fill until it ends.
+func (fs *Instance) fillClean(b *bbBlock, kind string, wg *sim.WaitGroup, copyIn func(q *sim.Proc, s *BufferServer) bool) (bool, error) {
+	if b.state != stateEvicted || len(b.srvs) != 0 || b.readmitting || b.lustrePath == "" {
+		return false, nil
+	}
+	srvs, err := fs.pickServers(b.key)
+	if err != nil {
+		return false, err
+	}
+	s := srvs[0]
+	if s.phys.failed || s.bytes+b.size > s.budget() {
+		return false, nil
+	}
+	b.readmitting = true
+	b.takeShare(s, b.size)
+	if wg != nil {
+		wg.Add(1)
+	}
+	fs.cl.Env.Spawn(fmt.Sprintf("bb.%s.b%d", kind, b.id), func(q *sim.Proc) {
+		if wg != nil {
+			defer wg.Done()
+		}
+		defer func() { b.readmitting = false }()
+		ok := copyIn(q, s)
+		if _, held := s.holders[b]; held { // unless a crash or delete released it
+			b.releaseShare(s) // admitClean takes the footprint
+		}
+		if ok && b.state == stateEvicted && !s.phys.failed {
+			s.admitClean(b)
+		}
+	})
+	return true, nil
 }
 
 // stageInBlock copies one block Lustre -> buffer server, charging the

@@ -94,7 +94,7 @@ type Request struct {
 	// metrics namespace ("bb.<name>.*"). Must be unique among live
 	// allocations.
 	Name string
-	// Bricks is the capacity ask in pool bricks (Config.BrickSize each).
+	// Bricks is the capacity ask in pool bricks (core.BrickSize each).
 	Bricks int
 	// Mode maps bricks to servers (striped vs. private placement).
 	Mode Mode
@@ -246,7 +246,7 @@ func (s *Scheduler) dispatch() {
 func (s *Scheduler) minShare() int {
 	cfg := s.pool.Config()
 	n := 1
-	for int64(float64(int64(n)*cfg.BrickSize)*core.HighWatermark) < cfg.BlockSize {
+	for int64(float64(int64(n)*core.BrickSize)*core.HighWatermark) < cfg.BlockSize {
 		n++
 	}
 	return n

@@ -15,30 +15,21 @@ import "time"
 type Pipe struct {
 	name        string
 	bytesPerSec float64
-	chunk       int64
 	// freeAt is the virtual time (ns) at which the pipe next becomes idle.
 	freeAt int64
 	served int64 // total bytes reserved
 	busy   int64 // accumulated service time in ns
 }
 
-// DefaultChunk is the transfer interleaving granularity.
-const DefaultChunk = 1 << 20 // 1 MiB
+// pipeChunk is Transfer's interleaving granularity.
+const pipeChunk = 1 << 20 // 1 MiB
 
-// NewPipe returns a pipe serving bytesPerSec with the default chunk size.
+// NewPipe returns a pipe serving bytesPerSec.
 func NewPipe(name string, bytesPerSec float64) *Pipe {
-	return NewPipeChunk(name, bytesPerSec, DefaultChunk)
-}
-
-// NewPipeChunk returns a pipe with an explicit chunk size.
-func NewPipeChunk(name string, bytesPerSec float64, chunk int64) *Pipe {
 	if bytesPerSec <= 0 {
 		panic("sim: pipe bandwidth must be positive")
 	}
-	if chunk <= 0 {
-		panic("sim: pipe chunk must be positive")
-	}
-	return &Pipe{name: name, bytesPerSec: bytesPerSec, chunk: chunk}
+	return &Pipe{name: name, bytesPerSec: bytesPerSec}
 }
 
 // Name returns the pipe's name.
@@ -46,9 +37,6 @@ func (pp *Pipe) Name() string { return pp.name }
 
 // Rate returns the pipe's service rate in bytes per second.
 func (pp *Pipe) Rate() float64 { return pp.bytesPerSec }
-
-// Chunk returns the interleaving granularity in bytes.
-func (pp *Pipe) Chunk() int64 { return pp.chunk }
 
 // Served returns the total bytes the pipe has transferred or reserved.
 func (pp *Pipe) Served() int64 { return pp.served }
@@ -91,10 +79,7 @@ func (pp *Pipe) Reserve(notBefore int64, n int64) (end int64) {
 // the queueing plus service time. Zero or negative sizes cost nothing.
 func (pp *Pipe) Transfer(p *Proc, n int64) {
 	for n > 0 {
-		c := n
-		if c > pp.chunk {
-			c = pp.chunk
-		}
+		c := min(n, pipeChunk)
 		end := pp.Reserve(int64(p.Now()), c)
 		p.Sleep(time.Duration(end - int64(p.Now())))
 		n -= c

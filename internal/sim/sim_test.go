@@ -613,7 +613,6 @@ func TestPanicPaths(t *testing.T) {
 		wg.Done()
 	})
 	mustPanic("zero-bandwidth pipe", func() { NewPipe("x", 0) })
-	mustPanic("zero-chunk pipe", func() { NewPipeChunk("x", 1, 0) })
 	mustPanic("zero-capacity bounded store", func() { NewBounded[int](0) })
 	mustPanic("put on closed store", func() {
 		st := NewStore[int]()

@@ -29,7 +29,7 @@ type multiJobRun struct {
 func multiJobFingerprint(t *testing.T, sched string) multiJobRun {
 	t.Helper()
 	tb, err := New(Options{
-		Nodes: 4, Seed: 42, ChunkSize: 4 << 20, BlockSize: 16 << 20,
+		Nodes: 4, Seed: 42, BlockSize: 16 << 20,
 		BBServers: 2, BBServerMemory: 2 << 30, BBFlushers: 1,
 		BBSched: sched,
 	})
@@ -146,7 +146,7 @@ func TestGoldenMultiJob(t *testing.T) {
 func TestConcurrentBufferInstances(t *testing.T) {
 	run := func() (freeBricks int, times [2]int64) {
 		tb, err := New(Options{
-			Nodes: 4, Seed: 7, ChunkSize: 4 << 20, BlockSize: 16 << 20,
+			Nodes: 4, Seed: 7, BlockSize: 16 << 20,
 			BBServers: 2, BBServerMemory: 4 << 30, BBFlushers: 2,
 			BBSched: "backfill",
 		})
